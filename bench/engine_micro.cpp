@@ -273,9 +273,9 @@ class SpinLp final : public LogicalProcess {
   int lp_count_;
 };
 
-/// range(0) = workers, range(1) = 1 for the adaptive policy (with its default
-/// 4 groups-per-worker oversubscription, enabling work-stealing), 0 for
-/// fixed. Real time, not CPU time: the whole point is wall-clock speedup.
+/// range(0) = workers, range(1) = 1 for the adaptive preset (with its 4
+/// groups-per-worker oversubscription, enabling work-stealing), 0 for fixed.
+/// Real time, not CPU time: the whole point is wall-clock speedup.
 void BM_ShardedWindowThroughput(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const bool adaptive = state.range(1) != 0;

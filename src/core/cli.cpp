@@ -82,16 +82,12 @@ std::string cli_usage() {
       "                    1 = sequential, auto = usable CPUs (affinity/\n"
       "                    cgroup aware), default from EXASIM_SIM_WORKERS;\n"
       "                    identical results for any N)\n"
-      "  --scheduler=fixed|adaptive[:stretch=N][,gpw=N]\n"
-      "                   (window scheduling policy of the sharded engine;\n"
+      "  --scheduler=fixed|adaptive\n"
+      "                   (window planner preset of the sharded engine;\n"
       "                    adaptive widens per-group windows inside the safe\n"
       "                    envelope and steals ready LP groups across\n"
       "                    workers; or env EXASIM_SCHEDULER; identical\n"
-      "                    results for either policy)\n"
-      "  --speculate=N    (stage up to N events per LP group past the\n"
-      "                    conservative window, rolled back when invalidated;\n"
-      "                    0 = off; or env EXASIM_SPECULATE; identical\n"
-      "                    results at any depth)\n"
+      "                    results for either preset)\n"
       "  --no-pool        (disable the hot-path memory pools — payloads and\n"
       "                    fiber stacks fall back to plain heap/mmap; also\n"
       "                    env EXASIM_NO_POOL=1; identical results either way)\n";
@@ -227,9 +223,6 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     } else if (key == "scheduler") {
       if (!parse_scheduler_spec(value)) return fail("bad --scheduler");
       opts.machine.scheduler = value;
-    } else if (key == "speculate") {
-      if (!parse_int(value, &ll) || ll < 0) return fail("bad --speculate");
-      opts.machine.speculate = static_cast<int>(ll);
     } else if (key == "stack-bytes" && parse_int(value, &ll)) {
       opts.machine.process.fiber_stack_bytes = static_cast<std::size_t>(ll);
     } else if (key == "no-pool") {

@@ -35,9 +35,8 @@ namespace exasim::core {
 ///   --sim-time-file=PATH      --verbose
 ///   --replicates=N            --jobs=N
 ///   --sim-workers=N|auto      (or environment EXASIM_SIM_WORKERS)
-///   --scheduler=fixed|adaptive[:stretch=N][,gpw=N]
+///   --scheduler=fixed|adaptive
 ///                             (or environment EXASIM_SCHEDULER)
-///   --speculate=N             (or environment EXASIM_SPECULATE)
 ///   --no-pool                 (or environment EXASIM_NO_POOL=1)
 struct CliOptions {
   SimConfig machine;

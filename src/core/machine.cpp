@@ -144,7 +144,6 @@ SimResult Machine::run() {
   shard.lookahead = network_->min_remote_latency();
   shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
   shard.scheduler = scheduler;
-  shard.speculate = resolve_speculation(config_.speculate);
   if (network_->params().contention && shard.workers > 1) {
     // Busy-window interleaving across LP groups depends on window boundaries:
     // contention delays are a modeled approximation there, not the exact

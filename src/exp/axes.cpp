@@ -19,21 +19,6 @@ resilience::DetectorSpec detector_spec_for(std::size_t value_index) {
   return *spec;
 }
 
-Axis scheduler_axis() {
-  Axis axis;
-  axis.name = "scheduler";
-  for (const auto& name : list_schedulers()) axis.values.push_back(name);
-  return axis;
-}
-
-SchedulerSpec scheduler_spec_for(std::size_t value_index) {
-  const auto& names = list_schedulers();
-  if (value_index >= names.size()) throw std::out_of_range("scheduler axis index");
-  auto spec = parse_scheduler_spec(names[value_index]);
-  if (!spec) throw std::logic_error("unparsable registered scheduler name");
-  return *spec;
-}
-
 Axis routing_axis() {
   Axis axis;
   axis.name = "routing";

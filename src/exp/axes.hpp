@@ -4,7 +4,6 @@
 #include "exp/plan.hpp"
 #include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
-#include "pdes/scheduler.hpp"
 #include "resilience/detector.hpp"
 
 namespace exasim::exp {
@@ -17,14 +16,6 @@ Axis failure_detector_axis();
 /// DetectorSpec for a failure_detector_axis() value index (defaults for the
 /// parameterized families: heartbeat period auto, miss 3).
 resilience::DetectorSpec detector_spec_for(std::size_t value_index);
-
-/// The window-scheduler axis: one value per registered scheduler family
-/// (fixed, adaptive), in registry order — for perf campaigns comparing
-/// policies (the simulated result is policy-invariant by design).
-Axis scheduler_axis();
-
-/// SchedulerSpec for a scheduler_axis() value index (family defaults).
-SchedulerSpec scheduler_spec_for(std::size_t value_index);
 
 /// The routing-policy axis: one value per registered routing family
 /// (deterministic, adaptive), in registry order — for campaigns comparing

@@ -56,20 +56,19 @@ class LogicalProcess {
 /// more when the scheduler oversubscribes for work-stealing — each group has
 /// its own event heap, and the groups advance in lock-step conservative
 /// windows bounded below `lookahead` — the minimum cross-node delivery
-/// latency — past the global minimum (the SchedulerPolicy may widen a
-/// group's bound inside the provably safe per-group envelope; DESIGN.md
-/// §11). Each cycle, worker threads claim ready groups home-first and then
-/// steal leftovers in group-id order. Cross-group events ride per-(source →
+/// latency — past the global minimum (the WindowPlanner may widen a group's
+/// bound inside the provably safe per-group envelope; DESIGN.md §11). Each
+/// cycle, worker threads claim ready groups home-first and then steal
+/// leftovers in group-id order. Cross-group events ride per-(source →
 /// target) mailboxes merged at the window barrier; because the safe window
 /// bounds and the ordering key are both partition-independent, every worker
-/// count, scheduler policy, and speculation depth delivers the identical
-/// event schedule.
+/// count and scheduler preset delivers the identical event schedule.
 class Engine {
  public:
   /// How to shard the LPs over worker threads. Applies to the next run().
   struct ShardingOptions {
-    /// Worker threads. 1 selects the sequential engine (with the default
-    /// one-group-per-worker scheduler); clamped down to the number of
+    /// Worker threads. 1 selects the sequential engine (with the fixed
+    /// preset's one group per worker); clamped down to the number of
     /// alignment blocks.
     int workers = 1;
     /// Conservative window width, normally
@@ -86,14 +85,9 @@ class Engine {
     /// Optional explicit partition override mapping LP id → group index in
     /// [0, groups); when set it replaces the contiguous-block partition.
     std::function<int(LpId)> group_of;
-    /// Window scheduling policy (fixed or adaptive) and its parameters,
-    /// including groups-per-worker oversubscription for work-stealing.
+    /// Window planner preset (fixed or adaptive), which also fixes the
+    /// groups-per-worker oversubscription for work-stealing.
     SchedulerSpec scheduler;
-    /// Bounded speculation depth: maximum events per group popped (staged)
-    /// past the window bound ahead of their commit; 0 disables. Staged
-    /// events that a merged-in earlier event invalidates are rolled back to
-    /// the heap, so the delivered schedule is unchanged (DESIGN.md §11).
-    int speculate = 0;
   };
 
   /// What Engine::schedule does when an event is scheduled before the

@@ -221,10 +221,4 @@ SimTime EventQueue::min_time() const {
   return h == nullptr ? kSimTimeNever : h->front().time;
 }
 
-const Event& EventQueue::peek() const {
-  int bucket = -1;
-  const std::vector<Entry>* h = min_heap(&bucket);
-  return slab_[h->front().slot];
-}
-
 }  // namespace exasim

@@ -26,7 +26,7 @@ namespace exasim {
 /// bound (WindowSync) or, sequentially, as a rolling lookahead-sized window,
 /// so the bucket a pop comes from is almost always the first occupied one
 /// and its heap holds only a sliver of the pending set. Bucket routing is a
-/// placement heuristic only: pop/peek/min_time compare the best near entry
+/// placement heuristic only: pop/min_time compare the best near entry
 /// against the far-heap root under the full key, so any horizon (including
 /// none — the initial state routes everything far) delivers the exact
 /// EventOrder sequence.
@@ -50,10 +50,6 @@ class EventQueue {
   /// Timestamp of the earliest event, kSimTimeNever when empty — the value a
   /// group publishes for the conservative window-bound computation.
   SimTime min_time() const;
-
-  /// The earliest event without removing it; undefined on an empty queue.
-  /// Used by the engine's stage/heap two-way delivery merge.
-  const Event& peek() const;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

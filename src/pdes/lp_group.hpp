@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <utility>
 #include <vector>
 
 #include "pdes/event.hpp"
@@ -17,7 +15,7 @@ namespace exasim {
 /// here over native threads.
 ///
 /// Engine-internal. Threading contract: everything in an LpGroup (queue,
-/// outboxes, stage, counters, clock) is touched only by the single worker
+/// outboxes, counters, clock) is touched only by the single worker
 /// thread currently holding the group's claim token (WindowSync); claim
 /// hand-offs between workers are separated by the window barriers. Within
 /// one cycle, the worker that merged a group's mailboxes may differ from the
@@ -62,32 +60,11 @@ class LpGroup {
   std::vector<LpId>& members() { return members_; }
   const std::vector<LpId>& members() const { return members_; }
 
-  /// Speculation stage (`--speculate=N`): events popped past the window bound
-  /// ahead of their commit, kept in ascending EventKey order. Delivery merges
-  /// the stage front against the heap top; the mailbox merge rolls back any
-  /// staged suffix that an incoming event orders before (rollbacks counter).
-  std::deque<Event>& stage() { return stage_; }
-  Event pop_stage() {
-    Event ev = std::move(stage_.front());
-    stage_.pop_front();
-    return ev;
-  }
-
-  /// Earliest pending event time over heap + stage — what this group
-  /// publishes for the window-bound computation (kSimTimeNever when idle).
-  SimTime pending_min() const {
-    return stage_.empty() ? queue_.min_time() : stage_.front().time;
-  }
-
   std::uint64_t events_processed = 0;
   std::uint64_t events_dropped_dead = 0;
   /// Events delivered in the most recent window phase — the per-group
-  /// event-density feedback of the adaptive scheduler policy.
+  /// event-density feedback of the WindowPlanner.
   std::uint64_t window_events_last = 0;
-  /// Events ever staged past a window bound / staged events invalidated by a
-  /// later-merged earlier event (folded into the process-wide SchedStats).
-  std::uint64_t speculated_events = 0;
-  std::uint64_t rollbacks = 0;
   /// Whether the most recent stall phase made progress (published to the
   /// window synchronizer for the global two-phase deadlock check).
   bool stall_progressed = false;
@@ -96,7 +73,6 @@ class LpGroup {
   int index_;
   EventQueue queue_;
   std::vector<std::vector<Event>> outbox_;
-  std::deque<Event> stage_;
   std::vector<LpId> members_;
   SimTime now_ = 0;
   LpId current_source_ = kExternalSource;

@@ -4,10 +4,9 @@
 
 namespace exasim {
 
-WindowSync::WindowSync(int workers, int groups, SimTime lookahead, SchedulerPolicy* policy,
+WindowSync::WindowSync(int workers, int groups, SimTime lookahead, const SchedulerSpec& scheduler,
                        const std::atomic<bool>* stop)
-    : lookahead_(lookahead),
-      policy_(policy),
+    : planner_(scheduler, lookahead),
       stop_(stop),
       mins_(static_cast<std::size_t>(groups), kSimTimeNever),
       window_events_(static_cast<std::size_t>(groups), 0),
@@ -32,17 +31,16 @@ void WindowSync::decide() noexcept {
   for (SimTime t : mins_) global_min = std::min(global_min, t);
   if (global_min != kSimTimeNever) {
     phase_ = Phase::kWindow;
-    std::uint64_t idle = 0;
+    bool idled = false;
     for (auto& ns : idle_ns_) {
-      idle += ns;
+      idled = idled || ns != 0;
       ns = 0;
     }
-    const SchedFeedback fb{mins_, window_events_, idle};
-    const int widenings = policy_->plan(fb, lookahead_, bounds_);
+    const int widenings = planner_.plan(mins_, window_events_, idled, bounds_);
     sched_note_window(static_cast<std::uint64_t>(widenings));
     return;
   }
-  // All heaps, stages and mailboxes drained. If the previous phase was
+  // All heaps and mailboxes drained. If the previous phase was
   // already a stall round and nobody progressed, the remaining LPs are
   // deadlocked.
   bool progressed = false;

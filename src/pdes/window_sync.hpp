@@ -12,9 +12,9 @@ namespace exasim {
 
 /// Lock-step conservative window synchronization for the sharded engine
 /// (paper §IV-A: simulated MPI processes advance under conservative
-/// synchronization) — the *mechanism* half of the scheduling stack. The
-/// *policy* half (how wide each group's next window is) is a SchedulerPolicy
-/// (DESIGN.md §11) invoked once per cycle from the decide barrier.
+/// synchronization): the barriers, phase machine and claim tokens. How wide
+/// each group's next window is comes from the WindowPlanner (DESIGN.md §11),
+/// held by value and invoked once per cycle from the decide barrier.
 ///
 /// Worker threads and LP groups are decoupled: `workers` threads rendezvous
 /// at the barriers while `groups >= workers` groups are claimed per phase
@@ -28,8 +28,8 @@ namespace exasim {
 ///
 ///   sync_outboxes();            // barrier: previous-window writes visible;
 ///                               // completion resets the merge claims
-///   for g: try_claim_merge(g) → merge g's inbound mailboxes, roll back
-///          invalidated speculation, publish g's pending min + feedback
+///   for g: try_claim_merge(g) → merge g's inbound mailboxes, publish g's
+///          pending min + feedback
 ///   publish_idle_ns(worker, …);
 ///   sync_decide();              // barrier; completion runs decide() once
 ///   switch (phase()) {
@@ -41,9 +41,9 @@ namespace exasim {
 /// decide() — executed exactly once per cycle, by the barrier completion, so
 /// every group observes an identical snapshot — picks the next phase:
 ///   * stop requested → kExit
-///   * any event pending → kWindow; the SchedulerPolicy fills the per-group
-///     bounds (the fixed policy: global-min + lookahead for everyone; the
-///     adaptive policy widens inside the safe envelope min-over-others +
+///   * any event pending → kWindow; the WindowPlanner fills the per-group
+///     bounds (the fixed preset: global-min + lookahead for everyone; the
+///     adaptive preset widens inside the safe envelope min-over-others +
 ///     lookahead)
 ///   * all queues empty → kStall (the two-phase global deadlock check: each
 ///     group runs its own LPs' on_stall hooks, then the next decide() sees
@@ -52,10 +52,10 @@ class WindowSync {
  public:
   enum class Phase : std::uint8_t { kWindow, kStall, kExit };
 
-  /// `policy` decides per-group bounds, not owned, must outlive the run.
+  /// `scheduler` selects the planner preset deciding per-group bounds.
   /// `stop` is the engine's stop flag, sampled once per decide() so that all
   /// groups observe a stop request at the same window boundary.
-  WindowSync(int workers, int groups, SimTime lookahead, SchedulerPolicy* policy,
+  WindowSync(int workers, int groups, SimTime lookahead, const SchedulerSpec& scheduler,
              const std::atomic<bool>* stop);
 
   // Per-group publications — written by the worker holding the group's merge
@@ -73,7 +73,7 @@ class WindowSync {
     idle_ns_[static_cast<std::size_t>(worker)] = ns;
   }
 
-  /// Pre-merge rendezvous: after it, all groups' outbox/stage writes of the
+  /// Pre-merge rendezvous: after it, all groups' outbox writes of the
   /// previous phase are visible and no new writes happen until sync_decide().
   /// The completion re-arms the merge claim tokens.
   void sync_outboxes() { pre_merge_.arrive_and_wait(); }
@@ -118,8 +118,7 @@ class WindowSync {
 
   void decide() noexcept;
 
-  SimTime lookahead_;
-  SchedulerPolicy* policy_;
+  WindowPlanner planner_;
   const std::atomic<bool>* stop_;
   std::vector<SimTime> mins_;
   std::vector<std::uint64_t> window_events_;

@@ -123,25 +123,25 @@ TEST(Cli, ParsesSimWorkers) {
   }
 }
 
-TEST(Cli, ParsesSchedulerAndSpeculate) {
+TEST(Cli, ParsesScheduler) {
   EnvGuard env(nullptr);
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
   EXPECT_TRUE(defaulted->machine.scheduler.empty());  // "" = EXASIM_SCHEDULER env.
-  EXPECT_EQ(defaulted->machine.speculate, -1);        // -1 = EXASIM_SPECULATE env.
 
-  auto adaptive = parse({"--scheduler=adaptive:stretch=16,gpw=2", "--speculate=32"});
+  auto fixed = parse({"--scheduler=fixed"});
+  ASSERT_TRUE(fixed.has_value());
+  EXPECT_EQ(fixed->machine.scheduler, "fixed");
+
+  auto adaptive = parse({"--scheduler=adaptive"});
   ASSERT_TRUE(adaptive.has_value());
-  EXPECT_EQ(adaptive->machine.scheduler, "adaptive:stretch=16,gpw=2");
-  EXPECT_EQ(adaptive->machine.speculate, 32);
+  EXPECT_EQ(adaptive->machine.scheduler, "adaptive");
 
-  auto off = parse({"--scheduler=fixed", "--speculate=0"});
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(off->machine.scheduler, "fixed");
-  EXPECT_EQ(off->machine.speculate, 0);
-
-  for (auto bad : {"--scheduler=bogus", "--scheduler=adaptive:stretch=0",
-                   "--scheduler=adaptive:nope=1", "--speculate=-1", "--speculate=x"}) {
+  // The presets take no parameters.
+  for (auto bad : {"--scheduler=bogus", "--scheduler=adaptive:stretch=16,gpw=2",
+                   "--scheduler=adaptive:stretch=0", "--scheduler=adaptive:nope=1",
+                   "--scheduler=fixed:gpw=2", "--scheduler=fixed:stretch=8",
+                   "--speculate=8"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());

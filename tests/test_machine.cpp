@@ -220,47 +220,43 @@ TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {
 
 TEST(Machine, ResultJsonIsSchedulerAndWorkerInvariant) {
   // ISSUE 6 acceptance: the emitted --result-json must be byte-identical
-  // across --sim-workers 1/2/4 for both scheduling policies and with
-  // speculation on. A completing (failure-free) run is used so
-  // events_processed is exact for every worker count; the wall-clock tail
-  // (wall_seconds / events_per_sec) is stripped exactly as
-  // scripts/bench_smoke.sh does. Across policies the only legal difference
-  // is the "scheduler" config-echo field itself.
+  // across --sim-workers 1/2/4 for both scheduler presets. A completing
+  // (failure-free) run is used so events_processed is exact for every worker
+  // count; the wall-clock tail (wall_seconds / events_per_sec) is stripped
+  // exactly as scripts/bench_smoke.sh does. Across presets the only legal
+  // difference is the "scheduler" config-echo field itself.
   apps::HeatParams p;
   p.nx = p.ny = p.nz = 8;
   p.px = p.py = p.pz = 2;
   p.total_iterations = 20;
   p.halo_interval = 5;
   p.checkpoint_interval = 10;
-  auto json_with = [&](int workers, const std::string& scheduler, int speculate) {
+  auto json_with = [&](int workers, const std::string& scheduler) {
     core::SimConfig cfg = tiny_config(8);
     cfg.sim_workers = workers;
     cfg.ranks_per_node = 2;
     cfg.scheduler = scheduler;
-    cfg.speculate = speculate;
     ckpt::CheckpointStore store(8);
     std::string json = core::sim_result_json(run_app(cfg, apps::make_heat3d(p), &store));
     const std::size_t tail = json.find(",\"wall_seconds\"");
     EXPECT_NE(tail, std::string::npos);
     return json.substr(0, tail);
   };
-  const std::string ref = json_with(1, "fixed", 0);
+  const std::string ref = json_with(1, "fixed");
   EXPECT_NE(ref.find("\"outcome\":\"completed\""), std::string::npos);
   EXPECT_NE(ref.find("\"scheduler\":\"fixed\""), std::string::npos);
   for (int workers : {1, 2, 4}) {
     for (const char* scheduler : {"fixed", "adaptive"}) {
-      for (int speculate : {0, 16}) {
-        SCOPED_TRACE(std::string("workers=") + std::to_string(workers) +
-                     " scheduler=" + scheduler + " speculate=" + std::to_string(speculate));
-        std::string json = json_with(workers, scheduler, speculate);
-        // Normalize the config echo so only real result divergence remains.
-        const std::string adaptive_echo = "\"scheduler\":\"adaptive\"";
-        const std::size_t echo = json.find(adaptive_echo);
-        if (echo != std::string::npos) {
-          json.replace(echo, adaptive_echo.size(), "\"scheduler\":\"fixed\"");
-        }
-        EXPECT_EQ(json, ref);
+      SCOPED_TRACE(std::string("workers=") + std::to_string(workers) +
+                   " scheduler=" + scheduler);
+      std::string json = json_with(workers, scheduler);
+      // Normalize the config echo so only real result divergence remains.
+      const std::string adaptive_echo = "\"scheduler\":\"adaptive\"";
+      const std::size_t echo = json.find(adaptive_echo);
+      if (echo != std::string::npos) {
+        json.replace(echo, adaptive_echo.size(), "\"scheduler\":\"fixed\"");
       }
+      EXPECT_EQ(json, ref);
     }
   }
 }

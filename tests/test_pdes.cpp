@@ -245,7 +245,7 @@ class StormLp : public LogicalProcess {
 };
 
 std::string run_storm(int workers, std::uint64_t* processed,
-                      const SchedulerSpec& scheduler = {}, int speculate = 0) {
+                      const SchedulerSpec& scheduler = {}) {
   constexpr int kLps = 8;
   Engine e;
   std::vector<std::unique_ptr<StormLp>> lps;
@@ -259,7 +259,6 @@ std::string run_storm(int workers, std::uint64_t* processed,
   }
   Engine::ShardingOptions opts = sharded(workers);
   opts.scheduler = scheduler;
-  opts.speculate = speculate;
   e.set_sharding(opts);
   e.run();
   *processed = e.events_processed();
@@ -281,71 +280,57 @@ TEST(ShardedEngine, EventStormTraceIsWorkerCountInvariant) {
 
 TEST(ShardedEngine, EventStormTraceIsSchedulerInvariant) {
   // The delivered schedule must be byte-identical across every combination of
-  // worker count x scheduling policy x speculation depth: adaptive bounds stay
-  // inside the safe envelope and speculative staging is rolled back before it
-  // can reorder a delivery (ISSUE 6 acceptance).
+  // worker count x scheduler preset: adaptive bounds stay inside the safe
+  // envelope.
   std::uint64_t base_count = 0;
   const std::string base = run_storm(1, &base_count);
   for (int workers : {1, 2, 4}) {
     for (SchedulerKind kind : {SchedulerKind::kFixed, SchedulerKind::kAdaptive}) {
-      for (int speculate : {0, 8}) {
-        SchedulerSpec spec;
-        spec.kind = kind;
-        std::uint64_t count = 0;
-        EXPECT_EQ(run_storm(workers, &count, spec, speculate), base)
-            << "workers=" << workers << " scheduler=" << to_string(spec)
-            << " speculate=" << speculate;
-        EXPECT_EQ(count, base_count) << "workers=" << workers;
-      }
+      const SchedulerSpec spec{kind};
+      std::uint64_t count = 0;
+      EXPECT_EQ(run_storm(workers, &count, spec), base)
+          << "workers=" << workers << " scheduler=" << to_string(spec);
+      EXPECT_EQ(count, base_count) << "workers=" << workers;
     }
   }
 }
 
 TEST(ShardedEngine, StealingWithOversubscribedGroupsIsDeterministic) {
-  // groups-per-worker > 1 enables work-stealing: more groups than workers, and
-  // any worker may claim any group once its own are done. Which steals occur
-  // is timing-dependent, but group state is only ever touched by the claim
-  // holder between barriers, so the trace must not change.
+  // The adaptive preset's 4 groups per worker enable work-stealing: more
+  // groups than workers, and any worker may claim any group once its own are
+  // done. Which steals occur is timing-dependent, but group state is only
+  // ever touched by the claim holder between barriers, so the trace must not
+  // change.
   std::uint64_t base_count = 0;
   const std::string base = run_storm(1, &base_count);
-  for (SchedulerKind kind : {SchedulerKind::kFixed, SchedulerKind::kAdaptive}) {
-    SchedulerSpec spec;
-    spec.kind = kind;
-    spec.groups_per_worker = 4;
-    std::uint64_t count = 0;
-    EXPECT_EQ(run_storm(2, &count, spec, /*speculate=*/4), base)
-        << "scheduler=" << to_string(spec);
-    EXPECT_EQ(count, base_count);
-  }
+  std::uint64_t count = 0;
+  EXPECT_EQ(run_storm(2, &count, SchedulerSpec{SchedulerKind::kAdaptive}), base);
+  EXPECT_EQ(count, base_count);
 }
 
-TEST(ShardedEngine, SpeculationCountsAreReproducibleUnderFixedPolicy) {
-  // Under the fixed policy the window bounds are a pure function of queue
-  // state, so the staged/rolled-back event counts are deterministic for a
-  // given (workers, config) — pin them by running the same config twice.
-  const SchedStats before = sched_stats();
-  std::uint64_t count = 0;
-  run_storm(2, &count, SchedulerSpec{}, /*speculate=*/8);
-  const SchedStats mid = sched_stats();
-  run_storm(2, &count, SchedulerSpec{}, /*speculate=*/8);
-  const SchedStats after = sched_stats();
-  const std::uint64_t spec1 = mid.speculated - before.speculated;
-  const std::uint64_t roll1 = mid.rollbacks - before.rollbacks;
-  EXPECT_GT(spec1, 0u);  // The storm is dense enough that staging engages.
-  EXPECT_EQ(after.speculated - mid.speculated, spec1);
-  EXPECT_EQ(after.rollbacks - mid.rollbacks, roll1);
-  EXPECT_GE(spec1, roll1);  // Can't roll back more than was staged.
+TEST(ShardedEngine, FixedPresetNeverWidensOnTheStorm) {
+  // The fixed preset is the planner at stretch 1 with one group per worker:
+  // every bound is exactly global-min + lookahead, so it never widens and its
+  // cycle structure is a pure function of queue state — 8 windows on the
+  // storm at any worker count.
+  for (int workers : {2, 4}) {
+    const SchedStats before = sched_stats();
+    std::uint64_t count = 0;
+    run_storm(workers, &count, SchedulerSpec{SchedulerKind::kFixed});
+    const SchedStats after = sched_stats();
+    EXPECT_EQ(after.windows - before.windows, 8u) << "workers=" << workers;
+    EXPECT_EQ(after.window_widenings - before.window_widenings, 0u) << "workers=" << workers;
+  }
 }
 
 TEST(ShardedEngine, AdaptivePolicyWidensWindowsOnTheStorm) {
   // The storm run is sparse per group (8 LPs, short hops), so the adaptive
-  // policy's density feedback must widen at least one window beyond the fixed
-  // bound; the trace stays identical (checked above), only pacing changes.
-  SchedulerSpec spec;
-  spec.kind = SchedulerKind::kAdaptive;
+  // preset's density feedback must widen at least one window beyond
+  // global-min + lookahead; the trace stays identical (checked above), only
+  // pacing changes.
   const SchedStats before = sched_stats();
   std::uint64_t count = 0;
-  run_storm(4, &count, spec);
+  run_storm(4, &count, SchedulerSpec{SchedulerKind::kAdaptive});
   const SchedStats after = sched_stats();
   EXPECT_GT(after.windows, before.windows);
   EXPECT_GT(after.window_widenings - before.window_widenings, 0u);
@@ -525,7 +510,6 @@ void expect_pop_order(EventQueue& q, std::vector<Event>& expect) {
   for (const Event& want : expect) {
     ASSERT_FALSE(q.empty());
     EXPECT_EQ(q.min_time(), want.time);
-    EXPECT_EQ(key_of(q.peek()).seq, want.seq);
     const Event got = q.pop();
     EXPECT_EQ(got.time, want.time);
     EXPECT_EQ(got.priority, want.priority);
