@@ -367,6 +367,46 @@ void BM_PingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_PingPong);
 
+/// The small-scale shape of the table2_e1_32k benchmark: 64 ranks on a
+/// 4x4x4 torus, each exchanging modeled faces with its 6 neighbours every
+/// iteration (irecv/isend/waitall with a reused handle vector). Dominated by
+/// vmpi matching and waiting, so a matching regression shows here without a
+/// 32k-rank run. Items = messages.
+void BM_HaloExchange(benchmark::State& state) {
+  constexpr int kDim = 4;
+  constexpr int kRanks = kDim * kDim * kDim;
+  constexpr int kIters = 50;
+  core::SimConfig cfg = micro_config(kRanks);
+  cfg.topology = "torus:4x4x4";
+  for (auto _ : state) {
+    core::Machine machine(cfg, [](vmpi::Context& ctx) {
+      const int r = ctx.rank();
+      const int x = r % kDim, y = (r / kDim) % kDim, z = r / (kDim * kDim);
+      auto at = [](int xx, int yy, int zz) {
+        auto wrap = [](int v) { return (v + kDim) % kDim; };
+        return wrap(xx) + kDim * (wrap(yy) + kDim * wrap(zz));
+      };
+      const int nbr[6] = {at(x - 1, y, z), at(x + 1, y, z), at(x, y - 1, z),
+                          at(x, y + 1, z), at(x, y, z - 1), at(x, y, z + 1)};
+      auto& w = ctx.world();
+      std::vector<vmpi::RequestHandle> hs;
+      hs.reserve(12);
+      for (int it = 0; it < kIters; ++it) {
+        ctx.compute(1e4);
+        hs.clear();
+        // Tag by direction so each face pairs with its opposite.
+        for (int d = 0; d < 6; ++d) hs.push_back(ctx.irecv_modeled(w, nbr[d], d ^ 1, 4096));
+        for (int d = 0; d < 6; ++d) hs.push_back(ctx.isend_modeled(w, nbr[d], d, 4096));
+        ctx.waitall(w, hs);
+      }
+      ctx.finalize();
+    });
+    machine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kRanks * 6 * kIters);
+}
+BENCHMARK(BM_HaloExchange);
+
 /// Fiber-dispatch cost under fan-in traffic: every rank sends to rank 0,
 /// which receives in rank order — so most arrivals at rank 0 cannot complete
 /// the receive it is currently blocked on. range(0) = 1 resumes rank 0's

@@ -355,6 +355,8 @@ std::string sim_result_json(const SimResult& r) {
 }
 
 std::vector<vmpi::Rank> Machine::alive_world_ranks() const {
+  // Ascending: processes_ is indexed by world rank, and callers
+  // (MPI_Comm_shrink membership) binary-search the result.
   std::vector<vmpi::Rank> alive;
   alive.reserve(processes_.size());
   for (const auto& p : processes_) {

@@ -43,14 +43,14 @@ namespace {
 
 Err coll_send(SimProcess& p, Comm& comm, Rank dest, int tag, const void* data,
               std::size_t bytes, bool allow_revoked = false) {
-  RequestHandle h = p.post_send(comm, dest, tag, data, bytes, allow_revoked);
-  return p.wait_all({h}, nullptr);
+  const RequestHandle h = p.post_send(comm, dest, tag, data, bytes, allow_revoked);
+  return p.wait_all({&h, 1}, nullptr);
 }
 
 Err coll_recv(SimProcess& p, Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity,
               bool allow_revoked = false) {
-  RequestHandle h = p.post_recv(comm, src, tag, buffer, capacity, allow_revoked);
-  return p.wait_all({h}, nullptr);
+  const RequestHandle h = p.post_recv(comm, src, tag, buffer, capacity, allow_revoked);
+  return p.wait_all({&h, 1}, nullptr);
 }
 
 }  // namespace
@@ -344,13 +344,13 @@ Comm* Context::comm_split(Comm& comm, int color, int key) {
 namespace {
 
 /// Surviving members of `comm` in communicator order, from the process's
-/// (globally consistent) view. Root of recovery = first survivor.
+/// (globally consistent) view; `alive_world` is ascending. Root of recovery =
+/// first survivor.
 std::vector<Rank> surviving_comm_ranks(SimProcess& p, const Comm& comm,
                                        const std::vector<Rank>& alive_world) {
   std::vector<Rank> out;
   for (Rank r = 0; r < comm.size(); ++r) {
-    if (std::find(alive_world.begin(), alive_world.end(), comm.world_of(r)) !=
-        alive_world.end()) {
+    if (std::binary_search(alive_world.begin(), alive_world.end(), comm.world_of(r))) {
       out.push_back(r);
     }
   }

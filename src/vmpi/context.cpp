@@ -47,19 +47,15 @@ void Context::elapse(SimTime dt) {
 
 Err Context::raw_send(Comm& comm, Rank dest, int tag, const void* data, std::size_t bytes) {
   proc_->fold_native_time();
-  RequestHandle h = proc_->post_send(comm, dest, tag, data, bytes);
-  std::vector<MsgStatus> st;
-  return proc_->wait_all({h}, &st);
+  const RequestHandle h = proc_->post_send(comm, dest, tag, data, bytes);
+  return proc_->wait_all({&h, 1}, nullptr);
 }
 
 Err Context::raw_recv(Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity,
                       MsgStatus* status) {
   proc_->fold_native_time();
-  RequestHandle h = proc_->post_recv(comm, src, tag, buffer, capacity);
-  std::vector<MsgStatus> st;
-  Err e = proc_->wait_all({h}, &st);
-  if (status != nullptr && !st.empty()) *status = st.front();
-  return e;
+  const RequestHandle h = proc_->post_recv(comm, src, tag, buffer, capacity);
+  return proc_->wait_all({&h, 1}, status);
 }
 
 Err Context::send(Comm& comm, Rank dest, int tag, const void* data, std::size_t bytes) {
@@ -87,11 +83,12 @@ Err Context::sendrecv(Comm& comm, Rank dest, int send_tag, const void* send_data
                       std::size_t send_bytes, Rank src, int recv_tag, void* recv_buffer,
                       std::size_t recv_capacity, MsgStatus* status) {
   proc_->fold_native_time();
-  RequestHandle rh = proc_->post_recv(comm, src, recv_tag, recv_buffer, recv_capacity);
-  RequestHandle sh = proc_->post_send(comm, dest, send_tag, send_data, send_bytes);
-  std::vector<MsgStatus> st;
-  Err e = proc_->wait_all({rh, sh}, &st);
-  if (status != nullptr && !st.empty()) *status = st.front();
+  const RequestHandle rh = proc_->post_recv(comm, src, recv_tag, recv_buffer, recv_capacity);
+  const RequestHandle sh = proc_->post_send(comm, dest, send_tag, send_data, send_bytes);
+  const RequestHandle handles[] = {rh, sh};
+  MsgStatus st[2];
+  Err e = proc_->wait_all(handles, st);
+  if (status != nullptr) *status = st[0];
   return proc_->apply_error_handler(comm, e);
 }
 
@@ -125,16 +122,15 @@ RequestHandle Context::irecv_modeled(Comm& comm, Rank src, int tag, std::size_t 
 
 Err Context::wait(Comm& comm, RequestHandle h, MsgStatus* status) {
   proc_->fold_native_time();
-  std::vector<MsgStatus> st;
-  Err e = proc_->wait_all({h}, &st);
-  if (status != nullptr && !st.empty()) *status = st.front();
-  return proc_->apply_error_handler(comm, e);
+  return proc_->apply_error_handler(comm, proc_->wait_all({&h, 1}, status));
 }
 
 Err Context::waitall(Comm& comm, const std::vector<RequestHandle>& handles,
                      std::vector<MsgStatus>* statuses) {
   proc_->fold_native_time();
-  return proc_->apply_error_handler(comm, proc_->wait_all(handles, statuses));
+  if (statuses != nullptr) statuses->resize(handles.size());
+  return proc_->apply_error_handler(
+      comm, proc_->wait_all(handles, statuses == nullptr ? nullptr : statuses->data()));
 }
 
 bool Context::test(RequestHandle h, MsgStatus* status, Err* err) {

@@ -64,19 +64,22 @@ using AbortNoticePayload = resilience::AbortNoticePayload;
 using RevokeNoticePayload = resilience::RevokeNoticePayload;
 
 struct ErrorWakeupPayload final : EventPayload {
-  std::uint64_t request_serial = 0;
+  std::uint64_t request_serial = 0;  ///< With the slot: the request's handle.
+  std::uint32_t request_slot = 0;
   Err error = Err::kProcFailed;
   SimTime error_time = 0;  ///< Virtual time at which the request fails.
 };
 
 /// A message sitting in a process's unexpected queue (arrived before a
-/// matching receive was posted). `arrival_seq` totally orders arrivals so
-/// that ANY_SOURCE matching across per-source queues stays deterministic.
+/// matching receive was posted), held in a slab slot and linked into its
+/// (comm, source) FIFO through `next`. `arrival_seq` totally orders arrivals
+/// so that ANY_SOURCE matching across per-source queues stays deterministic.
 struct UnexpectedMsg {
   Envelope env;
   util::PayloadBuf data;
   SimTime arrival_time = 0;
   std::uint64_t arrival_seq = 0;
+  std::uint32_t next = kNoSlot;
 };
 
 }  // namespace exasim::vmpi

@@ -22,6 +22,54 @@ std::atomic<bool> g_eager_wakeup{[] {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }()};
 
+// Slab and intrusive-FIFO primitives over the matching engine's flat arrays
+// (element types carry a `next` index).
+template <class T>
+std::uint32_t slab_acquire(std::vector<T>& store, std::vector<std::uint32_t>& free) {
+  if (!free.empty()) {
+    const std::uint32_t i = free.back();
+    free.pop_back();
+    return i;
+  }
+  store.emplace_back();
+  return static_cast<std::uint32_t>(store.size() - 1);
+}
+
+template <class T>
+void slab_release(std::vector<T>& store, std::vector<std::uint32_t>& free, std::uint32_t i) {
+  store[i] = T{};  // Drops any payload spill now; a free slot has serial 0.
+  free.push_back(i);
+}
+
+template <class T>
+void fifo_push(std::vector<T>& store, std::uint32_t& head, std::uint32_t& tail,
+               std::uint32_t i) {
+  store[i].next = kNoSlot;
+  if (tail == kNoSlot) {
+    head = i;
+  } else {
+    store[tail].next = i;
+  }
+  tail = i;
+}
+
+template <class T>
+void fifo_unlink(std::vector<T>& store, std::uint32_t& head, std::uint32_t& tail,
+                 std::uint32_t prev, std::uint32_t i) {
+  if (prev == kNoSlot) {
+    head = store[i].next;
+  } else {
+    store[prev].next = store[i].next;
+  }
+  if (tail == i) tail = prev;
+}
+
+std::size_t bucket_hash(int comm_id, Rank src) {
+  const std::uint64_t key = (std::uint64_t{static_cast<std::uint32_t>(comm_id)} << 32) |
+                            static_cast<std::uint32_t>(src);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32);
+}
+
 }  // namespace
 
 bool eager_wakeup_enabled() { return g_eager_wakeup.load(std::memory_order_relaxed); }
@@ -134,8 +182,13 @@ void SimProcess::clear_wait() {
   wake_pending_ = false;
 }
 
-void SimProcess::note_request_done(Request& r) {
-  if (r.waited) wake_pending_ = true;
+void SimProcess::mark_done(Request& r) {
+  r.stage = Request::Stage::kDone;
+  if (r.waited) {
+    r.waited = false;
+    --waiting_;
+    wake_pending_ = true;
+  }
 }
 
 void SimProcess::note_unexpected(const Envelope& env) {
@@ -148,7 +201,8 @@ void SimProcess::note_unexpected(const Envelope& env) {
   wake_pending_ = true;
 }
 
-void SimProcess::block_until(const std::function<bool()>& ready) {
+template <class Ready>
+void SimProcess::block_until(Ready ready) {
   for (;;) {
     if (fault_.forced_failure != kSimTimeNever) {
       clock_ = std::max(clock_, fault_.forced_failure);
@@ -299,31 +353,36 @@ void SimProcess::handle_msg_arrival(MsgPayload& p, SimTime t) {
   if (!try_match_posted(p.env, std::move(p.data), t)) {
     // No matching posted receive yet: unexpected queue (normal MPI behavior).
     note_unexpected(p.env);
-    auto& bucket = unexpected_[{p.env.comm_id, p.env.src_comm_rank}];
-    bucket.push_back(UnexpectedMsg{p.env, std::move(p.data), t, next_arrival_seq_++});
+    const std::uint32_t b = bucket_for(p.env.comm_id, p.env.src_comm_rank);
+    const std::uint32_t i = slab_acquire(unexpected_msgs_, free_unexpected_);
+    UnexpectedMsg& m = unexpected_msgs_[i];
+    m.env = p.env;
+    m.data = std::move(p.data);
+    m.arrival_time = t;
+    m.arrival_seq = next_arrival_seq_++;
+    fifo_push(unexpected_msgs_, buckets_[b].unexpected_head, buckets_[b].unexpected_tail, i);
   }
   maybe_run_fiber();
 }
 
 void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
-  for (auto& r : requests_) {
-    if (r->kind == Request::Kind::kSend && r->stage == Request::Stage::kAwaitingCts &&
-        r->rdv_id == p.rdv_id) {
+  for (Request& r : slots_) {
+    if (r.kind == Request::Kind::kSend && r.stage == Request::Stage::kAwaitingCts &&
+        r.rdv_id == p.rdv_id) {
       // Clear-to-send: the NIC injects the payload now. The sender's request
       // completes once injection finishes; the receiver gets the bulk data
       // after the in-flight time.
-      const SimTime inject_done = t + fabric_->occupancy(r->bytes);
+      const SimTime inject_done = t + fabric_->occupancy(r.bytes);
       auto data = std::make_unique<DataPayload>();
-      data->rdv_id = r->rdv_id;
-      data->bytes = r->bytes;
-      data->data = std::move(r->send_data);
-      engine_->schedule(t + fabric_->delivery_at(t, world_rank_, r->peer_world_rank, r->bytes),
-                        r->peer_world_rank, kEvDataArrival, std::move(data));
-      if (energy_ != nullptr) energy_->add_traffic(world_rank_, r->bytes);
-      r->stage = Request::Stage::kDone;
-      r->complete_time = inject_done;
-      r->status.error = Err::kSuccess;
-      note_request_done(*r);
+      data->rdv_id = r.rdv_id;
+      data->bytes = r.bytes;
+      data->data = std::move(r.send_data);
+      engine_->schedule(t + fabric_->delivery_at(t, world_rank_, r.peer_world_rank, r.bytes),
+                        r.peer_world_rank, kEvDataArrival, std::move(data));
+      if (energy_ != nullptr) energy_->add_traffic(world_rank_, r.bytes);
+      r.complete_time = inject_done;
+      r.status.error = Err::kSuccess;
+      mark_done(r);
       maybe_run_fiber();
       return;
     }
@@ -332,17 +391,16 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
 }
 
 void SimProcess::handle_data(DataPayload& p, SimTime t) {
-  for (auto& r : requests_) {
-    if (r->kind == Request::Kind::kRecv && r->stage == Request::Stage::kAwaitingData &&
-        r->rdv_id == p.rdv_id) {
-      if (r->recv_buffer != nullptr && !p.data.empty()) {
-        std::memcpy(r->recv_buffer, p.data.data(), std::min(r->bytes, p.data.size()));
+  for (Request& r : slots_) {
+    if (r.kind == Request::Kind::kRecv && r.stage == Request::Stage::kAwaitingData &&
+        r.rdv_id == p.rdv_id) {
+      if (r.recv_buffer != nullptr && !p.data.empty()) {
+        std::memcpy(r.recv_buffer, p.data.data(), std::min(r.bytes, p.data.size()));
       }
-      r->status.bytes = p.bytes;
-      r->status.error = p.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
-      r->stage = Request::Stage::kDone;
-      r->complete_time = t + fabric_->receiver_overhead();
-      note_request_done(*r);
+      r.status.bytes = p.bytes;
+      r.status.error = p.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
+      r.complete_time = t + fabric_->receiver_overhead();
+      mark_done(r);
       maybe_run_fiber();
       return;
     }
@@ -387,21 +445,17 @@ void SimProcess::handle_failure_notice(FailureNoticePayload& p, SimTime t) {
 
 void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTime t_detect) {
   // Release (and fail) blocked requests involving the failed process after a
-  // simulated communication timeout (paper §IV-C).
-  for (auto& r : requests_) {
-    if (r->done() || r->error_wakeup_scheduled) continue;
-    const bool unmatched_recv = r->kind == Request::Kind::kRecv &&
-                                r->stage == Request::Stage::kPosted &&
-                                r->peer_world_rank == failed_rank;
-    const bool rendezvous_recv = r->kind == Request::Kind::kRecv &&
-                                 r->stage == Request::Stage::kAwaitingData &&
-                                 r->peer_world_rank == failed_rank;
-    const bool waiting_send = r->kind == Request::Kind::kSend &&
-                              r->stage == Request::Stage::kAwaitingCts &&
-                              r->peer_world_rank == failed_rank;
-    if (unmatched_recv || rendezvous_recv || waiting_send) {
-      schedule_error_wakeup(*r, t_fail, failed_rank, t_detect);
-    }
+  // simulated communication timeout (paper §IV-C): unmatched and rendezvous
+  // receives, and sends waiting for a clear-to-send. Post order keeps the
+  // scheduled wakeups in a stable sequence.
+  const auto blocked_on_failed = live_requests_by_serial([failed_rank](const Request& r) {
+    if (r.done() || r.error_wakeup_scheduled || r.peer_world_rank != failed_rank) return false;
+    return r.kind == Request::Kind::kRecv ? r.stage == Request::Stage::kPosted ||
+                                                r.stage == Request::Stage::kAwaitingData
+                                          : r.stage == Request::Stage::kAwaitingCts;
+  });
+  for (const std::uint32_t i : blocked_on_failed) {
+    schedule_error_wakeup(slots_[i], t_fail, failed_rank, t_detect);
   }
 }
 
@@ -409,6 +463,7 @@ void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_wor
                                        SimTime t_detect) {
   auto p = std::make_unique<ErrorWakeupPayload>();
   p->request_serial = r.serial;
+  p->request_slot = r.slot;
   p->error = Err::kProcFailed;
   // §IV-C timeout release, floored at the detector's notice delivery time:
   // the error cannot surface before this process learned of the failure.
@@ -426,13 +481,14 @@ void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_wor
 }
 
 void SimProcess::handle_error_wakeup(ErrorWakeupPayload& p) {
-  Request* r = find_request(p.request_serial);
-  if (r == nullptr || r->done()) return;  // Completed successfully in the meantime.
+  // Completed successfully in the meantime (its slot may even hold a newer
+  // request by now, which the serial check rejects).
+  Request* r = find_request(RequestHandle{p.request_serial, p.request_slot});
+  if (r == nullptr || r->done()) return;
   unindex_posted(*r);
-  r->stage = Request::Stage::kDone;
   r->complete_time = p.error_time;
   r->status.error = p.error;
-  note_request_done(*r);
+  mark_done(*r);
   maybe_run_fiber();
 }
 
@@ -462,15 +518,16 @@ bool SimProcess::on_stall(Engine& engine) {
   // receives (and probes) whose peers failed — released here through the
   // conservative-sync deadlock detection (paper §IV-C).
   bool progressed = false;
-  for (auto& r : requests_) {
-    if (r->done() || r->kind != Request::Kind::kRecv ||
-        r->stage != Request::Stage::kPosted || r->peer_comm_rank != kAnySource) {
-      continue;
-    }
+  const auto any_source_recvs = live_requests_by_serial([](const Request& r) {
+    return r.kind == Request::Kind::kRecv && r.stage == Request::Stage::kPosted &&
+           r.peer_comm_rank == kAnySource;
+  });
+  for (const std::uint32_t i : any_source_recvs) {
+    Request& r = slots_[i];
     // Earliest failed member of the request's communicator.
     const Comm* comm = nullptr;
     for (const auto& c : comms_) {
-      if (c->id == r->comm_id) {
+      if (c->id == r.comm_id) {
         comm = c.get();
         break;
       }
@@ -485,12 +542,12 @@ bool SimProcess::on_stall(Engine& engine) {
       }
     }
     if (failed < 0) continue;
-    unindex_posted(*r);
-    r->stage = Request::Stage::kDone;
-    r->complete_time = std::max(
-        std::max(r->post_time, t_fail) + fabric_->failure_timeout(world_rank_, failed),
+    unindex_posted(r);
+    r.complete_time = std::max(
+        std::max(r.post_time, t_fail) + fabric_->failure_timeout(world_rank_, failed),
         fault_.peer_detect_time(failed));
-    r->status.error = Err::kProcFailed;
+    r.status.error = Err::kProcFailed;
+    mark_done(r);
     progressed = true;
   }
   if (progressed) {
@@ -504,11 +561,103 @@ bool SimProcess::on_stall(Engine& engine) {
 // Matching engine
 // ---------------------------------------------------------------------------
 
-Request* SimProcess::find_request(std::uint64_t serial) {
-  for (auto& r : requests_) {
-    if (r->serial == serial) return r.get();
+Request& SimProcess::acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
+                                     std::size_t bytes, SimTime post_time) {
+  const std::uint32_t slot = slab_acquire(slots_, free_slots_);
+  Request& r = slots_[slot];
+  r.serial = next_serial_++;
+  r.slot = slot;
+  r.kind = kind;
+  r.comm_id = comm.id;
+  r.peer_comm_rank = peer;
+  r.peer_world_rank = peer == kAnySource ? -1 : comm.world_of(peer);
+  r.tag = tag;
+  r.bytes = bytes;
+  r.post_time = post_time;
+  return r;
+}
+
+Request* SimProcess::find_request(RequestHandle h) {
+  if (h.serial == 0 || h.slot >= slots_.size() || slots_[h.slot].serial != h.serial) {
+    return nullptr;
   }
-  return nullptr;
+  return &slots_[h.slot];
+}
+
+void SimProcess::release_request(RequestHandle h) {
+  Request* r = find_request(h);
+  if (r == nullptr) return;
+  unindex_posted(*r);
+  slab_release(slots_, free_slots_, h.slot);
+}
+
+template <class Pred>
+std::vector<std::uint32_t> SimProcess::live_requests_by_serial(Pred pred) const {
+  std::vector<std::uint32_t> out;
+  for (const Request& r : slots_) {
+    if (r.serial != 0 && pred(r)) out.push_back(r.slot);
+  }
+  std::sort(out.begin(), out.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].serial < slots_[b].serial;
+  });
+  return out;
+}
+
+std::uint32_t SimProcess::find_bucket(int comm_id, Rank src) const {
+  if (bucket_table_.empty()) return kNoSlot;
+  const std::size_t mask = bucket_table_.size() - 1;
+  for (std::size_t i = bucket_hash(comm_id, src) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t b = bucket_table_[i];
+    if (b == kNoSlot || (buckets_[b].comm_id == comm_id && buckets_[b].src == src)) return b;
+  }
+}
+
+std::uint32_t SimProcess::bucket_for(int comm_id, Rank src) {
+  const std::uint32_t found = find_bucket(comm_id, src);
+  if (found != kNoSlot) return found;
+  buckets_.push_back(MatchBucket{comm_id, src});
+  auto insert = [this](std::uint32_t b) {
+    const std::size_t mask = bucket_table_.size() - 1;
+    std::size_t i = bucket_hash(buckets_[b].comm_id, buckets_[b].src) & mask;
+    while (bucket_table_[i] != kNoSlot) i = (i + 1) & mask;
+    bucket_table_[i] = b;
+  };
+  const auto b = static_cast<std::uint32_t>(buckets_.size() - 1);
+  if (2 * buckets_.size() > bucket_table_.size()) {
+    // Keep the load at most 1/2: double and reinsert every bucket.
+    bucket_table_.assign(std::max<std::size_t>(16, 2 * bucket_table_.size()), kNoSlot);
+    for (std::uint32_t k = 0; k <= b; ++k) insert(k);
+  } else {
+    insert(b);
+  }
+  return b;
+}
+
+SimProcess::UnexpectedHit SimProcess::find_unexpected(int comm_id, Rank src, int tag) const {
+  UnexpectedHit best;
+  auto consider_bucket = [&](std::uint32_t b) {
+    std::uint32_t prev = kNoSlot;
+    for (std::uint32_t i = buckets_[b].unexpected_head; i != kNoSlot;
+         prev = i, i = unexpected_msgs_[i].next) {
+      const UnexpectedMsg& m = unexpected_msgs_[i];
+      if (tag != kAnyTag && m.env.tag != tag) continue;
+      if (best.msg == kNoSlot || m.arrival_seq < unexpected_msgs_[best.msg].arrival_seq) {
+        best = UnexpectedHit{b, i, prev};
+      }
+      return;  // Per-source FIFOs are arrival-ordered: first match wins.
+    }
+  };
+  if (src != kAnySource) {
+    const std::uint32_t b = find_bucket(comm_id, src);
+    if (b != kNoSlot) consider_bucket(b);
+  } else {
+    // ANY_SOURCE: the earliest matching arrival across all of this
+    // communicator's source buckets (deterministic via arrival_seq).
+    for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
+      if (buckets_[b].comm_id == comm_id) consider_bucket(b);
+    }
+  }
+  return best;
 }
 
 bool SimProcess::match(const Envelope& env, const Request& r) const {
@@ -521,9 +670,10 @@ bool SimProcess::match(const Envelope& env, const Request& r) const {
 
 void SimProcess::index_posted(Request& r) {
   if (r.peer_comm_rank == kAnySource) {
-    posted_any_.push_back(&r);
+    fifo_push(slots_, any_head_, any_tail_, r.slot);
   } else {
-    posted_[{r.comm_id, r.peer_comm_rank}].push_back(&r);
+    MatchBucket& b = buckets_[bucket_for(r.comm_id, r.peer_comm_rank)];
+    fifo_push(slots_, b.posted_head, b.posted_tail, r.slot);
   }
 }
 
@@ -531,21 +681,20 @@ void SimProcess::unindex_posted(const Request& r) {
   // Only posted receives are indexed; anything else is a no-op. Callers
   // invoke this before changing the stage, so the guard sees kPosted.
   if (r.kind != Request::Kind::kRecv || r.stage != Request::Stage::kPosted) return;
-  auto erase_from = [&r](std::deque<Request*>& dq) {
-    for (auto it = dq.begin(); it != dq.end(); ++it) {
-      if (*it == &r) {
-        dq.erase(it);
-        return;
-      }
-    }
-  };
-  if (r.peer_comm_rank == kAnySource) {
-    erase_from(posted_any_);
-  } else {
-    auto bit = posted_.find({r.comm_id, r.peer_comm_rank});
-    if (bit != posted_.end()) {
-      erase_from(bit->second);
-      if (bit->second.empty()) posted_.erase(bit);
+  std::uint32_t* head = &any_head_;
+  std::uint32_t* tail = &any_tail_;
+  if (r.peer_comm_rank != kAnySource) {
+    const std::uint32_t b = find_bucket(r.comm_id, r.peer_comm_rank);
+    if (b == kNoSlot) return;
+    head = &buckets_[b].posted_head;
+    tail = &buckets_[b].posted_tail;
+  }
+  // The entry is almost always the head: receives match in post order.
+  std::uint32_t prev = kNoSlot;
+  for (std::uint32_t i = *head; i != kNoSlot; prev = i, i = slots_[i].next) {
+    if (i == r.slot) {
+      fifo_unlink(slots_, *head, *tail, prev, i);
+      return;
     }
   }
 }
@@ -556,14 +705,13 @@ void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env,
   if (r.recv_buffer != nullptr && !data.empty()) {
     std::memcpy(r.recv_buffer, data.data(), std::min(r.bytes, data.size()));
   }
-  r.stage = Request::Stage::kDone;
   r.complete_time = std::max(r.post_time, arrival) + fabric_->receiver_overhead();
   r.status.source = env.src_comm_rank;
   r.status.tag = env.tag;
   r.status.bytes = env.bytes;
   r.status.error = env.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
   r.peer_world_rank = env.src_world_rank;
-  note_request_done(r);
+  mark_done(r);
 }
 
 void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival) {
@@ -586,23 +734,23 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime 
 bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
                                   SimTime arrival) {
   // MPI matching order: the earliest-posted matching receive wins. Serials
-  // are post-ordered and both index structures keep post order, so the
-  // winner is the lower-serial of the first tag-compatible entry in the
-  // explicit (comm, source) bucket and in the ANY_SOURCE side list.
+  // are post-ordered and both FIFOs keep post order, so the winner is the
+  // lower-serial of the first tag-compatible entry in the explicit
+  // (comm, source) bucket and in the ANY_SOURCE FIFO.
   Request* best = nullptr;
-  auto bit = posted_.find({env.comm_id, env.src_comm_rank});
-  if (bit != posted_.end()) {
-    for (Request* r : bit->second) {
-      if (match(env, *r)) {
-        best = r;
+  const std::uint32_t b = find_bucket(env.comm_id, env.src_comm_rank);
+  if (b != kNoSlot) {
+    for (std::uint32_t i = buckets_[b].posted_head; i != kNoSlot; i = slots_[i].next) {
+      if (match(env, slots_[i])) {
+        best = &slots_[i];
         break;
       }
     }
   }
-  for (Request* r : posted_any_) {
-    if (best != nullptr && r->serial >= best->serial) break;
-    if (match(env, *r)) {
-      best = r;
+  for (std::uint32_t i = any_head_; i != kNoSlot; i = slots_[i].next) {
+    if (best != nullptr && slots_[i].serial >= best->serial) break;
+    if (match(env, slots_[i])) {
+      best = &slots_[i];
       break;
     }
   }
@@ -616,40 +764,17 @@ bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
 }
 
 bool SimProcess::try_match_unexpected(Request& r) {
-  // Locate the matching unexpected message with the smallest arrival seq.
-  std::deque<UnexpectedMsg>* best_bucket = nullptr;
-  std::deque<UnexpectedMsg>::iterator best;
-
-  auto consider_bucket = [&](std::deque<UnexpectedMsg>& bucket) {
-    for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-      if (!match(it->env, r)) continue;
-      if (best_bucket == nullptr || it->arrival_seq < best->arrival_seq) {
-        best_bucket = &bucket;
-        best = it;
-      }
-      return;  // Per-source buckets are arrival-ordered: first match wins.
-    }
-  };
-
-  if (r.peer_comm_rank != kAnySource) {
-    auto bit = unexpected_.find({r.comm_id, r.peer_comm_rank});
-    if (bit != unexpected_.end()) consider_bucket(bit->second);
+  const UnexpectedHit hit = find_unexpected(r.comm_id, r.peer_comm_rank, r.tag);
+  if (hit.msg == kNoSlot) return false;
+  UnexpectedMsg& m = unexpected_msgs_[hit.msg];
+  if (m.env.rendezvous) {
+    start_rendezvous_recv(r, m.env, m.arrival_time);
   } else {
-    // ANY_SOURCE: the earliest matching arrival across all of this
-    // communicator's source buckets (deterministic via arrival_seq).
-    for (auto bit = unexpected_.lower_bound({r.comm_id, 0});
-         bit != unexpected_.end() && bit->first.first == r.comm_id; ++bit) {
-      consider_bucket(bit->second);
-    }
+    complete_recv_from_msg(r, m.env, std::move(m.data), m.arrival_time);
   }
-  if (best_bucket == nullptr) return false;
-
-  if (best->env.rendezvous) {
-    start_rendezvous_recv(r, best->env, best->arrival_time);
-  } else {
-    complete_recv_from_msg(r, best->env, std::move(best->data), best->arrival_time);
-  }
-  best_bucket->erase(best);
+  MatchBucket& b = buckets_[hit.bucket];
+  fifo_unlink(unexpected_msgs_, b.unexpected_head, b.unexpected_tail, hit.prev, hit.msg);
+  slab_release(unexpected_msgs_, free_unexpected_, hit.msg);
   return true;
 }
 
@@ -668,16 +793,6 @@ void SimProcess::record_trace(const Request& r) {
   trace_->record(rec);
 }
 
-void SimProcess::release_request(std::uint64_t serial) {
-  for (auto it = requests_.begin(); it != requests_.end(); ++it) {
-    if ((*it)->serial == serial) {
-      unindex_posted(**it);
-      requests_.erase(it);
-      return;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Posting & waiting (application-fiber side)
 // ---------------------------------------------------------------------------
@@ -687,25 +802,14 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   if (dest < 0 || dest >= comm.size()) throw std::invalid_argument("bad destination rank");
   if (tag == kAnyTag) throw std::invalid_argument("kAnyTag invalid for sends");
 
-  auto req = std::make_unique<Request>();
-  req->serial = next_serial_++;
-  req->kind = Request::Kind::kSend;
-  req->comm_id = comm.id;
-  req->peer_comm_rank = dest;
-  req->peer_world_rank = comm.world_of(dest);
-  req->tag = tag;
-  req->bytes = bytes;
-  req->post_time = clock_;
-
+  const SimTime t0 = clock_;
   if (comm.revoked && !allow_revoked) {
-    req->stage = Request::Stage::kDone;
-    req->complete_time = clock_;
-    req->status.error = Err::kRevoked;
-    RequestHandle h{req->serial};
-    requests_.push_back(std::move(req));
-    return h;
+    Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
+    r.complete_time = clock_;
+    r.status.error = Err::kRevoked;
+    mark_done(r);
+    return RequestHandle{r.serial, r.slot};
   }
-  req->survives_revoke = allow_revoked;
 
   Envelope env;
   env.comm_id = comm.id;
@@ -713,49 +817,47 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   env.src_world_rank = world_rank_;
   env.tag = tag;
   env.bytes = bytes;
-
-  const SimTime t0 = clock_;
-  if (fabric_->protocol_for(bytes) == Protocol::kEager) {
-    // Eager: payload is buffered into the network; the send request is
-    // locally complete after NIC injection.
-    advance_clock(fabric_->occupancy(bytes), /*busy=*/false);
-    auto msg = std::make_unique<MsgPayload>();
-    msg->env = env;
-    if (data != nullptr && bytes > 0) msg->data.assign(data, bytes);
-    engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, req->peer_world_rank, bytes),
-                      req->peer_world_rank, kEvMsgArrival, std::move(msg));
-    if (energy_ != nullptr) energy_->add_traffic(world_rank_, bytes);
-    req->stage = Request::Stage::kDone;
-    req->complete_time = clock_;
-    req->status.error = Err::kSuccess;
-  } else {
-    // Rendezvous: a zero-byte RTS goes out; the payload is captured so the
-    // data can be injected when the CTS comes back (also for isend).
+  // Eager: the payload is buffered into the network and the send is locally
+  // complete after NIC injection. Rendezvous: a zero-byte RTS goes out and
+  // the payload is captured so the data can be injected when the CTS comes
+  // back (also for isend).
+  const bool eager = fabric_->protocol_for(bytes) == Protocol::kEager;
+  if (!eager) {
     env.rendezvous = true;
     env.rdv_id = (static_cast<std::uint64_t>(world_rank_) << 32) | next_rdv_++;
-    req->rdv_id = env.rdv_id;
-    if (data != nullptr && bytes > 0) req->send_data.assign(data, bytes);
-    advance_clock(fabric_->occupancy(0), /*busy=*/false);
-    auto rts = std::make_unique<MsgPayload>();
-    rts->env = env;
-    engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, req->peer_world_rank, 0),
-                      req->peer_world_rank, kEvMsgArrival, std::move(rts));
-    req->stage = Request::Stage::kAwaitingCts;
+  }
+  // May unwind with ProcessFailedSignal: take the request slot only after.
+  advance_clock(fabric_->occupancy(eager ? bytes : 0), /*busy=*/false);
 
-    // Sending to a peer already known failed: the RTS will be dropped;
-    // schedule the timeout release right away (§IV-C: "any message send
-    // requests waited on after receiving the ... notification fail based on
-    // this list").
-    if (fault_.knows_failed(req->peer_world_rank)) {
-      schedule_error_wakeup(*req, fault_.peer_failure_time(req->peer_world_rank),
-                            req->peer_world_rank,
-                            fault_.peer_detect_time(req->peer_world_rank));
-    }
+  Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
+  r.survives_revoke = allow_revoked;
+  auto msg = std::make_unique<MsgPayload>();
+  msg->env = env;
+  if (eager) {
+    if (data != nullptr && bytes > 0) msg->data.assign(data, bytes);
+    engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, r.peer_world_rank, bytes),
+                      r.peer_world_rank, kEvMsgArrival, std::move(msg));
+    if (energy_ != nullptr) energy_->add_traffic(world_rank_, bytes);
+    r.complete_time = clock_;
+    r.status.error = Err::kSuccess;
+    mark_done(r);
+    return RequestHandle{r.serial, r.slot};
   }
 
-  RequestHandle h{req->serial};
-  requests_.push_back(std::move(req));
-  return h;
+  r.rdv_id = env.rdv_id;
+  if (data != nullptr && bytes > 0) r.send_data.assign(data, bytes);
+  engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, r.peer_world_rank, 0),
+                    r.peer_world_rank, kEvMsgArrival, std::move(msg));
+  r.stage = Request::Stage::kAwaitingCts;
+  // Sending to a peer already known failed: the RTS will be dropped;
+  // schedule the timeout release right away (§IV-C: "any message send
+  // requests waited on after receiving the ... notification fail based on
+  // this list").
+  if (fault_.knows_failed(r.peer_world_rank)) {
+    schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
+                          fault_.peer_detect_time(r.peer_world_rank));
+  }
+  return RequestHandle{r.serial, r.slot};
 }
 
 RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
@@ -764,95 +866,77 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
     throw std::invalid_argument("bad source rank");
   }
 
-  auto req = std::make_unique<Request>();
-  req->serial = next_serial_++;
-  req->kind = Request::Kind::kRecv;
-  req->comm_id = comm.id;
-  req->peer_comm_rank = src;
-  req->peer_world_rank = src == kAnySource ? -1 : comm.world_of(src);
-  req->tag = tag;
-  req->bytes = capacity;
-  req->recv_buffer = buffer;
-  req->post_time = clock_;
-
-  req->survives_revoke = allow_revoked;
+  Request& r = acquire_request(Request::Kind::kRecv, comm, src, tag, capacity, clock_);
+  r.recv_buffer = buffer;
+  r.survives_revoke = allow_revoked;
   if (comm.revoked && !allow_revoked) {
-    req->stage = Request::Stage::kDone;
-    req->complete_time = clock_;
-    req->status.error = Err::kRevoked;
-  } else if (!try_match_unexpected(*req)) {
+    r.complete_time = clock_;
+    r.status.error = Err::kRevoked;
+    mark_done(r);
+  } else if (!try_match_unexpected(r)) {
     // Unmatched: if the explicit source is already known failed, the receive
     // can only ever time out (§IV-C).
-    if (src != kAnySource && fault_.knows_failed(req->peer_world_rank)) {
-      schedule_error_wakeup(*req, fault_.peer_failure_time(req->peer_world_rank),
-                            req->peer_world_rank,
-                            fault_.peer_detect_time(req->peer_world_rank));
+    if (src != kAnySource && fault_.knows_failed(r.peer_world_rank)) {
+      schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
+                            fault_.peer_detect_time(r.peer_world_rank));
     }
-  } else if (req->stage == Request::Stage::kAwaitingData) {
+  } else if (r.stage == Request::Stage::kAwaitingData) {
     // Matched a rendezvous RTS from a sender that already failed (the
     // failure notice predates this post): the CTS goes to a dead process and
     // the data will never come -- release by timeout like any other wait on
     // a failed peer.
-    if (fault_.knows_failed(req->peer_world_rank)) {
-      schedule_error_wakeup(*req, fault_.peer_failure_time(req->peer_world_rank),
-                            req->peer_world_rank,
-                            fault_.peer_detect_time(req->peer_world_rank));
+    if (fault_.knows_failed(r.peer_world_rank)) {
+      schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
+                            fault_.peer_detect_time(r.peer_world_rank));
     }
   }
 
-  RequestHandle h{req->serial};
-  Request* raw = req.get();
-  requests_.push_back(std::move(req));
   // Still unmatched: make it findable by future arrivals.
-  if (raw->stage == Request::Stage::kPosted) index_posted(*raw);
-  return h;
+  if (r.stage == Request::Stage::kPosted) index_posted(r);
+  return RequestHandle{r.serial, r.slot};
 }
 
-Err SimProcess::wait_all(const std::vector<RequestHandle>& handles,
-                         std::vector<MsgStatus>* statuses) {
-  // Record the wait-set so event handlers can tell a completion that
-  // satisfies this wait from unrelated traffic (wakeup filter).
+Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {
+  // Count the wait-set (a duplicated handle counts once): mark_done counts
+  // each completion down and flags the wake, so the fiber resumes for
+  // exactly the completions this wait is blocked on (wakeup filter).
   wait_kind_ = WaitKind::kRequests;
-  for (const auto& h : handles) {
-    Request* r = find_request(h.serial);
-    if (r != nullptr && !r->done()) r->waited = true;
-  }
-  block_until([this, &handles] {
-    for (const auto& h : handles) {
-      Request* r = find_request(h.serial);
-      if (r != nullptr && !r->done()) return false;
+  for (const RequestHandle h : handles) {
+    Request* r = find_request(h);
+    if (r != nullptr && !r->done() && !r->waited) {
+      r->waited = true;
+      ++waiting_;
     }
-    return true;
-  });
+  }
+  block_until([this] { return waiting_ == 0; });
   clear_wait();
 
   // Raise the clock to the latest completion among the waited requests (the
   // time the whole wait set is satisfied), then report.
   SimTime latest = clock_;
   Err first_error = Err::kSuccess;
-  if (statuses != nullptr) statuses->clear();
-  for (const auto& h : handles) {
-    Request* r = find_request(h.serial);
+  for (std::size_t k = 0; k < handles.size(); ++k) {
+    const Request* r = find_request(handles[k]);
     if (r == nullptr) {
       // Already released (double wait): report an empty success status.
-      if (statuses != nullptr) statuses->push_back(MsgStatus{});
+      if (statuses != nullptr) statuses[k] = MsgStatus{};
       continue;
     }
     latest = std::max(latest, r->complete_time);
-    if (statuses != nullptr) statuses->push_back(r->status);
+    if (statuses != nullptr) statuses[k] = r->status;
     if (first_error == Err::kSuccess && r->status.error != Err::kSuccess) {
       first_error = r->status.error;
     }
     if (trace_ != nullptr) record_trace(*r);
   }
-  for (const auto& h : handles) release_request(h.serial);
+  for (const RequestHandle h : handles) release_request(h);
   raise_clock_to(latest, /*busy=*/false);
   return first_error;
 }
 
 bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
   advance_clock(0);  // Clock-update point: failure/abort activation (§IV-A).
-  Request* r = find_request(h.serial);
+  Request* r = find_request(h);
   if (r == nullptr) {
     if (err != nullptr) *err = Err::kInvalidArg;
     return true;
@@ -862,36 +946,19 @@ bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
   raise_clock_to(r->complete_time, /*busy=*/false);
   if (status != nullptr) *status = r->status;
   if (err != nullptr) *err = r->status.error;
-  release_request(h.serial);
+  release_request(h);
   return true;
 }
 
 Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   const SimTime post_time = clock_;
-  const UnexpectedMsg* found = nullptr;
+  UnexpectedHit found;
   Rank failed_peer = -1;
   SimTime t_fail = kSimTimeNever;
 
   auto scan = [&]() -> bool {
-    auto scan_bucket = [&](const std::deque<UnexpectedMsg>& bucket) -> bool {
-      for (const auto& m : bucket) {
-        if (tag != kAnyTag && m.env.tag != tag) continue;
-        if (found == nullptr || m.arrival_seq < found->arrival_seq) found = &m;
-        return true;
-      }
-      return false;
-    };
-    found = nullptr;
-    if (src != kAnySource) {
-      auto bit = unexpected_.find({comm.id, src});
-      if (bit != unexpected_.end()) scan_bucket(bit->second);
-    } else {
-      for (auto bit = unexpected_.lower_bound({comm.id, 0});
-           bit != unexpected_.end() && bit->first.first == comm.id; ++bit) {
-        scan_bucket(bit->second);
-      }
-    }
-    if (found != nullptr) return true;
+    found = find_unexpected(comm.id, src, tag);
+    if (found.msg != kNoSlot) return true;
     if (src != kAnySource && fault_.knows_failed(comm.world_of(src))) {
       failed_peer = comm.world_of(src);
       t_fail = fault_.peer_failure_time(failed_peer);
@@ -903,13 +970,14 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   register_probe_wait(comm.id, src, src == kAnySource ? -1 : comm.world_of(src), tag);
   block_until(scan);
   clear_wait();
-  if (found != nullptr) {
-    raise_clock_to(std::max(post_time, found->arrival_time) + fabric_->receiver_overhead(),
+  if (found.msg != kNoSlot) {
+    const UnexpectedMsg& m = unexpected_msgs_[found.msg];
+    raise_clock_to(std::max(post_time, m.arrival_time) + fabric_->receiver_overhead(),
                    /*busy=*/false);
     if (status != nullptr) {
-      status->source = found->env.src_comm_rank;
-      status->tag = found->env.tag;
-      status->bytes = found->env.bytes;
+      status->source = m.env.src_comm_rank;
+      status->tag = m.env.tag;
+      status->bytes = m.env.bytes;
       status->error = Err::kSuccess;
     }
     return Err::kSuccess;
@@ -960,12 +1028,12 @@ Comm* SimProcess::comm_dup(Comm& parent) {
 
 Comm* SimProcess::comm_shrink(Comm& parent) {
   // Surviving membership from the simulator-global view (documented
-  // shortcut); ordering preserved from the parent.
+  // shortcut, ascending); ordering preserved from the parent.
   const auto alive = hooks_->alive_world_ranks();
   std::vector<Rank> members;
   for (Rank r = 0; r < parent.size(); ++r) {
     const Rank m = parent.world_of(r);
-    if (std::find(alive.begin(), alive.end(), m) != alive.end()) members.push_back(m);
+    if (std::binary_search(alive.begin(), alive.end(), m)) members.push_back(m);
   }
   const int id = registry_->id_for(parent.id, parent.split_seq++, /*color=*/-2);
   return new_comm(id, std::move(members), parent);
@@ -984,17 +1052,17 @@ void SimProcess::apply_revoke(int comm_id, SimTime when) {
   }
   // ULFM: pending operations on a revoked communicator complete with
   // kRevoked once the revoke notice reaches this process.
-  bool any = false;
-  for (auto& r : requests_) {
-    if (r->done() || r->comm_id != comm_id || r->survives_revoke) continue;
-    unindex_posted(*r);
-    r->stage = Request::Stage::kDone;
-    r->complete_time = std::max(r->post_time, when);
-    r->status.error = Err::kRevoked;
-    note_request_done(*r);
-    any = true;
+  const auto pending = live_requests_by_serial([comm_id](const Request& r) {
+    return !r.done() && r.comm_id == comm_id && !r.survives_revoke;
+  });
+  for (const std::uint32_t i : pending) {
+    Request& r = slots_[i];
+    unindex_posted(r);
+    r.complete_time = std::max(r.post_time, when);
+    r.status.error = Err::kRevoked;
+    mark_done(r);
   }
-  if (any) maybe_run_fiber();
+  if (!pending.empty()) maybe_run_fiber();
 }
 
 void SimProcess::failure_ack(Comm& comm) {

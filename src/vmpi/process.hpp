@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,8 +55,9 @@ class SystemHooks {
   /// Called whenever a process reaches a terminal state.
   virtual void process_terminated(SimProcess& proc) = 0;
 
-  /// Global list of world ranks not (yet) failed — the simulator-internal
-  /// membership shortcut used by MPI_Comm_shrink (documented in DESIGN.md).
+  /// Global list of world ranks not (yet) failed, in ascending order so
+  /// callers can binary-search it — the simulator-internal membership
+  /// shortcut used by MPI_Comm_shrink (documented in DESIGN.md).
   virtual std::vector<Rank> alive_world_ranks() const = 0;
 };
 
@@ -166,10 +167,10 @@ class SimProcess final : public LogicalProcess {
   RequestHandle post_recv(Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity,
                           bool allow_revoked = false);
 
-  /// Blocks until every request is terminal; fills statuses (parallel array).
-  /// Returns the first non-success error, Err::kSuccess otherwise. Completed
-  /// requests are released.
-  Err wait_all(const std::vector<RequestHandle>& handles, std::vector<MsgStatus>* statuses);
+  /// Blocks until every request is terminal; fills `statuses` (nullptr, or an
+  /// array parallel to `handles`). Returns the first non-success error,
+  /// Err::kSuccess otherwise. Completed requests are released.
+  Err wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses);
 
   /// Nonblocking completion check; releases the request when done.
   bool test(RequestHandle h, MsgStatus* status, Err* err);
@@ -243,14 +244,15 @@ class SimProcess final : public LogicalProcess {
   // Fiber body & scheduling.
   void fiber_body();
   void run_fiber();
-  void block_until(const std::function<bool()>& ready);
+  template <class Ready>
+  void block_until(Ready ready);
 
   // Wakeup filter (DESIGN.md §13). While the fiber is blocked, the block
-  // condition is recorded here: the wait-set of requests (each flagged
-  // Request::waited) or a probe's match spec. Event handlers then resume the
-  // fiber via maybe_run_fiber(), which skips the resume unless something
-  // flipped the recorded condition — a waited request completed
-  // (note_request_done) or a probe-visible unexpected message arrived
+  // condition is recorded here: the count of outstanding waited requests
+  // (each flagged Request::waited) or a probe's match spec. Event handlers
+  // then resume the fiber via maybe_run_fiber(), which skips the resume
+  // unless something flipped the recorded condition — a waited request
+  // completed (mark_done) or a probe-visible unexpected message arrived
   // (note_unexpected). Handlers whose effect block_until itself re-evaluates
   // (abort notices) or that force an unwind (failure activation, stall
   // release) keep resuming unconditionally. Every resume the filter skips
@@ -261,7 +263,9 @@ class SimProcess final : public LogicalProcess {
   enum class WaitKind : std::uint8_t { kNone, kRequests, kProbe };
   void register_probe_wait(int comm_id, Rank src, Rank src_world, int tag);
   void clear_wait();
-  void note_request_done(Request& r);
+  /// The one transition to Stage::kDone: counts down a waited request and
+  /// marks the wake pending.
+  void mark_done(Request& r);
   void note_unexpected(const Envelope& env);
   void maybe_run_fiber();
 
@@ -275,14 +279,41 @@ class SimProcess final : public LogicalProcess {
   void handle_error_wakeup(ErrorWakeupPayload& p);
 
   // Matching engine.
-  Request* find_request(std::uint64_t serial);
+  /// One (comm id, source comm rank) match key: heads and tails of the
+  /// intrusive FIFOs of posted receives (through Request::next) and of
+  /// unexpected messages (through UnexpectedMsg::next).
+  struct MatchBucket {
+    int comm_id = 0;
+    Rank src = 0;
+    std::uint32_t posted_head = kNoSlot;
+    std::uint32_t posted_tail = kNoSlot;
+    std::uint32_t unexpected_head = kNoSlot;
+    std::uint32_t unexpected_tail = kNoSlot;
+  };
+  /// Earliest-arrived unexpected message matching a spec: its bucket, slab
+  /// slot and FIFO predecessor (msg == kNoSlot: none).
+  struct UnexpectedHit {
+    std::uint32_t bucket = kNoSlot;
+    std::uint32_t msg = kNoSlot;
+    std::uint32_t prev = kNoSlot;
+  };
+  Request& acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
+                           std::size_t bytes, SimTime post_time);
+  Request* find_request(RequestHandle h);
+  void release_request(RequestHandle h);
+  /// Live requests satisfying `pred`, as slots in post (serial) order — the
+  /// order the cold paths that schedule events while iterating must keep.
+  template <class Pred>
+  std::vector<std::uint32_t> live_requests_by_serial(Pred pred) const;
+  std::uint32_t find_bucket(int comm_id, Rank src) const;
+  std::uint32_t bucket_for(int comm_id, Rank src);  ///< Finds or adds.
+  UnexpectedHit find_unexpected(int comm_id, Rank src, int tag) const;
   bool match(const Envelope& env, const Request& r) const;
   void complete_recv_from_msg(Request& r, const Envelope& env, util::PayloadBuf&& data,
                               SimTime arrival);
   void start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival);
   bool try_match_posted(const Envelope& env, util::PayloadBuf&& data, SimTime arrival);
   bool try_match_unexpected(Request& r);
-  void release_request(std::uint64_t serial);
   void record_trace(const Request& r);
 
   // Failure/abort plumbing. Release times honor both the §IV-C per-request
@@ -326,6 +357,7 @@ class SimProcess final : public LogicalProcess {
   // Recorded block condition (see the wakeup-filter note above).
   WaitKind wait_kind_ = WaitKind::kNone;
   bool wake_pending_ = false;  ///< Condition flipped; resume at next wake site.
+  std::size_t waiting_ = 0;    ///< Waited requests not yet done (kRequests).
   int wait_comm_id_ = 0;       ///< Probe spec: communicator id,
   Rank wait_src_ = kAnySource;        ///< source comm rank (may be kAnySource),
   Rank wait_src_world_ = -1;          ///< resolved world rank (-1 = ANY),
@@ -336,25 +368,33 @@ class SimProcess final : public LogicalProcess {
   resilience::FaultState fault_;
   resilience::SoftErrorState soft_errors_;
 
-  // Messaging state. The unexpected queue is indexed by (comm id, source
-  // comm rank): a linear-algorithm collective at large scale floods the root
-  // with tens of thousands of unexpected messages, and a flat queue would
-  // make its sequential receives O(n^2).
-  std::map<std::pair<int, Rank>, std::deque<UnexpectedMsg>> unexpected_;
-  std::uint64_t next_arrival_seq_ = 1;
-  // Posted-receive index mirroring the unexpected-queue bucketing: explicit
-  // receives in (comm id, source) buckets plus a post-ordered ANY_SOURCE
-  // side list, so a message arrival matches against the handful of receives
-  // that could accept it instead of scanning every outstanding request.
-  // Entries are raw pointers into requests_ (heap-stable via unique_ptr);
-  // every transition out of Stage::kPosted calls unindex_posted first.
-  void index_posted(Request& r);
-  void unindex_posted(const Request& r);
-  std::map<std::pair<int, Rank>, std::deque<Request*>> posted_;
-  std::deque<Request*> posted_any_;
-  std::vector<std::unique_ptr<Request>> requests_;
+  // Messaging state (DESIGN.md §13), flat per-process arrays that a message
+  // in steady state reuses without touching the general heap.
+  //
+  // Requests live in a slot table with a free-slot list; a handle is
+  // (slot, serial) and the serial rejects stale handles, so lookup and
+  // release are O(1). Slot order is not post order once slots are reused:
+  // paths that must visit requests in post order sort by serial.
+  std::vector<Request> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_serial_ = 1;
   std::uint64_t next_rdv_ = 1;
+  // Match index: one open-addressing table from (comm id, source comm rank)
+  // to a MatchBucket. Buckets are append-only (never erased), so steady
+  // traffic causes no churn, and the table grows geometrically, so a
+  // linear collective's root with tens of thousands of sources still finds
+  // its bucket in O(1). ANY_SOURCE receives have their own post-ordered
+  // FIFO; every transition out of Stage::kPosted calls unindex_posted first.
+  void index_posted(Request& r);
+  void unindex_posted(const Request& r);
+  std::vector<MatchBucket> buckets_;
+  std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
+  std::uint32_t any_head_ = kNoSlot;
+  std::uint32_t any_tail_ = kNoSlot;
+  // Unexpected messages in a slab with a free list, linked into buckets.
+  std::vector<UnexpectedMsg> unexpected_msgs_;
+  std::vector<std::uint32_t> free_unexpected_;
+  std::uint64_t next_arrival_seq_ = 1;
 
   // Communicators (index 0 = world).
   std::vector<std::unique_ptr<Comm>> comms_;

@@ -9,8 +9,9 @@
 
 namespace exasim::vmpi {
 
-/// Nonblocking operation state. Owned by the process; applications hold
-/// opaque handles (serial numbers) via the Context API.
+/// Nonblocking operation state. Lives in a slot of the process's request
+/// table; applications hold opaque handles (slot + serial) via the Context
+/// API.
 struct Request {
   enum class Kind : std::uint8_t { kSend, kRecv };
   enum class Stage : std::uint8_t {
@@ -20,7 +21,9 @@ struct Request {
     kDone,          ///< Terminal: complete_time and error are valid.
   };
 
-  std::uint64_t serial = 0;
+  std::uint64_t serial = 0;       ///< Post order; 0 marks a free slot.
+  std::uint32_t slot = 0;         ///< Own index in the request table.
+  std::uint32_t next = kNoSlot;   ///< Next receive in the same posted FIFO.
   Kind kind = Kind::kRecv;
   Stage stage = Stage::kPosted;
 
@@ -49,16 +52,19 @@ struct Request {
   /// ULFM recovery traffic (shrink/agree) is not failed by a revoke notice.
   bool survives_revoke = false;
 
-  /// The process fiber is blocked in a wait_all that includes this request —
-  /// its completion must wake the fiber (SimProcess wakeup filter).
+  /// The process fiber is blocked in a wait_all that counts this request —
+  /// its completion decrements the count and wakes the fiber.
   bool waited = false;
 
   bool done() const { return stage == Stage::kDone; }
 };
 
-/// Opaque request handle returned to applications.
+/// Opaque request handle returned to applications. The serial doubles as a
+/// generation check: once the slot is released and reused, the old handle
+/// resolves to nothing.
 struct RequestHandle {
   std::uint64_t serial = 0;
+  std::uint32_t slot = 0;
   bool valid() const { return serial != 0; }
 };
 

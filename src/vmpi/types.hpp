@@ -15,6 +15,9 @@ using Rank = int;
 inline constexpr Rank kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
+/// "No entry" for the matching engine's slot indices and intrusive lists.
+inline constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
 /// Error classes surfaced to the simulated application. Mirrors the subset of
 /// MPI error semantics the paper exercises, plus the ULFM extension codes
 /// (paper §VI: MPI_ERR_PROC_FAILED, MPI_Comm_revoke, MPI_Comm_shrink).

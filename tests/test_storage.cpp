@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
@@ -470,12 +471,16 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   // Both ranks die: every copy of every file is gone.
   store.apply_failures({FailureSpec{0, sim_sec(1)}, FailureSpec{1, sim_sec(1)}},
                        sim_sec(2));
-  bool empty = true;
+  // One result slot per rank: under a sharded engine the two ranks' fibers
+  // run on different workers.
+  std::vector<char> restored(2, 1);
   auto restore_app = [&](Context& ctx) {
-    empty = empty && !ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value();
+    restored[static_cast<std::size_t>(ctx.rank())] =
+        ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value();
     ctx.finalize();
   };
   run_app(tiny_config(2), restore_app);
+  const bool empty = restored[0] == 0 && restored[1] == 0;
   EXPECT_TRUE(empty);
 }
 

@@ -458,6 +458,232 @@ TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {
   EXPECT_EQ(side, 17u);
 }
 
+// ---------------------------------------------------------------------------
+// Matching engine: request slots, match buckets and the counted wait.
+// ---------------------------------------------------------------------------
+
+TEST(P2P, StaleHandleAfterSlotReuseIsInvalid) {
+  // Releasing a request frees its slot; the next post reuses it. The old
+  // handle must resolve to nothing and leave the new request untouched.
+  std::uint64_t got = 0;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      std::uint64_t v = 5;
+      const auto old = ctx.isend(w, 1, 0, &v, sizeof v);
+      EXPECT_EQ(ctx.wait(w, old), Err::kSuccess);
+      const auto fresh = ctx.irecv(w, 1, 1, &got, sizeof got);
+      EXPECT_EQ(fresh.slot, old.slot);
+      EXPECT_NE(fresh.serial, old.serial);
+      Err e = Err::kSuccess;
+      MsgStatus st;
+      EXPECT_TRUE(ctx.test(old, &st, &e));
+      EXPECT_EQ(e, Err::kInvalidArg);
+      MsgStatus fresh_st;
+      EXPECT_EQ(ctx.wait(w, fresh, &fresh_st), Err::kSuccess);
+      EXPECT_EQ(fresh_st.source, 1);
+      EXPECT_EQ(fresh_st.tag, 1);
+    } else {
+      std::uint64_t v = 0;
+      ctx.recv(0, 0, &v, sizeof v);
+      ctx.compute(1e6);  // The reply arrives long after the stale test().
+      v = 77;
+      ctx.send(0, 1, &v, sizeof v);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(2), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(got, 77u);
+}
+
+TEST(P2P, EarliestPostedReceiveWinsAfterSlotReuse) {
+  // Free slots are reused last-released-first, so a later post can take a
+  // lower slot than an earlier one. Matching must still follow post order,
+  // whether the earlier receive is the ANY_SOURCE or the explicit one.
+  std::uint64_t any_first[2] = {0, 0};       // {ANY_SOURCE, explicit}
+  std::uint64_t explicit_first[2] = {0, 0};  // {explicit, ANY_SOURCE}
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      auto free_two_slots = [&] {
+        std::uint64_t v = 0;
+        const auto a = ctx.isend(w, 2, 0, &v, sizeof v);
+        const auto b = ctx.isend(w, 2, 0, &v, sizeof v);
+        EXPECT_EQ(ctx.wait(w, a), Err::kSuccess);
+        EXPECT_EQ(ctx.wait(w, b), Err::kSuccess);
+      };
+      free_two_slots();
+      const auto any = ctx.irecv(w, vmpi::kAnySource, 0, &any_first[0], sizeof(std::uint64_t));
+      const auto exp = ctx.irecv(w, 1, 0, &any_first[1], sizeof(std::uint64_t));
+      EXPECT_GT(any.slot, exp.slot);
+      EXPECT_EQ(ctx.waitall(w, {any, exp}), Err::kSuccess);
+
+      free_two_slots();
+      const auto exp2 = ctx.irecv(w, 1, 0, &explicit_first[0], sizeof(std::uint64_t));
+      const auto any2 =
+          ctx.irecv(w, vmpi::kAnySource, 0, &explicit_first[1], sizeof(std::uint64_t));
+      EXPECT_GT(exp2.slot, any2.slot);
+      EXPECT_EQ(ctx.waitall(w, {exp2, any2}), Err::kSuccess);
+    } else if (ctx.rank() == 1) {
+      for (std::uint64_t v = 1; v <= 4; ++v) {
+        ctx.compute(1e6);  // Every receive is posted before its message lands.
+        ctx.send(0, 0, &v, sizeof v);
+      }
+    } else {
+      for (int i = 0; i < 4; ++i) {
+        std::uint64_t v = 0;
+        ctx.recv(0, 0, &v, sizeof v);
+      }
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(3), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(any_first[0], 1u);
+  EXPECT_EQ(any_first[1], 2u);
+  EXPECT_EQ(explicit_first[0], 3u);
+  EXPECT_EQ(explicit_first[1], 4u);
+}
+
+/// 1,000 senders each send their rank to rank 0, which receives them in
+/// reverse source order — growing the match-bucket table several times —
+/// either after every message is already unexpected or from receives
+/// posted before any message arrives.
+void fan_in_reverse(bool posted_first) {
+  constexpr int kSenders = 1000;
+  std::vector<std::uint64_t> got(kSenders + 1, 0);
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      if (posted_first) {
+        std::vector<vmpi::RequestHandle> hs;
+        for (int src = kSenders; src >= 1; --src) {
+          hs.push_back(ctx.irecv(w, src, 0, &got[static_cast<std::size_t>(src)],
+                                 sizeof(std::uint64_t)));
+        }
+        EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+      } else {
+        ctx.compute(1e9);  // Every message arrives unexpected.
+        for (int src = kSenders; src >= 1; --src) {
+          EXPECT_EQ(ctx.recv(src, 0, &got[static_cast<std::size_t>(src)],
+                             sizeof(std::uint64_t)),
+                    Err::kSuccess);
+        }
+      }
+    } else {
+      if (posted_first) ctx.compute(1e6);
+      const auto v = static_cast<std::uint64_t>(ctx.rank());
+      ctx.send(0, 0, &v, sizeof v);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(kSenders + 1), app).outcome, SimResult::Outcome::kCompleted);
+  for (int src = 1; src <= kSenders; ++src) {
+    ASSERT_EQ(got[static_cast<std::size_t>(src)], static_cast<std::uint64_t>(src));
+  }
+}
+
+TEST(P2P, ThousandSourceFanInAllUnexpected) { fan_in_reverse(/*posted_first=*/false); }
+
+TEST(P2P, ThousandSourceFanInPostedFirst) { fan_in_reverse(/*posted_first=*/true); }
+
+TEST(P2P, DuplicatedHandleInWaitallCompletes) {
+  // The counted wait counts a duplicated handle once; both entries report.
+  std::uint64_t got = 0;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      const auto h = ctx.irecv(w, 1, 0, &got, sizeof got);
+      std::vector<MsgStatus> sts;
+      EXPECT_EQ(ctx.waitall(w, {h, h}, &sts), Err::kSuccess);
+      ASSERT_EQ(sts.size(), 2u);
+      EXPECT_EQ(sts[0].source, 1);
+      EXPECT_EQ(sts[1].source, 1);
+    } else {
+      ctx.compute(1e6);
+      std::uint64_t v = 33;
+      ctx.send(0, 0, &v, sizeof v);
+    }
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(2), app).outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(got, 33u);
+}
+
+TEST(P2P, StaleErrorWakeupOnReusedSlotIsIgnored) {
+  // Rank 0 sends to rank 1 and fails at once. The failure notice reaches
+  // rank 1 while its receive from rank 0 is still posted, scheduling a
+  // timeout release (1 ms); the in-flight message then completes the
+  // receive. Its slot is reused by a receive from rank 2 that lands after
+  // the stale release fires — which must not fail the new request.
+  std::uint64_t first = 0, second = 0;
+  Err second_err = Err::kPending;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      std::uint64_t v = 11;
+      ctx.isend(w, 1, 0, &v, sizeof v);
+      ctx.fail_now();
+    } else if (ctx.rank() == 1) {
+      const auto h = ctx.irecv(w, 0, 0, &first, sizeof first);
+      EXPECT_EQ(ctx.wait(w, h), Err::kSuccess);
+      EXPECT_EQ(ctx.failed_peers().count(0), 1u);
+      const auto h2 = ctx.irecv(w, 2, 0, &second, sizeof second);
+      EXPECT_EQ(h2.slot, h.slot);
+      second_err = ctx.wait(w, h2);
+      EXPECT_GT(ctx.now(), sim_ms(2));
+    } else {
+      ctx.compute(2e6);  // 2 ms: after the stale release at ~1 ms.
+      std::uint64_t v = 22;
+      ctx.send(1, 0, &v, sizeof v);
+    }
+    ctx.finalize();
+  };
+  run_app(tiny_config(3), app);
+  EXPECT_EQ(first, 11u);
+  EXPECT_EQ(second_err, Err::kSuccess);
+  EXPECT_EQ(second, 22u);
+}
+
+TEST(P2P, FailureReleasesFollowPostOrderAfterSlotReuse) {
+  // Rank 1 posts receives A then B from rank 0, with slot reuse giving B
+  // the lower slot. Rank 0 fails; both releases fall due at the same
+  // instant and are scheduled in post order, so A's release resumes the
+  // fiber while B's is still pending.
+  bool b_done_at_a_release = true;
+  Err b_err = Err::kSuccess;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    if (ctx.rank() == 0) {
+      ctx.compute(1e3);
+      ctx.fail_now();
+    } else if (ctx.rank() == 1) {
+      ctx.set_error_handler(w, vmpi::ErrorHandlerKind::kReturn);
+      std::uint64_t v = 0;
+      const auto s1 = ctx.isend(w, 2, 0, &v, sizeof v);
+      const auto s2 = ctx.isend(w, 2, 0, &v, sizeof v);
+      EXPECT_EQ(ctx.wait(w, s1), Err::kSuccess);
+      EXPECT_EQ(ctx.wait(w, s2), Err::kSuccess);
+      std::uint64_t a_buf = 0, b_buf = 0;
+      const auto a = ctx.irecv(w, 0, 1, &a_buf, sizeof a_buf);
+      const auto b = ctx.irecv(w, 0, 2, &b_buf, sizeof b_buf);
+      EXPECT_GT(a.slot, b.slot);
+      EXPECT_EQ(ctx.wait(w, a), Err::kProcFailed);
+      Err e = Err::kSuccess;
+      b_done_at_a_release = ctx.test(b, nullptr, &e);
+      b_err = ctx.wait(w, b);
+    } else {
+      for (int i = 0; i < 2; ++i) {
+        std::uint64_t v = 0;
+        ctx.recv(1, 0, &v, sizeof v);
+      }
+    }
+    ctx.finalize();
+  };
+  run_app(tiny_config(3), app);
+  EXPECT_FALSE(b_done_at_a_release);
+  EXPECT_EQ(b_err, Err::kProcFailed);
+}
+
 // Deadlock: both ranks recv from each other with nothing sent.
 TEST(P2P, GenuineDeadlockIsReported) {
   auto app = [](Context& ctx) {
