@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
   // Routing x detector campaign: contended fat tree, tree collectives,
   // checkpoint every 125 iterations, with MTTF sized to the contended E2 so
   // failures land inside the run and detection latency shows up in E2.
-  // Contention modeling is exact at one engine worker, so these runs pin
-  // sim_workers = 1. The campaign runs at 64 ranks (fattree:16x4): with
+  // Contention modeling is exact at one engine worker, the SimConfig
+  // default. The campaign runs at 64 ranks (fattree:16x4): with
   // halo traffic contending every iteration AND failure-driven restart
   // replay, the 512-node fabric costs minutes per configuration; the
   // 4-spine fat tree shows the same routing/contention coupling at a
@@ -191,7 +191,6 @@ int main(int argc, char** argv) {
     machine.net.contention = true;
     machine.routing = routing_axis.values[p.at(0)];
     machine.detector = exp::detector_spec_for(p.at(1));
-    machine.sim_workers = 1;
 
     apps::HeatParams heat = codesign_heat(300, 125);
     heat.px = heat.py = heat.pz = 4;  // 64 ranks, 16^3 cells per rank.

@@ -48,8 +48,7 @@ core::SimConfig machine() {
   m.proc.slowdown = 1000.0;
   m.proc.reference_ns_per_unit = 1281.0;
   // Checkpoints cost real time here (unlike Table II's free-I/O setup).
-  m.pfs.aggregate_bandwidth_bytes_per_sec = 2e6;  // Deliberately slow PFS.
-  m.pfs.metadata_latency = sim_ms(100);
+  m.storage = "pfs:bw=2e6,lat=100ms";  // Deliberately slow PFS.
   // Deployed-style detector (period auto = network failure timeout, miss 3)
   // so failures carry a measurable detection latency the model must absorb.
   m.detector = *resilience::parse_detector_spec("heartbeat");
@@ -77,7 +76,7 @@ Trial run_trial(int interval, SimTime mttf, std::uint64_t seed) {
   core::RunnerConfig rc;
   rc.base = machine();
   rc.system_mttf = mttf;
-  rc.distribution = core::FailureDistribution::kExponential;
+  rc.distribution = resilience::FailureDistribution::kExponential;
   rc.seed = seed;
   core::RunnerResult res = core::ResilientRunner(rc, apps::make_heat3d(heat(interval))).run();
   Trial t;

@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   machine.proc.slowdown = 1.0;
   machine.proc.reference_ns_per_unit = 1000.0;
   machine.net.failure_timeout = sim_ms(1);
-  machine.pfs.per_client_bandwidth_bytes_per_sec = 1e6;  // Visible ckpt phase.
-  machine.pfs.metadata_latency = sim_ms(1);
+  machine.storage = "pfs:cbw=1e6,lat=1ms";  // Visible ckpt phase.
 
   apps::HeatParams heat;
   heat.nx = heat.ny = heat.nz = 32;

@@ -81,7 +81,7 @@ Outcome run(bool incremental, int change_permille) {
       const SimTime t0 = ctx.now();
       if (incremental) {
         inc.write(ctx, *services.checkpoints, static_cast<std::uint64_t>(v), state,
-                  *services.pfs, ctx.size());
+                  services.storage->pfs_model(), ctx.size());
       } else {
         writer.write(ctx, *services.checkpoints, static_cast<std::uint64_t>(v), state);
       }

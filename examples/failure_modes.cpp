@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
   machine.proc.slowdown = 1.0;
   machine.proc.reference_ns_per_unit = 1000.0;  // 1 us per point update.
   machine.net.failure_timeout = sim_ms(1);
-  machine.pfs.per_client_bandwidth_bytes_per_sec = 1e6;  // Slow PFS: visible
-  machine.pfs.metadata_latency = sim_ms(1);              // checkpoint phase.
+  machine.storage = "pfs:cbw=1e6,lat=1ms";  // Slow PFS: visible checkpoint phase.
 
   apps::HeatParams heat;
   heat.nx = heat.ny = heat.nz = 32;  // 8^3 per rank -> 512 us compute/iter.

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
 
   // Routing x contention sweep: same halo workload with per-link occupancy
   // windows folded into delivery times. Contention modeling is exact at one
-  // engine worker, so these runs pin sim_workers = 1.
+  // engine worker, the SimConfig default.
   const auto routing_axis = exp::routing_axis();
   const auto plan2 = exp::ExperimentPlan::cross_product(
       {exp::Axis{"topology", topologies}, routing_axis});
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
     auto machine = machine_on(topologies[p.at(0)]);
     machine.net.contention = true;
     machine.routing = routing_axis.values[p.at(1)];
-    machine.sim_workers = 1;
     return run_seconds(machine, apps::make_heat3d(heat));
   });
 

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Tier-1 verification: full build + test suite, then the thread-safety gate —
+# Tier-1 verification: full build + test suite (plus an examples smoke and a
+# check that every EXASIM_* variable the scripts and CI set is documented in
+# `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, PDES engine, MPI
 # point-to-point, and resilience tests (the suites that exercise the parallel
 # campaign machinery, the sharded engine, and the failure-notification bus
@@ -43,6 +45,18 @@ run_release() {
     if [ -x "build/examples/$ex" ]; then
       echo "-- examples/$ex"
       "./build/examples/$ex" >/dev/null
+    fi
+  done
+
+  echo "== tier 1: every EXASIM_* variable in scripts and CI is in exasim_run --help =="
+  # Catches a leg that sets a variable nothing reads. -DEXASIM_* are CMake
+  # options, not environment variables.
+  help=$(./build/tools/exasim_run --help)
+  for var in $(grep -ohE '(-D)?EXASIM_[A-Z_]+' scripts/*.sh .github/workflows/ci.yml |
+               grep -v '^-D' | sort -u); do
+    if ! printf '%s\n' "$help" | grep -qw "$var"; then
+      echo "tier1.sh: $var is set in scripts/ or ci.yml but missing from exasim_run --help" >&2
+      exit 1
     fi
   done
 }

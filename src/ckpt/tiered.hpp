@@ -30,11 +30,8 @@ const char* to_string(CkptMode mode);
 std::optional<CkptMode> parse_ckpt_mode(const std::string& text);
 const std::vector<std::string>& list_ckpt_modes();
 
-/// Environment variable consulted when no --ckpt-mode flag is given.
-inline constexpr const char* kCkptModeEnvVar = "EXASIM_CKPT_MODE";
-
-/// Empty defers to EXASIM_CKPT_MODE (unset/malformed -> kPfs); throws
-/// std::invalid_argument on a malformed non-empty `configured`.
+/// Parses a configured mode (core::SimConfig::ckpt_mode); throws
+/// std::invalid_argument on malformed text.
 CkptMode resolve_ckpt_mode(const std::string& configured);
 
 /// Process-wide tiered-checkpoint counters (monotonic, like fanout_stats):

@@ -1,14 +1,13 @@
 #include "core/cli.hpp"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "ckpt/tiered.hpp"
-#include "core/failure.hpp"
 #include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
 #include "pdes/scheduler.hpp"
 #include "resilience/detector.hpp"
+#include "resilience/schedule.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/pool.hpp"
@@ -16,81 +15,222 @@
 namespace exasim::core {
 namespace {
 
-bool parse_double(const std::string& v, double* out) {
+std::optional<double> to_double(const std::string& v) {
   try {
     std::size_t pos = 0;
-    *out = std::stod(v, &pos);
-    return pos == v.size();
+    const double d = std::stod(v, &pos);
+    if (pos == v.size()) return d;
   } catch (...) {
-    return false;
   }
+  return std::nullopt;
 }
 
-bool parse_int(const std::string& v, long long* out) {
+std::optional<long long> to_int(const std::string& v) {
   try {
     std::size_t pos = 0;
-    *out = std::stoll(v, &pos);
-    return pos == v.size();
+    const long long ll = std::stoll(v, &pos);
+    if (pos == v.size()) return ll;
   } catch (...) {
-    return false;
+  }
+  return std::nullopt;
+}
+
+/// Stores a parsed value; false (and `out` untouched) when parsing failed.
+template <class T, class U>
+bool assign(T& out, const std::optional<U>& parsed) {
+  if (!parsed) return false;
+  out = static_cast<T>(*parsed);
+  return true;
+}
+
+/// Stores a spec string its parser accepted; the library layer parses it
+/// again when it builds the model.
+template <class U>
+bool keep_spec(std::string& out, const std::string& v, const std::optional<U>& parsed) {
+  if (!parsed) return false;
+  out = v;
+  return true;
+}
+
+using O = CliOptions;
+using V = const std::string&;
+
+}  // namespace
+
+const std::vector<CliOption>& cli_options() {
+  static const std::vector<CliOption> kOptions = {
+      {"ranks", "N", nullptr, "simulated MPI ranks",
+       [](O& o, V v) { return assign(o.machine.ranks, to_int(v)); }},
+      {"topology", "SPEC", nullptr,
+       "network topology: torus:XxYxZ, mesh:XxYxZ, fattree:LxS, dragonfly:AxHxG, star:N; "
+       "default a star with one node per --ranks-per-node ranks",
+       [](O& o, V v) {
+         o.machine.topology = v;
+         return !v.empty();
+       }},
+      {"ranks-per-node", "N", nullptr, "ranks sharing one node and its NIC",
+       [](O& o, V v) { return assign(o.machine.ranks_per_node, to_int(v)); }},
+      {"link-latency", "DUR", nullptr, "per-hop link latency",
+       [](O& o, V v) { return assign(o.machine.net.link_latency, parse_duration(v)); }},
+      {"bandwidth", "B/s", nullptr, "link and injection bandwidth",
+       [](O& o, V v) {
+         return assign(o.machine.net.bandwidth_bytes_per_sec, to_double(v)) &&
+                assign(o.machine.net.injection_bandwidth_bytes_per_sec, to_double(v));
+       }},
+      {"overhead", "DUR", nullptr, "per-message software overhead",
+       [](O& o, V v) { return assign(o.machine.net.per_message_overhead, parse_duration(v)); }},
+      {"eager-threshold", "BYTES", nullptr, "largest eager message; larger ones rendezvous",
+       [](O& o, V v) { return assign(o.machine.net.eager_threshold, to_int(v)); }},
+      {"failure-timeout", "DUR", nullptr, "network failure-detection timeout",
+       [](O& o, V v) { return assign(o.machine.net.failure_timeout, parse_duration(v)); }},
+      {"routing", "deterministic|adaptive[:spread=K]", "EXASIM_ROUTING",
+       "route-variant policy over equal-cost minimal routes; adaptive spreads flows keyed by "
+       "(src,dst,seq); default deterministic",
+       [](O& o, V v) { return keep_spec(o.machine.routing, v, parse_routing_spec(v)); }},
+      {"link-timeouts", "uniform[:LO..HI[,seed=N]]|hot:ID=DUR[;..]|plane:P=DUR[;..]",
+       "EXASIM_LINK_TIMEOUTS",
+       "per-link failure-timeout overrides; pair timeout = max over the route's links; "
+       "default uniform",
+       [](O& o, V v) { return assign(o.machine.net.link_timeouts, parse_link_timeout_spec(v)); }},
+      {"contention", nullptr, nullptr,
+       "fold per-link occupancy waits into delivery times; exact at --sim-workers=1, "
+       "approximate otherwise",
+       [](O& o, V) {
+         o.machine.net.contention = true;
+         return true;
+       }},
+      {"slowdown", "X", nullptr, "simulated node speed relative to the reference core",
+       [](O& o, V v) { return assign(o.machine.proc.slowdown, to_double(v)); }},
+      {"ns-per-unit", "X", nullptr, "reference-core nanoseconds per modeled work unit",
+       [](O& o, V v) { return assign(o.machine.proc.reference_ns_per_unit, to_double(v)); }},
+      {"storage", "pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]", "EXASIM_STORAGE",
+       "storage hierarchy; tier keys bw, cbw, lat, cap, contend; '+' accepted for ';'; "
+       "default pfs, a single free PFS tier",
+       [](O& o, V v) { return keep_spec(o.machine.storage, v, parse_storage_spec(v)); }},
+      {"ckpt-mode", "pfs|partner|staged", "EXASIM_CKPT_MODE",
+       "checkpoint placement: direct PFS, diskless partner copy in node memory, or partner "
+       "copy plus background drain through bb to PFS; default pfs",
+       [](O& o, V v) { return keep_spec(o.machine.ckpt_mode, v, ckpt::parse_ckpt_mode(v)); }},
+      {"failures", "R@T[,R@T..]", "EXASIM_FAILURES",
+       "failure schedule: rank R fails at virtual time T (paper IV-B)",
+       [](O& o, V v) { return assign(o.machine.failures, parse_failure_schedule(v)); }},
+      {"failure-detector",
+       "paper-instant|timeout|heartbeat[:period=DUR][,miss=N]|gossip[:period=DUR][,fanout=K]"
+       "[,seed=N]",
+       "EXASIM_FAILURE_DETECTOR", "when survivors learn of a failure; default paper-instant",
+       [](O& o, V v) { return assign(o.machine.detector, resilience::parse_detector_spec(v)); }},
+      {"mttf", "DUR", nullptr, "system MTTF for random failure injection, one draw per launch",
+       [](O& o, V v) { return assign(o.mttf, parse_duration(v)); }},
+      {"distribution", "uniform2m|exponential|weibull", nullptr,
+       "failure-time distribution for --mttf; default uniform2m",
+       [](O& o, V v) {
+         using D = resilience::FailureDistribution;
+         const std::optional<D> d = v == "uniform2m"     ? std::optional(D::kUniform2Mttf)
+                                    : v == "exponential" ? std::optional(D::kExponential)
+                                    : v == "weibull"     ? std::optional(D::kWeibull)
+                                                         : std::nullopt;
+         return assign(o.distribution, d);
+       }},
+      {"seed", "N", nullptr, "random seed", [](O& o, V v) { return assign(o.seed, to_int(v)); }},
+      {"max-restarts", "N", nullptr, "restart budget of the failure/restart loop",
+       [](O& o, V v) { return assign(o.max_restarts, to_int(v)); }},
+      {"stack-bytes", "N", nullptr, "fiber stack size per simulated rank",
+       [](O& o, V v) { return assign(o.machine.process.fiber_stack_bytes, to_int(v)); }},
+      {"measured-compute", nullptr, nullptr,
+       "also fold scaled native fiber CPU time into the virtual clock",
+       [](O& o, V) {
+         o.machine.process.measured_compute = true;
+         return true;
+       }},
+      {"sim-time-file", "PATH", nullptr, "persist the exit virtual time across restarts (IV-E)",
+       [](O& o, V v) {
+         o.sim_time_file = v;
+         return true;
+       }},
+      {"verbose", nullptr, nullptr, "info-level logging",
+       [](O& o, V) {
+         Log::set_level(LogLevel::kInfo);
+         o.verbose = true;
+         return true;
+       }},
+      {"replicates", "N", nullptr, "repeat with seeds seed..seed+N-1 and report statistics",
+       [](O& o, V v) {
+         const auto n = to_int(v);
+         return n && *n >= 1 && assign(o.replicates, n);
+       }},
+      {"jobs", "N", nullptr,
+       "worker threads for replicates; 0 = all cores; default EXASIM_JOBS, else 1",
+       [](O& o, V v) { return assign(o.jobs, to_int(v)); }},
+      {"sim-workers", "N|auto", "EXASIM_SIM_WORKERS",
+       "engine worker threads inside one simulation: 1 = sequential (default), auto = usable "
+       "CPUs (affinity/cgroup aware); identical results for any N",
+       [](O& o, V v) {
+         if (v == "auto") return assign(o.machine.sim_workers, std::optional(-1));
+         const auto n = to_int(v);
+         return n && *n >= 1 && assign(o.machine.sim_workers, n);
+       }},
+      {"scheduler", "fixed|adaptive", "EXASIM_SCHEDULER",
+       "window planner preset of the sharded engine; adaptive widens per-group windows inside "
+       "the safe envelope and steals ready LP groups; default fixed; identical results for either",
+       [](O& o, V v) { return keep_spec(o.machine.scheduler, v, parse_scheduler_spec(v)); }},
+      {"no-pool", nullptr, nullptr,
+       "disable the hot-path memory pools (as EXASIM_NO_POOL=1); identical results either way",
+       [](O& o, V) {
+         // Provenance headers let blocks allocated before the flip still free
+         // correctly.
+         util::set_pool_enabled(false);
+         o.no_pool = true;
+         return true;
+       }},
+  };
+  return kOptions;
+}
+
+namespace {
+
+/// Appends `text` word-wrapped to `width` columns, each line indented.
+void append_wrapped(std::string& out, const std::string& text, std::size_t indent,
+                    std::size_t width) {
+  std::size_t column = width;  // Forces a line break before the first word.
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find(' ', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::size_t len = end - pos;
+    if (column + 1 + len > width) {
+      out += '\n';
+      out.append(indent, ' ');
+      column = indent;
+    } else {
+      out += ' ';
+      ++column;
+    }
+    out.append(text, pos, len);
+    column += len;
+    pos = end + 1;
   }
 }
 
 }  // namespace
 
 std::string cli_usage() {
-  return
-      "options:\n"
-      "  --ranks=N --topology=SPEC --ranks-per-node=N\n"
-      "  --link-latency=DUR --bandwidth=B/s --overhead=DUR\n"
-      "  --eager-threshold=BYTES --failure-timeout=DUR\n"
-      "  --routing=deterministic|adaptive[:spread=K]\n"
-      "                   (route-variant policy over equal-cost minimal\n"
-      "                    routes; adaptive spreads flows keyed by\n"
-      "                    (src,dst,seq); or env EXASIM_ROUTING; default\n"
-      "                    deterministic)\n"
-      "  --link-timeouts=uniform[:LO..HI[,seed=N]]|hot:ID=DUR[;..]|plane:P=DUR[;..]\n"
-      "                   (per-link failure-timeout overrides; pair timeout =\n"
-      "                    max over the route's links; or env\n"
-      "                    EXASIM_LINK_TIMEOUTS; default uniform)\n"
-      "  --contention     (fold per-link occupancy waits into delivery times;\n"
-      "                    exact at --sim-workers=1, approximate otherwise)\n"
-      "  --slowdown=X --ns-per-unit=X\n"
-      "  --pfs-bandwidth=B/s --pfs-latency=DUR\n"
-      "  --storage=pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]\n"
-      "                   (storage hierarchy; tier keys bw, cbw, lat, cap,\n"
-      "                    contend; '+' accepted for ';'; or env\n"
-      "                    EXASIM_STORAGE; default single free PFS)\n"
-      "  --ckpt-mode=pfs|partner|staged\n"
-      "                   (checkpoint placement: direct PFS, diskless partner\n"
-      "                    copy in node memory, or partner + background drain\n"
-      "                    through bb to PFS; or env EXASIM_CKPT_MODE;\n"
-      "                    default pfs)\n"
-      "  --failures=R@T,R@T   (or env EXASIM_FAILURES)\n"
-      "  --failure-detector=paper-instant|timeout|heartbeat[:period=DUR][,miss=N]\n"
-      "                   |gossip[:period=DUR][,fanout=K][,seed=N]\n"
-      "                   (or env EXASIM_FAILURE_DETECTOR; when survivors\n"
-      "                    learn of a failure; default paper-instant)\n"
-      "  --mttf=DUR --distribution=uniform2m|exponential|weibull\n"
-      "  --seed=N --max-restarts=N --stack-bytes=N\n"
-      "  --measured-compute --sim-time-file=PATH --verbose\n"
-      "  --replicates=N   (repeat with seeds seed..seed+N-1, report stats)\n"
-      "  --jobs=N         (worker threads for replicates; 0 = all cores,\n"
-      "                    default from EXASIM_JOBS)\n"
-      "  --sim-workers=N|auto\n"
-      "                   (engine worker threads inside one simulation;\n"
-      "                    1 = sequential, auto = usable CPUs (affinity/\n"
-      "                    cgroup aware), default from EXASIM_SIM_WORKERS;\n"
-      "                    identical results for any N)\n"
-      "  --scheduler=fixed|adaptive\n"
-      "                   (window planner preset of the sharded engine;\n"
-      "                    adaptive widens per-group windows inside the safe\n"
-      "                    envelope and steals ready LP groups across\n"
-      "                    workers; or env EXASIM_SCHEDULER; identical\n"
-      "                    results for either preset)\n"
-      "  --no-pool        (disable the hot-path memory pools — payloads and\n"
-      "                    fiber stacks fall back to plain heap/mmap; also\n"
-      "                    env EXASIM_NO_POOL=1; identical results either way)\n";
+  std::string out = "options:";
+  for (const CliOption& o : cli_options()) {
+    out += "\n  --";
+    out += o.flag;
+    if (o.value != nullptr) out += std::string("=") + o.value;
+    append_wrapped(out, o.env != nullptr ? o.help + std::string("; env ") + o.env : o.help, 6,
+                   78);
+  }
+  out += "\n\n";
+  out +=
+      "A flag wins over its EXASIM_* variable; a malformed value from either is an error.\n"
+      "The variables reach exasim_run and exasim_mc, not programs that build a SimConfig\n"
+      "in code. Host switches, read where they act, never change results:\n"
+      "  EXASIM_JOBS=N          default for --jobs\n"
+      "  EXASIM_NO_POOL=1       same as --no-pool\n"
+      "  EXASIM_EAGER_WAKEUP=1  wake a blocked rank on every delivery (no wakeup filtering)\n";
+  return out;
 }
 
 std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::string* error) {
@@ -102,143 +242,30 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
 
   // Environment first; explicit flags override (command line wins over
   // environment, like xSim).
-  {
-    auto schedule = FailureSchedule::from_env();
-    if (!schedule) return fail(std::string("malformed ") + kFailureScheduleEnvVar);
-    opts.machine.failures = schedule->specs();
-  }
-  if (const char* env = std::getenv(resilience::kDetectorEnvVar)) {
-    auto spec = resilience::parse_detector_spec(env);
-    if (!spec) return fail(std::string("malformed ") + resilience::kDetectorEnvVar);
-    opts.machine.detector = *spec;
-  }
-  if (const char* env = std::getenv(kLinkTimeoutsEnvVar)) {
-    auto spec = parse_link_timeout_spec(env);
-    if (!spec) return fail(std::string("malformed ") + kLinkTimeoutsEnvVar);
-    opts.machine.net.link_timeouts = *spec;
+  for (const CliOption& o : cli_options()) {
+    const char* env = o.env != nullptr ? std::getenv(o.env) : nullptr;
+    if (env == nullptr || *env == '\0') continue;
+    if (!o.apply(opts, env)) return fail(std::string("malformed ") + o.env + "=" + env);
   }
 
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       opts.positional.push_back(arg);
       continue;
     }
-    std::string key = arg.substr(2);
-    std::string value;
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const CliOption* option = nullptr;
+    for (const CliOption& o : cli_options()) {
+      if (flag == o.flag) option = &o;
     }
-
-    long long ll = 0;
-    double d = 0;
-    if (key == "ranks" && parse_int(value, &ll)) {
-      opts.machine.ranks = static_cast<int>(ll);
-    } else if (key == "topology" && !value.empty()) {
-      opts.machine.topology = value;
-    } else if (key == "ranks-per-node" && parse_int(value, &ll)) {
-      opts.machine.ranks_per_node = static_cast<int>(ll);
-    } else if (key == "link-latency") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --link-latency");
-      opts.machine.net.link_latency = *t;
-    } else if (key == "bandwidth" && parse_double(value, &d)) {
-      opts.machine.net.bandwidth_bytes_per_sec = d;
-      opts.machine.net.injection_bandwidth_bytes_per_sec = d;
-    } else if (key == "overhead") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --overhead");
-      opts.machine.net.per_message_overhead = *t;
-    } else if (key == "eager-threshold" && parse_int(value, &ll)) {
-      opts.machine.net.eager_threshold = static_cast<std::size_t>(ll);
-    } else if (key == "failure-timeout") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --failure-timeout");
-      opts.machine.net.failure_timeout = *t;
-    } else if (key == "routing") {
-      if (!parse_routing_spec(value)) return fail("bad --routing");
-      opts.machine.routing = value;
-    } else if (key == "link-timeouts") {
-      auto spec = parse_link_timeout_spec(value);
-      if (!spec) return fail("bad --link-timeouts");
-      opts.machine.net.link_timeouts = *spec;
-    } else if (key == "contention") {
-      opts.machine.net.contention = true;
-    } else if (key == "slowdown" && parse_double(value, &d)) {
-      opts.machine.proc.slowdown = d;
-    } else if (key == "ns-per-unit" && parse_double(value, &d)) {
-      opts.machine.proc.reference_ns_per_unit = d;
-    } else if (key == "pfs-bandwidth" && parse_double(value, &d)) {
-      opts.machine.pfs.aggregate_bandwidth_bytes_per_sec = d;
-    } else if (key == "pfs-latency") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --pfs-latency");
-      opts.machine.pfs.metadata_latency = *t;
-    } else if (key == "storage") {
-      if (!parse_storage_spec(value)) return fail("bad --storage");
-      opts.machine.storage = value;
-    } else if (key == "ckpt-mode") {
-      if (!ckpt::parse_ckpt_mode(value)) return fail("bad --ckpt-mode");
-      opts.machine.ckpt_mode = value;
-    } else if (key == "failures") {
-      auto schedule = FailureSchedule::parse(value);
-      if (!schedule) return fail("bad --failures");
-      opts.machine.failures = schedule->specs();
-    } else if (key == "failure-detector") {
-      auto spec = resilience::parse_detector_spec(value);
-      if (!spec) return fail("bad --failure-detector");
-      opts.machine.detector = *spec;
-    } else if (key == "mttf") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --mttf");
-      opts.mttf = *t;
-    } else if (key == "distribution") {
-      if (value == "uniform2m") {
-        opts.distribution = FailureDistribution::kUniform2Mttf;
-      } else if (value == "exponential") {
-        opts.distribution = FailureDistribution::kExponential;
-      } else if (value == "weibull") {
-        opts.distribution = FailureDistribution::kWeibull;
-      } else {
-        return fail("bad --distribution");
-      }
-    } else if (key == "seed" && parse_int(value, &ll)) {
-      opts.seed = static_cast<std::uint64_t>(ll);
-    } else if (key == "max-restarts" && parse_int(value, &ll)) {
-      opts.max_restarts = static_cast<int>(ll);
-    } else if (key == "replicates" && parse_int(value, &ll)) {
-      if (ll < 1) return fail("bad --replicates");
-      opts.replicates = static_cast<int>(ll);
-    } else if (key == "jobs" && parse_int(value, &ll)) {
-      opts.jobs = static_cast<int>(ll);
-    } else if (key == "sim-workers") {
-      if (value == "auto") {
-        opts.machine.sim_workers = -1;
-      } else if (parse_int(value, &ll) && ll >= 1) {
-        opts.machine.sim_workers = static_cast<int>(ll);
-      } else {
-        return fail("bad --sim-workers");
-      }
-    } else if (key == "scheduler") {
-      if (!parse_scheduler_spec(value)) return fail("bad --scheduler");
-      opts.machine.scheduler = value;
-    } else if (key == "stack-bytes" && parse_int(value, &ll)) {
-      opts.machine.process.fiber_stack_bytes = static_cast<std::size_t>(ll);
-    } else if (key == "no-pool") {
-      // Escape hatch for debugging/benchmarking: provenance headers let
-      // blocks allocated before the flip still free correctly.
-      util::set_pool_enabled(false);
-      opts.no_pool = true;
-    } else if (key == "measured-compute") {
-      opts.machine.process.measured_compute = true;
-    } else if (key == "sim-time-file") {
-      opts.sim_time_file = value;
-    } else if (key == "verbose") {
-      opts.verbose = true;
-      Log::set_level(LogLevel::kInfo);
-    } else {
-      return fail("unknown or malformed option: " + arg);
+    if (option == nullptr) return fail("unknown option: " + arg);
+    // A switch takes no value; every other option takes exactly one.
+    const bool has_value = eq != std::string::npos;
+    if (has_value != (option->value != nullptr) ||
+        !option->apply(opts, has_value ? arg.substr(eq + 1) : std::string())) {
+      return fail("malformed " + arg);
     }
   }
 
@@ -250,7 +277,8 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     opts.machine.topology = "star:" + std::to_string(nodes);
   }
 
-  if (auto bad = FailureSchedule(opts.machine.failures).first_invalid_rank(opts.machine.ranks)) {
+  const resilience::FailureSchedule schedule(opts.machine.failures);
+  if (auto bad = schedule.first_invalid_rank(opts.machine.ranks)) {
     return fail("failure schedule rank out of range: " + std::to_string(*bad));
   }
   return opts;

@@ -16,32 +16,13 @@ namespace exasim::core {
 /// line or via an environment variable on startup. This is the typical
 /// method for injecting failures."
 ///
-/// Recognized options (all `--key=value`):
-///   --ranks=N                 --topology=torus:32x32x32
-///   --ranks-per-node=N
-///   --link-latency=1us        --bandwidth=32e9        --overhead=500ns
-///   --eager-threshold=262144  --failure-timeout=100ms
-///   --routing=deterministic|adaptive[:spread=K]
-///                             (or environment EXASIM_ROUTING)
-///   --link-timeouts=uniform:LO..HI | hot:ID=DUR;.. | plane:P=DUR;..
-///                             (or environment EXASIM_LINK_TIMEOUTS)
-///   --contention              (per-link occupancy waits in delivery times)
-///   --slowdown=1000           --ns-per-unit=1281
-///   --pfs-bandwidth=0         --pfs-latency=0
-///   --failures=R@T,R@T        (or environment EXASIM_FAILURES)
-///   --mttf=3000s              --distribution=uniform2m|exponential|weibull
-///   --seed=N                  --max-restarts=N
-///   --stack-bytes=N           --measured-compute
-///   --sim-time-file=PATH      --verbose
-///   --replicates=N            --jobs=N
-///   --sim-workers=N|auto      (or environment EXASIM_SIM_WORKERS)
-///   --scheduler=fixed|adaptive
-///                             (or environment EXASIM_SCHEDULER)
-///   --no-pool                 (or environment EXASIM_NO_POOL=1)
+/// Every option is one row of the table returned by cli_options(), which
+/// also generates cli_usage(). A row with an EXASIM_* variable is preset
+/// from the environment; the flag, when given, wins.
 struct CliOptions {
   SimConfig machine;
   std::optional<SimTime> mttf;
-  FailureDistribution distribution = FailureDistribution::kUniform2Mttf;
+  resilience::FailureDistribution distribution = resilience::FailureDistribution::kUniform2Mttf;
   std::uint64_t seed = 1;
   int max_restarts = 10000;
   std::string sim_time_file;
@@ -64,14 +45,26 @@ struct CliOptions {
   std::vector<std::string> positional;  ///< Non-option arguments.
 };
 
-/// Parses argv plus the EXASIM_FAILURES environment variable. Returns
-/// nullopt and fills *error on malformed input.
+/// One configuration option: `--flag[=VALUE]`, optionally preset by an
+/// EXASIM_* environment variable.
+struct CliOption {
+  const char* flag;   ///< Without the leading "--".
+  const char* value;  ///< Value syntax shown in the usage; nullptr = a switch.
+  const char* env;    ///< Presetting environment variable; nullptr = none.
+  const char* help;
+  /// Applies a value (empty for a switch); false = malformed.
+  bool (*apply)(CliOptions& options, const std::string& value);
+};
+
+/// The option table, in usage order.
+const std::vector<CliOption>& cli_options();
+
+/// Parses the environment variables of cli_options(), then argv (so a flag
+/// wins over its variable). Returns nullopt and fills *error on malformed
+/// input from either source; the error names the flag or the variable.
 std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::string* error);
 
-/// The environment variable consulted for a failure schedule (paper §IV-B).
-inline constexpr const char* kFailureScheduleEnvVar = "EXASIM_FAILURES";
-
-/// One-line usage text listing the recognized options.
+/// Usage text generated from cli_options().
 std::string cli_usage();
 
 /// Builds a RunnerConfig from parsed options (failures from the schedule go

@@ -17,6 +17,9 @@ namespace exasim::core {
 Machine::Machine(SimConfig config, vmpi::AppMain app)
     : config_(std::move(config)), app_(std::move(app)) {
   if (config_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
+  if (config_.sim_workers == 0) {
+    throw std::invalid_argument("sim_workers == 0 (1 = sequential, -1 = auto)");
+  }
   for (const auto& f : config_.failures) {
     if (f.rank < 0 || f.rank >= config_.ranks) {
       throw std::invalid_argument("failure schedule rank out of range");
@@ -68,14 +71,7 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
   wiring.revoke_kind = vmpi::kEvRevokeNotice;
   bus_ = std::make_unique<resilience::NotificationBus>(wiring);
   proc_model_ = std::make_unique<ProcessorModel>(config_.proc);
-  StorageSpec storage_spec = resolve_storage_spec(config_.storage);
-  if (storage_spec.is_default() && !(config_.pfs == PfsParams{})) {
-    // Legacy flat-PFS knobs seed the default hierarchy's PFS tier, keeping
-    // pre-hierarchy configurations (--pfs-bandwidth etc.) cost-identical.
-    storage_spec.tiers.front().io = config_.pfs;
-    storage_spec.preset.clear();
-  }
-  storage_ = std::make_unique<StorageHierarchy>(std::move(storage_spec));
+  storage_ = std::make_unique<StorageHierarchy>(resolve_storage_spec(config_.storage));
   if (config_.power) {
     energy_ = std::make_unique<EnergyLedger>(config_.ranks, *config_.power);
   }
@@ -83,7 +79,6 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
     trace_ = std::make_unique<vmpi::MemoryTraceSink>();
   }
 
-  services_.pfs = &storage_->pfs_model();
   services_.storage = storage_.get();
   services_.ckpt_mode = ckpt::resolve_ckpt_mode(config_.ckpt_mode);
   services_.energy = energy_.get();

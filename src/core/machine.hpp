@@ -10,7 +10,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
-#include "iomodel/pfs.hpp"
 #include "iomodel/storage.hpp"
 #include "metrics/perf.hpp"
 #include "metrics/stats.hpp"
@@ -48,32 +47,23 @@ struct SimConfig {
   /// topology/net *and* `routing` when set.
   std::shared_ptr<const NetworkModel> network;
 
-  /// Routing policy spec ("deterministic", "adaptive", "adaptive:spread=K");
-  /// empty defers to EXASIM_ROUTING, unset environment means "deterministic"
-  /// (exasim::resolve_routing_spec). Route choice is keyed by
-  /// (src, dst, seq), so every setting is reproducible across worker counts
-  /// (DESIGN.md §12).
-  std::string routing;
+  /// Routing policy spec ("deterministic", "adaptive", "adaptive:spread=K").
+  /// Route choice is keyed by (src, dst, seq), so every setting is
+  /// reproducible across worker counts (DESIGN.md §12).
+  std::string routing = "deterministic";
 
   ProcessorParams proc;
-  /// Legacy flat-PFS knobs (--pfs-bandwidth/--pfs-latency). When `storage`
-  /// resolves to the default single-tier spec, these seed its PFS tier — so
-  /// pre-hierarchy configurations keep their exact cost model.
-  PfsParams pfs;
-  /// Storage-hierarchy spec ("pfs", "hpc", "mem:...;bb:...;pfs:..."); empty
-  /// defers to EXASIM_STORAGE, unset environment means the paper-default
-  /// single free PFS tier (exasim::resolve_storage_spec).
-  std::string storage;
-  /// Checkpoint placement policy ("pfs", "partner", "staged"); empty defers
-  /// to EXASIM_CKPT_MODE, unset environment means "pfs"
-  /// (ckpt::resolve_ckpt_mode).
-  std::string ckpt_mode;
+  /// Storage-hierarchy spec ("pfs", "hpc", "mem:...;bb:...;pfs:..."); "pfs"
+  /// is the paper-default single free PFS tier.
+  std::string storage = "pfs";
+  /// Checkpoint placement policy ("pfs", "partner", "staged").
+  std::string ckpt_mode = "pfs";
   std::optional<PowerParams> power;
   vmpi::ProcessConfig process;
 
   /// Injected MPI process failure schedule (rank/time pairs, absolute
   /// virtual time; paper §IV-B). Owned/derived by resilience::FailureSchedule
-  /// (CLI flag, EXASIM_FAILURES, or reliability-model draws).
+  /// (--failures / EXASIM_FAILURES, or reliability-model draws).
   std::vector<FailureSpec> failures;
   std::vector<SoftErrorSpec> soft_errors;
 
@@ -98,17 +88,14 @@ struct SimConfig {
   bool trace = false;
 
   /// Engine worker threads (LP groups): 1 = sequential engine, N > 1 =
-  /// conservative-window parallel engine with N groups, 0 = defer to the
-  /// EXASIM_SIM_WORKERS environment variable, -1 = one per usable CPU
-  /// (exasim::resolve_sim_workers — affinity/cgroup aware). Every setting
-  /// delivers the identical simulated schedule.
-  int sim_workers = 0;
+  /// conservative-window parallel engine with N groups, -1 = one per usable
+  /// CPU (exasim::resolve_sim_workers — affinity/cgroup aware); 0 is
+  /// rejected. Every setting delivers the identical simulated schedule.
+  int sim_workers = 1;
 
-  /// Window planner preset ("fixed" or "adaptive"); empty defers to
-  /// EXASIM_SCHEDULER, unset environment means "fixed"
-  /// (exasim::resolve_scheduler_spec). Every setting delivers the identical
-  /// simulated schedule (DESIGN.md §11).
-  std::string scheduler;
+  /// Window planner preset ("fixed" or "adaptive"). Every setting delivers
+  /// the identical simulated schedule (DESIGN.md §11).
+  std::string scheduler = "fixed";
 };
 
 /// Result of one simulated application execution.
@@ -217,9 +204,6 @@ std::string sim_result_json(const SimResult& r);
 /// Services exposed to simulated applications through Context::services.
 struct Services {
   ckpt::CheckpointStore* checkpoints = nullptr;
-  /// The durable tier's cost model (== storage->pfs_model()); kept for
-  /// legacy write_rank_checkpoint callers.
-  const PfsModel* pfs = nullptr;
   /// The machine's storage stack (always set; single free PFS by default).
   StorageHierarchy* storage = nullptr;
   /// Resolved checkpoint placement policy for TieredWriter construction.

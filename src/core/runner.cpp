@@ -18,7 +18,7 @@ ResilientRunner::ResilientRunner(RunnerConfig config, vmpi::AppMain app)
 
 RunnerResult ResilientRunner::run() {
   RunnerResult result;
-  std::optional<ReliabilityModel> reliability;
+  std::optional<resilience::ReliabilityModel> reliability;
   if (config_.system_mttf) {
     reliability.emplace(config_.distribution, *config_.system_mttf, config_.base.ranks,
                         config_.seed);
@@ -38,7 +38,7 @@ RunnerResult ResilientRunner::run() {
     // rank uniform, time uniform within 2*MTTF, applied to each run
     // separately), plus the deterministic first-launch extras; drawn relative
     // to launch start, then shifted to absolute virtual time (§IV-E).
-    FailureSchedule schedule;
+    resilience::FailureSchedule schedule;
     if (reliability) schedule.add_draw(*reliability);
     if (launch == 0) {
       for (const FailureSpec& f : config_.first_run_failures) schedule.add(f);

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
-#include "core/failure.hpp"
 #include "core/machine.hpp"
+#include "resilience/schedule.hpp"
 
 namespace exasim::core {
 
@@ -23,7 +23,7 @@ struct RunnerConfig {
   /// baseline). Times are drawn per launch, relative to launch start
   /// (paper §V-C: "applies to each application run separately").
   std::optional<SimTime> system_mttf;
-  FailureDistribution distribution = FailureDistribution::kUniform2Mttf;
+  resilience::FailureDistribution distribution = resilience::FailureDistribution::kUniform2Mttf;
   std::uint64_t seed = 1;
 
   /// Deterministic failures injected into the first launch only (relative to

@@ -181,15 +181,9 @@ const std::vector<StoragePresetInfo>& list_storage() {
 }
 
 StorageSpec resolve_storage_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_storage_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed storage spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kStorageEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_storage_spec(env)) return *spec;
-  }
-  return StorageSpec{};
+  auto spec = parse_storage_spec(configured);
+  if (!spec) throw std::invalid_argument("malformed storage spec: " + configured);
+  return *spec;
 }
 
 StorageHierarchy::StorageHierarchy(StorageSpec spec) : spec_(std::move(spec)) {

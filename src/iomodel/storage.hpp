@@ -83,13 +83,8 @@ struct StoragePresetInfo {
 };
 const std::vector<StoragePresetInfo>& list_storage();
 
-/// Environment variable consulted when no --storage flag is given.
-inline constexpr const char* kStorageEnvVar = "EXASIM_STORAGE";
-
-/// Resolves a configured spec string (core::SimConfig::storage): empty
-/// defers to EXASIM_STORAGE, unset/malformed environment means the default
-/// free PFS. Throws std::invalid_argument on a malformed non-empty
-/// `configured`.
+/// Parses a configured spec string (core::SimConfig::storage); throws
+/// std::invalid_argument on malformed text.
 StorageSpec resolve_storage_spec(const std::string& configured);
 
 /// The machine's storage stack: per-tier PfsModel cost math plus optional

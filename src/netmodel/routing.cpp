@@ -89,15 +89,9 @@ const std::vector<std::string>& list_routings() {
 }
 
 RoutingSpec resolve_routing_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_routing_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed routing spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kRoutingEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_routing_spec(env)) return *spec;
-  }
-  return RoutingSpec{};
+  auto spec = parse_routing_spec(configured);
+  if (!spec) throw std::invalid_argument("malformed routing spec: " + configured);
+  return *spec;
 }
 
 std::uint64_t AdaptiveRouting::variant(int src, int dst, std::uint64_t seq,
@@ -206,18 +200,6 @@ std::string to_string(const LinkTimeoutSpec& spec) {
     }
   }
   return "uniform";
-}
-
-LinkTimeoutSpec resolve_link_timeout_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_link_timeout_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed link-timeout spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kLinkTimeoutsEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_link_timeout_spec(env)) return *spec;
-  }
-  return LinkTimeoutSpec{};
 }
 
 std::vector<SimTime> build_link_timeouts(const LinkTimeoutSpec& spec,

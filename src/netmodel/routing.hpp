@@ -44,13 +44,8 @@ std::string to_string(const RoutingSpec& spec);
 /// "adaptive") — the values of exp::routing_axis().
 const std::vector<std::string>& list_routings();
 
-/// Environment variable consulted when no --routing flag is given.
-inline constexpr const char* kRoutingEnvVar = "EXASIM_ROUTING";
-
-/// Resolves a configured spec string (e.g. core::SimConfig::routing) to a
-/// RoutingSpec: empty defers to EXASIM_ROUTING, unset/malformed environment
-/// means "deterministic". Throws std::invalid_argument on a malformed
-/// non-empty `configured`.
+/// Parses a configured spec string (e.g. core::SimConfig::routing); throws
+/// std::invalid_argument on malformed text.
 RoutingSpec resolve_routing_spec(const std::string& configured);
 
 /// Selects the route variant each flow takes. Pure and stateless: the
@@ -130,14 +125,6 @@ std::optional<LinkTimeoutSpec> parse_link_timeout_spec(const std::string& text);
 
 /// Canonical spec string for `spec` (round-trips through parse).
 std::string to_string(const LinkTimeoutSpec& spec);
-
-/// Environment variable consulted when no --link-timeouts flag is given.
-inline constexpr const char* kLinkTimeoutsEnvVar = "EXASIM_LINK_TIMEOUTS";
-
-/// Resolves a configured spec string: empty defers to EXASIM_LINK_TIMEOUTS,
-/// unset/malformed environment means uniform. Throws std::invalid_argument
-/// on a malformed non-empty `configured`.
-LinkTimeoutSpec resolve_link_timeout_spec(const std::string& configured);
 
 /// Materializes the per-link timeout table for `topology`: empty for the
 /// uniform spec (callers fall back to the base timeout — the fast path), else

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace exasim {
@@ -38,15 +37,9 @@ std::string to_string(const SchedulerSpec& spec) {
 }
 
 SchedulerSpec resolve_scheduler_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_scheduler_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed scheduler spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kSchedulerEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_scheduler_spec(env)) return *spec;
-  }
-  return SchedulerSpec{};
+  auto spec = parse_scheduler_spec(configured);
+  if (!spec) throw std::invalid_argument("malformed scheduler spec: " + configured);
+  return *spec;
 }
 
 int WindowPlanner::plan(const std::vector<SimTime>& mins,

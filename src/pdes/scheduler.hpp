@@ -34,13 +34,8 @@ std::optional<SchedulerSpec> parse_scheduler_spec(const std::string& text);
 /// Canonical spec string for `spec` (round-trips through parse).
 std::string to_string(const SchedulerSpec& spec);
 
-/// Environment variable consulted when no --scheduler flag is given.
-inline constexpr const char* kSchedulerEnvVar = "EXASIM_SCHEDULER";
-
-/// Resolves a configured spec string (e.g. core::SimConfig::scheduler) to a
-/// SchedulerSpec: empty defers to EXASIM_SCHEDULER, unset/malformed
-/// environment means "fixed". Throws std::invalid_argument on a malformed
-/// non-empty `configured`.
+/// Parses a configured spec string (e.g. core::SimConfig::scheduler); throws
+/// std::invalid_argument on malformed text.
 SchedulerSpec resolve_scheduler_spec(const std::string& configured);
 
 /// Decides the per-group window bounds of each cycle of the sharded engine.

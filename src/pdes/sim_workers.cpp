@@ -1,8 +1,7 @@
 #include "pdes/sim_workers.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <thread>
 
 #if defined(__linux__)
@@ -72,20 +71,9 @@ int hardware_sim_workers() {
   return n < 1 ? 1 : n;
 }
 
-int default_sim_workers() {
-  const char* env = std::getenv("EXASIM_SIM_WORKERS");
-  if (env == nullptr || *env == '\0') return 1;
-  if (std::strcmp(env, "auto") == 0) return hardware_sim_workers();
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1) return 1;
-  return static_cast<int>(parsed);
-}
-
 int resolve_sim_workers(int requested) {
-  if (requested > 0) return requested;
-  if (requested < 0) return hardware_sim_workers();
-  return default_sim_workers();
+  if (requested == 0) throw std::invalid_argument("sim_workers == 0 (1 = sequential, -1 = auto)");
+  return requested > 0 ? requested : hardware_sim_workers();
 }
 
 }  // namespace exasim

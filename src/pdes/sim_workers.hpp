@@ -10,15 +10,10 @@ namespace exasim {
 /// window-barrier idle time.
 int hardware_sim_workers();
 
-/// Worker count implied by the environment: EXASIM_SIM_WORKERS set to a
-/// positive integer wins, "auto" means hardware_sim_workers(), anything else
-/// (including unset) means 1 — the sequential engine.
-int default_sim_workers();
-
 /// Resolves a configured worker count (e.g. SimConfig::sim_workers) to the
-/// count the engine should use: a positive request is taken literally, 0
-/// defers to the environment via default_sim_workers(), and a negative value
-/// means "auto" (one worker per hardware thread).
+/// count the engine should use: a positive request is taken literally and a
+/// negative value means "auto" (hardware_sim_workers()). Throws
+/// std::invalid_argument on 0.
 int resolve_sim_workers(int requested);
 
 }  // namespace exasim

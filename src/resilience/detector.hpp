@@ -60,9 +60,6 @@ std::optional<DetectorSpec> parse_detector_spec(const std::string& text);
 /// Canonical round-trippable form, e.g. "heartbeat:period=100ms,miss=3".
 std::string to_string(const DetectorSpec& spec);
 
-/// Environment variable consulted when no --failure-detector is given.
-inline constexpr const char* kDetectorEnvVar = "EXASIM_FAILURE_DETECTOR";
-
 /// One row of `exasim_run --list-failure-detectors`.
 struct DetectorInfo {
   std::string name;
@@ -189,13 +186,5 @@ struct DetectorWiring {
 /// std::invalid_argument when the spec needs wiring that is absent (e.g.
 /// gossip without pair_latency/ranks).
 std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec, DetectorWiring wiring);
-
-/// Legacy convenience overload (pre-gossip callers): `pair_timeout` feeds the
-/// timeout detector; `default_heartbeat_period` replaces a zero
-/// heartbeat_period (callers pass the network's largest failure-detection
-/// timeout).
-std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec,
-                                             PairTimeoutFn pair_timeout,
-                                             SimTime default_heartbeat_period);
 
 }  // namespace exasim::resilience

@@ -1,7 +1,6 @@
 #include "resilience/schedule.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace exasim::resilience {
@@ -54,12 +53,6 @@ std::optional<FailureSchedule> FailureSchedule::parse(const std::string& text) {
   auto specs = parse_failure_schedule(text);
   if (!specs) return std::nullopt;
   return FailureSchedule(std::move(*specs));
-}
-
-std::optional<FailureSchedule> FailureSchedule::from_env(const char* var) {
-  const char* env = std::getenv(var);
-  if (env == nullptr) return FailureSchedule{};
-  return parse(env);
 }
 
 void FailureSchedule::shift(SimTime offset) {

@@ -64,14 +64,8 @@ class FailureSchedule {
   FailureSchedule() = default;
   explicit FailureSchedule(std::vector<FailureSpec> specs) : specs_(std::move(specs)) {}
 
-  /// Environment variable carrying the default schedule (paper §IV-B).
-  static constexpr const char* kEnvVar = "EXASIM_FAILURES";
-
   /// Parses the `R@T,R@T,...` notation; nullopt on malformed input.
   static std::optional<FailureSchedule> parse(const std::string& text);
-  /// Reads `var` from the environment. Unset -> an empty schedule; set but
-  /// malformed -> nullopt.
-  static std::optional<FailureSchedule> from_env(const char* var = kEnvVar);
 
   void add(FailureSpec f) { specs_.push_back(f); }
   /// Derivation: appends one random failure drawn from the model (times

@@ -4,8 +4,10 @@
 // application execution.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/machine.hpp"
 #include "core/runner.hpp"
 #include "util/log.hpp"
@@ -13,9 +15,16 @@
 namespace exasim::test {
 
 /// Small star-network machine with fast, simple timing: 1 us latency,
-/// 1 GB/s, no slowdown — convenient exact numbers for assertions.
+/// 1 GB/s, no slowdown — convenient exact numbers for assertions. Starts
+/// from core::parse_cli of an empty command line, so the EXASIM_* variables
+/// of the option table (sim workers, scheduler, ckpt mode, ...) reach every
+/// test that builds its machine here.
 inline core::SimConfig tiny_config(int ranks) {
-  core::SimConfig cfg;
+  const char* argv[] = {"test"};
+  std::string error;
+  auto options = core::parse_cli(1, argv, &error);
+  if (!options) throw std::invalid_argument(error);
+  core::SimConfig cfg = options->machine;
   cfg.ranks = ranks;
   cfg.topology = "star:" + std::to_string(ranks);
   cfg.net.link_latency = sim_us(1);

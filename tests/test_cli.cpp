@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 
 #include "core/cli.hpp"
+#include "netmodel/routing.hpp"
+#include "resilience/detector.hpp"
+#include "sim_test_util.hpp"
+#include "util/parse.hpp"
 #include "util/pool.hpp"
+#include "vmpi/context.hpp"
 
 namespace exasim {
 namespace {
@@ -23,19 +29,30 @@ std::optional<CliOptions> parse(std::initializer_list<const char*> args,
                    error != nullptr ? error : &local);
 }
 
-struct EnvGuard {
-  explicit EnvGuard(const char* value) {
-    if (value != nullptr) {
-      ::setenv(core::kFailureScheduleEnvVar, value, 1);
-    } else {
-      ::unsetenv(core::kFailureScheduleEnvVar);
+/// Clears every EXASIM_* variable of the option table for one test and
+/// restores the previous values afterwards, so the tests see the documented
+/// defaults even when the suite runs under an environment leg.
+class Cli : public ::testing::Test {
+ protected:
+  Cli() {
+    for (const core::CliOption& o : core::cli_options()) {
+      if (o.env == nullptr) continue;
+      if (const char* v = std::getenv(o.env)) saved_.emplace_back(o.env, v);
+      ::unsetenv(o.env);
     }
   }
-  ~EnvGuard() { ::unsetenv(core::kFailureScheduleEnvVar); }
+  ~Cli() override {
+    for (const core::CliOption& o : core::cli_options()) {
+      if (o.env != nullptr) ::unsetenv(o.env);
+    }
+    for (const auto& [name, value] : saved_) ::setenv(name.c_str(), value.c_str(), 1);
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> saved_;
 };
 
-TEST(Cli, DefaultsAreSane) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, DefaultsAreSane) {
   auto opts = parse({});
   ASSERT_TRUE(opts.has_value());
   EXPECT_EQ(opts->machine.ranks, 1);
@@ -43,8 +60,7 @@ TEST(Cli, DefaultsAreSane) {
   EXPECT_FALSE(opts->mttf.has_value());
 }
 
-TEST(Cli, ParsesMachineOptions) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesMachineOptions) {
   auto opts = parse({"--ranks=4096", "--topology=torus:16x16x16", "--link-latency=2us",
                      "--bandwidth=32e9", "--eager-threshold=262144",
                      "--failure-timeout=100ms", "--slowdown=1000", "--ns-per-unit=1281",
@@ -60,8 +76,7 @@ TEST(Cli, ParsesMachineOptions) {
   EXPECT_EQ(opts->machine.process.fiber_stack_bytes, 65536u);
 }
 
-TEST(Cli, ParsesFailureScheduleOption) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesFailureScheduleOption) {
   auto opts = parse({"--ranks=100", "--failures=12@3s,77@1.5s"});
   ASSERT_TRUE(opts.has_value());
   ASSERT_EQ(opts->machine.failures.size(), 2u);
@@ -69,47 +84,44 @@ TEST(Cli, ParsesFailureScheduleOption) {
   EXPECT_EQ(opts->machine.failures[1], (FailureSpec{77, sim_seconds(1.5)}));
 }
 
-TEST(Cli, ReadsScheduleFromEnvironment) {
+TEST_F(Cli, ReadsScheduleFromEnvironment) {
   // Paper §IV-B: schedule "via an environment variable on startup".
-  EnvGuard env("3@250ms");
+  ::setenv("EXASIM_FAILURES", "3@250ms", 1);
   auto opts = parse({"--ranks=8"});
   ASSERT_TRUE(opts.has_value());
   ASSERT_EQ(opts->machine.failures.size(), 1u);
   EXPECT_EQ(opts->machine.failures[0], (FailureSpec{3, sim_ms(250)}));
 }
 
-TEST(Cli, CommandLineOverridesEnvironment) {
-  EnvGuard env("3@250ms");
+TEST_F(Cli, CommandLineOverridesEnvironment) {
+  ::setenv("EXASIM_FAILURES", "3@250ms", 1);
   auto opts = parse({"--ranks=8", "--failures=1@1s"});
   ASSERT_TRUE(opts.has_value());
   ASSERT_EQ(opts->machine.failures.size(), 1u);
   EXPECT_EQ(opts->machine.failures[0].rank, 1);
 }
 
-TEST(Cli, ValidatesScheduleRanks) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ValidatesScheduleRanks) {
   std::string error;
   EXPECT_FALSE(parse({"--ranks=4", "--failures=9@1s"}, &error).has_value());
   EXPECT_NE(error.find("out of range"), std::string::npos);
 }
 
-TEST(Cli, ParsesExperimentOptions) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesExperimentOptions) {
   auto opts = parse({"--mttf=3000s", "--distribution=exponential", "--seed=77",
                      "--max-restarts=5", "--sim-time-file=/tmp/t.txt"});
   ASSERT_TRUE(opts.has_value());
   EXPECT_EQ(opts->mttf, sim_sec(3000));
-  EXPECT_EQ(opts->distribution, core::FailureDistribution::kExponential);
+  EXPECT_EQ(opts->distribution, resilience::FailureDistribution::kExponential);
   EXPECT_EQ(opts->seed, 77u);
   EXPECT_EQ(opts->max_restarts, 5);
   EXPECT_EQ(opts->sim_time_file, "/tmp/t.txt");
 }
 
-TEST(Cli, ParsesSimWorkers) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesSimWorkers) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
-  EXPECT_EQ(defaulted->machine.sim_workers, 0);  // 0 = EXASIM_SIM_WORKERS env.
+  EXPECT_EQ(defaulted->machine.sim_workers, 1);  // Sequential engine.
   auto literal = parse({"--sim-workers=4"});
   ASSERT_TRUE(literal.has_value());
   EXPECT_EQ(literal->machine.sim_workers, 4);
@@ -123,11 +135,10 @@ TEST(Cli, ParsesSimWorkers) {
   }
 }
 
-TEST(Cli, ParsesScheduler) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesScheduler) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
-  EXPECT_TRUE(defaulted->machine.scheduler.empty());  // "" = EXASIM_SCHEDULER env.
+  EXPECT_EQ(defaulted->machine.scheduler, "fixed");
 
   auto fixed = parse({"--scheduler=fixed"});
   ASSERT_TRUE(fixed.has_value());
@@ -148,11 +159,10 @@ TEST(Cli, ParsesScheduler) {
   }
 }
 
-TEST(Cli, ParsesRoutingAndLinkModel) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesRoutingAndLinkModel) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
-  EXPECT_TRUE(defaulted->machine.routing.empty());  // "" = EXASIM_ROUTING env.
+  EXPECT_EQ(defaulted->machine.routing, "deterministic");
   EXPECT_TRUE(defaulted->machine.net.link_timeouts.uniform());
   EXPECT_FALSE(defaulted->machine.net.contention);
 
@@ -180,12 +190,11 @@ TEST(Cli, ParsesRoutingAndLinkModel) {
   }
 }
 
-TEST(Cli, ParsesStorageAndCkptMode) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesStorageAndCkptMode) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
-  EXPECT_TRUE(defaulted->machine.storage.empty());    // "" = EXASIM_STORAGE env.
-  EXPECT_TRUE(defaulted->machine.ckpt_mode.empty());  // "" = EXASIM_CKPT_MODE env.
+  EXPECT_EQ(defaulted->machine.storage, "pfs");
+  EXPECT_EQ(defaulted->machine.ckpt_mode, "pfs");
 
   auto tiered = parse({"--storage=hpc", "--ckpt-mode=staged"});
   ASSERT_TRUE(tiered.has_value());
@@ -200,31 +209,15 @@ TEST(Cli, ParsesStorageAndCkptMode) {
 
   for (auto bad : {"--storage=bogus", "--storage=mem", "--storage=pfs;mem",
                    "--storage=pfs:bw=1e999", "--storage=pfs:bw=1e9x",
-                   "--storage=pfs:contend=2", "--ckpt-mode=scr", "--ckpt-mode="}) {
+                   "--storage=pfs:contend=2", "--ckpt-mode=scr", "--ckpt-mode=",
+                   "--pfs-bandwidth=1e6", "--pfs-latency=1ms"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
   }
 }
 
-TEST(Cli, ReadsLinkTimeoutsFromEnvironment) {
-  EnvGuard env(nullptr);
-  ::setenv(kLinkTimeoutsEnvVar, "plane:0=300ms", 1);
-  auto opts = parse({"--ranks=8"});
-  ::unsetenv(kLinkTimeoutsEnvVar);
-  ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->machine.net.link_timeouts.kind, LinkTimeoutKind::kPlane);
-
-  // The flag wins over the environment.
-  ::setenv(kLinkTimeoutsEnvVar, "plane:0=300ms", 1);
-  auto flag = parse({"--link-timeouts=uniform"});
-  ::unsetenv(kLinkTimeoutsEnvVar);
-  ASSERT_TRUE(flag.has_value());
-  EXPECT_TRUE(flag->machine.net.link_timeouts.uniform());
-}
-
-TEST(Cli, ParsesNoPool) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, ParsesNoPool) {
   const bool before = util::pool_enabled();
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
@@ -238,32 +231,29 @@ TEST(Cli, ParsesNoPool) {
   util::set_pool_enabled(before);      // Restore for the rest of the suite.
 }
 
-TEST(Cli, RejectsMalformedOptions) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, RejectsMalformedOptions) {
   for (auto bad : {"--ranks=abc", "--mttf=xyz", "--distribution=bogus", "--unknown=1",
-                   "--failures=nope"}) {
+                   "--failures=nope", "--ranks", "--verbose=1", "--replicates=0"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
   }
 }
 
-TEST(Cli, RejectsMalformedEnvironment) {
-  EnvGuard env("garbage");
+TEST_F(Cli, RejectsMalformedEnvironment) {
+  ::setenv("EXASIM_FAILURES", "garbage", 1);
   std::string error;
   EXPECT_FALSE(parse({}, &error).has_value());
 }
 
-TEST(Cli, CollectsPositionalArguments) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, CollectsPositionalArguments) {
   auto opts = parse({"heat3d", "--ranks=8"});
   ASSERT_TRUE(opts.has_value());
   ASSERT_EQ(opts->positional.size(), 1u);
   EXPECT_EQ(opts->positional[0], "heat3d");
 }
 
-TEST(Cli, RunnerConfigMovesScheduleToFirstLaunch) {
-  EnvGuard env(nullptr);
+TEST_F(Cli, RunnerConfigMovesScheduleToFirstLaunch) {
   auto opts = parse({"--ranks=16", "--failures=2@1s", "--mttf=100s", "--seed=5"});
   ASSERT_TRUE(opts.has_value());
   core::RunnerConfig rc = core::runner_config_from(*opts);
@@ -272,6 +262,123 @@ TEST(Cli, RunnerConfigMovesScheduleToFirstLaunch) {
   EXPECT_EQ(rc.first_run_failures[0].rank, 2);
   EXPECT_EQ(rc.system_mttf, sim_sec(100));
   EXPECT_EQ(rc.seed, 5u);
+}
+
+// ---- Every environment variable of the option table -----------------------
+
+/// One EXASIM_* variable: a valid value for it, a different valid value for
+/// its flag, and the CliOptions field both set (as a string).
+struct EnvCase {
+  const char* env;
+  const char* flag;
+  const char* env_value;
+  const char* flag_value;
+  std::string (*field)(const CliOptions&);
+};
+
+const EnvCase kEnvCases[] = {
+    {"EXASIM_ROUTING", "--routing", "adaptive", "deterministic",
+     [](const CliOptions& o) { return o.machine.routing; }},
+    {"EXASIM_LINK_TIMEOUTS", "--link-timeouts", "plane:0=300ms", "hot:0=500ms",
+     [](const CliOptions& o) { return to_string(o.machine.net.link_timeouts); }},
+    {"EXASIM_STORAGE", "--storage", "hpc", "pfs:lat=1ms",
+     [](const CliOptions& o) { return o.machine.storage; }},
+    {"EXASIM_CKPT_MODE", "--ckpt-mode", "staged", "partner",
+     [](const CliOptions& o) { return o.machine.ckpt_mode; }},
+    {"EXASIM_FAILURES", "--failures", "3@250ms", "1@1s",
+     [](const CliOptions& o) { return format_failure_schedule(o.machine.failures); }},
+    {"EXASIM_FAILURE_DETECTOR", "--failure-detector", "heartbeat", "timeout",
+     [](const CliOptions& o) { return resilience::to_string(o.machine.detector); }},
+    {"EXASIM_SIM_WORKERS", "--sim-workers", "4", "2",
+     [](const CliOptions& o) { return std::to_string(o.machine.sim_workers); }},
+    {"EXASIM_SCHEDULER", "--scheduler", "adaptive", "fixed",
+     [](const CliOptions& o) { return o.machine.scheduler; }},
+};
+
+class CliEnvVar : public Cli, public ::testing::WithParamInterface<EnvCase> {};
+
+TEST_P(CliEnvVar, AppliesRejectsMalformedAndLosesToTheFlag) {
+  const EnvCase& c = GetParam();
+  const std::string flag = std::string(c.flag) + "=" + c.flag_value;
+  auto defaulted = parse({"--ranks=8"});
+  auto flagged = parse({"--ranks=8", flag.c_str()});
+  ASSERT_TRUE(defaulted.has_value());
+  ASSERT_TRUE(flagged.has_value());
+
+  ::setenv(c.env, c.env_value, 1);
+  auto from_env = parse({"--ranks=8"});
+  ASSERT_TRUE(from_env.has_value());
+  EXPECT_NE(c.field(*from_env), c.field(*defaulted));  // The variable applies.
+  EXPECT_NE(c.field(*from_env), c.field(*flagged));
+  auto both = parse({"--ranks=8", flag.c_str()});
+  ASSERT_TRUE(both.has_value());
+  EXPECT_EQ(c.field(*both), c.field(*flagged));  // The flag wins.
+
+  // A malformed value is an error naming the variable, flag or no flag.
+  ::setenv(c.env, "garbage", 1);
+  for (auto args : {std::vector<const char*>{"--ranks=8"},
+                    std::vector<const char*>{"--ranks=8", flag.c_str()}}) {
+    std::string error;
+    args.insert(args.begin(), "exasim_run");
+    EXPECT_FALSE(parse_cli(static_cast<int>(args.size()), args.data(), &error).has_value());
+    EXPECT_NE(error.find(c.env), std::string::npos) << error;
+  }
+  // The same value as a flag is rejected too, naming the flag.
+  const std::string bad_flag = std::string(c.flag) + "=garbage";
+  ::unsetenv(c.env);
+  std::string error;
+  EXPECT_FALSE(parse({"--ranks=8", bad_flag.c_str()}, &error).has_value());
+  EXPECT_NE(error.find(c.flag), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTableVariables, CliEnvVar, ::testing::ValuesIn(kEnvCases),
+                         [](const ::testing::TestParamInfo<EnvCase>& info) {
+                           return std::string(info.param.env);
+                         });
+
+TEST(CliTable, EveryEnvironmentVariableHasACase) {
+  std::set<std::string> table;
+  std::set<std::string> cases;
+  for (const core::CliOption& o : core::cli_options()) {
+    if (o.env != nullptr) table.insert(o.env);
+  }
+  for (const EnvCase& c : kEnvCases) cases.insert(c.env);
+  EXPECT_EQ(table, cases);
+}
+
+TEST(CliTable, UsageListsEveryOption) {
+  const std::string usage = core::cli_usage();
+  for (const core::CliOption& o : core::cli_options()) {
+    EXPECT_NE(usage.find(std::string("--") + o.flag), std::string::npos) << o.flag;
+    if (o.env != nullptr) {
+      EXPECT_NE(usage.find(o.env), std::string::npos) << o.env;
+    }
+  }
+  for (const char* host : {"EXASIM_JOBS", "EXASIM_NO_POOL", "EXASIM_EAGER_WAKEUP"}) {
+    EXPECT_NE(usage.find(host), std::string::npos) << host;
+  }
+}
+
+// The tier-1 environment legs reach their suites only through tiny_config():
+// if it stopped seeing the environment, those legs would quietly run the
+// sequential engine with the default presets.
+TEST_F(Cli, EnvironmentReachesTinyConfig) {
+  test::QuietLogs quiet;
+  ::setenv("EXASIM_SIM_WORKERS", "2", 1);
+  ::setenv("EXASIM_SCHEDULER", "adaptive", 1);
+  ::setenv("EXASIM_CKPT_MODE", "staged", 1);
+  auto app = [](vmpi::Context& ctx) {
+    for (int i = 0; i < 4; ++i) {
+      ctx.compute(1e3);
+      ctx.barrier(ctx.world());
+    }
+    ctx.finalize();
+  };
+  const core::SimResult r = test::run_app(test::tiny_config(4), app);
+  EXPECT_EQ(r.outcome, core::SimResult::Outcome::kCompleted);
+  EXPECT_EQ(r.scheduler, "adaptive");
+  EXPECT_EQ(r.ckpt_mode, "staged");
+  EXPECT_GT(r.perf.sched_windows, 0u);
 }
 
 }  // namespace

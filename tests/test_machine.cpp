@@ -7,9 +7,9 @@
 
 #include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "core/failure.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
+#include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
 #include "util/pool.hpp"
 #include "vmpi/context.hpp"
@@ -18,10 +18,10 @@ namespace exasim {
 namespace {
 
 using core::Machine;
-using core::ReliabilityModel;
 using core::SimConfig;
 using core::SimResult;
 using test::run_app;
+using resilience::ReliabilityModel;
 using test::tiny_config;
 using vmpi::Context;
 
@@ -42,6 +42,11 @@ TEST(Machine, RejectsBadConfiguration) {
   {
     SimConfig cfg = tiny_config(4);
     cfg.topology = "star:2";  // Too small for 4 ranks.
+    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+  }
+  {
+    SimConfig cfg = tiny_config(2);
+    cfg.sim_workers = 0;  // Not a worker count (1 = sequential, -1 = auto).
     EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
   }
 }
@@ -295,7 +300,8 @@ TEST(Machine, StagedCheckpointResultJsonIsWorkerInvariant) {
     EXPECT_EQ(json_with(workers, "hpc", "staged"), ref);
   }
   // Default config: no new fields, same simulated results as ever.
-  const std::string plain = json_with(1, "", "");
+  const core::SimConfig defaults;
+  const std::string plain = json_with(1, defaults.storage, defaults.ckpt_mode);
   EXPECT_EQ(plain.find("\"storage\""), std::string::npos);
   EXPECT_EQ(plain.find("\"ckpt_mode\""), std::string::npos);
 }
@@ -423,7 +429,7 @@ TEST(Machine, PoolingDoesNotChangeSimulatedResults) {
 }
 
 TEST(ReliabilityModel, Uniform2MttfDrawsInRange) {
-  ReliabilityModel m(core::FailureDistribution::kUniform2Mttf, sim_sec(6000), 32768, 42);
+  ReliabilityModel m(resilience::FailureDistribution::kUniform2Mttf, sim_sec(6000), 32768, 42);
   for (int i = 0; i < 500; ++i) {
     FailureSpec f = m.draw();
     EXPECT_GE(f.rank, 0);
@@ -433,7 +439,7 @@ TEST(ReliabilityModel, Uniform2MttfDrawsInRange) {
 }
 
 TEST(ReliabilityModel, ExponentialMeanRoughlyMttf) {
-  ReliabilityModel m(core::FailureDistribution::kExponential, sim_sec(100), 8, 7);
+  ReliabilityModel m(resilience::FailureDistribution::kExponential, sim_sec(100), 8, 7);
   double sum = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
@@ -441,7 +447,7 @@ TEST(ReliabilityModel, ExponentialMeanRoughlyMttf) {
 }
 
 TEST(ReliabilityModel, WeibullMeanRoughlyMttf) {
-  ReliabilityModel m(core::FailureDistribution::kWeibull, sim_sec(100), 8, 9);
+  ReliabilityModel m(resilience::FailureDistribution::kWeibull, sim_sec(100), 8, 9);
   double sum = 0;
   const int n = 8000;
   for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
@@ -449,17 +455,17 @@ TEST(ReliabilityModel, WeibullMeanRoughlyMttf) {
 }
 
 TEST(ReliabilityModel, ExpectedFailuresFormulas) {
-  ReliabilityModel uniform(core::FailureDistribution::kUniform2Mttf, sim_sec(100), 8, 1);
+  ReliabilityModel uniform(resilience::FailureDistribution::kUniform2Mttf, sim_sec(100), 8, 1);
   EXPECT_DOUBLE_EQ(uniform.expected_failures(sim_sec(50)), 0.25);
   EXPECT_DOUBLE_EQ(uniform.expected_failures(sim_sec(500)), 1.0);  // Capped.
-  ReliabilityModel expo(core::FailureDistribution::kExponential, sim_sec(100), 8, 1);
+  ReliabilityModel expo(resilience::FailureDistribution::kExponential, sim_sec(100), 8, 1);
   EXPECT_DOUBLE_EQ(expo.expected_failures(sim_sec(50)), 0.5);
 }
 
 TEST(ReliabilityModel, RejectsBadArgs) {
-  EXPECT_THROW(ReliabilityModel(core::FailureDistribution::kExponential, 0, 8, 1),
+  EXPECT_THROW(ReliabilityModel(resilience::FailureDistribution::kExponential, 0, 8, 1),
                std::invalid_argument);
-  EXPECT_THROW(ReliabilityModel(core::FailureDistribution::kExponential, sim_sec(1), 0, 1),
+  EXPECT_THROW(ReliabilityModel(resilience::FailureDistribution::kExponential, sim_sec(1), 0, 1),
                std::invalid_argument);
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -140,7 +139,9 @@ TEST(DetectorModel, HeartbeatRoundsUpToMissedPeriods) {
 TEST(DetectorModel, MakeDetectorSubstitutesAutoHeartbeatPeriod) {
   auto spec = resilience::parse_detector_spec("heartbeat:miss=1");
   ASSERT_TRUE(spec.has_value());
-  auto d = resilience::make_detector(*spec, nullptr, sim_ms(50));
+  resilience::DetectorWiring wiring;
+  wiring.default_period = sim_ms(50);
+  auto d = resilience::make_detector(*spec, std::move(wiring));
   // Auto period = the supplied default (the network's max failure timeout).
   EXPECT_EQ(d->detection_time(0, 1, 0), sim_ms(50));
 }
@@ -256,23 +257,6 @@ TEST(FailureSchedule, ParsesRankAtTimePairs) {
   EXPECT_EQ(s->specs()[1], (FailureSpec{2, sim_seconds(1.0)}));
   EXPECT_FALSE(resilience::FailureSchedule::parse("1@").has_value());
   EXPECT_FALSE(resilience::FailureSchedule::parse("nope").has_value());
-}
-
-TEST(FailureSchedule, FromEnvHandlesUnsetSetAndMalformed) {
-  ::unsetenv(resilience::FailureSchedule::kEnvVar);
-  auto unset = resilience::FailureSchedule::from_env();
-  ASSERT_TRUE(unset.has_value());
-  EXPECT_TRUE(unset->empty());
-
-  ::setenv(resilience::FailureSchedule::kEnvVar, "3@250us", 1);
-  auto set = resilience::FailureSchedule::from_env();
-  ASSERT_TRUE(set.has_value());
-  ASSERT_EQ(set->size(), 1u);
-  EXPECT_EQ(set->specs()[0], (FailureSpec{3, sim_us(250)}));
-
-  ::setenv(resilience::FailureSchedule::kEnvVar, "garbage", 1);
-  EXPECT_FALSE(resilience::FailureSchedule::from_env().has_value());
-  ::unsetenv(resilience::FailureSchedule::kEnvVar);
 }
 
 TEST(FailureSchedule, ShiftAndValidation) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -117,15 +116,22 @@ TEST(StorageSpec, RejectionMatrix) {
   }
 }
 
-TEST(StorageSpec, ResolveThrowsOnBadConfiguredAndFallsBackOnBadEnv) {
+TEST(StorageSpec, ResolveParsesOrThrows) {
   EXPECT_THROW(resolve_storage_spec("nonsense"), std::invalid_argument);
-  ::setenv(kStorageEnvVar, "hpc", 1);
-  EXPECT_EQ(resolve_storage_spec("").tiers.size(), 3u);
-  EXPECT_TRUE(resolve_storage_spec("pfs").is_default());  // Flag beats env.
-  ::setenv(kStorageEnvVar, "garbage", 1);
-  EXPECT_TRUE(resolve_storage_spec("").is_default());  // Bad env: silent default.
-  ::unsetenv(kStorageEnvVar);
-  EXPECT_TRUE(resolve_storage_spec("").is_default());
+  EXPECT_THROW(resolve_storage_spec(""), std::invalid_argument);
+  EXPECT_EQ(resolve_storage_spec("hpc").tiers.size(), 3u);
+  EXPECT_TRUE(resolve_storage_spec("pfs").is_default());
+}
+
+// A pfs tier spec carries exactly the flat PfsParams (the slow-PFS benches
+// and examples configure their file system this way).
+TEST(StorageSpec, PfsTierSpecCarriesFlatPfsParams) {
+  PfsParams flat;
+  flat.per_client_bandwidth_bytes_per_sec = 1e6;
+  flat.metadata_latency = sim_ms(1);
+  const StorageSpec spec = must_parse("pfs:cbw=1e6,lat=1ms");
+  ASSERT_EQ(spec.tiers.size(), 1u);
+  EXPECT_EQ(spec.tiers.front().io, flat);
 }
 
 TEST(CkptModeSpec, ParseRoundTripAndResolve) {
@@ -136,11 +142,9 @@ TEST(CkptModeSpec, ParseRoundTripAndResolve) {
   }
   EXPECT_FALSE(ckpt::parse_ckpt_mode("scr").has_value());
   EXPECT_THROW(ckpt::resolve_ckpt_mode("scr"), std::invalid_argument);
-  ::setenv(ckpt::kCkptModeEnvVar, "staged", 1);
-  EXPECT_EQ(ckpt::resolve_ckpt_mode(""), CkptMode::kStaged);
-  EXPECT_EQ(ckpt::resolve_ckpt_mode("pfs"), CkptMode::kPfs);  // Flag beats env.
-  ::unsetenv(ckpt::kCkptModeEnvVar);
-  EXPECT_EQ(ckpt::resolve_ckpt_mode(""), CkptMode::kPfs);
+  EXPECT_THROW(ckpt::resolve_ckpt_mode(""), std::invalid_argument);
+  EXPECT_EQ(ckpt::resolve_ckpt_mode("staged"), CkptMode::kStaged);
+  EXPECT_EQ(ckpt::resolve_ckpt_mode("pfs"), CkptMode::kPfs);
 }
 
 // ---------------------------------------------------------------------------

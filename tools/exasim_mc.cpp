@@ -52,19 +52,23 @@ using namespace exasim;
 
 namespace {
 
+std::string usage() {
+  return "usage: exasim_mc <heat3d|cgproxy|ring> [options]\n" + apps::app_params_help() +
+         "  --mc-victims=0,5|stride:K|all  victim-rank axis (default: 0)\n"
+         "  --mc-detectors=SPEC[;SPEC]     detector axis (';'-separated)\n"
+         "  --mc-policies=pfs,partner,staged  recovery-policy axis\n"
+         "  --mc-window=LO..HI     injection window (default [0, 1.05*E2])\n"
+         "  --mc-grid=N[:D]        N initial points, D refinement levels\n"
+         "  --mc-quantum=DUR       signature quantization (default: failure timeout)\n"
+         "  --mc-budget=N          max scenario evaluations (0 = unlimited)\n"
+         "  --mc-prune=0|1         signature-equivalence pruning (default 1)\n"
+         "  --mc-report=PATH       write mc-report.json\n"
+         "  --help                 print this text and exit\n" +
+         core::cli_usage();
+}
+
 int die_usage(const std::string& msg) {
-  std::fprintf(stderr,
-               "exasim_mc: %s\n\nusage: exasim_mc <heat3d|cgproxy|ring> [options]\n%s%s"
-               "  --mc-victims=0,5|stride:K|all  victim-rank axis (default: 0)\n"
-               "  --mc-detectors=SPEC[;SPEC]     detector axis (';'-separated)\n"
-               "  --mc-policies=pfs,partner,staged  recovery-policy axis\n"
-               "  --mc-window=LO..HI     injection window (default [0, 1.05*E2])\n"
-               "  --mc-grid=N[:D]        N initial points, D refinement levels\n"
-               "  --mc-quantum=DUR       signature quantization (default: failure timeout)\n"
-               "  --mc-budget=N          max scenario evaluations (0 = unlimited)\n"
-               "  --mc-prune=0|1         signature-equivalence pruning (default 1)\n"
-               "  --mc-report=PATH       write mc-report.json\n",
-               msg.c_str(), core::cli_usage().c_str(), apps::app_params_help().c_str());
+  std::fprintf(stderr, "exasim_mc: %s\n\n%s", msg.c_str(), usage().c_str());
   return 2;
 }
 
@@ -140,6 +144,9 @@ int main(int argc, char** argv) {
       report_path = value_of("--mc-report=");
     } else if (arg.rfind("--app-params=", 0) == 0) {
       app_params_text = value_of("--app-params=");
+    } else if (arg == "--help") {
+      std::fputs(usage().c_str(), stdout);
+      return 0;
     } else {
       args.push_back(argv[i]);
     }

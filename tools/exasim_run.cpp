@@ -159,13 +159,18 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
   }
 }
 
+std::string usage() {
+  return "usage: exasim_run <heat3d|cgproxy|ring> [options]\n" + apps::app_params_help() +
+         "  --list-failure-detectors   print the detector families and exit\n"
+         "  --list-topologies      print the topology zoo (spec formats) and exit\n"
+         "  --list-storage         print the storage presets and exit\n"
+         "  --result-json=PATH     write the final launch's result as JSON\n"
+         "  --help                 print this text and exit\n" +
+         core::cli_usage();
+}
+
 int die_usage(const std::string& msg) {
-  std::fprintf(stderr, "exasim_run: %s\n\nusage: exasim_run <heat3d|cgproxy|ring> [options]\n%s%s"
-               "  --list-failure-detectors   print the detector families and exit\n"
-               "  --list-topologies      print the topology zoo (spec formats) and exit\n"
-               "  --list-storage         print the storage presets and exit\n"
-               "  --result-json=PATH     write the final launch's result as JSON\n",
-               msg.c_str(), core::cli_usage().c_str(), apps::app_params_help().c_str());
+  std::fprintf(stderr, "exasim_run: %s\n\n%s", msg.c_str(), usage().c_str());
   return 2;
 }
 
@@ -183,6 +188,9 @@ int main(int argc, char** argv) {
       app_params_text = arg.substr(std::string("--app-params=").size());
     } else if (arg.rfind("--result-json=", 0) == 0) {
       result_json_path = arg.substr(std::string("--result-json=").size());
+    } else if (arg == "--help") {
+      std::fputs(usage().c_str(), stdout);
+      return 0;
     } else if (arg == "--list-failure-detectors") {
       for (const auto& d : resilience::list_detectors()) {
         std::printf("%-14s %s\n", d.name.c_str(), d.summary.c_str());
