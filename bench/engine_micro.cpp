@@ -323,8 +323,8 @@ void BM_FiberSwitch(benchmark::State& state) {
 BENCHMARK(BM_FiberSwitch);
 
 void BM_FiberCreateDestroy(benchmark::State& state) {
-  // Pooled: after the first iteration every stack is a MADV_DONTNEED reuse.
-  // Heap: one mmap/mprotect/munmap triple per fiber.
+  // Pooled: after the first iteration every stack is a warm reuse with no
+  // syscall. Heap: one mmap/mprotect/munmap triple per fiber.
   PoolMode mode(state.range(0) != 0);
   for (auto _ : state) {
     Fiber fiber([] {});

@@ -2,10 +2,12 @@
 # Tier-1 verification: full build + test suite (plus an examples smoke and a
 # check that every EXASIM_* variable the scripts and CI set is documented in
 # `exasim_run --help`), then the thread-safety gate —
-# a ThreadSanitizer build of the experiment executor, PDES engine, MPI
+# a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
 # point-to-point, and resilience tests (the suites that exercise the parallel
 # campaign machinery, the sharded engine, and the failure-notification bus
-# end to end). The TSan suites run three times: as-is, with
+# end to end; test_fiber's relaunch case runs a 64-rank ResilientRunner for
+# 3 launches on 4 engine workers, so warm pooled stacks move between worker
+# threads). The TSan suites run three times: as-is, with
 # EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
 # multiple worker threads, and with the adaptive scheduler on top so the
 # widened-window/work-stealing paths are exercised under the race detector. A fourth, scoped repeat runs test_storage with
@@ -62,13 +64,13 @@ run_release() {
 }
 
 run_tsan() {
-  echo "== tier 1: ThreadSanitizer (test_exp + test_pdes + test_vmpi_p2p + test_resilience + test_storage) =="
+  echo "== tier 1: ThreadSanitizer (test_exp + test_fiber + test_pdes + test_vmpi_p2p + test_resilience + test_storage) =="
   cmake -B build-tsan -S . -DEXASIM_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_exp test_pdes test_vmpi_p2p test_resilience test_storage
-  (cd build-tsan && ctest --output-on-failure -R 'test_exp|test_pdes|test_vmpi_p2p|test_resilience|test_storage')
+  cmake --build build-tsan -j "$JOBS" --target test_exp test_fiber test_pdes test_vmpi_p2p test_resilience test_storage
+  (cd build-tsan && ctest --output-on-failure -R 'test_exp|test_fiber|test_pdes|test_vmpi_p2p|test_resilience|test_storage')
 
   echo "== tier 1: ThreadSanitizer, forced multi-worker engine =="
-  (cd build-tsan && EXASIM_SIM_WORKERS=4 ctest --output-on-failure -R 'test_pdes|test_vmpi_p2p|test_resilience')
+  (cd build-tsan && EXASIM_SIM_WORKERS=4 ctest --output-on-failure -R 'test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
 
   echo "== tier 1: ThreadSanitizer, adaptive scheduler + stealing =="
   (cd build-tsan && EXASIM_SIM_WORKERS=4 EXASIM_SCHEDULER=adaptive \

@@ -1,7 +1,9 @@
 #include "apps/heat3d.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "core/machine.hpp"
@@ -215,19 +217,18 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
                   std::vector<std::vector<double>>& send_bufs,
                   std::vector<std::vector<double>>& recv_bufs) {
   auto& world = ctx.world();
-  std::vector<RequestHandle> handles;
-  handles.reserve(2 * kDirs);
+  std::array<RequestHandle, 2 * kDirs> handles;
+  std::size_t n = 0;
 
   for (int dir = 0; dir < kDirs; ++dir) {
     if (d.neighbor[dir] < 0) continue;
     const std::size_t bytes = d.face_bytes(dir);
     if (grid != nullptr) {
       recv_bufs[static_cast<std::size_t>(dir)].assign(bytes / sizeof(double), 0.0);
-      handles.push_back(ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
-                                  recv_bufs[static_cast<std::size_t>(dir)].data(), bytes));
+      handles[n++] = ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
+                               recv_bufs[static_cast<std::size_t>(dir)].data(), bytes);
     } else {
-      handles.push_back(
-          ctx.irecv_modeled(world, d.neighbor[dir], kHaloTagBase + opposite(dir), bytes));
+      handles[n++] = ctx.irecv_modeled(world, d.neighbor[dir], kHaloTagBase + opposite(dir), bytes);
     }
   }
   for (int dir = 0; dir < kDirs; ++dir) {
@@ -235,14 +236,14 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
     const std::size_t bytes = d.face_bytes(dir);
     if (grid != nullptr) {
       grid->pack_face(dir, send_bufs[static_cast<std::size_t>(dir)]);
-      handles.push_back(ctx.isend(world, d.neighbor[dir], kHaloTagBase + dir,
-                                  send_bufs[static_cast<std::size_t>(dir)].data(), bytes));
+      handles[n++] = ctx.isend(world, d.neighbor[dir], kHaloTagBase + dir,
+                               send_bufs[static_cast<std::size_t>(dir)].data(), bytes);
     } else {
-      handles.push_back(ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, bytes));
+      handles[n++] = ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, bytes);
     }
   }
 
-  Err e = ctx.waitall(world, handles, nullptr);
+  Err e = ctx.waitall(world, std::span(handles.data(), n), nullptr);
   if (e == Err::kSuccess && grid != nullptr) {
     for (int dir = 0; dir < kDirs; ++dir) {
       if (d.neighbor[dir] < 0) continue;

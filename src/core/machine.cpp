@@ -95,6 +95,7 @@ SimResult Machine::run() {
   // wrapped so every process sees the machine services.
   processes_.clear();
   processes_.reserve(static_cast<std::size_t>(config_.ranks));
+  engine_.reserve(static_cast<std::size_t>(config_.ranks));
   for (int r = 0; r < config_.ranks; ++r) {
     auto proc = std::make_unique<vmpi::SimProcess>(
         r, config_.ranks, &engine_, fabric_.get(), proc_model_.get(), this, &registry_, app_,

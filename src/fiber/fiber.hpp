@@ -31,8 +31,10 @@ namespace exasim {
 /// yield() returns control to whichever thread last called resume(), via
 /// that thread's thread-local resumer slot. The sharded engine satisfies
 /// this by construction: each simulated process's fiber is only ever resumed
-/// by the worker thread owning its LP group (creation happens lazily on the
-/// first kEvStart delivery, i.e. already on the owning worker).
+/// by the worker thread owning its LP group (the fiber is built with its
+/// process but first entered on its kEvStart delivery, already on the
+/// owning worker). Its pooled stack may have run another fiber on another
+/// thread; the pool's lock orders the two.
 class Fiber {
  public:
   using Body = std::function<void()>;

@@ -132,10 +132,9 @@ void FiberStackPool::release(Stack stack) {
     unmap_locked(stack);
     return;
   }
-  // Drop the committed pages but keep the mapping (and any guard page): the
-  // next acquire of this size reuses the address range with zero syscalls
-  // beyond this one, and an idle pool holds no physical memory.
-  ::madvise(stack.base, stack.bytes, MADV_DONTNEED);
+  // Park it warm: mapping, guard page and touched pages stay, so the next
+  // acquire of this size costs no system call and no page fault. Parked
+  // stacks per size never exceed that size's outstanding high-water count.
   free_[stack.bytes].push_back(stack);
   ++stats_.pooled;
 }

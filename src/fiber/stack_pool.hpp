@@ -22,12 +22,18 @@ namespace exasim {
 /// default VMA limit.
 ///
 /// Stacks are recycled across fibers — and therefore across simulated
-/// machines and campaign items: standing up C = 10^4–10^5 simulated MPI
-/// ranks used to cost one mmap/munmap pair per rank per launch, which
-/// dominates short runs. On release the committed pages are dropped with
-/// madvise(MADV_DONTNEED) (physical memory returns to the kernel; the
-/// virtual mapping and the guard page stay), so an idle pool costs address
-/// space, not RSS.
+/// machines, relaunches and campaign items: standing up C = 10^4–10^5
+/// simulated MPI ranks used to cost one mmap/munmap pair per rank per
+/// launch, which dominates short runs. A released stack is parked warm,
+/// with its mapping, its guard page and the pages it touched intact, so the
+/// next fiber of that size reuses it with no system call and no page fault
+/// (a relaunch makes zero stack syscalls).
+///
+/// Memory bound: a parked stack keeps the pages its fibers touched resident,
+/// and each size holds at most as many parked stacks as the high-water count
+/// of its outstanding stacks — so an idle pool never holds more than the
+/// largest machine built so far did. trim() is the one call that returns
+/// parked memory to the kernel.
 ///
 /// With pooling disabled (util::pool_enabled() == false, i.e. --no-pool /
 /// EXASIM_NO_POOL), acquire/release degrade to plain mmap/munmap — still
@@ -66,13 +72,14 @@ class FiberStackPool {
   /// failure.
   Stack acquire(std::size_t bytes);
 
-  /// Returns a stack obtained from acquire(). Pooled stacks are parked
-  /// (MADV_DONTNEED); unpooled ones are munmapped.
+  /// Returns a stack obtained from acquire(). Pooled stacks are parked warm
+  /// (no system call); unpooled ones are munmapped.
   void release(Stack stack);
 
   Stats stats() const;
 
-  /// Unmaps every parked stack (memory pressure valve / test isolation).
+  /// Unmaps every parked stack, returning its pages and address space
+  /// (memory pressure valve / test isolation).
   void trim();
 
  private:

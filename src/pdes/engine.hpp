@@ -107,6 +107,14 @@ class Engine {
   /// does not own the LP.
   void add_process(LpId id, LogicalProcess* lp);
 
+  /// Sizes the LP table and the event queue for `lps` processes and one
+  /// pending event each, so building a machine allocates per rank only what
+  /// the rank itself needs.
+  void reserve(std::size_t lps) {
+    processes_.reserve(lps);
+    queue_.reserve(lps);
+  }
+
   /// Schedules an event; returns its per-source sequence number. Callable
   /// from any worker thread during a parallel run: the event is routed to
   /// the target's group-local heap or, cross-group, to the scheduling

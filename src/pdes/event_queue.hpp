@@ -37,6 +37,12 @@ namespace exasim {
 class EventQueue {
  public:
   void push(Event&& ev);
+  /// Sizes the storage for `n` pending events, so pushing that many (a
+  /// machine's start events) grows nothing.
+  void reserve(std::size_t n) {
+    slab_.reserve(n);
+    far_.reserve(n);
+  }
 
   /// Drains `evs` into the queue — the bulk half of a mailbox merge or relay
   /// unpack. Entries bound for the far heap are appended and re-heapified in

@@ -125,7 +125,7 @@ Err Context::wait(Comm& comm, RequestHandle h, MsgStatus* status) {
   return proc_->apply_error_handler(comm, proc_->wait_all({&h, 1}, status));
 }
 
-Err Context::waitall(Comm& comm, const std::vector<RequestHandle>& handles,
+Err Context::waitall(Comm& comm, std::span<const RequestHandle> handles,
                      std::vector<MsgStatus>* statuses) {
   proc_->fold_native_time();
   if (statuses != nullptr) statuses->resize(handles.size());

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <map>
 #include <span>
 #include <vector>
@@ -93,8 +94,15 @@ class Context {
   RequestHandle irecv_modeled(Comm& comm, Rank src, int tag, std::size_t bytes);
 
   Err wait(Comm& comm, RequestHandle h, MsgStatus* status = nullptr);
-  Err waitall(Comm& comm, const std::vector<RequestHandle>& handles,
+  /// Takes any contiguous handle range (vector, array, C array) or a braced
+  /// list; builds no container of its own.
+  Err waitall(Comm& comm, std::span<const RequestHandle> handles,
               std::vector<MsgStatus>* statuses = nullptr);
+  Err waitall(Comm& comm, std::initializer_list<RequestHandle> handles,
+              std::vector<MsgStatus>* statuses = nullptr) {
+    return waitall(comm, std::span<const RequestHandle>(handles.begin(), handles.size()),
+                   statuses);
+  }
   /// True if complete; on completion fills status/err and releases the handle.
   bool test(RequestHandle h, MsgStatus* status, Err* err);
   Err probe(Comm& comm, Rank src, int tag, MsgStatus* status);

@@ -7,6 +7,7 @@
 #include "resilience/notice.hpp"
 #include "util/pool.hpp"
 #include "util/time.hpp"
+#include "vmpi/request.hpp"
 #include "vmpi/types.hpp"
 
 namespace exasim::vmpi {
@@ -26,14 +27,23 @@ enum EvKind : int {
 
 /// Match envelope. Matching is on (comm_id, src comm rank, tag), with
 /// kAnySource / kAnyTag wildcards on the posted-receive side.
+///
+/// The rendezvous protocol names requests by handle, never by search: the
+/// RTS carries the sender's request, the CTS carries it back together with
+/// the receiver's, and the bulk data carries the receiver's. Each side
+/// resolves its handle in O(1), and a stale one (the request was released,
+/// say by a failure timeout, and its slot reused) resolves to nothing.
 struct Envelope {
   int comm_id = 0;
   Rank src_comm_rank = 0;   ///< Sender's rank within the communicator.
   Rank src_world_rank = 0;  ///< Sender's world rank (routing, failure checks).
   int tag = 0;
   std::size_t bytes = 0;    ///< Logical payload size (drives the network model).
-  bool rendezvous = false;  ///< True: this is an RTS; payload arrives separately.
-  std::uint64_t rdv_id = 0; ///< Rendezvous transaction id (sender-unique).
+  /// RTS only: the sender's request. Invalid for an eager message.
+  RequestHandle send_req;
+
+  /// True: this is an RTS; the payload arrives separately.
+  bool rendezvous() const { return send_req.valid(); }
 };
 
 /// Eager payload / rendezvous RTS. The byte buffer is a small-buffer-
@@ -47,11 +57,12 @@ struct MsgPayload final : EventPayload {
 };
 
 struct CtsPayload final : EventPayload {
-  std::uint64_t rdv_id = 0;
+  RequestHandle send_req;  ///< At the sender: the request to inject.
+  RequestHandle recv_req;  ///< Echoed into the DataPayload.
 };
 
 struct DataPayload final : EventPayload {
-  std::uint64_t rdv_id = 0;
+  RequestHandle recv_req;  ///< At the receiver: the request to complete.
   util::PayloadBuf data;
   std::size_t bytes = 0;
 };
@@ -64,8 +75,7 @@ using AbortNoticePayload = resilience::AbortNoticePayload;
 using RevokeNoticePayload = resilience::RevokeNoticePayload;
 
 struct ErrorWakeupPayload final : EventPayload {
-  std::uint64_t request_serial = 0;  ///< With the slot: the request's handle.
-  std::uint32_t request_slot = 0;
+  RequestHandle request;  ///< Stale once the request was released.
   Err error = Err::kProcFailed;
   SimTime error_time = 0;  ///< Virtual time at which the request fails.
 };

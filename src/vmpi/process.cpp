@@ -78,7 +78,7 @@ void set_eager_wakeup(bool eager) { g_eager_wakeup.store(eager, std::memory_orde
 
 SimProcess::SimProcess(Rank world_rank, int world_size, Engine* engine, const Fabric* fabric,
                        const ProcessorModel* proc_model, SystemHooks* hooks,
-                       CommRegistry* registry, AppMain app, ProcessConfig config,
+                       CommRegistry* registry, const AppMain& app, ProcessConfig config,
                        SimTime initial_clock)
     : world_rank_(world_rank),
       world_size_(world_size),
@@ -87,20 +87,16 @@ SimProcess::SimProcess(Rank world_rank, int world_size, Engine* engine, const Fa
       proc_model_(proc_model),
       hooks_(hooks),
       registry_(registry),
-      app_(std::move(app)),
+      app_(&app),
       config_(config),
       clock_(initial_clock) {
   if (engine_ == nullptr || fabric_ == nullptr || proc_model_ == nullptr || hooks_ == nullptr ||
       registry_ == nullptr) {
     throw std::invalid_argument("null wiring");
   }
-  context_ = std::make_unique<Context>(this);
-
-  auto world = std::make_unique<Comm>();
-  world->id = CommRegistry::kWorldId;
-  world->set_identity_members(world_size_);  // O(1): no per-process member list.
-  world->my_rank = world_rank_;
-  comms_.push_back(std::move(world));
+  world_.id = CommRegistry::kWorldId;
+  world_.set_identity_members(world_size_);  // O(1): no per-process member list.
+  world_.my_rank = world_rank_;
 
   fiber_ = std::make_unique<Fiber>([this] { fiber_body(); }, config_.fiber_stack_bytes);
 }
@@ -114,7 +110,7 @@ SimProcess::~SimProcess() = default;
 void SimProcess::fiber_body() {
   try {
     check_signals();  // "fail immediately" schedules activate before any work.
-    app_(*context_);
+    (*app_)(context_);
     if (!finalized_) {
       // Returning from the application main without MPI_Finalize is a
       // failure-injection trigger (paper §IV-B).
@@ -186,8 +182,9 @@ void SimProcess::mark_done(Request& r) {
   r.stage = Request::Stage::kDone;
   if (r.waited) {
     r.waited = false;
-    --waiting_;
-    wake_pending_ = true;
+    // wait_all is blocked until every waited request is done: only the last
+    // completion can flip its predicate.
+    if (--waiting_ == 0) wake_pending_ = true;
   }
 }
 
@@ -295,7 +292,7 @@ Err SimProcess::apply_error_handler(Comm& comm, Err e) {
     case ErrorAction::kAbort:
       abort_now();  // does not return
     case ErrorAction::kInvokeUserThenReturn:
-      comm.user_handler(*context_, comm, e);
+      comm.user_handler(context_, comm, e);
       return e;
     case ErrorAction::kReturn:
       return e;
@@ -366,45 +363,38 @@ void SimProcess::handle_msg_arrival(MsgPayload& p, SimTime t) {
 }
 
 void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
-  for (Request& r : slots_) {
-    if (r.kind == Request::Kind::kSend && r.stage == Request::Stage::kAwaitingCts &&
-        r.rdv_id == p.rdv_id) {
-      // Clear-to-send: the NIC injects the payload now. The sender's request
-      // completes once injection finishes; the receiver gets the bulk data
-      // after the in-flight time.
-      const SimTime inject_done = t + fabric_->occupancy(r.bytes);
-      auto data = std::make_unique<DataPayload>();
-      data->rdv_id = r.rdv_id;
-      data->bytes = r.bytes;
-      data->data = std::move(r.send_data);
-      engine_->schedule(t + fabric_->delivery_at(t, world_rank_, r.peer_world_rank, r.bytes),
-                        r.peer_world_rank, kEvDataArrival, std::move(data));
-      if (energy_ != nullptr) energy_->add_traffic(world_rank_, r.bytes);
-      r.complete_time = inject_done;
-      r.status.error = Err::kSuccess;
-      mark_done(r);
-      maybe_run_fiber();
-      return;
-    }
-  }
-  // Sender request vanished (errored out via timeout release) — drop the CTS.
+  // A sender request that errored out (timeout release) is done, or already
+  // released and its slot reused: drop the CTS.
+  Request* r = find_request(p.send_req);
+  if (r == nullptr || r->stage != Request::Stage::kAwaitingCts) return;
+  // Clear-to-send: the NIC injects the payload now. The sender's request
+  // completes once injection finishes; the receiver gets the bulk data
+  // after the in-flight time.
+  auto data = std::make_unique<DataPayload>();
+  data->recv_req = p.recv_req;
+  data->bytes = r->bytes;
+  data->data = std::move(r->send_data);
+  engine_->schedule(t + fabric_->delivery_at(t, world_rank_, r->peer_world_rank, r->bytes),
+                    r->peer_world_rank, kEvDataArrival, std::move(data));
+  if (energy_ != nullptr) energy_->add_traffic(world_rank_, r->bytes);
+  r->complete_time = t + fabric_->occupancy(r->bytes);
+  r->status.error = Err::kSuccess;
+  mark_done(*r);
+  maybe_run_fiber();
 }
 
 void SimProcess::handle_data(DataPayload& p, SimTime t) {
-  for (Request& r : slots_) {
-    if (r.kind == Request::Kind::kRecv && r.stage == Request::Stage::kAwaitingData &&
-        r.rdv_id == p.rdv_id) {
-      if (r.recv_buffer != nullptr && !p.data.empty()) {
-        std::memcpy(r.recv_buffer, p.data.data(), std::min(r.bytes, p.data.size()));
-      }
-      r.status.bytes = p.bytes;
-      r.status.error = p.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
-      r.complete_time = t + fabric_->receiver_overhead();
-      mark_done(r);
-      maybe_run_fiber();
-      return;
-    }
+  // Same rule as the CTS: a receive that timed out meanwhile drops the data.
+  Request* r = find_request(p.recv_req);
+  if (r == nullptr || r->stage != Request::Stage::kAwaitingData) return;
+  if (r->recv_buffer != nullptr && !p.data.empty()) {
+    std::memcpy(r->recv_buffer, p.data.data(), std::min(r->bytes, p.data.size()));
   }
+  r->status.bytes = p.bytes;
+  r->status.error = p.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
+  r->complete_time = t + fabric_->receiver_overhead();
+  mark_done(*r);
+  maybe_run_fiber();
 }
 
 void SimProcess::inject_failure_at(SimTime t) {
@@ -462,8 +452,7 @@ void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTi
 void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_world,
                                        SimTime t_detect) {
   auto p = std::make_unique<ErrorWakeupPayload>();
-  p->request_serial = r.serial;
-  p->request_slot = r.slot;
+  p->request = r.handle();
   p->error = Err::kProcFailed;
   // §IV-C timeout release, floored at the detector's notice delivery time:
   // the error cannot surface before this process learned of the failure.
@@ -483,7 +472,7 @@ void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_wor
 void SimProcess::handle_error_wakeup(ErrorWakeupPayload& p) {
   // Completed successfully in the meantime (its slot may even hold a newer
   // request by now, which the serial check rejects).
-  Request* r = find_request(RequestHandle{p.request_serial, p.request_slot});
+  Request* r = find_request(p.request);
   if (r == nullptr || r->done()) return;
   unindex_posted(*r);
   r->complete_time = p.error_time;
@@ -525,13 +514,7 @@ bool SimProcess::on_stall(Engine& engine) {
   for (const std::uint32_t i : any_source_recvs) {
     Request& r = slots_[i];
     // Earliest failed member of the request's communicator.
-    const Comm* comm = nullptr;
-    for (const auto& c : comms_) {
-      if (c->id == r.comm_id) {
-        comm = c.get();
-        break;
-      }
-    }
+    const Comm* comm = find_comm(r.comm_id);
     if (comm == nullptr) continue;
     Rank failed = -1;
     SimTime t_fail = kSimTimeNever;
@@ -720,12 +703,12 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime 
   // sender; the bulk data will arrive as a kEvDataArrival.
   const SimTime match_time = std::max(r.post_time, arrival) + fabric_->receiver_overhead();
   auto cts = std::make_unique<CtsPayload>();
-  cts->rdv_id = env.rdv_id;
+  cts->send_req = env.send_req;
+  cts->recv_req = r.handle();
   engine_->schedule(
       match_time + fabric_->delivery_at(match_time, world_rank_, env.src_world_rank, 0),
       env.src_world_rank, kEvCtsArrival, std::move(cts));
   r.stage = Request::Stage::kAwaitingData;
-  r.rdv_id = env.rdv_id;
   r.peer_world_rank = env.src_world_rank;
   r.status.source = env.src_comm_rank;
   r.status.tag = env.tag;
@@ -755,7 +738,7 @@ bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
     }
   }
   if (best == nullptr) return false;
-  if (env.rendezvous) {
+  if (env.rendezvous()) {
     start_rendezvous_recv(*best, env, arrival);
   } else {
     complete_recv_from_msg(*best, env, std::move(data), arrival);
@@ -767,7 +750,7 @@ bool SimProcess::try_match_unexpected(Request& r) {
   const UnexpectedHit hit = find_unexpected(r.comm_id, r.peer_comm_rank, r.tag);
   if (hit.msg == kNoSlot) return false;
   UnexpectedMsg& m = unexpected_msgs_[hit.msg];
-  if (m.env.rendezvous) {
+  if (m.env.rendezvous()) {
     start_rendezvous_recv(r, m.env, m.arrival_time);
   } else {
     complete_recv_from_msg(r, m.env, std::move(m.data), m.arrival_time);
@@ -808,7 +791,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     r.complete_time = clock_;
     r.status.error = Err::kRevoked;
     mark_done(r);
-    return RequestHandle{r.serial, r.slot};
+    return r.handle();
   }
 
   Envelope env;
@@ -818,19 +801,16 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   env.tag = tag;
   env.bytes = bytes;
   // Eager: the payload is buffered into the network and the send is locally
-  // complete after NIC injection. Rendezvous: a zero-byte RTS goes out and
-  // the payload is captured so the data can be injected when the CTS comes
-  // back (also for isend).
+  // complete after NIC injection. Rendezvous: a zero-byte RTS naming this
+  // request goes out and the payload is captured so the data can be
+  // injected when the CTS comes back (also for isend).
   const bool eager = fabric_->protocol_for(bytes) == Protocol::kEager;
-  if (!eager) {
-    env.rendezvous = true;
-    env.rdv_id = (static_cast<std::uint64_t>(world_rank_) << 32) | next_rdv_++;
-  }
   // May unwind with ProcessFailedSignal: take the request slot only after.
   advance_clock(fabric_->occupancy(eager ? bytes : 0), /*busy=*/false);
 
   Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
   r.survives_revoke = allow_revoked;
+  if (!eager) env.send_req = r.handle();
   auto msg = std::make_unique<MsgPayload>();
   msg->env = env;
   if (eager) {
@@ -841,10 +821,9 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     r.complete_time = clock_;
     r.status.error = Err::kSuccess;
     mark_done(r);
-    return RequestHandle{r.serial, r.slot};
+    return r.handle();
   }
 
-  r.rdv_id = env.rdv_id;
   if (data != nullptr && bytes > 0) r.send_data.assign(data, bytes);
   engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, r.peer_world_rank, 0),
                     r.peer_world_rank, kEvMsgArrival, std::move(msg));
@@ -857,7 +836,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
                           fault_.peer_detect_time(r.peer_world_rank));
   }
-  return RequestHandle{r.serial, r.slot};
+  return r.handle();
 }
 
 RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
@@ -893,7 +872,7 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
 
   // Still unmatched: make it findable by future arrivals.
   if (r.stage == Request::Stage::kPosted) index_posted(r);
-  return RequestHandle{r.serial, r.slot};
+  return r.handle();
 }
 
 Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {
@@ -1006,6 +985,14 @@ Comm* SimProcess::new_comm(int id, std::vector<Rank> members, const Comm& inheri
   return out;
 }
 
+Comm* SimProcess::find_comm(int id) {
+  if (id == world_.id) return &world_;
+  for (const auto& c : comms_) {
+    if (c->id == id) return c.get();
+  }
+  return nullptr;
+}
+
 Comm* SimProcess::comm_dup(Comm& parent) {
   const int id = registry_->id_for(parent.id, parent.split_seq++, /*color=*/0);
   auto c = std::make_unique<Comm>();
@@ -1047,9 +1034,7 @@ void SimProcess::comm_revoke(Comm& comm) {
 }
 
 void SimProcess::apply_revoke(int comm_id, SimTime when) {
-  for (auto& c : comms_) {
-    if (c->id == comm_id) c->revoked = true;
-  }
+  if (Comm* c = find_comm(comm_id)) c->revoked = true;
   // ULFM: pending operations on a revoked communicator complete with
   // kRevoked once the revoke notice reaches this process.
   const auto pending = live_requests_by_serial([comm_id](const Request& r) {

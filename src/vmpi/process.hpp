@@ -17,6 +17,7 @@
 #include "procmodel/processor.hpp"
 #include "util/time.hpp"
 #include "vmpi/comm.hpp"
+#include "vmpi/context.hpp"
 #include "vmpi/fabric.hpp"
 #include "vmpi/message.hpp"
 #include "vmpi/request.hpp"
@@ -25,7 +26,6 @@
 
 namespace exasim::vmpi {
 
-class Context;
 class SimProcess;
 
 /// Control-flow signals used to unwind the application fiber on process
@@ -81,11 +81,17 @@ using AppMain = std::function<void(Context&)>;
 /// One simulated MPI process: a PDES logical process owning an application
 /// fiber, a virtual clock, message matching state, and failure/abort state
 /// (paper §IV-A/§IV-B).
+///
+/// A process is three heap blocks — itself, its Fiber and the Fiber's
+/// switch state: the Context and the world communicator are members, and
+/// the application entry point is referenced, not copied (DESIGN.md §9).
 class SimProcess final : public LogicalProcess {
  public:
+  /// `app` is shared by every rank and must outlive the process (the
+  /// Machine owns it).
   SimProcess(Rank world_rank, int world_size, Engine* engine, const Fabric* fabric,
              const ProcessorModel* proc_model, SystemHooks* hooks, CommRegistry* registry,
-             AppMain app, ProcessConfig config, SimTime initial_clock);
+             const AppMain& app, ProcessConfig config, SimTime initial_clock);
   ~SimProcess() override;
 
   SimProcess(const SimProcess&) = delete;
@@ -103,7 +109,7 @@ class SimProcess final : public LogicalProcess {
   ProcOutcome outcome() const { return outcome_.load(std::memory_order_relaxed); }
   /// Final virtual time (valid once terminated).
   SimTime end_time() const { return end_time_; }
-  Comm& world_comm() { return *comms_.front(); }
+  Comm& world_comm() { return world_; }
 
   // -- Failure injection (paper §IV-B) ------------------------------------
   /// Sets the earliest virtual time at which this process fails. Called by
@@ -207,7 +213,7 @@ class SimProcess final : public LogicalProcess {
   const ProcessorModel& proc_model() const { return *proc_model_; }
   Engine& engine() { return *engine_; }
   CommRegistry& registry() { return *registry_; }
-  Context& context() { return *context_; }
+  Context& context() { return context_; }
 
   /// ULFM acknowledgement state (MPI_Comm_failure_ack / get_acked).
   void failure_ack(Comm& comm);
@@ -251,11 +257,12 @@ class SimProcess final : public LogicalProcess {
   // condition is recorded here: the count of outstanding waited requests
   // (each flagged Request::waited) or a probe's match spec. Event handlers
   // then resume the fiber via maybe_run_fiber(), which skips the resume
-  // unless something flipped the recorded condition — a waited request
-  // completed (mark_done) or a probe-visible unexpected message arrived
-  // (note_unexpected). Handlers whose effect block_until itself re-evaluates
-  // (abort notices) or that force an unwind (failure activation, stall
-  // release) keep resuming unconditionally. Every resume the filter skips
+  // unless something flipped the recorded condition — the last waited
+  // request completed (mark_done counts down to zero, so a wait_all resumes
+  // once) or a probe-visible unexpected message arrived (note_unexpected).
+  // Handlers whose effect block_until itself re-evaluates (abort notices)
+  // or that force an unwind (failure activation, stall release) keep
+  // resuming unconditionally. Every resume the filter skips
   // would have been a pure no-op — the predicates are side-effect-free and
   // completion times never depend on when the fiber re-checks them — so the
   // delivered schedule is byte-identical to eager mode
@@ -264,7 +271,7 @@ class SimProcess final : public LogicalProcess {
   void register_probe_wait(int comm_id, Rank src, Rank src_world, int tag);
   void clear_wait();
   /// The one transition to Stage::kDone: counts down a waited request and
-  /// marks the wake pending.
+  /// marks the wake pending when it was the last one.
   void mark_done(Request& r);
   void note_unexpected(const Envelope& env);
   void maybe_run_fiber();
@@ -325,6 +332,8 @@ class SimProcess final : public LogicalProcess {
   void terminate(ProcOutcome outcome, SimTime when);
 
   Comm* new_comm(int id, std::vector<Rank> members, const Comm& inherit_from);
+  /// The world communicator or one this process created; nullptr if none.
+  Comm* find_comm(int id);
 
   // Identity & wiring.
   Rank world_rank_;
@@ -334,7 +343,7 @@ class SimProcess final : public LogicalProcess {
   const ProcessorModel* proc_model_;
   SystemHooks* hooks_;
   CommRegistry* registry_;
-  AppMain app_;
+  const AppMain* app_;
   ProcessConfig config_;
   EnergyLedger* energy_ = nullptr;
   TraceSink* trace_ = nullptr;
@@ -343,7 +352,7 @@ class SimProcess final : public LogicalProcess {
   SimTime comm_time_ = 0;
 
   // Execution state.
-  std::unique_ptr<Context> context_;
+  Context context_{this};
   SimTime clock_ = 0;
   /// Atomic: Machine::alive_world_ranks reads every rank's outcome from
   /// whichever engine worker executes MPI_Comm_shrink.
@@ -378,7 +387,6 @@ class SimProcess final : public LogicalProcess {
   std::vector<Request> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_serial_ = 1;
-  std::uint64_t next_rdv_ = 1;
   // Match index: one open-addressing table from (comm id, source comm rank)
   // to a MatchBucket. Buckets are append-only (never erased), so steady
   // traffic causes no churn, and the table grows geometrically, so a
@@ -396,7 +404,9 @@ class SimProcess final : public LogicalProcess {
   std::vector<std::uint32_t> free_unexpected_;
   std::uint64_t next_arrival_seq_ = 1;
 
-  // Communicators (index 0 = world).
+  // Communicators: MPI_COMM_WORLD inline, plus the ones comm_dup /
+  // comm_split / comm_shrink added (the only ones that allocate).
+  Comm world_;
   std::vector<std::unique_ptr<Comm>> comms_;
 
   // Declared last: destroying the fiber unwinds any frames it still holds

@@ -9,6 +9,15 @@
 
 namespace exasim::vmpi {
 
+/// Opaque request handle returned to applications. The serial doubles as a
+/// generation check: once the slot is released and reused, the old handle
+/// resolves to nothing.
+struct RequestHandle {
+  std::uint64_t serial = 0;
+  std::uint32_t slot = 0;
+  bool valid() const { return serial != 0; }
+};
+
 /// Nonblocking operation state. Lives in a slot of the process's request
 /// table; applications hold opaque handles (slot + serial) via the Context
 /// API.
@@ -39,7 +48,6 @@ struct Request {
   /// Send payload (captured at post time); empty for modeled sends.
   util::PayloadBuf send_data;
 
-  std::uint64_t rdv_id = 0;          ///< Rendezvous transaction, if any.
   SimTime post_time = 0;
 
   /// Terminal state.
@@ -57,15 +65,7 @@ struct Request {
   bool waited = false;
 
   bool done() const { return stage == Stage::kDone; }
-};
-
-/// Opaque request handle returned to applications. The serial doubles as a
-/// generation check: once the slot is released and reused, the old handle
-/// resolves to nothing.
-struct RequestHandle {
-  std::uint64_t serial = 0;
-  std::uint32_t slot = 0;
-  bool valid() const { return serial != 0; }
+  RequestHandle handle() const { return RequestHandle{serial, slot}; }
 };
 
 }  // namespace exasim::vmpi

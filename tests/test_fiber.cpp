@@ -1,17 +1,24 @@
 // fiber: cooperative user-space threads (the per-simulated-process contexts).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "apps/heat3d.hpp"
+#include "core/runner.hpp"
 #include "fiber/fiber.hpp"
 #include "fiber/stack_pool.hpp"
+#include "sim_test_util.hpp"
 #include "util/pool.hpp"
 
 namespace exasim {
 namespace {
+
+test::QuietLogs quiet;
 
 TEST(Fiber, RunsToCompletion) {
   int x = 0;
@@ -233,6 +240,71 @@ TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
   const auto trimmed = pool.stats();
   EXPECT_EQ(trimmed.pooled, 0u);
   EXPECT_GT(trimmed.unmapped, after.unmapped);
+}
+
+TEST(FiberStackPool, ReleasedStackStaysWarmForTheNextFiber) {
+  // A parked stack keeps the pages its fiber touched: the top frame's page
+  // is still resident after release, and the next fiber of that size runs
+  // on the same stack, at the same address, without mapping a new one.
+  if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
+  constexpr std::size_t kBytes = 96 * 1024;  // A size no other test parks.
+  auto& pool = FiberStackPool::instance();
+  pool.trim();
+  auto frame = [](std::uintptr_t* out) {
+    return [out] { *out = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)); };
+  };
+  std::uintptr_t first = 0, second = 0;
+  {
+    Fiber f(frame(&first), kBytes);
+    f.resume();
+  }
+  const auto ps = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  unsigned char resident = 0;
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(first & ~(ps - 1)), ps, &resident), 0);
+  EXPECT_EQ(resident & 1u, 1u) << "release dropped the parked stack's pages";
+
+  const auto parked = pool.stats();
+  {
+    Fiber g(frame(&second), kBytes);
+    g.resume();
+  }
+  const auto after = pool.stats();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(after.mapped, parked.mapped);
+  EXPECT_EQ(after.reused - parked.reused, 1u);
+  pool.trim();
+}
+
+TEST(FiberStackPool, WarmStacksMoveAcrossEngineWorkersOnRelaunch) {
+  // A 64-rank heat3d run under ResilientRunner on 4 engine workers, failed
+  // in its first two launches: every relaunch builds its fibers on stacks
+  // the previous launch's fibers ran on, possibly on another worker thread
+  // (the ThreadSanitizer leg runs this).
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.px = p.py = p.pz = 4;
+  p.total_iterations = 20;
+  p.halo_interval = p.checkpoint_interval = 5;
+  p.real_compute = false;
+  p.work_units_per_point = 1000.0;  // 64 us per iteration at 1 ns/unit.
+  core::RunnerConfig rc;
+  rc.base = test::tiny_config(64);
+  rc.base.sim_workers = 4;
+  auto heat = apps::make_heat3d(p);
+  auto app = [heat](vmpi::Context& ctx) {
+    if (core::services_of(ctx).run_index < 2 && ctx.rank() == 5) {
+      ctx.inject_failure(sim_us(500));
+    }
+    heat(ctx);
+  };
+  const auto before = FiberStackPool::instance().stats();
+  const core::RunnerResult res = core::ResilientRunner(rc, app).run();
+  const auto after = FiberStackPool::instance().stats();
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.launches, 3);
+  if (util::pool_enabled()) {
+    EXPECT_GE(after.reused - before.reused, 2u * 64u);
+  }
 }
 
 TEST(FiberStackPool, UnpooledReleaseUnmaps) {

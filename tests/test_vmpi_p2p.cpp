@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "metrics/perf.hpp"
@@ -431,6 +432,61 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
   EXPECT_EQ(filtered.finished_count, eager.finished_count);
 }
 
+/// A 64-rank 4x4x4-torus 6-neighbour modeled halo loop; returns the result
+/// and the fiber resumes it took.
+SimResult halo_loop(int iters, std::uint64_t* resumes) {
+  constexpr int kDim = 4;
+  auto app = [iters](Context& ctx) {
+    const int r = ctx.rank();
+    const int x = r % kDim, y = (r / kDim) % kDim, z = r / (kDim * kDim);
+    auto at = [](int xx, int yy, int zz) {
+      auto wrap = [](int v) { return (v + kDim) % kDim; };
+      return wrap(xx) + kDim * (wrap(yy) + kDim * wrap(zz));
+    };
+    const int nbr[6] = {at(x - 1, y, z), at(x + 1, y, z), at(x, y - 1, z),
+                        at(x, y + 1, z), at(x, y, z - 1), at(x, y, z + 1)};
+    auto& w = ctx.world();
+    vmpi::RequestHandle hs[12];
+    for (int it = 0; it < iters; ++it) {
+      ctx.compute(1e4);
+      for (int d = 0; d < 6; ++d) hs[d] = ctx.irecv_modeled(w, nbr[d], d ^ 1, 4096);
+      for (int d = 0; d < 6; ++d) hs[6 + d] = ctx.isend_modeled(w, nbr[d], d, 4096);
+      EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+    }
+    ctx.finalize();
+  };
+  const PerfSnapshot before = perf_snapshot();
+  SimResult res = run_app(tiny_config(kDim * kDim * kDim), app);
+  *resumes = perf_delta(before, perf_snapshot()).fiber_resumes;
+  return res;
+}
+
+/// sim_result_json without the host-dependent fields.
+std::string simulated_json(SimResult r) {
+  r.wall_seconds = r.events_per_sec = r.ns_per_event = r.heap_allocs_per_event = 0;
+  r.perf = PerfSnapshot{};
+  return core::sim_result_json(r);
+}
+
+TEST(P2P, HaloWaitallResumesOncePerWait) {
+  // Every rank posts its six receives before any neighbour's message can
+  // arrive, so each waitall blocks; the six arrivals complete its requests
+  // one by one and only the last may resume the fiber. Two loop lengths
+  // cancel the start-up and finalize resumes.
+  const bool before = vmpi::eager_wakeup_enabled();
+  vmpi::set_eager_wakeup(false);
+  std::uint64_t r20 = 0, r40 = 0, eager20 = 0;
+  const SimResult filtered = halo_loop(20, &r20);
+  halo_loop(40, &r40);
+  vmpi::set_eager_wakeup(true);
+  const SimResult eager = halo_loop(20, &eager20);
+  vmpi::set_eager_wakeup(before);
+  EXPECT_EQ(filtered.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(r40 - r20, 20u * 64u);  // One resume per rank per waitall.
+  EXPECT_GT(eager20, r20);
+  EXPECT_EQ(simulated_json(filtered), simulated_json(eager));
+}
+
 TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {
   // Rank 0 blocks on an ANY_SOURCE receive while an unrelated arrival
   // completes a request it is NOT waiting on (suppressible), then the real
@@ -682,6 +738,82 @@ TEST(P2P, FailureReleasesFollowPostOrderAfterSlotReuse) {
   run_app(tiny_config(3), app);
   EXPECT_FALSE(b_done_at_a_release);
   EXPECT_EQ(b_err, Err::kProcFailed);
+}
+
+TEST(P2P, TwoThousandConcurrentRendezvousIsendsComplete) {
+  // Each CTS and each bulk-data arrival names its request by handle, so
+  // thousands of outstanding rendezvous transfers resolve in O(1) apiece.
+  constexpr int kMsgs = 2000;
+  std::vector<std::uint64_t> got(kMsgs, 0);
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    std::vector<vmpi::RequestHandle> hs;
+    if (ctx.rank() == 0) {
+      std::vector<std::uint64_t> out(kMsgs);
+      std::iota(out.begin(), out.end(), std::uint64_t{1});
+      for (int i = 0; i < kMsgs; ++i) {
+        hs.push_back(ctx.isend(w, 1, i, &out[static_cast<std::size_t>(i)], sizeof(std::uint64_t)));
+      }
+      EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+    } else {
+      ctx.compute(1e5);  // Every RTS is unexpected by the time it is matched.
+      for (int i = kMsgs - 1; i >= 0; --i) {
+        hs.push_back(ctx.irecv(w, 0, i, &got[static_cast<std::size_t>(i)], sizeof(std::uint64_t)));
+      }
+      EXPECT_EQ(ctx.waitall(w, hs), Err::kSuccess);
+    }
+    ctx.finalize();
+  };
+  core::SimConfig cfg = tiny_config(2);
+  cfg.net.eager_threshold = 4;  // Force rendezvous for 8-byte payloads.
+  EXPECT_EQ(run_app(cfg, app).outcome, SimResult::Outcome::kCompleted);
+  for (int i = 0; i < kMsgs; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], static_cast<std::uint64_t>(i + 1));
+  }
+}
+
+TEST(P2P, StaleCtsAfterTimeoutReleaseIsDropped) {
+  // 10 ms links, two hops each way, 1 ms failure timeout. Rank 1 matches
+  // rank 0's RTS at ~20 ms, so its CTS reaches rank 0 at ~40 ms; rank 1
+  // fails at 30 ms and rank 0's send is released by the timeout at 31 ms.
+  // Rank 0's next rendezvous send, to rank 2, reuses the slot. The stale
+  // CTS must not complete it: rank 2 posts its receive only at 60 ms.
+  std::uint64_t got = 0;
+  Err first_err = Err::kSuccess;
+  Err second_err = Err::kPending;
+  SimTime first_done = 0, second_done = 0;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    ctx.set_error_handler(w, vmpi::ErrorHandlerKind::kReturn);
+    if (ctx.rank() == 0) {
+      std::uint64_t v = 7, u = 8;
+      const auto h = ctx.isend(w, 1, 0, &v, sizeof v);
+      first_err = ctx.wait(w, h);
+      first_done = ctx.now();
+      const auto h2 = ctx.isend(w, 2, 0, &u, sizeof u);
+      EXPECT_EQ(h2.slot, h.slot);
+      second_err = ctx.wait(w, h2);
+      second_done = ctx.now();
+    } else if (ctx.rank() == 1) {
+      std::uint64_t sink = 0;
+      ctx.recv(0, 0, &sink, sizeof sink);  // Fails while awaiting the data.
+    } else {
+      ctx.elapse(sim_ms(60));
+      EXPECT_EQ(ctx.recv(0, 0, &got, sizeof got), Err::kSuccess);
+    }
+    ctx.finalize();
+  };
+  core::SimConfig cfg = tiny_config(3);
+  cfg.net.link_latency = sim_ms(10);
+  cfg.net.eager_threshold = 4;
+  cfg.failures = {FailureSpec{1, sim_ms(30)}};
+  run_app(cfg, app);
+  EXPECT_EQ(first_err, Err::kProcFailed);
+  EXPECT_GT(first_done, sim_ms(30));
+  EXPECT_LT(first_done, sim_ms(40));  // Released before the CTS arrives.
+  EXPECT_EQ(second_err, Err::kSuccess);
+  EXPECT_GT(second_done, sim_ms(60));
+  EXPECT_EQ(got, 8u);
 }
 
 // Deadlock: both ranks recv from each other with nothing sent.
