@@ -151,13 +151,9 @@ struct ChurnPayload final : EventPayload {
   std::uint64_t vals[4] = {0, 0, 0, 0};
 };
 
-/// What a delivered eager message actually carries: a payload object plus a
-/// copied data buffer (vmpi::MsgPayload shape). 256 B spills past the
-/// PayloadBuf inline capacity, so each event costs two allocations — object
-/// and data — exactly the hot-path traffic the pool exists to absorb.
-struct ChurnMsgPayload final : EventPayload {
-  util::PayloadBuf data;
-};
+/// What a delivered eager message actually carries: a vmpi::MsgPayload, one
+/// block holding the envelope and a copy of the 256 data bytes — exactly
+/// the hot-path traffic the pool exists to absorb.
 constexpr std::size_t kChurnMsgBytes = 256;
 
 /// Raw payload allocate/free cycle — the per-event allocator cost in
@@ -173,19 +169,19 @@ void BM_PayloadAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadAllocFree)->Arg(0)->Arg(1)->ArgNames({"pooled"});
 
-/// PayloadBuf assign cost: inline (fits the 64-byte SBO) vs spilled
-/// (pool-backed). range(0) = bytes.
-void BM_PayloadBufAssign(benchmark::State& state) {
+/// Message block build-and-free cost: header only (a modeled message) and
+/// with real bytes copied into the same block. range(0) = bytes.
+void BM_MsgPayloadMake(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> src(bytes, std::byte{0x5a});
+  const vmpi::Envelope env;
   for (auto _ : state) {
-    util::PayloadBuf buf;
-    buf.assign(src.data(), src.size());
-    benchmark::DoNotOptimize(buf.data());
+    auto msg = vmpi::MsgPayload::make(env, src.data(), bytes);
+    benchmark::DoNotOptimize(msg->data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_PayloadBufAssign)->Arg(32)->Arg(64)->Arg(256)->Arg(4096)->ArgNames({"bytes"});
+BENCHMARK(BM_MsgPayloadMake)->Arg(0)->Arg(32)->Arg(256)->Arg(4096)->ArgNames({"bytes"});
 
 /// Steady-state event churn: every delivered event frees its payload and
 /// schedules a successor with a fresh one — the allocation pattern of a
@@ -199,9 +195,8 @@ class ChurnLp final : public LogicalProcess {
   void on_event(Engine& engine, Event&& ev) override {
     if (remaining_ == 0) return;
     --remaining_;
-    auto payload = std::make_unique<ChurnMsgPayload>();
-    payload->data.assign(scratch_.data(), scratch_.size());
-    engine.schedule(ev.time + 1, ev.target, 1, std::move(payload));
+    engine.schedule(ev.time + 1, ev.target, 1,
+                    vmpi::MsgPayload::make(vmpi::Envelope{}, scratch_.data(), scratch_.size()));
     // The incoming ev.payload dies when ev goes out of scope — one birth and
     // one death per event, the steady state of a long simulation.
   }
@@ -222,7 +217,8 @@ void BM_EventChurn(benchmark::State& state) {
     engine.add_process(0, &lp);
     // Seed four in-flight chains so the queue is never trivially empty.
     for (int i = 0; i < 4; ++i) {
-      engine.schedule(static_cast<SimTime>(i), 0, 1, std::make_unique<ChurnMsgPayload>());
+      engine.schedule(static_cast<SimTime>(i), 0, 1,
+                      vmpi::MsgPayload::make(vmpi::Envelope{}, nullptr, 0));
     }
     state.ResumeTiming();
     engine.run();

@@ -13,7 +13,11 @@
 # widened-window/work-stealing paths are exercised under the race detector. A fourth, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
-# pooled and EXASIM_NO_POOL=1. The mc leg runs the model-checker suite
+# pooled and EXASIM_NO_POOL=1; besides the pool, fiber, engine and
+# resilience suites it covers where message blocks change owner (adopted
+# unexpected arrivals, rendezvous data built at post time): real-byte
+# collectives (test_vmpi_coll), rendezvous edge cases (test_vmpi_edge) and
+# failure interleavings (test_properties). The mc leg runs the model-checker suite
 # (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
 # EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
 # worker threads under the race detector.
@@ -84,15 +88,20 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/resilience suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience suites) =="
   # Validates the hot-path memory pools: parked payload blocks and recycled
   # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
-  # even though the memory never went back to the system allocator. Runs both
+  # even though the memory never went back to the system allocator. The vmpi
+  # suites check message-block ownership: a block adopted by the unexpected
+  # queue or held by a rendezvous send is freed exactly once. Runs both
   # pooled and --no-pool configurations via EXASIM_NO_POOL.
+  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience'
+  pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
-  cmake --build build-asan -j "$JOBS" --target test_util test_fiber test_pdes test_vmpi_p2p test_resilience
-  (cd build-asan && ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
-  (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
+  # shellcheck disable=SC2086  # $suites is a word list by design.
+  cmake --build build-asan -j "$JOBS" --target $suites
+  (cd build-asan && ctest --output-on-failure -R "$pattern")
+  (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R "$pattern")
 }
 
 run_mc() {

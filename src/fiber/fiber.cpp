@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -111,6 +112,29 @@ FiberDispatchStats fiber_dispatch_stats() {
 void fiber_note_wakeup_suppressed() {
   g_wakeups_suppressed.fetch_add(1, std::memory_order_relaxed);
 }
+
+namespace {
+
+/// An unguarded stack's overflow check, run each time its fiber switches
+/// back to the scheduler: the zero canary at the low end (FiberStackPool)
+/// must still be zero. Past it lies someone else's memory, so there is
+/// nothing to recover.
+void check_stack_canary(const void* stack, std::size_t bytes, bool guarded) {
+  if (guarded) return;
+  const auto* words = static_cast<const std::uint64_t*>(stack);
+  std::uint64_t written = 0;
+  for (std::size_t i = 0; i < FiberStackPool::kCanaryBytes / sizeof(std::uint64_t); ++i) {
+    written |= words[i];
+  }
+  if (written == 0) return;
+  std::fprintf(stderr,
+               "exasim: fiber stack overflow: a fiber overwrote the low end of its %zu-byte "
+               "unguarded stack (raise --stack-bytes)\n",
+               bytes);
+  std::abort();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Context switching
@@ -256,6 +280,7 @@ void Fiber::resume() {
   EXASIM_ASAN_START_SWITCH(&impl_->asan_caller_fake, stack_, stack_bytes_);
   exasim_ctx_switch(&impl_->caller_sp, impl_->self_sp);
   EXASIM_ASAN_FINISH_SWITCH(impl_->asan_caller_fake, nullptr, nullptr);
+  check_stack_canary(stack_, stack_bytes_, stack_guarded_);
   // Either the fiber yielded (t_current reset in yield) or finished
   // (t_current reset in run_body_and_exit).
 }
@@ -336,6 +361,7 @@ void Fiber::resume() {
     throw std::runtime_error("swapcontext failed");
   }
   EXASIM_ASAN_FINISH_SWITCH(impl_->asan_caller_fake, nullptr, nullptr);
+  check_stack_canary(stack_, stack_bytes_, stack_guarded_);
 }
 
 void Fiber::yield() {

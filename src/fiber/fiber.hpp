@@ -58,7 +58,9 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   /// Switches into the fiber. Must not be called from inside any fiber
-  /// belonging to the same thread, and not after finished().
+  /// belonging to the same thread, and not after finished(). On the way
+  /// back, aborts the process if the fiber overflowed an unguarded stack
+  /// (FiberStackPool's canary).
   void resume();
 
   /// Yields from inside the currently running fiber back to its resumer.

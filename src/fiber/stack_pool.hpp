@@ -19,7 +19,12 @@ namespace exasim {
 /// up to a budget derived from vm.max_map_count and hands out unguarded
 /// stacks beyond it: debugging-scale runs always get guards, extreme
 /// oversubscription trades the last few thousand guards for fitting in the
-/// default VMA limit.
+/// default VMA limit. An unguarded stack has a canary instead: its lowest
+/// kCanaryBytes stay zero, as the kernel mapped them, unless an overflow
+/// reaches them, and Fiber checks them each time the fiber switches back.
+/// The check only reads, and reading a never-written page maps the kernel's
+/// shared zero page, so the canary costs no resident memory (a written
+/// canary word would dirty one page of every unguarded stack).
 ///
 /// Stacks are recycled across fibers — and therefore across simulated
 /// machines, relaunches and campaign items: standing up C = 10^4–10^5
@@ -65,6 +70,9 @@ class FiberStackPool {
     std::uint64_t unguarded = 0;    ///< Live stacks mapped past the budget.
   };
 
+  /// Zero bytes at the low end of every unguarded stack (see above).
+  static constexpr std::size_t kCanaryBytes = 64;
+
   static FiberStackPool& instance();
 
   /// Returns a stack of at least `bytes` (rounded up to whole pages),
@@ -77,6 +85,9 @@ class FiberStackPool {
   void release(Stack stack);
 
   Stats stats() const;
+
+  /// How many guard pages may be live at once (from vm.max_map_count).
+  std::uint64_t guard_budget() const { return guard_budget_; }
 
   /// Unmaps every parked stack, returning its pages and address space
   /// (memory pressure valve / test isolation).

@@ -5,7 +5,7 @@
 namespace exasim {
 
 /// Point-in-time snapshot of the hot-path memory counters (DESIGN.md §9):
-/// the util pool (event payloads, PayloadBuf spills) and the fiber stack
+/// the util pool (event payloads, message blocks with their bytes) and the fiber stack
 /// pool. All counters are monotonic process-wide totals; meter one region —
 /// e.g. one Machine::run() — by diffing two snapshots with perf_delta().
 struct PerfSnapshot {

@@ -28,7 +28,9 @@ class LogicalProcess {
   virtual ~LogicalProcess() = default;
 
   /// Delivers an event. The LP may advance its local state, switch into its
-  /// application fiber, and schedule further events on the engine.
+  /// application fiber, and schedule further events on the engine. The event
+  /// is the LP's: it may keep the payload (release it from ev.payload)
+  /// instead of letting it die with the event.
   virtual void on_event(Engine& engine, Event&& ev) = 0;
 
   /// Invoked when the event queue drains while this LP has not terminated —

@@ -48,14 +48,14 @@ static_assert(sizeof(BlockHeader) == 16, "header must preserve 16-byte alignment
 constexpr std::uint32_t kPoolMagic = 0x50534158u;  // "XASP"
 constexpr std::uint32_t kHeapMagic = 0x48534158u;  // "XASH"
 
-// Size classes for the pooled fast path. Payload objects are 16–120 bytes;
-// spilled PayloadBufs ride the larger classes. Anything above the last class
-// goes straight to the heap (bulk checkpoint payloads — rare and already
-// dominated by the memcpy).
+// Size classes for the pooled fast path. Header-only payloads are 16–64
+// bytes; a message carrying real bytes is one block sized to them and rides
+// the larger classes. Anything above the last class goes straight to the
+// heap (bulk checkpoint payloads — rare and already dominated by the memcpy).
 constexpr std::size_t kClassSizes[] = {32,   64,   128,  256,   512,  1024,
                                        2048, 4096, 8192, 16384, 32768, 65536};
 constexpr std::size_t kClassCount = sizeof(kClassSizes) / sizeof(kClassSizes[0]);
-constexpr std::size_t kMaxPooled = kClassSizes[kClassCount - 1];
+static_assert(kClassSizes[kClassCount - 1] == kPoolMaxBytes, "largest class is kPoolMaxBytes");
 constexpr std::size_t kSlabBytes = 256 * 1024;
 
 std::size_t class_for(std::size_t bytes) {
@@ -85,6 +85,7 @@ struct ThreadCounters {
   std::atomic<std::uint64_t> heap_allocs{0};
   std::atomic<std::uint64_t> slab_allocs{0};
   std::atomic<std::uint64_t> slab_bytes{0};
+  std::atomic<std::uint64_t> carved_bytes{0};
 };
 
 void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
@@ -171,6 +172,7 @@ void* pool_alloc(std::size_t bytes) {
   auto* h = reinterpret_cast<BlockHeader*>(tp.slab_cursor);
   tp.slab_cursor += block;
   tp.slab_remaining -= block;
+  bump(tp.stats.carved_bytes, block);
   h->magic = kPoolMagic;
   h->size_class = static_cast<std::uint32_t>(c);
   return h + 1;
@@ -205,6 +207,7 @@ PoolStats pool_stats() {
     total.heap_allocs += tp->stats.heap_allocs.load(std::memory_order_relaxed);
     total.slab_allocs += tp->stats.slab_allocs.load(std::memory_order_relaxed);
     total.slab_bytes += tp->stats.slab_bytes.load(std::memory_order_relaxed);
+    total.carved_bytes += tp->stats.carved_bytes.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -2,8 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
 
 namespace exasim::util {
 
@@ -12,11 +10,10 @@ namespace exasim::util {
 //
 // The simulator's per-event constant factor is the product: xSim's whole
 // point is oversubscription, so a run delivers millions of events, each of
-// which used to pay one general-purpose heap allocation for its payload (and
-// a second for the payload's byte buffer). pool_alloc/pool_free replace that
-// with per-thread size-class free lists carved from process-lifetime slabs:
-// the steady-state cost is a pointer pop/push, with zero locks and zero
-// heap traffic.
+// which used to pay one general-purpose heap allocation for its payload.
+// pool_alloc/pool_free replace that with per-thread size-class free lists
+// carved from process-lifetime slabs: the steady-state cost is a pointer
+// pop/push, with zero locks and zero heap traffic.
 //
 // Thread model. Free lists are thread-local, which for the sharded PDES
 // engine means pool-local to the owning LP group (each group runs on exactly
@@ -45,6 +42,9 @@ namespace exasim::util {
 bool pool_enabled();
 void set_pool_enabled(bool enabled);
 
+/// Largest request served from a slab; bigger blocks come from the heap.
+inline constexpr std::size_t kPoolMaxBytes = 65536;
+
 /// Allocates `bytes` (16-byte aligned). Never fails softly: throws
 /// std::bad_alloc like operator new.
 void* pool_alloc(std::size_t bytes);
@@ -63,86 +63,9 @@ struct PoolStats {
                                   ///< (pool disabled or oversize block).
   std::uint64_t slab_allocs = 0;  ///< New slabs carved (heap traffic, cold).
   std::uint64_t slab_bytes = 0;   ///< Total bytes reserved in slabs.
+  std::uint64_t carved_bytes = 0; ///< Slab bytes handed out as new blocks,
+                                  ///< 16-byte headers included.
 };
 PoolStats pool_stats();
-
-/// Payload byte buffer with small-buffer optimization: up to kInlineBytes
-/// live inside the object (inside the pooled payload block — zero extra
-/// allocations for the common small-message case); larger payloads spill to
-/// one pool_alloc block. Move-only, like the unique_ptr payloads that carry
-/// it. Default state is empty.
-class PayloadBuf {
- public:
-  static constexpr std::size_t kInlineBytes = 64;
-
-  PayloadBuf() = default;
-  ~PayloadBuf() { reset_spill(); }
-
-  PayloadBuf(const PayloadBuf&) = delete;
-  PayloadBuf& operator=(const PayloadBuf&) = delete;
-
-  PayloadBuf(PayloadBuf&& other) noexcept { steal(other); }
-  PayloadBuf& operator=(PayloadBuf&& other) noexcept {
-    if (this != &other) {
-      reset_spill();
-      steal(other);
-    }
-    return *this;
-  }
-
-  /// Replaces the contents with a copy of [src, src+n).
-  void assign(const void* src, std::size_t n) {
-    resize_uninitialized(n);
-    if (n != 0) std::memcpy(data(), src, n);
-  }
-
-  /// Sets the size to n without initializing new bytes (fill via data()).
-  void resize_uninitialized(std::size_t n) {
-    if (n > kInlineBytes) {
-      if (n > spill_capacity_) {
-        reset_spill();
-        spill_ = static_cast<std::byte*>(pool_alloc(n));
-        spill_capacity_ = n;
-      }
-    }
-    size_ = n;
-  }
-
-  void clear() {
-    reset_spill();
-    size_ = 0;
-  }
-
-  std::byte* data() { return size_ > kInlineBytes ? spill_ : inline_; }
-  const std::byte* data() const { return size_ > kInlineBytes ? spill_ : inline_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  /// True if the contents spilled out of the inline buffer.
-  bool spilled() const { return size_ > kInlineBytes; }
-
- private:
-  void reset_spill() {
-    if (spill_ != nullptr) {
-      pool_free(spill_);
-      spill_ = nullptr;
-      spill_capacity_ = 0;
-    }
-  }
-
-  void steal(PayloadBuf& other) {
-    size_ = other.size_;
-    spill_ = other.spill_;
-    spill_capacity_ = other.spill_capacity_;
-    if (size_ != 0 && size_ <= kInlineBytes) std::memcpy(inline_, other.inline_, size_);
-    other.spill_ = nullptr;
-    other.spill_capacity_ = 0;
-    other.size_ = 0;
-  }
-
-  std::byte inline_[kInlineBytes];
-  std::byte* spill_ = nullptr;
-  std::size_t spill_capacity_ = 0;
-  std::size_t size_ = 0;
-};
 
 }  // namespace exasim::util

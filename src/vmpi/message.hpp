@@ -2,6 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
 
 #include "pdes/event.hpp"
 #include "resilience/notice.hpp"
@@ -39,32 +42,41 @@ struct Envelope {
   Rank src_world_rank = 0;  ///< Sender's world rank (routing, failure checks).
   int tag = 0;
   std::size_t bytes = 0;    ///< Logical payload size (drives the network model).
-  /// RTS only: the sender's request. Invalid for an eager message.
-  RequestHandle send_req;
+  /// The request this message names. RTS: the sender's. Bulk data: the
+  /// receiver's, filled in from the CTS. Invalid for an eager message.
+  RequestHandle req;
 
-  /// True: this is an RTS; the payload arrives separately.
-  bool rendezvous() const { return send_req.valid(); }
+  /// On a kEvMsgArrival: true for an RTS, whose payload arrives separately.
+  bool rendezvous() const { return req.valid(); }
 };
 
-/// Eager payload / rendezvous RTS. The byte buffer is a small-buffer-
-/// optimized util::PayloadBuf: modeled (size-only) sends keep it empty, small
-/// real payloads live inline inside the pooled payload block, and only large
-/// payloads spill to one extra pool block — the eager path never touches the
-/// general heap.
+/// A message on the wire (eager payload, rendezvous RTS or rendezvous bulk
+/// data) as one pool block: this header, then `data_bytes` bytes of real
+/// payload. A modeled (size-only) message carries no bytes and fits the
+/// pool's 64-byte class. The block travels by pointer from the sender to
+/// the engine to the receiver, whose unexpected queue adopts it as is.
 struct MsgPayload final : EventPayload {
   Envelope env;
-  util::PayloadBuf data;  ///< May be empty for size-only (modeled) sends.
+  std::size_t data_bytes;  ///< Real bytes after the header; 0 when modeled.
+
+  /// The only way to build one: a single pool_alloc sized to the bytes.
+  /// `data` may be null only when `n` is 0.
+  static std::unique_ptr<MsgPayload> make(const Envelope& env, const void* data, std::size_t n) {
+    auto* m = ::new (util::pool_alloc(sizeof(MsgPayload) + n)) MsgPayload(env, n);
+    if (n != 0) std::memcpy(m->data(), data, n);
+    return std::unique_ptr<MsgPayload>(m);
+  }
+
+  std::byte* data() { return reinterpret_cast<std::byte*>(this + 1); }
+  const std::byte* data() const { return reinterpret_cast<const std::byte*>(this + 1); }
+
+ private:
+  MsgPayload(const Envelope& e, std::size_t n) : env(e), data_bytes(n) {}
 };
 
 struct CtsPayload final : EventPayload {
   RequestHandle send_req;  ///< At the sender: the request to inject.
-  RequestHandle recv_req;  ///< Echoed into the DataPayload.
-};
-
-struct DataPayload final : EventPayload {
-  RequestHandle recv_req;  ///< At the receiver: the request to complete.
-  util::PayloadBuf data;
-  std::size_t bytes = 0;
+  RequestHandle recv_req;  ///< Named by the bulk data.
 };
 
 // Failure/abort/revoke notices are owned by the resilience subsystem (the
@@ -82,11 +94,11 @@ struct ErrorWakeupPayload final : EventPayload {
 
 /// A message sitting in a process's unexpected queue (arrived before a
 /// matching receive was posted), held in a slab slot and linked into its
-/// (comm, source) FIFO through `next`. `arrival_seq` totally orders arrivals
-/// so that ANY_SOURCE matching across per-source queues stays deterministic.
+/// (comm, source) FIFO through `next`. The arrival's pool block is adopted,
+/// not copied. `arrival_seq` totally orders arrivals so that ANY_SOURCE
+/// matching across per-source queues stays deterministic.
 struct UnexpectedMsg {
-  Envelope env;
-  util::PayloadBuf data;
+  std::unique_ptr<MsgPayload> msg;
   SimTime arrival_time = 0;
   std::uint64_t arrival_seq = 0;
   std::uint32_t next = kNoSlot;

@@ -37,7 +37,7 @@ std::uint32_t slab_acquire(std::vector<T>& store, std::vector<std::uint32_t>& fr
 
 template <class T>
 void slab_release(std::vector<T>& store, std::vector<std::uint32_t>& free, std::uint32_t i) {
-  store[i] = T{};  // Drops any payload spill now; a free slot has serial 0.
+  store[i] = T{};  // Frees any message block the entry holds; a free slot has serial 0.
   free.push_back(i);
 }
 
@@ -316,13 +316,13 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
 
   switch (ev.kind) {
     case kEvMsgArrival:
-      handle_msg_arrival(static_cast<MsgPayload&>(*ev.payload), ev.time);
+      handle_msg_arrival(ev.payload, ev.time);
       break;
     case kEvCtsArrival:
       handle_cts(static_cast<CtsPayload&>(*ev.payload), ev.time);
       break;
     case kEvDataArrival:
-      handle_data(static_cast<DataPayload&>(*ev.payload), ev.time);
+      handle_data(static_cast<MsgPayload&>(*ev.payload), ev.time);
       break;
     case kEvFailureActivation:
       handle_failure_activation(ev.time);
@@ -346,17 +346,19 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
   }
 }
 
-void SimProcess::handle_msg_arrival(MsgPayload& p, SimTime t) {
-  if (!try_match_posted(p.env, std::move(p.data), t)) {
-    // No matching posted receive yet: unexpected queue (normal MPI behavior).
-    note_unexpected(p.env);
-    const std::uint32_t b = bucket_for(p.env.comm_id, p.env.src_comm_rank);
+void SimProcess::handle_msg_arrival(std::unique_ptr<EventPayload>& payload, SimTime t) {
+  const auto& m = static_cast<const MsgPayload&>(*payload);
+  std::uint32_t b = find_bucket(m.env.comm_id, m.env.src_comm_rank);
+  if (!try_match_posted(m, b, t)) {
+    // No matching posted receive yet: unexpected queue (normal MPI behavior),
+    // which takes the arrived block over as is.
+    note_unexpected(m.env);
+    if (b == kNoSlot) b = add_bucket(m.env.comm_id, m.env.src_comm_rank);
     const std::uint32_t i = slab_acquire(unexpected_msgs_, free_unexpected_);
-    UnexpectedMsg& m = unexpected_msgs_[i];
-    m.env = p.env;
-    m.data = std::move(p.data);
-    m.arrival_time = t;
-    m.arrival_seq = next_arrival_seq_++;
+    UnexpectedMsg& u = unexpected_msgs_[i];
+    u.msg.reset(static_cast<MsgPayload*>(payload.release()));
+    u.arrival_time = t;
+    u.arrival_seq = next_arrival_seq_++;
     fifo_push(unexpected_msgs_, buckets_[b].unexpected_head, buckets_[b].unexpected_tail, i);
   }
   maybe_run_fiber();
@@ -369,29 +371,28 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
   if (r == nullptr || r->stage != Request::Stage::kAwaitingCts) return;
   // Clear-to-send: the NIC injects the payload now. The sender's request
   // completes once injection finishes; the receiver gets the bulk data
-  // after the in-flight time.
-  auto data = std::make_unique<DataPayload>();
-  data->recv_req = p.recv_req;
-  data->bytes = r->bytes;
-  data->data = std::move(r->send_data);
+  // (built at post time) after the in-flight time.
+  std::unique_ptr<MsgPayload> data = std::move(r->rdv_data);
+  data->env.req = p.recv_req;
   engine_->schedule(t + fabric_->delivery_at(t, world_rank_, r->peer_world_rank, r->bytes),
                     r->peer_world_rank, kEvDataArrival, std::move(data));
   if (energy_ != nullptr) energy_->add_traffic(world_rank_, r->bytes);
   r->complete_time = t + fabric_->occupancy(r->bytes);
-  r->status.error = Err::kSuccess;
+  r->error = Err::kSuccess;
   mark_done(*r);
   maybe_run_fiber();
 }
 
-void SimProcess::handle_data(DataPayload& p, SimTime t) {
+void SimProcess::handle_data(MsgPayload& p, SimTime t) {
   // Same rule as the CTS: a receive that timed out meanwhile drops the data.
-  Request* r = find_request(p.recv_req);
+  Request* r = find_request(p.env.req);
   if (r == nullptr || r->stage != Request::Stage::kAwaitingData) return;
-  if (r->recv_buffer != nullptr && !p.data.empty()) {
-    std::memcpy(r->recv_buffer, p.data.data(), std::min(r->bytes, p.data.size()));
+  if (r->recv_buffer != nullptr && p.data_bytes != 0) {
+    std::memcpy(r->recv_buffer, p.data(), std::min(r->bytes, p.data_bytes));
   }
-  r->status.bytes = p.bytes;
-  r->status.error = p.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
+  r->error = p.env.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
+  r->bytes = p.env.bytes;
+  r->delivered = true;
   r->complete_time = t + fabric_->receiver_overhead();
   mark_done(*r);
   maybe_run_fiber();
@@ -476,7 +477,7 @@ void SimProcess::handle_error_wakeup(ErrorWakeupPayload& p) {
   if (r == nullptr || r->done()) return;
   unindex_posted(*r);
   r->complete_time = p.error_time;
-  r->status.error = p.error;
+  r->error = p.error;
   mark_done(*r);
   maybe_run_fiber();
 }
@@ -529,7 +530,7 @@ bool SimProcess::on_stall(Engine& engine) {
     r.complete_time = std::max(
         std::max(r.post_time, t_fail) + fabric_->failure_timeout(world_rank_, failed),
         fault_.peer_detect_time(failed));
-    r.status.error = Err::kProcFailed;
+    r.error = Err::kProcFailed;
     mark_done(r);
     progressed = true;
   }
@@ -597,7 +598,10 @@ std::uint32_t SimProcess::find_bucket(int comm_id, Rank src) const {
 
 std::uint32_t SimProcess::bucket_for(int comm_id, Rank src) {
   const std::uint32_t found = find_bucket(comm_id, src);
-  if (found != kNoSlot) return found;
+  return found != kNoSlot ? found : add_bucket(comm_id, src);
+}
+
+std::uint32_t SimProcess::add_bucket(int comm_id, Rank src) {
   buckets_.push_back(MatchBucket{comm_id, src});
   auto insert = [this](std::uint32_t b) {
     const std::size_t mask = bucket_table_.size() - 1;
@@ -616,23 +620,23 @@ std::uint32_t SimProcess::bucket_for(int comm_id, Rank src) {
   return b;
 }
 
-SimProcess::UnexpectedHit SimProcess::find_unexpected(int comm_id, Rank src, int tag) const {
+SimProcess::UnexpectedHit SimProcess::find_unexpected(std::uint32_t fifo, int comm_id,
+                                                      int tag) const {
   UnexpectedHit best;
   auto consider_bucket = [&](std::uint32_t b) {
     std::uint32_t prev = kNoSlot;
     for (std::uint32_t i = buckets_[b].unexpected_head; i != kNoSlot;
          prev = i, i = unexpected_msgs_[i].next) {
       const UnexpectedMsg& m = unexpected_msgs_[i];
-      if (tag != kAnyTag && m.env.tag != tag) continue;
+      if (tag != kAnyTag && m.msg->env.tag != tag) continue;
       if (best.msg == kNoSlot || m.arrival_seq < unexpected_msgs_[best.msg].arrival_seq) {
         best = UnexpectedHit{b, i, prev};
       }
       return;  // Per-source FIFOs are arrival-ordered: first match wins.
     }
   };
-  if (src != kAnySource) {
-    const std::uint32_t b = find_bucket(comm_id, src);
-    if (b != kNoSlot) consider_bucket(b);
+  if (fifo != kAnyFifo) {
+    if (fifo != kNoSlot) consider_bucket(fifo);
   } else {
     // ANY_SOURCE: the earliest matching arrival across all of this
     // communicator's source buckets (deterministic via arrival_seq).
@@ -651,49 +655,43 @@ bool SimProcess::match(const Envelope& env, const Request& r) const {
   return true;
 }
 
-void SimProcess::index_posted(Request& r) {
-  if (r.peer_comm_rank == kAnySource) {
+void SimProcess::index_posted(Request& r, std::uint32_t fifo) {
+  if (fifo == kAnyFifo) {
     fifo_push(slots_, any_head_, any_tail_, r.slot);
   } else {
-    MatchBucket& b = buckets_[bucket_for(r.comm_id, r.peer_comm_rank)];
-    fifo_push(slots_, b.posted_head, b.posted_tail, r.slot);
+    fifo_push(slots_, buckets_[fifo].posted_head, buckets_[fifo].posted_tail, r.slot);
   }
+  r.fifo = fifo;
 }
 
-void SimProcess::unindex_posted(const Request& r) {
-  // Only posted receives are indexed; anything else is a no-op. Callers
-  // invoke this before changing the stage, so the guard sees kPosted.
-  if (r.kind != Request::Kind::kRecv || r.stage != Request::Stage::kPosted) return;
-  std::uint32_t* head = &any_head_;
-  std::uint32_t* tail = &any_tail_;
-  if (r.peer_comm_rank != kAnySource) {
-    const std::uint32_t b = find_bucket(r.comm_id, r.peer_comm_rank);
-    if (b == kNoSlot) return;
-    head = &buckets_[b].posted_head;
-    tail = &buckets_[b].posted_tail;
-  }
+void SimProcess::unindex_posted(Request& r) {
+  if (r.fifo == kNoSlot) return;  // Not indexed (or matched when posted).
+  std::uint32_t& head = r.fifo == kAnyFifo ? any_head_ : buckets_[r.fifo].posted_head;
+  std::uint32_t& tail = r.fifo == kAnyFifo ? any_tail_ : buckets_[r.fifo].posted_tail;
+  r.fifo = kNoSlot;
   // The entry is almost always the head: receives match in post order.
   std::uint32_t prev = kNoSlot;
-  for (std::uint32_t i = *head; i != kNoSlot; prev = i, i = slots_[i].next) {
+  for (std::uint32_t i = head; i != kNoSlot; prev = i, i = slots_[i].next) {
     if (i == r.slot) {
-      fifo_unlink(slots_, *head, *tail, prev, i);
+      fifo_unlink(slots_, head, tail, prev, i);
       return;
     }
   }
 }
 
-void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env,
-                                        util::PayloadBuf&& data, SimTime arrival) {
+void SimProcess::complete_recv_from_msg(Request& r, const MsgPayload& m, SimTime arrival) {
   unindex_posted(r);
-  if (r.recv_buffer != nullptr && !data.empty()) {
-    std::memcpy(r.recv_buffer, data.data(), std::min(r.bytes, data.size()));
+  if (r.recv_buffer != nullptr && m.data_bytes != 0) {
+    std::memcpy(r.recv_buffer, m.data(), std::min(r.bytes, m.data_bytes));
   }
   r.complete_time = std::max(r.post_time, arrival) + fabric_->receiver_overhead();
-  r.status.source = env.src_comm_rank;
-  r.status.tag = env.tag;
-  r.status.bytes = env.bytes;
-  r.status.error = env.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
-  r.peer_world_rank = env.src_world_rank;
+  r.matched = true;
+  r.peer_comm_rank = m.env.src_comm_rank;
+  r.peer_world_rank = m.env.src_world_rank;
+  r.tag = m.env.tag;
+  r.error = m.env.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
+  r.bytes = m.env.bytes;
+  r.delivered = true;
   mark_done(r);
 }
 
@@ -703,25 +701,25 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime 
   // sender; the bulk data will arrive as a kEvDataArrival.
   const SimTime match_time = std::max(r.post_time, arrival) + fabric_->receiver_overhead();
   auto cts = std::make_unique<CtsPayload>();
-  cts->send_req = env.send_req;
+  cts->send_req = env.req;
   cts->recv_req = r.handle();
   engine_->schedule(
       match_time + fabric_->delivery_at(match_time, world_rank_, env.src_world_rank, 0),
       env.src_world_rank, kEvCtsArrival, std::move(cts));
   r.stage = Request::Stage::kAwaitingData;
+  r.matched = true;
+  r.peer_comm_rank = env.src_comm_rank;
   r.peer_world_rank = env.src_world_rank;
-  r.status.source = env.src_comm_rank;
-  r.status.tag = env.tag;
+  r.tag = env.tag;
 }
 
-bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
-                                  SimTime arrival) {
+bool SimProcess::try_match_posted(const MsgPayload& m, std::uint32_t b, SimTime arrival) {
   // MPI matching order: the earliest-posted matching receive wins. Serials
   // are post-ordered and both FIFOs keep post order, so the winner is the
   // lower-serial of the first tag-compatible entry in the explicit
   // (comm, source) bucket and in the ANY_SOURCE FIFO.
+  const Envelope& env = m.env;
   Request* best = nullptr;
-  const std::uint32_t b = find_bucket(env.comm_id, env.src_comm_rank);
   if (b != kNoSlot) {
     for (std::uint32_t i = buckets_[b].posted_head; i != kNoSlot; i = slots_[i].next) {
       if (match(env, slots_[i])) {
@@ -741,19 +739,19 @@ bool SimProcess::try_match_posted(const Envelope& env, util::PayloadBuf&& data,
   if (env.rendezvous()) {
     start_rendezvous_recv(*best, env, arrival);
   } else {
-    complete_recv_from_msg(*best, env, std::move(data), arrival);
+    complete_recv_from_msg(*best, m, arrival);
   }
   return true;
 }
 
-bool SimProcess::try_match_unexpected(Request& r) {
-  const UnexpectedHit hit = find_unexpected(r.comm_id, r.peer_comm_rank, r.tag);
+bool SimProcess::try_match_unexpected(Request& r, std::uint32_t fifo) {
+  const UnexpectedHit hit = find_unexpected(fifo, r.comm_id, r.tag);
   if (hit.msg == kNoSlot) return false;
-  UnexpectedMsg& m = unexpected_msgs_[hit.msg];
-  if (m.env.rendezvous()) {
-    start_rendezvous_recv(r, m.env, m.arrival_time);
+  const UnexpectedMsg& u = unexpected_msgs_[hit.msg];
+  if (u.msg->env.rendezvous()) {
+    start_rendezvous_recv(r, u.msg->env, u.arrival_time);
   } else {
-    complete_recv_from_msg(r, m.env, std::move(m.data), m.arrival_time);
+    complete_recv_from_msg(r, *u.msg, u.arrival_time);
   }
   MatchBucket& b = buckets_[hit.bucket];
   fifo_unlink(unexpected_msgs_, b.unexpected_head, b.unexpected_tail, hit.prev, hit.msg);
@@ -767,12 +765,13 @@ void SimProcess::record_trace(const Request& r) {
   rec.rank = world_rank_;
   rec.start = r.post_time;
   rec.end = r.complete_time;
+  const MsgStatus st = r.status();
   rec.peer = r.kind == Request::Kind::kSend ? r.peer_world_rank
                                             : (r.peer_world_rank >= 0 ? r.peer_world_rank
                                                                       : kAnySource);
-  rec.tag = r.kind == Request::Kind::kSend ? r.tag : r.status.tag;
-  rec.bytes = r.kind == Request::Kind::kSend ? r.bytes : r.status.bytes;
-  rec.error = r.status.error;
+  rec.tag = r.kind == Request::Kind::kSend ? r.tag : st.tag;
+  rec.bytes = r.kind == Request::Kind::kSend ? r.bytes : st.bytes;
+  rec.error = r.error;
   trace_->record(rec);
 }
 
@@ -789,7 +788,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   if (comm.revoked && !allow_revoked) {
     Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
     r.complete_time = clock_;
-    r.status.error = Err::kRevoked;
+    r.error = Err::kRevoked;
     mark_done(r);
     return r.handle();
   }
@@ -810,23 +809,21 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
 
   Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
   r.survives_revoke = allow_revoked;
-  if (!eager) env.send_req = r.handle();
-  auto msg = std::make_unique<MsgPayload>();
-  msg->env = env;
+  const std::size_t data_bytes = data != nullptr ? bytes : 0;
   if (eager) {
-    if (data != nullptr && bytes > 0) msg->data.assign(data, bytes);
     engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, r.peer_world_rank, bytes),
-                      r.peer_world_rank, kEvMsgArrival, std::move(msg));
+                      r.peer_world_rank, kEvMsgArrival, MsgPayload::make(env, data, data_bytes));
     if (energy_ != nullptr) energy_->add_traffic(world_rank_, bytes);
     r.complete_time = clock_;
-    r.status.error = Err::kSuccess;
+    r.error = Err::kSuccess;
     mark_done(r);
     return r.handle();
   }
 
-  if (data != nullptr && bytes > 0) r.send_data.assign(data, bytes);
+  r.rdv_data = MsgPayload::make(env, data, data_bytes);
+  env.req = r.handle();
   engine_->schedule(t0 + fabric_->delivery_at(t0, world_rank_, r.peer_world_rank, 0),
-                    r.peer_world_rank, kEvMsgArrival, std::move(msg));
+                    r.peer_world_rank, kEvMsgArrival, MsgPayload::make(env, nullptr, 0));
   r.stage = Request::Stage::kAwaitingCts;
   // Sending to a peer already known failed: the RTS will be dropped;
   // schedule the timeout release right away (§IV-C: "any message send
@@ -850,15 +847,19 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
   r.survives_revoke = allow_revoked;
   if (comm.revoked && !allow_revoked) {
     r.complete_time = clock_;
-    r.status.error = Err::kRevoked;
+    r.error = Err::kRevoked;
     mark_done(r);
-  } else if (!try_match_unexpected(r)) {
+    return r.handle();
+  }
+  const std::uint32_t fifo = src == kAnySource ? kAnyFifo : bucket_for(comm.id, src);
+  if (!try_match_unexpected(r, fifo)) {
     // Unmatched: if the explicit source is already known failed, the receive
     // can only ever time out (§IV-C).
     if (src != kAnySource && fault_.knows_failed(r.peer_world_rank)) {
       schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
                             fault_.peer_detect_time(r.peer_world_rank));
     }
+    index_posted(r, fifo);  // Findable by future arrivals.
   } else if (r.stage == Request::Stage::kAwaitingData) {
     // Matched a rendezvous RTS from a sender that already failed (the
     // failure notice predates this post): the CTS goes to a dead process and
@@ -869,9 +870,6 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
                             fault_.peer_detect_time(r.peer_world_rank));
     }
   }
-
-  // Still unmatched: make it findable by future arrivals.
-  if (r.stage == Request::Stage::kPosted) index_posted(r);
   return r.handle();
 }
 
@@ -902,10 +900,8 @@ Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* stat
       continue;
     }
     latest = std::max(latest, r->complete_time);
-    if (statuses != nullptr) statuses[k] = r->status;
-    if (first_error == Err::kSuccess && r->status.error != Err::kSuccess) {
-      first_error = r->status.error;
-    }
+    if (statuses != nullptr) statuses[k] = r->status();
+    if (first_error == Err::kSuccess && r->error != Err::kSuccess) first_error = r->error;
     if (trace_ != nullptr) record_trace(*r);
   }
   for (const RequestHandle h : handles) release_request(h);
@@ -923,8 +919,8 @@ bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
   if (!r->done()) return false;
   if (trace_ != nullptr) record_trace(*r);
   raise_clock_to(r->complete_time, /*busy=*/false);
-  if (status != nullptr) *status = r->status;
-  if (err != nullptr) *err = r->status.error;
+  if (status != nullptr) *status = r->status();
+  if (err != nullptr) *err = r->error;
   release_request(h);
   return true;
 }
@@ -936,7 +932,8 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   SimTime t_fail = kSimTimeNever;
 
   auto scan = [&]() -> bool {
-    found = find_unexpected(comm.id, src, tag);
+    found = find_unexpected(src == kAnySource ? kAnyFifo : find_bucket(comm.id, src), comm.id,
+                            tag);
     if (found.msg != kNoSlot) return true;
     if (src != kAnySource && fault_.knows_failed(comm.world_of(src))) {
       failed_peer = comm.world_of(src);
@@ -950,14 +947,12 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   block_until(scan);
   clear_wait();
   if (found.msg != kNoSlot) {
-    const UnexpectedMsg& m = unexpected_msgs_[found.msg];
-    raise_clock_to(std::max(post_time, m.arrival_time) + fabric_->receiver_overhead(),
+    const UnexpectedMsg& u = unexpected_msgs_[found.msg];
+    raise_clock_to(std::max(post_time, u.arrival_time) + fabric_->receiver_overhead(),
                    /*busy=*/false);
     if (status != nullptr) {
-      status->source = m.env.src_comm_rank;
-      status->tag = m.env.tag;
-      status->bytes = m.env.bytes;
-      status->error = Err::kSuccess;
+      const Envelope& env = u.msg->env;
+      *status = MsgStatus{env.src_comm_rank, env.tag, env.bytes, Err::kSuccess};
     }
     return Err::kSuccess;
   }
@@ -1044,7 +1039,7 @@ void SimProcess::apply_revoke(int comm_id, SimTime when) {
     Request& r = slots_[i];
     unindex_posted(r);
     r.complete_time = std::max(r.post_time, when);
-    r.status.error = Err::kRevoked;
+    r.error = Err::kRevoked;
     mark_done(r);
   }
   if (!pending.empty()) maybe_run_fiber();

@@ -277,9 +277,9 @@ class SimProcess final : public LogicalProcess {
   void maybe_run_fiber();
 
   // Event handlers.
-  void handle_msg_arrival(MsgPayload& p, SimTime t);
+  void handle_msg_arrival(std::unique_ptr<EventPayload>& payload, SimTime t);
   void handle_cts(CtsPayload& p, SimTime t);
-  void handle_data(DataPayload& p, SimTime t);
+  void handle_data(MsgPayload& p, SimTime t);
   void handle_failure_activation(SimTime t);
   void handle_failure_notice(FailureNoticePayload& p, SimTime t);
   void handle_abort_notice(AbortNoticePayload& p, SimTime t);
@@ -312,15 +312,22 @@ class SimProcess final : public LogicalProcess {
   /// order the cold paths that schedule events while iterating must keep.
   template <class Pred>
   std::vector<std::uint32_t> live_requests_by_serial(Pred pred) const;
-  std::uint32_t find_bucket(int comm_id, Rank src) const;
-  std::uint32_t bucket_for(int comm_id, Rank src);  ///< Finds or adds.
-  UnexpectedHit find_unexpected(int comm_id, Rank src, int tag) const;
+  // Each message probes the bucket table once on each side: an arrival
+  // resolves its (comm, source) bucket once for the posted scan and the
+  // unexpected push, and a receive resolves its FIFO once for the
+  // unexpected scan and the indexing, then keeps it in Request::fifo.
+  std::uint32_t find_bucket(int comm_id, Rank src) const;  ///< kNoSlot if none.
+  std::uint32_t add_bucket(int comm_id, Rank src);         ///< Must be absent.
+  std::uint32_t bucket_for(int comm_id, Rank src);         ///< Finds or adds.
+  /// `fifo` as in Request::fifo: one bucket, kAnyFifo (every bucket of
+  /// comm_id), or kNoSlot (none, so no hit).
+  UnexpectedHit find_unexpected(std::uint32_t fifo, int comm_id, int tag) const;
   bool match(const Envelope& env, const Request& r) const;
-  void complete_recv_from_msg(Request& r, const Envelope& env, util::PayloadBuf&& data,
-                              SimTime arrival);
+  void complete_recv_from_msg(Request& r, const MsgPayload& m, SimTime arrival);
   void start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival);
-  bool try_match_posted(const Envelope& env, util::PayloadBuf&& data, SimTime arrival);
-  bool try_match_unexpected(Request& r);
+  /// `b`: the arrival's bucket (kNoSlot if it has none yet).
+  bool try_match_posted(const MsgPayload& m, std::uint32_t b, SimTime arrival);
+  bool try_match_unexpected(Request& r, std::uint32_t fifo);
   void record_trace(const Request& r);
 
   // Failure/abort plumbing. Release times honor both the §IV-C per-request
@@ -392,14 +399,16 @@ class SimProcess final : public LogicalProcess {
   // traffic causes no churn, and the table grows geometrically, so a
   // linear collective's root with tens of thousands of sources still finds
   // its bucket in O(1). ANY_SOURCE receives have their own post-ordered
-  // FIFO; every transition out of Stage::kPosted calls unindex_posted first.
-  void index_posted(Request& r);
-  void unindex_posted(const Request& r);
+  // FIFO; every transition out of Stage::kPosted calls unindex_posted, a
+  // no-op for a receive that was never indexed.
+  void index_posted(Request& r, std::uint32_t fifo);
+  void unindex_posted(Request& r);
   std::vector<MatchBucket> buckets_;
   std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
   std::uint32_t any_head_ = kNoSlot;
   std::uint32_t any_tail_ = kNoSlot;
-  // Unexpected messages in a slab with a free list, linked into buckets.
+  // Unexpected messages in a slab with a free list, linked into buckets;
+  // each entry owns its arrival's pool block.
   std::vector<UnexpectedMsg> unexpected_msgs_;
   std::vector<std::uint32_t> free_unexpected_;
   std::uint64_t next_arrival_seq_ = 1;

@@ -2,8 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
-#include "util/pool.hpp"
 #include "util/time.hpp"
 #include "vmpi/types.hpp"
 
@@ -18,9 +18,16 @@ struct RequestHandle {
   bool valid() const { return serial != 0; }
 };
 
+struct MsgPayload;
+
+/// Request::fifo value of a receive indexed in the ANY_SOURCE FIFO.
+inline constexpr std::uint32_t kAnyFifo = kNoSlot - 1;
+
 /// Nonblocking operation state. Lives in a slot of the process's request
 /// table; applications hold opaque handles (slot + serial) via the Context
-/// API.
+/// API. Holds no bytes: a rendezvous send keeps its pre-built bulk-data
+/// message by pointer, and a receive's MsgStatus is folded into the fields
+/// below (status()).
 struct Request {
   enum class Kind : std::uint8_t { kSend, kRecv };
   enum class Stage : std::uint8_t {
@@ -33,39 +40,46 @@ struct Request {
   std::uint64_t serial = 0;       ///< Post order; 0 marks a free slot.
   std::uint32_t slot = 0;         ///< Own index in the request table.
   std::uint32_t next = kNoSlot;   ///< Next receive in the same posted FIFO.
+  /// The posted FIFO this receive is linked into: a match bucket, kAnyFifo,
+  /// or kNoSlot while not indexed.
+  std::uint32_t fifo = kNoSlot;
   Kind kind = Kind::kRecv;
   Stage stage = Stage::kPosted;
+  Err error = Err::kSuccess;     ///< Terminal state (with complete_time).
+  /// Guards against scheduling duplicate timeout releases for one request.
+  bool error_wakeup_scheduled : 1 = false;
+  /// ULFM recovery traffic (shrink/agree) is not failed by a revoke notice.
+  bool survives_revoke : 1 = false;
+  /// The process fiber is blocked in a wait_all that counts this request —
+  /// its completion decrements the count and wakes the fiber.
+  bool waited : 1 = false;
+  /// Receive matched a message: peer_comm_rank and tag now hold the
+  /// sender's, and status() reports them.
+  bool matched : 1 = false;
+  /// Receive got its data: bytes now holds the message's logical size.
+  bool delivered : 1 = false;
 
   int comm_id = 0;
   Rank peer_comm_rank = kAnySource;  ///< Dest (send) or source (recv; may be kAnySource).
   Rank peer_world_rank = -1;         ///< Resolved world rank; -1 for kAnySource until match.
   int tag = kAnyTag;
-  std::size_t bytes = 0;             ///< Send size / recv capacity.
+  std::size_t bytes = 0;             ///< Send size / recv capacity (see delivered).
 
   /// Receive destination; nullptr for modeled (size-only) transfers.
   void* recv_buffer = nullptr;
-
-  /// Send payload (captured at post time); empty for modeled sends.
-  util::PayloadBuf send_data;
+  /// Rendezvous send: its bulk data, built at post time and kept until the
+  /// CTS hands it to the engine.
+  std::unique_ptr<MsgPayload> rdv_data;
 
   SimTime post_time = 0;
-
-  /// Terminal state.
   SimTime complete_time = 0;
-  MsgStatus status;
-
-  /// Guards against scheduling duplicate timeout releases for one request.
-  bool error_wakeup_scheduled = false;
-
-  /// ULFM recovery traffic (shrink/agree) is not failed by a revoke notice.
-  bool survives_revoke = false;
-
-  /// The process fiber is blocked in a wait_all that counts this request —
-  /// its completion decrements the count and wakes the fiber.
-  bool waited = false;
 
   bool done() const { return stage == Stage::kDone; }
   RequestHandle handle() const { return RequestHandle{serial, slot}; }
+  MsgStatus status() const {
+    if (!matched) return MsgStatus{kAnySource, kAnyTag, 0, error};
+    return MsgStatus{peer_comm_rank, tag, delivered ? bytes : 0, error};
+  }
 };
 
 }  // namespace exasim::vmpi

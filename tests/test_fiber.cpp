@@ -209,6 +209,40 @@ TEST(FiberDeathTest, StackOverflowHitsGuardPage) {
       "");
 }
 
+TEST(FiberDeathTest, OverflowOfAnUnguardedStackTripsItsCanary) {
+  // Past the guard budget a stack has no guard page, so an overflow faults
+  // nowhere; the canary at its low end must catch it on the switch back.
+  constexpr std::size_t kBytes = 16 * 1024;
+  if (FiberStackPool::instance().guard_budget() > 200'000) {
+    GTEST_SKIP() << "guard budget too large to exhaust in a test";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto& pool = FiberStackPool::instance();
+        std::vector<FiberStackPool::Stack> held;  // Never released: the child dies.
+        do {
+          held.push_back(pool.acquire(kBytes));
+        } while (held.back().guarded);
+        Fiber f(
+            [] {
+              // The stack is [top - kBytes, top), and this frame sits in its
+              // top page. Scribble everything below it down to the low end,
+              // as a runaway recursion would on its way off the stack.
+              const auto frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+              const std::uintptr_t top = (frame | 4095) + 1;
+              auto* low = reinterpret_cast<volatile std::uint64_t*>(top - kBytes);
+              for (auto* p = reinterpret_cast<volatile std::uint64_t*>(frame - 512); p >= low;
+                   --p) {
+                *p = 0xABABABABABABABABull;
+              }
+            },
+            kBytes);
+        f.resume();
+      },
+      "fiber stack overflow");
+}
+
 TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
   if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
   auto& pool = FiberStackPool::instance();

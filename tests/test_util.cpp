@@ -1,10 +1,15 @@
 // util: time conversions, deterministic RNG, duration & failure-schedule
-// parsing, ParamMap.
+// parsing, ParamMap, the hot-path pool and the sized message block built
+// on it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -12,6 +17,7 @@
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+#include "vmpi/message.hpp"
 
 namespace exasim {
 namespace {
@@ -230,50 +236,71 @@ TEST(Pool, AllocationsAreWritableAndDistinct) {
   for (void* p : blocks) util::pool_free(p);
 }
 
-TEST(PayloadBuf, InlineSmallBuffers) {
-  util::PayloadBuf buf;
-  EXPECT_TRUE(buf.empty());
-  std::vector<std::byte> src(util::PayloadBuf::kInlineBytes, std::byte{0x2a});
-  buf.assign(src.data(), src.size());
-  EXPECT_EQ(buf.size(), src.size());
-  EXPECT_FALSE(buf.spilled());  // Exactly kInlineBytes still fits inline.
-  EXPECT_EQ(std::memcmp(buf.data(), src.data(), src.size()), 0);
+// The sized message block (vmpi::MsgPayload): the envelope and the real
+// bytes share one pool_alloc block sized to them.
+
+/// Builds a block of `n` patterned bytes and checks it reads back intact.
+void expect_round_trip(std::size_t n) {
+  SCOPED_TRACE(n);
+  std::vector<std::byte> src(n);
+  for (std::size_t i = 0; i < n; ++i) src[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  vmpi::Envelope env;
+  env.comm_id = 5;
+  env.src_comm_rank = 6;
+  env.src_world_rank = 7;
+  env.tag = 8;
+  env.bytes = n + 100;  // Logical size is independent of the carried bytes.
+  auto msg = vmpi::MsgPayload::make(env, n == 0 ? nullptr : src.data(), n);
+  ASSERT_EQ(msg->data_bytes, n);
+  EXPECT_EQ(msg->env.tag, 8);
+  EXPECT_EQ(msg->env.src_world_rank, 7);
+  EXPECT_EQ(msg->env.bytes, n + 100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(msg->data()) % 8, 0u);  // Word-aligned bytes.
+  if (n != 0) {
+    EXPECT_EQ(std::memcmp(msg->data(), src.data(), n), 0);
+  }
+  // Freed through the event payload base, as the engine frees it.
+  std::unique_ptr<EventPayload> as_event = std::move(msg);
 }
 
-TEST(PayloadBuf, SpillsLargeBuffersAndMoves) {
-  std::vector<std::byte> src(4096);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::byte>(i & 0xff);
-  util::PayloadBuf buf;
-  buf.assign(src.data(), src.size());
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_EQ(buf.size(), src.size());
-  EXPECT_EQ(std::memcmp(buf.data(), src.data(), src.size()), 0);
+constexpr std::size_t kRoundTripSizes[] = {0, 1, 48, 4096, 70000};
 
-  const void* spill_ptr = buf.data();
-  util::PayloadBuf moved(std::move(buf));
-  EXPECT_EQ(moved.data(), spill_ptr);  // Spill storage moves by pointer swap.
-  EXPECT_EQ(moved.size(), src.size());
-  EXPECT_TRUE(buf.empty());  // NOLINT(bugprone-use-after-move): documented state.
-
-  util::PayloadBuf assigned;
-  assigned.assign(src.data(), 16);
-  assigned = std::move(moved);
-  EXPECT_EQ(assigned.size(), src.size());
-  EXPECT_EQ(std::memcmp(assigned.data(), src.data(), src.size()), 0);
+TEST(MsgPayloadBlock, BytesRoundTrip) {
+  for (const std::size_t n : kRoundTripSizes) expect_round_trip(n);
 }
 
-TEST(PayloadBuf, ReassignShrinksBackInline) {
-  std::vector<std::byte> big(1024, std::byte{0x11});
-  util::PayloadBuf buf;
-  buf.assign(big.data(), big.size());
-  EXPECT_TRUE(buf.spilled());
-  const std::byte small[4] = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4}};
-  buf.assign(small, sizeof small);
-  EXPECT_FALSE(buf.spilled());
-  EXPECT_EQ(buf.size(), sizeof small);
-  EXPECT_EQ(std::memcmp(buf.data(), small, sizeof small), 0);
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
+TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
+  static_assert(sizeof(vmpi::MsgPayload) <= 64, "a modeled message fits the 64-byte class");
+  const bool before = util::pool_enabled();
+  util::set_pool_enabled(true);
+  const std::vector<std::byte> src(util::kPoolMaxBytes, std::byte{0x5a});
+  const std::size_t largest_pooled = util::kPoolMaxBytes - sizeof(vmpi::MsgPayload);
+  auto heap_allocs_of = [&src](std::size_t n) {
+    const std::uint64_t h0 = util::pool_stats().heap_allocs;
+    auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, src.data(), n);
+    return util::pool_stats().heap_allocs - h0;
+  };
+  EXPECT_EQ(heap_allocs_of(0), 0u);
+  EXPECT_EQ(heap_allocs_of(48), 0u);
+  EXPECT_EQ(heap_allocs_of(largest_pooled), 0u);
+  EXPECT_EQ(heap_allocs_of(largest_pooled + 1), 1u);
+  util::set_pool_enabled(before);
+}
+
+TEST(MsgPayloadBlock, SameBytesWithPoolingOff) {
+  // EXASIM_NO_POOL=1 flips the same switch: every block comes from the heap,
+  // and the bytes are the same.
+  const bool before = util::pool_enabled();
+  util::set_pool_enabled(false);
+  const std::uint64_t h0 = util::pool_stats().heap_allocs;
+  for (const std::size_t n : kRoundTripSizes) expect_round_trip(n);
+  EXPECT_EQ(util::pool_stats().heap_allocs - h0, std::size(kRoundTripSizes));
+  // A heap block built while pooling was off is freed correctly after it is
+  // back on (provenance header).
+  auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, nullptr, 0);
+  util::set_pool_enabled(true);
+  msg.reset();
+  util::set_pool_enabled(before);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Allocation guards. Global operator new is replaced with a counting
-// version, so these tests live in their own binary. Each compares two runs
-// that differ only in size or length, so per-machine constants cancel.
+// Allocation and footprint guards. Global operator new is replaced with a
+// counting version, so these tests live in their own binary. The heap
+// guards compare two runs that differ only in size or length, so
+// per-machine constants cancel.
 //
 // - Point-to-point hot path: in steady state a message must not touch the
 //   general heap. A 64-rank torus:4x4x4 6-neighbour modeled halo loop runs
@@ -11,6 +12,10 @@
 // - Rank construction: a 64-rank and a 128-rank machine, counted up to the
 //   first rank entering the application; the difference per extra rank is
 //   what building one simulated process costs.
+// - Footprint: a request slot and an unexpected-queue entry have fixed size
+//   bounds (compile time), and a modeled message in flight holds one small
+//   pool block — pool bytes carved over one halo iteration at 4,096 ranks,
+//   when every message is in flight at once, divided by the messages.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "apps/heat3d.hpp"
@@ -26,6 +32,7 @@
 #include "sim_test_util.hpp"
 #include "util/pool.hpp"
 #include "vmpi/context.hpp"
+#include "vmpi/message.hpp"
 
 namespace {
 
@@ -49,6 +56,12 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace exasim {
 namespace {
 
+// Per-rank state multiplies by the rank count (DESIGN.md §13): a slot table
+// holds every outstanding request, and the unexpected queue one entry per
+// early arrival.
+static_assert(sizeof(vmpi::Request) <= 96, "a request slot stays within 96 bytes");
+static_assert(sizeof(vmpi::UnexpectedMsg) <= 32, "an unexpected-queue entry stays within 32 bytes");
+
 using vmpi::Context;
 using vmpi::Err;
 
@@ -58,14 +71,15 @@ constexpr int kDim = 4;
 constexpr int kRanks = kDim * kDim * kDim;
 constexpr int kNeighbours = 6;
 
-/// Global-heap allocations of one whole run of `iters` halo iterations.
-std::uint64_t halo_run_allocs(int iters, int* errors) {
-  auto app = [iters, errors](Context& ctx) {
+/// A modeled 6-neighbour halo on a dim^3 torus: `iters` iterations of
+/// compute, then six 4 KiB irecvs and isends and one waitall.
+vmpi::AppMain halo_app(int dim, int iters, int* errors) {
+  return [dim, iters, errors](Context& ctx) {
     const int r = ctx.rank();
-    const int x = r % kDim, y = (r / kDim) % kDim, z = r / (kDim * kDim);
-    auto at = [](int xx, int yy, int zz) {
-      auto wrap = [](int v) { return (v + kDim) % kDim; };
-      return wrap(xx) + kDim * (wrap(yy) + kDim * wrap(zz));
+    const int x = r % dim, y = (r / dim) % dim, z = r / (dim * dim);
+    auto at = [dim](int xx, int yy, int zz) {
+      auto wrap = [dim](int v) { return (v + dim) % dim; };
+      return wrap(xx) + dim * (wrap(yy) + dim * wrap(zz));
     };
     const int nbr[kNeighbours] = {at(x - 1, y, z), at(x + 1, y, z), at(x, y - 1, z),
                                   at(x, y + 1, z), at(x, y, z - 1), at(x, y, z + 1)};
@@ -82,10 +96,19 @@ std::uint64_t halo_run_allocs(int iters, int* errors) {
     }
     ctx.finalize();
   };
-  core::SimConfig cfg = test::tiny_config(kRanks);
-  cfg.topology = "torus:4x4x4";
+}
+
+core::SimConfig halo_config(int dim) {
+  core::SimConfig cfg = test::tiny_config(dim * dim * dim);
+  const std::string d = std::to_string(dim);
+  cfg.topology = "torus:" + d + "x" + d + "x" + d;
+  return cfg;
+}
+
+/// Global-heap allocations of one whole run of `iters` halo iterations.
+std::uint64_t halo_run_allocs(int iters, int* errors) {
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  const core::SimResult res = test::run_app(cfg, app);
+  const core::SimResult res = test::run_app(halo_config(kDim), halo_app(kDim, iters, errors));
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   if (res.outcome != core::SimResult::Outcome::kCompleted) ++*errors;
   return after - before;
@@ -169,6 +192,29 @@ std::uint64_t construction_allocs(int ranks) {
   const core::SimResult res = test::run_app(std::move(cfg), app);
   EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
   return at_entry.load() - before;
+}
+
+TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {
+  // Every rank posts its six sends before any message arrives, so all
+  // 6 x 4,096 messages are in flight at once and each needs its own block:
+  // a header-only message is a 64-byte block plus the pool's 16-byte header.
+  const bool pooled_before = util::pool_enabled();
+  util::set_pool_enabled(true);
+  constexpr int kBigDim = 16;
+  constexpr int kBigRanks = kBigDim * kBigDim * kBigDim;
+  core::SimConfig cfg = halo_config(kBigDim);
+  cfg.sim_workers = 1;  // One thread's pool, whatever EXASIM_SIM_WORKERS says.
+  int errors = 0;
+  const std::uint64_t before = util::pool_stats().carved_bytes;
+  const core::SimResult res = test::run_app(std::move(cfg), halo_app(kBigDim, 1, &errors));
+  const std::uint64_t carved = util::pool_stats().carved_bytes - before;
+  util::set_pool_enabled(pooled_before);
+  ASSERT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
+  ASSERT_EQ(errors, 0);
+  const double per_message = static_cast<double>(carved) / (kBigRanks * kNeighbours);
+  std::printf("pool bytes carved: %llu, %.1f per in-flight message\n",
+              static_cast<unsigned long long>(carved), per_message);
+  EXPECT_LE(per_message, 80.0);
 }
 
 TEST(VmpiAlloc, RankConstructionTakesAtMostThreeAllocations) {
