@@ -60,47 +60,53 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventQueueThroughput)->Arg(1024)->Arg(65536);
 
 /// Raw queue ops against a standing population: each iteration pushes one
-/// event at a random offset ahead of the current minimum and pops the
-/// minimum — the sequential engine's inner loop. range(0) = 1 keeps a rolling
-/// near horizon over the insertion span (the two-level fast path); 0 leaves
-/// the horizon disabled so every op goes through the far heap.
+/// event ahead of the current minimum and pops the minimum — the sequential
+/// engine's inner loop. range(0) = 0 pushes at random offsets, which no run
+/// takes for long, so most ops go through the fallback heap; 1 pushes from
+/// 16 interleaved fixed-delay streams, each ascending in key as a
+/// simulation's message classes are, so the sorted runs carry them.
 void BM_QueuePushPop(benchmark::State& state) {
-  const bool near = state.range(0) != 0;
+  const bool streams = state.range(0) != 0;
   constexpr int kStanding = 8192;
+  constexpr int kStreams = 16;
   constexpr SimTime kDense = 4096;        ///< Most traffic lands here (messages).
   constexpr SimTime kSpan = 1024 * 1024;  ///< Occasional timers/checkpoints.
   EventQueue q;
   Rng rng(11);
   SimTime now = 0;
-  auto offset = [&rng](int i) {
-    return (i % 8 != 0) ? rng.next_below(kDense) : rng.next_below(kSpan);
+  std::uint64_t seq = 0;
+  auto make = [&](int i) {
+    Event ev;
+    if (streams) {
+      const int s = static_cast<int>(rng.next_below(kStreams));
+      ev.time = now + 1 + static_cast<SimTime>(s + 1) * (kDense / kStreams);
+      ev.source = static_cast<LpId>(s);
+      ev.seq = seq++;
+    } else {
+      ev.time = now + 1 + ((i % 8 != 0) ? rng.next_below(kDense) : rng.next_below(kSpan));
+      ev.source = static_cast<LpId>(i % 64);
+      ev.seq = rng.next_below(1u << 30);
+    }
+    return ev;
   };
   for (int i = 0; i < kStanding; ++i) {
-    Event ev;
-    ev.time = offset(i);
-    ev.source = static_cast<LpId>(i % 64);
-    ev.seq = static_cast<std::uint64_t>(i);
-    q.push(std::move(ev));
+    q.push(make(i));
+    if (streams && i % 4 == 3) now += 1;  // Streams advance with time.
   }
-  if (near) q.set_horizon(0, kDense * 4);
   int i = 0;
   for (auto _ : state) {
-    Event ev;
-    ev.time = now + 1 + offset(++i);
-    ev.seq = rng.next_below(1u << 30);
-    q.push(std::move(ev));
+    q.push(make(++i));
     Event out = q.pop();
     now = out.time;
-    if (near && now >= q.horizon_end()) q.set_horizon(now, kDense * 4);
     benchmark::DoNotOptimize(out.seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1)->ArgNames({"near"});
+BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1)->ArgNames({"streams"});
 
 /// Inbox merge: drain a batch into a loaded queue. range(0) = 0 pushes the
-/// batch one event at a time (per-entry heap sifts); 1 uses push_bulk (one
-/// Floyd rebuild when the batch is large relative to the heap) — the
+/// batch one event at a time; 1 uses push_bulk (one Floyd rebuild of the
+/// fallback heap when the batch is large relative to it) — the
 /// LpGroup::merge_inbox / relay-unpack path of the sharded engine.
 void BM_QueueBulkMerge(benchmark::State& state) {
   const bool bulk = state.range(0) != 0;

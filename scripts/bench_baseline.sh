@@ -56,12 +56,13 @@ def run(extra):
     p = re.search(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) heap "
                   r"\(([\d.]+)/event\), (\d+) slab KiB", err)
     s = re.search(r"stacks\s*: (\d+) mapped, (\d+) reused, high-water (\d+)", err)
-    if not (m and p and s):
+    # The queue line is always printed on this row (every run pops from a
+    # sorted run); the wakeups line is omitted when zero.
+    q = re.search(r"queue\s*: (\d+) run pops \([\d.]+%\), (\d+) bulk merges", err)
+    if not (m and p and s and q):
         sys.stderr.write(err)
         raise SystemExit("could not parse perf output")
-    # Hot-path counter lines (DESIGN.md §13) are omitted when zero.
     w = re.search(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", err)
-    q = re.search(r"queue\s*: (\d+) near-bucket pops \([\d.]+%\), (\d+) bulk merges", err)
     return {
         "events": int(m.group(1)),
         "wall_seconds": float(m.group(2)),
@@ -77,8 +78,8 @@ def run(extra):
         "stacks_high_water": int(s.group(3)),
         "fiber_resumes": int(w.group(1)) if w else 0,
         "wakeups_suppressed": int(w.group(2)) if w else 0,
-        "queue_near_hits": int(q.group(1)) if q else 0,
-        "bulk_merges": int(q.group(2)) if q else 0,
+        "queue_near_hits": int(q.group(1)),
+        "bulk_merges": int(q.group(2)),
         "peak_rss_kib": max(rss, before),
     }
 

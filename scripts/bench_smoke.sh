@@ -25,8 +25,8 @@
 #     EXASIM_EAGER_WAKEUP=1 (filtering disabled) on 1 and 2 sim workers must
 #     emit result-json byte-identical to the golden — the filter may only
 #     skip no-op fiber resumes, never change a simulated quantity — and the
-#     default run's stderr must report suppressed wakeups and near-bucket
-#     queue pops actually happening.
+#     default run's stderr must report suppressed wakeups and queue pops
+#     served from sorted runs actually happening.
 #  6. Tiered storage (DESIGN.md §14): the macro row with an explicit
 #     --storage=pfs --ckpt-mode=pfs must byte-match the committed golden
 #     (the hierarchy's default path is the pre-refactor flat model), and a
@@ -238,15 +238,15 @@ m = re.search(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", err)
 if not m:
     raise SystemExit("no wakeups counter line in the default macro stderr:\n" + err)
 resumes, suppressed = int(m.group(1)), int(m.group(2))
-q = re.search(r"queue\s*: (\d+) near-bucket pops \(([\d.]+)%\), (\d+) bulk merges", err)
+q = re.search(r"queue\s*: (\d+) run pops \(([\d.]+)%\), (\d+) bulk merges", err)
 if not q:
     raise SystemExit("no queue counter line in the default macro stderr:\n" + err)
-near = int(q.group(1))
-print(f"  default run: {resumes} resumes, {suppressed} suppressed, {near} near-bucket pops")
+run_pops = int(q.group(1))
+print(f"  default run: {resumes} resumes, {suppressed} suppressed, {run_pops} run pops")
 if suppressed == 0:
     raise SystemExit("wakeup filter suppressed nothing on the macro row")
-if near == 0:
-    raise SystemExit("near-horizon buckets served no pops on the macro row")
+if run_pops == 0:
+    raise SystemExit("sorted runs served no queue pops on the macro row")
 EOF
 
 echo "== bench smoke: tiered storage (explicit pfs == golden, staged probe recovers) =="
@@ -344,7 +344,7 @@ def grab(pattern, what):
 perf = grab(r"perf\s*: (\d+) events in ([\d.]+) s wall", "perf line")
 pool = grab(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) heap", "pool line")
 wake = grab(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", "wakeups line")
-queue = grab(r"queue\s*: (\d+) near-bucket pops \([\d.]+%\), (\d+) bulk merges",
+queue = grab(r"queue\s*: (\d+) run pops \([\d.]+%\), (\d+) bulk merges",
              "queue line")
 events, wall = int(perf.group(1)), float(perf.group(2))
 measured = {

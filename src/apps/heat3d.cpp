@@ -266,13 +266,16 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   const Decomposition d = decompose(p, rank, ctx.size());
   const std::size_t state_bytes = d.points() * sizeof(double);
 
+  // Halo buffers exist only with a grid; modeled halos carry no bytes.
   std::unique_ptr<Grid> grid;
+  std::vector<std::vector<double>> send_bufs, recv_bufs;
   if (p.real_compute) {
     grid = std::make_unique<Grid>(d);
     grid->init(p);
     if (p.register_memory) ctx.register_memory("heat3d.grid", grid->raw(), grid->raw_bytes());
+    send_bufs.resize(kDirs);
+    recv_bufs.resize(kDirs);
   }
-  std::vector<std::vector<double>> send_bufs(kDirs), recv_bufs(kDirs);
 
   // Restart path (paper §V-B): "it automatically loads the last checkpoint".
   int start_iteration = 1;

@@ -36,10 +36,10 @@ struct PerfSnapshot {
 
   // Hot-path dispatch & queue traffic (DESIGN.md §13): fiber context
   // switches, spurious resumes the vmpi wakeup filter skipped, event-queue
-  // pops served from the near-horizon bucket array, and bulk inbox merges.
+  // pops served from a sorted run, and bulk inbox merges.
   std::uint64_t fiber_resumes = 0;       ///< Fiber::resume switches.
   std::uint64_t wakeups_suppressed = 0;  ///< Spurious resumes filtered out.
-  std::uint64_t queue_near_hits = 0;     ///< Pops from a near bucket.
+  std::uint64_t queue_near_hits = 0;     ///< Pops from a sorted run.
   std::uint64_t bulk_merges = 0;         ///< EventQueue::push_bulk calls.
 
   // Tiered checkpointing (DESIGN.md §14): non-PFS checkpoint stages,

@@ -330,21 +330,9 @@ void Engine::run() {
 
 void Engine::run_sequential() {
   stop_requested_.store(false, std::memory_order_relaxed);
-  // Rolling near-horizon: 64 lookahead-wide bucket slices starting at the
-  // current event time, rebased whenever delivery crosses the horizon. New
-  // schedules land in the buckets; the pre-run backlog drains from the far
-  // heap as the horizon sweeps over it.
-  const SimTime horizon_span = sharding_.lookahead < (kSimTimeNever >> 7)
-                                   ? sharding_.lookahead * 64
-                                   : sharding_.lookahead;
   for (;;) {
     while (!queue_.empty() && !stop_requested_.load(std::memory_order_relaxed)) {
       Event ev = queue_.pop();
-      if (ev.time >= queue_.horizon_end()) {
-        // The popped event is the global minimum, so every pending event is
-        // at or past it — rebasing never strands anything below the base.
-        queue_.set_horizon(ev.time, horizon_span);
-      }
       if (ev.kind == kRelayEventKind) {
         requeue_relay_items(std::move(ev));
         continue;
@@ -405,6 +393,16 @@ void Engine::run_parallel(int workers, int group_count) {
   plan.groups.reserve(static_cast<std::size_t>(group_count));
   for (int g = 0; g < group_count; ++g) {
     plan.groups.push_back(std::make_unique<LpGroup>(g, group_count));
+  }
+  // Presize each group's member list and queue for its share of the LPs
+  // (one start event each), so distributing them allocates per group, not
+  // per LP.
+  std::vector<std::size_t> share(static_cast<std::size_t>(group_count), 0);
+  for (std::size_t id = 0; id < n; ++id) ++share[static_cast<std::size_t>(group_of_[id])];
+  for (auto& grp : plan.groups) {
+    const std::size_t lps = share[static_cast<std::size_t>(grp->index())];
+    grp->members().reserve(lps);
+    grp->queue().reserve(lps);
   }
   for (std::size_t id = 0; id < n; ++id) {
     plan.groups[static_cast<std::size_t>(group_of_[id])]->members().push_back(
@@ -562,11 +560,6 @@ void Engine::merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup&
 void Engine::run_window(LpGroup& grp, SimTime bound) {
   EventQueue& q = grp.queue();
   std::uint64_t delivered = 0;
-  // The window bound is the natural O(1) near-horizon for this group's
-  // queue: everything deliverable this window lands in the buckets, the rest
-  // falls back to the far heap.
-  const SimTime base = grp.now();
-  q.set_horizon(base, bound > base ? bound - base : 1);
   // Deliberately no stop check inside the window: every group finishes the
   // full window, so the delivered set stays deterministic per worker count.
   while (q.min_time() < bound) {

@@ -1,5 +1,6 @@
 #include "pdes/event_queue.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <utility>
@@ -11,27 +12,48 @@ namespace {
 // Process-wide queue traffic counters (relaxed: statistics, not
 // synchronization). Folded in per run, not per operation, so the hot path
 // never touches an atomic.
-std::atomic<std::uint64_t> g_queue_near_hits{0};
+std::atomic<std::uint64_t> g_queue_run_pops{0};
 std::atomic<std::uint64_t> g_queue_bulk_merges{0};
+
+/// Smallest ring a new run starts with.
+constexpr std::size_t kMinRing = 16;
 
 }  // namespace
 
 QueueStats queue_stats() {
   QueueStats s;
-  s.near_hits = g_queue_near_hits.load(std::memory_order_relaxed);
+  s.near_hits = g_queue_run_pops.load(std::memory_order_relaxed);
   s.bulk_merges = g_queue_bulk_merges.load(std::memory_order_relaxed);
   return s;
 }
 
 void queue_note(const EventQueue::LocalStats& s) {
-  if (s.near_hits != 0) g_queue_near_hits.fetch_add(s.near_hits, std::memory_order_relaxed);
+  if (s.run_pops != 0) g_queue_run_pops.fetch_add(s.run_pops, std::memory_order_relaxed);
   if (s.bulk_merges != 0) {
     g_queue_bulk_merges.fetch_add(s.bulk_merges, std::memory_order_relaxed);
   }
 }
 
+EventQueue::EventQueue() {
+  // Idle slots as a stack with slot 0 on top, so runs fill low slots first.
+  for (int i = 0; i < kMaxRuns; ++i) idle_[i] = static_cast<std::uint8_t>(kMaxRuns - 1 - i);
+  idle_count_ = kMaxRuns;
+}
+
+void EventQueue::reserve(std::size_t n) {
+  const std::size_t fallback = std::min(n, kRunFloor);
+  slab_.reserve(fallback);
+  free_.reserve(fallback);
+  heap_.reserve(fallback);
+  if (n > kRunFloor && idle_count_ > 0) {
+    std::vector<Event>& ring = runs_[idle_[idle_count_ - 1]].ring;
+    const std::size_t want = std::bit_ceil(n - kRunFloor);
+    if (ring.size() < want) ring = std::vector<Event>(want);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Slab
+// Fallback heap: slot-stable slab + 24-byte entry heap
 // ---------------------------------------------------------------------------
 
 std::uint32_t EventQueue::slab_put(Event&& ev) {
@@ -46,98 +68,102 @@ std::uint32_t EventQueue::slab_put(Event&& ev) {
   return slot;
 }
 
-Event EventQueue::slab_take(std::uint32_t slot) {
+void EventQueue::heap_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!entry_less(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+void EventQueue::heap_down(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const Entry e = heap_[i];
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && entry_less(heap_[child + 1], heap_[child])) ++child;
+    if (!entry_less(heap_[child], e)) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = e;
+}
+
+void EventQueue::fallback_push(Event&& ev) {
+  Entry e;
+  e.time = ev.time;
+  e.ps = pack_ps(ev.priority, ev.source);
+  e.slot = slab_put(std::move(ev));
+  heap_.push_back(e);
+  heap_up(heap_.size() - 1);
+}
+
+Event EventQueue::fallback_pop() {
+  const std::uint32_t slot = heap_.front().slot;
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heap_down(0);
   Event ev = std::move(slab_[slot]);
   free_.push_back(slot);
   return ev;
 }
 
 // ---------------------------------------------------------------------------
-// Entry heaps (shared by the far heap and every near bucket)
+// Sorted runs
 // ---------------------------------------------------------------------------
 
-void EventQueue::heap_up(std::vector<Entry>& h, std::size_t i) {
-  const Entry e = h[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry_less(e, h[parent])) break;
-    h[i] = h[parent];
-    i = parent;
-  }
-  h[i] = e;
-}
-
-void EventQueue::heap_down(std::vector<Entry>& h, std::size_t i) {
-  const std::size_t n = h.size();
-  const Entry e = h[i];
+void EventQueue::heads_down(std::size_t i) {
+  const std::size_t n = static_cast<std::size_t>(live_);
+  const Head h = heads_[i];
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && entry_less(h[child + 1], h[child])) ++child;
-    if (!entry_less(h[child], e)) break;
-    h[i] = h[child];
+    if (child + 1 < n && key_less(heads_[child + 1].key, heads_[child].key)) ++child;
+    if (!key_less(heads_[child].key, h.key)) break;
+    heads_[i] = heads_[child];
     i = child;
   }
-  h[i] = e;
+  heads_[i] = h;
 }
 
-EventQueue::Entry EventQueue::heap_pop_root(std::vector<Entry>& h) {
-  const Entry top = h.front();
-  h.front() = h.back();
-  h.pop_back();
-  if (!h.empty()) heap_down(h, 0);
-  return top;
-}
-
-// ---------------------------------------------------------------------------
-// Routing
-// ---------------------------------------------------------------------------
-
-int EventQueue::bucket_of(SimTime t) const {
-  if (t >= near_end_) return -1;  // Also the near_end_ == 0 disabled state.
-  const SimTime rel = t > near_base_ ? t - near_base_ : 0;
-  const SimTime b = rel >> width_shift_;
-  // The overflow-clamped horizon (near_end_ == kSimTimeNever) admits times
-  // past the last bucket slice; they belong to the far heap.
-  return b < kBuckets ? static_cast<int>(b) : -1;
-}
-
-void EventQueue::route(Entry e) {
-  const int b = bucket_of(e.time);
-  if (b < 0) {
-    far_.push_back(e);
-    heap_up(far_, far_.size() - 1);
-    return;
+void EventQueue::start_run(Event&& ev, const Key& k) {
+  const std::uint8_t r = idle_[--idle_count_];
+  Run& run = runs_[r];
+  if (run.ring.empty()) run.ring.resize(kMinRing);
+  run.ring[0] = std::move(ev);
+  run.head = 0;
+  run.count = 1;
+  // No live tail is <= k, so the new run's tail is the smallest.
+  std::copy_backward(tails_.begin(), tails_.begin() + live_, tails_.begin() + live_ + 1);
+  std::copy_backward(tail_run_.begin(), tail_run_.begin() + live_,
+                     tail_run_.begin() + live_ + 1);
+  tails_[0] = k;
+  tail_run_[0] = r;
+  // Sift the new head up.
+  std::size_t i = static_cast<std::size_t>(live_++);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!key_less(k, heads_[parent].key)) break;
+    heads_[i] = heads_[parent];
+    i = parent;
   }
-  std::vector<Entry>& bucket = near_[static_cast<std::size_t>(b)];
-  bucket.push_back(e);
-  heap_up(bucket, bucket.size() - 1);
-  occupied_ |= std::uint64_t{1} << b;
+  heads_[i] = Head{k, r};
+  ++stats_.runs_created;
 }
 
-void EventQueue::set_horizon(SimTime base, SimTime span) {
-  if (span < 1) span = 1;
-  int shift = 0;
-  while ((static_cast<SimTime>(kBuckets) << shift) < span && shift < 48) ++shift;
-  near_base_ = base;
-  width_shift_ = shift;
-  near_end_ = base + (static_cast<SimTime>(kBuckets) << shift);
-  if (near_end_ < base) near_end_ = kSimTimeNever;  // Overflow clamp.
-  if (occupied_ == 0) return;
-  // Re-route leftover near entries under the new slicing (usually none: a
-  // window drains everything below its bound before the horizon moves).
-  scratch_.clear();
-  std::uint64_t occ = occupied_;
-  occupied_ = 0;
-  while (occ != 0) {
-    const int b = std::countr_zero(occ);
-    occ &= occ - 1;
-    std::vector<Entry>& bucket = near_[static_cast<std::size_t>(b)];
-    scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  for (const Entry& e : scratch_) route(e);
-  scratch_.clear();
+void EventQueue::retire_front_run() {
+  const std::uint8_t r = heads_[0].run;
+  const int at = static_cast<int>(
+      std::find(tail_run_.begin(), tail_run_.begin() + live_, r) - tail_run_.begin());
+  std::copy(tails_.begin() + at + 1, tails_.begin() + live_, tails_.begin() + at);
+  std::copy(tail_run_.begin() + at + 1, tail_run_.begin() + live_, tail_run_.begin() + at);
+  heads_[0] = heads_[--live_];
+  if (live_ > 0) heads_down(0);
+  idle_[idle_count_++] = r;
 }
 
 // ---------------------------------------------------------------------------
@@ -145,80 +171,85 @@ void EventQueue::set_horizon(SimTime base, SimTime span) {
 // ---------------------------------------------------------------------------
 
 void EventQueue::push(Event&& ev) {
-  Entry e;
-  e.time = ev.time;
-  e.ps = pack_ps(ev.priority, ev.source);
-  e.slot = slab_put(std::move(ev));
-  route(e);
   ++size_;
+  if (live_ == 0 && size_ <= kRunFloor) {
+    fallback_push(std::move(ev));  // A small queue is the fallback heap alone.
+    return;
+  }
+  const Key k = key_of_event(ev);
+  // Best fit: the live run with the greatest tail <= k.
+  const auto fit = std::upper_bound(tails_.begin(), tails_.begin() + live_, k,
+                                    [](const Key& a, const Key& b) { return key_less(a, b); });
+  if (fit != tails_.begin()) {
+    const auto at = static_cast<std::size_t>(fit - tails_.begin()) - 1;
+    Run& run = runs_[tail_run_[at]];
+    std::size_t cap = run.ring.size();
+    if (run.count == cap) {
+      // Full: unroll into a ring twice the size.
+      std::vector<Event> grown(cap * 2);
+      for (std::size_t i = 0; i < cap; ++i) {
+        grown[i] = std::move(run.ring[(run.head + i) & (cap - 1)]);
+      }
+      run.ring.swap(grown);
+      run.head = 0;
+      cap *= 2;
+    }
+    run.ring[(run.head + run.count) & (cap - 1)] = std::move(ev);
+    ++run.count;
+    tails_[at] = k;  // Still below the next tail, which was > k.
+    return;
+  }
+  if (live_ < kMaxRuns && size_ > kRunFloor) {
+    start_run(std::move(ev), k);
+    return;
+  }
+  fallback_push(std::move(ev));
 }
 
 void EventQueue::push_bulk(std::vector<Event>& evs) {
   if (evs.empty()) return;
   ++stats_.bulk_merges;
-  scratch_.clear();
-  for (Event& ev : evs) {
-    Entry e;
-    e.time = ev.time;
-    e.ps = pack_ps(ev.priority, ev.source);
-    e.slot = slab_put(std::move(ev));
-    ++size_;
-    if (bucket_of(e.time) >= 0) {
-      route(e);  // Near buckets are small; per-entry sifts stay cheap.
-    } else {
-      scratch_.push_back(e);
+  if (evs.size() * 8 >= heap_.size()) {
+    // Batch large relative to the heap: append, then one Floyd rebuild.
+    for (Event& ev : evs) {
+      Entry e;
+      e.time = ev.time;
+      e.ps = pack_ps(ev.priority, ev.source);
+      e.slot = slab_put(std::move(ev));
+      heap_.push_back(e);
     }
+    size_ += evs.size();
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_down(i);
+  } else {
+    for (Event& ev : evs) push(std::move(ev));
   }
   evs.clear();
-  if (scratch_.empty()) return;
-  if (scratch_.size() * 8 >= far_.size()) {
-    // Batch large relative to the heap: append, then one Floyd rebuild.
-    far_.insert(far_.end(), scratch_.begin(), scratch_.end());
-    for (std::size_t i = far_.size() / 2; i-- > 0;) heap_down(far_, i);
-  } else {
-    for (const Entry& e : scratch_) {
-      far_.push_back(e);
-      heap_up(far_, far_.size() - 1);
-    }
-  }
-  scratch_.clear();
-}
-
-const std::vector<EventQueue::Entry>* EventQueue::min_heap(int* bucket) const {
-  const std::vector<Entry>* best = nullptr;
-  *bucket = -1;
-  if (occupied_ != 0) {
-    const int b = std::countr_zero(occupied_);
-    best = &near_[static_cast<std::size_t>(b)];
-    *bucket = b;
-  }
-  if (!far_.empty() && (best == nullptr || entry_less(far_.front(), best->front()))) {
-    best = &far_;
-    *bucket = -1;
-  }
-  return best;
 }
 
 Event EventQueue::pop() {
-  int bucket = -1;
-  min_heap(&bucket);
-  Entry top;
-  if (bucket >= 0) {
-    std::vector<Entry>& h = near_[static_cast<std::size_t>(bucket)];
-    top = heap_pop_root(h);
-    if (h.empty()) occupied_ &= ~(std::uint64_t{1} << bucket);
-    ++stats_.near_hits;
-  } else {
-    top = heap_pop_root(far_);
-  }
   --size_;
-  return slab_take(top.slot);
+  // Keys are unique, so a run head not below the fallback root is above it.
+  if (live_ == 0 || (!heap_.empty() && !key_less_entry(heads_[0].key, heap_.front()))) {
+    return fallback_pop();
+  }
+  ++stats_.run_pops;
+  Run& run = runs_[heads_[0].run];
+  const std::size_t mask = run.ring.size() - 1;
+  Event ev = std::move(run.ring[run.head]);
+  run.head = static_cast<std::uint32_t>((run.head + 1) & mask);
+  if (--run.count == 0) {
+    retire_front_run();
+  } else {
+    heads_[0].key = key_of_event(run.ring[run.head]);
+    heads_down(0);
+  }
+  return ev;
 }
 
 SimTime EventQueue::min_time() const {
-  int bucket = -1;
-  const std::vector<Entry>* h = min_heap(&bucket);
-  return h == nullptr ? kSimTimeNever : h->front().time;
+  SimTime t = heap_.empty() ? kSimTimeNever : heap_.front().time;
+  if (live_ > 0 && heads_[0].key.time < t) t = heads_[0].key.time;
+  return t;
 }
 
 }  // namespace exasim

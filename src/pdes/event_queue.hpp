@@ -11,43 +11,38 @@
 namespace exasim {
 
 /// Min-priority queue of events under EventOrder — the per-LP-group event
-/// heap of the sharded engine (one per group; the sequential engine is the
+/// queue of the sharded engine (one per group; the sequential engine is the
 /// one-group degenerate case). Not thread-safe: each queue is owned by
 /// exactly one worker thread.
 ///
-/// Two-level structure (DESIGN.md §13). Full Event structs live in a
-/// slot-stable slab (vector + free list); the orderings only ever move
-/// 24-byte Entry keys (time, packed priority|source, slab slot), so heap
-/// sifts stop shuffling 56-byte events and their unique_ptr payloads around.
-/// Entries inside the current conservative window land in a 64-bucket
-/// near-horizon array — each bucket a small binary heap covering a
-/// power-of-two time slice — while everything at or past the horizon falls
-/// back to one big far heap. The engine sets the horizon from the window
-/// bound (WindowSync) or, sequentially, as a rolling lookahead-sized window,
-/// so the bucket a pop comes from is almost always the first occupied one
-/// and its heap holds only a sliver of the pending set. Bucket routing is a
-/// placement heuristic only: pop/min_time compare the best near entry
-/// against the far-heap root under the full key, so any horizon (including
-/// none — the initial state routes everything far) delivers the exact
-/// EventOrder sequence.
-///
-/// The per-source `seq` tie-break is not packed into the entry: the
-/// comparator dereferences the slab only when (time, priority, source) tie,
-/// which keeps the common compare at two branch-free word compares.
+/// Sorted runs plus a fallback heap (DESIGN.md §13). A simulation pushes a
+/// few dozen key-ordered streams at once — every message class is scheduled
+/// at "now + a fixed delay", and now only grows — so the pending set is the
+/// union of a few sorted runs. Each run is a ring buffer of whole Events in
+/// key order. A push appends to the run with the greatest tail at or below
+/// the event's key (best fit, a binary search over at most kMaxRuns tails);
+/// appending keeps the tails sorted. An event no run takes starts a new run
+/// when there is room, or goes to the fallback: a binary heap of 24-byte
+/// keys over a slot-stable slab of events. A pop takes the smaller of the
+/// run-head heap's minimum and the fallback's root under the full
+/// (time, priority, source, seq) key, so the pop order is exactly EventOrder
+/// whichever structure holds an event.
 class EventQueue {
  public:
+  EventQueue();
+
   void push(Event&& ev);
-  /// Sizes the storage for `n` pending events, so pushing that many (a
-  /// machine's start events) grows nothing.
-  void reserve(std::size_t n) {
-    slab_.reserve(n);
-    far_.reserve(n);
-  }
+
+  /// Sizes the storage for `n` pending events pushed in key order (a
+  /// machine's start events), so pushing and popping them grows nothing: the
+  /// fallback holds the first kRunFloor and one run the rest.
+  void reserve(std::size_t n);
 
   /// Drains `evs` into the queue — the bulk half of a mailbox merge or relay
-  /// unpack. Entries bound for the far heap are appended and re-heapified in
-  /// one Floyd pass when the batch is large relative to the heap (>= 1/8 of
-  /// its size), which beats per-event sifts for inbox-sized batches.
+  /// unpack. A batch that is large relative to the fallback heap (>= 1/8 of
+  /// it) is appended to the heap and re-heapified in one Floyd pass, which
+  /// beats per-event pushes for inbox-sized batches; a small one is pushed
+  /// event by event.
   void push_bulk(std::vector<Event>& evs);
 
   /// Pops the earliest event; undefined on an empty queue.
@@ -60,23 +55,20 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Points the near-horizon bucket array at [base, base + span'): span is
-  /// rounded up so the 64 buckets have a power-of-two width. Events already
-  /// queued are re-routed between levels lazily (near leftovers re-bucket
-  /// now; far entries stay far) — placement is a heuristic, never a
-  /// correctness input. Called by the engine once per conservative window
-  /// (bound from WindowSync) or per rolling sequential window.
-  void set_horizon(SimTime base, SimTime span);
-
-  /// Exclusive upper time bound of the near buckets (0 until the first
-  /// set_horizon: everything routes to the far heap).
-  SimTime horizon_end() const { return near_end_; }
+  /// Events the run rings (live and idle) have room for: the memory the run
+  /// level holds.
+  std::size_t run_capacity() const {
+    std::size_t n = 0;
+    for (const Run& run : runs_) n += run.ring.size();
+    return n;
+  }
 
   /// Queue-local traffic counters, folded into the process-wide stats
   /// (queue_note) by the engine at the end of a run.
   struct LocalStats {
-    std::uint64_t near_hits = 0;    ///< Pops served from a near bucket.
-    std::uint64_t bulk_merges = 0;  ///< push_bulk calls.
+    std::uint64_t run_pops = 0;      ///< Pops served from a sorted run.
+    std::uint64_t runs_created = 0;  ///< Runs started (including reuses).
+    std::uint64_t bulk_merges = 0;   ///< push_bulk calls.
   };
   LocalStats take_stats() {
     LocalStats s = stats_;
@@ -84,20 +76,60 @@ class EventQueue {
     return s;
   }
 
+  /// At most this many runs are live at once, which bounds the tails'
+  /// binary search and the run-head heap at six levels. Table II at 32,768
+  /// ranks never has more than 46 live runs; random keys fill all 64 and
+  /// spill the rest to the fallback.
+  static constexpr int kMaxRuns = 64;
+  /// A new run starts only once the queue holds more than this many events;
+  /// smaller queues live in the fallback heap alone. Without the floor,
+  /// random keys split a small queue into dozens of short runs:
+  /// BM_EventQueueThroughput/1024 fell from 9.5 to 7.6 M events/s.
+  static constexpr std::size_t kRunFloor = 256;
+
  private:
-  /// Compact ordering key + slab slot. `ps` packs (priority << 32) |
-  /// sign-biased source so one unsigned compare orders both fields.
+  /// Full ordering key. `ps` packs (priority << 32) | sign-biased source so
+  /// one unsigned compare orders both fields.
+  struct Key {
+    SimTime time = 0;
+    std::uint64_t ps = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Fallback heap entry: the key without seq, plus the slab slot. The seq
+  /// tie-break is read from the slab only when (time, priority, source) tie,
+  /// which keeps the common compare at two word compares.
   struct Entry {
     SimTime time = 0;
     std::uint64_t ps = 0;
     std::uint32_t slot = 0;
   };
 
-  static constexpr int kBuckets = 64;
+  /// One sorted run: a power-of-two ring of events in key order. Retired
+  /// runs keep their ring for the next run started in their slot.
+  struct Run {
+    std::vector<Event> ring;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// Run-head heap entry: the key of a live run's first event.
+  struct Head {
+    Key key;
+    std::uint8_t run = 0;
+  };
 
   static std::uint64_t pack_ps(EventPriority priority, LpId source) {
     return (static_cast<std::uint64_t>(priority) << 32) |
            (static_cast<std::uint32_t>(source) ^ 0x80000000u);
+  }
+  static Key key_of_event(const Event& ev) {
+    return Key{ev.time, pack_ps(ev.priority, ev.source), ev.seq};
+  }
+  static bool key_less(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.ps != b.ps) return a.ps < b.ps;
+    return a.seq < b.seq;
   }
 
   bool entry_less(const Entry& a, const Entry& b) const {
@@ -105,40 +137,48 @@ class EventQueue {
     if (a.ps != b.ps) return a.ps < b.ps;
     return slab_[a.slot].seq < slab_[b.slot].seq;
   }
+  bool key_less_entry(const Key& k, const Entry& e) const {
+    if (k.time != e.time) return k.time < e.time;
+    if (k.ps != e.ps) return k.ps < e.ps;
+    return k.seq < slab_[e.slot].seq;
+  }
 
+  // Fallback heap.
+  void fallback_push(Event&& ev);
+  Event fallback_pop();
   std::uint32_t slab_put(Event&& ev);
-  Event slab_take(std::uint32_t slot);
+  void heap_up(std::size_t i);
+  void heap_down(std::size_t i);
 
-  void heap_up(std::vector<Entry>& h, std::size_t i);
-  void heap_down(std::vector<Entry>& h, std::size_t i);
-  Entry heap_pop_root(std::vector<Entry>& h);
+  // Runs.
+  void start_run(Event&& ev, const Key& k);
+  void retire_front_run();
+  void heads_down(std::size_t i);
 
-  /// Bucket index for time t under the current horizon; -1 = far heap.
-  /// Times below the base clamp into bucket 0, so every bucket still covers
-  /// a contiguous ascending time range.
-  int bucket_of(SimTime t) const;
-  void route(Entry e);
-
-  /// Locates the minimum entry under the full key: pointer to the winning
-  /// heap (a near bucket or the far heap), or nullptr when empty.
-  const std::vector<Entry>* min_heap(int* bucket) const;
-
-  std::vector<Event> slab_;          ///< Slot-stable event storage.
-  std::vector<std::uint32_t> free_;  ///< Recyclable slab slots.
-  std::vector<Entry> far_;           ///< Heap of entries at/past the horizon.
-  std::array<std::vector<Entry>, kBuckets> near_;  ///< Per-slice mini-heaps.
-  std::uint64_t occupied_ = 0;       ///< Bit g set <=> near_[g] nonempty.
-  SimTime near_base_ = 0;
-  SimTime near_end_ = 0;             ///< 0 = near level disabled.
-  int width_shift_ = 0;              ///< Bucket width = 1 << width_shift_.
   std::size_t size_ = 0;
-  std::vector<Entry> scratch_;       ///< push_bulk staging (reused).
+
+  std::vector<Event> slab_;          ///< Slot-stable fallback event storage.
+  std::vector<std::uint32_t> free_;  ///< Recyclable slab slots.
+  std::vector<Entry> heap_;          ///< Fallback binary heap.
+
+  std::array<Run, kMaxRuns> runs_;
+  /// Live runs' tail keys in ascending order, and the run owning each.
+  std::array<Key, kMaxRuns> tails_;
+  std::array<std::uint8_t, kMaxRuns> tail_run_{};
+  /// Binary min-heap of live runs' head keys (live_ entries).
+  std::array<Head, kMaxRuns> heads_;
+  int live_ = 0;
+  /// Idle run slots as a stack, the most recently retired on top.
+  std::array<std::uint8_t, kMaxRuns> idle_{};
+  int idle_count_ = 0;
+
   LocalStats stats_;
 };
 
 /// Process-wide queue traffic counters (metrics/perf surfaces them next to
 /// the pool and fan-out counters); engines fold per-queue LocalStats in at
-/// the end of each run.
+/// the end of each run. `near_hits` counts pops served from a sorted run
+/// (the name predates the run queue; it feeds perf's queue_near_hits).
 struct QueueStats {
   std::uint64_t near_hits = 0;
   std::uint64_t bulk_merges = 0;

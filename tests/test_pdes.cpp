@@ -490,7 +490,7 @@ TEST(EventOrder, OrdersByTimePriositySeq) {
   EXPECT_TRUE(EventOrder{}(a, b));
 }
 
-// ---- EventQueue (two-level compact-key queue) ------------------------------
+// ---- EventQueue (sorted runs + fallback heap) ------------------------------
 
 Event make_event(SimTime time, EventPriority prio, LpId source, std::uint64_t seq) {
   Event ev;
@@ -539,25 +539,90 @@ TEST(EventQueue, KeyTiesPopInPriositySourceSeqOrder) {
   expect_pop_order(q, expect);
 }
 
-TEST(EventQueue, NearFarBoundaryPreservesGlobalOrder) {
-  EventQueue q;
-  q.set_horizon(100, 64);  // Near slices cover [100, horizon_end).
-  const SimTime end = q.horizon_end();
-  ASSERT_GT(end, SimTime{100});
+TEST(EventQueue, InterleavedSortedStreamsPopInOrderFromFewRuns) {
+  // k streams, each ascending in key, pushed interleaved well past the run
+  // floor: best fit needs at most one run per stream.
+  constexpr int kStreams = 8;
+  constexpr int kPerStream = 300;
+  Rng rng(41);
+  std::vector<int> next(kStreams, 0);
   std::vector<Event> expect;
+  EventQueue q;
   std::uint64_t seq = 0;
-  // Straddle the boundary: below base, inside, exactly at the end, beyond.
-  for (SimTime t : {end + 50, SimTime{100}, end - 1, SimTime{17}, end, SimTime{101},
-                    end + 1, SimTime{150}}) {
-    expect.push_back(make_event(t, EventPriority::kMessage, 0, seq));
-    q.push(make_event(t, EventPriority::kMessage, 0, seq));
+  for (int pushed = 0; pushed < kStreams * kPerStream;) {
+    const int s = static_cast<int>(rng.next_below(kStreams));
+    if (next[static_cast<std::size_t>(s)] == kPerStream) continue;
+    const int j = next[static_cast<std::size_t>(s)]++;
+    // Streams overlap in time and collide on timestamps.
+    const SimTime t = static_cast<SimTime>(j) * (3 + static_cast<SimTime>(s)) + 17 * s;
+    expect.push_back(make_event(t, EventPriority::kMessage, s, seq));
+    q.push(make_event(t, EventPriority::kMessage, s, seq));
     ++seq;
+    ++pushed;
   }
-  const auto stats_before = q.take_stats();
-  (void)stats_before;
   expect_pop_order(q, expect);
-  // The in-horizon pops must have been served by the near buckets.
-  EXPECT_GE(q.take_stats().near_hits, 5u);
+  const EventQueue::LocalStats stats = q.take_stats();
+  EXPECT_GE(stats.runs_created, 1u);
+  EXPECT_LE(stats.runs_created, static_cast<std::uint64_t>(kStreams));
+  EXPECT_GE(stats.run_pops, static_cast<std::uint64_t>(kStreams * kPerStream) -
+                                EventQueue::kRunFloor);
+}
+
+TEST(EventQueue, DescendingPushesSpillToTheFallbackHeap) {
+  // Every push is below every run tail: each starts a run until kMaxRuns are
+  // live, then the rest spill to the fallback heap.
+  constexpr int kEvents = 1000;
+  std::vector<Event> expect;
+  EventQueue q;
+  for (int i = 0; i < kEvents; ++i) {
+    const SimTime t = static_cast<SimTime>(kEvents - i);
+    expect.push_back(make_event(t, EventPriority::kMessage, 0, static_cast<std::uint64_t>(i)));
+    q.push(make_event(t, EventPriority::kMessage, 0, static_cast<std::uint64_t>(i)));
+  }
+  expect_pop_order(q, expect);
+  const EventQueue::LocalStats stats = q.take_stats();
+  EXPECT_EQ(stats.runs_created, static_cast<std::uint64_t>(EventQueue::kMaxRuns));
+  EXPECT_EQ(stats.run_pops, static_cast<std::uint64_t>(EventQueue::kMaxRuns));
+}
+
+TEST(EventQueue, EqualKeysInDifferentRunsPopBySeq) {
+  EventQueue q;
+  std::vector<Event> expect;
+  // Fill the fallback up to the run floor with later events.
+  for (std::size_t i = 0; i < EventQueue::kRunFloor; ++i) {
+    expect.push_back(make_event(5000, EventPriority::kMessage, 0, i));
+    q.push(make_event(5000, EventPriority::kMessage, 0, i));
+  }
+  // Same (time, priority, source), different seq: 7 starts a run, 3 is below
+  // it and starts a second, 5 and 9 append to the best-fitting one of them.
+  for (std::uint64_t seq : {7, 3, 5, 9}) {
+    expect.push_back(make_event(100, EventPriority::kMessage, 1, seq));
+    q.push(make_event(100, EventPriority::kMessage, 1, seq));
+  }
+  expect_pop_order(q, expect);
+  const EventQueue::LocalStats stats = q.take_stats();
+  EXPECT_EQ(stats.runs_created, 2u);
+  EXPECT_EQ(stats.run_pops, 4u);
+}
+
+TEST(EventQueue, RunThatNeverDrainsHoldsMemoryForItsLiveEvents) {
+  // One run carries a steady stream for 10^6 push/pop pairs without ever
+  // emptying; its ring must stay within twice the peak live count.
+  EventQueue q;
+  constexpr std::uint64_t kLive = 1000;
+  std::uint64_t seq = 0;
+  for (; seq < kLive; ++seq) q.push(make_event(seq, EventPriority::kMessage, 0, seq));
+  std::size_t peak = q.size();
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t oldest = seq - kLive;
+    q.push(make_event(seq, EventPriority::kMessage, 0, seq));
+    ++seq;
+    peak = std::max(peak, q.size());
+    ASSERT_EQ(q.pop().seq, oldest);
+  }
+  EXPECT_EQ(q.take_stats().runs_created, 1u);
+  EXPECT_GT(q.run_capacity(), 0u);
+  EXPECT_LE(q.run_capacity(), 2 * peak);
 }
 
 TEST(EventQueue, PushBulkMatchesIndividualPushes) {
@@ -570,13 +635,11 @@ TEST(EventQueue, PushBulkMatchesIndividualPushes) {
   }
 
   EventQueue individual;
-  individual.set_horizon(0, 256);
   for (const Event& ev : plan) {
     individual.push(make_event(ev.time, ev.priority, ev.source, ev.seq));
   }
 
   EventQueue bulk;
-  bulk.set_horizon(0, 256);
   std::vector<Event> batch;
   for (const Event& ev : plan) batch.push_back(make_event(ev.time, ev.priority, ev.source, ev.seq));
   bulk.push_bulk(batch);
@@ -596,8 +659,10 @@ TEST(EventQueue, PushBulkMatchesIndividualPushes) {
 }
 
 TEST(EventQueue, RandomizedInterleavedOpsMatchReferenceOrder) {
-  // Random pushes/bulk-merges/pops with a rolling horizon, cross-checked
-  // against a sorted reference of whatever should still be queued.
+  // Random pushes, sorted-stream pushes, bulk merges and pops, cross-checked
+  // against a reference of whatever should still be queued. The standing
+  // population swings between below and well above the run floor, so runs
+  // start, drain and retire while the fallback heap holds the rest.
   Rng rng(31);
   EventQueue q;
   std::vector<Event> reference;  // Unordered mirror of the queue contents.
@@ -610,15 +675,35 @@ TEST(EventQueue, RandomizedInterleavedOpsMatchReferenceOrder) {
     }
     return best;
   };
-  for (int step = 0; step < 4000; ++step) {
-    const std::uint64_t dice = rng.next_below(10);
-    if (dice < 5) {
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t target = (step / 2000) % 2 == 0 ? 1500 : 100;
+    const std::uint64_t pop_pct = reference.size() > target ? 70 : 30;
+    const std::uint64_t dice = rng.next_below(100);
+    if (dice < pop_pct) {
+      if (reference.empty()) continue;
+      ASSERT_FALSE(q.empty());
+      const std::size_t want = ref_min();
+      EXPECT_EQ(q.min_time(), reference[want].time);
+      const Event got = q.pop();
+      EXPECT_EQ(got.time, reference[want].time);
+      EXPECT_EQ(got.source, reference[want].source);
+      EXPECT_EQ(got.seq, reference[want].seq);
+      now = got.time;
+      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(want));
+    } else if (dice < pop_pct + 12) {
       const SimTime t = now + rng.next_below(512);
       const auto src = static_cast<LpId>(rng.next_below(8));
       q.push(make_event(t, EventPriority::kMessage, src, seq));
       reference.push_back(make_event(t, EventPriority::kMessage, src, seq));
       ++seq;
-    } else if (dice < 6) {
+    } else if (dice < 98) {
+      // One of 8 fixed-delay streams: ascending in key because now only grows.
+      const auto src = static_cast<LpId>(rng.next_below(8));
+      const SimTime t = now + 64 * static_cast<SimTime>(src + 1);
+      q.push(make_event(t, EventPriority::kMessage, src, seq));
+      reference.push_back(make_event(t, EventPriority::kMessage, src, seq));
+      ++seq;
+    } else {
       std::vector<Event> batch;
       const std::uint64_t n = rng.next_below(64);
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -628,20 +713,12 @@ TEST(EventQueue, RandomizedInterleavedOpsMatchReferenceOrder) {
         ++seq;
       }
       q.push_bulk(batch);
-    } else if (dice < 7) {
-      q.set_horizon(now, 1 + rng.next_below(1024));
-    } else if (!reference.empty()) {
-      ASSERT_FALSE(q.empty());
-      const std::size_t want = ref_min();
-      const Event got = q.pop();
-      EXPECT_EQ(got.time, reference[want].time);
-      EXPECT_EQ(got.source, reference[want].source);
-      EXPECT_EQ(got.seq, reference[want].seq);
-      now = got.time;
-      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(want));
     }
     ASSERT_EQ(q.size(), reference.size());
   }
+  const EventQueue::LocalStats stats = q.take_stats();
+  EXPECT_GT(stats.runs_created, 1u);
+  EXPECT_GT(stats.run_pops, 0u);
   std::vector<Event> rest = std::move(reference);
   expect_pop_order(q, rest);
 }

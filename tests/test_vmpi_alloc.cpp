@@ -12,6 +12,9 @@
 // - Rank construction: a 64-rank and a 128-rank machine, counted up to the
 //   first rank entering the application; the difference per extra rank is
 //   what building one simulated process costs.
+// - Modeled heat3d set-up: the same two sizes, counted from the first rank
+//   entering the application to the end of a launch with no iterations;
+//   without a grid the application allocates nothing per rank.
 // - Footprint: a request slot and an unexpected-queue entry have fixed size
 //   bounds (compile time), and a modeled message in flight holds one small
 //   pool block — pool bytes carved over one halo iteration at 4,096 ranks,
@@ -192,6 +195,40 @@ std::uint64_t construction_allocs(int ranks) {
   const core::SimResult res = test::run_app(std::move(cfg), app);
   EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
   return at_entry.load() - before;
+}
+
+/// Global-heap allocations of a modeled heat3d launch of `ranks` ranks with
+/// no iterations, from the first rank entering the application to the end
+/// of the run: what the application's own set-up costs.
+std::uint64_t heat3d_launch_allocs(int ranks) {
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.px = p.py = 4;
+  p.pz = ranks / 16;
+  p.total_iterations = 0;
+  p.real_compute = false;
+  ckpt::CheckpointStore store(ranks);
+  std::atomic<std::uint64_t> at_entry{0};
+  std::atomic<bool> entered{false};
+  vmpi::AppMain app = [heat = apps::make_heat3d(p), &at_entry, &entered](Context& ctx) {
+    if (!entered.exchange(true)) at_entry = g_allocs.load(std::memory_order_relaxed);
+    heat(ctx);
+  };
+  const core::SimResult res = test::run_app(test::tiny_config(ranks), app, &store);
+  EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
+  return g_allocs.load(std::memory_order_relaxed) - at_entry.load();
+}
+
+TEST(VmpiAlloc, ModeledHeat3dAllocatesNothingPerRank) {
+  // Without a grid there are no halo bytes, so no halo buffers either.
+  heat3d_launch_allocs(128);  // Warm the pools and the stack cache.
+  const std::uint64_t a64 = heat3d_launch_allocs(64);
+  const std::uint64_t a128 = heat3d_launch_allocs(128);
+  const double per_rank = (static_cast<double>(a128) - static_cast<double>(a64)) / 64.0;
+  std::printf("modeled heat3d allocs: 64 ranks %llu, 128 ranks %llu, %.3f per rank\n",
+              static_cast<unsigned long long>(a64), static_cast<unsigned long long>(a128),
+              per_rank);
+  EXPECT_LT(per_rank, 0.05);
 }
 
 TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {

@@ -432,16 +432,16 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
   EXPECT_EQ(filtered.finished_count, eager.finished_count);
 }
 
-/// A 64-rank 4x4x4-torus 6-neighbour modeled halo loop; returns the result
-/// and the fiber resumes it took.
-SimResult halo_loop(int iters, std::uint64_t* resumes) {
-  constexpr int kDim = 4;
-  auto app = [iters](Context& ctx) {
+/// A dim^3-rank 6-neighbour modeled halo loop on a periodic
+/// dim x dim x dim rank grid, run on `cfg`; returns the result and the
+/// run's perf counters.
+SimResult halo_loop(core::SimConfig cfg, int dim, int iters, PerfSnapshot* perf) {
+  auto app = [dim, iters](Context& ctx) {
     const int r = ctx.rank();
-    const int x = r % kDim, y = (r / kDim) % kDim, z = r / (kDim * kDim);
-    auto at = [](int xx, int yy, int zz) {
-      auto wrap = [](int v) { return (v + kDim) % kDim; };
-      return wrap(xx) + kDim * (wrap(yy) + kDim * wrap(zz));
+    const int x = r % dim, y = (r / dim) % dim, z = r / (dim * dim);
+    auto at = [dim](int xx, int yy, int zz) {
+      auto wrap = [dim](int v) { return (v + dim) % dim; };
+      return wrap(xx) + dim * (wrap(yy) + dim * wrap(zz));
     };
     const int nbr[6] = {at(x - 1, y, z), at(x + 1, y, z), at(x, y - 1, z),
                         at(x, y + 1, z), at(x, y, z - 1), at(x, y, z + 1)};
@@ -456,8 +456,16 @@ SimResult halo_loop(int iters, std::uint64_t* resumes) {
     ctx.finalize();
   };
   const PerfSnapshot before = perf_snapshot();
-  SimResult res = run_app(tiny_config(kDim * kDim * kDim), app);
-  *resumes = perf_delta(before, perf_snapshot()).fiber_resumes;
+  SimResult res = run_app(std::move(cfg), app);
+  *perf = perf_delta(before, perf_snapshot());
+  return res;
+}
+
+/// The 64-rank 4x4x4 halo loop; returns the result and the fiber resumes.
+SimResult halo_loop(int iters, std::uint64_t* resumes) {
+  PerfSnapshot perf;
+  SimResult res = halo_loop(tiny_config(64), 4, iters, &perf);
+  *resumes = perf.fiber_resumes;
   return res;
 }
 
@@ -485,6 +493,32 @@ TEST(P2P, HaloWaitallResumesOncePerWait) {
   EXPECT_EQ(r40 - r20, 20u * 64u);  // One resume per rank per waitall.
   EXPECT_GT(eager20, r20);
   EXPECT_EQ(simulated_json(filtered), simulated_json(eager));
+}
+
+TEST(P2P, RunQueueHaloMatchesOnFourAdaptiveWorkers) {
+  // 512 ranks keep thousands of events pending, past the event queue's run
+  // floor, so sorted runs serve the pops (the 64-rank goldens never get
+  // there). Sequential and 4-worker adaptive runs must agree exactly.
+  constexpr int kDim = 8;
+  core::SimConfig sequential = tiny_config(kDim * kDim * kDim);
+  sequential.sim_workers = 1;
+  sequential.scheduler = "adaptive";
+  core::SimConfig sharded = sequential;
+  sharded.sim_workers = 4;
+  PerfSnapshot seq_perf, par_perf;
+  const SimResult seq = halo_loop(sequential, kDim, 10, &seq_perf);
+  const SimResult par = halo_loop(sharded, kDim, 10, &par_perf);
+  EXPECT_EQ(seq.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(simulated_json(seq), simulated_json(par));
+  EXPECT_EQ(seq.events_processed, par.events_processed);
+  EXPECT_EQ(seq.rank_end_times, par.rank_end_times);
+  EXPECT_EQ(seq.rank_outcomes, par.rank_outcomes);
+  std::printf("run pops: sequential %llu of %llu events, 4 workers %llu\n",
+              static_cast<unsigned long long>(seq_perf.queue_near_hits),
+              static_cast<unsigned long long>(seq.events_processed),
+              static_cast<unsigned long long>(par_perf.queue_near_hits));
+  EXPECT_GT(seq_perf.queue_near_hits, seq.events_processed / 2);
+  EXPECT_GT(par_perf.queue_near_hits, 0u);
 }
 
 TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {

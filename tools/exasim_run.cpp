@@ -139,7 +139,7 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
                                 : 0.0);
   }
   if (p.queue_near_hits > 0 || p.bulk_merges > 0) {
-    std::fprintf(stderr, "queue          : %llu near-bucket pops (%.1f%%), %llu bulk merges\n",
+    std::fprintf(stderr, "queue          : %llu run pops (%.1f%%), %llu bulk merges\n",
                  static_cast<unsigned long long>(p.queue_near_hits),
                  events > 0 ? 100.0 * static_cast<double>(p.queue_near_hits) /
                                   static_cast<double>(events)
