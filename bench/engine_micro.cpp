@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the simulator substrate itself:
 // event-queue throughput, fiber context switches, message matching, p2p
-// round trips, and whole-machine construction — the costs that bound how
+// round trips, whole-machine construction, and the checkpoint store's
+// per-rank write cycle and restore planning — the costs that bound how
 // many simulated MPI processes one native core can carry (xSim's
 // scalability/accuracy trade-off, paper §II-A).
 //
@@ -13,6 +14,8 @@
 #include <memory>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/tiered.hpp"
 #include "core/machine.hpp"
 #include "fiber/fiber.hpp"
 #include "pdes/engine.hpp"
@@ -484,5 +487,60 @@ void BM_MachineConstruction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ranks);
 }
 BENCHMARK(BM_MachineConstruction)->Arg(1024)->Arg(16384);
+
+// ---- Checkpoint store ------------------------------------------------------
+
+// Seconds per simulated rank, printed with an SI suffix (12.3n = 12.3 ns).
+benchmark::Counter per_rank(int ranks) {
+  using C = benchmark::Counter;
+  return C(ranks, C::kIsIterationInvariantRate | C::kInvert);
+}
+
+/// One partner-mode checkpoint of `rank`: own and partner memory copies.
+void write_partner_file(ckpt::CheckpointStore& store, std::uint64_t version, int rank,
+                        std::span<const std::byte> payload) {
+  store.begin(version, rank);
+  store.append(version, rank, payload);
+  store.finalize(version, rank);
+  const int partner = ckpt::partner_of(rank, store.expected_ranks());
+  store.record_copy(version, rank, ckpt::CopyRecord{.level = 0, .holder = rank});
+  store.record_copy(version, rank, ckpt::CopyRecord{.level = 0, .holder = partner});
+}
+
+void BM_RestorePlan(benchmark::State& state) {
+  // A relaunch after one rank in eight died: those ranks fetch their
+  // image from the partner's memory. Rewriting rank 0's file invalidates
+  // the plan, so every iteration pays one full build.
+  const int ranks = static_cast<int>(state.range(0));
+  const std::vector<std::byte> payload(40);
+  ckpt::CheckpointStore store(ranks);
+  for (int r = 0; r < ranks; ++r) write_partner_file(store, 1, r, payload);
+  std::vector<FailureSpec> failures;
+  for (int r = 1; r < ranks; r += 8) failures.push_back(FailureSpec{r, 0});
+  store.apply_failures(failures, 1);
+  for (auto _ : state) {
+    write_partner_file(store, 1, 0, payload);
+    benchmark::DoNotOptimize(store.restore_plan());
+  }
+  state.counters["per_rank"] = per_rank(ranks);
+}
+BENCHMARK(BM_RestorePlan)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
+
+void BM_CheckpointCycle(benchmark::State& state) {
+  // heat3d's steady state: every rank writes the next version, then drops
+  // its file of the previous one after the barrier.
+  const int ranks = static_cast<int>(state.range(0));
+  const std::vector<std::byte> payload(40);
+  ckpt::CheckpointStore store(ranks);
+  std::uint64_t version = 1;
+  for (int r = 0; r < ranks; ++r) write_partner_file(store, version, r, payload);
+  for (auto _ : state) {
+    ++version;
+    for (int r = 0; r < ranks; ++r) write_partner_file(store, version, r, payload);
+    for (int r = 0; r < ranks; ++r) store.remove_file(version - 1, r);
+  }
+  state.counters["per_rank"] = per_rank(ranks);
+}
+BENCHMARK(BM_CheckpointCycle)->Arg(4096)->Arg(32768)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -17,7 +17,9 @@
 # resilience suites it covers where message blocks change owner (adopted
 # unexpected arrivals, rendezvous data built at post time): real-byte
 # collectives (test_vmpi_coll), rendezvous edge cases (test_vmpi_edge) and
-# failure interleavings (test_properties). The mc leg runs the model-checker suite
+# failure interleavings (test_properties), plus the checkpoint store, whose
+# rank-indexed file slots are reset in place and whose restore plan is
+# shared between ranks (test_ckpt, test_storage, test_incremental). The mc leg runs the model-checker suite
 # (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
 # EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
 # worker threads under the race detector.
@@ -88,14 +90,17 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint suites) =="
   # Validates the hot-path memory pools: parked payload blocks and recycled
   # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
   # even though the memory never went back to the system allocator. The vmpi
   # suites check message-block ownership: a block adopted by the unexpected
-  # queue or held by a rendezvous send is freed exactly once. Runs both
-  # pooled and --no-pool configurations via EXASIM_NO_POOL.
-  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience'
+  # queue or held by a rendezvous send is freed exactly once. The checkpoint
+  # suites check the store's file slots (reset in place by begin(), dropped
+  # by remove_file/apply_failures) and the restore plan every rank of a
+  # relaunch reads. Runs both pooled and --no-pool configurations via
+  # EXASIM_NO_POOL.
+  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   # shellcheck disable=SC2086  # $suites is a word list by design.

@@ -1,6 +1,8 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 namespace exasim::ckpt {
@@ -9,52 +11,68 @@ CheckpointStore::CheckpointStore(int expected_ranks) : expected_ranks_(expected_
   if (expected_ranks <= 0) throw std::invalid_argument("expected_ranks <= 0");
 }
 
+std::pair<CheckpointStore::VersionSet*, CheckpointStore::File*> CheckpointStore::locate(
+    std::uint64_t version, int rank) {
+  auto vit = versions_.find(version);
+  if (vit == versions_.end() || rank < 0 || rank >= expected_ranks_) return {nullptr, nullptr};
+  File& file = vit->second.files[static_cast<std::size_t>(rank)];
+  if (!file.exists) return {nullptr, nullptr};
+  return {&vit->second, &file};
+}
+
+const CheckpointStore::File* CheckpointStore::find_file(std::uint64_t version, int rank) const {
+  auto vit = versions_.find(version);
+  if (vit == versions_.end() || rank < 0 || rank >= expected_ranks_) return nullptr;
+  const File& file = vit->second.files[static_cast<std::size_t>(rank)];
+  return file.exists ? &file : nullptr;
+}
+
 void CheckpointStore::begin(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   if (rank < 0 || rank >= expected_ranks_) throw std::invalid_argument("bad rank");
-  VersionSet& set = versions_[version];
-  auto [it, inserted] = set.files.try_emplace(rank);
-  if (!inserted) {
-    if (it->second.finalized) --set.finalized_count;
-    it->second = File{};
+  VersionSet& set = touch(versions_[version]);
+  if (set.files.empty()) set.files.resize(static_cast<std::size_t>(expected_ranks_));
+  File& file = set.files[static_cast<std::size_t>(rank)];
+  if (file.exists) {
+    if (file.finalized) --set.finalized_count;
+  } else {
+    ++set.file_count;
   }
+  file.data.clear();
+  file.copy_count = 0;
+  file.exists = true;
+  file.finalized = false;
 }
 
 void CheckpointStore::append(std::uint64_t version, int rank,
                              std::span<const std::byte> data) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("append before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("append before begin");
-  if (fit->second.finalized) throw std::logic_error("append after finalize");
-  fit->second.data.insert(fit->second.data.end(), data.begin(), data.end());
+  auto [set, file] = locate(version, rank);
+  if (file == nullptr) throw std::logic_error("append before begin");
+  if (file->finalized) throw std::logic_error("append after finalize");
+  touch(*set);
+  file->data.insert(file->data.end(), data.begin(), data.end());
 }
 
 void CheckpointStore::finalize(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("finalize before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("finalize before begin");
-  if (!fit->second.finalized) {
-    fit->second.finalized = true;
-    ++vit->second.finalized_count;
+  auto [set, file] = locate(version, rank);
+  if (file == nullptr) throw std::logic_error("finalize before begin");
+  if (!file->finalized) {
+    file->finalized = true;
+    ++touch(*set).finalized_count;
   }
 }
 
 bool CheckpointStore::file_exists(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  return vit != versions_.end() && vit->second.files.count(rank) != 0;
+  return find_file(version, rank) != nullptr;
 }
 
 bool CheckpointStore::file_finalized(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return false;
-  auto fit = vit->second.files.find(rank);
-  return fit != vit->second.files.end() && fit->second.finalized;
+  const File* file = find_file(version, rank);
+  return file != nullptr && file->finalized;
 }
 
 bool CheckpointStore::set_complete(std::uint64_t version) const {
@@ -65,12 +83,16 @@ bool CheckpointStore::set_complete(std::uint64_t version) const {
 bool CheckpointStore::set_complete_unlocked(std::uint64_t version) const {
   auto vit = versions_.find(version);
   if (vit == versions_.end()) return false;
-  return static_cast<int>(vit->second.files.size()) == expected_ranks_ &&
+  return vit->second.file_count == expected_ranks_ &&
          vit->second.finalized_count == expected_ranks_;
 }
 
 std::optional<std::uint64_t> CheckpointStore::latest_complete() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return latest_complete_unlocked();
+}
+
+std::optional<std::uint64_t> CheckpointStore::latest_complete_unlocked() const {
   for (auto it = versions_.rbegin(); it != versions_.rend(); ++it) {
     if (set_complete_unlocked(it->first)) return it->first;
   }
@@ -79,40 +101,104 @@ std::optional<std::uint64_t> CheckpointStore::latest_complete() const {
 
 std::vector<std::byte> CheckpointStore::read(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return {};
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) return {};
-  return fit->second.data;
+  const File* file = find_file(version, rank);
+  return file == nullptr ? std::vector<std::byte>{} : file->data;
 }
 
 std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return 0;
-  auto fit = vit->second.files.find(rank);
-  return fit == vit->second.files.end() ? 0 : fit->second.data.size();
+  const File* file = find_file(version, rank);
+  return file == nullptr ? 0 : file->data.size();
 }
 
 void CheckpointStore::record_copy(std::uint64_t version, int rank,
                                   const CopyRecord& copy) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("record_copy before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("record_copy before begin");
-  fit->second.copies.push_back(copy);
-  std::stable_sort(fit->second.copies.begin(), fit->second.copies.end(),
-                   [](const CopyRecord& a, const CopyRecord& b) { return a.level < b.level; });
+  auto [set, file] = locate(version, rank);
+  if (file == nullptr) throw std::logic_error("record_copy before begin");
+  if (file->copy_count == kMaxCopies) throw std::logic_error("record_copy: too many copies");
+  touch(*set);
+  // Insertion step: after every copy of the same or a faster level.
+  int pos = file->copy_count++;
+  for (; pos > 0 && file->copies[pos - 1].level > copy.level; --pos) {
+    file->copies[pos] = file->copies[pos - 1];
+  }
+  file->copies[pos] = copy;
 }
 
 std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return {};
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) return {};
-  return fit->second.copies;
+  const File* file = find_file(version, rank);
+  if (file == nullptr) return {};
+  return {file->copies.begin(), file->copies.begin() + file->copy_count};
+}
+
+RestorePlan CheckpointStore::build_plan(std::uint64_t version, const VersionSet& set) const {
+  const int world = expected_ranks_;
+  RestorePlan plan;
+  plan.version = version;
+  plan.sources.resize(static_cast<std::size_t>(world));
+  plan.served_offsets.assign(static_cast<std::size_t>(world) + 1, 0);
+  // The peer that sends rank q its file over the network, or -1.
+  auto server = [world](int q, int holder) {
+    return holder >= 0 && holder != q && holder < world ? holder : -1;
+  };
+  for (int q = 0; q < world; ++q) {
+    // How q reaches a copy, cheapest first: its own node memory, a shared
+    // tier (bb/pfs), a peer's node memory (a network fetch).
+    auto access = [q](const CopyRecord& c) { return c.holder == q ? 0 : c.holder < 0 ? 1 : 2; };
+    // Copies are level-ordered: only the fastest level's run competes.
+    const File& file = set.files[static_cast<std::size_t>(q)];
+    const CopyRecord* best = nullptr;
+    for (int i = 0; i < file.copy_count; ++i) {
+      const CopyRecord& c = file.copies[i];
+      if (best != nullptr && c.level != best->level) break;
+      if (best == nullptr || access(c) < access(*best)) best = &c;
+    }
+    RestorePlan::Source& src = plan.sources[static_cast<std::size_t>(q)];
+    if (best != nullptr) {  // No copies: a legacy file, read from the PFS.
+      src.level = best->level;
+      src.holder = best->holder;
+    }
+    src.bytes = file.data.size();
+    if (const int h = server(q, src.holder); h >= 0) ++plan.served_offsets[h + 1];
+  }
+  for (int h = 0; h < world; ++h) plan.served_offsets[h + 1] += plan.served_offsets[h];
+  plan.served.resize(plan.served_offsets.back());
+  std::vector<std::size_t> next(plan.served_offsets.begin(), plan.served_offsets.end() - 1);
+  for (int q = 0; q < world; ++q) {  // Ascending q: each served list is sorted.
+    const int h = server(q, plan.sources[static_cast<std::size_t>(q)].holder);
+    if (h >= 0) plan.served[next[h]++] = q;
+  }
+  return plan;
+}
+
+std::shared_ptr<const RestorePlan> CheckpointStore::restore_plan() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto version = latest_complete_unlocked();
+  if (!version) return nullptr;
+  const VersionSet& set = versions_.find(*version)->second;
+  // Stamps are unique store-wide, so an equal stamp means the same version,
+  // unchanged since the plan was built.
+  if (plan_ == nullptr || plan_stamp_ != set.stamp) {
+    plan_ = std::make_shared<const RestorePlan>(build_plan(*version, set));
+    plan_stamp_ = set.stamp;
+    ++plans_built_;
+  }
+  return plan_;
+}
+
+std::uint64_t CheckpointStore::plans_built() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return plans_built_;
+}
+
+bool CheckpointStore::erase_file(VersionSet& set, File& file) {
+  touch(set);
+  if (file.finalized) --set.finalized_count;
+  --set.file_count;
+  file = File{};
+  return set.file_count == 0;
 }
 
 int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
@@ -120,54 +206,50 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
   std::lock_guard<std::mutex> lock(mu_);
   // Earliest failure time per rank: a rank that died at t takes its node
   // memory (and any drain it was sourcing) with it from t on.
-  std::map<int, SimTime> died;
+  constexpr SimTime kAlive = std::numeric_limits<SimTime>::max();
+  std::vector<SimTime> died(static_cast<std::size_t>(expected_ranks_), kAlive);
   for (const auto& f : failures) {
-    auto [it, inserted] = died.try_emplace(f.rank, f.time);
-    if (!inserted) it->second = std::min(it->second, f.time);
+    if (f.rank < 0 || f.rank >= expected_ranks_) continue;  // Holds no copy.
+    SimTime& t = died[static_cast<std::size_t>(f.rank)];
+    t = std::min(t, f.time);
   }
+  auto survives = [&](const CopyRecord& c) {
+    if (c.ready_time > end_time) return false;  // Drain still in flight.
+    if (c.holder >= 0 && c.holder < expected_ranks_ &&
+        died[static_cast<std::size_t>(c.holder)] != kAlive) {
+      return false;
+    }
+    if (c.depends_on >= 0 && c.depends_on < expected_ranks_ &&
+        died[static_cast<std::size_t>(c.depends_on)] < c.depends_until) {
+      return false;
+    }
+    return true;
+  };
   int lost = 0;
-  std::vector<std::uint64_t> doomed_versions;
-  for (auto& [version, set] : versions_) {
-    std::vector<int> doomed_files;
-    for (auto& [rank, file] : set.files) {
-      if (file.copies.empty()) continue;  // Legacy indestructible file.
-      auto survives = [&](const CopyRecord& c) {
-        if (c.ready_time > end_time) return false;  // Drain still in flight.
-        if (c.holder >= 0 && died.count(c.holder) != 0) return false;
-        if (c.depends_on >= 0) {
-          auto dit = died.find(c.depends_on);
-          if (dit != died.end() && dit->second < c.depends_until) return false;
-        }
-        return true;
-      };
-      const auto old_size = file.copies.size();
-      file.copies.erase(
-          std::remove_if(file.copies.begin(), file.copies.end(),
-                         [&](const CopyRecord& c) { return !survives(c); }),
-          file.copies.end());
-      lost += static_cast<int>(old_size - file.copies.size());
-      if (file.copies.empty()) doomed_files.push_back(rank);
+  for (auto vit = versions_.begin(); vit != versions_.end();) {
+    VersionSet& set = vit->second;
+    bool empty = false;
+    for (File& file : set.files) {
+      if (!file.exists || file.copy_count == 0) continue;  // Legacy indestructible.
+      int kept = 0;
+      for (int i = 0; i < file.copy_count; ++i) {
+        if (survives(file.copies[i])) file.copies[kept++] = file.copies[i];
+      }
+      if (kept == file.copy_count) continue;
+      lost += file.copy_count - kept;
+      file.copy_count = static_cast<std::uint8_t>(kept);
+      touch(set);
+      if (kept == 0) empty = erase_file(set, file);
     }
-    for (int rank : doomed_files) {
-      auto fit = set.files.find(rank);
-      if (fit->second.finalized) --set.finalized_count;
-      set.files.erase(fit);
-    }
-    if (set.files.empty()) doomed_versions.push_back(version);
+    vit = empty ? versions_.erase(vit) : std::next(vit);
   }
-  for (auto v : doomed_versions) versions_.erase(v);
   return lost;
 }
 
 void CheckpointStore::remove_file(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return;
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) return;
-  if (fit->second.finalized) --vit->second.finalized_count;
-  vit->second.files.erase(fit);
-  if (vit->second.files.empty()) versions_.erase(vit);
+  auto [set, file] = locate(version, rank);
+  if (file != nullptr && erase_file(*set, *file)) versions_.erase(version);
 }
 
 void CheckpointStore::remove_version(std::uint64_t version) {
@@ -177,19 +259,15 @@ void CheckpointStore::remove_version(std::uint64_t version) {
 
 int CheckpointStore::scrub() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::uint64_t> doomed;
-  for (const auto& [version, files] : versions_) {
-    if (!set_complete_unlocked(version)) doomed.push_back(version);
-  }
-  for (auto v : doomed) versions_.erase(v);
-  return static_cast<int>(doomed.size());
+  auto broken = [this](const auto& entry) { return !set_complete_unlocked(entry.first); };
+  return static_cast<int>(std::erase_if(versions_, broken));
 }
 
 std::vector<std::uint64_t> CheckpointStore::versions() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> out;
   out.reserve(versions_.size());
-  for (const auto& [v, files] : versions_) out.push_back(v);
+  for (const auto& [v, set] : versions_) out.push_back(v);
   return out;
 }
 
@@ -197,7 +275,7 @@ std::size_t CheckpointStore::total_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
   for (const auto& [v, set] : versions_) {
-    for (const auto& [r, f] : set.files) total += f.data.size();
+    for (const File& f : set.files) total += f.data.size();
   }
   return total;
 }
@@ -205,7 +283,7 @@ std::size_t CheckpointStore::total_bytes() const {
 std::size_t CheckpointStore::file_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
-  for (const auto& [v, set] : versions_) total += set.files.size();
+  for (const auto& [v, set] : versions_) total += static_cast<std::size_t>(set.file_count);
   return total;
 }
 

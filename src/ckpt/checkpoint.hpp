@@ -1,11 +1,14 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "iomodel/pfs.hpp"
@@ -37,6 +40,33 @@ struct CopyRecord {
   friend bool operator==(const CopyRecord&, const CopyRecord&) = default;
 };
 
+/// Where every rank of one complete checkpoint version restores from,
+/// built once by CheckpointStore::restore_plan and shared read-only by all
+/// ranks of a relaunch (so a restart costs O(world) in total, not per rank).
+struct RestorePlan {
+  /// The copy one rank restores from, and its file size (modeled fetches
+  /// need exact sizes: vmpi::recv truncation is an error).
+  struct Source {
+    int level = 2;    ///< StorageTierKind ordinal of the chosen copy.
+    int holder = -1;  ///< Rank whose node memory holds it; -1 = shared tier.
+    std::size_t bytes = 0;
+  };
+
+  std::uint64_t version = 0;
+  std::vector<Source> sources;  ///< Indexed by rank.
+  /// CSR reverse index: the ranks holder h serves from its node memory are
+  /// served[served_offsets[h] .. served_offsets[h + 1]), ascending. A rank
+  /// restoring from its own memory is not listed.
+  std::vector<std::size_t> served_offsets;
+  std::vector<int> served;
+
+  std::span<const int> served_by(int holder) const {
+    const auto h = static_cast<std::size_t>(holder);
+    const std::span<const int> all(served);
+    return all.subspan(served_offsets[h], served_offsets[h + 1] - served_offsets[h]);
+  }
+};
+
 /// Application-level checkpoint storage, simulating the parallel file system
 /// the paper's heat application checkpoints to (§V-B).
 ///
@@ -52,6 +82,10 @@ struct CopyRecord {
 /// ranks checkpointing concurrently live on different engine workers.
 class CheckpointStore {
  public:
+  /// Most copy records one file can carry: own memory, partner memory, burst
+  /// buffer and PFS — everything TieredWriter records for one write.
+  static constexpr int kMaxCopies = 4;
+
   explicit CheckpointStore(int expected_ranks);
 
   int expected_ranks() const { return expected_ranks_; }
@@ -78,16 +112,28 @@ class CheckpointStore {
   /// File contents (valid whether finalized or not; empty if missing).
   std::vector<std::byte> read(std::uint64_t version, int rank) const;
 
-  /// Stored size of rank's file (0 if missing) — restore planning needs exact
-  /// sizes for modeled transfers (vmpi::recv truncation is an error).
+  /// Stored size of rank's file (0 if missing).
   std::size_t file_bytes(std::uint64_t version, int rank) const;
 
-  /// Records where a copy of rank's file lives (tiered checkpointing).
+  /// Records where a copy of rank's file lives (tiered checkpointing). The
+  /// copy goes after every recorded copy of the same or a faster level.
+  /// Throws std::logic_error before begin() or past kMaxCopies.
   void record_copy(std::uint64_t version, int rank, const CopyRecord& copy);
 
   /// All surviving copies of rank's file, fastest tier first (empty for
   /// legacy indestructible files and for missing files).
   std::vector<CopyRecord> copies(std::uint64_t version, int rank) const;
+
+  /// The restore plan of the latest complete version, or null when there is
+  /// none (cold start). Each rank restores from its fastest surviving copy;
+  /// among copies of that level, its own memory beats a shared tier beats a
+  /// peer's memory, then the first recorded wins. A file without copies is
+  /// a legacy PFS file. The plan is cached and rebuilt only after its
+  /// version changes, so every rank of a relaunch shares one build.
+  std::shared_ptr<const RestorePlan> restore_plan();
+
+  /// Restore plans this store has built — one per relaunch that restores.
+  std::uint64_t plans_built() const;
 
   /// Applies a run's activated failures to the stored copies: a copy is lost
   /// if its holder died, if it was not ready by `end_time` (in-flight drain),
@@ -116,22 +162,42 @@ class CheckpointStore {
  private:
   struct File {
     std::vector<std::byte> data;
+    /// Physical placements, level-ordered; none = legacy indestructible.
+    std::array<CopyRecord, kMaxCopies> copies{};
+    std::uint8_t copy_count = 0;
+    bool exists = false;
     bool finalized = false;
-    /// Physical placements; empty = legacy indestructible file.
-    std::vector<CopyRecord> copies;
   };
-  /// Per-version bookkeeping. The finalized counter makes set_complete()
-  /// O(1): at restart every one of n ranks asks for the latest complete
-  /// version, and an O(n) scan per ask would make restarts O(n^2).
+  /// Per-version bookkeeping: a dense file table indexed by rank. The
+  /// counters make set_complete() O(1). `stamp` changes with every mutation
+  /// of this version, so a cached plan goes stale only when its own version
+  /// does (heat3d deletes older versions right after restoring).
   struct VersionSet {
-    std::map<int, File> files;
+    std::vector<File> files;
+    int file_count = 0;
     int finalized_count = 0;
+    std::uint64_t stamp = 0;
   };
+  VersionSet& touch(VersionSet& set) {
+    set.stamp = ++mutations_;
+    return set;
+  }
+  /// Rank's existing file in `version` and its set; nulls if there is none.
+  std::pair<VersionSet*, File*> locate(std::uint64_t version, int rank);
+  const File* find_file(std::uint64_t version, int rank) const;
+  /// Drops rank's file from `set`; true if the set is now empty.
+  bool erase_file(VersionSet& set, File& file);
   bool set_complete_unlocked(std::uint64_t version) const;
+  std::optional<std::uint64_t> latest_complete_unlocked() const;
+  RestorePlan build_plan(std::uint64_t version, const VersionSet& set) const;
 
   int expected_ranks_;
   mutable std::mutex mu_;
   std::map<std::uint64_t, VersionSet> versions_;
+  std::uint64_t mutations_ = 0;
+  std::shared_ptr<const RestorePlan> plan_;
+  std::uint64_t plan_stamp_ = 0;
+  std::uint64_t plans_built_ = 0;
 };
 
 /// Writes one rank's checkpoint file, charging the PFS model's write time to

@@ -20,29 +20,6 @@ void note_restore_tier(int level) {
   }
 }
 
-/// How a rank reaches a copy, cheapest first: its own node memory, a shared
-/// tier (bb/pfs), a remote rank's node memory (needs a network fetch).
-int access_class(const CopyRecord& copy, int rank) {
-  if (copy.holder == rank) return 0;
-  if (copy.holder < 0) return 1;
-  return 2;
-}
-
-/// The copy rank `q` restores from: fastest tier, then cheapest access.
-/// An empty copy list is a legacy indestructible file — treat as PFS.
-CopyRecord best_copy(const std::vector<CopyRecord>& copies, int q) {
-  CopyRecord best;  // Defaults: level 2, holder -1 (shared PFS).
-  bool have = false;
-  for (const auto& c : copies) {
-    if (!have || c.level < best.level ||
-        (c.level == best.level && access_class(c, q) < access_class(best, q))) {
-      best = c;
-      have = true;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 const char* to_string(CkptMode mode) {
@@ -202,42 +179,37 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
 std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
     std::uint64_t* version_out, int* tier_out) {
-  const auto version = store.latest_complete();
-  if (!version) return std::nullopt;  // Cold start: decided before any messaging.
+  if (ctx.size() != store.expected_ranks()) {
+    throw std::logic_error("checkpoint store sized for a different world");
+  }
+  // One plan per checkpoint version, shared by every rank: each rank reads
+  // its own source and the ranks it serves, so memory-tier fetches pair up
+  // without negotiation and a relaunch costs O(world) in total.
+  const auto plan = store.restore_plan();
+  if (plan == nullptr) return std::nullopt;  // Cold start: decided before any messaging.
   const int rank = ctx.rank();
-  const int world = ctx.size();
+  const RestorePlan::Source& mine = plan->sources[static_cast<std::size_t>(rank)];
 
-  // Every rank derives the same restore plan from the (global, pre-run)
-  // store state, so memory-tier fetches pair up without negotiation.
-  std::vector<CopyRecord> plan;
-  plan.reserve(static_cast<std::size_t>(world));
-  for (int q = 0; q < world; ++q) {
-    plan.push_back(best_copy(store.copies(*version, q), q));
-  }
-
+  // Receive first, then send in ascending served-rank order: the request
+  // post order every digest was pinned with.
   std::vector<vmpi::RequestHandle> reqs;
-  const CopyRecord& mine = plan[static_cast<std::size_t>(rank)];
   if (mine.holder >= 0 && mine.holder != rank) {
-    reqs.push_back(ctx.irecv_modeled(ctx.world(), mine.holder, kCkptRestoreTag,
-                                     store.file_bytes(*version, rank)));
+    reqs.push_back(ctx.irecv_modeled(ctx.world(), mine.holder, kCkptRestoreTag, mine.bytes));
   }
-  for (int q = 0; q < world; ++q) {
-    if (q == rank) continue;
-    if (plan[static_cast<std::size_t>(q)].holder == rank) {
-      reqs.push_back(ctx.isend_modeled(ctx.world(), q, kCkptRestoreTag,
-                                       store.file_bytes(*version, q)));
-    }
+  for (int q : plan->served_by(rank)) {
+    reqs.push_back(ctx.isend_modeled(ctx.world(), q, kCkptRestoreTag,
+                                     plan->sources[static_cast<std::size_t>(q)].bytes));
   }
   if (!reqs.empty()) {
     const vmpi::Err err = ctx.waitall(ctx.world(), reqs);
     if (err != vmpi::Err::kSuccess) return std::nullopt;
   }
 
-  auto data = store.read(*version, rank);
+  auto data = store.read(plan->version, rank);
   const auto kind = static_cast<StorageTierKind>(mine.level);
   ctx.elapse(storage.model(kind).read_time(data.size(), checkpoint_clients(ctx)));
   note_restore_tier(mine.level);
-  if (version_out != nullptr) *version_out = *version;
+  if (version_out != nullptr) *version_out = plan->version;
   if (tier_out != nullptr) *tier_out = mine.level;
   return data;
 }

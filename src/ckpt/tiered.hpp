@@ -93,13 +93,17 @@ class TieredWriter {
   SimTime drain_ready_ = 0;
 };
 
-/// Tier-aware restart read: picks the nearest surviving copy of this rank's
-/// file in the latest complete set (node memory beats burst buffer beats
-/// PFS; a copy held in a *remote* rank's memory is fetched over the modeled
-/// network). All ranks compute the same deterministic restore plan, so
-/// fetch sends and receives pair up without negotiation. Returns nullopt on
-/// cold start (before any messaging). `tier_out` gets the StorageTierKind
-/// ordinal served from.
+/// Tier-aware restart read of this rank's file in the latest complete set.
+/// The source comes from the store's shared RestorePlan
+/// (CheckpointStore::restore_plan): the nearest surviving copy, where node
+/// memory beats burst buffer beats PFS, and a copy held in a *remote* rank's
+/// memory is fetched over the modeled network. The rank also sends the
+/// files it holds for the peers the plan lists under it, in ascending rank
+/// order; since all ranks read the same plan, sends and receives pair up
+/// without negotiation. Returns nullopt on cold start (before any
+/// messaging) or when a fetch fails. `tier_out` gets the StorageTierKind
+/// ordinal served from. Throws std::logic_error if the store was sized for
+/// a different world.
 std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
     std::uint64_t* version_out = nullptr, int* tier_out = nullptr);

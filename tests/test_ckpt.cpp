@@ -1,5 +1,6 @@
 // ckpt: checkpoint store state machine (complete/incomplete/corrupted),
-// scrub, and the failure-during-write corruption path (paper §V-B/§V-D).
+// scrub, the per-rank file slots (reset in place, level-ordered inline
+// copies), and the failure-during-write corruption path (paper §V-B/§V-D).
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,79 @@ TEST(CheckpointStore, BeginOverwritesPreviousAttempt) {
   store.append(1, 0, bytes_of("new"));
   store.finalize(1, 0);
   EXPECT_EQ(store.read(1, 0), bytes_of("new"));
+}
+
+// ---------------------------------------------------------------------------
+// File slots: a version holds one slot per rank, reset in place by begin().
+
+TEST(CheckpointSlots, BeginTwiceResetsBytesCopiesAndCompleteness) {
+  CheckpointStore store(1);
+  store.begin(1, 0);
+  store.append(1, 0, bytes_of("first attempt"));
+  store.finalize(1, 0);
+  store.record_copy(1, 0, ckpt::CopyRecord{.level = 0, .holder = 0});
+  ASSERT_TRUE(store.set_complete(1));
+
+  store.begin(1, 0);
+  EXPECT_EQ(store.file_bytes(1, 0), 0u);
+  EXPECT_TRUE(store.read(1, 0).empty());
+  EXPECT_TRUE(store.copies(1, 0).empty());
+  EXPECT_TRUE(store.file_exists(1, 0));
+  EXPECT_FALSE(store.file_finalized(1, 0));
+  EXPECT_FALSE(store.set_complete(1));
+  EXPECT_EQ(store.file_count(), 1u);
+
+  store.finalize(1, 0);
+  EXPECT_TRUE(store.set_complete(1));
+}
+
+TEST(CheckpointSlots, LaterVersionCarriesNothingFromAnEarlierOne) {
+  CheckpointStore store(2);
+  for (int r = 0; r < 2; ++r) {
+    store.begin(1, r);
+    store.append(1, r, bytes_of("version one"));
+    store.finalize(1, r);
+    store.record_copy(1, r, ckpt::CopyRecord{.level = 2, .holder = -1});
+  }
+  // Retire version 1 file by file, as heat3d does after its barrier.
+  store.begin(2, 0);
+  store.remove_file(1, 0);
+  store.remove_file(1, 1);
+  EXPECT_EQ(store.versions(), std::vector<std::uint64_t>{2});
+  EXPECT_EQ(store.file_bytes(2, 0), 0u);
+  EXPECT_TRUE(store.copies(2, 0).empty());
+  EXPECT_FALSE(store.file_exists(2, 1));
+  store.begin(2, 1);
+  EXPECT_TRUE(store.read(2, 1).empty());
+  EXPECT_TRUE(store.copies(2, 1).empty());
+  EXPECT_EQ(store.total_bytes(), 0u);
+}
+
+TEST(CheckpointSlots, CopiesStayLevelOrderedWithTiesInInsertionOrder) {
+  CheckpointStore store(4);
+  store.begin(1, 0);
+  store.record_copy(1, 0, ckpt::CopyRecord{.level = 2, .holder = -1});
+  store.record_copy(1, 0, ckpt::CopyRecord{.level = 0, .holder = 3});
+  store.record_copy(1, 0, ckpt::CopyRecord{.level = 1, .holder = -1});
+  store.record_copy(1, 0, ckpt::CopyRecord{.level = 0, .holder = 1});
+  const auto copies = store.copies(1, 0);
+  ASSERT_EQ(copies.size(), 4u);
+  EXPECT_EQ(copies[0].level, 0);
+  EXPECT_EQ(copies[0].holder, 3);  // Recorded before holder 1.
+  EXPECT_EQ(copies[1].level, 0);
+  EXPECT_EQ(copies[1].holder, 1);
+  EXPECT_EQ(copies[2].level, 1);
+  EXPECT_EQ(copies[3].level, 2);
+}
+
+TEST(CheckpointSlots, FifthCopyIsRejected) {
+  CheckpointStore store(1);
+  store.begin(1, 0);
+  for (int i = 0; i < CheckpointStore::kMaxCopies; ++i) {
+    store.record_copy(1, 0, ckpt::CopyRecord{.level = i % 3, .holder = -1});
+  }
+  EXPECT_THROW(store.record_copy(1, 0, ckpt::CopyRecord{}), std::logic_error);
+  EXPECT_EQ(store.copies(1, 0).size(), static_cast<std::size_t>(CheckpointStore::kMaxCopies));
 }
 
 TEST(CheckpointStore, ApiMisuseThrows) {

@@ -1,15 +1,23 @@
 // Storage hierarchy + tiered checkpointing (DESIGN.md §14): spec parsing
 // round-trips and rejection matrix, per-tier cost math, capacity budgets,
-// occupancy-window contention, staged-drain back-pressure, and the
-// partner-loss restart matrix (which tier survives which failure set).
+// occupancy-window contention, staged-drain back-pressure, the
+// partner-loss restart matrix (which tier survives which failure set), and
+// the shared restore plan: a randomized differential check against the
+// per-rank reference policy, per-version invalidation, and one plan per
+// relaunch at 64 and 512 ranks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <random>
 #include <vector>
 
+#include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
+#include "core/runner.hpp"
 #include "iomodel/storage.hpp"
 #include "sim_test_util.hpp"
 #include "vmpi/context.hpp"
@@ -486,6 +494,185 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   run_app(tiny_config(2), restore_app);
   const bool empty = restored[0] == 0 && restored[1] == 0;
   EXPECT_TRUE(empty);
+}
+
+TEST(TieredRestore, StoreSizedForAnotherWorldIsRejected) {
+  CheckpointStore store(3);
+  const StorageHierarchy storage(must_parse("pfs"));
+  std::vector<char> threw(2, 0);  // One slot per rank: ranks may run on different workers.
+  auto app = [&](Context& ctx) {
+    try {
+      ckpt::read_latest_checkpoint_tiered(ctx, store, storage);
+    } catch (const std::logic_error&) {
+      threw[static_cast<std::size_t>(ctx.rank())] = 1;
+    }
+    ctx.finalize();
+  };
+  run_app(tiny_config(2), app);
+  EXPECT_EQ(threw, std::vector<char>(2, 1));
+}
+
+// ---------------------------------------------------------------------------
+// The shared restore plan.
+
+// Reference policy: every rank scans every peer's copy list and picks the
+// fastest tier, then the cheapest access (own memory, shared tier, peer
+// memory), first recorded on ties — the per-rank plan loop the shared plan
+// replaces.
+int access_class(const CopyRecord& copy, int rank) {
+  if (copy.holder == rank) return 0;
+  if (copy.holder < 0) return 1;
+  return 2;
+}
+
+CopyRecord reference_best_copy(const std::vector<CopyRecord>& copies, int q) {
+  CopyRecord best;  // No copies: a legacy file on the PFS.
+  bool have = false;
+  for (const auto& c : copies) {
+    if (!have || c.level < best.level ||
+        (c.level == best.level && access_class(c, q) < access_class(best, q))) {
+      best = c;
+      have = true;
+    }
+  }
+  return best;
+}
+
+CopyRecord mem(int holder) { return {.level = 0, .holder = holder}; }
+CopyRecord shared(int level) { return {.level = level, .holder = -1}; }
+
+std::vector<int> served_list(const ckpt::RestorePlan& plan, int holder) {
+  const auto span = plan.served_by(holder);
+  return {span.begin(), span.end()};
+}
+
+TEST(RestorePlan, MatchesThePerRankReferenceOnRandomStores) {
+  int planned = 0, fetches = 0;  // Guards against a vacuous sample.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+    const int world = 2 + pick(63);
+    CheckpointStore store(world);
+    const int versions = 1 + pick(2);
+    for (int v = 1; v <= versions; ++v) {
+      for (int r = 0; r < world; ++r) {
+        store.begin(v, r);
+        store.append(v, r, std::vector<std::byte>(static_cast<std::size_t>(1 + pick(64))));
+        store.finalize(v, r);
+        // Candidate placements: own memory, partner memory, another peer's
+        // memory, burst buffer, PFS; up to kMaxCopies of them in random order.
+        const int partner = ckpt::partner_of(r, world);
+        const int peer = pick(world);
+        std::vector<CopyRecord> kinds = {mem(r), mem(partner), mem(peer), shared(1), shared(2)};
+        std::shuffle(kinds.begin(), kinds.end(), rng);
+        const int n = pick(CheckpointStore::kMaxCopies + 1);  // 0 = legacy file.
+        for (int i = 0; i < n; ++i) {
+          CopyRecord c = kinds[static_cast<std::size_t>(i)];
+          c.ready_time = sim_ms(pick(10));
+          if (c.holder < 0 && pick(2) == 0) {
+            c.depends_on = r;
+            c.depends_until = c.ready_time;
+          }
+          store.record_copy(v, r, c);
+        }
+      }
+    }
+    std::vector<FailureSpec> failures;
+    for (int f = pick(4); f > 0; --f) {
+      failures.push_back(FailureSpec{pick(world), sim_ms(pick(10))});
+    }
+    store.apply_failures(failures, sim_ms(5 + pick(10)));
+    store.scrub();
+
+    const auto latest = store.latest_complete();
+    const auto plan = store.restore_plan();
+    ASSERT_EQ(plan != nullptr, latest.has_value()) << "seed " << seed;
+    if (!plan) continue;
+    ++planned;
+    ASSERT_EQ(plan->version, *latest);
+    std::vector<std::vector<int>> served(static_cast<std::size_t>(world));
+    for (int q = 0; q < world; ++q) {
+      const CopyRecord want = reference_best_copy(store.copies(*latest, q), q);
+      const auto& got = plan->sources[static_cast<std::size_t>(q)];
+      EXPECT_EQ(got.level, want.level) << "seed " << seed << " rank " << q;
+      EXPECT_EQ(got.holder, want.holder) << "seed " << seed << " rank " << q;
+      EXPECT_EQ(got.bytes, store.file_bytes(*latest, q));
+      if (want.holder >= 0 && want.holder != q) {
+        served[static_cast<std::size_t>(want.holder)].push_back(q);
+        ++fetches;
+      }
+    }
+    for (int h = 0; h < world; ++h) {
+      EXPECT_EQ(served_list(*plan, h), served[static_cast<std::size_t>(h)])
+          << "seed " << seed << " holder " << h;
+    }
+  }
+  std::printf("restore plans checked: %d of 200 stores, %d peer fetches\n", planned, fetches);
+  EXPECT_GT(planned, 50);
+  EXPECT_GT(fetches, 100);
+}
+
+TEST(RestorePlan, RebuiltOnlyWhenThePlannedVersionChanges) {
+  CheckpointStore store(2);
+  EXPECT_EQ(store.restore_plan(), nullptr);  // Cold start builds nothing.
+  for (std::uint64_t v : {1, 2}) {
+    for (int r = 0; r < 2; ++r) {
+      store.begin(v, r);
+      store.finalize(v, r);
+      store.record_copy(v, r, CopyRecord{.level = 0, .holder = r});
+      store.record_copy(v, r, CopyRecord{.level = 0, .holder = 1 - r});
+    }
+  }
+  const auto plan = store.restore_plan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->version, 2u);
+  EXPECT_EQ(store.restore_plan(), plan);  // Shared, not rebuilt.
+  // Deleting an older version (heat3d's clean-up right after restoring)
+  // leaves the planned version, and so the plan, untouched.
+  store.remove_file(1, 0);
+  store.remove_file(1, 1);
+  EXPECT_EQ(store.restore_plan(), plan);
+  EXPECT_EQ(store.plans_built(), 1u);
+
+  // Losing rank 0 mutates version 2: rank 0 now fetches from rank 1.
+  EXPECT_EQ(store.apply_failures({FailureSpec{0, sim_sec(1)}}, sim_sec(2)), 2);
+  const auto after = store.restore_plan();
+  EXPECT_NE(after, plan);
+  EXPECT_EQ(store.plans_built(), 2u);
+  EXPECT_EQ(after->sources[0].holder, 1);
+  EXPECT_EQ(after->sources[1].holder, 1);
+  EXPECT_EQ(served_list(*after, 1), std::vector<int>{0});
+  EXPECT_TRUE(after->served_by(0).empty());
+  EXPECT_EQ(plan->sources[0].holder, 0);  // The old plan is immutable.
+}
+
+TEST(RestorePlan, OnePlanPerRelaunchAt64And512Ranks) {
+  // Complexity guard: a relaunch builds the restore plan once, whatever the
+  // world size, instead of once per rank.
+  for (int side : {4, 8}) {
+    const int ranks = side * side * side;
+    core::RunnerConfig rc;
+    rc.base = tiny_config(ranks);
+    rc.base.storage = "hpc";
+    rc.base.ckpt_mode = "partner";
+    apps::HeatParams heat;
+    heat.nx = heat.ny = heat.nz = 4 * side;
+    heat.px = heat.py = heat.pz = side;
+    heat.total_iterations = 8;
+    heat.halo_interval = heat.checkpoint_interval = 2;
+    heat.real_compute = false;
+    heat.work_units_per_point = 1000.0;  // 64 us per iteration per rank.
+    // Fail rank 1 around iteration 5, after the iteration-2 and -4 commits.
+    rc.first_run_failures = {FailureSpec{1, sim_us(5 * 64)}};
+    std::vector<apps::HeatReport> reports(static_cast<std::size_t>(ranks));
+    core::ResilientRunner runner(rc, apps::make_heat3d(heat, &reports));
+    const core::RunnerResult res = runner.run();
+    ASSERT_TRUE(res.completed) << ranks << " ranks";
+    ASSERT_EQ(res.launches, 2) << ranks << " ranks";
+    EXPECT_EQ(reports[0].restarts_used, 1) << ranks << " ranks";
+    const auto relaunches = static_cast<std::uint64_t>(res.launches - 1);
+    EXPECT_EQ(runner.checkpoints().plans_built(), relaunches) << ranks << " ranks";
+  }
 }
 
 TEST(TieredHelpers, PartnerRingAndClients) {
