@@ -15,7 +15,7 @@
 namespace exasim::core {
 
 Machine::Machine(SimConfig config, vmpi::AppMain app)
-    : config_(std::move(config)), app_(std::move(app)) {
+    : config_(std::move(config)) {
   if (config_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
   if (config_.sim_workers == 0) {
     throw std::invalid_argument("sim_workers == 0 (1 = sequential, -1 = auto)");
@@ -83,6 +83,19 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
   services_.ckpt_mode = ckpt::resolve_ckpt_mode(config_.ckpt_mode);
   services_.energy = energy_.get();
   services_.run_start_time = config_.initial_time;
+
+  shared_.engine = &engine_;
+  shared_.fabric = fabric_.get();
+  shared_.proc_model = proc_model_.get();
+  shared_.hooks = this;
+  shared_.registry = &registry_;
+  shared_.app = std::move(app);
+  shared_.config = config_.process;
+  shared_.world_size = config_.ranks;
+  shared_.energy = energy_.get();
+  shared_.trace = trace_.get();
+  shared_.notice_log = &notice_log_;
+  shared_.services = &services_;
 }
 
 Machine::~Machine() = default;
@@ -91,20 +104,14 @@ SimResult Machine::run() {
   const PerfSnapshot perf_begin = perf_snapshot();
   const auto wall_begin = std::chrono::steady_clock::now();
 
-  // Build one simulated MPI process per rank. The application entry point is
-  // wrapped so every process sees the machine services.
+  // Build one simulated MPI process per rank, each one heap block pointing
+  // at the shared wiring (services, sinks and the application included).
   processes_.clear();
   processes_.reserve(static_cast<std::size_t>(config_.ranks));
   engine_.reserve(static_cast<std::size_t>(config_.ranks));
   for (int r = 0; r < config_.ranks; ++r) {
-    auto proc = std::make_unique<vmpi::SimProcess>(
-        r, config_.ranks, &engine_, fabric_.get(), proc_model_.get(), this, &registry_, app_,
-        config_.process, config_.initial_time);
-    proc->context().services = &services_;
+    auto proc = std::make_unique<vmpi::SimProcess>(r, shared_, config_.initial_time);
     proc->context().set_error_handler(proc->context().world(), config_.default_error_handler);
-    if (energy_) proc->attach_energy(energy_.get());
-    if (trace_) proc->attach_trace(trace_.get());
-    proc->attach_notice_log(&notice_log_);
     engine_.add_process(r, proc.get());
     processes_.push_back(std::move(proc));
   }

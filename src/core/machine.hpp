@@ -214,7 +214,7 @@ struct Services {
 };
 
 inline Services& services_of(vmpi::Context& ctx) {
-  return *static_cast<Services*>(ctx.services);
+  return *static_cast<Services*>(ctx.services());
 }
 
 /// A simulated machine executing one application launch: builds the engine,
@@ -250,8 +250,9 @@ class Machine final : public vmpi::SystemHooks {
 
  private:
   SimConfig config_;
-  vmpi::AppMain app_;
   Services services_;
+  /// Wiring every rank points to; its app is the one AppMain of the machine.
+  vmpi::ProcessShared shared_;
 
   Engine engine_;
   vmpi::CommRegistry registry_;

@@ -10,10 +10,6 @@
 
 #include "fiber/stack_pool.hpp"
 
-#if !defined(__x86_64__)
-#include <ucontext.h>
-#endif
-
 // ---------------------------------------------------------------------------
 // ThreadSanitizer fiber support
 //
@@ -23,14 +19,6 @@
 // the sanitizer about every user-space context switch. Compiled in only
 // under -fsanitize=thread (the EXASIM_TSAN build preset).
 // ---------------------------------------------------------------------------
-#if defined(__SANITIZE_THREAD__)
-#define EXASIM_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define EXASIM_TSAN_FIBERS 1
-#endif
-#endif
-
 #if defined(EXASIM_TSAN_FIBERS)
 extern "C" {
 void* __tsan_create_fiber(unsigned flags);
@@ -38,18 +26,20 @@ void __tsan_destroy_fiber(void* fiber);
 void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 void* __tsan_get_current_fiber(void);
 }
-#define EXASIM_TSAN_FIBER_CREATE() __tsan_create_fiber(0)
-#define EXASIM_TSAN_FIBER_DESTROY(f) \
-  do {                               \
-    if ((f) != nullptr) __tsan_destroy_fiber(f); \
+#define EXASIM_TSAN_FIBER_CREATE(impl) ((impl).tsan_fiber = __tsan_create_fiber(0))
+#define EXASIM_TSAN_FIBER_DESTROY(impl)                                      \
+  do {                                                                       \
+    if ((impl).tsan_fiber != nullptr) __tsan_destroy_fiber((impl).tsan_fiber); \
   } while (0)
-#define EXASIM_TSAN_FIBER_CURRENT() __tsan_get_current_fiber()
-#define EXASIM_TSAN_FIBER_SWITCH(f) __tsan_switch_to_fiber((f), 0)
+#define EXASIM_TSAN_FIBER_SAVE_CALLER(impl) ((impl).tsan_caller = __tsan_get_current_fiber())
+#define EXASIM_TSAN_SWITCH_TO_FIBER(impl) __tsan_switch_to_fiber((impl).tsan_fiber, 0)
+#define EXASIM_TSAN_SWITCH_TO_CALLER(impl) __tsan_switch_to_fiber((impl).tsan_caller, 0)
 #else
-#define EXASIM_TSAN_FIBER_CREATE() nullptr
-#define EXASIM_TSAN_FIBER_DESTROY(f) (void)(f)
-#define EXASIM_TSAN_FIBER_CURRENT() nullptr
-#define EXASIM_TSAN_FIBER_SWITCH(f) (void)(f)
+#define EXASIM_TSAN_FIBER_CREATE(impl) ((void)0)
+#define EXASIM_TSAN_FIBER_DESTROY(impl) ((void)0)
+#define EXASIM_TSAN_FIBER_SAVE_CALLER(impl) ((void)0)
+#define EXASIM_TSAN_SWITCH_TO_FIBER(impl) ((void)0)
+#define EXASIM_TSAN_SWITCH_TO_CALLER(impl) ((void)0)
 #endif
 
 // ---------------------------------------------------------------------------
@@ -66,14 +56,6 @@ void* __tsan_get_current_fiber(void);
 // which we keep to switch back). Compiled in only under -fsanitize=address
 // (the EXASIM_ASAN build preset).
 // ---------------------------------------------------------------------------
-#if defined(__SANITIZE_ADDRESS__)
-#define EXASIM_ASAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define EXASIM_ASAN_FIBERS 1
-#endif
-#endif
-
 #if defined(EXASIM_ASAN_FIBERS)
 extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
@@ -150,17 +132,6 @@ void check_stack_canary(const void* stack, std::size_t bytes, bool guarded) {
 
 #if defined(__x86_64__)
 
-struct Fiber::Impl {
-  void* self_sp = nullptr;    ///< Fiber's saved stack pointer while suspended.
-  void* caller_sp = nullptr;  ///< Resumer's saved stack pointer while fiber runs.
-  void* tsan_fiber = nullptr;   ///< TSan fiber handle (sanitizer builds only).
-  void* tsan_caller = nullptr;  ///< TSan handle of the resumer's context.
-  void* asan_self_fake = nullptr;    ///< Fiber's ASan fake stack while suspended.
-  void* asan_caller_fake = nullptr;  ///< Resumer's fake stack while fiber runs.
-  const void* asan_caller_bottom = nullptr;  ///< Resumer's stack bounds, learned
-  std::size_t asan_caller_size = 0;          ///< on each entry into the fiber.
-};
-
 extern "C" void exasim_ctx_switch(void** save_sp, void* load_sp);
 
 // System V AMD64: save the six callee-saved GPRs + return address on the
@@ -188,19 +159,6 @@ exasim_ctx_switch:
   ret
 .size exasim_ctx_switch, .-exasim_ctx_switch
 )");
-
-#else  // Portable fallback.
-
-struct Fiber::Impl {
-  ucontext_t self{};
-  ucontext_t caller{};
-  void* tsan_fiber = nullptr;   ///< TSan fiber handle (sanitizer builds only).
-  void* tsan_caller = nullptr;  ///< TSan handle of the resumer's context.
-  void* asan_self_fake = nullptr;    ///< Fiber's ASan fake stack while suspended.
-  void* asan_caller_fake = nullptr;  ///< Resumer's fake stack while fiber runs.
-  const void* asan_caller_bottom = nullptr;  ///< Resumer's stack bounds, learned
-  std::size_t asan_caller_size = 0;          ///< on each entry into the fiber.
-};
 
 #endif
 
@@ -230,8 +188,8 @@ void Fiber::run_body_and_exit() {
   // First instructions on the fiber stack: commit the switch the resumer
   // started (asan_self_fake is null on first entry) and record where to
   // switch back to.
-  EXASIM_ASAN_FINISH_SWITCH(impl_->asan_self_fake, &impl_->asan_caller_bottom,
-                            &impl_->asan_caller_size);
+  EXASIM_ASAN_FINISH_SWITCH(impl_.asan_self_fake, &impl_.asan_caller_bottom,
+                            &impl_.asan_caller_size);
   try {
     body_();
   } catch (const Unwind&) {
@@ -241,16 +199,16 @@ void Fiber::run_body_and_exit() {
   finished_ = true;
   t_current = nullptr;
   void* dummy = nullptr;
-  EXASIM_TSAN_FIBER_SWITCH(impl_->tsan_caller);
+  EXASIM_TSAN_SWITCH_TO_CALLER(impl_);
   // Null save slot: the fiber is exiting for good, so ASan may free its fake
   // stack frames instead of preserving them.
-  EXASIM_ASAN_START_SWITCH(nullptr, impl_->asan_caller_bottom, impl_->asan_caller_size);
-  exasim_ctx_switch(&dummy, impl_->caller_sp);
+  EXASIM_ASAN_START_SWITCH(nullptr, impl_.asan_caller_bottom, impl_.asan_caller_size);
+  exasim_ctx_switch(&dummy, impl_.caller_sp);
   std::abort();  // Unreachable: a finished fiber is never resumed.
 }
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : impl_(std::make_unique<Impl>()), body_(std::move(body)) {
+    : body_(std::move(body)) {
   if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
   FiberStackPool::Stack s = FiberStackPool::instance().acquire(stack_bytes);
   stack_ = s.base;
@@ -265,8 +223,8 @@ Fiber::Fiber(Body body, std::size_t stack_bytes)
   auto* slots = reinterpret_cast<void**>(ret_slot);
   *slots = reinterpret_cast<void*>(&fiber_entry);
   for (int i = 1; i <= 6; ++i) *(slots - i) = nullptr;  // rbp,rbx,r12-r15.
-  impl_->self_sp = slots - 6;
-  impl_->tsan_fiber = EXASIM_TSAN_FIBER_CREATE();
+  impl_.self_sp = slots - 6;
+  EXASIM_TSAN_FIBER_CREATE(impl_);
 }
 
 void Fiber::resume() {
@@ -275,11 +233,11 @@ void Fiber::resume() {
   started_ = true;
   t_current = this;
   g_fiber_resumes.fetch_add(1, std::memory_order_relaxed);
-  impl_->tsan_caller = EXASIM_TSAN_FIBER_CURRENT();
-  EXASIM_TSAN_FIBER_SWITCH(impl_->tsan_fiber);
-  EXASIM_ASAN_START_SWITCH(&impl_->asan_caller_fake, stack_, stack_bytes_);
-  exasim_ctx_switch(&impl_->caller_sp, impl_->self_sp);
-  EXASIM_ASAN_FINISH_SWITCH(impl_->asan_caller_fake, nullptr, nullptr);
+  EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
+  EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
+  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);
+  exasim_ctx_switch(&impl_.caller_sp, impl_.self_sp);
+  EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
   check_stack_canary(stack_, stack_bytes_, stack_guarded_);
   // Either the fiber yielded (t_current reset in yield) or finished
   // (t_current reset in run_body_and_exit).
@@ -289,13 +247,13 @@ void Fiber::yield() {
   Fiber* self = t_current;
   if (self == nullptr) throw std::logic_error("Fiber::yield outside fiber");
   t_current = nullptr;
-  EXASIM_TSAN_FIBER_SWITCH(self->impl_->tsan_caller);
-  EXASIM_ASAN_START_SWITCH(&self->impl_->asan_self_fake, self->impl_->asan_caller_bottom,
-                           self->impl_->asan_caller_size);
-  exasim_ctx_switch(&self->impl_->self_sp, self->impl_->caller_sp);
+  EXASIM_TSAN_SWITCH_TO_CALLER(self->impl_);
+  EXASIM_ASAN_START_SWITCH(&self->impl_.asan_self_fake, self->impl_.asan_caller_bottom,
+                           self->impl_.asan_caller_size);
+  exasim_ctx_switch(&self->impl_.self_sp, self->impl_.caller_sp);
   // Resumed again, possibly from a different caller stack than last time.
-  EXASIM_ASAN_FINISH_SWITCH(self->impl_->asan_self_fake, &self->impl_->asan_caller_bottom,
-                            &self->impl_->asan_caller_size);
+  EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
+                            &self->impl_.asan_caller_size);
   if (self->unwinding_) throw Unwind{};
 }
 
@@ -310,29 +268,29 @@ void trampoline(unsigned hi, unsigned lo);
 }  // namespace
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : impl_(std::make_unique<Impl>()), body_(std::move(body)) {
+    : body_(std::move(body)) {
   if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
   FiberStackPool::Stack s = FiberStackPool::instance().acquire(stack_bytes);
   stack_ = s.base;
   stack_bytes_ = s.bytes;
   stack_guarded_ = s.guarded;
 
-  if (::getcontext(&impl_->self) != 0) {
+  if (::getcontext(&impl_.self) != 0) {
     FiberStackPool::instance().release(
         FiberStackPool::Stack{stack_, stack_bytes_, stack_guarded_});
     stack_ = nullptr;
     throw std::runtime_error("getcontext failed");
   }
-  impl_->self.uc_stack.ss_sp = stack_;
-  impl_->self.uc_stack.ss_size = stack_bytes_;
-  impl_->self.uc_link = &impl_->caller;
+  impl_.self.uc_stack.ss_sp = stack_;
+  impl_.self.uc_stack.ss_size = stack_bytes_;
+  impl_.self.uc_link = &impl_.caller;
 
   // makecontext only passes ints; split the this-pointer into two 32-bit
   // halves (the portable ucontext idiom).
   auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&impl_->self, reinterpret_cast<void (*)()>(&trampoline), 2,
+  ::makecontext(&impl_.self, reinterpret_cast<void (*)()>(&trampoline), 2,
                 static_cast<unsigned>(ptr >> 32), static_cast<unsigned>(ptr & 0xffffffffu));
-  impl_->tsan_fiber = EXASIM_TSAN_FIBER_CREATE();
+  EXASIM_TSAN_FIBER_CREATE(impl_);
 }
 
 namespace {
@@ -352,15 +310,15 @@ void Fiber::resume() {
   started_ = true;
   t_current = this;
   g_fiber_resumes.fetch_add(1, std::memory_order_relaxed);
-  impl_->tsan_caller = EXASIM_TSAN_FIBER_CURRENT();
-  EXASIM_TSAN_FIBER_SWITCH(impl_->tsan_fiber);
-  EXASIM_ASAN_START_SWITCH(&impl_->asan_caller_fake, stack_, stack_bytes_);
-  if (::swapcontext(&impl_->caller, &impl_->self) != 0) {
-    EXASIM_ASAN_FINISH_SWITCH(impl_->asan_caller_fake, nullptr, nullptr);
+  EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
+  EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
+  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);
+  if (::swapcontext(&impl_.caller, &impl_.self) != 0) {
+    EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
     t_current = nullptr;
     throw std::runtime_error("swapcontext failed");
   }
-  EXASIM_ASAN_FINISH_SWITCH(impl_->asan_caller_fake, nullptr, nullptr);
+  EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
   check_stack_canary(stack_, stack_bytes_, stack_guarded_);
 }
 
@@ -368,17 +326,17 @@ void Fiber::yield() {
   Fiber* self = t_current;
   if (self == nullptr) throw std::logic_error("Fiber::yield outside fiber");
   t_current = nullptr;
-  EXASIM_TSAN_FIBER_SWITCH(self->impl_->tsan_caller);
-  EXASIM_ASAN_START_SWITCH(&self->impl_->asan_self_fake, self->impl_->asan_caller_bottom,
-                           self->impl_->asan_caller_size);
-  if (::swapcontext(&self->impl_->self, &self->impl_->caller) != 0) {
-    EXASIM_ASAN_FINISH_SWITCH(self->impl_->asan_self_fake, &self->impl_->asan_caller_bottom,
-                              &self->impl_->asan_caller_size);
+  EXASIM_TSAN_SWITCH_TO_CALLER(self->impl_);
+  EXASIM_ASAN_START_SWITCH(&self->impl_.asan_self_fake, self->impl_.asan_caller_bottom,
+                           self->impl_.asan_caller_size);
+  if (::swapcontext(&self->impl_.self, &self->impl_.caller) != 0) {
+    EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
+                              &self->impl_.asan_caller_size);
     throw std::runtime_error("swapcontext failed");
   }
   // Resumed again, possibly from a different caller stack than last time.
-  EXASIM_ASAN_FINISH_SWITCH(self->impl_->asan_self_fake, &self->impl_->asan_caller_bottom,
-                            &self->impl_->asan_caller_size);
+  EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
+                            &self->impl_.asan_caller_size);
   if (self->unwinding_) throw Unwind{};
 }
 
@@ -387,8 +345,8 @@ void Fiber::yield() {
 void Fiber::ucontext_body() {
   // First statements on the fiber stack: commit the switch the resumer
   // started (asan_self_fake is null on first entry).
-  EXASIM_ASAN_FINISH_SWITCH(impl_->asan_self_fake, &impl_->asan_caller_bottom,
-                            &impl_->asan_caller_size);
+  EXASIM_ASAN_FINISH_SWITCH(impl_.asan_self_fake, &impl_.asan_caller_bottom,
+                            &impl_.asan_caller_size);
   try {
     body_();
   } catch (const Unwind&) {
@@ -400,8 +358,8 @@ void Fiber::ucontext_body() {
   // Returning switches to uc_link (the caller) inside libc; tell the
   // sanitizers first. Null save slot: the fiber is exiting for good, so ASan
   // may free its fake stack frames instead of preserving them.
-  EXASIM_TSAN_FIBER_SWITCH(impl_->tsan_caller);
-  EXASIM_ASAN_START_SWITCH(nullptr, impl_->asan_caller_bottom, impl_->asan_caller_size);
+  EXASIM_TSAN_SWITCH_TO_CALLER(impl_);
+  EXASIM_ASAN_START_SWITCH(nullptr, impl_.asan_caller_bottom, impl_.asan_caller_size);
 }
 
 Fiber::~Fiber() {
@@ -415,7 +373,7 @@ Fiber::~Fiber() {
     unwinding_ = true;
     resume();
   }
-  EXASIM_TSAN_FIBER_DESTROY(impl_->tsan_fiber);
+  EXASIM_TSAN_FIBER_DESTROY(impl_);
   if (stack_ != nullptr) {
     FiberStackPool::instance().release(
         FiberStackPool::Stack{stack_, stack_bytes_, stack_guarded_});

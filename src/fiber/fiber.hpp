@@ -3,7 +3,29 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
+
+// Sanitizer builds (the EXASIM_TSAN / EXASIM_ASAN presets) must announce
+// every user-space stack switch; fiber.cpp says how. These select the extra
+// switch-state fields only those builds carry.
+#if defined(__SANITIZE_THREAD__)
+#define EXASIM_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define EXASIM_TSAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define EXASIM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define EXASIM_ASAN_FIBERS 1
+#endif
+#endif
 
 namespace exasim {
 
@@ -80,9 +102,28 @@ class Fiber {
   void ucontext_body();
 
  private:
-  struct Impl;
+  /// Switch state, held inline so a fiber is no heap block of its own.
+  struct Impl {
+#if defined(__x86_64__)
+    void* self_sp = nullptr;    ///< Fiber's saved stack pointer while suspended.
+    void* caller_sp = nullptr;  ///< Resumer's saved stack pointer while fiber runs.
+#else
+    ucontext_t self{};
+    ucontext_t caller{};
+#endif
+#if defined(EXASIM_TSAN_FIBERS)
+    void* tsan_fiber = nullptr;   ///< TSan fiber handle.
+    void* tsan_caller = nullptr;  ///< TSan handle of the resumer's context.
+#endif
+#if defined(EXASIM_ASAN_FIBERS)
+    void* asan_self_fake = nullptr;    ///< Fiber's ASan fake stack while suspended.
+    void* asan_caller_fake = nullptr;  ///< Resumer's fake stack while fiber runs.
+    const void* asan_caller_bottom = nullptr;  ///< Resumer's stack bounds, learned
+    std::size_t asan_caller_size = 0;          ///< on each entry into the fiber.
+#endif
+  };
 
-  std::unique_ptr<Impl> impl_;
+  Impl impl_;
   Body body_;
   void* stack_ = nullptr;
   std::size_t stack_bytes_ = 0;

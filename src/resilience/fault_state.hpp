@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,10 @@ namespace exasim::resilience {
 /// state lives in one place (paper §IV-B: "each simulated MPI process
 /// maintains its own list of failed simulated MPI processes and their
 /// corresponding time of failure").
+///
+/// The four activation times are inline; the peer lists are allocated on
+/// the first notice or acknowledgement, so a process that never hears of a
+/// failure carries one null pointer for them (DESIGN.md §9).
 class FaultState {
  public:
   /// Earliest virtual time this process is scheduled to fail (injection
@@ -32,8 +37,10 @@ class FaultState {
 
   /// Failed peers (world rank -> actual time of failure), in the shape the
   /// public Context::failed_peers API exposes.
-  const std::map<int, SimTime>& failed_peers() const { return failed_peers_; }
-  bool knows_failed(int world_rank) const { return failed_peers_.count(world_rank) != 0; }
+  const std::map<int, SimTime>& failed_peers() const;
+  bool knows_failed(int world_rank) const {
+    return peers_ != nullptr && peers_->failed.count(world_rank) != 0;
+  }
   /// kSimTimeNever when the peer is not known failed.
   SimTime peer_failure_time(int world_rank) const;
   /// Detector delivery time of the peer's notice; kSimTimeNever if unknown.
@@ -47,9 +54,14 @@ class FaultState {
   std::vector<int> acked(int comm_id) const;
 
  private:
-  std::map<int, SimTime> failed_peers_;  ///< world rank -> time of failure.
-  std::map<int, SimTime> detect_times_;  ///< world rank -> notice delivery time.
-  std::map<int, std::vector<int>> acked_failures_;  ///< per-comm ack snapshots.
+  struct Peers {
+    std::map<int, SimTime> failed;          ///< world rank -> time of failure.
+    std::map<int, SimTime> detect_times;    ///< world rank -> notice delivery time.
+    std::map<int, std::vector<int>> acked;  ///< per-comm ack snapshots.
+  };
+  Peers& peers();  ///< Allocates on first use.
+
+  std::unique_ptr<Peers> peers_;
 };
 
 /// Soft-error injection state (paper §VI future-work item 1): registered

@@ -13,6 +13,7 @@ namespace exasim::vmpi {
 int Context::rank() const { return proc_->world_rank(); }
 int Context::size() const { return proc_->world_size(); }
 Comm& Context::world() { return proc_->world_comm(); }
+void* Context::services() const { return proc_->shared().services; }
 double Context::wtime() const {
   const_cast<SimProcess*>(proc_)->fold_native_time();
   return to_seconds(proc_->clock());

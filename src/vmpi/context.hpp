@@ -169,7 +169,7 @@ class Context {
 
   /// Machine-provided service bag (checkpoint store, PFS model, ...).
   /// Opaque to vmpi; the core layer defines the concrete type.
-  void* services = nullptr;
+  void* services() const;
 
   SimProcess& process() { return *proc_; }
 

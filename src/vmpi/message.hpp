@@ -94,7 +94,7 @@ struct ErrorWakeupPayload final : EventPayload {
 
 /// A message sitting in a process's unexpected queue (arrived before a
 /// matching receive was posted), held in a slab slot and linked into its
-/// (comm, source) FIFO through `next`. The arrival's pool block is adopted,
+/// (comm, source) FIFO through `next` (a free slot links the next free one). The arrival's pool block is adopted,
 /// not copied. `arrival_seq` totally orders arrivals so that ANY_SOURCE
 /// matching across per-source queues stays deterministic.
 struct UnexpectedMsg {

@@ -78,20 +78,42 @@ struct ProcessConfig {
 /// blocking-style calls on the Context — the analog of a native MPI main().
 using AppMain = std::function<void(Context&)>;
 
+/// What every rank of one machine shares: the models, the engine, the
+/// application entry point and the optional sinks. The Machine owns one and
+/// each SimProcess points to it, so none of it is stored per rank
+/// (DESIGN.md §9).
+struct ProcessShared {
+  Engine* engine = nullptr;
+  const Fabric* fabric = nullptr;
+  const ProcessorModel* proc_model = nullptr;
+  SystemHooks* hooks = nullptr;
+  CommRegistry* registry = nullptr;
+  AppMain app;
+  ProcessConfig config;
+  int world_size = 0;
+  EnergyLedger* energy = nullptr;  ///< Optional energy accounting.
+  TraceSink* trace = nullptr;      ///< Optional MPI-operation tracing.
+  /// Optional failure-notice arrival log: every failure notice actually
+  /// delivered to a process is recorded, giving the model checker the
+  /// per-rank arrival times it needs for missed-notification detection
+  /// (DESIGN.md §15).
+  resilience::NoticeLog* notice_log = nullptr;
+  /// Machine-provided service bag (Context::services), opaque to vmpi.
+  void* services = nullptr;
+};
+
 /// One simulated MPI process: a PDES logical process owning an application
 /// fiber, a virtual clock, message matching state, and failure/abort state
 /// (paper §IV-A/§IV-B).
 ///
-/// A process is three heap blocks — itself, its Fiber and the Fiber's
-/// switch state: the Context and the world communicator are members, and
-/// the application entry point is referenced, not copied (DESIGN.md §9).
+/// A process is one heap block: the Fiber, the Context and the world
+/// communicator are members, machine-wide wiring is one pointer to the
+/// ProcessShared, and state most ranks never use (failed-peer lists, soft
+/// errors, extra communicators) is allocated on first use (DESIGN.md §9).
 class SimProcess final : public LogicalProcess {
  public:
-  /// `app` is shared by every rank and must outlive the process (the
-  /// Machine owns it).
-  SimProcess(Rank world_rank, int world_size, Engine* engine, const Fabric* fabric,
-             const ProcessorModel* proc_model, SystemHooks* hooks, CommRegistry* registry,
-             const AppMain& app, ProcessConfig config, SimTime initial_clock);
+  /// `shared` must outlive the process (the Machine owns it).
+  SimProcess(Rank world_rank, const ProcessShared& shared, SimTime initial_clock);
   ~SimProcess() override;
 
   SimProcess(const SimProcess&) = delete;
@@ -104,7 +126,7 @@ class SimProcess final : public LogicalProcess {
 
   // -- Identity / state --------------------------------------------------
   Rank world_rank() const { return world_rank_; }
-  int world_size() const { return world_size_; }
+  int world_size() const { return shared_->world_size; }
   SimTime clock() const { return clock_; }
   ProcOutcome outcome() const { return outcome_.load(std::memory_order_relaxed); }
   /// Final virtual time (valid once terminated).
@@ -129,18 +151,8 @@ class SimProcess final : public LogicalProcess {
   /// processes and their corresponding time of failure").
   const std::map<Rank, SimTime>& failed_peers() const { return fault_.failed_peers(); }
 
-  /// Optional energy accounting (attached by the machine).
-  void attach_energy(EnergyLedger* ledger) { energy_ = ledger; }
-
-  /// Optional MPI-operation tracing (attached by the machine).
-  void attach_trace(TraceSink* sink) { trace_ = sink; }
-  TraceSink* trace() { return trace_; }
-
-  /// Optional failure-notice arrival log (attached by the machine): every
-  /// failure notice actually delivered to this process is recorded, giving
-  /// the model checker the per-rank arrival times it needs for
-  /// missed-notification detection (DESIGN.md §15).
-  void attach_notice_log(resilience::NoticeLog* log) { notice_log_ = log; }
+  /// The machine's MPI-operation trace sink; nullptr when tracing is off.
+  TraceSink* trace() { return shared_->trace; }
 
   /// Always-on performance accounting: virtual time spent computing vs in
   /// communication (blocked or transferring) — the performance-investigation
@@ -208,11 +220,12 @@ class SimProcess final : public LogicalProcess {
   /// operations on the communicator complete with kRevoked at `when`.
   void apply_revoke(int comm_id, SimTime when);
 
-  const Fabric& fabric() const { return *fabric_; }
-  const ProcessConfig& config() const { return config_; }
-  const ProcessorModel& proc_model() const { return *proc_model_; }
-  Engine& engine() { return *engine_; }
-  CommRegistry& registry() { return *registry_; }
+  const ProcessShared& shared() const { return *shared_; }
+  const Fabric& fabric() const { return *shared_->fabric; }
+  const ProcessConfig& config() const { return shared_->config; }
+  const ProcessorModel& proc_model() const { return *shared_->proc_model; }
+  Engine& engine() { return *shared_->engine; }
+  CommRegistry& registry() { return *shared_->registry; }
   Context& context() { return context_; }
 
   /// ULFM acknowledgement state (MPI_Comm_failure_ack / get_acked).
@@ -221,7 +234,7 @@ class SimProcess final : public LogicalProcess {
 
   /// Simulator-global alive set used by shrink/agree membership agreement.
   std::vector<Rank> alive_world_ranks_for_shrink() const {
-    return hooks_->alive_world_ranks();
+    return shared_->hooks->alive_world_ranks();
   }
 
   // -- Soft-error injection (paper §VI future-work item 1) -----------------
@@ -241,8 +254,8 @@ class SimProcess final : public LogicalProcess {
   /// activation). Returns false if no memory could ever be registered —
   /// flips with no registered memory at activation are dropped and counted.
   void schedule_bit_flip(SimTime t, std::uint64_t bit_index);
-  std::uint64_t bit_flips_applied() const { return soft_errors_.applied(); }
-  std::uint64_t bit_flips_dropped() const { return soft_errors_.dropped(); }
+  std::uint64_t bit_flips_applied() const { return soft_errors_ ? soft_errors_->applied() : 0; }
+  std::uint64_t bit_flips_dropped() const { return soft_errors_ ? soft_errors_->dropped() : 0; }
 
  private:
   friend class Context;
@@ -344,56 +357,50 @@ class SimProcess final : public LogicalProcess {
 
   // Identity & wiring.
   Rank world_rank_;
-  int world_size_;
-  Engine* engine_;
-  const Fabric* fabric_;
-  const ProcessorModel* proc_model_;
-  SystemHooks* hooks_;
-  CommRegistry* registry_;
-  const AppMain* app_;
-  ProcessConfig config_;
-  EnergyLedger* energy_ = nullptr;
-  TraceSink* trace_ = nullptr;
-  resilience::NoticeLog* notice_log_ = nullptr;
+  const ProcessShared* shared_;
   SimTime busy_time_ = 0;
   SimTime comm_time_ = 0;
 
   // Execution state.
   Context context_{this};
   SimTime clock_ = 0;
+  SimTime end_time_ = 0;
+  std::uint64_t last_native_ns_ = 0;  ///< Measured-compute snapshot.
   /// Atomic: Machine::alive_world_ranks reads every rank's outcome from
   /// whichever engine worker executes MPI_Comm_shrink.
   std::atomic<ProcOutcome> outcome_{ProcOutcome::kRunning};
-  SimTime end_time_ = 0;
   bool started_ = false;
   bool finalized_ = false;
   bool in_fiber_ = false;
-  std::uint64_t last_native_ns_ = 0;  ///< Measured-compute snapshot.
 
   // Recorded block condition (see the wakeup-filter note above).
   WaitKind wait_kind_ = WaitKind::kNone;
   bool wake_pending_ = false;  ///< Condition flipped; resume at next wake site.
-  std::size_t waiting_ = 0;    ///< Waited requests not yet done (kRequests).
+  std::uint32_t waiting_ = 0;  ///< Waited requests not yet done (kRequests).
   int wait_comm_id_ = 0;       ///< Probe spec: communicator id,
   Rank wait_src_ = kAnySource;        ///< source comm rank (may be kAnySource),
   Rank wait_src_world_ = -1;          ///< resolved world rank (-1 = ANY),
   int wait_tag_ = kAnyTag;            ///< tag (may be kAnyTag).
 
   // Failure/abort/ULFM-ack state and soft-error state, owned by the
-  // resilience subsystem; this class is clock + matching + the glue.
+  // resilience subsystem; this class is clock + matching + the glue. Soft
+  // errors are allocated by the first registration or scheduled flip.
   resilience::FaultState fault_;
-  resilience::SoftErrorState soft_errors_;
+  std::unique_ptr<resilience::SoftErrorState> soft_errors_;
+  resilience::SoftErrorState& soft_errors();  ///< Allocates on first use.
 
   // Messaging state (DESIGN.md §13), flat per-process arrays that a message
   // in steady state reuses without touching the general heap.
   //
-  // Requests live in a slot table with a free-slot list; a handle is
-  // (slot, serial) and the serial rejects stale handles, so lookup and
-  // release are O(1). Slot order is not post order once slots are reused:
-  // paths that must visit requests in post order sort by serial.
+  // Requests live in a slot table; free slots are chained through
+  // Request::next from free_slot_. A handle is (slot, serial) and the serial
+  // rejects stale handles, so lookup and release are O(1). Slot order is
+  // not post order once slots are reused: paths that must visit requests in
+  // post order sort by serial. A completed eager send takes no slot
+  // (RequestHandle::completed_send).
   std::vector<Request> slots_;
-  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_serial_ = 1;
+  std::uint32_t free_slot_ = kNoSlot;
   // Match index: one open-addressing table from (comm id, source comm rank)
   // to a MatchBucket. Buckets are append-only (never erased), so steady
   // traffic causes no churn, and the table grows geometrically, so a
@@ -403,25 +410,28 @@ class SimProcess final : public LogicalProcess {
   // no-op for a receive that was never indexed.
   void index_posted(Request& r, std::uint32_t fifo);
   void unindex_posted(Request& r);
-  std::vector<MatchBucket> buckets_;
-  std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
   std::uint32_t any_head_ = kNoSlot;
   std::uint32_t any_tail_ = kNoSlot;
-  // Unexpected messages in a slab with a free list, linked into buckets;
-  // each entry owns its arrival's pool block.
+  std::vector<MatchBucket> buckets_;
+  std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
+  // Unexpected messages in a slab whose free entries are chained through
+  // UnexpectedMsg::next from free_unexpected_, linked into buckets; each
+  // entry owns its arrival's pool block.
   std::vector<UnexpectedMsg> unexpected_msgs_;
-  std::vector<std::uint32_t> free_unexpected_;
   std::uint64_t next_arrival_seq_ = 1;
+  std::uint32_t free_unexpected_ = kNoSlot;
 
   // Communicators: MPI_COMM_WORLD inline, plus the ones comm_dup /
-  // comm_split / comm_shrink added (the only ones that allocate).
+  // comm_split / comm_shrink added (the only ones that allocate; the list
+  // itself is allocated with the first).
   Comm world_;
-  std::vector<std::unique_ptr<Comm>> comms_;
+  std::unique_ptr<std::vector<std::unique_ptr<Comm>>> comms_;
+  Comm* add_comm(std::unique_ptr<Comm> c);
 
   // Declared last: destroying the fiber unwinds any frames it still holds
   // (a process left blocked at teardown, e.g. after a deadlock verdict), and
   // those frames reference the context/request/comm state above.
-  std::unique_ptr<Fiber> fiber_;
+  Fiber fiber_;
 };
 
 /// Whether spurious fiber resumes are allowed (true) or filtered against the

@@ -11,11 +11,14 @@ namespace exasim::vmpi {
 
 /// Opaque request handle returned to applications. The serial doubles as a
 /// generation check: once the slot is released and reused, the old handle
-/// resolves to nothing.
+/// resolves to nothing. An eager send is complete when posted and takes no
+/// slot: its handle has slot kNoSlot, and waiting on it reports success with
+/// an empty status (DESIGN.md §13).
 struct RequestHandle {
   std::uint64_t serial = 0;
   std::uint32_t slot = 0;
   bool valid() const { return serial != 0; }
+  bool completed_send() const { return serial != 0 && slot == kNoSlot; }
 };
 
 struct MsgPayload;
@@ -39,7 +42,8 @@ struct Request {
 
   std::uint64_t serial = 0;       ///< Post order; 0 marks a free slot.
   std::uint32_t slot = 0;         ///< Own index in the request table.
-  std::uint32_t next = kNoSlot;   ///< Next receive in the same posted FIFO.
+  /// Next receive in the same posted FIFO; in a free slot, the next free one.
+  std::uint32_t next = kNoSlot;
   /// The posted FIFO this receive is linked into: a match bucket, kAnyFifo,
   /// or kNoSlot while not indexed.
   std::uint32_t fifo = kNoSlot;

@@ -12,17 +12,23 @@
 // - Rank construction: a 64-rank and a 128-rank machine, counted up to the
 //   first rank entering the application; the difference per extra rank is
 //   what building one simulated process costs.
+// - Heap bytes per rank: the live-byte high-water mark of a modeled heat3d
+//   launch at 2,048 and at 4,096 ranks (Table II's shape: halo exchanges
+//   and checkpoints); the difference per extra rank is what one simulated
+//   rank holds on the heap at the peak, warmed pools excluded.
 // - Modeled heat3d set-up: the same two sizes, counted from the first rank
 //   entering the application to the end of a launch with no iterations;
 //   without a grid the application allocates nothing per rank.
-// - Footprint: a request slot and an unexpected-queue entry have fixed size
-//   bounds (compile time), and a modeled message in flight holds one small
+// - Footprint: a request slot, an unexpected-queue entry and a simulated
+//   process have fixed size bounds (compile time), and a modeled message in
+//   flight holds one small
 //   pool block — pool bytes carved over one halo iteration at 4,096 ranks,
 //   when every message is in flight at once, divided by the messages.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,25 +42,49 @@
 #include "util/pool.hpp"
 #include "vmpi/context.hpp"
 #include "vmpi/message.hpp"
+#include "vmpi/process.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+// Live bytes (sizes as requested) and their high-water mark, which a
+// measurement resets to the live bytes at its start.
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak{0};
+
+// Each block is preceded by its requested size, so delete can subtract it.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  auto* base = static_cast<unsigned char*>(std::malloc(kHeader + n));
+  if (base == nullptr) throw std::bad_alloc();
+  *reinterpret_cast<std::size_t*>(base) = n;
+  const auto bytes = static_cast<std::int64_t>(n);
+  const std::int64_t live = g_live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  std::int64_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return base + kHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  auto* base = static_cast<unsigned char*>(p) - kHeader;
+  g_live.fetch_sub(static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(base)),
+                   std::memory_order_relaxed);
+  std::free(base);
 }
 
 }  // namespace
 
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace exasim {
 namespace {
@@ -64,6 +94,8 @@ namespace {
 // early arrival.
 static_assert(sizeof(vmpi::Request) <= 96, "a request slot stays within 96 bytes");
 static_assert(sizeof(vmpi::UnexpectedMsg) <= 32, "an unexpected-queue entry stays within 32 bytes");
+// A rank is one heap block: the process with its fiber inline.
+static_assert(sizeof(vmpi::SimProcess) <= 576, "a simulated process stays within 576 bytes");
 
 using vmpi::Context;
 using vmpi::Err;
@@ -254,9 +286,9 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {
   EXPECT_LE(per_message, 80.0);
 }
 
-TEST(VmpiAlloc, RankConstructionTakesAtMostThreeAllocations) {
-  // SimProcess, its Fiber and the Fiber's switch state; the Context, the
-  // world communicator and the application entry point add none.
+TEST(VmpiAlloc, RankConstructionTakesOneAllocation) {
+  // The SimProcess itself; its Fiber, the Context, the world communicator
+  // and the shared wiring (application entry point included) add none.
   construction_allocs(128);  // Warm the pools and the stack cache.
   const std::uint64_t a64 = construction_allocs(64);
   const std::uint64_t a128 = construction_allocs(128);
@@ -264,7 +296,49 @@ TEST(VmpiAlloc, RankConstructionTakesAtMostThreeAllocations) {
   std::printf("construction allocs: 64 ranks %llu, 128 ranks %llu, %.3f per rank\n",
               static_cast<unsigned long long>(a64), static_cast<unsigned long long>(a128),
               per_rank);
-  EXPECT_LE(per_rank, 3.0);
+  EXPECT_LE(per_rank, 1.0);
+}
+
+/// Heap high-water mark of one modeled heat3d launch on a
+/// 16 x 16 x (ranks / 256) torus, in bytes above the live bytes at its
+/// start: two halo exchanges and two checkpoints, the Table II workload's
+/// shape, with its checkpoint store.
+std::int64_t heat3d_heap_high_water(int ranks) {
+  apps::HeatParams p;
+  p.px = p.py = 16;
+  p.pz = ranks / 256;
+  p.nx = p.ny = 64;
+  p.nz = 4 * p.pz;
+  p.total_iterations = 250;
+  p.halo_interval = p.checkpoint_interval = 125;
+  p.real_compute = false;
+  core::SimConfig cfg = test::tiny_config(ranks);
+  cfg.topology = "torus:16x16x" + std::to_string(p.pz);
+  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
+  const std::int64_t base = g_live.load(std::memory_order_relaxed);
+  g_peak.store(base, std::memory_order_relaxed);
+  {
+    ckpt::CheckpointStore store(ranks);
+    const core::SimResult res = test::run_app(std::move(cfg), apps::make_heat3d(p), &store);
+    EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
+  }
+  return g_peak.load(std::memory_order_relaxed) - base;
+}
+
+TEST(VmpiAlloc, HeapHighWaterStaysWithin2900BytesPerRank) {
+  // The event pool keeps its slabs, so warming it at the larger size takes
+  // its bytes out of both measurements (the in-flight guard above bounds
+  // them). EXASIM_NO_POOL would put every message on the heap instead.
+  const bool pooled_before = util::pool_enabled();
+  util::set_pool_enabled(true);
+  heat3d_heap_high_water(4096);  // Warm the pools and the stack cache.
+  const std::int64_t h2k = heat3d_heap_high_water(2048);
+  const std::int64_t h4k = heat3d_heap_high_water(4096);
+  util::set_pool_enabled(pooled_before);
+  const double per_rank = static_cast<double>(h4k - h2k) / 2048.0;
+  std::printf("heap high-water: 2048 ranks %lld B, 4096 ranks %lld B, %.0f B per rank\n",
+              static_cast<long long>(h2k), static_cast<long long>(h4k), per_rank);
+  EXPECT_LE(per_rank, 2900.0);
 }
 
 }  // namespace
