@@ -19,7 +19,11 @@
 # collectives (test_vmpi_coll), rendezvous edge cases (test_vmpi_edge) and
 # failure interleavings (test_properties), plus the checkpoint store, whose
 # rank-indexed file slots are reset in place and whose restore plan is
-# shared between ranks (test_ckpt, test_storage, test_incremental). The mc leg runs the model-checker suite
+# shared between ranks (test_ckpt, test_storage, test_incremental), and the
+# per-rank state that is allocated only in some runs: traced sends that keep
+# a request slot (test_trace), the communicator list created by the first
+# dup/split/shrink (test_ulfm) and the fault state created by the first
+# failure notice (test_failures). The mc leg runs the model-checker suite
 # (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
 # EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
 # worker threads under the race detector.
@@ -90,7 +94,7 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure suites) =="
   # Validates the hot-path memory pools: parked payload blocks and recycled
   # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
   # even though the memory never went back to the system allocator. The vmpi
@@ -98,9 +102,11 @@ run_asan() {
   # queue or held by a rendezvous send is freed exactly once. The checkpoint
   # suites check the store's file slots (reset in place by begin(), dropped
   # by remove_file/apply_failures) and the restore plan every rank of a
-  # relaunch reads. Runs both pooled and --no-pool configurations via
-  # EXASIM_NO_POOL.
-  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental'
+  # relaunch reads. The trace, ULFM and failure suites cover the per-rank
+  # state created on first use: slots kept by traced sends, the extra
+  # communicator list and the fault state. Runs both pooled and --no-pool
+  # configurations via EXASIM_NO_POOL.
+  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   # shellcheck disable=SC2086  # $suites is a word list by design.
