@@ -19,7 +19,6 @@
 #include "core/machine.hpp"
 #include "fiber/fiber.hpp"
 #include "pdes/engine.hpp"
-#include "pdes/scheduler.hpp"
 #include "util/log.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
@@ -278,12 +277,10 @@ class SpinLp final : public LogicalProcess {
   int lp_count_;
 };
 
-/// range(0) = workers, range(1) = 1 for the adaptive preset (with its 4
-/// groups-per-worker oversubscription, enabling work-stealing), 0 for fixed.
-/// Real time, not CPU time: the whole point is wall-clock speedup.
+/// range(0) = workers, one LP group each. Real time, not CPU time: the
+/// whole point is wall-clock speedup.
 void BM_ShardedWindowThroughput(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
-  const bool adaptive = state.range(1) != 0;
   constexpr int kLps = 64;
   constexpr int kHops = 40;
   std::uint64_t events = 0;
@@ -296,9 +293,7 @@ void BM_ShardedWindowThroughput(benchmark::State& state) {
       engine.add_process(i, lps.back().get());
       engine.schedule(static_cast<SimTime>(i % 3), i, 0, std::make_unique<SpinPayload>(kHops));
     }
-    Engine::ShardingOptions opts{workers, kSpinLookahead, 1, {}};
-    opts.scheduler.kind = adaptive ? SchedulerKind::kAdaptive : SchedulerKind::kFixed;
-    engine.set_sharding(opts);
+    engine.set_sharding(Engine::ShardingOptions{workers, kSpinLookahead, 1, {}});
     state.ResumeTiming();
     engine.run();
     events = engine.events_processed();
@@ -306,13 +301,10 @@ void BM_ShardedWindowThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ShardedWindowThroughput)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->ArgNames({"workers", "adaptive"})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->ArgName("workers")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -11,11 +11,9 @@
 #     must byte-match the committed golden in
 #     scripts/bench_smoke_result.golden.json. Any simulated-quantity drift
 #     (end times, event counts, energy) fails the build.
-#  3. Sharded-scheduler determinism: the same macro row on 2 sim workers,
-#     fixed and adaptive, must emit a result-json byte-identical to the
-#     sequential golden (minus the scheduler config echo), the fixed
-#     preset's window count must match BENCH_baseline.json exactly, and the
-#     adaptive preset must widen windows (strictly fewer cycles).
+#  3. Sharded-engine determinism: the same macro row on 2 sim workers must
+#     emit a result-json byte-identical to the sequential golden, and its
+#     window count must match BENCH_baseline.json exactly.
 #  4. Link-level network determinism (DESIGN.md §12): the macro row with an
 #     explicit --routing=deterministic must byte-match the committed golden
 #     (the route refactor's default path is the pre-refactor model), and the
@@ -127,52 +125,33 @@ if ! cmp -s /tmp/bench_smoke_result.stripped.json "$GOLDEN"; then
 fi
 echo "  result-json matches $GOLDEN"
 
-echo "== bench smoke: sharded scheduler (2 workers, fixed + adaptive, json byte-stable) =="
+echo "== bench smoke: sharded engine (2 workers, json byte-stable) =="
 # shellcheck disable=SC2086
-./build/tools/exasim_run $WORKLOAD --sim-workers=2 --scheduler=fixed \
+./build/tools/exasim_run $WORKLOAD --sim-workers=2 \
   --result-json=/tmp/bench_smoke_fixed.json >/dev/null 2>/tmp/bench_smoke_fixed.stderr
-# shellcheck disable=SC2086
-./build/tools/exasim_run $WORKLOAD --sim-workers=2 --scheduler=adaptive \
-  --result-json=/tmp/bench_smoke_adaptive.json >/dev/null 2>/tmp/bench_smoke_adaptive.stderr
 
-jq -S 'del(.scheduler)' "$GOLDEN" >/tmp/bench_smoke_golden.nosched.json
-for policy in fixed adaptive; do
-  jq -S 'del(.wall_seconds, .events_per_sec, .scheduler)' \
-    "/tmp/bench_smoke_$policy.json" >"/tmp/bench_smoke_$policy.stripped.json"
-  if ! cmp -s "/tmp/bench_smoke_$policy.stripped.json" /tmp/bench_smoke_golden.nosched.json; then
-    echo "bench_smoke.sh: $policy sharded result-json drifted from the sequential golden:" >&2
-    diff /tmp/bench_smoke_golden.nosched.json "/tmp/bench_smoke_$policy.stripped.json" >&2 || true
-    exit 1
-  fi
-done
-echo "  sharded result-json matches the sequential golden for both policies"
+jq -S 'del(.wall_seconds, .events_per_sec)' /tmp/bench_smoke_fixed.json \
+  >/tmp/bench_smoke_fixed.stripped.json
+if ! cmp -s /tmp/bench_smoke_fixed.stripped.json "$GOLDEN"; then
+  echo "bench_smoke.sh: sharded result-json drifted from the sequential golden:" >&2
+  diff "$GOLDEN" /tmp/bench_smoke_fixed.stripped.json >&2 || true
+  exit 1
+fi
+echo "  sharded result-json matches the sequential golden"
 
 python3 - <<'EOF'
 import json, re
 
 baseline = json.load(open("BENCH_baseline.json"))["scheduler"]["macro_sharded"]
-
-def sched_line(path):
-    err = open(path).read()
-    m = re.search(r"sched\s*: (\d+) windows \((\d+) widened\), (\d+) steals, "
-                  r"([\d.]+) s barrier idle", err)
-    if not m:
-        raise SystemExit(f"could not parse sched counters from {path}:\n" + err)
-    return [int(m.group(i)) for i in range(1, 4)] + [float(m.group(4))]
-
-fw, fwide, fsteal, fidle = sched_line("/tmp/bench_smoke_fixed.stderr")
-aw, awide, asteal, aidle = sched_line("/tmp/bench_smoke_adaptive.stderr")
-print(f"  fixed    : {fw} windows ({fwide} widened), {fsteal} steals, idle {fidle:.2f}s")
-print(f"  adaptive : {aw} windows ({awide} widened), {asteal} steals, idle {aidle:.2f}s")
-if fw != baseline["fixed_windows"]:
-    raise SystemExit(f"fixed-policy window count {fw} != baseline {baseline['fixed_windows']}"
+err = open("/tmp/bench_smoke_fixed.stderr").read()
+m = re.search(r"sched\s*: (\d+) windows, (\d+) steals, ([\d.]+) s barrier idle", err)
+if not m:
+    raise SystemExit("could not parse sched counters:\n" + err)
+windows, steals, idle = int(m.group(1)), int(m.group(2)), float(m.group(3))
+print(f"  2 workers: {windows} windows, {steals} steals, idle {idle:.2f}s")
+if windows != baseline["fixed_windows"]:
+    raise SystemExit(f"window count {windows} != baseline {baseline['fixed_windows']}"
                      " (the conservative cycle structure drifted)")
-if fwide != 0:
-    raise SystemExit("fixed policy must never widen a window")
-if not (0 < aw <= fw):
-    raise SystemExit(f"adaptive window count {aw} not in (0, {fw}]")
-if awide == 0:
-    raise SystemExit("adaptive policy widened nothing on the macro row")
 EOF
 
 echo "== bench smoke: link-level network (deterministic == golden, adaptive worker-stable) =="
@@ -219,12 +198,12 @@ for w in 1 2; do
   # shellcheck disable=SC2086
   EXASIM_EAGER_WAKEUP=1 ./build/tools/exasim_run $WORKLOAD --sim-workers=$w \
     --result-json="/tmp/bench_smoke_eager_$w.json" >/dev/null 2>&1
-  jq -S 'del(.wall_seconds, .events_per_sec, .scheduler)' \
+  jq -S 'del(.wall_seconds, .events_per_sec)' \
     "/tmp/bench_smoke_eager_$w.json" >"/tmp/bench_smoke_eager_$w.stripped.json"
-  if ! cmp -s "/tmp/bench_smoke_eager_$w.stripped.json" /tmp/bench_smoke_golden.nosched.json; then
+  if ! cmp -s "/tmp/bench_smoke_eager_$w.stripped.json" "$GOLDEN"; then
     echo "bench_smoke.sh: EXASIM_EAGER_WAKEUP=1 --sim-workers=$w result-json drifted" >&2
     echo "  (the wakeup filter changed a simulated quantity):" >&2
-    diff /tmp/bench_smoke_golden.nosched.json "/tmp/bench_smoke_eager_$w.stripped.json" >&2 || true
+    diff "$GOLDEN" "/tmp/bench_smoke_eager_$w.stripped.json" >&2 || true
     exit 1
   fi
 done
@@ -298,9 +277,9 @@ CORES=$(nproc 2>/dev/null || echo 1)
 if [ "$CORES" -lt 4 ]; then
   echo "== bench smoke: multi-core speedup skipped ($CORES CPUs < 4) =="
 else
-  echo "== bench smoke: multi-core speedup (4 vs 1 workers, adaptive+stealing) =="
+  echo "== bench smoke: multi-core speedup (4 vs 1 workers) =="
   ./build/bench/engine_micro \
-    --benchmark_filter='BM_ShardedWindowThroughput/workers:(1|4)/adaptive:1' \
+    --benchmark_filter='BM_ShardedWindowThroughput/workers:(1|4)/' \
     --benchmark_min_time=0.5 --benchmark_format=json >/tmp/bench_smoke_sharded.json
 
   python3 - <<'EOF'

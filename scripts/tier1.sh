@@ -7,10 +7,10 @@
 # campaign machinery, the sharded engine, and the failure-notification bus
 # end to end; test_fiber's relaunch case runs a 64-rank ResilientRunner for
 # 3 launches on 4 engine workers, so warm pooled stacks move between worker
-# threads). The TSan suites run three times: as-is, with
+# threads). The TSan suites run twice: as-is, and with
 # EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
-# multiple worker threads, and with the adaptive scheduler on top so the
-# widened-window/work-stealing paths are exercised under the race detector. A fourth, scoped repeat runs test_storage with
+# multiple worker threads (claim tokens and work stealing included). A
+# third, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
 # pooled and EXASIM_NO_POOL=1; besides the pool, fiber, engine and
@@ -81,10 +81,6 @@ run_tsan() {
 
   echo "== tier 1: ThreadSanitizer, forced multi-worker engine =="
   (cd build-tsan && EXASIM_SIM_WORKERS=4 ctest --output-on-failure -R 'test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
-
-  echo "== tier 1: ThreadSanitizer, adaptive scheduler + stealing =="
-  (cd build-tsan && EXASIM_SIM_WORKERS=4 EXASIM_SCHEDULER=adaptive \
-    ctest --output-on-failure -R 'test_pdes|test_vmpi_p2p|test_resilience')
 
   echo "== tier 1: ThreadSanitizer, staged checkpointing on the sharded engine =="
   # Scoped to test_storage: the staged env default would change the simulated

@@ -5,7 +5,6 @@
 #include "ckpt/tiered.hpp"
 #include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
-#include "pdes/scheduler.hpp"
 #include "resilience/detector.hpp"
 #include "resilience/schedule.hpp"
 #include "util/log.hpp"
@@ -169,10 +168,6 @@ const std::vector<CliOption>& cli_options() {
          const auto n = to_int(v);
          return n && *n >= 1 && assign(o.machine.sim_workers, n);
        }},
-      {"scheduler", "fixed|adaptive", "EXASIM_SCHEDULER",
-       "window planner preset of the sharded engine; adaptive widens per-group windows inside "
-       "the safe envelope and steals ready LP groups; default fixed; identical results for either",
-       [](O& o, V v) { return keep_spec(o.machine.scheduler, v, parse_scheduler_spec(v)); }},
       {"no-pool", nullptr, nullptr,
        "disable the hot-path memory pools (as EXASIM_NO_POOL=1); identical results either way",
        [](O& o, V) {

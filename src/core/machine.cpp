@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "netmodel/topology.hpp"
-#include "pdes/scheduler.hpp"
 #include "pdes/sim_workers.hpp"
 #include "util/log.hpp"
 #include "vmpi/context.hpp"
@@ -135,18 +134,16 @@ SimResult Machine::run() {
 
   // Engine sharding: LP groups aligned to nodes so that only cross-node
   // traffic — which the network model bounds below by min_remote_latency()
-  // — crosses groups. Causality mode is counting, not throwing: the
-  // simulator-internal failure/abort/revoke notices broadcast "at now" can
-  // cross groups below the window bound; they arrive at most one
-  // conservative window (µs-scale) late, which the ms-scale failure
-  // timeouts governing observable behavior absorb.
+  // — crosses groups. Causality violations throw; the one exception is the
+  // relay carriers of the failure/abort/revoke notices broadcast "at now",
+  // which may arrive up to one conservative window (µs-scale) late, absorbed
+  // by the ms-scale failure timeouts governing observable behavior
+  // (DESIGN.md §11).
   const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());
-  const SchedulerSpec scheduler = resolve_scheduler_spec(config_.scheduler);
   Engine::ShardingOptions shard;
   shard.workers = resolve_sim_workers(config_.sim_workers);
   shard.lookahead = network_->min_remote_latency();
   shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
-  shard.scheduler = scheduler;
   if (network_->params().contention && shard.workers > 1) {
     // Busy-window interleaving across LP groups depends on window boundaries:
     // contention delays are a modeled approximation there, not the exact
@@ -161,7 +158,6 @@ SimResult Machine::run() {
                      "use --sim-workers=1 for exact contention modeling";
   }
   engine_.set_sharding(std::move(shard));
-  engine_.set_causality_mode(Engine::CausalityMode::kCount);
 
   engine_.run();
 
@@ -192,7 +188,7 @@ SimResult Machine::run() {
   result.activated_failures = activated_;
   result.abort_time = abort_time_;
   result.abort_origin = abort_origin_;
-  result.scheduler = exasim::to_string(scheduler);
+  result.scheduler = "fixed";
   result.routing = exasim::to_string(network_->routing());
   result.link_timeouts = exasim::to_string(network_->params().link_timeouts);
   result.storage = exasim::to_string(storage_->spec());
@@ -211,7 +207,6 @@ SimResult Machine::run() {
     result.rank_outcomes.push_back(proc->outcome());
   }
   result.events_processed = engine_.events_processed();
-  result.causality_violations = engine_.causality_violations();
   result.perf = perf_delta(perf_begin, perf_snapshot());
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();

@@ -92,10 +92,6 @@ struct SimConfig {
   /// CPU (exasim::resolve_sim_workers — affinity/cgroup aware); 0 is
   /// rejected. Every setting delivers the identical simulated schedule.
   int sim_workers = 1;
-
-  /// Window planner preset ("fixed" or "adaptive"). Every setting delivers
-  /// the identical simulated schedule (DESIGN.md §11).
-  std::string scheduler = "fixed";
 };
 
 /// Result of one simulated application execution.
@@ -114,9 +110,8 @@ struct SimResult {
   /// is >= the scheduled time; §IV-B).
   std::vector<FailureSpec> activated_failures;
 
-  /// Resolved window-scheduler configuration (canonical spec string, e.g.
-  /// "fixed" or "adaptive"). Config echo only — the simulated result is
-  /// policy-independent.
+  /// "fixed", the engine's one window rule (DESIGN.md §11), on every run.
+  /// Kept because the bench_smoke golden and the simbench digests pin it.
   std::string scheduler;
 
   /// Resolved routing policy and link-timeout configuration (canonical spec
@@ -169,10 +164,8 @@ struct SimResult {
   std::vector<vmpi::ProcOutcome> rank_outcomes;
 
   std::uint64_t events_processed = 0;
-  /// Events scheduled before the scheduler's local clock (Engine causality
-  /// guard in counting mode). Nonzero values come from simulator-internal
-  /// notices broadcast "at now" across LP groups; they are delivered at most
-  /// one conservative window late, which the failure-timeout scale absorbs.
+  /// Always 0 on a run that returns: the engine throws on a causality
+  /// violation (DESIGN.md §11). Kept because simbench reports it.
   std::uint64_t causality_violations = 0;
   double total_energy_joules = 0;  ///< 0 unless power modeling enabled.
 

@@ -27,7 +27,6 @@ PerfSnapshot perf_snapshot() {
   s.fanout_dead_skips = fo.dead_skips;
   const SchedStats sc = sched_stats();
   s.sched_windows = sc.windows;
-  s.sched_window_widenings = sc.window_widenings;
   s.sched_steals = sc.steals;
   s.sched_barrier_idle_ns = sc.barrier_idle_ns;
   const FiberDispatchStats fd = fiber_dispatch_stats();
@@ -58,7 +57,6 @@ PerfSnapshot perf_delta(const PerfSnapshot& begin, const PerfSnapshot& end) {
   d.fanout_relays = end.fanout_relays - begin.fanout_relays;
   d.fanout_dead_skips = end.fanout_dead_skips - begin.fanout_dead_skips;
   d.sched_windows = end.sched_windows - begin.sched_windows;
-  d.sched_window_widenings = end.sched_window_widenings - begin.sched_window_widenings;
   d.sched_steals = end.sched_steals - begin.sched_steals;
   d.sched_barrier_idle_ns = end.sched_barrier_idle_ns - begin.sched_barrier_idle_ns;
   d.fiber_resumes = end.fiber_resumes - begin.fiber_resumes;

@@ -26,11 +26,11 @@ struct PerfSnapshot {
   std::uint64_t fanout_relays = 0;      ///< Cross-group relay carrier events.
   std::uint64_t fanout_dead_skips = 0;  ///< Dead-destination items skipped.
 
-  // Sharded-engine scheduler (window planner / stealing; DESIGN.md §11).
-  // Host-timing-sensitive statistics — never part of the simulated result,
-  // which is identical for every worker count and preset.
+  // Sharded-engine windows and stealing (DESIGN.md §11). Host-timing-
+  // sensitive statistics — never part of the simulated result, which is
+  // identical for every worker count.
   std::uint64_t sched_windows = 0;           ///< Window phases decided.
-  std::uint64_t sched_window_widenings = 0;  ///< Bounds past global-min + lookahead.
+  std::uint64_t sched_window_widenings = 0;  ///< Always 0 (no window widens); simbench reads it.
   std::uint64_t sched_steals = 0;            ///< Groups run by non-home workers.
   std::uint64_t sched_barrier_idle_ns = 0;   ///< Worker ns waiting at barriers.
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -32,6 +31,18 @@ std::atomic<std::uint64_t> g_fanout_notices{0};
 std::atomic<std::uint64_t> g_fanout_relays{0};
 std::atomic<std::uint64_t> g_fanout_dead_skips{0};
 
+// Process-wide sharded-engine counters, added to at the end of each parallel
+// run (steals and idle time by each worker as it leaves).
+std::atomic<std::uint64_t> g_sched_windows{0};
+std::atomic<std::uint64_t> g_sched_steals{0};
+std::atomic<std::uint64_t> g_sched_idle_ns{0};
+
+[[noreturn]] void throw_causality_violation(const char* what, SimTime time, SimTime local_now) {
+  throw std::logic_error(std::string("causality violation: ") + what + " event at " +
+                         std::to_string(time) + " ns before local time " +
+                         std::to_string(local_now) + " ns");
+}
+
 }  // namespace
 
 FanoutStats fanout_stats() {
@@ -39,6 +50,14 @@ FanoutStats fanout_stats() {
   s.notices = g_fanout_notices.load(std::memory_order_relaxed);
   s.relay_events = g_fanout_relays.load(std::memory_order_relaxed);
   s.dead_skips = g_fanout_dead_skips.load(std::memory_order_relaxed);
+  return s;
+}
+
+SchedStats sched_stats() {
+  SchedStats s;
+  s.windows = g_sched_windows.load(std::memory_order_relaxed);
+  s.steals = g_sched_steals.load(std::memory_order_relaxed);
+  s.barrier_idle_ns = g_sched_idle_ns.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -68,38 +87,13 @@ std::uint64_t Engine::next_seq_for(LpId source) {
   return seq_by_source_[idx]++;
 }
 
-void Engine::note_causality_violation(SimTime time, SimTime local_now) {
-  CausalityMode mode = causality_mode_;
-  if (mode == CausalityMode::kDefault) {
-#ifdef NDEBUG
-    mode = CausalityMode::kCount;
-#else
-    mode = CausalityMode::kThrow;
-#endif
-  }
-  if (mode == CausalityMode::kThrow) {
-    throw std::logic_error("causality violation: scheduled event at " +
-                           std::to_string(time) + " ns before local time " +
-                           std::to_string(local_now) + " ns");
-  }
-  causality_violations_.fetch_add(1, std::memory_order_relaxed);
-  if (!causality_warned_.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "[exasim] warning: causality violation (event at %" PRIu64
-                 " ns before local time %" PRIu64
-                 " ns); counting further ones silently\n",
-                 static_cast<std::uint64_t>(time),
-                 static_cast<std::uint64_t>(local_now));
-  }
-}
-
 std::uint64_t Engine::schedule(SimTime time, LpId target, int kind,
                                std::unique_ptr<EventPayload> payload,
                                EventPriority priority) {
   LpGroup* grp = (t_worker.engine == this) ? t_worker.group : nullptr;
   const LpId source = grp ? grp->current_source() : current_source_;
   const SimTime local_now = grp ? grp->now() : now_;
-  if (time < local_now) note_causality_violation(time, local_now);
+  if (time < local_now) throw_causality_violation("scheduled", time, local_now);
 
   Event ev;
   ev.time = time;
@@ -142,7 +136,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
     // Sequential (or pre-run) path: literally the per-item schedule() loop,
     // minus events whose target is already dead.
     for (const FanoutItem& it : items) {
-      if (it.time < local_now) note_causality_violation(it.time, local_now);
+      if (it.time < local_now) throw_causality_violation("scheduled", it.time, local_now);
       if (is_dead(it.target)) {
         ++events_dropped_dead_;
         g_fanout_dead_skips.fetch_add(1, std::memory_order_relaxed);
@@ -171,7 +165,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
   std::vector<std::unique_ptr<RelayPayload>> batches(
       static_cast<std::size_t>(last_groups_));
   for (const FanoutItem& it : items) {
-    if (it.time < local_now) note_causality_violation(it.time, local_now);
+    if (it.time < local_now) throw_causality_violation("scheduled", it.time, local_now);
     if (it.target < 0 || static_cast<std::size_t>(it.target) >= group_of_.size()) {
       throw std::logic_error("event for unknown LP");
     }
@@ -265,21 +259,11 @@ SimTime Engine::now() const {
   return now_;
 }
 
-void Engine::plan_shape(int* workers, int* group_count) const {
-  const std::size_t n = processes_.size();
+int Engine::plan_groups() const {
   const std::size_t align = static_cast<std::size_t>(sharding_.block_alignment);
-  const std::size_t blocks = (n + align - 1) / align;
-  std::size_t w = static_cast<std::size_t>(sharding_.workers);
-  if (w > blocks) w = blocks;
-  if (w < 1) w = 1;
-  // Groups-per-worker oversubscription gives finished workers something to
-  // steal; the fixed preset keeps one group per worker, the adaptive preset
-  // runs 4 (more, smaller groups even out uneven event density).
-  std::size_t g = w * static_cast<std::size_t>(sharding_.scheduler.groups_per_worker());
-  if (g > blocks) g = blocks;
-  if (g < w) g = w;
-  *workers = static_cast<int>(w);
-  *group_count = static_cast<int>(g);
+  const std::size_t blocks = (processes_.size() + align - 1) / align;
+  const std::size_t workers = static_cast<std::size_t>(sharding_.workers);
+  return static_cast<int>(std::max<std::size_t>(1, std::min(workers, blocks)));
 }
 
 std::vector<int> Engine::plan_partition(int group_count) const {
@@ -316,14 +300,12 @@ std::vector<int> Engine::plan_partition(int group_count) const {
 }
 
 void Engine::run() {
-  int workers = 1;
-  int group_count = 1;
-  plan_shape(&workers, &group_count);
+  const int group_count = plan_groups();
   last_groups_ = group_count;
   if (group_count <= 1) {
     run_sequential();
   } else {
-    run_parallel(workers, group_count);
+    run_parallel(group_count);
   }
   queue_note(queue_.take_stats());
 }
@@ -372,16 +354,13 @@ void Engine::run_sequential() {
 
 /// Shared state of one run_parallel invocation, handed to every worker.
 struct Engine::WorkerPlan {
-  std::vector<std::unique_ptr<LpGroup>> groups;
-  std::vector<int> home;                ///< Group id → home worker.
+  std::vector<std::unique_ptr<LpGroup>> groups;  ///< Group w is worker w's home.
   WindowSync* sync = nullptr;
   std::exception_ptr first_error;
   std::mutex error_mu;
-  std::vector<std::uint64_t> steals_by_worker;
-  std::vector<std::uint64_t> idle_ns_by_worker;
 };
 
-void Engine::run_parallel(int workers, int group_count) {
+void Engine::run_parallel(int group_count) {
   stop_requested_.store(false, std::memory_order_relaxed);
   const std::size_t n = processes_.size();
   group_of_ = plan_partition(group_count);
@@ -425,29 +404,18 @@ void Engine::run_parallel(int workers, int group_count) {
   // again after a previous run advanced the clock).
   for (auto& grp : plan.groups) grp->advance_now(now_);
 
-  // Contiguous monotone home assignment: groups g with home[g] == w are
-  // worker w's first claim targets each phase.
-  plan.home.resize(static_cast<std::size_t>(group_count));
-  for (int g = 0; g < group_count; ++g) {
-    plan.home[static_cast<std::size_t>(g)] =
-        static_cast<int>((static_cast<long long>(g) * workers) / group_count);
-  }
-  plan.steals_by_worker.assign(static_cast<std::size_t>(workers), 0);
-  plan.idle_ns_by_worker.assign(static_cast<std::size_t>(workers), 0);
-
-  WindowSync sync(workers, group_count, sharding_.lookahead, sharding_.scheduler, &stop_requested_);
+  WindowSync sync(group_count, sharding_.lookahead, &stop_requested_);
   plan.sync = &sync;
 
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) {
+  threads.reserve(static_cast<std::size_t>(group_count) - 1);
+  for (int w = 1; w < group_count; ++w) {
     threads.emplace_back([this, &plan, w] { worker_main(plan, w); });
   }
   worker_main(plan, 0);
   for (std::thread& t : threads) t.join();
 
-  // Fold group-local state back into the engine for the post-run accessors,
-  // and the run's scheduler bookkeeping into the process-wide counters.
+  // Fold group-local state back into the engine for the post-run accessors.
   for (auto& grp : plan.groups) {
     events_processed_ += grp->events_processed;
     events_dropped_dead_ += grp->events_dropped_dead;
@@ -459,11 +427,7 @@ void Engine::run_parallel(int workers, int group_count) {
       grp->outbox_for(dst).clear();
     }
   }
-  std::uint64_t steals = 0;
-  std::uint64_t idle_ns = 0;
-  for (std::uint64_t s : plan.steals_by_worker) steals += s;
-  for (std::uint64_t ns : plan.idle_ns_by_worker) idle_ns += ns;
-  sched_note_run(steals, idle_ns);
+  g_sched_windows.fetch_add(sync.windows(), std::memory_order_relaxed);
   group_of_.clear();
   if (plan.first_error) std::rethrow_exception(plan.first_error);
 }
@@ -471,22 +435,23 @@ void Engine::run_parallel(int workers, int group_count) {
 void Engine::worker_main(WorkerPlan& plan, int worker) {
   WindowSync& sync = *plan.sync;
   const int group_count = static_cast<int>(plan.groups.size());
-  // Claim scan order: home groups first, then everyone else's — both in
+  // Claim scan order: the home group first, then everyone else's in
   // ascending group id, so the steal *order* is deterministic even though
   // which claims this worker wins depends on host timing.
   std::vector<int> order;
   order.reserve(static_cast<std::size_t>(group_count));
+  order.push_back(worker);
   for (int g = 0; g < group_count; ++g) {
-    if (plan.home[static_cast<std::size_t>(g)] == worker) order.push_back(g);
-  }
-  for (int g = 0; g < group_count; ++g) {
-    if (plan.home[static_cast<std::size_t>(g)] != worker) order.push_back(g);
+    if (g != worker) order.push_back(g);
   }
 
   using Clock = std::chrono::steady_clock;
-  std::uint64_t idle_ns = 0;        ///< Barrier wait since last publication.
-  std::uint64_t idle_total = 0;
+  std::uint64_t idle_ns = 0;  ///< Barrier wait, summed over the run.
   std::uint64_t steals = 0;
+  auto note_sched = [&] {
+    g_sched_steals.fetch_add(steals, std::memory_order_relaxed);
+    g_sched_idle_ns.fetch_add(idle_ns, std::memory_order_relaxed);
+  };
   auto timed_wait = [&idle_ns](auto&& wait) {
     const Clock::time_point t0 = Clock::now();
     wait();
@@ -502,21 +467,17 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
         LpGroup& grp = *plan.groups[static_cast<std::size_t>(g)];
         merge_group(plan.groups, grp);
         sync.publish_min(g, grp.queue().min_time());
-        sync.publish_window_events(g, grp.window_events_last);
         sync.publish_progressed(g, grp.stall_progressed);
       }
-      sync.publish_idle_ns(worker, idle_ns);
-      idle_total += idle_ns;
-      idle_ns = 0;
       timed_wait([&sync] { sync.sync_decide(); });
       switch (sync.phase()) {
         case WindowSync::Phase::kWindow:
           for (int g : order) {
             if (!sync.try_claim_exec(g)) continue;
-            if (plan.home[static_cast<std::size_t>(g)] != worker) ++steals;
+            if (g != worker) ++steals;
             LpGroup& grp = *plan.groups[static_cast<std::size_t>(g)];
             t_worker = WorkerCtx{this, &grp};
-            run_window(grp, sync.bound(g));
+            run_window(grp, sync.bound());
             grp.stall_progressed = false;
             t_worker = WorkerCtx{};
           }
@@ -531,8 +492,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
           }
           break;
         case WindowSync::Phase::kExit:
-          plan.steals_by_worker[static_cast<std::size_t>(worker)] = steals;
-          plan.idle_ns_by_worker[static_cast<std::size_t>(worker)] = idle_total + idle_ns;
+          note_sched();
           return;
       }
     }
@@ -545,21 +505,30 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
     // early barrier arrivals then stand in for this worker's missing ones.
     stop_requested_.store(true, std::memory_order_release);
     sync.withdraw();
-    plan.steals_by_worker[static_cast<std::size_t>(worker)] = steals;
-    plan.idle_ns_by_worker[static_cast<std::size_t>(worker)] = idle_total + idle_ns;
+    note_sched();
     t_worker = WorkerCtx{};
   }
 }
 
 void Engine::merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup& grp) {
   for (auto& src : groups) {
-    if (src.get() != &grp) grp.merge_inbox(src->outbox_for(grp.index()));
+    if (src.get() == &grp) continue;
+    std::vector<Event>& inbox = src->outbox_for(grp.index());
+    // An inbound event earlier than this group's clock would be delivered
+    // after events it precedes. Relay carriers are exempt: they bring the
+    // zero-lookahead control broadcasts (failure, abort and revoke notices),
+    // which may land up to one window late (DESIGN.md §11).
+    for (const Event& ev : inbox) {
+      if (ev.time < grp.now() && ev.kind != kRelayEventKind) {
+        throw_causality_violation("merged", ev.time, grp.now());
+      }
+    }
+    grp.merge_inbox(inbox);
   }
 }
 
 void Engine::run_window(LpGroup& grp, SimTime bound) {
   EventQueue& q = grp.queue();
-  std::uint64_t delivered = 0;
   // Deliberately no stop check inside the window: every group finishes the
   // full window, so the delivered set stays deterministic per worker count.
   while (q.min_time() < bound) {
@@ -579,12 +548,10 @@ void Engine::run_window(LpGroup& grp, SimTime bound) {
     if (lp == nullptr) throw std::logic_error("event for unknown LP");
     grp.advance_now(ev.time);
     ++grp.events_processed;
-    ++delivered;
     grp.set_current_source(ev.target);
     lp->on_event(*this, std::move(ev));
     grp.set_current_source(kExternalSource);
   }
-  grp.window_events_last = delivered;
 }
 
 bool Engine::run_stall(LpGroup& grp) {

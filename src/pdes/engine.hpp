@@ -11,7 +11,6 @@
 
 #include "pdes/event.hpp"
 #include "pdes/event_queue.hpp"
-#include "pdes/scheduler.hpp"
 #include "util/time.hpp"
 
 namespace exasim {
@@ -52,26 +51,23 @@ class LogicalProcess {
 /// plan. With `ShardingOptions::workers == 1` (the default) the engine is the
 /// original sequential loop: all simulated processes interleaved on one
 /// native thread using a schedule based on message receive time stamps
-/// (paper §IV-A). With N > 1 workers the LPs are partitioned into contiguous
-/// groups (aligned to `block_alignment`, normally ranks-per-node, so
-/// intra-node traffic stays group-local) — at least one group per worker,
-/// more when the scheduler oversubscribes for work-stealing — each group has
+/// (paper §IV-A). With N > 1 workers the LPs are partitioned into N
+/// contiguous groups (aligned to `block_alignment`, normally ranks-per-node,
+/// so intra-node traffic stays group-local), one per worker; each group has
 /// its own event heap, and the groups advance in lock-step conservative
 /// windows bounded below `lookahead` — the minimum cross-node delivery
-/// latency — past the global minimum (the WindowPlanner may widen a group's
-/// bound inside the provably safe per-group envelope; DESIGN.md §11). Each
-/// cycle, worker threads claim ready groups home-first and then steal
-/// leftovers in group-id order. Cross-group events ride per-(source →
-/// target) mailboxes merged at the window barrier; because the safe window
-/// bounds and the ordering key are both partition-independent, every worker
-/// count and scheduler preset delivers the identical event schedule.
+/// latency — past the global minimum (DESIGN.md §11). Each cycle, worker
+/// threads claim their home group first and then steal leftovers in
+/// group-id order. Cross-group events ride per-(source → target) mailboxes
+/// merged at the window barrier; because the window bound and the ordering
+/// key are both partition-independent, every worker count delivers the
+/// identical event schedule.
 class Engine {
  public:
   /// How to shard the LPs over worker threads. Applies to the next run().
   struct ShardingOptions {
-    /// Worker threads. 1 selects the sequential engine (with the fixed
-    /// preset's one group per worker); clamped down to the number of
-    /// alignment blocks.
+    /// Worker threads, one LP group each. 1 selects the sequential engine;
+    /// clamped down to the number of alignment blocks.
     int workers = 1;
     /// Conservative window width, normally
     /// NetworkModel::min_remote_latency() — a provable lower bound over any
@@ -87,18 +83,6 @@ class Engine {
     /// Optional explicit partition override mapping LP id → group index in
     /// [0, groups); when set it replaces the contiguous-block partition.
     std::function<int(LpId)> group_of;
-    /// Window planner preset (fixed or adaptive), which also fixes the
-    /// groups-per-worker oversubscription for work-stealing.
-    SchedulerSpec scheduler;
-  };
-
-  /// What Engine::schedule does when an event is scheduled before the
-  /// scheduling group's local clock (a causality violation — conservative
-  /// windows only stay exact for events at or after "now").
-  enum class CausalityMode : std::uint8_t {
-    kDefault,  ///< kThrow in debug builds, kCount when NDEBUG.
-    kThrow,    ///< Throw std::logic_error at the offending schedule() call.
-    kCount,    ///< Count (see causality_violations()) and warn once.
   };
 
   Engine() = default;
@@ -121,6 +105,12 @@ class Engine {
   /// from any worker thread during a parallel run: the event is routed to
   /// the target's group-local heap or, cross-group, to the scheduling
   /// group's outbox for merge at the next window barrier.
+  ///
+  /// Causality violations throw std::logic_error: an event scheduled before
+  /// the scheduling group's local clock, and a cross-group event merged into
+  /// a group whose clock has already passed it (conservative windows only
+  /// stay exact for events at or after "now"). Relay carriers of
+  /// schedule_fanout() are the one exception at merge (DESIGN.md §11).
   std::uint64_t schedule(SimTime time, LpId target, int kind,
                          std::unique_ptr<EventPayload> payload,
                          EventPriority priority = EventPriority::kMessage);
@@ -161,13 +151,6 @@ class Engine {
   }
 
   void set_sharding(ShardingOptions opts);
-  void set_causality_mode(CausalityMode mode) { causality_mode_ = mode; }
-
-  /// Number of schedule() calls that targeted a time before the scheduler's
-  /// local clock (only counted in CausalityMode::kCount).
-  std::uint64_t causality_violations() const {
-    return causality_violations_.load(std::memory_order_relaxed);
-  }
 
   /// Group count the most recent run() used (1 = sequential loop).
   int worker_groups() const { return last_groups_; }
@@ -197,20 +180,18 @@ class Engine {
   struct WorkerPlan;  // Shared state of one run_parallel (defined in .cpp).
 
   void run_sequential();
-  void run_parallel(int workers, int group_count);
+  void run_parallel(int group_count);
   void worker_main(WorkerPlan& plan, int worker);
   void merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup& grp);
   void run_window(LpGroup& grp, SimTime bound);
   void unpack_relay(LpGroup& grp, Event&& relay);
   void requeue_relay_items(Event&& relay);
   bool run_stall(LpGroup& grp);
-  void plan_shape(int* workers, int* group_count) const;
+  int plan_groups() const;
   std::vector<int> plan_partition(int group_count) const;
   std::uint64_t next_seq_for(LpId source);
-  void note_causality_violation(SimTime time, SimTime local_now);
 
   ShardingOptions sharding_;
-  CausalityMode causality_mode_ = CausalityMode::kDefault;
   std::vector<LogicalProcess*> processes_;
   EventQueue queue_;  ///< Sequential heap; staging/leftover area otherwise.
   /// Liveness flags indexed by LP id. Preallocated before worker threads
@@ -227,8 +208,6 @@ class Engine {
   std::uint64_t events_dropped_dead_ = 0;
   int last_groups_ = 1;
   std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint64_t> causality_violations_{0};
-  std::atomic<bool> causality_warned_{false};
 };
 
 /// Process-wide counters for schedule_fanout traffic (src/metrics/perf
@@ -241,5 +220,16 @@ struct FanoutStats {
   std::uint64_t dead_skips = 0;
 };
 FanoutStats fanout_stats();
+
+/// Process-wide sharded-engine counters (metrics/perf surfaces them next to
+/// the pool and fan-out counters). Relaxed statistics: `steals` and
+/// `barrier_idle_ns` depend on host timing and never feed back into the
+/// simulated schedule.
+struct SchedStats {
+  std::uint64_t windows = 0;          ///< Window phases decided.
+  std::uint64_t steals = 0;           ///< Groups run by a non-home worker.
+  std::uint64_t barrier_idle_ns = 0;  ///< Worker ns spent waiting at barriers.
+};
+SchedStats sched_stats();
 
 }  // namespace exasim

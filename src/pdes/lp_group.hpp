@@ -39,7 +39,8 @@ class LpGroup {
   /// Drains the inbound mailbox `src` filled for this group into the heap as
   /// one bulk merge (EventQueue::push_bulk: Floyd heapify when the inbox is
   /// large relative to the heap). Runs on this group's worker, after the
-  /// pre-merge barrier.
+  /// pre-merge barrier and after Engine::merge_group checked the inbox for
+  /// events already in this group's past.
   void merge_inbox(std::vector<Event>& inbox) {
     if (!inbox.empty()) queue_.push_bulk(inbox);
   }
@@ -62,9 +63,6 @@ class LpGroup {
 
   std::uint64_t events_processed = 0;
   std::uint64_t events_dropped_dead = 0;
-  /// Events delivered in the most recent window phase — the per-group
-  /// event-density feedback of the WindowPlanner.
-  std::uint64_t window_events_last = 0;
   /// Whether the most recent stall phase made progress (published to the
   /// window synchronizer for the global two-phase deadlock check).
   bool stall_progressed = false;

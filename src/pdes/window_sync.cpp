@@ -4,19 +4,15 @@
 
 namespace exasim {
 
-WindowSync::WindowSync(int workers, int groups, SimTime lookahead, const SchedulerSpec& scheduler,
-                       const std::atomic<bool>* stop)
-    : planner_(scheduler, lookahead),
+WindowSync::WindowSync(int groups, SimTime lookahead, const std::atomic<bool>* stop)
+    : lookahead_(lookahead),
       stop_(stop),
       mins_(static_cast<std::size_t>(groups), kSimTimeNever),
-      window_events_(static_cast<std::size_t>(groups), 0),
       progressed_(static_cast<std::size_t>(groups), 0),
-      idle_ns_(static_cast<std::size_t>(workers), 0),
       merge_claims_(static_cast<std::size_t>(groups)),
       exec_claims_(static_cast<std::size_t>(groups)),
-      bounds_(static_cast<std::size_t>(groups), 0),
-      pre_merge_(workers, ArmMergeClaims{this}),
-      decide_barrier_(workers, RunDecide{this}) {}
+      pre_merge_(groups, ArmMergeClaims{this}),
+      decide_barrier_(groups, RunDecide{this}) {}
 
 void WindowSync::decide() noexcept {
   // Re-arm the execute claims for the phase about to start. The barrier
@@ -30,14 +26,12 @@ void WindowSync::decide() noexcept {
   SimTime global_min = kSimTimeNever;
   for (SimTime t : mins_) global_min = std::min(global_min, t);
   if (global_min != kSimTimeNever) {
+    // Any event another group sends during this window carries a time at or
+    // after its sender's time + lookahead >= bound_, so it lands beyond the
+    // window and is merged at the next barrier. Saturating add.
     phase_ = Phase::kWindow;
-    bool idled = false;
-    for (auto& ns : idle_ns_) {
-      idled = idled || ns != 0;
-      ns = 0;
-    }
-    const int widenings = planner_.plan(mins_, window_events_, idled, bounds_);
-    sched_note_window(static_cast<std::uint64_t>(widenings));
+    bound_ = global_min > kSimTimeNever - lookahead_ ? kSimTimeNever : global_min + lookahead_;
+    ++windows_;
     return;
   }
   // All heaps and mailboxes drained. If the previous phase was

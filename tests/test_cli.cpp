@@ -135,30 +135,6 @@ TEST_F(Cli, ParsesSimWorkers) {
   }
 }
 
-TEST_F(Cli, ParsesScheduler) {
-  auto defaulted = parse({"--ranks=8"});
-  ASSERT_TRUE(defaulted.has_value());
-  EXPECT_EQ(defaulted->machine.scheduler, "fixed");
-
-  auto fixed = parse({"--scheduler=fixed"});
-  ASSERT_TRUE(fixed.has_value());
-  EXPECT_EQ(fixed->machine.scheduler, "fixed");
-
-  auto adaptive = parse({"--scheduler=adaptive"});
-  ASSERT_TRUE(adaptive.has_value());
-  EXPECT_EQ(adaptive->machine.scheduler, "adaptive");
-
-  // The presets take no parameters.
-  for (auto bad : {"--scheduler=bogus", "--scheduler=adaptive:stretch=16,gpw=2",
-                   "--scheduler=adaptive:stretch=0", "--scheduler=adaptive:nope=1",
-                   "--scheduler=fixed:gpw=2", "--scheduler=fixed:stretch=8",
-                   "--speculate=8"}) {
-    std::string error;
-    EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty());
-  }
-}
-
 TEST_F(Cli, ParsesRoutingAndLinkModel) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
@@ -232,8 +208,11 @@ TEST_F(Cli, ParsesNoPool) {
 }
 
 TEST_F(Cli, RejectsMalformedOptions) {
+  // --scheduler and --speculate are unknown: the sharded engine has one
+  // window rule (DESIGN.md §11).
   for (auto bad : {"--ranks=abc", "--mttf=xyz", "--distribution=bogus", "--unknown=1",
-                   "--failures=nope", "--ranks", "--verbose=1", "--replicates=0"}) {
+                   "--failures=nope", "--ranks", "--verbose=1", "--replicates=0",
+                   "--scheduler=fixed", "--speculate=8"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
@@ -291,8 +270,6 @@ const EnvCase kEnvCases[] = {
      [](const CliOptions& o) { return resilience::to_string(o.machine.detector); }},
     {"EXASIM_SIM_WORKERS", "--sim-workers", "4", "2",
      [](const CliOptions& o) { return std::to_string(o.machine.sim_workers); }},
-    {"EXASIM_SCHEDULER", "--scheduler", "adaptive", "fixed",
-     [](const CliOptions& o) { return o.machine.scheduler; }},
 };
 
 class CliEnvVar : public Cli, public ::testing::WithParamInterface<EnvCase> {};
@@ -365,7 +342,6 @@ TEST(CliTable, UsageListsEveryOption) {
 TEST_F(Cli, EnvironmentReachesTinyConfig) {
   test::QuietLogs quiet;
   ::setenv("EXASIM_SIM_WORKERS", "2", 1);
-  ::setenv("EXASIM_SCHEDULER", "adaptive", 1);
   ::setenv("EXASIM_CKPT_MODE", "staged", 1);
   auto app = [](vmpi::Context& ctx) {
     for (int i = 0; i < 4; ++i) {
@@ -376,7 +352,6 @@ TEST_F(Cli, EnvironmentReachesTinyConfig) {
   };
   const core::SimResult r = test::run_app(test::tiny_config(4), app);
   EXPECT_EQ(r.outcome, core::SimResult::Outcome::kCompleted);
-  EXPECT_EQ(r.scheduler, "adaptive");
   EXPECT_EQ(r.ckpt_mode, "staged");
   EXPECT_GT(r.perf.sched_windows, 0u);
 }

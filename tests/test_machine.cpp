@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "apps/heat3d.hpp"
+#include "apps/ring.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
@@ -223,45 +226,57 @@ TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {
   EXPECT_DOUBLE_EQ(r4.compute_fraction, r1.compute_fraction);
 }
 
-TEST(Machine, ResultJsonIsSchedulerAndWorkerInvariant) {
+TEST(Machine, ResultJsonIsWorkerInvariant) {
   // ISSUE 6 acceptance: the emitted --result-json must be byte-identical
-  // across --sim-workers 1/2/4 for both scheduler presets. A completing
-  // (failure-free) run is used so events_processed is exact for every worker
-  // count; the wall-clock tail (wall_seconds / events_per_sec) is stripped
-  // exactly as scripts/bench_smoke.sh does. Across presets the only legal
-  // difference is the "scheduler" config-echo field itself.
-  apps::HeatParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.px = p.py = p.pz = 2;
-  p.total_iterations = 20;
-  p.halo_interval = 5;
-  p.checkpoint_interval = 10;
-  auto json_with = [&](int workers, const std::string& scheduler) {
-    core::SimConfig cfg = tiny_config(8);
+  // across --sim-workers 1/2/4. Completing runs are used so events_processed
+  // is exact for every worker count; the wall-clock tail (wall_seconds /
+  // events_per_sec) is stripped exactly as scripts/bench_smoke.sh does.
+  // The ring input is `exasim_run ring` with rank 4 failing at 60 us, whose
+  // relaunch completes: a window rule that lets a group run past the failure
+  // activation changes its end time.
+  auto heat = [](int workers) {
+    apps::HeatParams p;
+    p.nx = p.ny = p.nz = 8;
+    p.px = p.py = p.pz = 2;
+    p.total_iterations = 20;
+    p.halo_interval = 5;
+    p.checkpoint_interval = 10;
+    SimConfig cfg = tiny_config(8);
     cfg.sim_workers = workers;
     cfg.ranks_per_node = 2;
-    cfg.scheduler = scheduler;
     ckpt::CheckpointStore store(8);
-    std::string json = core::sim_result_json(run_app(cfg, apps::make_heat3d(p), &store));
-    const std::size_t tail = json.find(",\"wall_seconds\"");
-    EXPECT_NE(tail, std::string::npos);
-    return json.substr(0, tail);
+    return run_app(cfg, apps::make_heat3d(p), &store);
   };
-  const std::string ref = json_with(1, "fixed");
-  EXPECT_NE(ref.find("\"outcome\":\"completed\""), std::string::npos);
-  EXPECT_NE(ref.find("\"scheduler\":\"fixed\""), std::string::npos);
-  for (int workers : {1, 2, 4}) {
-    for (const char* scheduler : {"fixed", "adaptive"}) {
-      SCOPED_TRACE(std::string("workers=") + std::to_string(workers) +
-                   " scheduler=" + scheduler);
-      std::string json = json_with(workers, scheduler);
-      // Normalize the config echo so only real result divergence remains.
-      const std::string adaptive_echo = "\"scheduler\":\"adaptive\"";
-      const std::size_t echo = json.find(adaptive_echo);
-      if (echo != std::string::npos) {
-        json.replace(echo, adaptive_echo.size(), "\"scheduler\":\"fixed\"");
-      }
-      EXPECT_EQ(json, ref);
+  auto ring = [](int workers) {
+    apps::RingParams p;
+    p.laps = 10;
+    p.payload_bytes = 8;
+    core::RunnerConfig rc;
+    rc.base = tiny_config(8);
+    rc.base.sim_workers = workers;
+    rc.first_run_failures = {FailureSpec{4, sim_us(60)}};
+    return core::ResilientRunner(rc, apps::make_ring(p)).run().run_results.back();
+  };
+  const struct {
+    const char* name;
+    std::function<SimResult(int)> run;
+    const char* pinned;  ///< Result-json fragment every worker count must emit.
+  } inputs[] = {{"heat3d", heat, "\"scheduler\":\"fixed\""},
+                {"ring", ring, "\"max_end_time_ns\":1300800"}};
+  for (const auto& in : inputs) {
+    SCOPED_TRACE(in.name);
+    auto json_with = [&](int workers) {
+      std::string json = core::sim_result_json(in.run(workers));
+      const std::size_t tail = json.find(",\"wall_seconds\"");
+      EXPECT_NE(tail, std::string::npos);
+      return json.substr(0, tail);
+    };
+    const std::string ref = json_with(1);
+    EXPECT_NE(ref.find("\"outcome\":\"completed\""), std::string::npos);
+    EXPECT_NE(ref.find(in.pinned), std::string::npos);
+    for (int workers : {2, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      EXPECT_EQ(json_with(workers), ref);
     }
   }
 }

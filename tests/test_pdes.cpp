@@ -15,7 +15,6 @@
 
 #include "pdes/engine.hpp"
 #include "pdes/event_queue.hpp"
-#include "pdes/scheduler.hpp"
 #include "pdes/sim_workers.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
@@ -244,8 +243,7 @@ class StormLp : public LogicalProcess {
   int lp_count_;
 };
 
-std::string run_storm(int workers, std::uint64_t* processed,
-                      const SchedulerSpec& scheduler = {}) {
+std::string run_storm(int workers, std::uint64_t* processed) {
   constexpr int kLps = 8;
   Engine e;
   std::vector<std::unique_ptr<StormLp>> lps;
@@ -257,9 +255,7 @@ std::string run_storm(int workers, std::uint64_t* processed,
     e.schedule(static_cast<SimTime>(i % 3), i, static_cast<int>(i),
                std::make_unique<StormPayload>(5));
   }
-  Engine::ShardingOptions opts = sharded(workers);
-  opts.scheduler = scheduler;
-  e.set_sharding(opts);
+  e.set_sharding(sharded(workers));
   e.run();
   *processed = e.events_processed();
   std::string all;
@@ -278,62 +274,17 @@ TEST(ShardedEngine, EventStormTraceIsWorkerCountInvariant) {
   }
 }
 
-TEST(ShardedEngine, EventStormTraceIsSchedulerInvariant) {
-  // The delivered schedule must be byte-identical across every combination of
-  // worker count x scheduler preset: adaptive bounds stay inside the safe
-  // envelope.
-  std::uint64_t base_count = 0;
-  const std::string base = run_storm(1, &base_count);
-  for (int workers : {1, 2, 4}) {
-    for (SchedulerKind kind : {SchedulerKind::kFixed, SchedulerKind::kAdaptive}) {
-      const SchedulerSpec spec{kind};
-      std::uint64_t count = 0;
-      EXPECT_EQ(run_storm(workers, &count, spec), base)
-          << "workers=" << workers << " scheduler=" << to_string(spec);
-      EXPECT_EQ(count, base_count) << "workers=" << workers;
-    }
-  }
-}
-
-TEST(ShardedEngine, StealingWithOversubscribedGroupsIsDeterministic) {
-  // The adaptive preset's 4 groups per worker enable work-stealing: more
-  // groups than workers, and any worker may claim any group once its own are
-  // done. Which steals occur is timing-dependent, but group state is only
-  // ever touched by the claim holder between barriers, so the trace must not
-  // change.
-  std::uint64_t base_count = 0;
-  const std::string base = run_storm(1, &base_count);
-  std::uint64_t count = 0;
-  EXPECT_EQ(run_storm(2, &count, SchedulerSpec{SchedulerKind::kAdaptive}), base);
-  EXPECT_EQ(count, base_count);
-}
-
-TEST(ShardedEngine, FixedPresetNeverWidensOnTheStorm) {
-  // The fixed preset is the planner at stretch 1 with one group per worker:
-  // every bound is exactly global-min + lookahead, so it never widens and its
-  // cycle structure is a pure function of queue state — 8 windows on the
-  // storm at any worker count.
+TEST(ShardedEngine, StormRunsEightWindowsAtAnyWorkerCount) {
+  // Every bound is exactly global-min + lookahead, so the cycle structure is
+  // a pure function of queue state — 8 windows on the storm at any worker
+  // count.
   for (int workers : {2, 4}) {
     const SchedStats before = sched_stats();
     std::uint64_t count = 0;
-    run_storm(workers, &count, SchedulerSpec{SchedulerKind::kFixed});
+    run_storm(workers, &count);
     const SchedStats after = sched_stats();
     EXPECT_EQ(after.windows - before.windows, 8u) << "workers=" << workers;
-    EXPECT_EQ(after.window_widenings - before.window_widenings, 0u) << "workers=" << workers;
   }
-}
-
-TEST(ShardedEngine, AdaptivePolicyWidensWindowsOnTheStorm) {
-  // The storm run is sparse per group (8 LPs, short hops), so the adaptive
-  // preset's density feedback must widen at least one window beyond
-  // global-min + lookahead; the trace stays identical (checked above), only
-  // pacing changes.
-  const SchedStats before = sched_stats();
-  std::uint64_t count = 0;
-  run_storm(4, &count, SchedulerSpec{SchedulerKind::kAdaptive});
-  const SchedStats after = sched_stats();
-  EXPECT_GT(after.windows, before.windows);
-  EXPECT_GT(after.window_widenings - before.window_widenings, 0u);
 }
 
 TEST(ShardedEngine, EventStormTraceIsPoolingInvariant) {
@@ -443,9 +394,8 @@ TEST(ShardedEngine, ExplicitPartitionOverrideDeliversEverything) {
   for (auto& lp : lps) EXPECT_EQ(lp.delivered.size(), 1u);
 }
 
-TEST(ShardedEngine, CausalityViolationThrowsInThrowMode) {
+TEST(ShardedEngine, CausalityViolationThrows) {
   Engine e;
-  e.set_causality_mode(Engine::CausalityMode::kThrow);
   RecorderLp lp;
   lp.done = true;
   lp.callback = [](Engine& eng, const Event& ev) {
@@ -456,19 +406,23 @@ TEST(ShardedEngine, CausalityViolationThrowsInThrowMode) {
   EXPECT_THROW(e.run(), std::logic_error);
 }
 
-TEST(ShardedEngine, CausalityViolationCountsInCountMode) {
+TEST(ShardedEngine, CrossGroupEventInTheReceiversPastThrowsAtMerge) {
+  // LP 0 sends to LP 1 only 1 ns ahead, below the lookahead, while LP 1's
+  // own timer chain carries its group's clock to 9 in the same window. At the
+  // next barrier the event reaches LP 1's group already in its past.
   Engine e;
-  e.set_causality_mode(Engine::CausalityMode::kCount);
-  RecorderLp lp;
-  lp.done = true;
-  lp.callback = [](Engine& eng, const Event& ev) {
-    if (ev.kind == 1) eng.schedule(ev.time - 5, 0, 2, nullptr);
+  RecorderLp a, b;
+  a.done = b.done = true;
+  a.callback = [](Engine& eng, const Event& ev) { eng.schedule(ev.time + 1, 1, 2, nullptr); };
+  b.callback = [](Engine& eng, const Event& ev) {
+    if (ev.kind == 1 && ev.time < 9) eng.schedule(ev.time + 1, 1, 1, nullptr);
   };
-  e.add_process(0, &lp);
-  e.schedule(10, 0, 1, nullptr);
-  e.run();
-  EXPECT_EQ(e.causality_violations(), 1u);
-  EXPECT_EQ(lp.delivered.size(), 2u);  // Still delivered, just late.
+  e.add_process(0, &a);
+  e.add_process(1, &b);
+  e.schedule(0, 0, 1, nullptr);
+  e.schedule(0, 1, 1, nullptr);
+  e.set_sharding(sharded(2));
+  EXPECT_THROW(e.run(), std::logic_error);
 }
 
 TEST(EventOrder, OrdersByTimePriositySeq) {

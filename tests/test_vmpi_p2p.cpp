@@ -495,14 +495,13 @@ TEST(P2P, HaloWaitallResumesOncePerWait) {
   EXPECT_EQ(simulated_json(filtered), simulated_json(eager));
 }
 
-TEST(P2P, RunQueueHaloMatchesOnFourAdaptiveWorkers) {
+TEST(P2P, RunQueueHaloMatchesOnFourWorkers) {
   // 512 ranks keep thousands of events pending, past the event queue's run
   // floor, so sorted runs serve the pops (the 64-rank goldens never get
-  // there). Sequential and 4-worker adaptive runs must agree exactly.
+  // there). Sequential and 4-worker runs must agree exactly.
   constexpr int kDim = 8;
   core::SimConfig sequential = tiny_config(kDim * kDim * kDim);
   sequential.sim_workers = 1;
-  sequential.scheduler = "adaptive";
   core::SimConfig sharded = sequential;
   sharded.sim_workers = 4;
   PerfSnapshot seq_perf, par_perf;

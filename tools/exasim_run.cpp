@@ -52,7 +52,6 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
     const core::SimResult& first = results.front()->run_results.front();
     std::fprintf(stderr, "detector       : %s\n", first.detector.c_str());
     std::fprintf(stderr, "error policy   : %s\n", first.error_policy.c_str());
-    std::fprintf(stderr, "scheduler      : %s\n", first.scheduler.c_str());
     std::fprintf(stderr, "routing        : %s\n", first.routing.c_str());
     if (first.link_timeouts != "uniform") {
       std::fprintf(stderr, "link timeouts  : %s\n", first.link_timeouts.c_str());
@@ -80,7 +79,6 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
       p.fanout_relays += run.perf.fanout_relays;
       p.fanout_dead_skips += run.perf.fanout_dead_skips;
       p.sched_windows += run.perf.sched_windows;
-      p.sched_window_widenings += run.perf.sched_window_widenings;
       p.sched_steals += run.perf.sched_steals;
       p.sched_barrier_idle_ns += run.perf.sched_barrier_idle_ns;
       p.fiber_resumes += run.perf.fiber_resumes;
@@ -122,10 +120,8 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
   }
   if (p.sched_windows > 0) {
     std::fprintf(stderr,
-                 "sched          : %llu windows (%llu widened), %llu steals, "
-                 "%.3f s barrier idle\n",
+                 "sched          : %llu windows, %llu steals, %.3f s barrier idle\n",
                  static_cast<unsigned long long>(p.sched_windows),
-                 static_cast<unsigned long long>(p.sched_window_widenings),
                  static_cast<unsigned long long>(p.sched_steals),
                  static_cast<double>(p.sched_barrier_idle_ns) / 1e9);
   }
