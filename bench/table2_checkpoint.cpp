@@ -114,7 +114,7 @@ struct PaperRow {
 int main(int argc, char** argv) {
   Log::set_level(LogLevel::kWarn);
   std::printf("=== Table II: varying the checkpoint interval and system MTTF ===\n");
-  std::printf("(32,768 simulated ranks; this takes a few minutes)\n\n");
+  std::printf("(32,768 simulated ranks; use --jobs N to run rows concurrently)\n\n");
 
   TablePrinter table({"MTTF_s", "C", "E1", "E2", "F", "MTTF_a",
                       "paper E2", "paper F", "paper MTTF_a"});

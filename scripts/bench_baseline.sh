@@ -58,7 +58,7 @@ def run(extra):
     s = re.search(r"stacks\s*: (\d+) mapped, (\d+) reused, high-water (\d+)", err)
     # The queue line is always printed on this row (every run pops from a
     # sorted run); the wakeups line is omitted when zero.
-    q = re.search(r"queue\s*: (\d+) run pops \([\d.]+%\), (\d+) bulk merges", err)
+    q = re.search(r"queue\s*: \d+ pops, (\d+) run pops \([\d.]+%\), (\d+) bulk merges", err)
     if not (m and p and s and q):
         sys.stderr.write(err)
         raise SystemExit("could not parse perf output")

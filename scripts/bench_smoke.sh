@@ -217,7 +217,7 @@ m = re.search(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", err)
 if not m:
     raise SystemExit("no wakeups counter line in the default macro stderr:\n" + err)
 resumes, suppressed = int(m.group(1)), int(m.group(2))
-q = re.search(r"queue\s*: (\d+) run pops \(([\d.]+)%\), (\d+) bulk merges", err)
+q = re.search(r"queue\s*: \d+ pops, (\d+) run pops \(([\d.]+)%\), (\d+) bulk merges", err)
 if not q:
     raise SystemExit("no queue counter line in the default macro stderr:\n" + err)
 run_pops = int(q.group(1))
@@ -323,7 +323,7 @@ def grab(pattern, what):
 perf = grab(r"perf\s*: (\d+) events in ([\d.]+) s wall", "perf line")
 pool = grab(r"pool\s*: (\d+) allocs \(([\d.]+)% recycled\), (\d+) heap", "pool line")
 wake = grab(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", "wakeups line")
-queue = grab(r"queue\s*: (\d+) run pops \([\d.]+%\), (\d+) bulk merges",
+queue = grab(r"queue\s*: \d+ pops, (\d+) run pops \([\d.]+%\), (\d+) bulk merges",
              "queue line")
 events, wall = int(perf.group(1)), float(perf.group(2))
 measured = {

@@ -7,7 +7,8 @@
 # campaign machinery, the sharded engine, and the failure-notification bus
 # end to end; test_fiber's relaunch case runs a 64-rank ResilientRunner for
 # 3 launches on 4 engine workers, so warm pooled stacks move between worker
-# threads). The TSan suites run twice: as-is, and with
+# threads; test_exp runs two simulations side by side and checks that each
+# run's counters are its own). The TSan suites run twice: as-is, and with
 # EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
 # multiple worker threads (claim tokens and work stealing included). A
 # third, scoped repeat runs test_storage with

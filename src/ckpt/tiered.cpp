@@ -1,26 +1,10 @@
 #include "ckpt/tiered.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
+#include "util/counters.hpp"
+
 namespace exasim::ckpt {
-
-namespace {
-
-std::atomic<std::uint64_t> g_stages{0};
-std::atomic<std::uint64_t> g_drains{0};
-std::atomic<std::uint64_t> g_partner_copies{0};
-std::atomic<std::uint64_t> g_restore_tier{0};
-
-void note_restore_tier(int level) {
-  const std::uint64_t depth = static_cast<std::uint64_t>(level) + 1;
-  std::uint64_t cur = g_restore_tier.load(std::memory_order_relaxed);
-  while (cur < depth &&
-         !g_restore_tier.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 const char* to_string(CkptMode mode) {
   switch (mode) {
@@ -47,15 +31,6 @@ CkptMode resolve_ckpt_mode(const std::string& configured) {
   auto mode = parse_ckpt_mode(configured);
   if (!mode) throw std::invalid_argument("unknown ckpt mode: " + configured);
   return *mode;
-}
-
-CkptStats ckpt_stats() {
-  CkptStats s;
-  s.stages = g_stages.load(std::memory_order_relaxed);
-  s.drains = g_drains.load(std::memory_order_relaxed);
-  s.partner_copies = g_partner_copies.load(std::memory_order_relaxed);
-  s.restore_tier = g_restore_tier.load(std::memory_order_relaxed);
-  return s;
 }
 
 int checkpoint_clients(const vmpi::Context& ctx) {
@@ -138,8 +113,8 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
                     CopyRecord{.level = 0, .holder = rank, .ready_time = ctx.now()});
   store.record_copy(version, rank,
                     CopyRecord{.level = 0, .holder = partner, .ready_time = ctx.now()});
-  g_partner_copies.fetch_add(1, std::memory_order_relaxed);
-  g_stages.fetch_add(1, std::memory_order_relaxed);
+  util::count(util::Counter::kCkptPartnerCopies);
+  util::count(util::Counter::kCkptStages);
   if (mode_ == CkptMode::kPartner) return vmpi::Err::kSuccess;
 
   // Staged mode: background drain in sim-time. The drain sources from this
@@ -161,7 +136,7 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
                       CopyRecord{.level = 2, .holder = -1, .ready_time = t_bb + pfs_w,
                                  .depends_on = rank, .depends_until = t_bb});
     drain_ready_ = t_bb;
-    g_drains.fetch_add(2, std::memory_order_relaxed);
+    util::count(util::Counter::kCkptDrains, 2);
   } else {
     // No burst buffer: drain straight to the PFS, holding the memory
     // staging buffer (and the dependency on this rank) the whole way.
@@ -171,7 +146,7 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
                       CopyRecord{.level = 2, .holder = -1, .ready_time = t0 + pfs_w,
                                  .depends_on = rank, .depends_until = t0 + pfs_w});
     drain_ready_ = t0 + pfs_w;
-    g_drains.fetch_add(1, std::memory_order_relaxed);
+    util::count(util::Counter::kCkptDrains);
   }
   return vmpi::Err::kSuccess;
 }
@@ -208,7 +183,10 @@ std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
   auto data = store.read(plan->version, rank);
   const auto kind = static_cast<StorageTierKind>(mine.level);
   ctx.elapse(storage.model(kind).read_time(data.size(), checkpoint_clients(ctx)));
-  note_restore_tier(mine.level);
+  static constexpr util::Counter kRestoredFrom[kStorageTierKinds] = {
+      util::Counter::kCkptRestoresMem, util::Counter::kCkptRestoresBb,
+      util::Counter::kCkptRestoresPfs};
+  util::count(kRestoredFrom[mine.level]);
   if (version_out != nullptr) *version_out = plan->version;
   if (tier_out != nullptr) *tier_out = mine.level;
   return data;

@@ -34,18 +34,6 @@ const std::vector<std::string>& list_ckpt_modes();
 /// std::invalid_argument on malformed text.
 CkptMode resolve_ckpt_mode(const std::string& configured);
 
-/// Process-wide tiered-checkpoint counters (monotonic, like fanout_stats):
-/// surfaced through metrics::PerfSnapshot and the exasim_run rollup.
-struct CkptStats {
-  std::uint64_t stages = 0;          ///< Non-PFS synchronous checkpoint writes.
-  std::uint64_t drains = 0;          ///< Background tier-to-tier drains issued.
-  std::uint64_t partner_copies = 0;  ///< Partner replicas shipped over the net.
-  /// Deepest tier any restore had to reach: 0 = no restore yet, 1 = node
-  /// memory, 2 = burst buffer, 3 = PFS.
-  std::uint64_t restore_tier = 0;
-};
-CkptStats ckpt_stats();
-
 /// Reserved application-range tags for checkpoint traffic (apps use small
 /// tags; collectives use the negative range).
 inline constexpr int kCkptSizeTag = 29002;

@@ -100,7 +100,9 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
 Machine::~Machine() = default;
 
 SimResult Machine::run() {
-  const PerfSnapshot perf_begin = perf_snapshot();
+  // This run's counters: this thread's over the run, plus the engine's other
+  // worker threads' (metrics/perf.hpp).
+  const util::Counters counters_begin = util::thread_counters();
   const auto wall_begin = std::chrono::steady_clock::now();
 
   // Build one simulated MPI process per rank, each one heap block pointing
@@ -207,7 +209,9 @@ SimResult Machine::run() {
     result.rank_outcomes.push_back(proc->outcome());
   }
   result.events_processed = engine_.events_processed();
-  result.perf = perf_delta(perf_begin, perf_snapshot());
+  util::Counters counters = util::thread_counters() - counters_begin;
+  counters += engine_.worker_counters();
+  result.perf = perf_of(counters);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
   if (result.wall_seconds > 0 && result.events_processed > 0) {

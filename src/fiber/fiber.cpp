@@ -2,13 +2,13 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "fiber/stack_pool.hpp"
+#include "util/counters.hpp"
 
 // ---------------------------------------------------------------------------
 // ThreadSanitizer fiber support
@@ -73,27 +73,6 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_
 #endif
 
 namespace exasim {
-
-namespace {
-
-// Process-wide dispatch traffic (relaxed: statistics, not synchronization).
-// A resume is one switch into a fiber; suppressed wakeups are reported by the
-// simulated MPI layer's blocked-condition filter (vmpi::SimProcess).
-std::atomic<std::uint64_t> g_fiber_resumes{0};
-std::atomic<std::uint64_t> g_wakeups_suppressed{0};
-
-}  // namespace
-
-FiberDispatchStats fiber_dispatch_stats() {
-  FiberDispatchStats s;
-  s.resumes = g_fiber_resumes.load(std::memory_order_relaxed);
-  s.wakeups_suppressed = g_wakeups_suppressed.load(std::memory_order_relaxed);
-  return s;
-}
-
-void fiber_note_wakeup_suppressed() {
-  g_wakeups_suppressed.fetch_add(1, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -232,7 +211,7 @@ void Fiber::resume() {
   if (t_current != nullptr) throw std::logic_error("nested fiber resume on one thread");
   started_ = true;
   t_current = this;
-  g_fiber_resumes.fetch_add(1, std::memory_order_relaxed);
+  util::count(util::Counter::kFiberResumes);
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
   EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);
@@ -309,7 +288,7 @@ void Fiber::resume() {
   if (t_current != nullptr) throw std::logic_error("nested fiber resume on one thread");
   started_ = true;
   t_current = this;
-  g_fiber_resumes.fetch_add(1, std::memory_order_relaxed);
+  util::count(util::Counter::kFiberResumes);
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
   EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);

@@ -133,16 +133,4 @@ class Fiber {
   bool unwinding_ = false;  ///< Set by ~Fiber; makes yield() throw Unwind.
 };
 
-/// Process-wide fiber dispatch counters (relaxed atomics; src/metrics/perf
-/// surfaces them). `resumes` counts every Fiber::resume() switch; the
-/// simulated MPI layer's wakeup filter reports each spurious resume it
-/// avoided via fiber_note_wakeup_suppressed(). Lives here rather than in the
-/// vmpi layer because exasim_metrics links fiber but not vmpi.
-struct FiberDispatchStats {
-  std::uint64_t resumes = 0;
-  std::uint64_t wakeups_suppressed = 0;
-};
-FiberDispatchStats fiber_dispatch_stats();
-void fiber_note_wakeup_suppressed();
-
 }  // namespace exasim

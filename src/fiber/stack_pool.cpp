@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <new>
 
+#include "util/counters.hpp"
 #include "util/pool.hpp"
 
 // Recycled stacks under AddressSanitizer: frames abandoned on a parked stack
@@ -110,13 +111,13 @@ FiberStackPool::Stack FiberStackPool::acquire(std::size_t bytes) {
     if (it != free_.end() && !it->second.empty()) {
       out = it->second.back();
       it->second.pop_back();
-      ++stats_.reused;
+      util::count(util::Counter::kStacksReused);
       --stats_.pooled;
     }
   }
   if (out.base == nullptr) {
     out = map_locked(bytes);
-    ++stats_.mapped;
+    util::count(util::Counter::kStacksMapped);
   }
   ++stats_.outstanding;
   if (stats_.outstanding > stats_.high_water) stats_.high_water = stats_.outstanding;

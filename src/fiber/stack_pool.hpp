@@ -58,10 +58,10 @@ class FiberStackPool {
     bool guarded = false;
   };
 
-  /// Monotonic counters (diff two snapshots to meter one region).
+  /// The pool's state, and its munmap count. Fresh mmaps and reuses are
+  /// counted in the acquiring thread's block (util::Counter::kStacksMapped,
+  /// kStacksReused), so that they belong to the run that acquired.
   struct Stats {
-    std::uint64_t mapped = 0;    ///< Fresh mmaps (pool misses + unpooled).
-    std::uint64_t reused = 0;    ///< Acquires served from the free list.
     std::uint64_t unmapped = 0;  ///< munmaps (unpooled releases / trim).
     std::uint64_t outstanding = 0;  ///< Currently acquired stacks.
     std::uint64_t pooled = 0;       ///< Currently parked on free lists.

@@ -2,12 +2,24 @@
 
 #include <cstdint>
 
+#include "util/counters.hpp"
+
 namespace exasim {
 
-/// Point-in-time snapshot of the hot-path memory counters (DESIGN.md §9):
-/// the util pool (event payloads, message blocks with their bytes) and the fiber stack
-/// pool. All counters are monotonic process-wide totals; meter one region —
-/// e.g. one Machine::run() — by diffing two snapshots with perf_delta().
+/// Hot-path counters of one run, or of the whole process (DESIGN.md §9).
+///
+/// Per run: core::Machine::run fills SimResult::perf from the counter blocks
+/// (util/counters.hpp) of the threads that ran it — the calling thread's
+/// difference over the run plus that of each engine worker thread — so
+/// simulations running side by side (--jobs, exasim_mc) never count each
+/// other's traffic. Every field is such a flow except two levels:
+/// stacks_high_water and ckpt_restore_tier (see their comments). Summing
+/// snapshots adds the flows and takes the larger level; subtracting keeps
+/// the left side's levels.
+///
+/// perf_snapshot() sums every thread's block instead. It stays for meters of
+/// a whole process, such as simbench around one workload: with one
+/// simulation at a time it equals the sum of the runs' counters.
 struct PerfSnapshot {
   // util::pool (size-class free lists; see src/util/pool.hpp).
   std::uint64_t pool_allocs = 0;       ///< pool_alloc calls (any route).
@@ -19,7 +31,9 @@ struct PerfSnapshot {
   // FiberStackPool (guard-paged mmapped stacks; see src/fiber/stack_pool.hpp).
   std::uint64_t stacks_mapped = 0;      ///< Fresh mmaps.
   std::uint64_t stacks_reused = 0;      ///< Acquires served from the pool.
-  std::uint64_t stacks_high_water = 0;  ///< Max concurrently live stacks.
+  /// Max concurrently live stacks: a level of the process-wide
+  /// FiberStackPool, which concurrent runs share, read at snapshot time.
+  std::uint64_t stacks_high_water = 0;
 
   // Engine::schedule_fanout (batched notification fan-out; DESIGN.md §10).
   std::uint64_t fanout_notices = 0;     ///< Notice events created.
@@ -36,27 +50,41 @@ struct PerfSnapshot {
 
   // Hot-path dispatch & queue traffic (DESIGN.md §13): fiber context
   // switches, spurious resumes the vmpi wakeup filter skipped, event-queue
-  // pops served from a sorted run, and bulk inbox merges.
+  // pops (all of them, and those served from a sorted run), and bulk inbox
+  // merges. Each pop delivers an event, drops one for a dead target or
+  // unpacks a relay: queue_pops = events processed + (events dropped dead -
+  // fanout_dead_skips) + fanout_relays.
   std::uint64_t fiber_resumes = 0;       ///< Fiber::resume switches.
   std::uint64_t wakeups_suppressed = 0;  ///< Spurious resumes filtered out.
+  std::uint64_t queue_pops = 0;          ///< Pops by the delivery loops.
   std::uint64_t queue_near_hits = 0;     ///< Pops from a sorted run.
   std::uint64_t bulk_merges = 0;         ///< EventQueue::push_bulk calls.
 
   // Tiered checkpointing (DESIGN.md §14): non-PFS checkpoint stages,
   // background tier-to-tier drains, partner replicas shipped over the
-  // network, and the deepest tier any restore had to reach (a level:
-  // 0 = none, 1 = mem, 2 = bb, 3 = pfs).
+  // network, and the deepest tier the counted restores reached (a level:
+  // 0 = none, 1 = mem, 2 = bb, 3 = pfs): a run's own restores in
+  // SimResult::perf, every restore so far in perf_snapshot().
   std::uint64_t ckpt_stages = 0;
   std::uint64_t ckpt_drains = 0;
   std::uint64_t ckpt_partner_copies = 0;
   std::uint64_t ckpt_restore_tier = 0;
+
+  PerfSnapshot& operator+=(const PerfSnapshot& o);
+  PerfSnapshot operator-(const PerfSnapshot& o) const;
 };
 
-/// Reads the current process-wide counters. Thread-safe; O(#threads).
+/// Names the values of a counter block; stacks_high_water is read from the
+/// FiberStackPool now.
+PerfSnapshot perf_of(const util::Counters& counters);
+
+/// Every thread's counters since the process started. Thread-safe;
+/// O(#threads).
 PerfSnapshot perf_snapshot();
 
-/// Component-wise `end - begin` for the monotonic counters; high_water is
-/// carried over from `end` (it is a level, not a flow).
-PerfSnapshot perf_delta(const PerfSnapshot& begin, const PerfSnapshot& end);
+/// `end - begin`: the flows between two snapshots, and end's levels.
+inline PerfSnapshot perf_delta(const PerfSnapshot& begin, const PerfSnapshot& end) {
+  return end - begin;
+}
 
 }  // namespace exasim

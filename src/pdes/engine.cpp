@@ -24,18 +24,15 @@ struct WorkerCtx {
 
 thread_local WorkerCtx t_worker;
 
-// Process-wide fan-out traffic counters (relaxed: they are statistics, not
-// synchronization). Process-wide rather than per-engine so metrics/perf can
-// read them without a handle on the Machine's engine.
-std::atomic<std::uint64_t> g_fanout_notices{0};
-std::atomic<std::uint64_t> g_fanout_relays{0};
-std::atomic<std::uint64_t> g_fanout_dead_skips{0};
+using util::Counter;
+using util::count;
 
-// Process-wide sharded-engine counters, added to at the end of each parallel
-// run (steals and idle time by each worker as it leaves).
-std::atomic<std::uint64_t> g_sched_windows{0};
-std::atomic<std::uint64_t> g_sched_steals{0};
-std::atomic<std::uint64_t> g_sched_idle_ns{0};
+/// Folds one queue's traffic into this thread's counter block.
+void count_queue(const EventQueue::LocalStats& s) {
+  count(Counter::kQueuePops, s.pops);
+  count(Counter::kQueueRunPops, s.run_pops);
+  count(Counter::kQueueBulkMerges, s.bulk_merges);
+}
 
 [[noreturn]] void throw_causality_violation(const char* what, SimTime time, SimTime local_now) {
   throw std::logic_error(std::string("causality violation: ") + what + " event at " +
@@ -44,22 +41,6 @@ std::atomic<std::uint64_t> g_sched_idle_ns{0};
 }
 
 }  // namespace
-
-FanoutStats fanout_stats() {
-  FanoutStats s;
-  s.notices = g_fanout_notices.load(std::memory_order_relaxed);
-  s.relay_events = g_fanout_relays.load(std::memory_order_relaxed);
-  s.dead_skips = g_fanout_dead_skips.load(std::memory_order_relaxed);
-  return s;
-}
-
-SchedStats sched_stats() {
-  SchedStats s;
-  s.windows = g_sched_windows.load(std::memory_order_relaxed);
-  s.steals = g_sched_steals.load(std::memory_order_relaxed);
-  s.barrier_idle_ns = g_sched_idle_ns.load(std::memory_order_relaxed);
-  return s;
-}
 
 void Engine::add_process(LpId id, LogicalProcess* lp) {
   if (id < 0) throw std::invalid_argument("negative LP id");
@@ -139,7 +120,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
       if (it.time < local_now) throw_causality_violation("scheduled", it.time, local_now);
       if (is_dead(it.target)) {
         ++events_dropped_dead_;
-        g_fanout_dead_skips.fetch_add(1, std::memory_order_relaxed);
+        count(Counter::kFanoutDeadSkips);
         continue;
       }
       Event ev;
@@ -151,7 +132,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
       ev.kind = kind;
       ev.payload = make_payload(it);
       queue_.push(std::move(ev));
-      g_fanout_notices.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::kFanoutNotices);
     }
     return;
   }
@@ -173,7 +154,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
     if (dst == grp->index() &&
         dead_[static_cast<std::size_t>(it.target)] != 0) {
       ++grp->events_dropped_dead;
-      g_fanout_dead_skips.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::kFanoutDeadSkips);
       continue;
     }
     Event ev;
@@ -187,7 +168,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
     if (dst == grp->index()) {
       // Remote items are counted at unpack instead, so a notice either
       // shows up in fanout_notices or in fanout_dead_skips — never both.
-      g_fanout_notices.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::kFanoutNotices);
       grp->queue().push(std::move(ev));
     } else {
       auto& batch = batches[static_cast<std::size_t>(dst)];
@@ -215,7 +196,7 @@ void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
     relay.kind = kRelayEventKind;
     relay.payload = std::move(batch);
     grp->outbox_for(dst).push_back(std::move(relay));
-    g_fanout_relays.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::kFanoutRelays);
   }
 }
 
@@ -228,10 +209,10 @@ void Engine::unpack_relay(LpGroup& grp, Event&& relay) {
   for (Event& ev : batch) {
     if (dead_[static_cast<std::size_t>(ev.target)] != 0) {
       ++grp.events_dropped_dead;
-      g_fanout_dead_skips.fetch_add(1, std::memory_order_relaxed);
+      count(Counter::kFanoutDeadSkips);
       continue;
     }
-    g_fanout_notices.fetch_add(1, std::memory_order_relaxed);
+    count(Counter::kFanoutNotices);
     batch[kept++] = std::move(ev);
   }
   batch.resize(kept);
@@ -302,12 +283,13 @@ std::vector<int> Engine::plan_partition(int group_count) const {
 void Engine::run() {
   const int group_count = plan_groups();
   last_groups_ = group_count;
+  worker_counters_ = util::Counters{};
   if (group_count <= 1) {
     run_sequential();
   } else {
     run_parallel(group_count);
   }
-  queue_note(queue_.take_stats());
+  count_queue(queue_.take_stats());
 }
 
 void Engine::run_sequential() {
@@ -355,6 +337,8 @@ void Engine::run_sequential() {
 /// Shared state of one run_parallel invocation, handed to every worker.
 struct Engine::WorkerPlan {
   std::vector<std::unique_ptr<LpGroup>> groups;  ///< Group w is worker w's home.
+  /// Worker w's counts over the run, each slot written by its own worker.
+  std::vector<util::Counters> counts;
   WindowSync* sync = nullptr;
   std::exception_ptr first_error;
   std::mutex error_mu;
@@ -400,12 +384,18 @@ void Engine::run_parallel(int group_count) {
         ->queue()
         .push(std::move(ev));
   }
+  // Distributing the pending events moves them; the group queues count
+  // their pops when they deliver them.
+  EventQueue::LocalStats staged = queue_.take_stats();
+  staged.pops = 0;
+  count_queue(staged);
   // Carry the engine clock into every group (relevant when run() is called
   // again after a previous run advanced the clock).
   for (auto& grp : plan.groups) grp->advance_now(now_);
 
   WindowSync sync(group_count, sharding_.lookahead, &stop_requested_);
   plan.sync = &sync;
+  plan.counts.resize(static_cast<std::size_t>(group_count));
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(group_count) - 1);
@@ -420,14 +410,19 @@ void Engine::run_parallel(int group_count) {
     events_processed_ += grp->events_processed;
     events_dropped_dead_ += grp->events_dropped_dead;
     if (grp->now() > now_) now_ = grp->now();
-    queue_note(grp->queue().take_stats());
+    count_queue(grp->queue().take_stats());  // Before the leftovers move out.
     while (!grp->queue().empty()) queue_.push(grp->queue().pop());
     for (int dst = 0; dst < group_count; ++dst) {
       for (Event& ev : grp->outbox_for(dst)) queue_.push(std::move(ev));
       grp->outbox_for(dst).clear();
     }
   }
-  g_sched_windows.fetch_add(sync.windows(), std::memory_order_relaxed);
+  count(Counter::kSchedWindows, sync.windows());
+  // Worker 0 ran on this thread, so its counts are already in this thread's
+  // block.
+  for (int w = 1; w < group_count; ++w) {
+    worker_counters_ += plan.counts[static_cast<std::size_t>(w)];
+  }
   group_of_.clear();
   if (plan.first_error) std::rethrow_exception(plan.first_error);
 }
@@ -446,11 +441,13 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
   }
 
   using Clock = std::chrono::steady_clock;
+  const util::Counters counts_begin = util::thread_counters();
   std::uint64_t idle_ns = 0;  ///< Barrier wait, summed over the run.
   std::uint64_t steals = 0;
-  auto note_sched = [&] {
-    g_sched_steals.fetch_add(steals, std::memory_order_relaxed);
-    g_sched_idle_ns.fetch_add(idle_ns, std::memory_order_relaxed);
+  auto note_counts = [&] {
+    count(Counter::kSchedSteals, steals);
+    count(Counter::kSchedBarrierIdleNs, idle_ns);
+    plan.counts[static_cast<std::size_t>(worker)] = util::thread_counters() - counts_begin;
   };
   auto timed_wait = [&idle_ns](auto&& wait) {
     const Clock::time_point t0 = Clock::now();
@@ -492,7 +489,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
           }
           break;
         case WindowSync::Phase::kExit:
-          note_sched();
+          note_counts();
           return;
       }
     }
@@ -505,7 +502,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
     // early barrier arrivals then stand in for this worker's missing ones.
     stop_requested_.store(true, std::memory_order_release);
     sync.withdraw();
-    note_sched();
+    note_counts();
     t_worker = WorkerCtx{};
   }
 }

@@ -11,6 +11,7 @@
 
 #include "pdes/event.hpp"
 #include "pdes/event_queue.hpp"
+#include "util/counters.hpp"
 #include "util/time.hpp"
 
 namespace exasim {
@@ -172,6 +173,12 @@ class Engine {
   /// LPs that had not terminated when run() returned (deadlock diagnostics).
   std::vector<LpId> unterminated() const;
 
+  /// What the worker threads other than the calling one counted during the
+  /// most recent run() (zero for a sequential run). The calling thread ran
+  /// worker 0, so a caller meters a run as its own block's difference over
+  /// run() plus this.
+  const util::Counters& worker_counters() const { return worker_counters_; }
+
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t events_pending() const { return queue_.size(); }
   std::uint64_t events_dropped_dead() const { return events_dropped_dead_; }
@@ -207,29 +214,8 @@ class Engine {
   std::uint64_t events_processed_ = 0;
   std::uint64_t events_dropped_dead_ = 0;
   int last_groups_ = 1;
+  util::Counters worker_counters_;
   std::atomic<bool> stop_requested_{false};
 };
-
-/// Process-wide counters for schedule_fanout traffic (src/metrics/perf
-/// surfaces them next to the pool counters): notice events created, relay
-/// carrier events used for cross-group batches, and dead-destination items
-/// skipped.
-struct FanoutStats {
-  std::uint64_t notices = 0;
-  std::uint64_t relay_events = 0;
-  std::uint64_t dead_skips = 0;
-};
-FanoutStats fanout_stats();
-
-/// Process-wide sharded-engine counters (metrics/perf surfaces them next to
-/// the pool and fan-out counters). Relaxed statistics: `steals` and
-/// `barrier_idle_ns` depend on host timing and never feed back into the
-/// simulated schedule.
-struct SchedStats {
-  std::uint64_t windows = 0;          ///< Window phases decided.
-  std::uint64_t steals = 0;           ///< Groups run by a non-home worker.
-  std::uint64_t barrier_idle_ns = 0;  ///< Worker ns spent waiting at barriers.
-};
-SchedStats sched_stats();
 
 }  // namespace exasim

@@ -1,7 +1,6 @@
 #include "pdes/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
@@ -9,30 +8,10 @@ namespace exasim {
 
 namespace {
 
-// Process-wide queue traffic counters (relaxed: statistics, not
-// synchronization). Folded in per run, not per operation, so the hot path
-// never touches an atomic.
-std::atomic<std::uint64_t> g_queue_run_pops{0};
-std::atomic<std::uint64_t> g_queue_bulk_merges{0};
-
 /// Smallest ring a new run starts with.
 constexpr std::size_t kMinRing = 16;
 
 }  // namespace
-
-QueueStats queue_stats() {
-  QueueStats s;
-  s.near_hits = g_queue_run_pops.load(std::memory_order_relaxed);
-  s.bulk_merges = g_queue_bulk_merges.load(std::memory_order_relaxed);
-  return s;
-}
-
-void queue_note(const EventQueue::LocalStats& s) {
-  if (s.run_pops != 0) g_queue_run_pops.fetch_add(s.run_pops, std::memory_order_relaxed);
-  if (s.bulk_merges != 0) {
-    g_queue_bulk_merges.fetch_add(s.bulk_merges, std::memory_order_relaxed);
-  }
-}
 
 EventQueue::EventQueue() {
   // Idle slots as a stack with slot 0 on top, so runs fill low slots first.
@@ -228,6 +207,7 @@ void EventQueue::push_bulk(std::vector<Event>& evs) {
 
 Event EventQueue::pop() {
   --size_;
+  ++stats_.pops;
   // Keys are unique, so a run head not below the fallback root is above it.
   if (live_ == 0 || (!heap_.empty() && !key_less_entry(heads_[0].key, heap_.front()))) {
     return fallback_pop();

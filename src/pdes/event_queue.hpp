@@ -63,9 +63,10 @@ class EventQueue {
     return n;
   }
 
-  /// Queue-local traffic counters, folded into the process-wide stats
-  /// (queue_note) by the engine at the end of a run.
+  /// Queue-local traffic counters, folded into the running thread's
+  /// counter block (util/counters.hpp) by the engine at the end of a run.
   struct LocalStats {
+    std::uint64_t pops = 0;          ///< Every pop.
     std::uint64_t run_pops = 0;      ///< Pops served from a sorted run.
     std::uint64_t runs_created = 0;  ///< Runs started (including reuses).
     std::uint64_t bulk_merges = 0;   ///< push_bulk calls.
@@ -174,16 +175,5 @@ class EventQueue {
 
   LocalStats stats_;
 };
-
-/// Process-wide queue traffic counters (metrics/perf surfaces them next to
-/// the pool and fan-out counters); engines fold per-queue LocalStats in at
-/// the end of each run. `near_hits` counts pops served from a sorted run
-/// (the name predates the run queue; it feeds perf's queue_near_hits).
-struct QueueStats {
-  std::uint64_t near_hits = 0;
-  std::uint64_t bulk_merges = 0;
-};
-QueueStats queue_stats();
-void queue_note(const EventQueue::LocalStats& s);
 
 }  // namespace exasim

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "util/counters.hpp"
+
 // ASan integration: blocks parked on a free list are poisoned so that a
 // use-after-free of pooled memory is reported just like one of heap memory
 // (the EXASIM_ASAN tier-1 leg). Without the sanitizer these are no-ops.
@@ -70,39 +72,21 @@ std::atomic<bool> g_pool_enabled{[] {
   return env == nullptr || env[0] == '\0' || env[0] == '0';
 }()};
 
-/// Per-thread pool state. Allocated once per thread, never destroyed:
-/// registered in a process-global registry (keeps counters readable after
-/// thread exit and anchors everything for leak checkers). Free-listed blocks
-/// and slabs are process-lifetime, so a block freed by a short-lived worker
-/// thread stays valid wherever it migrated from.
-/// Counters a foreign thread may read (pool_stats) while the owner bumps
-/// them. Only the owner writes, so the increment is a relaxed load+store —
-/// a plain register add on x86, no locked RMW on the hot path.
-struct ThreadCounters {
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> frees{0};
-  std::atomic<std::uint64_t> recycled{0};
-  std::atomic<std::uint64_t> heap_allocs{0};
-  std::atomic<std::uint64_t> slab_allocs{0};
-  std::atomic<std::uint64_t> slab_bytes{0};
-  std::atomic<std::uint64_t> carved_bytes{0};
-};
-
-void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
-  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-}
-
+/// Per-thread pool state. Free-listed blocks live in slabs, which are
+/// process-lifetime (anchored in the registry), so a block freed by a
+/// short-lived worker thread stays valid wherever it migrated from. Its
+/// traffic is counted in the thread's block (util/counters.hpp).
 struct ThreadPool {
   BlockHeader* free_list[kClassCount] = {nullptr};
   /// Bump region of the current slab per class carve source.
   std::byte* slab_cursor = nullptr;
   std::size_t slab_remaining = 0;
-  ThreadCounters stats;
 };
+
+thread_local constinit ThreadPool t_pool;
 
 struct Registry {
   std::mutex mu;
-  std::vector<ThreadPool*> pools;
   std::vector<void*> slabs;  ///< Anchor: slabs are reachable until exit.
 };
 
@@ -111,19 +95,8 @@ Registry& registry() {
   return *r;
 }
 
-ThreadPool& thread_pool() {
-  thread_local ThreadPool* pool = [] {
-    auto* p = new ThreadPool;
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.pools.push_back(p);
-    return p;
-  }();
-  return *pool;
-}
-
-void* heap_block(std::size_t bytes, ThreadPool& tp) {
-  bump(tp.stats.heap_allocs);
+void* heap_block(std::size_t bytes) {
+  count(Counter::kPoolHeapAllocs);
   auto* h = static_cast<BlockHeader*>(::operator new(sizeof(BlockHeader) + bytes));
   h->magic = kHeapMagic;
   h->size_class = 0;
@@ -140,14 +113,15 @@ void set_pool_enabled(bool enabled) {
 }
 
 void* pool_alloc(std::size_t bytes) {
-  ThreadPool& tp = thread_pool();
-  bump(tp.stats.allocs);
+  count(Counter::kPoolAllocs);
   const std::size_t c = class_for(bytes);
-  if (c >= kClassCount || !pool_enabled()) return heap_block(bytes, tp);
+  if (c >= kClassCount || !pool_enabled()) return heap_block(bytes);
+
+  ThreadPool& tp = t_pool;
 
   if (BlockHeader* h = tp.free_list[c]; h != nullptr) {
     tp.free_list[c] = h->next;
-    bump(tp.stats.recycled);
+    count(Counter::kPoolRecycled);
     EXASIM_UNPOISON(h + 1, kClassSizes[c]);
     return h + 1;
   }
@@ -166,13 +140,13 @@ void* pool_alloc(std::size_t bytes) {
     }
     tp.slab_cursor = static_cast<std::byte*>(slab);
     tp.slab_remaining = kSlabBytes;
-    bump(tp.stats.slab_allocs);
-    bump(tp.stats.slab_bytes, kSlabBytes);
+    count(Counter::kPoolSlabAllocs);
+    count(Counter::kPoolSlabBytes, kSlabBytes);
   }
   auto* h = reinterpret_cast<BlockHeader*>(tp.slab_cursor);
   tp.slab_cursor += block;
   tp.slab_remaining -= block;
-  bump(tp.stats.carved_bytes, block);
+  count(Counter::kPoolCarvedBytes, block);
   h->magic = kPoolMagic;
   h->size_class = static_cast<std::uint32_t>(c);
   return h + 1;
@@ -180,13 +154,13 @@ void* pool_alloc(std::size_t bytes) {
 
 void pool_free(void* p) {
   if (p == nullptr) return;
-  ThreadPool& tp = thread_pool();
-  bump(tp.stats.frees);
+  count(Counter::kPoolFrees);
   auto* h = static_cast<BlockHeader*>(p) - 1;
   if (h->magic == kHeapMagic) {
     ::operator delete(h);
     return;
   }
+  ThreadPool& tp = t_pool;
   // Pool block: park it on *this* thread's free list (migration — see
   // header). The user region is poisoned while parked; the header holding
   // the link stays accessible.
@@ -194,22 +168,6 @@ void pool_free(void* p) {
   EXASIM_POISON(h + 1, kClassSizes[c]);
   h->next = tp.free_list[c];
   tp.free_list[c] = h;
-}
-
-PoolStats pool_stats() {
-  PoolStats total;
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const ThreadPool* tp : r.pools) {
-    total.allocs += tp->stats.allocs.load(std::memory_order_relaxed);
-    total.frees += tp->stats.frees.load(std::memory_order_relaxed);
-    total.recycled += tp->stats.recycled.load(std::memory_order_relaxed);
-    total.heap_allocs += tp->stats.heap_allocs.load(std::memory_order_relaxed);
-    total.slab_allocs += tp->stats.slab_allocs.load(std::memory_order_relaxed);
-    total.slab_bytes += tp->stats.slab_bytes.load(std::memory_order_relaxed);
-    total.carved_bytes += tp->stats.carved_bytes.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 }  // namespace exasim::util

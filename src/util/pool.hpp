@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace exasim::util {
 
@@ -52,20 +51,5 @@ void* pool_alloc(std::size_t bytes);
 /// Returns a pool_alloc block. Safe from any thread and under any toggle
 /// state (provenance header). nullptr is ignored.
 void pool_free(void* p);
-
-/// Aggregate allocation counters over all threads since process start.
-/// Monotonic; diff two snapshots to meter one region of execution.
-struct PoolStats {
-  std::uint64_t allocs = 0;       ///< pool_alloc calls.
-  std::uint64_t frees = 0;        ///< pool_free calls (non-null).
-  std::uint64_t recycled = 0;     ///< Allocs served from a free list.
-  std::uint64_t heap_allocs = 0;  ///< Allocs that hit the general heap
-                                  ///< (pool disabled or oversize block).
-  std::uint64_t slab_allocs = 0;  ///< New slabs carved (heap traffic, cold).
-  std::uint64_t slab_bytes = 0;   ///< Total bytes reserved in slabs.
-  std::uint64_t carved_bytes = 0; ///< Slab bytes handed out as new blocks,
-                                  ///< 16-byte headers included.
-};
-PoolStats pool_stats();
 
 }  // namespace exasim::util

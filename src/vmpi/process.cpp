@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "resilience/policy.hpp"
+#include "util/counters.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "vmpi/context.hpp"
@@ -154,7 +155,7 @@ void SimProcess::maybe_run_fiber() {
     run_fiber();
     return;
   }
-  fiber_note_wakeup_suppressed();
+  util::count(util::Counter::kWakeupsSuppressed);
 }
 
 void SimProcess::register_probe_wait(int comm_id, Rank src, Rank src_world, int tag) {

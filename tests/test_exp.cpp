@@ -4,16 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "apps/heat3d.hpp"
 #include "apps/ring.hpp"
 #include "core/runner.hpp"
 #include "exp/emit.hpp"
 #include "exp/executor.hpp"
 #include "exp/plan.hpp"
 #include "metrics/table.hpp"
+#include "sim_test_util.hpp"
 #include "util/log.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
@@ -235,4 +238,66 @@ TEST(Jobs, ResolutionRules) {
   EXPECT_EQ(exp::jobs_from_cli(3, const_cast<char**>(args2)), 7);
   const char* args3[] = {"bench"};
   EXPECT_EQ(exp::jobs_from_cli(1, const_cast<char**>(args3)), -1);
+}
+
+TEST(ParallelExecutor, ConcurrentRunsCountOnlyTheirOwnTraffic) {
+  // Two copies of one failure + restart simulation run side by side, held
+  // together at rank 0's first entry. Each launch's counters must equal a
+  // solo run's: what the other simulation does on its own threads is not
+  // its traffic. With 2 engine workers, each run is also counted across its
+  // worker threads.
+  Log::set_level(LogLevel::kOff);
+  apps::HeatParams heat;
+  heat.nx = heat.ny = heat.nz = 8;
+  heat.total_iterations = 8;
+  heat.halo_interval = heat.checkpoint_interval = 2;
+  heat.real_compute = false;
+  heat.work_units_per_point = 1000.0;  // 64 us per iteration per rank.
+  const vmpi::AppMain heat_app = apps::make_heat3d(heat);
+  auto app = [&heat_app](std::latch* overlap) -> vmpi::AppMain {
+    return [&heat_app, overlap](vmpi::Context& ctx) {
+      if (overlap != nullptr && ctx.rank() == 0 && core::services_of(ctx).run_index == 0) {
+        overlap->arrive_and_wait();
+      }
+      heat_app(ctx);
+    };
+  };
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    core::RunnerConfig rc;
+    rc.base = test::tiny_config(8);
+    rc.base.sim_workers = workers;
+    rc.base.storage = "hpc";
+    rc.base.ckpt_mode = "staged";
+    rc.first_run_failures = {FailureSpec{1, sim_us(5 * 64)}};
+    const core::RunnerResult solo = core::ResilientRunner(rc, app(nullptr)).run();
+    ASSERT_TRUE(solo.completed);
+    ASSERT_EQ(solo.launches, 2);
+
+    std::latch overlap(2);
+    ParallelExecutor pool(ExecutorOptions{2, {}});
+    const auto pair = pool.map(
+        2, [&](std::size_t) { return core::ResilientRunner(rc, app(&overlap)).run(); });
+    for (const auto& outcome : pair) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error;
+      ASSERT_EQ(outcome->total_time, solo.total_time);
+      ASSERT_EQ(outcome->run_results.size(), solo.run_results.size());
+      for (std::size_t launch = 0; launch < solo.run_results.size(); ++launch) {
+        SCOPED_TRACE(launch);
+        const PerfSnapshot& want = solo.run_results[launch].perf;
+        const PerfSnapshot& got = outcome->run_results[launch].perf;
+        EXPECT_EQ(got.pool_allocs, want.pool_allocs);
+        EXPECT_EQ(got.fiber_resumes, want.fiber_resumes);
+        EXPECT_EQ(got.wakeups_suppressed, want.wakeups_suppressed);
+        EXPECT_EQ(got.queue_near_hits, want.queue_near_hits);
+        EXPECT_EQ(got.fanout_notices, want.fanout_notices);
+        EXPECT_EQ(got.fanout_relays, want.fanout_relays);
+        EXPECT_EQ(got.fanout_dead_skips, want.fanout_dead_skips);
+        EXPECT_EQ(got.ckpt_stages, want.ckpt_stages);
+        EXPECT_EQ(got.ckpt_partner_copies, want.ckpt_partner_copies);
+      }
+    }
+    EXPECT_GT(solo.run_results[0].perf.ckpt_stages, 0u);
+    EXPECT_GT(solo.run_results[0].perf.fanout_notices, 0u);
+  }
 }

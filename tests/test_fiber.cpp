@@ -13,6 +13,7 @@
 #include "fiber/fiber.hpp"
 #include "fiber/stack_pool.hpp"
 #include "sim_test_util.hpp"
+#include "util/counters.hpp"
 #include "util/pool.hpp"
 
 namespace exasim {
@@ -243,11 +244,14 @@ TEST(FiberDeathTest, OverflowOfAnUnguardedStackTripsItsCanary) {
       "fiber stack overflow");
 }
 
+using util::Counter;
+
 TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
   if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
   auto& pool = FiberStackPool::instance();
   pool.trim();  // Isolate from earlier tests: start with empty free lists.
   const auto before = pool.stats();
+  const util::Counters c0 = util::thread_counters();
 
   constexpr std::size_t kBytes = 128 * 1024;
   {
@@ -257,7 +261,8 @@ TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
     b.resume();
   }  // Both stacks parked.
   const auto parked = pool.stats();
-  EXPECT_EQ(parked.mapped - before.mapped, 2u);
+  const util::Counters c1 = util::thread_counters();
+  EXPECT_EQ(c1[Counter::kStacksMapped] - c0[Counter::kStacksMapped], 2u);
   EXPECT_GE(parked.pooled, 2u);
   EXPECT_GE(parked.high_water, before.outstanding + 2);
 
@@ -266,8 +271,9 @@ TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
     c.resume();
   }
   const auto after = pool.stats();
-  EXPECT_EQ(after.mapped, parked.mapped);
-  EXPECT_EQ(after.reused - parked.reused, 1u);
+  const util::Counters c2 = util::thread_counters();
+  EXPECT_EQ(c2[Counter::kStacksMapped], c1[Counter::kStacksMapped]);
+  EXPECT_EQ(c2[Counter::kStacksReused] - c1[Counter::kStacksReused], 1u);
 
   // trim() unmaps every parked stack and empties the pool.
   pool.trim();
@@ -297,15 +303,15 @@ TEST(FiberStackPool, ReleasedStackStaysWarmForTheNextFiber) {
   ASSERT_EQ(::mincore(reinterpret_cast<void*>(first & ~(ps - 1)), ps, &resident), 0);
   EXPECT_EQ(resident & 1u, 1u) << "release dropped the parked stack's pages";
 
-  const auto parked = pool.stats();
+  const util::Counters parked = util::thread_counters();
   {
     Fiber g(frame(&second), kBytes);
     g.resume();
   }
-  const auto after = pool.stats();
+  const util::Counters after = util::thread_counters() - parked;
   EXPECT_EQ(second, first);
-  EXPECT_EQ(after.mapped, parked.mapped);
-  EXPECT_EQ(after.reused - parked.reused, 1u);
+  EXPECT_EQ(after[Counter::kStacksMapped], 0u);
+  EXPECT_EQ(after[Counter::kStacksReused], 1u);
   pool.trim();
 }
 
@@ -331,13 +337,14 @@ TEST(FiberStackPool, WarmStacksMoveAcrossEngineWorkersOnRelaunch) {
     }
     heat(ctx);
   };
-  const auto before = FiberStackPool::instance().stats();
   const core::RunnerResult res = core::ResilientRunner(rc, app).run();
-  const auto after = FiberStackPool::instance().stats();
   EXPECT_TRUE(res.completed);
   EXPECT_EQ(res.launches, 3);
+  // Each launch's perf counts the reuses of every worker thread that ran it.
+  std::uint64_t reused = 0;
+  for (const core::SimResult& r : res.run_results) reused += r.perf.stacks_reused;
   if (util::pool_enabled()) {
-    EXPECT_GE(after.reused - before.reused, 2u * 64u);
+    EXPECT_GE(reused, 2u * 64u);
   }
 }
 
@@ -346,13 +353,15 @@ TEST(FiberStackPool, UnpooledReleaseUnmaps) {
   util::set_pool_enabled(false);
   auto& pool = FiberStackPool::instance();
   const auto s0 = pool.stats();
+  const util::Counters c0 = util::thread_counters();
   {
     Fiber f([] {}, 64 * 1024);
     f.resume();
   }
   const auto s1 = pool.stats();
+  const util::Counters c1 = util::thread_counters();
   util::set_pool_enabled(before);
-  EXPECT_EQ(s1.mapped - s0.mapped, 1u);
+  EXPECT_EQ(c1[Counter::kStacksMapped] - c0[Counter::kStacksMapped], 1u);
   EXPECT_EQ(s1.unmapped - s0.unmapped, 1u);
   EXPECT_EQ(s1.pooled, s0.pooled);
 }

@@ -16,6 +16,7 @@
 #include "pdes/engine.hpp"
 #include "pdes/event_queue.hpp"
 #include "pdes/sim_workers.hpp"
+#include "util/counters.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 
@@ -279,11 +280,11 @@ TEST(ShardedEngine, StormRunsEightWindowsAtAnyWorkerCount) {
   // a pure function of queue state — 8 windows on the storm at any worker
   // count.
   for (int workers : {2, 4}) {
-    const SchedStats before = sched_stats();
+    const util::Counters before = util::thread_counters();
     std::uint64_t count = 0;
     run_storm(workers, &count);
-    const SchedStats after = sched_stats();
-    EXPECT_EQ(after.windows - before.windows, 8u) << "workers=" << workers;
+    const util::Counters run = util::thread_counters() - before;
+    EXPECT_EQ(run[util::Counter::kSchedWindows], 8u) << "workers=" << workers;
   }
 }
 

@@ -694,6 +694,58 @@ TEST(FanoutBatching, DeadDestinationsAreSkippedEverywhere) {
   EXPECT_EQ(engine.events_processed(), static_cast<std::uint64_t>(kRanks - 2));
 }
 
+TEST(FanoutBatching, QueuePopsAddUpAtOneAndFourWorkers) {
+  // Every pop delivers an event, drops one whose target is dead, or unpacks
+  // a relay carrier. Fan-out items for dead destinations are dropped without
+  // a pop, and moving events into the group queues before a sharded run and
+  // out of them after it is no pop either.
+  constexpr int kRanks = 64;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    Engine engine;
+    std::vector<NullLp> lps(kRanks);
+    for (int id = 0; id < kRanks; ++id) engine.add_process(id, &lps[id]);
+    Engine::ShardingOptions shard;
+    shard.workers = workers;
+    shard.lookahead = sim_us(1);
+    shard.block_alignment = kRanks / 4;
+    engine.set_sharding(shard);
+
+    resilience::NotificationBus::Wiring wiring;
+    wiring.engine = &engine;
+    wiring.ranks = kRanks;
+    wiring.failure_kind = 1;
+    resilience::NotificationBus bus(wiring);
+
+    engine.mark_dead(3);
+    engine.mark_dead(40);
+    lps[0].on_first_event = [&](Engine& eng) { bus.broadcast_failure(7, eng.now()); };
+    lps[7].on_first_event = [](Engine& eng) { eng.request_stop(); };
+    engine.schedule(sim_us(1), 3, /*kind=*/99, nullptr);   // Dead: popped, dropped.
+    engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);   // The broadcast.
+    engine.schedule(sim_us(5), 40, /*kind=*/99, nullptr);  // Dead: popped, dropped.
+    engine.schedule(sim_us(50), 7, /*kind=*/99, nullptr);  // Stops the run.
+    engine.schedule(sim_sec(1), 5, /*kind=*/99, nullptr);  // Left pending.
+
+    const util::Counters before = util::thread_counters();
+    engine.run();
+    util::Counters counters = util::thread_counters() - before;
+    counters += engine.worker_counters();
+    const PerfSnapshot d = perf_of(counters);
+
+    EXPECT_EQ(engine.worker_groups(), workers);
+    EXPECT_EQ(engine.events_pending(), 1u);
+    // The kick, the stop and 61 notices (63 observers, 2 of them dead).
+    EXPECT_EQ(engine.events_processed(), static_cast<std::uint64_t>(kRanks - 1));
+    EXPECT_EQ(d.fanout_dead_skips, 2u);
+    EXPECT_EQ(engine.events_dropped_dead(), 4u);
+    EXPECT_EQ(d.fanout_relays, workers == 1 ? 0u : 3u);
+    EXPECT_EQ(d.queue_pops, engine.events_processed() +
+                                (engine.events_dropped_dead() - d.fanout_dead_skips) +
+                                d.fanout_relays);
+  }
+}
+
 // -------------------------------------------- reduce commutativity (MPI_REPLACE)
 
 TEST(ReduceSemantics, ReplaceMatchesAcrossCollectiveAlgorithms) {

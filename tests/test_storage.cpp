@@ -470,6 +470,34 @@ TEST(TieredRestore, FallsToDeeperTierWhenMemoryCopiesDie) {
   EXPECT_EQ(tier, 1);  // Nearest surviving tier: the burst buffer.
 }
 
+TEST(TieredRestore, RestoreTierBelongsToTheRun) {
+  // A staged run that restarts restores from node memory (tier 1). A PFS run
+  // on the same thread afterwards restores nothing, and its counters say so
+  // instead of carrying the earlier run's tier.
+  apps::HeatParams heat;
+  heat.nx = heat.ny = heat.nz = 8;
+  heat.total_iterations = 8;
+  heat.halo_interval = heat.checkpoint_interval = 2;
+  heat.real_compute = false;
+  heat.work_units_per_point = 1000.0;  // 64 us per iteration per rank.
+  core::RunnerConfig rc;
+  rc.base = tiny_config(8);
+  rc.base.storage = "hpc";
+  rc.base.ckpt_mode = "staged";
+  rc.first_run_failures = {FailureSpec{1, sim_us(5 * 64)}};
+  const core::RunnerResult staged = core::ResilientRunner(rc, apps::make_heat3d(heat)).run();
+  ASSERT_TRUE(staged.completed);
+  ASSERT_EQ(staged.launches, 2);
+  EXPECT_EQ(staged.run_results[1].perf.ckpt_restore_tier, 1u);
+
+  rc.base.ckpt_mode = "pfs";
+  rc.first_run_failures.clear();
+  const core::RunnerResult pfs = core::ResilientRunner(rc, apps::make_heat3d(heat)).run();
+  ASSERT_TRUE(pfs.completed);
+  ASSERT_EQ(pfs.launches, 1);
+  EXPECT_EQ(pfs.run_results[0].perf.ckpt_restore_tier, 0u);
+}
+
 TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   CheckpointStore store(2);
   const StorageHierarchy storage(must_parse("mem;pfs"));

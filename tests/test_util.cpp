@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "util/counters.hpp"
 #include "util/parse.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
@@ -184,29 +185,34 @@ TEST(ParamMap, RejectsMalformed) {
   EXPECT_FALSE(ParamMap::parse("=x").has_value());
 }
 
+using util::Counter;
+
+/// This thread's pool_alloc calls that went to the general heap.
+std::uint64_t heap_allocs() { return util::thread_counters()[Counter::kPoolHeapAllocs]; }
+
 TEST(Pool, RecyclesWithinSizeClass) {
   if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
-  const auto s0 = util::pool_stats();
+  const util::Counters s0 = util::thread_counters();
   void* a = util::pool_alloc(48);
   util::pool_free(a);
   void* b = util::pool_alloc(40);  // Same 64-byte class: must reuse a's block.
   EXPECT_EQ(b, a);
   util::pool_free(b);
-  const auto s1 = util::pool_stats();
-  EXPECT_EQ(s1.allocs - s0.allocs, 2u);
-  EXPECT_EQ(s1.frees - s0.frees, 2u);
-  EXPECT_GE(s1.recycled - s0.recycled, 1u);
-  EXPECT_EQ(s1.heap_allocs, s0.heap_allocs);
+  const util::Counters d = util::thread_counters() - s0;
+  EXPECT_EQ(d[Counter::kPoolAllocs], 2u);
+  EXPECT_EQ(d[Counter::kPoolFrees], 2u);
+  EXPECT_GE(d[Counter::kPoolRecycled], 1u);
+  EXPECT_EQ(d[Counter::kPoolHeapAllocs], 0u);
 }
 
 TEST(Pool, OversizeAndDisabledFallBackToHeap) {
   // Larger than the biggest size class: heap-routed, still freed correctly.
-  const auto s0 = util::pool_stats();
+  const std::uint64_t h0 = heap_allocs();
   void* big = util::pool_alloc(1 << 20);
   ASSERT_NE(big, nullptr);
   util::pool_free(big);
-  const auto s1 = util::pool_stats();
-  EXPECT_EQ(s1.heap_allocs - s0.heap_allocs, 1u);
+  const std::uint64_t h1 = heap_allocs();
+  EXPECT_EQ(h1 - h0, 1u);
 
   // Blocks allocated while pooling is off carry the heap provenance header,
   // so freeing them after pooling is re-enabled must route to the heap.
@@ -216,8 +222,7 @@ TEST(Pool, OversizeAndDisabledFallBackToHeap) {
   util::set_pool_enabled(true);
   util::pool_free(p);
   util::set_pool_enabled(before);
-  const auto s2 = util::pool_stats();
-  EXPECT_EQ(s2.heap_allocs - s1.heap_allocs, 1u);
+  EXPECT_EQ(heap_allocs() - h1, 1u);
 }
 
 TEST(Pool, AllocationsAreWritableAndDistinct) {
@@ -276,9 +281,9 @@ TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
   const std::vector<std::byte> src(util::kPoolMaxBytes, std::byte{0x5a});
   const std::size_t largest_pooled = util::kPoolMaxBytes - sizeof(vmpi::MsgPayload);
   auto heap_allocs_of = [&src](std::size_t n) {
-    const std::uint64_t h0 = util::pool_stats().heap_allocs;
+    const std::uint64_t h0 = heap_allocs();
     auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, src.data(), n);
-    return util::pool_stats().heap_allocs - h0;
+    return heap_allocs() - h0;
   };
   EXPECT_EQ(heap_allocs_of(0), 0u);
   EXPECT_EQ(heap_allocs_of(48), 0u);
@@ -292,9 +297,9 @@ TEST(MsgPayloadBlock, SameBytesWithPoolingOff) {
   // and the bytes are the same.
   const bool before = util::pool_enabled();
   util::set_pool_enabled(false);
-  const std::uint64_t h0 = util::pool_stats().heap_allocs;
+  const std::uint64_t h0 = heap_allocs();
   for (const std::size_t n : kRoundTripSizes) expect_round_trip(n);
-  EXPECT_EQ(util::pool_stats().heap_allocs - h0, std::size(kRoundTripSizes));
+  EXPECT_EQ(heap_allocs() - h0, std::size(kRoundTripSizes));
   // A heap block built while pooling was off is freed correctly after it is
   // back on (provenance header).
   auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, nullptr, 0);

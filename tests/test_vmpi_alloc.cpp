@@ -39,6 +39,7 @@
 #include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "sim_test_util.hpp"
+#include "util/counters.hpp"
 #include "util/pool.hpp"
 #include "vmpi/context.hpp"
 #include "vmpi/message.hpp"
@@ -274,9 +275,10 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {
   core::SimConfig cfg = halo_config(kBigDim);
   cfg.sim_workers = 1;  // One thread's pool, whatever EXASIM_SIM_WORKERS says.
   int errors = 0;
-  const std::uint64_t before = util::pool_stats().carved_bytes;
+  const std::uint64_t before = util::thread_counters()[util::Counter::kPoolCarvedBytes];
   const core::SimResult res = test::run_app(std::move(cfg), halo_app(kBigDim, 1, &errors));
-  const std::uint64_t carved = util::pool_stats().carved_bytes - before;
+  const std::uint64_t carved =
+      util::thread_counters()[util::Counter::kPoolCarvedBytes] - before;
   util::set_pool_enabled(pooled_before);
   ASSERT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
   ASSERT_EQ(errors, 0);

@@ -412,13 +412,10 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
     vmpi::set_eager_wakeup(before);
     return r;
   };
-  const PerfSnapshot t0 = perf_snapshot();
   const SimResult filtered = run_mode(false);
-  const PerfSnapshot t1 = perf_snapshot();
   const SimResult eager = run_mode(true);
-  const PerfSnapshot t2 = perf_snapshot();
-  const PerfSnapshot df = perf_delta(t0, t1);
-  const PerfSnapshot de = perf_delta(t1, t2);
+  const PerfSnapshot& df = filtered.perf;
+  const PerfSnapshot& de = eager.perf;
   EXPECT_GT(df.wakeups_suppressed, 0u);
   EXPECT_EQ(de.wakeups_suppressed, 0u);
   EXPECT_LT(df.fiber_resumes, de.fiber_resumes);  // Fewer switches, same sim.
@@ -433,9 +430,8 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
 }
 
 /// A dim^3-rank 6-neighbour modeled halo loop on a periodic
-/// dim x dim x dim rank grid, run on `cfg`; returns the result and the
-/// run's perf counters.
-SimResult halo_loop(core::SimConfig cfg, int dim, int iters, PerfSnapshot* perf) {
+/// dim x dim x dim rank grid, run on `cfg`.
+SimResult halo_loop(core::SimConfig cfg, int dim, int iters) {
   auto app = [dim, iters](Context& ctx) {
     const int r = ctx.rank();
     const int x = r % dim, y = (r / dim) % dim, z = r / (dim * dim);
@@ -455,17 +451,13 @@ SimResult halo_loop(core::SimConfig cfg, int dim, int iters, PerfSnapshot* perf)
     }
     ctx.finalize();
   };
-  const PerfSnapshot before = perf_snapshot();
-  SimResult res = run_app(std::move(cfg), app);
-  *perf = perf_delta(before, perf_snapshot());
-  return res;
+  return run_app(std::move(cfg), app);
 }
 
 /// The 64-rank 4x4x4 halo loop; returns the result and the fiber resumes.
 SimResult halo_loop(int iters, std::uint64_t* resumes) {
-  PerfSnapshot perf;
-  SimResult res = halo_loop(tiny_config(64), 4, iters, &perf);
-  *resumes = perf.fiber_resumes;
+  SimResult res = halo_loop(tiny_config(64), 4, iters);
+  *resumes = res.perf.fiber_resumes;
   return res;
 }
 
@@ -504,9 +496,10 @@ TEST(P2P, RunQueueHaloMatchesOnFourWorkers) {
   sequential.sim_workers = 1;
   core::SimConfig sharded = sequential;
   sharded.sim_workers = 4;
-  PerfSnapshot seq_perf, par_perf;
-  const SimResult seq = halo_loop(sequential, kDim, 10, &seq_perf);
-  const SimResult par = halo_loop(sharded, kDim, 10, &par_perf);
+  const SimResult seq = halo_loop(sequential, kDim, 10);
+  const SimResult par = halo_loop(sharded, kDim, 10);
+  const PerfSnapshot& seq_perf = seq.perf;
+  const PerfSnapshot& par_perf = par.perf;
   EXPECT_EQ(seq.outcome, SimResult::Outcome::kCompleted);
   EXPECT_EQ(simulated_json(seq), simulated_json(par));
   EXPECT_EQ(seq.events_processed, par.events_processed);

@@ -18,6 +18,7 @@
 // mean/stddev statistics. Output is identical for any job count.
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -68,90 +69,58 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
     for (const auto& run : res->run_results) {
       events += run.events_processed;
       wall += run.wall_seconds;
-      p.pool_allocs += run.perf.pool_allocs;
-      p.pool_recycled += run.perf.pool_recycled;
-      p.pool_heap_allocs += run.perf.pool_heap_allocs;
-      p.pool_slab_bytes += run.perf.pool_slab_bytes;
-      p.stacks_mapped += run.perf.stacks_mapped;
-      p.stacks_reused += run.perf.stacks_reused;
-      p.stacks_high_water = std::max(p.stacks_high_water, run.perf.stacks_high_water);
-      p.fanout_notices += run.perf.fanout_notices;
-      p.fanout_relays += run.perf.fanout_relays;
-      p.fanout_dead_skips += run.perf.fanout_dead_skips;
-      p.sched_windows += run.perf.sched_windows;
-      p.sched_steals += run.perf.sched_steals;
-      p.sched_barrier_idle_ns += run.perf.sched_barrier_idle_ns;
-      p.fiber_resumes += run.perf.fiber_resumes;
-      p.wakeups_suppressed += run.perf.wakeups_suppressed;
-      p.queue_near_hits += run.perf.queue_near_hits;
-      p.bulk_merges += run.perf.bulk_merges;
-      p.ckpt_stages += run.perf.ckpt_stages;
-      p.ckpt_drains += run.perf.ckpt_drains;
-      p.ckpt_partner_copies += run.perf.ckpt_partner_copies;
-      // Deepest restore tier is a level, not a flow.
-      p.ckpt_restore_tier = std::max(p.ckpt_restore_tier, run.perf.ckpt_restore_tier);
+      p += run.perf;
     }
   }
   if (events == 0 || wall <= 0) return;
   const double rate = static_cast<double>(events) / wall;
+  auto percent = [](std::uint64_t part, std::uint64_t whole) {
+    return whole > 0 ? 100.0 * static_cast<double>(part) / static_cast<double>(whole) : 0.0;
+  };
   std::fprintf(stderr,
-               "perf           : %llu events in %.3f s wall = %.0f events/s (%.1f ns/event)\n",
-               static_cast<unsigned long long>(events), wall, rate, 1e9 / rate);
-  const double recycle_pct =
-      p.pool_allocs > 0
-          ? 100.0 * static_cast<double>(p.pool_recycled) / static_cast<double>(p.pool_allocs)
-          : 0.0;
+               "perf           : %" PRIu64
+               " events in %.3f s wall = %.0f events/s (%.1f ns/event)\n",
+               events, wall, rate, 1e9 / rate);
   std::fprintf(stderr,
-               "pool           : %llu allocs (%.1f%% recycled), %llu heap "
-               "(%.4f/event), %llu slab KiB\n",
-               static_cast<unsigned long long>(p.pool_allocs), recycle_pct,
-               static_cast<unsigned long long>(p.pool_heap_allocs),
+               "pool           : %" PRIu64 " allocs (%.1f%% recycled), %" PRIu64
+               " heap (%.4f/event), %" PRIu64 " slab KiB\n",
+               p.pool_allocs, percent(p.pool_recycled, p.pool_allocs), p.pool_heap_allocs,
                static_cast<double>(p.pool_heap_allocs) / static_cast<double>(events),
-               static_cast<unsigned long long>(p.pool_slab_bytes / 1024));
-  std::fprintf(stderr, "stacks         : %llu mapped, %llu reused, high-water %llu\n",
-               static_cast<unsigned long long>(p.stacks_mapped),
-               static_cast<unsigned long long>(p.stacks_reused),
-               static_cast<unsigned long long>(p.stacks_high_water));
+               p.pool_slab_bytes / 1024);
+  std::fprintf(stderr,
+               "stacks         : %" PRIu64 " mapped, %" PRIu64 " reused, high-water %" PRIu64 "\n",
+               p.stacks_mapped, p.stacks_reused, p.stacks_high_water);
   if (p.fanout_notices > 0 || p.fanout_relays > 0 || p.fanout_dead_skips > 0) {
-    std::fprintf(stderr, "fanout         : %llu notices, %llu relays, %llu dead skips\n",
-                 static_cast<unsigned long long>(p.fanout_notices),
-                 static_cast<unsigned long long>(p.fanout_relays),
-                 static_cast<unsigned long long>(p.fanout_dead_skips));
+    std::fprintf(stderr,
+                 "fanout         : %" PRIu64 " notices, %" PRIu64 " relays, %" PRIu64
+                 " dead skips\n",
+                 p.fanout_notices, p.fanout_relays, p.fanout_dead_skips);
   }
   if (p.sched_windows > 0) {
     std::fprintf(stderr,
-                 "sched          : %llu windows, %llu steals, %.3f s barrier idle\n",
-                 static_cast<unsigned long long>(p.sched_windows),
-                 static_cast<unsigned long long>(p.sched_steals),
+                 "sched          : %" PRIu64 " windows, %" PRIu64 " steals, %.3f s barrier idle\n",
+                 p.sched_windows, p.sched_steals,
                  static_cast<double>(p.sched_barrier_idle_ns) / 1e9);
   }
   if (p.fiber_resumes > 0) {
-    const std::uint64_t considered = p.fiber_resumes + p.wakeups_suppressed;
-    std::fprintf(stderr, "wakeups        : %llu resumes, %llu suppressed (%.1f%%)\n",
-                 static_cast<unsigned long long>(p.fiber_resumes),
-                 static_cast<unsigned long long>(p.wakeups_suppressed),
-                 considered > 0 ? 100.0 * static_cast<double>(p.wakeups_suppressed) /
-                                      static_cast<double>(considered)
-                                : 0.0);
+    std::fprintf(stderr, "wakeups        : %" PRIu64 " resumes, %" PRIu64 " suppressed (%.1f%%)\n",
+                 p.fiber_resumes, p.wakeups_suppressed,
+                 percent(p.wakeups_suppressed, p.fiber_resumes + p.wakeups_suppressed));
   }
-  if (p.queue_near_hits > 0 || p.bulk_merges > 0) {
-    std::fprintf(stderr, "queue          : %llu run pops (%.1f%%), %llu bulk merges\n",
-                 static_cast<unsigned long long>(p.queue_near_hits),
-                 events > 0 ? 100.0 * static_cast<double>(p.queue_near_hits) /
-                                  static_cast<double>(events)
-                            : 0.0,
-                 static_cast<unsigned long long>(p.bulk_merges));
+  if (p.queue_pops > 0 || p.bulk_merges > 0) {
+    std::fprintf(stderr,
+                 "queue          : %" PRIu64 " pops, %" PRIu64 " run pops (%.1f%%), %" PRIu64
+                 " bulk merges\n",
+                 p.queue_pops, p.queue_near_hits, percent(p.queue_near_hits, p.queue_pops),
+                 p.bulk_merges);
   }
   if (p.ckpt_stages > 0 || p.ckpt_drains > 0 || p.ckpt_partner_copies > 0) {
     static const char* kTierNames[] = {"-", "mem", "bb", "pfs"};
-    const std::uint64_t tier = std::min<std::uint64_t>(p.ckpt_restore_tier, 3);
     std::fprintf(stderr,
-                 "ckpt           : %llu stages, %llu drains, %llu partner copies, "
-                 "restore tier %s\n",
-                 static_cast<unsigned long long>(p.ckpt_stages),
-                 static_cast<unsigned long long>(p.ckpt_drains),
-                 static_cast<unsigned long long>(p.ckpt_partner_copies),
-                 kTierNames[tier]);
+                 "ckpt           : %" PRIu64 " stages, %" PRIu64 " drains, %" PRIu64
+                 " partner copies, restore tier %s\n",
+                 p.ckpt_stages, p.ckpt_drains, p.ckpt_partner_copies,
+                 kTierNames[std::min<std::uint64_t>(p.ckpt_restore_tier, 3)]);
   }
 }
 
