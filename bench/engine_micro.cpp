@@ -319,17 +319,40 @@ void BM_FiberSwitch(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitch);
 
+/// Yields from under a frame of about 1.25 KiB, a simulated rank's live
+/// stack depth at its yields (modeled heat3d, EXPERIMENTS.md).
+void yield_under_deep_frame() {
+  volatile char frame[1216];
+  frame[0] = 0;
+  for (;;) {
+    Fiber::yield();
+    frame[0] = static_cast<char>(frame[0] + 1);
+  }
+}
+
+void BM_FiberSwitchDeepFrame(benchmark::State& state) {
+  // Two fibers take turns, so with copying stacks every resume saves the
+  // other's live frames and restores this one's. Items = switches.
+  Fiber a(yield_under_deep_frame);
+  Fiber b(yield_under_deep_frame);
+  for (auto _ : state) {
+    a.resume();
+    b.resume();
+  }
+  state.SetItemsProcessed(state.iterations() * 4);  // Two resumes, in + out.
+}
+BENCHMARK(BM_FiberSwitchDeepFrame);
+
 void BM_FiberCreateDestroy(benchmark::State& state) {
-  // Pooled: after the first iteration every stack is a warm reuse with no
-  // syscall. Heap: one mmap/mprotect/munmap triple per fiber.
-  PoolMode mode(state.range(0) != 0);
+  // A fiber has no stack of its own: it binds to this thread's default
+  // stack, so creating, running and destroying one makes no system call.
   for (auto _ : state) {
     Fiber fiber([] {});
     fiber.resume();
     benchmark::DoNotOptimize(fiber.finished());
   }
 }
-BENCHMARK(BM_FiberCreateDestroy)->Arg(0)->Arg(1)->ArgNames({"pooled"});
+BENCHMARK(BM_FiberCreateDestroy);
 
 // ---- Simulated MPI ---------------------------------------------------------
 

@@ -6,16 +6,19 @@
 # point-to-point, and resilience tests (the suites that exercise the parallel
 # campaign machinery, the sharded engine, and the failure-notification bus
 # end to end; test_fiber's relaunch case runs a 64-rank ResilientRunner for
-# 3 launches on 4 engine workers, so warm pooled stacks move between worker
-# threads; test_exp runs two simulations side by side and checks that each
+# 3 launches on 4 engine workers, so LP groups stolen by other workers take
+# their shared fiber stack and the saved stack images of their ranks along,
+# and test_vmpi_p2p's stack-receive cases deliver into saved images on 4
+# workers; test_exp runs two simulations side by side and checks that each
 # run's counters are its own). The TSan suites run twice: as-is, and with
 # EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
 # multiple worker threads (claim tokens and work stealing included). A
 # third, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
-# pooled and EXASIM_NO_POOL=1; besides the pool, fiber, engine and
-# resilience suites it covers where message blocks change owner (adopted
+# pooled and EXASIM_NO_POOL=1; besides the pool, fiber (copying stacks),
+# engine and resilience suites, and test_vmpi_p2p's deliveries into saved
+# stack images, it covers where message blocks change owner (adopted
 # unexpected arrivals, rendezvous data built at post time): real-byte
 # collectives (test_vmpi_coll), rendezvous edge cases (test_vmpi_edge) and
 # failure interleavings (test_properties), plus the checkpoint store, whose
@@ -92,9 +95,12 @@ run_tsan() {
 
 run_asan() {
   echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure suites) =="
-  # Validates the hot-path memory pools: parked payload blocks and recycled
-  # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
-  # even though the memory never went back to the system allocator. The vmpi
+  # Validates the hot-path memory pools: parked payload blocks are
+  # shadow-poisoned, so stale pointers into them trip ASan even though the
+  # memory never went back to the system allocator. Copying fiber stacks
+  # (test_fiber, test_vmpi_p2p's stack-receive cases) run with the fiber
+  # annotations on the shared stack and its shadow unpoisoned at each
+  # change of occupant. The vmpi
   # suites check message-block ownership: a block adopted by the unexpected
   # queue or held by a rendezvous send is freed exactly once. The checkpoint
   # suites check the store's file slots (reset in place by begin(), dropped

@@ -133,7 +133,7 @@ const std::vector<CliOption>& cli_options() {
       {"seed", "N", nullptr, "random seed", [](O& o, V v) { return assign(o.seed, to_int(v)); }},
       {"max-restarts", "N", nullptr, "restart budget of the failure/restart loop",
        [](O& o, V v) { return assign(o.max_restarts, to_int(v)); }},
-      {"stack-bytes", "N", nullptr, "fiber stack size per simulated rank",
+      {"stack-bytes", "N", nullptr, "size of each LP group's shared fiber stack",
        [](O& o, V v) { return assign(o.machine.process.fiber_stack_bytes, to_int(v)); }},
       {"measured-compute", nullptr, nullptr,
        "also fold scaled native fiber CPU time into the virtual clock",

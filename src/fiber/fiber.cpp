@@ -1,14 +1,22 @@
 #include "fiber/fiber.hpp"
 
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <mutex>
+#include <new>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
-#include "fiber/stack_pool.hpp"
 #include "util/counters.hpp"
+#include "util/pool.hpp"
 
 // ---------------------------------------------------------------------------
 // ThreadSanitizer fiber support
@@ -62,40 +70,20 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
                                     std::size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
 }
 #define EXASIM_ASAN_START_SWITCH(save, bottom, size) \
   __sanitizer_start_switch_fiber((save), (bottom), (size))
 #define EXASIM_ASAN_FINISH_SWITCH(fake, bottom_old, size_old) \
   __sanitizer_finish_switch_fiber((fake), (bottom_old), (size_old))
+#define EXASIM_ASAN_UNPOISON(p, n) __asan_unpoison_memory_region((p), (n))
 #else
 #define EXASIM_ASAN_START_SWITCH(save, bottom, size) ((void)0)
 #define EXASIM_ASAN_FINISH_SWITCH(fake, bottom_old, size_old) ((void)0)
+#define EXASIM_ASAN_UNPOISON(p, n) ((void)0)
 #endif
 
 namespace exasim {
-
-namespace {
-
-/// An unguarded stack's overflow check, run each time its fiber switches
-/// back to the scheduler: the zero canary at the low end (FiberStackPool)
-/// must still be zero. Past it lies someone else's memory, so there is
-/// nothing to recover.
-void check_stack_canary(const void* stack, std::size_t bytes, bool guarded) {
-  if (guarded) return;
-  const auto* words = static_cast<const std::uint64_t*>(stack);
-  std::uint64_t written = 0;
-  for (std::size_t i = 0; i < FiberStackPool::kCanaryBytes / sizeof(std::uint64_t); ++i) {
-    written |= words[i];
-  }
-  if (written == 0) return;
-  std::fprintf(stderr,
-               "exasim: fiber stack overflow: a fiber overwrote the low end of its %zu-byte "
-               "unguarded stack (raise --stack-bytes)\n",
-               bytes);
-  std::abort();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Context switching
@@ -147,7 +135,225 @@ namespace {
 // and the entry trampoline can find its Fiber.
 thread_local Fiber* t_current = nullptr;
 
+/// The stack a FiberStack::Use selected on this thread (null: none).
+thread_local FiberStack* t_stack = nullptr;
+
+/// This thread's default stacks, one per size, for fibers first resumed
+/// while no Use is alive (raw fibers outside an engine).
+thread_local std::vector<std::unique_ptr<FiberStack>> t_default_stacks;
+
+FiberStack& default_stack(std::size_t bytes) {
+  for (const auto& st : t_default_stacks) {
+    if (st->bytes() == bytes) return *st;
+  }
+  t_default_stacks.push_back(std::make_unique<FiberStack>());
+  return *t_default_stacks.back();
+}
+
+/// Saved images alive in the process, and their peak.
+std::atomic<std::uint64_t> g_live_images{0};
+std::atomic<std::uint64_t> g_peak_images{0};
+
+/// Images are whole multiples of this: util::pool has a size class every
+/// 64 B up to 2 KiB, where a simulated rank's image falls, so an image
+/// wastes less than one grain.
+constexpr std::size_t kImageGrain = 64;
+
+std::size_t page_bytes() {
+  static const std::size_t ps = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return ps;
+}
+
+/// Mappings of destroyed stacks, guard page and touched pages intact, kept
+/// for the next stack of their size: every machine maps its stacks when its
+/// ranks first run, and a model-checking campaign launches thousands of
+/// small machines. At most kMaxParked are kept.
+struct ParkedStacks {
+  std::mutex mu;
+  std::vector<std::pair<std::byte*, std::size_t>> maps;  ///< (base, bytes).
+};
+constexpr std::size_t kMaxParked = 64;
+
+ParkedStacks& parked_stacks() {
+  static auto* parked = new ParkedStacks;  // Immortal: thread_local stacks park at exit.
+  return *parked;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Shared stacks
+// ---------------------------------------------------------------------------
+
+FiberStack::~FiberStack() {
+  if (fibers_ != 0) {
+    std::fprintf(stderr, "exasim: fiber stack destroyed while %zu fibers are bound to it\n",
+                 fibers_);
+    std::abort();
+  }
+  if (base_ == nullptr) return;
+  {
+    ParkedStacks& parked = parked_stacks();
+    const std::lock_guard<std::mutex> lock(parked.mu);
+    if (parked.maps.size() < kMaxParked) {
+      parked.maps.emplace_back(base_, bytes_);
+      return;
+    }
+  }
+  ::munmap(base_ - page_bytes(), bytes_ + page_bytes());
+}
+
+void FiberStack::map(std::size_t bytes) {
+  {
+    ParkedStacks& parked = parked_stacks();
+    const std::lock_guard<std::mutex> lock(parked.mu);
+    for (auto it = parked.maps.begin(); it != parked.maps.end(); ++it) {
+      if (it->second != bytes) continue;
+      base_ = it->first;
+      bytes_ = bytes;
+      parked.maps.erase(it);
+      util::count(util::Counter::kStacksReused);
+      return;
+    }
+  }
+  const std::size_t ps = page_bytes();
+  void* raw = ::mmap(nullptr, bytes + ps, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  // Stacks grow down: an overflow walks off the low end into the guard.
+  if (::mprotect(raw, ps, PROT_NONE) != 0) {
+    ::munmap(raw, bytes + ps);
+    throw std::bad_alloc();
+  }
+  base_ = static_cast<std::byte*>(raw) + ps;
+  bytes_ = bytes;
+  util::count(util::Counter::kStacksMapped);
+}
+
+FiberStack::Use::Use(FiberStack& stack) : prev_(t_stack) { t_stack = &stack; }
+
+FiberStack::Use::~Use() { t_stack = prev_; }
+
+// ---------------------------------------------------------------------------
+// Binding, saving and restoring (both switch implementations)
+// ---------------------------------------------------------------------------
+
+Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
+  const std::size_t ps = page_bytes();
+  if (stack_bytes > (std::size_t{1} << 31)) throw std::invalid_argument("fiber stack too large");
+  if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
+  stack_bytes_ = static_cast<std::uint32_t>((stack_bytes + ps - 1) / ps * ps);
+  EXASIM_TSAN_FIBER_CREATE(impl_);
+}
+
+void Fiber::bind() {
+  FiberStack& st = t_stack != nullptr ? *t_stack : default_stack(stack_bytes_);
+  if (st.base_ == nullptr) {
+    st.map(stack_bytes_);
+  } else if (st.bytes_ < stack_bytes_) {
+    throw std::logic_error("fiber needs a larger stack than the one in use");
+  }
+  stack_ = &st;
+  ++st.fibers_;
+  occupy();
+  make_entry_frame();
+}
+
+void Fiber::occupy() {
+  FiberStack& st = *stack_;
+  // The frames copied out or over leave their redzone poison behind in
+  // ASan's shadow of the stack; it must not trip the next occupant.
+  EXASIM_ASAN_UNPOISON(st.base_, st.bytes_);
+  if (st.occupant_ != nullptr) st.occupant_->save();
+  st.occupant_ = this;
+}
+
+std::size_t Fiber::live_bytes() const {
+  return static_cast<std::size_t>(stack_->top() - static_cast<std::byte*>(impl_.self_sp));
+}
+
+void Fiber::save() {
+  const std::size_t n = live_bytes();
+  if (n > image_bytes_) {
+    const std::size_t bytes = (n + kImageGrain - 1) / kImageGrain * kImageGrain;
+    void* grown = util::pool_alloc(bytes);
+    if (image_ == nullptr) {
+      const std::uint64_t live = g_live_images.fetch_add(1, std::memory_order_relaxed) + 1;
+      std::uint64_t peak = g_peak_images.load(std::memory_order_relaxed);
+      while (live > peak &&
+             !g_peak_images.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+      }
+    } else {
+      util::pool_free(image_);
+    }
+    image_ = grown;
+    image_bytes_ = static_cast<std::uint32_t>(bytes);
+    util::count(util::Counter::kStackImageBytes, bytes + util::kPoolHeaderBytes);
+  }
+  std::memcpy(image_, impl_.self_sp, n);
+  util::count(util::Counter::kStackBytesCopied, n);
+}
+
+void Fiber::switch_in() {
+  if (stack_ == nullptr) {
+    bind();
+    return;
+  }
+  // A stack serves one LP group; resuming a fiber on another group's turn
+  // would run two groups' fibers on one stack. The teardown unwind
+  // (~Fiber) runs outside any group.
+  if (t_stack != nullptr && t_stack != stack_ && !unwinding_) {
+    throw std::logic_error("fiber resumed while another fiber stack is in use");
+  }
+  if (stack_->occupant_ == this) return;  // Its frames are still in place.
+  prefetch();  // Overlaps with saving the occupant's frames.
+  occupy();
+  const std::size_t n = live_bytes();
+  std::memcpy(impl_.self_sp, image_, n);
+  util::count(util::Counter::kStackBytesCopied, n);
+}
+
+void Fiber::switched_out() {
+  if (!finished_) return;
+  stack_->occupant_ = nullptr;
+  drop_image();
+}
+
+void Fiber::drop_image() {
+  if (image_ == nullptr) return;
+  util::pool_free(image_);
+  image_ = nullptr;
+  image_bytes_ = 0;
+  g_live_images.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Fiber::prefetch() const {
+  if (stack_ == nullptr || finished_ || stack_->occupant_ == this) return;
+  const auto* image = static_cast<const std::byte*>(image_);
+  const std::size_t n = live_bytes();
+  for (std::size_t off = 0; off < n; off += 64) __builtin_prefetch(image + off);
+}
+
+void* Fiber::locate(void* addr, std::size_t bytes) {
+  if (stack_ == nullptr || finished_ || stack_->occupant_ == this) return addr;
+  const auto p = reinterpret_cast<std::uintptr_t>(addr);
+  const auto low = reinterpret_cast<std::uintptr_t>(impl_.self_sp);
+  const auto base = reinterpret_cast<std::uintptr_t>(stack_->base_);
+  const auto top = reinterpret_cast<std::uintptr_t>(stack_->top());
+  if (p < base || p >= top) return addr;  // Not stack memory.
+  if (p < low || bytes > top - p) {
+    throw std::logic_error("write outside a suspended fiber's live stack region");
+  }
+  return static_cast<std::byte*>(image_) + (p - low);
+}
+
+std::uint64_t Fiber::saved_images_high_water() {
+  return g_peak_images.load(std::memory_order_relaxed);
+}
+
+// ---------------------------------------------------------------------------
+// Switching
+// ---------------------------------------------------------------------------
 
 #if defined(__x86_64__)
 
@@ -186,40 +392,34 @@ void Fiber::run_body_and_exit() {
   std::abort();  // Unreachable: a finished fiber is never resumed.
 }
 
-Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : body_(std::move(body)) {
-  if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
-  FiberStackPool::Stack s = FiberStackPool::instance().acquire(stack_bytes);
-  stack_ = s.base;
-  stack_bytes_ = s.bytes;
-  stack_guarded_ = s.guarded;
-
+void Fiber::make_entry_frame() {
   // Craft the initial stack so the first switch `ret`s into fiber_entry with
   // the ABI-required alignment: the return-address slot sits on a 16-byte
-  // boundary, with six zeroed callee-saved slots below it.
-  auto top = reinterpret_cast<std::uintptr_t>(stack_) + stack_bytes_;
-  std::uintptr_t ret_slot = (top - 64) & ~std::uintptr_t{15};
-  auto* slots = reinterpret_cast<void**>(ret_slot);
+  // boundary, with six zeroed callee-saved slots below it. Above it, the
+  // null "return address" of fiber_entry ends an unwinder's walk. Every byte
+  // up to the top is copied at switches, so the frame sits right below it.
+  auto* slots = reinterpret_cast<void**>(stack_->top()) - 2;
+  slots[1] = nullptr;
   *slots = reinterpret_cast<void*>(&fiber_entry);
   for (int i = 1; i <= 6; ++i) *(slots - i) = nullptr;  // rbp,rbx,r12-r15.
   impl_.self_sp = slots - 6;
-  EXASIM_TSAN_FIBER_CREATE(impl_);
 }
 
 void Fiber::resume() {
   if (finished_) throw std::logic_error("resume() on finished fiber");
   if (t_current != nullptr) throw std::logic_error("nested fiber resume on one thread");
+  switch_in();
   started_ = true;
   t_current = this;
   util::count(util::Counter::kFiberResumes);
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
-  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);
+  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_->base_, stack_->bytes_);
   exasim_ctx_switch(&impl_.caller_sp, impl_.self_sp);
   EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
-  check_stack_canary(stack_, stack_bytes_, stack_guarded_);
   // Either the fiber yielded (t_current reset in yield) or finished
   // (t_current reset in run_body_and_exit).
+  switched_out();
 }
 
 void Fiber::yield() {
@@ -242,37 +442,10 @@ void Fiber::run_body_and_exit() { std::abort(); }  // Unused on this path.
 
 namespace {
 
-void trampoline(unsigned hi, unsigned lo);
-
-}  // namespace
-
-Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : body_(std::move(body)) {
-  if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
-  FiberStackPool::Stack s = FiberStackPool::instance().acquire(stack_bytes);
-  stack_ = s.base;
-  stack_bytes_ = s.bytes;
-  stack_guarded_ = s.guarded;
-
-  if (::getcontext(&impl_.self) != 0) {
-    FiberStackPool::instance().release(
-        FiberStackPool::Stack{stack_, stack_bytes_, stack_guarded_});
-    stack_ = nullptr;
-    throw std::runtime_error("getcontext failed");
-  }
-  impl_.self.uc_stack.ss_sp = stack_;
-  impl_.self.uc_stack.ss_size = stack_bytes_;
-  impl_.self.uc_link = &impl_.caller;
-
-  // makecontext only passes ints; split the this-pointer into two 32-bit
-  // halves (the portable ucontext idiom).
-  auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&impl_.self, reinterpret_cast<void (*)()>(&trampoline), 2,
-                static_cast<unsigned>(ptr >> 32), static_cast<unsigned>(ptr & 0xffffffffu));
-  EXASIM_TSAN_FIBER_CREATE(impl_);
-}
-
-namespace {
+/// Bytes kept below yield()'s locals as part of the live region: the rest of
+/// yield()'s frame and swapcontext's, whose saved stack pointer the portable
+/// interface does not expose.
+constexpr std::uintptr_t kSwapMargin = 512;
 
 void trampoline(unsigned hi, unsigned lo) {
   auto ptr = (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
@@ -283,28 +456,50 @@ void trampoline(unsigned hi, unsigned lo) {
 
 }  // namespace
 
+void Fiber::make_entry_frame() {
+  if (::getcontext(&impl_.self) != 0) throw std::runtime_error("getcontext failed");
+  impl_.self.uc_stack.ss_sp = stack_->base_;
+  impl_.self.uc_stack.ss_size = stack_->bytes_;
+  impl_.self.uc_link = &impl_.caller;
+
+  // makecontext only passes ints; split the this-pointer into two 32-bit
+  // halves (the portable ucontext idiom).
+  auto ptr = reinterpret_cast<std::uintptr_t>(this);
+  ::makecontext(&impl_.self, reinterpret_cast<void (*)()>(&trampoline), 2,
+                static_cast<unsigned>(ptr >> 32), static_cast<unsigned>(ptr & 0xffffffffu));
+  // makecontext builds its frame at the top; a fiber that never ran is
+  // never saved, so this only has to be a valid low end.
+  impl_.self_sp = stack_->base_;
+}
+
 void Fiber::resume() {
   if (finished_) throw std::logic_error("resume() on finished fiber");
   if (t_current != nullptr) throw std::logic_error("nested fiber resume on one thread");
+  switch_in();
   started_ = true;
   t_current = this;
   util::count(util::Counter::kFiberResumes);
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
-  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_, stack_bytes_);
+  EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_->base_, stack_->bytes_);
   if (::swapcontext(&impl_.caller, &impl_.self) != 0) {
     EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
     t_current = nullptr;
     throw std::runtime_error("swapcontext failed");
   }
   EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
-  check_stack_canary(stack_, stack_bytes_, stack_guarded_);
+  switched_out();
 }
 
 void Fiber::yield() {
   Fiber* self = t_current;
   if (self == nullptr) throw std::logic_error("Fiber::yield outside fiber");
   t_current = nullptr;
+  // The live region's low end: below this frame's locals by the margin.
+  volatile char mark = 0;
+  const auto base = reinterpret_cast<std::uintptr_t>(self->stack_->base_);
+  const auto low = reinterpret_cast<std::uintptr_t>(&mark) - kSwapMargin;
+  self->impl_.self_sp = reinterpret_cast<void*>(low > base ? low : base);
   EXASIM_TSAN_SWITCH_TO_CALLER(self->impl_);
   EXASIM_ASAN_START_SWITCH(&self->impl_.asan_self_fake, self->impl_.asan_caller_bottom,
                            self->impl_.asan_caller_size);
@@ -346,17 +541,17 @@ Fiber::~Fiber() {
   // when the run ends in deadlock) holds live objects in its suspended
   // frames; resume it one last time so yield() throws Unwind and ordinary
   // stack unwinding releases them. Destroying from inside a fiber cannot
-  // resume another one, so there the frame is abandoned (stack memory is
-  // still reclaimed below).
+  // resume another one, so there the frames are abandoned.
   if (started_ && !finished_ && t_current == nullptr) {
     unwinding_ = true;
     resume();
   }
   EXASIM_TSAN_FIBER_DESTROY(impl_);
   if (stack_ != nullptr) {
-    FiberStackPool::instance().release(
-        FiberStackPool::Stack{stack_, stack_bytes_, stack_guarded_});
+    if (stack_->occupant_ == this) stack_->occupant_ = nullptr;
+    --stack_->fibers_;
   }
+  drop_image();
 }
 
 bool Fiber::in_fiber() { return t_current != nullptr; }

@@ -29,16 +29,69 @@
 
 namespace exasim {
 
+class Fiber;
+
+/// A guarded stack that fibers take turns on (DESIGN.md §9, "Copying
+/// stacks"). Only one fiber's frames live on it at a time, its occupant; the
+/// others wait in their saved images. One anonymous mmap with a PROT_NONE
+/// guard page below it, so running off the low end faults (SIGSEGV) instead
+/// of scribbling over a neighbouring mapping. It is mapped when the first
+/// fiber binds to it, at that fiber's stack size; a destroyed stack's mapping
+/// is parked, touched pages intact, for the next stack of its size.
+///
+/// The Engine owns one per LP group (pdes/engine.hpp). A fiber binds to the
+/// stack in use on its thread when it is first resumed (see Use), or to the
+/// thread's default stack of its size if none is. It stays bound: its saved
+/// image holds absolute stack addresses. A stack must outlive every fiber
+/// bound to it, and must be used by one thread at a time.
+class FiberStack {
+ public:
+  FiberStack() = default;
+  /// Aborts if a fiber bound to it is still alive.
+  ~FiberStack();
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+
+  /// Writable bytes (0 until mapped).
+  std::size_t bytes() const { return bytes_; }
+
+  /// Selects `stack` for the fibers first resumed on this thread while the
+  /// Use is alive. Uses nest.
+  class Use {
+   public:
+    explicit Use(FiberStack& stack);
+    ~Use();
+    Use(const Use&) = delete;
+    Use& operator=(const Use&) = delete;
+
+   private:
+    FiberStack* prev_;
+  };
+
+ private:
+  friend class Fiber;
+
+  void map(std::size_t bytes);
+  std::byte* top() const { return base_ + bytes_; }
+
+  std::byte* base_ = nullptr;  ///< Low end of the writable region.
+  std::size_t bytes_ = 0;
+  Fiber* occupant_ = nullptr;  ///< Fiber whose live frames are on the stack.
+  std::size_t fibers_ = 0;     ///< Fibers bound and not yet destroyed.
+};
+
 /// Cooperative user-space thread (xSim-style: "each simulated MPI rank has
 /// its own full thread context — CPU registers, stack, heap, and global
 /// variables" — we provide registers + stack; heap/globals are shared, which
 /// is sufficient because simulated processes keep their state in per-process
 /// objects).
 ///
-/// Built on ucontext. Stacks are allocated with mmap(MAP_ANONYMOUS) and are
-/// only *lazily* committed by the kernel, so tens of thousands of fibers with
-/// generous virtual stacks stay cheap in physical memory (32,768 ranks x
-/// 128 KiB virtual is 4 GiB virtual but typically < 300 MiB resident).
+/// Fibers copy their stacks (DESIGN.md §9): every fiber runs on its
+/// FiberStack, and a switch that changes the stack's occupant saves the old
+/// occupant's live frames, [saved sp, top), into that fiber's image and
+/// copies the new one's image back to the same addresses. A suspended
+/// simulated rank thus costs one image of about 1.3 KiB, and every rank runs
+/// above a guard page. A fiber that never ran has no image.
 ///
 /// A fiber runs until it calls Fiber::yield() (from inside the fiber) or its
 /// body returns. resume() switches into the fiber and returns when the fiber
@@ -51,12 +104,11 @@ namespace exasim {
 ///
 /// Threading contract: a fiber is pinned to one native thread at a time —
 /// yield() returns control to whichever thread last called resume(), via
-/// that thread's thread-local resumer slot. The sharded engine satisfies
-/// this by construction: each simulated process's fiber is only ever resumed
-/// by the worker thread owning its LP group (the fiber is built with its
-/// process but first entered on its kEvStart delivery, already on the
-/// owning worker). Its pooled stack may have run another fiber on another
-/// thread; the pool's lock orders the two.
+/// that thread's thread-local resumer slot — and to one FiberStack for its
+/// life. The sharded engine satisfies both by construction: a simulated
+/// process's fiber is only ever resumed while its LP group runs, on that
+/// group's stack, and the window barriers order the group's turns on
+/// different worker threads.
 class Fiber {
  public:
   using Body = std::function<void()>;
@@ -67,7 +119,9 @@ class Fiber {
   /// bodies must let it propagate (don't swallow it in a catch(...)).
   struct Unwind {};
 
-  /// stack_bytes is rounded up to the page size; minimum 16 KiB.
+  /// stack_bytes is rounded up to the page size; minimum 16 KiB. It sizes
+  /// the stack the fiber binds to when that stack is mapped by this fiber,
+  /// and a fiber never binds to a smaller one.
   explicit Fiber(Body body, std::size_t stack_bytes = 128 * 1024);
 
   /// If the fiber started but never finished, resumes it one last time with
@@ -80,9 +134,7 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   /// Switches into the fiber. Must not be called from inside any fiber
-  /// belonging to the same thread, and not after finished(). On the way
-  /// back, aborts the process if the fiber overflowed an unguarded stack
-  /// (FiberStackPool's canary).
+  /// belonging to the same thread, and not after finished().
   void resume();
 
   /// Yields from inside the currently running fiber back to its resumer.
@@ -94,8 +146,22 @@ class Fiber {
   bool finished() const { return finished_; }
   bool started() const { return started_; }
 
-  /// Virtual stack bytes reserved for this fiber.
+  /// Stack bytes this fiber asked for.
   std::size_t stack_bytes() const { return stack_bytes_; }
+
+  /// Where `bytes` at `addr` live right now. An address in this fiber's
+  /// live stack region while another fiber occupies the stack is redirected
+  /// to the same offset in the saved image; any other address is returned
+  /// as is. For code outside the fiber writing into its memory, such as a
+  /// message delivered into a receive buffer on its stack.
+  void* locate(void* addr, std::size_t bytes);
+
+  /// Starts fetching the saved image into the cache, for a resume that is
+  /// likely to follow. No effect while the fiber's frames are in place.
+  void prefetch() const;
+
+  /// Peak number of saved images alive at once in this process.
+  static std::uint64_t saved_images_high_water();
 
   /// Internal entry shims (public only for the per-platform trampolines).
   [[noreturn]] void run_body_and_exit();
@@ -104,8 +170,11 @@ class Fiber {
  private:
   /// Switch state, held inline so a fiber is no heap block of its own.
   struct Impl {
+    /// Low end of the fiber's live stack region while suspended: the
+    /// switch's saved stack pointer on x86-64, an estimate below yield()'s
+    /// frame on the ucontext path.
+    void* self_sp = nullptr;
 #if defined(__x86_64__)
-    void* self_sp = nullptr;    ///< Fiber's saved stack pointer while suspended.
     void* caller_sp = nullptr;  ///< Resumer's saved stack pointer while fiber runs.
 #else
     ucontext_t self{};
@@ -123,11 +192,21 @@ class Fiber {
 #endif
   };
 
+  void switch_in();         ///< Bind, or put the saved frames back in place.
+  void bind();              ///< First resume: join a stack, build the entry frame.
+  void make_entry_frame();  ///< Per switch implementation.
+  void occupy();            ///< Save the stack's occupant and take its place.
+  void save();              ///< Copy the live region out into the image.
+  void switched_out();      ///< After a switch back: a finished fiber leaves.
+  void drop_image();
+  std::size_t live_bytes() const;  ///< [impl_.self_sp, top of the stack).
+
   Impl impl_;
   Body body_;
-  void* stack_ = nullptr;
-  std::size_t stack_bytes_ = 0;
-  bool stack_guarded_ = false;  ///< Guard page below stack_ (FiberStackPool).
+  FiberStack* stack_ = nullptr;  ///< Bound on first resume.
+  void* image_ = nullptr;        ///< util::pool block of image_bytes_ bytes.
+  std::uint32_t image_bytes_ = 0;
+  std::uint32_t stack_bytes_ = 0;
   bool started_ = false;
   bool finished_ = false;
   bool unwinding_ = false;  ///< Set by ~Fiber; makes yield() throw Unwind.

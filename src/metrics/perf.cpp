@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "fiber/stack_pool.hpp"
+#include "fiber/fiber.hpp"
 
 namespace exasim {
 
@@ -21,6 +21,7 @@ constexpr std::pair<std::uint64_t PerfSnapshot::*, Counter> kFlows[] = {
     {&PerfSnapshot::pool_slab_bytes, Counter::kPoolSlabBytes},
     {&PerfSnapshot::stacks_mapped, Counter::kStacksMapped},
     {&PerfSnapshot::stacks_reused, Counter::kStacksReused},
+    {&PerfSnapshot::stack_bytes_copied, Counter::kStackBytesCopied},
     {&PerfSnapshot::fanout_notices, Counter::kFanoutNotices},
     {&PerfSnapshot::fanout_relays, Counter::kFanoutRelays},
     {&PerfSnapshot::fanout_dead_skips, Counter::kFanoutDeadSkips},
@@ -58,7 +59,7 @@ PerfSnapshot PerfSnapshot::operator-(const PerfSnapshot& o) const {
 PerfSnapshot perf_of(const util::Counters& counters) {
   PerfSnapshot s;
   for (const auto& [field, slot] : kFlows) s.*field = counters[slot];
-  s.stacks_high_water = FiberStackPool::instance().stats().high_water;
+  s.stacks_high_water = Fiber::saved_images_high_water();
   // The deepest tier any counted restore was served from.
   const Counter by_depth[] = {Counter::kCkptRestoresMem, Counter::kCkptRestoresBb,
                               Counter::kCkptRestoresPfs};

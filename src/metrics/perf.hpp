@@ -28,12 +28,14 @@ struct PerfSnapshot {
   std::uint64_t pool_heap_allocs = 0;  ///< Allocs routed to ::operator new.
   std::uint64_t pool_slab_bytes = 0;   ///< Bytes of slab carved so far.
 
-  // FiberStackPool (guard-paged mmapped stacks; see src/fiber/stack_pool.hpp).
-  std::uint64_t stacks_mapped = 0;      ///< Fresh mmaps.
-  std::uint64_t stacks_reused = 0;      ///< Acquires served from the pool.
-  /// Max concurrently live stacks: a level of the process-wide
-  /// FiberStackPool, which concurrent runs share, read at snapshot time.
+  // Copying fiber stacks (one guarded FiberStack per LP group, a saved
+  // image per suspended fiber; see src/fiber/fiber.hpp).
+  std::uint64_t stacks_mapped = 0;  ///< FiberStack mmaps.
+  std::uint64_t stacks_reused = 0;  ///< FiberStacks served from a parked mapping.
+  /// Peak number of saved stack images alive at once: a level of the whole
+  /// process, which concurrent runs share, read at snapshot time.
   std::uint64_t stacks_high_water = 0;
+  std::uint64_t stack_bytes_copied = 0;  ///< Live stack bytes switches copied out and in.
 
   // Engine::schedule_fanout (batched notification fan-out; DESIGN.md §10).
   std::uint64_t fanout_notices = 0;     ///< Notice events created.
@@ -75,7 +77,7 @@ struct PerfSnapshot {
 };
 
 /// Names the values of a counter block; stacks_high_water is read from the
-/// FiberStackPool now.
+/// fiber layer now.
 PerfSnapshot perf_of(const util::Counters& counters);
 
 /// Every thread's counters since the process started. Thread-safe;

@@ -284,6 +284,9 @@ void Engine::run() {
   const int group_count = plan_groups();
   last_groups_ = group_count;
   worker_counters_ = util::Counters{};
+  while (fiber_stacks_.size() < static_cast<std::size_t>(group_count)) {
+    fiber_stacks_.push_back(std::make_unique<FiberStack>());
+  }
   if (group_count <= 1) {
     run_sequential();
   } else {
@@ -294,6 +297,7 @@ void Engine::run() {
 
 void Engine::run_sequential() {
   stop_requested_.store(false, std::memory_order_relaxed);
+  const FiberStack::Use stack(*fiber_stacks_.front());
   for (;;) {
     while (!queue_.empty() && !stop_requested_.load(std::memory_order_relaxed)) {
       Event ev = queue_.pop();
@@ -473,6 +477,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
             if (!sync.try_claim_exec(g)) continue;
             if (g != worker) ++steals;
             LpGroup& grp = *plan.groups[static_cast<std::size_t>(g)];
+            const FiberStack::Use stack(*fiber_stacks_[static_cast<std::size_t>(g)]);
             t_worker = WorkerCtx{this, &grp};
             run_window(grp, sync.bound());
             grp.stall_progressed = false;
@@ -483,6 +488,7 @@ void Engine::worker_main(WorkerPlan& plan, int worker) {
           for (int g : order) {
             if (!sync.try_claim_exec(g)) continue;
             LpGroup& grp = *plan.groups[static_cast<std::size_t>(g)];
+            const FiberStack::Use stack(*fiber_stacks_[static_cast<std::size_t>(g)]);
             t_worker = WorkerCtx{this, &grp};
             grp.stall_progressed = run_stall(grp);
             t_worker = WorkerCtx{};

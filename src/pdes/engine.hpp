@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "fiber/fiber.hpp"
 #include "pdes/event.hpp"
 #include "pdes/event_queue.hpp"
 #include "util/counters.hpp"
@@ -63,6 +64,13 @@ class LogicalProcess {
 /// merged at the window barrier; because the window bound and the ordering
 /// key are both partition-independent, every worker count delivers the
 /// identical event schedule.
+///
+/// The engine owns one FiberStack per LP group, which the LPs' fibers share
+/// by copying their live frames in and out (DESIGN.md §9): a fiber binds to
+/// the stack of the group that first resumes it. The stacks are per group,
+/// not per worker, because a saved image holds absolute stack addresses and
+/// stealing moves groups between workers. The engine must outlive every
+/// fiber its runs resumed.
 class Engine {
  public:
   /// How to shard the LPs over worker threads. Applies to the next run().
@@ -216,6 +224,9 @@ class Engine {
   int last_groups_ = 1;
   util::Counters worker_counters_;
   std::atomic<bool> stop_requested_{false};
+  /// Group g's fiber stack, grown before worker threads start; a stack is
+  /// mapped when its first fiber binds.
+  std::vector<std::unique_ptr<FiberStack>> fiber_stacks_;
 };
 
 }  // namespace exasim

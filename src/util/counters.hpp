@@ -23,8 +23,10 @@ enum class Counter : std::uint8_t {
   kPoolSlabAllocs,      ///< Slabs carved.
   kPoolSlabBytes,       ///< Bytes reserved in slabs.
   kPoolCarvedBytes,     ///< Slab bytes handed out as new blocks, headers included.
-  kStacksMapped,        ///< FiberStackPool::acquire: fresh mmaps.
-  kStacksReused,        ///< FiberStackPool::acquire: parked stacks reused.
+  kStacksMapped,        ///< FiberStack mmaps.
+  kStacksReused,        ///< FiberStacks served from a parked mapping.
+  kStackBytesCopied,    ///< Live stack bytes fiber switches copied out and in.
+  kStackImageBytes,     ///< Pool bytes of saved-stack images allocated (headers, regrowth).
   kFiberResumes,        ///< Fiber::resume switches.
   kWakeupsSuppressed,   ///< Resumes the vmpi wakeup filter skipped.
   kQueuePops,           ///< pdes::EventQueue pops by the engine's delivery loops.

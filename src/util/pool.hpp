@@ -44,6 +44,9 @@ void set_pool_enabled(bool enabled);
 /// Largest request served from a slab; bigger blocks come from the heap.
 inline constexpr std::size_t kPoolMaxBytes = 65536;
 
+/// Bytes every block carries in front of its user region (see Provenance).
+inline constexpr std::size_t kPoolHeaderBytes = 16;
+
 /// Allocates `bytes` (16-byte aligned). Never fails softly: throws
 /// std::bad_alloc like operator new.
 void* pool_alloc(std::size_t bytes);

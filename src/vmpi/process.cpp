@@ -313,6 +313,10 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
     return;
   }
   if (terminated()) return;  // Late arrivals to finished/aborted processes.
+  // One waited request left: this event probably completes it and resumes
+  // the fiber, so start fetching the fiber's saved frames now. The handler's
+  // own cache misses hide most of the latency.
+  if (waiting_ == 1 && wait_kind_ == WaitKind::kRequests) fiber_.prefetch();
 
   switch (ev.kind) {
     case kEvMsgArrival:
@@ -389,7 +393,9 @@ void SimProcess::handle_data(MsgPayload& p, SimTime t) {
   Request* r = find_request(p.env.req);
   if (r == nullptr || r->stage != Request::Stage::kAwaitingData) return;
   if (r->recv_buffer != nullptr && p.data_bytes != 0) {
-    std::memcpy(r->recv_buffer, p.data(), std::min(r->bytes, p.data_bytes));
+    // The buffer may lie on the fiber's stack while another fiber occupies it.
+    const std::size_t n = std::min(r->bytes, p.data_bytes);
+    std::memcpy(fiber_.locate(r->recv_buffer, n), p.data(), n);
   }
   r->error = p.env.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
   r->bytes = p.env.bytes;
@@ -684,7 +690,9 @@ void SimProcess::unindex_posted(Request& r) {
 void SimProcess::complete_recv_from_msg(Request& r, const MsgPayload& m, SimTime arrival) {
   unindex_posted(r);
   if (r.recv_buffer != nullptr && m.data_bytes != 0) {
-    std::memcpy(r.recv_buffer, m.data(), std::min(r.bytes, m.data_bytes));
+    // Also reached from an arrival handler, outside the fiber (see handle_data).
+    const std::size_t n = std::min(r.bytes, m.data_bytes);
+    std::memcpy(fiber_.locate(r.recv_buffer, n), m.data(), n);
   }
   r.complete_time = std::max(r.post_time, arrival) + shared_->fabric->receiver_overhead();
   r.matched = true;

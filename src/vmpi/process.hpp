@@ -68,7 +68,7 @@ enum class CollectiveAlgo : std::uint8_t { kLinear, kBinomialTree };
 
 /// Per-process configuration shared by the whole simulated machine.
 struct ProcessConfig {
-  std::size_t fiber_stack_bytes = 128 * 1024;
+  std::size_t fiber_stack_bytes = 128 * 1024;  ///< Each LP group's shared stack.
   bool measured_compute = false;  ///< Also fold scaled native fiber CPU time
                                   ///< into the virtual clock (xSim's mode).
   CollectiveAlgo collective_algo = CollectiveAlgo::kLinear;  ///< Paper default.

@@ -1,17 +1,16 @@
 // fiber: cooperative user-space threads (the per-simulated-process contexts).
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
+#include <csignal>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "apps/heat3d.hpp"
 #include "core/runner.hpp"
 #include "fiber/fiber.hpp"
-#include "fiber/stack_pool.hpp"
 #include "sim_test_util.hpp"
 #include "util/counters.hpp"
 #include "util/pool.hpp"
@@ -210,116 +209,170 @@ TEST(FiberDeathTest, StackOverflowHitsGuardPage) {
       "");
 }
 
-TEST(FiberDeathTest, OverflowOfAnUnguardedStackTripsItsCanary) {
-  // Past the guard budget a stack has no guard page, so an overflow faults
-  // nowhere; the canary at its low end must catch it on the switch back.
-  constexpr std::size_t kBytes = 16 * 1024;
-  if (FiberStackPool::instance().guard_budget() > 200'000) {
-    GTEST_SKIP() << "guard budget too large to exhaust in a test";
-  }
+TEST(FiberDeathTest, RankOfA32kMachineOverflowsIntoTheGuardPage) {
+  // Every rank runs on its LP group's one guarded stack, so one rank of a
+  // paper-scale machine running off its stack faults on the guard page
+  // (SIGSEGV) like a raw fiber does.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        auto& pool = FiberStackPool::instance();
-        std::vector<FiberStackPool::Stack> held;  // Never released: the child dies.
-        do {
-          held.push_back(pool.acquire(kBytes));
-        } while (held.back().guarded);
-        Fiber f(
-            [] {
-              // The stack is [top - kBytes, top), and this frame sits in its
-              // top page. Scribble everything below it down to the low end,
-              // as a runaway recursion would on its way off the stack.
-              const auto frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
-              const std::uintptr_t top = (frame | 4095) + 1;
-              auto* low = reinterpret_cast<volatile std::uint64_t*>(top - kBytes);
-              for (auto* p = reinterpret_cast<volatile std::uint64_t*>(frame - 512); p >= low;
-                   --p) {
-                *p = 0xABABABABABABABABull;
-              }
-            },
-            kBytes);
-        f.resume();
-      },
-      "fiber stack overflow");
+  auto overflow = [] {
+    core::SimConfig cfg = test::tiny_config(32768);
+    cfg.sim_workers = 1;
+    cfg.process.fiber_stack_bytes = 64 * 1024;
+    test::run_app(std::move(cfg), [](vmpi::Context& ctx) {
+      struct Rec {
+        static std::uint64_t go(std::uint64_t d) {
+          volatile char pad[1024];
+          pad[0] = static_cast<char>(d);
+          if (d > 1'000'000) return d;
+          return Rec::go(d + 1) + static_cast<std::uint64_t>(pad[0]);
+        }
+      };
+      if (ctx.rank() == 12345) Rec::go(0);
+      ctx.finalize();
+    });
+  };
+#if defined(EXASIM_ASAN_FIBERS) || defined(EXASIM_TSAN_FIBERS)
+  // The sanitizers catch the fault on their own signal stack and exit.
+  EXPECT_DEATH(overflow(), "");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+/// Recurses `depth` frames, each holding a 256-byte local filled from its
+/// depth, yields at the bottom, and returns whether every frame still holds
+/// its bytes afterwards.
+bool frames_survive_a_yield(int depth, std::uint8_t salt) {
+  std::uint8_t local[256];
+  for (std::size_t i = 0; i < sizeof local; ++i) {
+    local[i] = static_cast<std::uint8_t>(salt + depth + i);
+  }
+  bool deeper = true;
+  if (depth > 0) {
+    deeper = frames_survive_a_yield(depth - 1, salt);
+  } else {
+    Fiber::yield();
+  }
+  for (std::size_t i = 0; i < sizeof local; ++i) {
+    if (local[i] != static_cast<std::uint8_t>(salt + depth + i)) return false;
+  }
+  return deeper;
+}
+
+TEST(Fiber, LocalsSurviveWhileTheStackDepthGrowsShrinksAndGrows) {
+  // Two fibers take turns on one stack, so every resume copies the other's
+  // frames out and this one's back in. The saved depth goes from shallow to
+  // deep (the image grows), shallow and deeper still.
+  const int depths[] = {1, 12, 2, 30, 3};
+  bool intact = true;
+  int yields = 0;
+  Fiber grows([&] {
+    for (int d : depths) {
+      intact = frames_survive_a_yield(d, 0x5a) && intact;
+      ++yields;
+    }
+  });
+  Fiber scribbles([] {
+    for (;;) {
+      volatile std::uint8_t junk[4096];
+      for (std::size_t i = 0; i < sizeof junk; ++i) junk[i] = 0xee;
+      Fiber::yield();
+    }
+  });
+  while (!grows.finished()) {
+    grows.resume();
+    scribbles.resume();
+  }
+  EXPECT_EQ(yields, 5);
+  EXPECT_TRUE(intact);
+}
+
+TEST(Fiber, DestroyingASuspendedFiberUnwindsItWhileAnotherHoldsTheStack) {
+  // The fiber to destroy is saved away; the other one occupies the stack.
+  // The unwind must swap it back in, and the other fiber must resume intact.
+  auto resource = std::make_shared<int>(7);
+  std::weak_ptr<int> observer = resource;
+  bool other_intact = false;
+  Fiber other([&other_intact] {
+    volatile std::uint64_t local = 0x0123456789abcdefull;
+    Fiber::yield();
+    other_intact = local == 0x0123456789abcdefull;
+  });
+  {
+    Fiber f([held = std::move(resource)] {
+      volatile std::uint64_t pad[64] = {};
+      pad[0] = 1;
+      Fiber::yield();
+      (void)pad[0];
+    });
+    f.resume();
+    other.resume();  // Saves f's frames and takes the stack.
+    EXPECT_FALSE(observer.expired());
+  }  // ~Fiber restores f's frames and unwinds them.
+  EXPECT_TRUE(observer.expired());
+  other.resume();
+  EXPECT_TRUE(other.finished());
+  EXPECT_TRUE(other_intact);
 }
 
 using util::Counter;
 
-TEST(FiberStackPool, RecyclesStacksAndTracksHighWater) {
-  if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
-  auto& pool = FiberStackPool::instance();
-  pool.trim();  // Isolate from earlier tests: start with empty free lists.
-  const auto before = pool.stats();
+TEST(Fiber, FibersShareOneStackAndCopyOnlyWhenTheOccupantChanges) {
+  // Fibers of one size bind to this thread's default stack of that size,
+  // mapped once. Resuming the fiber whose frames are in place copies
+  // nothing; a switch to another fiber copies both live regions.
+  constexpr std::size_t kBytes = 80 * 1024;  // A size no other test uses.
   const util::Counters c0 = util::thread_counters();
-
-  constexpr std::size_t kBytes = 128 * 1024;
-  {
-    Fiber a([] {}, kBytes);
-    Fiber b([] {}, kBytes);
-    a.resume();
-    b.resume();
-  }  // Both stacks parked.
-  const auto parked = pool.stats();
-  const util::Counters c1 = util::thread_counters();
-  EXPECT_EQ(c1[Counter::kStacksMapped] - c0[Counter::kStacksMapped], 2u);
-  EXPECT_GE(parked.pooled, 2u);
-  EXPECT_GE(parked.high_water, before.outstanding + 2);
-
-  {
-    Fiber c([] {}, kBytes);  // Must reuse a parked stack, not map.
-    c.resume();
-  }
-  const auto after = pool.stats();
-  const util::Counters c2 = util::thread_counters();
-  EXPECT_EQ(c2[Counter::kStacksMapped], c1[Counter::kStacksMapped]);
-  EXPECT_EQ(c2[Counter::kStacksReused] - c1[Counter::kStacksReused], 1u);
-
-  // trim() unmaps every parked stack and empties the pool.
-  pool.trim();
-  const auto trimmed = pool.stats();
-  EXPECT_EQ(trimmed.pooled, 0u);
-  EXPECT_GT(trimmed.unmapped, after.unmapped);
+  Fiber a([] {
+    for (;;) Fiber::yield();
+  }, kBytes);
+  Fiber b([] {
+    for (;;) Fiber::yield();
+  }, kBytes);
+  a.resume();
+  b.resume();  // Saves a's frames.
+  const util::Counters c1 = util::thread_counters() - c0;
+  EXPECT_EQ(c1[Counter::kStacksMapped] + c1[Counter::kStacksReused], 1u);
+  EXPECT_GT(c1[Counter::kStackBytesCopied], 0u);
+  b.resume();  // Still the occupant.
+  const util::Counters c2 = util::thread_counters() - c0;
+  EXPECT_EQ(c2[Counter::kStackBytesCopied], c1[Counter::kStackBytesCopied]);
+  a.resume();  // Saves b's frames and restores a's.
+  const util::Counters c3 = util::thread_counters() - c0;
+  EXPECT_GT(c3[Counter::kStackBytesCopied], c2[Counter::kStackBytesCopied]);
+  EXPECT_LT(c3[Counter::kStackBytesCopied], 4096u);  // Live frames, not whole stacks.
 }
 
-TEST(FiberStackPool, ReleasedStackStaysWarmForTheNextFiber) {
-  // A parked stack keeps the pages its fiber touched: the top frame's page
-  // is still resident after release, and the next fiber of that size runs
-  // on the same stack, at the same address, without mapping a new one.
-  if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
-  constexpr std::size_t kBytes = 96 * 1024;  // A size no other test parks.
-  auto& pool = FiberStackPool::instance();
-  pool.trim();
-  auto frame = [](std::uintptr_t* out) {
-    return [out] { *out = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)); };
-  };
-  std::uintptr_t first = 0, second = 0;
-  {
-    Fiber f(frame(&first), kBytes);
-    f.resume();
-  }
-  const auto ps = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  unsigned char resident = 0;
-  ASSERT_EQ(::mincore(reinterpret_cast<void*>(first & ~(ps - 1)), ps, &resident), 0);
-  EXPECT_EQ(resident & 1u, 1u) << "release dropped the parked stack's pages";
-
-  const util::Counters parked = util::thread_counters();
-  {
-    Fiber g(frame(&second), kBytes);
-    g.resume();
-  }
-  const util::Counters after = util::thread_counters() - parked;
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(after[Counter::kStacksMapped], 0u);
-  EXPECT_EQ(after[Counter::kStacksReused], 1u);
-  pool.trim();
+TEST(Fiber, LocateRedirectsOnlyTheLiveRegionOfASavedFiber) {
+  std::uint64_t* slot = nullptr;
+  std::uint64_t seen = 0;
+  Fiber a([&] {
+    std::uint64_t local = 0;
+    slot = &local;
+    Fiber::yield();
+    seen = local;
+  });
+  Fiber b([] { Fiber::yield(); });
+  a.resume();
+  EXPECT_EQ(a.locate(slot, sizeof *slot), slot);  // a's frames are in place.
+  b.resume();
+  void* saved = a.locate(slot, sizeof *slot);
+  EXPECT_NE(saved, slot);
+  const std::uint64_t value = 0xfeedfacecafebeefull;
+  std::memcpy(saved, &value, sizeof value);
+  std::uint64_t heap = 0;
+  EXPECT_EQ(a.locate(&heap, sizeof heap), &heap);  // Not stack memory.
+  a.resume();
+  EXPECT_EQ(seen, value);
+  b.resume();
 }
 
-TEST(FiberStackPool, WarmStacksMoveAcrossEngineWorkersOnRelaunch) {
+TEST(Fiber, RanksKeepTheirGroupStackAcrossStealsAndRelaunches) {
   // A 64-rank heat3d run under ResilientRunner on 4 engine workers, failed
-  // in its first two launches: every relaunch builds its fibers on stacks
-  // the previous launch's fibers ran on, possibly on another worker thread
-  // (the ThreadSanitizer leg runs this).
+  // in its first two launches. Every rank binds to its LP group's stack, a
+  // group stolen by another worker takes its stack along (the
+  // ThreadSanitizer leg runs this), and each relaunch takes over the parked
+  // mappings of the previous launch's stacks.
   apps::HeatParams p;
   p.nx = p.ny = p.nz = 16;
   p.px = p.py = p.pz = 4;
@@ -339,31 +392,13 @@ TEST(FiberStackPool, WarmStacksMoveAcrossEngineWorkersOnRelaunch) {
   };
   const core::RunnerResult res = core::ResilientRunner(rc, app).run();
   EXPECT_TRUE(res.completed);
-  EXPECT_EQ(res.launches, 3);
-  // Each launch's perf counts the reuses of every worker thread that ran it.
-  std::uint64_t reused = 0;
-  for (const core::SimResult& r : res.run_results) reused += r.perf.stacks_reused;
-  if (util::pool_enabled()) {
-    EXPECT_GE(reused, 2u * 64u);
+  ASSERT_EQ(res.run_results.size(), 3u);
+  for (const core::SimResult& r : res.run_results) {
+    EXPECT_EQ(r.perf.stacks_mapped + r.perf.stacks_reused, 4u);  // One per LP group.
+    EXPECT_GT(r.perf.stack_bytes_copied, 0u);
   }
-}
-
-TEST(FiberStackPool, UnpooledReleaseUnmaps) {
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(false);
-  auto& pool = FiberStackPool::instance();
-  const auto s0 = pool.stats();
-  const util::Counters c0 = util::thread_counters();
-  {
-    Fiber f([] {}, 64 * 1024);
-    f.resume();
-  }
-  const auto s1 = pool.stats();
-  const util::Counters c1 = util::thread_counters();
-  util::set_pool_enabled(before);
-  EXPECT_EQ(c1[Counter::kStacksMapped] - c0[Counter::kStacksMapped], 1u);
-  EXPECT_EQ(s1.unmapped - s0.unmapped, 1u);
-  EXPECT_EQ(s1.pooled, s0.pooled);
+  EXPECT_EQ(res.run_results[1].perf.stacks_mapped, 0u);
+  EXPECT_EQ(res.run_results[2].perf.stacks_mapped, 0u);
 }
 
 }  // namespace

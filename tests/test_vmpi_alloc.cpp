@@ -16,6 +16,8 @@
 //   launch at 2,048 and at 4,096 ranks (Table II's shape: halo exchanges
 //   and checkpoints); the difference per extra rank is what one simulated
 //   rank holds on the heap at the peak, warmed pools excluded.
+// - Saved stack images: the pool bytes of the images the same launches
+//   allocate, per rank (copying fiber stacks, fiber.hpp).
 // - Modeled heat3d set-up: the same two sizes, counted from the first rank
 //   entering the application to the end of a launch with no iterations;
 //   without a grid the application allocates nothing per rank.
@@ -34,6 +36,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/heat3d.hpp"
@@ -268,6 +271,8 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {
   // Every rank posts its six sends before any message arrives, so all
   // 6 x 4,096 messages are in flight at once and each needs its own block:
   // a header-only message is a 64-byte block plus the pool's 16-byte header.
+  // The run gets a thread of its own, whose pool starts empty, so its saved
+  // stack images are carved too: their blocks are taken out.
   const bool pooled_before = util::pool_enabled();
   util::set_pool_enabled(true);
   constexpr int kBigDim = 16;
@@ -275,16 +280,22 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesAtMost80PoolBytes) {
   core::SimConfig cfg = halo_config(kBigDim);
   cfg.sim_workers = 1;  // One thread's pool, whatever EXASIM_SIM_WORKERS says.
   int errors = 0;
-  const std::uint64_t before = util::thread_counters()[util::Counter::kPoolCarvedBytes];
-  const core::SimResult res = test::run_app(std::move(cfg), halo_app(kBigDim, 1, &errors));
-  const std::uint64_t carved =
-      util::thread_counters()[util::Counter::kPoolCarvedBytes] - before;
+  core::SimResult res;
+  util::Counters counts;
+  std::thread([&] {
+    res = test::run_app(std::move(cfg), halo_app(kBigDim, 1, &errors));
+    counts = util::thread_counters();
+  }).join();
   util::set_pool_enabled(pooled_before);
   ASSERT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
   ASSERT_EQ(errors, 0);
+  const std::uint64_t images = counts[util::Counter::kStackImageBytes];
+  const std::uint64_t carved = counts[util::Counter::kPoolCarvedBytes] - images;
   const double per_message = static_cast<double>(carved) / (kBigRanks * kNeighbours);
-  std::printf("pool bytes carved: %llu, %.1f per in-flight message\n",
-              static_cast<unsigned long long>(carved), per_message);
+  std::printf("pool bytes carved: %llu besides %llu of stack images, %.1f per in-flight "
+              "message\n",
+              static_cast<unsigned long long>(carved), static_cast<unsigned long long>(images),
+              per_message);
   EXPECT_LE(per_message, 80.0);
 }
 
@@ -301,11 +312,10 @@ TEST(VmpiAlloc, RankConstructionTakesOneAllocation) {
   EXPECT_LE(per_rank, 1.0);
 }
 
-/// Heap high-water mark of one modeled heat3d launch on a
-/// 16 x 16 x (ranks / 256) torus, in bytes above the live bytes at its
-/// start: two halo exchanges and two checkpoints, the Table II workload's
-/// shape, with its checkpoint store.
-std::int64_t heat3d_heap_high_water(int ranks) {
+/// One modeled heat3d launch on a 16 x 16 x (ranks / 256) torus: two halo
+/// exchanges and two checkpoints, the Table II workload's shape, with its
+/// checkpoint store.
+void heat3d_table2_shape(int ranks) {
   apps::HeatParams p;
   p.px = p.py = 16;
   p.pz = ranks / 256;
@@ -317,13 +327,17 @@ std::int64_t heat3d_heap_high_water(int ranks) {
   core::SimConfig cfg = test::tiny_config(ranks);
   cfg.topology = "torus:16x16x" + std::to_string(p.pz);
   cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
+  ckpt::CheckpointStore store(ranks);
+  const core::SimResult res = test::run_app(std::move(cfg), apps::make_heat3d(p), &store);
+  EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
+}
+
+/// Heap high-water mark of heat3d_table2_shape, in bytes above the live
+/// bytes at its start.
+std::int64_t heat3d_heap_high_water(int ranks) {
   const std::int64_t base = g_live.load(std::memory_order_relaxed);
   g_peak.store(base, std::memory_order_relaxed);
-  {
-    ckpt::CheckpointStore store(ranks);
-    const core::SimResult res = test::run_app(std::move(cfg), apps::make_heat3d(p), &store);
-    EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
-  }
+  heat3d_table2_shape(ranks);
   return g_peak.load(std::memory_order_relaxed) - base;
 }
 
@@ -341,6 +355,27 @@ TEST(VmpiAlloc, HeapHighWaterStaysWithin2900BytesPerRank) {
   std::printf("heap high-water: 2048 ranks %lld B, 4096 ranks %lld B, %.0f B per rank\n",
               static_cast<long long>(h2k), static_cast<long long>(h4k), per_rank);
   EXPECT_LE(per_rank, 2900.0);
+}
+
+TEST(VmpiAlloc, SavedStackImagesStayWithin1600BytesPerRank) {
+  // A suspended rank keeps its live frames in a pool block sized to them
+  // (fiber.hpp), not in a resident stack page. Counted are every image
+  // allocated, regrowth included, so the bound holds for the peak too.
+  // Frame sizes are the compiler's: the bound is for optimized builds, and
+  // instrumented ones run deeper (1,744 B per rank under UBSan).
+#if !defined(__OPTIMIZE__)
+  GTEST_SKIP() << "frame sizes are pinned for optimized builds";
+#endif
+  for (const int ranks : {2048, 4096}) {
+    const std::uint64_t before = util::thread_counters()[util::Counter::kStackImageBytes];
+    heat3d_table2_shape(ranks);
+    const std::uint64_t bytes =
+        util::thread_counters()[util::Counter::kStackImageBytes] - before;
+    const double per_rank = static_cast<double>(bytes) / ranks;
+    std::printf("saved stack images: %d ranks %llu B, %.0f B per rank\n", ranks,
+                static_cast<unsigned long long>(bytes), per_rank);
+    EXPECT_LE(per_rank, 1600.0 + util::kPoolHeaderBytes);
+  }
 }
 
 }  // namespace

@@ -1033,5 +1033,70 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSweep,
                                            std::size_t{256 * 1024 + 1},   // boundary+1 (rdv)
                                            std::size_t{1024 * 1024}));
 
+// Receive buffers on the receiving rank's own stack. The engine delivers
+// outside the fiber, and while other ranks of the LP group take their turns
+// on the group's shared stack the receiver's frames sit in its saved image,
+// so the bytes must land there (Fiber::locate): an eager double and a
+// rendezvous array above the eager threshold, at 1 and 4 engine workers.
+class StackReceive : public ::testing::TestWithParam<int> {};
+
+TEST_P(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
+  constexpr int kRanks = 16;
+  constexpr std::size_t kEagerThreshold = 1024;
+  constexpr std::size_t kRendezvousBytes = 3000;
+  constexpr double kValue = 2.718281828459045;
+  core::SimConfig cfg = tiny_config(kRanks);
+  cfg.ranks_per_node = 4;  // At 4 workers: four LP groups of four ranks.
+  cfg.sim_workers = GetParam();
+  cfg.net.eager_threshold = kEagerThreshold;
+  auto pattern = [](std::size_t i) { return static_cast<std::uint8_t>(i * 7 + 3); };
+  double got = 0;
+  std::size_t wrong_bytes = kRendezvousBytes;
+  auto app = [&](Context& ctx) {
+    const int r = ctx.rank();
+    if (r == 0) {
+      double v = 0;
+      EXPECT_EQ(ctx.recv(1, 1, &v, sizeof v), Err::kSuccess);  // Eager, same group.
+      std::uint8_t big[kRendezvousBytes] = {};
+      EXPECT_EQ(ctx.recv(8, 2, big, sizeof big), Err::kSuccess);  // Rendezvous.
+      got = v;
+      wrong_bytes = 0;
+      for (std::size_t i = 0; i < sizeof big; ++i) wrong_bytes += big[i] != pattern(i);
+    } else if (r == 1) {
+      ctx.compute(2e6);  // 2 ms: rank 0 posts long before the message comes.
+      EXPECT_EQ(ctx.send(0, 1, &kValue, sizeof kValue), Err::kSuccess);
+    } else if (r == 8) {
+      ctx.compute(4e6);
+      std::vector<std::uint8_t> data(kRendezvousBytes);
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] = pattern(i);
+      EXPECT_EQ(ctx.send(0, 2, data.data(), data.size()), Err::kSuccess);
+    } else if (r != 9) {
+      // Ping-pong with a partner in the same node until after both
+      // deliveries, taking turns on the group's stack with rank 0.
+      const int partner = r ^ 1;
+      std::uint64_t token = 0;
+      for (int round = 0; round < 60; ++round) {
+        ctx.compute(1e5);
+        if (r < partner) {
+          ctx.send(partner, 0, &token, sizeof token);
+          ctx.recv(partner, 0, &token, sizeof token);
+        } else {
+          ctx.recv(partner, 0, &token, sizeof token);
+          ++token;
+          ctx.send(partner, 0, &token, sizeof token);
+        }
+      }
+    }
+    ctx.finalize();
+  };
+  const SimResult res = run_app(std::move(cfg), app);
+  EXPECT_EQ(res.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(std::memcmp(&got, &kValue, sizeof got), 0);
+  EXPECT_EQ(wrong_bytes, 0u);
+  EXPECT_GT(res.perf.stack_bytes_copied, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, StackReceive, ::testing::Values(1, 4));
+
 }  // namespace
 }  // namespace exasim

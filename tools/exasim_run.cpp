@@ -88,8 +88,9 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
                static_cast<double>(p.pool_heap_allocs) / static_cast<double>(events),
                p.pool_slab_bytes / 1024);
   std::fprintf(stderr,
-               "stacks         : %" PRIu64 " mapped, %" PRIu64 " reused, high-water %" PRIu64 "\n",
-               p.stacks_mapped, p.stacks_reused, p.stacks_high_water);
+               "stacks         : %" PRIu64 " mapped, %" PRIu64 " reused, high-water %" PRIu64
+               ", %" PRIu64 " B copied\n",
+               p.stacks_mapped, p.stacks_reused, p.stacks_high_water, p.stack_bytes_copied);
   if (p.fanout_notices > 0 || p.fanout_relays > 0 || p.fanout_dead_skips > 0) {
     std::fprintf(stderr,
                  "fanout         : %" PRIu64 " notices, %" PRIu64 " relays, %" PRIu64
