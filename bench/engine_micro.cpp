@@ -109,7 +109,7 @@ BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1)->ArgNames({"streams"});
 /// Inbox merge: drain a batch into a loaded queue. range(0) = 0 pushes the
 /// batch one event at a time; 1 uses push_bulk (one Floyd rebuild of the
 /// fallback heap when the batch is large relative to it) — the
-/// LpGroup::merge_inbox / relay-unpack path of the sharded engine.
+/// LpGroup::merge_inbox path of the sharded engine.
 void BM_QueueBulkMerge(benchmark::State& state) {
   const bool bulk = state.range(0) != 0;
   constexpr int kHeap = 1024;   ///< Group heap near a window barrier (drained).
@@ -293,7 +293,7 @@ void BM_ShardedWindowThroughput(benchmark::State& state) {
       engine.add_process(i, lps.back().get());
       engine.schedule(static_cast<SimTime>(i % 3), i, 0, std::make_unique<SpinPayload>(kHops));
     }
-    engine.set_sharding(Engine::ShardingOptions{workers, kSpinLookahead, 1, {}});
+    engine.set_sharding(Engine::ShardingOptions{workers, kSpinLookahead, 1});
     state.ResumeTiming();
     engine.run();
     events = engine.events_processed();

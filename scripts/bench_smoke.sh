@@ -32,7 +32,9 @@
 #     being made and a restart recovered from a surviving non-PFS tier.
 #  7. Multi-core speedup (skipped below 4 CPUs): the event-dense
 #     BM_ShardedWindowThroughput macro benchmark on 4 workers must beat 1
-#     worker by the factor recorded in BENCH_baseline.json.
+#     worker by the factor recorded in BENCH_baseline.json. Each worker
+#     count runs 5 repetitions and the medians are compared, since single
+#     runs of this row spread from 1.2x to 3x on one host.
 #  8. Perf trajectory: the macro row's events/s and hot-path counter deltas
 #     vs BENCH_baseline.json are written to build/perf_trajectory.json (CI
 #     uploads it as an artifact, so the rate history survives across runs).
@@ -280,7 +282,8 @@ else
   echo "== bench smoke: multi-core speedup (4 vs 1 workers) =="
   ./build/bench/engine_micro \
     --benchmark_filter='BM_ShardedWindowThroughput/workers:(1|4)/' \
-    --benchmark_min_time=0.5 --benchmark_format=json >/tmp/bench_smoke_sharded.json
+    --benchmark_min_time=0.5 --benchmark_repetitions=5 \
+    --benchmark_format=json >/tmp/bench_smoke_sharded.json
 
   python3 - <<'EOF'
 import json
@@ -289,18 +292,19 @@ baseline = json.load(open("BENCH_baseline.json"))["scheduler"]["macro_sharded"]
 data = json.load(open("/tmp/bench_smoke_sharded.json"))
 times = {}
 for b in data["benchmarks"]:
-    if b.get("run_type", "iteration") != "iteration":
+    if b.get("aggregate_name") != "median":
         continue
     if "workers:1" in b["name"]:
         times[1] = b["real_time"]
     elif "workers:4" in b["name"]:
         times[4] = b["real_time"]
 if 1 not in times or 4 not in times:
-    raise SystemExit("missing BM_ShardedWindowThroughput rows")
+    raise SystemExit("missing BM_ShardedWindowThroughput median rows")
 speedup = times[1] / times[4]
 need = baseline["min_speedup_4v1"]
 status = "ok" if speedup >= need else "REGRESSION"
-print(f"  4-vs-1 worker speedup: {speedup:.2f}x (need >= {need}x) {status}")
+print(f"  4-vs-1 worker speedup of the medians of 5: {speedup:.2f}x "
+      f"({times[1]:.2f} / {times[4]:.2f} ms, need >= {need}x) {status}")
 if speedup < need:
     raise SystemExit("multi-core speedup fell below the BENCH_baseline.json floor")
 EOF

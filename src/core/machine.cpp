@@ -137,8 +137,8 @@ SimResult Machine::run() {
   // Engine sharding: LP groups aligned to nodes so that only cross-node
   // traffic — which the network model bounds below by min_remote_latency()
   // — crosses groups. Causality violations throw; the one exception is the
-  // relay carriers of the failure/abort/revoke notices broadcast "at now",
-  // which may arrive up to one conservative window (µs-scale) late, absorbed
+  // kControl failure/abort/revoke notices broadcast "at now", which may
+  // arrive up to one conservative window (µs-scale) late, absorbed
   // by the ms-scale failure timeouts governing observable behavior
   // (DESIGN.md §11).
   const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());

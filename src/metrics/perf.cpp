@@ -11,8 +11,8 @@ namespace {
 
 using util::Counter;
 
-/// The flow fields and the block slot each one names. sched_window_widenings
-/// has no slot: it is always 0.
+/// The flow fields and the block slot each one names. sched_window_widenings,
+/// fanout_relays and fanout_dead_skips have no slot: they are always 0.
 constexpr std::pair<std::uint64_t PerfSnapshot::*, Counter> kFlows[] = {
     {&PerfSnapshot::pool_allocs, Counter::kPoolAllocs},
     {&PerfSnapshot::pool_frees, Counter::kPoolFrees},
@@ -23,8 +23,6 @@ constexpr std::pair<std::uint64_t PerfSnapshot::*, Counter> kFlows[] = {
     {&PerfSnapshot::stacks_reused, Counter::kStacksReused},
     {&PerfSnapshot::stack_bytes_copied, Counter::kStackBytesCopied},
     {&PerfSnapshot::fanout_notices, Counter::kFanoutNotices},
-    {&PerfSnapshot::fanout_relays, Counter::kFanoutRelays},
-    {&PerfSnapshot::fanout_dead_skips, Counter::kFanoutDeadSkips},
     {&PerfSnapshot::sched_windows, Counter::kSchedWindows},
     {&PerfSnapshot::sched_steals, Counter::kSchedSteals},
     {&PerfSnapshot::sched_barrier_idle_ns, Counter::kSchedBarrierIdleNs},

@@ -37,10 +37,10 @@ struct PerfSnapshot {
   std::uint64_t stacks_high_water = 0;
   std::uint64_t stack_bytes_copied = 0;  ///< Live stack bytes switches copied out and in.
 
-  // Engine::schedule_fanout (batched notification fan-out; DESIGN.md §10).
-  std::uint64_t fanout_notices = 0;     ///< Notice events created.
-  std::uint64_t fanout_relays = 0;      ///< Cross-group relay carrier events.
-  std::uint64_t fanout_dead_skips = 0;  ///< Dead-destination items skipped.
+  // resilience::NotificationBus (one event per notice; DESIGN.md §10).
+  std::uint64_t fanout_notices = 0;     ///< Notice events scheduled, dead targets included.
+  std::uint64_t fanout_relays = 0;      ///< Always 0 (no relay carriers); simbench reads it.
+  std::uint64_t fanout_dead_skips = 0;  ///< Always 0 (dropped at delivery); simbench reads it.
 
   // Sharded-engine windows and stealing (DESIGN.md §11). Host-timing-
   // sensitive statistics — never part of the simulated result, which is
@@ -53,9 +53,8 @@ struct PerfSnapshot {
   // Hot-path dispatch & queue traffic (DESIGN.md §13): fiber context
   // switches, spurious resumes the vmpi wakeup filter skipped, event-queue
   // pops (all of them, and those served from a sorted run), and bulk inbox
-  // merges. Each pop delivers an event, drops one for a dead target or
-  // unpacks a relay: queue_pops = events processed + (events dropped dead -
-  // fanout_dead_skips) + fanout_relays.
+  // merges. Each pop delivers an event or drops one for a dead target:
+  // queue_pops = events processed + events dropped dead.
   std::uint64_t fiber_resumes = 0;       ///< Fiber::resume switches.
   std::uint64_t wakeups_suppressed = 0;  ///< Spurious resumes filtered out.
   std::uint64_t queue_pops = 0;          ///< Pops by the delivery loops.

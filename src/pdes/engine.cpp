@@ -106,127 +106,6 @@ std::uint64_t Engine::schedule(SimTime time, LpId target, int kind,
   return seq;
 }
 
-void Engine::schedule_fanout(const std::vector<FanoutItem>& items, int kind,
-                             const FanoutPayloadFn& make_payload,
-                             EventPriority priority) {
-  LpGroup* grp = (t_worker.engine == this) ? t_worker.group : nullptr;
-  const LpId source = grp ? grp->current_source() : current_source_;
-  const SimTime local_now = grp ? grp->now() : now_;
-
-  if (grp == nullptr) {
-    // Sequential (or pre-run) path: literally the per-item schedule() loop,
-    // minus events whose target is already dead.
-    for (const FanoutItem& it : items) {
-      if (it.time < local_now) throw_causality_violation("scheduled", it.time, local_now);
-      if (is_dead(it.target)) {
-        ++events_dropped_dead_;
-        count(Counter::kFanoutDeadSkips);
-        continue;
-      }
-      Event ev;
-      ev.time = it.time;
-      ev.priority = priority;
-      ev.source = source;
-      ev.seq = next_seq_for(source);
-      ev.target = it.target;
-      ev.kind = kind;
-      ev.payload = make_payload(it);
-      queue_.push(std::move(ev));
-      count(Counter::kFanoutNotices);
-    }
-    return;
-  }
-
-  // Parallel path: same-group items go straight to our heap; remote items are
-  // grouped into one RelayPayload batch per destination group. Seq values are
-  // drawn in item order for exactly the events that are created, so the
-  // delivered schedule matches the sequential per-item loop (dead flags are
-  // monotonic, hence the skipped set is partition-independent; remote dead
-  // targets are filtered at unpack by their owning worker instead of here).
-  std::vector<std::unique_ptr<RelayPayload>> batches(
-      static_cast<std::size_t>(last_groups_));
-  for (const FanoutItem& it : items) {
-    if (it.time < local_now) throw_causality_violation("scheduled", it.time, local_now);
-    if (it.target < 0 || static_cast<std::size_t>(it.target) >= group_of_.size()) {
-      throw std::logic_error("event for unknown LP");
-    }
-    const int dst = group_of_[static_cast<std::size_t>(it.target)];
-    if (dst == grp->index() &&
-        dead_[static_cast<std::size_t>(it.target)] != 0) {
-      ++grp->events_dropped_dead;
-      count(Counter::kFanoutDeadSkips);
-      continue;
-    }
-    Event ev;
-    ev.time = it.time;
-    ev.priority = priority;
-    ev.source = source;
-    ev.seq = next_seq_for(source);
-    ev.target = it.target;
-    ev.kind = kind;
-    ev.payload = make_payload(it);
-    if (dst == grp->index()) {
-      // Remote items are counted at unpack instead, so a notice either
-      // shows up in fanout_notices or in fanout_dead_skips — never both.
-      count(Counter::kFanoutNotices);
-      grp->queue().push(std::move(ev));
-    } else {
-      auto& batch = batches[static_cast<std::size_t>(dst)];
-      if (!batch) batch = std::make_unique<RelayPayload>();
-      batch->batch.push_back(std::move(ev));
-    }
-  }
-  for (int dst = 0; dst < last_groups_; ++dst) {
-    auto& batch = batches[static_cast<std::size_t>(dst)];
-    if (!batch) continue;
-    // The relay carrier adopts the minimum EventOrder key over its batch
-    // (fan-out times are not sorted by rank — gossip detection times depend
-    // on the epidemic order), so it is popped and unpacked in the destination
-    // group before any batch item could have run.
-    const Event* min_ev = &batch->batch.front();
-    for (const Event& ev : batch->batch) {
-      if (EventOrder{}(ev, *min_ev)) min_ev = &ev;
-    }
-    Event relay;
-    relay.time = min_ev->time;
-    relay.priority = min_ev->priority;
-    relay.source = min_ev->source;
-    relay.seq = min_ev->seq;
-    relay.target = min_ev->target;  // Routing address only; never delivered.
-    relay.kind = kRelayEventKind;
-    relay.payload = std::move(batch);
-    grp->outbox_for(dst).push_back(std::move(relay));
-    count(Counter::kFanoutRelays);
-  }
-}
-
-void Engine::unpack_relay(LpGroup& grp, Event&& relay) {
-  auto* payload = static_cast<RelayPayload*>(relay.payload.get());
-  std::vector<Event>& batch = payload->batch;
-  // Compact the dead-target items out in place, then hand the survivors to
-  // the queue as one bulk merge instead of per-event heap sifts.
-  std::size_t kept = 0;
-  for (Event& ev : batch) {
-    if (dead_[static_cast<std::size_t>(ev.target)] != 0) {
-      ++grp.events_dropped_dead;
-      count(Counter::kFanoutDeadSkips);
-      continue;
-    }
-    count(Counter::kFanoutNotices);
-    batch[kept++] = std::move(ev);
-  }
-  batch.resize(kept);
-  grp.queue().push_bulk(batch);
-}
-
-void Engine::requeue_relay_items(Event&& relay) {
-  // Leftover cross-group batch from a previous parallel run: unpack into the
-  // engine's flat queue (the items are re-routed individually on the next
-  // distribution — a new partition may split them differently).
-  auto* payload = static_cast<RelayPayload*>(relay.payload.get());
-  queue_.push_bulk(payload->batch);
-}
-
 void Engine::mark_dead(LpId id) {
   if (id < 0) return;
   const std::size_t idx = static_cast<std::size_t>(id);
@@ -250,16 +129,6 @@ int Engine::plan_groups() const {
 std::vector<int> Engine::plan_partition(int group_count) const {
   const std::size_t n = processes_.size();
   std::vector<int> map(n, 0);
-  if (sharding_.group_of) {
-    for (std::size_t id = 0; id < n; ++id) {
-      const int g = sharding_.group_of(static_cast<LpId>(id));
-      if (g < 0 || g >= group_count) {
-        throw std::invalid_argument("ShardingOptions::group_of returned a group out of range");
-      }
-      map[id] = g;
-    }
-    return map;
-  }
   // Contiguous blocks of `align` LPs, distributed over the groups as evenly
   // as possible with the first `rem` groups holding one extra block.
   const std::size_t align = static_cast<std::size_t>(sharding_.block_alignment);
@@ -301,10 +170,6 @@ void Engine::run_sequential() {
   for (;;) {
     while (!queue_.empty() && !stop_requested_.load(std::memory_order_relaxed)) {
       Event ev = queue_.pop();
-      if (ev.kind == kRelayEventKind) {
-        requeue_relay_items(std::move(ev));
-        continue;
-      }
       if (is_dead(ev.target)) {
         ++events_dropped_dead_;
         continue;
@@ -377,10 +242,6 @@ void Engine::run_parallel(int group_count) {
   }
   while (!queue_.empty()) {
     Event ev = queue_.pop();
-    if (ev.kind == kRelayEventKind) {
-      requeue_relay_items(std::move(ev));
-      continue;
-    }
     if (ev.target < 0 || static_cast<std::size_t>(ev.target) >= n) {
       throw std::logic_error("event for unknown LP");
     }
@@ -518,11 +379,11 @@ void Engine::merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup&
     if (src.get() == &grp) continue;
     std::vector<Event>& inbox = src->outbox_for(grp.index());
     // An inbound event earlier than this group's clock would be delivered
-    // after events it precedes. Relay carriers are exempt: they bring the
-    // zero-lookahead control broadcasts (failure, abort and revoke notices),
-    // which may land up to one window late (DESIGN.md §11).
+    // after events it precedes. Control events are exempt: across groups they
+    // are the zero-lookahead notices of resilience::NotificationBus (failure,
+    // abort and revoke), which may land up to one window late (DESIGN.md §11).
     for (const Event& ev : inbox) {
-      if (ev.time < grp.now() && ev.kind != kRelayEventKind) {
+      if (ev.time < grp.now() && ev.priority != EventPriority::kControl) {
         throw_causality_violation("merged", ev.time, grp.now());
       }
     }
@@ -536,13 +397,6 @@ void Engine::run_window(LpGroup& grp, SimTime bound) {
   // full window, so the delivered set stays deterministic per worker count.
   while (q.min_time() < bound) {
     Event ev = q.pop();
-    if (ev.kind == kRelayEventKind) {
-      // The carrier's key is the minimum over its batch, so every item lands
-      // in the heap before it could have been due; relays are transport, not
-      // delivery — no clock advance, no events_processed.
-      unpack_relay(grp, std::move(ev));
-      continue;
-    }
     if (dead_[static_cast<std::size_t>(ev.target)] != 0) {
       ++grp.events_dropped_dead;
       continue;

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -89,9 +88,6 @@ class Engine {
     /// of this many LPs (normally ranks-per-node, keeping sub-lookahead
     /// intra-node traffic inside one group).
     int block_alignment = 1;
-    /// Optional explicit partition override mapping LP id → group index in
-    /// [0, groups); when set it replaces the contiguous-block partition.
-    std::function<int(LpId)> group_of;
   };
 
   Engine() = default;
@@ -118,37 +114,13 @@ class Engine {
   /// Causality violations throw std::logic_error: an event scheduled before
   /// the scheduling group's local clock, and a cross-group event merged into
   /// a group whose clock has already passed it (conservative windows only
-  /// stay exact for events at or after "now"). Relay carriers of
-  /// schedule_fanout() are the one exception at merge (DESIGN.md §11).
+  /// stay exact for events at or after "now"). EventPriority::kControl events
+  /// are the one exception at merge: across groups they are the
+  /// zero-lookahead failure, abort and revoke notices, which may land up to
+  /// one window late (DESIGN.md §11).
   std::uint64_t schedule(SimTime time, LpId target, int kind,
                          std::unique_ptr<EventPayload> payload,
                          EventPriority priority = EventPriority::kMessage);
-
-  /// One destination of a schedule_fanout() call.
-  struct FanoutItem {
-    SimTime time = 0;
-    LpId target = 0;
-  };
-
-  /// Builds the payload for one fan-out item. Invoked once per live item, in
-  /// item order, on the scheduling thread.
-  using FanoutPayloadFn = std::function<std::unique_ptr<EventPayload>(const FanoutItem&)>;
-
-  /// Schedules one event per item — semantically identical to calling
-  /// schedule() per item (same per-source seq draw order, so the delivered
-  /// schedule is bit-identical) — but batched for the sharded engine: items
-  /// for the scheduling group's own LPs go straight to its heap, while all
-  /// items bound for another group travel as ONE relay event per destination
-  /// group (kind kRelayEventKind, RelayPayload carrying the batch), unpacked
-  /// into the group's heap on arrival. A ranks-wide failure broadcast thus
-  /// costs O(groups) cross-group mailbox events instead of O(ranks). Items
-  /// whose target is already dead are skipped where the dead flag is safely
-  /// readable (scheduler's own group at enqueue, destination group at
-  /// unpack) and counted in events_dropped_dead either way, so the delivered
-  /// set and every counter are partition-independent.
-  void schedule_fanout(const std::vector<FanoutItem>& items, int kind,
-                       const FanoutPayloadFn& make_payload,
-                       EventPriority priority = EventPriority::kControl);
 
   /// Marks an LP dead: all pending and future events targeted at it are
   /// dropped at delivery ("all messages directed to this simulated MPI
@@ -199,8 +171,6 @@ class Engine {
   void worker_main(WorkerPlan& plan, int worker);
   void merge_group(std::vector<std::unique_ptr<LpGroup>>& groups, LpGroup& grp);
   void run_window(LpGroup& grp, SimTime bound);
-  void unpack_relay(LpGroup& grp, Event&& relay);
-  void requeue_relay_items(Event&& relay);
   bool run_stall(LpGroup& grp);
   int plan_groups() const;
   std::vector<int> plan_partition(int group_count) const;

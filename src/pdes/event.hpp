@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <new>
-#include <vector>
 
 #include "util/pool.hpp"
 #include "util/time.hpp"
@@ -82,19 +80,6 @@ inline bool key_less(const EventKey& a, const EventKey& b) {
 
 struct EventOrder {
   bool operator()(const Event& a, const Event& b) const { return key_less(key_of(a), key_of(b)); }
-};
-
-/// Engine-internal event kind for a batched cross-group fan-out relay
-/// (Engine::schedule_fanout). Reserved: layers above the engine must not use
-/// it. Chosen outside any plausible user kind range.
-inline constexpr int kRelayEventKind = std::numeric_limits<int>::min();
-
-/// Payload of a kRelayEventKind event: the per-destination-group batch of a
-/// fan-out. The carrier event adopts the minimum EventOrder key over the
-/// batch, so the relay is unpacked into the destination group's queue before
-/// any of its items could run; the batch items then sort normally.
-struct RelayPayload final : EventPayload {
-  std::vector<Event> batch;
 };
 
 }  // namespace exasim

@@ -38,11 +38,11 @@ class EventQueue {
   /// fallback holds the first kRunFloor and one run the rest.
   void reserve(std::size_t n);
 
-  /// Drains `evs` into the queue — the bulk half of a mailbox merge or relay
-  /// unpack. A batch that is large relative to the fallback heap (>= 1/8 of
-  /// it) is appended to the heap and re-heapified in one Floyd pass, which
-  /// beats per-event pushes for inbox-sized batches; a small one is pushed
-  /// event by event.
+  /// Drains `evs` into the queue — the bulk half of a mailbox merge. A
+  /// batch that is large relative to the fallback heap (>= 1/8 of it) is
+  /// appended to the heap and re-heapified in one Floyd pass, which beats
+  /// per-event pushes for inbox-sized batches; a small one is pushed event
+  /// by event.
   void push_bulk(std::vector<Event>& evs);
 
   /// Pops the earliest event; undefined on an empty queue.

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+
+#include "util/counters.hpp"
 
 namespace exasim::resilience {
 
@@ -11,66 +14,48 @@ NotificationBus::NotificationBus(Wiring wiring) : wiring_(wiring) {
   if (wiring_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
 }
 
+void NotificationBus::notify(SimTime time, int rank, int kind,
+                             std::unique_ptr<EventPayload> payload) {
+  wiring_.engine->schedule(time, rank, kind, std::move(payload), EventPriority::kControl);
+  util::count(util::Counter::kFanoutNotices);
+}
+
 void NotificationBus::broadcast_failure(int failed_rank, SimTime t_fail) {
   {
     std::lock_guard<std::mutex> lock(log_mutex_);
     failures_.push_back({failed_rank, t_fail});
   }
-  std::vector<Engine::FanoutItem> items;
-  items.reserve(static_cast<std::size_t>(wiring_.ranks > 0 ? wiring_.ranks - 1 : 0));
   for (int rank = 0; rank < wiring_.ranks; ++rank) {
     if (rank == failed_rank) continue;
     const SimTime detect = wiring_.detector != nullptr
                                ? wiring_.detector->detection_time(rank, failed_rank, t_fail)
                                : t_fail;
-    items.push_back({detect, rank});
+    auto payload = std::make_unique<FailureNoticePayload>();
+    payload->failed_rank = failed_rank;
+    payload->time_of_failure = t_fail;
+    payload->detect_time = detect;
+    notify(detect, rank, wiring_.failure_kind, std::move(payload));
   }
-  wiring_.engine->schedule_fanout(
-      items, wiring_.failure_kind,
-      [&](const Engine::FanoutItem& it) {
-        auto payload = std::make_unique<FailureNoticePayload>();
-        payload->failed_rank = failed_rank;
-        payload->time_of_failure = t_fail;
-        payload->detect_time = it.time;
-        return payload;
-      },
-      EventPriority::kControl);
 }
 
 void NotificationBus::broadcast_abort(int origin_rank, SimTime t_abort) {
-  std::vector<Engine::FanoutItem> items;
-  items.reserve(static_cast<std::size_t>(wiring_.ranks > 0 ? wiring_.ranks - 1 : 0));
   for (int rank = 0; rank < wiring_.ranks; ++rank) {
     if (rank == origin_rank) continue;
-    items.push_back({t_abort, rank});
+    auto payload = std::make_unique<AbortNoticePayload>();
+    payload->origin_rank = origin_rank;
+    payload->time_of_abort = t_abort;
+    notify(t_abort, rank, wiring_.abort_kind, std::move(payload));
   }
-  wiring_.engine->schedule_fanout(
-      items, wiring_.abort_kind,
-      [&](const Engine::FanoutItem&) {
-        auto payload = std::make_unique<AbortNoticePayload>();
-        payload->origin_rank = origin_rank;
-        payload->time_of_abort = t_abort;
-        return payload;
-      },
-      EventPriority::kControl);
 }
 
 void NotificationBus::broadcast_revoke(int origin_rank, int comm_id, SimTime when) {
-  std::vector<Engine::FanoutItem> items;
-  items.reserve(static_cast<std::size_t>(wiring_.ranks > 0 ? wiring_.ranks - 1 : 0));
   for (int rank = 0; rank < wiring_.ranks; ++rank) {
     if (rank == origin_rank) continue;
-    items.push_back({when, rank});
+    auto payload = std::make_unique<RevokeNoticePayload>();
+    payload->comm_id = comm_id;
+    payload->time = when;
+    notify(when, rank, wiring_.revoke_kind, std::move(payload));
   }
-  wiring_.engine->schedule_fanout(
-      items, wiring_.revoke_kind,
-      [&](const Engine::FanoutItem&) {
-        auto payload = std::make_unique<RevokeNoticePayload>();
-        payload->comm_id = comm_id;
-        payload->time = when;
-        return payload;
-      },
-      EventPriority::kControl);
 }
 
 NotificationBus::DetectionStats NotificationBus::detection_stats() const {

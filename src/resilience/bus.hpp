@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -19,10 +20,9 @@ namespace exasim::resilience {
 /// order from the LP whose handler is running, at EventPriority::kControl, so
 /// the engine's (time, priority, source LP, per-source seq) key delivers
 /// same-time notices in rank order, identically for every `--sim-workers`
-/// setting. The notices travel through Engine::schedule_fanout: each
-/// destination LP group receives ONE relay event carrying its batch of
-/// notices, so a failure at 10^5 ranks costs O(groups) cross-group mailbox
-/// events instead of O(ranks); destinations already dead are skipped.
+/// setting. Each notice is one Engine::schedule() event, counted in
+/// PerfSnapshot::fanout_notices; a notice to a rank that is already dead is
+/// scheduled like any other and dropped at delivery.
 /// Failure notices are delivered at the detector model's per-observer
 /// detection time (>= the failure time); abort and revoke notices at the
 /// event time itself, as in the paper.
@@ -54,7 +54,7 @@ class NotificationBus {
   /// per observer). Computed on demand from the log of broadcast failures:
   /// an observer counts for a failure unless it had itself failed at or
   /// before its would-be detection time — matching which notices the engine
-  /// actually delivers once dead destinations are skipped. The double
+  /// actually delivers, since it drops events to dead LPs. The double
   /// summation runs in a (t_fail, rank)-sorted order, so the result is
   /// independent of which worker thread logged which failure first.
   struct DetectionStats {
@@ -72,6 +72,9 @@ class NotificationBus {
     int rank = 0;
     SimTime t_fail = 0;
   };
+
+  /// Schedules one notice to `rank` at `time`.
+  void notify(SimTime time, int rank, int kind, std::unique_ptr<EventPayload> payload);
 
   Wiring wiring_;
   /// Failures broadcast so far. Guarded: broadcasts run on whichever engine

@@ -32,9 +32,7 @@ enum class Counter : std::uint8_t {
   kQueuePops,           ///< pdes::EventQueue pops by the engine's delivery loops.
   kQueueRunPops,        ///< Pops served from a sorted run.
   kQueueBulkMerges,     ///< EventQueue::push_bulk calls.
-  kFanoutNotices,       ///< pdes::Engine::schedule_fanout: notice events created.
-  kFanoutRelays,        ///< Cross-group relay carriers.
-  kFanoutDeadSkips,     ///< Dead-destination items skipped.
+  kFanoutNotices,       ///< resilience::NotificationBus notice events scheduled.
   kSchedWindows,        ///< Sharded-engine window phases decided.
   kSchedSteals,         ///< Groups run by a non-home worker.
   kSchedBarrierIdleNs,  ///< Worker ns waiting at barriers.

@@ -438,7 +438,9 @@ TEST(Machine, PoolingDoesNotChangeSimulatedResults) {
       EXPECT_DOUBLE_EQ(r.compute_fraction, ref.compute_fraction);
       // Sequential runs also process the identical event count; parallel
       // ones may drain differently after the abort (see the test above).
-      if (workers == 1) EXPECT_EQ(r.events_processed, ref.events_processed);
+      if (workers == 1) {
+        EXPECT_EQ(r.events_processed, ref.events_processed);
+      }
     }
   }
 }

@@ -197,7 +197,7 @@ TEST(Engine, UnknownTargetIsLogicError) {
 constexpr SimTime kLookahead = 10;
 
 Engine::ShardingOptions sharded(int workers) {
-  return Engine::ShardingOptions{workers, kLookahead, 1, {}};
+  return Engine::ShardingOptions{workers, kLookahead, 1};
 }
 
 struct StormPayload final : EventPayload {
@@ -371,28 +371,10 @@ TEST(ShardedEngine, WorkerCountClampsToAlignmentBlocks) {
     e.add_process(i, &lps[i]);
   }
   e.schedule(1, 2, 1, nullptr);
-  e.set_sharding(Engine::ShardingOptions{8, kLookahead, 2, {}});
+  e.set_sharding(Engine::ShardingOptions{8, kLookahead, 2});
   e.run();
   EXPECT_EQ(e.worker_groups(), 2);
   EXPECT_EQ(lps[2].delivered.size(), 1u);
-}
-
-TEST(ShardedEngine, ExplicitPartitionOverrideDeliversEverything) {
-  Engine e;
-  RecorderLp lps[4];
-  for (LpId i = 0; i < 4; ++i) {
-    lps[i].done = true;
-    e.add_process(i, &lps[i]);
-  }
-  for (LpId i = 0; i < 4; ++i) {
-    e.schedule(static_cast<SimTime>(1 + i), i, static_cast<int>(i), nullptr);
-  }
-  Engine::ShardingOptions opts = sharded(2);
-  opts.group_of = [](LpId id) { return static_cast<int>(id) % 2; };  // Striped.
-  e.set_sharding(opts);
-  e.run();
-  EXPECT_EQ(e.worker_groups(), 2);
-  for (auto& lp : lps) EXPECT_EQ(lp.delivered.size(), 1u);
 }
 
 TEST(ShardedEngine, CausalityViolationThrows) {
@@ -424,6 +406,32 @@ TEST(ShardedEngine, CrossGroupEventInTheReceiversPastThrowsAtMerge) {
   e.schedule(0, 1, 1, nullptr);
   e.set_sharding(sharded(2));
   EXPECT_THROW(e.run(), std::logic_error);
+}
+
+TEST(ShardedEngine, LateCrossGroupControlEventIsDeliveredAtMerge) {
+  // The same late cross-group event as above, sent at kControl priority — the
+  // priority of the zero-lookahead failure, abort and revoke notices — is
+  // merged and delivered after the receiver's own events up to time 9.
+  Engine e;
+  RecorderLp a, b;
+  a.done = b.done = true;
+  a.callback = [](Engine& eng, const Event& ev) {
+    eng.schedule(ev.time + 1, 1, 2, nullptr, EventPriority::kControl);
+  };
+  b.callback = [](Engine& eng, const Event& ev) {
+    if (ev.kind == 1 && ev.time < 9) eng.schedule(ev.time + 1, 1, 1, nullptr);
+  };
+  e.add_process(0, &a);
+  e.add_process(1, &b);
+  e.schedule(0, 0, 1, nullptr);
+  e.schedule(0, 1, 1, nullptr);
+  e.set_sharding(sharded(2));
+  ASSERT_NO_THROW(e.run());
+  EXPECT_EQ(e.worker_groups(), 2);
+  ASSERT_EQ(b.delivered.size(), 11u);
+  EXPECT_EQ(b.delivered[9].time, 9);
+  EXPECT_EQ(b.delivered.back().kind, 2);
+  EXPECT_EQ(b.delivered.back().time, 1);
 }
 
 TEST(EventOrder, OrdersByTimePriositySeq) {

@@ -596,7 +596,7 @@ TEST(ResilienceSim, InjectFailureKillsProcessProgrammatically) {
   EXPECT_EQ(r.activated_failures[0].time, sim_ms(2));
 }
 
-// ----------------------------------------------- batched notification fan-out
+// ------------------------------------------------ notices are ordinary events
 
 // An LP that ignores every event; LP 0 optionally fires a one-shot hook on
 // its first event (used to broadcast a failure from inside a worker thread).
@@ -613,136 +613,117 @@ struct NullLp final : LogicalProcess {
   bool terminated() const override { return true; }
 };
 
-TEST(FanoutBatching, FailureCostsAtMostGroupsPlusRanks) {
-  // Acceptance criterion: a failure on a 32768-rank / 8-group run generates
-  // <= (groups + ranks) bus events — one relay per remote group plus one
-  // notice per survivor — instead of O(ranks) cross-group mailbox events.
+/// `ranks` NullLps in `blocks` contiguous blocks, sharded over `workers`
+/// groups, with a notice bus wired to the engine.
+struct NoticeRig {
+  NoticeRig(int ranks, int workers, int blocks) : lps(static_cast<std::size_t>(ranks)) {
+    for (int id = 0; id < ranks; ++id) engine.add_process(id, &lps[static_cast<std::size_t>(id)]);
+    Engine::ShardingOptions shard;
+    shard.workers = workers;
+    shard.lookahead = sim_us(1);
+    shard.block_alignment = ranks / blocks;
+    engine.set_sharding(shard);
+    resilience::NotificationBus::Wiring wiring;
+    wiring.engine = &engine;
+    wiring.ranks = ranks;
+    wiring.failure_kind = 1;
+    wiring.abort_kind = 2;
+    wiring.revoke_kind = 3;
+    bus = std::make_unique<resilience::NotificationBus>(wiring);
+  }
+
+  Engine engine;
+  std::vector<NullLp> lps;
+  std::unique_ptr<resilience::NotificationBus> bus;
+};
+
+TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
+  // A failure on a 32,768-rank, 8-group run schedules one notice event per
+  // survivor, through Engine::schedule like any other event: no relays.
   constexpr int kRanks = 32768;
   constexpr int kGroups = 8;
-  Engine engine;
-  std::vector<NullLp> lps(kRanks);
-  for (int id = 0; id < kRanks; ++id) engine.add_process(id, &lps[id]);
-  Engine::ShardingOptions shard;
-  shard.workers = kGroups;
-  shard.lookahead = sim_us(1);
-  shard.block_alignment = kRanks / kGroups;
-  engine.set_sharding(shard);
-
-  resilience::NotificationBus::Wiring wiring;
-  wiring.engine = &engine;
-  wiring.ranks = kRanks;
-  wiring.failure_kind = 1;
-  wiring.abort_kind = 2;
-  wiring.revoke_kind = 3;
-  resilience::NotificationBus bus(wiring);
-
-  lps[0].on_first_event = [&](Engine& eng) { bus.broadcast_failure(0, eng.now()); };
-  engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
+  NoticeRig rig(kRanks, kGroups, kGroups);
+  rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(0, eng.now()); };
+  rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
 
   const PerfSnapshot before = perf_snapshot();
-  engine.run();
+  rig.engine.run();
   const PerfSnapshot d = perf_delta(before, perf_snapshot());
 
-  EXPECT_EQ(engine.worker_groups(), kGroups);
+  EXPECT_EQ(rig.engine.worker_groups(), kGroups);
   EXPECT_EQ(d.fanout_notices, static_cast<std::uint64_t>(kRanks - 1));
-  EXPECT_EQ(d.fanout_relays, static_cast<std::uint64_t>(kGroups - 1));
+  EXPECT_EQ(d.fanout_relays, 0u);
   EXPECT_EQ(d.fanout_dead_skips, 0u);
-  EXPECT_LE(d.fanout_relays, static_cast<std::uint64_t>(kGroups));
-  EXPECT_LE(d.fanout_notices + d.fanout_relays,
-            static_cast<std::uint64_t>(kGroups + kRanks));
-  // Relays are transport, not delivery: processed events = kick + notices.
-  EXPECT_EQ(engine.events_processed(), static_cast<std::uint64_t>(kRanks));
+  // The kick plus one notice per survivor.
+  EXPECT_EQ(rig.engine.events_processed(), static_cast<std::uint64_t>(kRanks));
+  EXPECT_EQ(rig.engine.events_dropped_dead(), 0u);
 
-  const resilience::NotificationBus::DetectionStats stats = bus.detection_stats();
+  const resilience::NotificationBus::DetectionStats stats = rig.bus->detection_stats();
   EXPECT_EQ(stats.notices, static_cast<std::uint64_t>(kRanks - 1));
   EXPECT_EQ(stats.max_latency, 0u);  // Instant detector (null).
 }
 
-TEST(FanoutBatching, DeadDestinationsAreSkippedEverywhere) {
-  // Destinations already dead never receive a notice, whether they live in
-  // the broadcasting group (skipped at enqueue) or a remote one (skipped at
-  // unpack) — and the drop counter sees each exactly once.
-  constexpr int kRanks = 64;
-  constexpr int kGroups = 4;
-  Engine engine;
-  std::vector<NullLp> lps(kRanks);
-  for (int id = 0; id < kRanks; ++id) engine.add_process(id, &lps[id]);
-  Engine::ShardingOptions shard;
-  shard.workers = kGroups;
-  shard.lookahead = sim_us(1);
-  shard.block_alignment = kRanks / kGroups;
-  engine.set_sharding(shard);
-
-  resilience::NotificationBus::Wiring wiring;
-  wiring.engine = &engine;
-  wiring.ranks = kRanks;
-  wiring.failure_kind = 1;
-  resilience::NotificationBus bus(wiring);
-
-  engine.mark_dead(3);   // Same group as the broadcasting LP 0.
-  engine.mark_dead(40);  // Remote group.
-  lps[0].on_first_event = [&](Engine& eng) { bus.broadcast_failure(7, eng.now()); };
-  engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
-
-  const PerfSnapshot before = perf_snapshot();
-  engine.run();
-  const PerfSnapshot d = perf_delta(before, perf_snapshot());
-
-  // 63 observers of rank 7, of which ranks 3 and 40 are dead.
-  EXPECT_EQ(d.fanout_dead_skips, 2u);
-  EXPECT_EQ(d.fanout_notices + d.fanout_dead_skips, static_cast<std::uint64_t>(kRanks - 1));
-  EXPECT_EQ(engine.events_processed(), static_cast<std::uint64_t>(kRanks - 2));
-}
-
-TEST(FanoutBatching, QueuePopsAddUpAtOneAndFourWorkers) {
-  // Every pop delivers an event, drops one whose target is dead, or unpacks
-  // a relay carrier. Fan-out items for dead destinations are dropped without
-  // a pop, and moving events into the group queues before a sharded run and
-  // out of them after it is no pop either.
+TEST(NoticeEvents, NoticesToDeadRanksAreDroppedAtDelivery) {
+  // Notices to ranks already dead are scheduled like the rest and dropped
+  // when they come due, whether the dead rank shares the broadcasting LP's
+  // group (rank 3) or lives in another one (rank 40).
   constexpr int kRanks = 64;
   for (int workers : {1, 4}) {
     SCOPED_TRACE(workers);
-    Engine engine;
-    std::vector<NullLp> lps(kRanks);
-    for (int id = 0; id < kRanks; ++id) engine.add_process(id, &lps[id]);
-    Engine::ShardingOptions shard;
-    shard.workers = workers;
-    shard.lookahead = sim_us(1);
-    shard.block_alignment = kRanks / 4;
-    engine.set_sharding(shard);
-
-    resilience::NotificationBus::Wiring wiring;
-    wiring.engine = &engine;
-    wiring.ranks = kRanks;
-    wiring.failure_kind = 1;
-    resilience::NotificationBus bus(wiring);
-
-    engine.mark_dead(3);
-    engine.mark_dead(40);
-    lps[0].on_first_event = [&](Engine& eng) { bus.broadcast_failure(7, eng.now()); };
-    lps[7].on_first_event = [](Engine& eng) { eng.request_stop(); };
-    engine.schedule(sim_us(1), 3, /*kind=*/99, nullptr);   // Dead: popped, dropped.
-    engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);   // The broadcast.
-    engine.schedule(sim_us(5), 40, /*kind=*/99, nullptr);  // Dead: popped, dropped.
-    engine.schedule(sim_us(50), 7, /*kind=*/99, nullptr);  // Stops the run.
-    engine.schedule(sim_sec(1), 5, /*kind=*/99, nullptr);  // Left pending.
+    NoticeRig rig(kRanks, workers, 4);
+    rig.engine.mark_dead(3);
+    rig.engine.mark_dead(40);
+    rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
+    rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
 
     const util::Counters before = util::thread_counters();
-    engine.run();
+    rig.engine.run();
     util::Counters counters = util::thread_counters() - before;
-    counters += engine.worker_counters();
+    counters += rig.engine.worker_counters();
     const PerfSnapshot d = perf_of(counters);
 
-    EXPECT_EQ(engine.worker_groups(), workers);
-    EXPECT_EQ(engine.events_pending(), 1u);
+    EXPECT_EQ(rig.engine.worker_groups(), workers);
+    // 63 observers of rank 7, all of them scheduled; the 2 dead ones dropped.
+    EXPECT_EQ(d.fanout_notices, static_cast<std::uint64_t>(kRanks - 1));
+    EXPECT_EQ(d.fanout_dead_skips, 0u);
+    EXPECT_EQ(rig.engine.events_dropped_dead(), 2u);
+    // The kick and 61 notices.
+    EXPECT_EQ(rig.engine.events_processed(), 62u);
+  }
+}
+
+TEST(NoticeEvents, QueuePopsAddUpAtOneAndFourWorkers) {
+  // Every pop delivers an event or drops one whose target is dead. Moving
+  // events into the group queues before a sharded run and out of them after
+  // it is no pop.
+  constexpr int kRanks = 64;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    NoticeRig rig(kRanks, workers, 4);
+    rig.engine.mark_dead(3);
+    rig.engine.mark_dead(40);
+    rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
+    rig.lps[7].on_first_event = [](Engine& eng) { eng.request_stop(); };
+    rig.engine.schedule(sim_us(1), 3, /*kind=*/99, nullptr);   // Dead: popped, dropped.
+    rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);   // The broadcast.
+    rig.engine.schedule(sim_us(5), 40, /*kind=*/99, nullptr);  // Dead: popped, dropped.
+    rig.engine.schedule(sim_us(50), 7, /*kind=*/99, nullptr);  // Stops the run.
+    rig.engine.schedule(sim_sec(1), 5, /*kind=*/99, nullptr);  // Left pending.
+
+    const util::Counters before = util::thread_counters();
+    rig.engine.run();
+    util::Counters counters = util::thread_counters() - before;
+    counters += rig.engine.worker_counters();
+    const PerfSnapshot d = perf_of(counters);
+
+    EXPECT_EQ(rig.engine.worker_groups(), workers);
+    EXPECT_EQ(rig.engine.events_pending(), 1u);
     // The kick, the stop and 61 notices (63 observers, 2 of them dead).
-    EXPECT_EQ(engine.events_processed(), static_cast<std::uint64_t>(kRanks - 1));
-    EXPECT_EQ(d.fanout_dead_skips, 2u);
-    EXPECT_EQ(engine.events_dropped_dead(), 4u);
-    EXPECT_EQ(d.fanout_relays, workers == 1 ? 0u : 3u);
-    EXPECT_EQ(d.queue_pops, engine.events_processed() +
-                                (engine.events_dropped_dead() - d.fanout_dead_skips) +
-                                d.fanout_relays);
+    EXPECT_EQ(rig.engine.events_processed(), static_cast<std::uint64_t>(kRanks - 1));
+    // Two kicks and two notices to the dead ranks.
+    EXPECT_EQ(rig.engine.events_dropped_dead(), 4u);
+    EXPECT_EQ(d.fanout_relays, 0u);
+    EXPECT_EQ(d.queue_pops, rig.engine.events_processed() + rig.engine.events_dropped_dead());
   }
 }
 

@@ -91,11 +91,8 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
                "stacks         : %" PRIu64 " mapped, %" PRIu64 " reused, high-water %" PRIu64
                ", %" PRIu64 " B copied\n",
                p.stacks_mapped, p.stacks_reused, p.stacks_high_water, p.stack_bytes_copied);
-  if (p.fanout_notices > 0 || p.fanout_relays > 0 || p.fanout_dead_skips > 0) {
-    std::fprintf(stderr,
-                 "fanout         : %" PRIu64 " notices, %" PRIu64 " relays, %" PRIu64
-                 " dead skips\n",
-                 p.fanout_notices, p.fanout_relays, p.fanout_dead_skips);
+  if (p.fanout_notices > 0) {
+    std::fprintf(stderr, "fanout         : %" PRIu64 " notices\n", p.fanout_notices);
   }
   if (p.sched_windows > 0) {
     std::fprintf(stderr,
