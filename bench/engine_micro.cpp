@@ -516,9 +516,8 @@ void write_partner_file(ckpt::CheckpointStore& store, std::uint64_t version, int
                         std::span<const std::byte> payload) {
   store.begin(version, rank);
   store.append(version, rank, payload);
-  store.finalize(version, rank);
+  store.finalize(version, rank, ckpt::CopyRecord{.level = 0, .holder = rank});
   const int partner = ckpt::partner_of(rank, store.expected_ranks());
-  store.record_copy(version, rank, ckpt::CopyRecord{.level = 0, .holder = rank});
   store.record_copy(version, rank, ckpt::CopyRecord{.level = 0, .holder = partner});
 }
 

@@ -80,8 +80,8 @@ Outcome run(bool incremental, int change_permille) {
       }
       const SimTime t0 = ctx.now();
       if (incremental) {
-        inc.write(ctx, *services.checkpoints, static_cast<std::uint64_t>(v), state,
-                  services.storage->pfs_model(), ctx.size());
+        inc.write(ctx, *services.checkpoints, *services.storage,
+                  static_cast<std::uint64_t>(v), state);
       } else {
         writer.write(ctx, *services.checkpoints, static_cast<std::uint64_t>(v), state);
       }

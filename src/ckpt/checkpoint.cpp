@@ -54,14 +54,14 @@ void CheckpointStore::append(std::uint64_t version, int rank,
   file->data.insert(file->data.end(), data.begin(), data.end());
 }
 
-void CheckpointStore::finalize(std::uint64_t version, int rank) {
+void CheckpointStore::finalize(std::uint64_t version, int rank, const CopyRecord& first) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [set, file] = locate(version, rank);
   if (file == nullptr) throw std::logic_error("finalize before begin");
-  if (!file->finalized) {
-    file->finalized = true;
-    ++touch(*set).finalized_count;
-  }
+  if (file->finalized) throw std::logic_error("finalize after finalize");
+  insert_copy(*file, first);
+  file->finalized = true;
+  ++touch(*set).finalized_count;
 }
 
 bool CheckpointStore::file_exists(std::uint64_t version, int rank) const {
@@ -111,19 +111,22 @@ std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {
   return file == nullptr ? 0 : file->data.size();
 }
 
+void CheckpointStore::insert_copy(File& file, const CopyRecord& copy) {
+  if (file.copy_count == kMaxCopies) throw std::logic_error("too many copies");
+  int pos = file.copy_count++;
+  for (; pos > 0 && file.copies[pos - 1].level > copy.level; --pos) {
+    file.copies[pos] = file.copies[pos - 1];
+  }
+  file.copies[pos] = copy;
+}
+
 void CheckpointStore::record_copy(std::uint64_t version, int rank,
                                   const CopyRecord& copy) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [set, file] = locate(version, rank);
   if (file == nullptr) throw std::logic_error("record_copy before begin");
-  if (file->copy_count == kMaxCopies) throw std::logic_error("record_copy: too many copies");
+  insert_copy(*file, copy);
   touch(*set);
-  // Insertion step: after every copy of the same or a faster level.
-  int pos = file->copy_count++;
-  for (; pos > 0 && file->copies[pos - 1].level > copy.level; --pos) {
-    file->copies[pos] = file->copies[pos - 1];
-  }
-  file->copies[pos] = copy;
 }
 
 std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank) const {
@@ -147,19 +150,16 @@ RestorePlan CheckpointStore::build_plan(std::uint64_t version, const VersionSet&
     // How q reaches a copy, cheapest first: its own node memory, a shared
     // tier (bb/pfs), a peer's node memory (a network fetch).
     auto access = [q](const CopyRecord& c) { return c.holder == q ? 0 : c.holder < 0 ? 1 : 2; };
-    // Copies are level-ordered: only the fastest level's run competes.
+    // Copies are level-ordered: only the fastest level's run competes. A
+    // complete version's files are finalized, so each has a copy.
     const File& file = set.files[static_cast<std::size_t>(q)];
-    const CopyRecord* best = nullptr;
-    for (int i = 0; i < file.copy_count; ++i) {
-      const CopyRecord& c = file.copies[i];
-      if (best != nullptr && c.level != best->level) break;
-      if (best == nullptr || access(c) < access(*best)) best = &c;
+    const CopyRecord* best = &file.copies[0];
+    for (int i = 1; i < file.copy_count && file.copies[i].level == best->level; ++i) {
+      if (access(file.copies[i]) < access(*best)) best = &file.copies[i];
     }
     RestorePlan::Source& src = plan.sources[static_cast<std::size_t>(q)];
-    if (best != nullptr) {  // No copies: a legacy file, read from the PFS.
-      src.level = best->level;
-      src.holder = best->holder;
-    }
+    src.level = best->level;
+    src.holder = best->holder;
     src.bytes = file.data.size();
     if (const int h = server(q, src.holder); h >= 0) ++plan.served_offsets[h + 1];
   }
@@ -230,7 +230,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
     VersionSet& set = vit->second;
     bool empty = false;
     for (File& file : set.files) {
-      if (!file.exists || file.copy_count == 0) continue;  // Legacy indestructible.
+      if (!file.exists) continue;
       int kept = 0;
       for (int i = 0; i < file.copy_count; ++i) {
         if (survives(file.copies[i])) file.copies[kept++] = file.copies[i];
@@ -285,34 +285,6 @@ std::size_t CheckpointStore::file_count() const {
   std::size_t total = 0;
   for (const auto& [v, set] : versions_) total += static_cast<std::size_t>(set.file_count);
   return total;
-}
-
-vmpi::Err write_rank_checkpoint(vmpi::Context& ctx, CheckpointStore& store,
-                                std::uint64_t version, std::span<const std::byte> payload,
-                                const PfsModel& pfs, int concurrent_clients,
-                                std::size_t logical_bytes) {
-  const int rank = ctx.rank();
-  if (logical_bytes == 0) logical_bytes = payload.size();
-  store.begin(version, rank);
-  // The write time elapses before the file is finalized: a failure activating
-  // inside elapse() unwinds this fiber and leaves the file corrupted.
-  ctx.elapse(pfs.write_time(logical_bytes, concurrent_clients));
-  store.append(version, rank, payload);
-  store.finalize(version, rank);
-  return vmpi::Err::kSuccess;
-}
-
-std::optional<std::vector<std::byte>> read_latest_checkpoint(vmpi::Context& ctx,
-                                                             CheckpointStore& store, int rank,
-                                                             const PfsModel& pfs,
-                                                             int concurrent_clients,
-                                                             std::uint64_t* version_out) {
-  auto version = store.latest_complete();
-  if (!version) return std::nullopt;
-  auto data = store.read(*version, rank);
-  ctx.elapse(pfs.read_time(data.size(), concurrent_clients));
-  if (version_out != nullptr) *version_out = *version;
-  return data;
 }
 
 }  // namespace exasim::ckpt

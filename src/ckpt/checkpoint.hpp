@@ -11,18 +11,14 @@
 #include <utility>
 #include <vector>
 
-#include "iomodel/pfs.hpp"
 #include "util/parse.hpp"
 #include "util/time.hpp"
-#include "vmpi/context.hpp"
 
 namespace exasim::ckpt {
 
 /// One physical copy of a rank's checkpoint file somewhere in the storage
-/// hierarchy. A file with no copy records is *indestructible* — the legacy
-/// flat-PFS behaviour, where the store models an always-durable file system.
-/// A file that has copy records survives a failure only through copies that
-/// themselves survive (CheckpointStore::apply_failures).
+/// hierarchy. A finalized file has at least one; it survives a failure only
+/// through copies that themselves survive (CheckpointStore::apply_failures).
 struct CopyRecord {
   /// StorageTierKind ordinal: 0 = node memory, 1 = burst buffer, 2 = PFS.
   int level = 2;
@@ -97,8 +93,10 @@ class CheckpointStore {
   /// Appends payload bytes to rank's file.
   void append(std::uint64_t version, int rank, std::span<const std::byte> data);
 
-  /// Marks rank's file complete.
-  void finalize(std::uint64_t version, int rank);
+  /// Marks rank's file complete and records `first`, the copy its writer
+  /// just made, so a finalized file always has a copy. Throws
+  /// std::logic_error before begin() or on a file already finalized.
+  void finalize(std::uint64_t version, int rank, const CopyRecord& first);
 
   bool file_exists(std::uint64_t version, int rank) const;
   bool file_finalized(std::uint64_t version, int rank) const;
@@ -121,15 +119,15 @@ class CheckpointStore {
   void record_copy(std::uint64_t version, int rank, const CopyRecord& copy);
 
   /// All surviving copies of rank's file, fastest tier first (empty for
-  /// legacy indestructible files and for missing files).
+  /// missing files).
   std::vector<CopyRecord> copies(std::uint64_t version, int rank) const;
 
   /// The restore plan of the latest complete version, or null when there is
   /// none (cold start). Each rank restores from its fastest surviving copy;
   /// among copies of that level, its own memory beats a shared tier beats a
-  /// peer's memory, then the first recorded wins. A file without copies is
-  /// a legacy PFS file. The plan is cached and rebuilt only after its
-  /// version changes, so every rank of a relaunch shares one build.
+  /// peer's memory, then the first recorded wins. The plan is cached and
+  /// rebuilt only after its version changes, so every rank of a relaunch
+  /// shares one build.
   std::shared_ptr<const RestorePlan> restore_plan();
 
   /// Restore plans this store has built — one per relaunch that restores.
@@ -138,9 +136,9 @@ class CheckpointStore {
   /// Applies a run's activated failures to the stored copies: a copy is lost
   /// if its holder died, if it was not ready by `end_time` (in-flight drain),
   /// or if its drain source died before the drain finished reading it. Files
-  /// whose copy list goes empty are deleted (legacy files without copy
-  /// records are indestructible). Returns the number of copies lost. Call
-  /// before scrub(): a version that lost a rank's file is incomplete.
+  /// whose copy list goes empty are deleted. Returns the number of copies
+  /// lost. Call before scrub(): a version that lost a rank's file is
+  /// incomplete.
   int apply_failures(const std::vector<FailureSpec>& failures, SimTime end_time);
 
   /// Deletes one rank's file ("the previous checkpoint can be deleted
@@ -162,7 +160,7 @@ class CheckpointStore {
  private:
   struct File {
     std::vector<std::byte> data;
-    /// Physical placements, level-ordered; none = legacy indestructible.
+    /// Physical placements, level-ordered; at least one once finalized.
     std::array<CopyRecord, kMaxCopies> copies{};
     std::uint8_t copy_count = 0;
     bool exists = false;
@@ -185,6 +183,8 @@ class CheckpointStore {
   /// Rank's existing file in `version` and its set; nulls if there is none.
   std::pair<VersionSet*, File*> locate(std::uint64_t version, int rank);
   const File* find_file(std::uint64_t version, int rank) const;
+  /// Inserts `copy` after every copy of the same or a faster level.
+  static void insert_copy(File& file, const CopyRecord& copy);
   /// Drops rank's file from `set`; true if the set is now empty.
   bool erase_file(VersionSet& set, File& file);
   bool set_complete_unlocked(std::uint64_t version) const;
@@ -199,27 +199,5 @@ class CheckpointStore {
   std::uint64_t plan_stamp_ = 0;
   std::uint64_t plans_built_ = 0;
 };
-
-/// Writes one rank's checkpoint file, charging the PFS model's write time to
-/// the process's virtual clock *before* the file is finalized — so a process
-/// failure during the write leaves a corrupted (unfinalized) file, exactly
-/// the §V-D failure mode.
-///
-/// `concurrent_clients` models all ranks checkpointing together.
-/// `logical_bytes` is the size charged to the PFS model — pass the real
-/// application state size when the stored payload is a small modeled header
-/// (skeleton apps); 0 means "use payload.size()".
-vmpi::Err write_rank_checkpoint(vmpi::Context& ctx, CheckpointStore& store,
-                                std::uint64_t version, std::span<const std::byte> payload,
-                                const PfsModel& pfs, int concurrent_clients,
-                                std::size_t logical_bytes = 0);
-
-/// Reads this rank's file from the latest complete set, charging PFS read
-/// time; returns nullopt when no complete checkpoint exists (cold start).
-std::optional<std::vector<std::byte>> read_latest_checkpoint(vmpi::Context& ctx,
-                                                             CheckpointStore& store, int rank,
-                                                             const PfsModel& pfs,
-                                                             int concurrent_clients,
-                                                             std::uint64_t* version_out = nullptr);
 
 }  // namespace exasim::ckpt

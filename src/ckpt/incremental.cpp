@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "ckpt/tiered.hpp"
+
 namespace exasim::ckpt {
 namespace {
 
@@ -42,10 +44,9 @@ IncrementalCheckpointer::IncrementalCheckpointer(IncrementalPolicy policy) : pol
   if (policy_.full_every < 1) throw std::invalid_argument("full_every < 1");
 }
 
-vmpi::Err IncrementalCheckpointer::write(vmpi::Context& ctx, CheckpointStore& store,
-                                         std::uint64_t version,
-                                         std::span<const std::byte> payload,
-                                         const PfsModel& pfs, int concurrent_clients) {
+void IncrementalCheckpointer::write(vmpi::Context& ctx, CheckpointStore& store,
+                                    const StorageHierarchy& storage, std::uint64_t version,
+                                    std::span<const std::byte> payload) {
   if (checkpoints_ > 0 && version <= last_version_) {
     throw std::invalid_argument("checkpoint versions must increase");
   }
@@ -88,14 +89,9 @@ vmpi::Err IncrementalCheckpointer::write(vmpi::Context& ctx, CheckpointStore& st
     }
   }
 
-  // Write through the store, charging the PFS for the bytes actually
-  // written. Like write_rank_checkpoint, the time elapses before finalize so
-  // a failure mid-write leaves a corrupted file.
-  const int rank = ctx.rank();
-  store.begin(version, rank);
-  ctx.elapse(pfs.write_time(file.size(), concurrent_clients));
-  store.append(version, rank, file);
-  store.finalize(version, rank);
+  // The PFS is charged for the bytes actually written; a failure mid-write
+  // leaves a corrupted file.
+  write_pfs(ctx, store, storage, version, file);
 
   if (full) {
     bytes_full_ += file.size();
@@ -109,12 +105,15 @@ vmpi::Err IncrementalCheckpointer::write(vmpi::Context& ctx, CheckpointStore& st
   last_payload_bytes_ = payload.size();
   last_version_ = version;
   ++checkpoints_;
-  return vmpi::Err::kSuccess;
 }
 
 std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
-    vmpi::Context& ctx, CheckpointStore& store, int rank, const PfsModel& pfs,
-    int concurrent_clients, std::uint64_t* version_out) {
+    vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
+    std::uint64_t* version_out) {
+  if (ctx.size() != store.expected_ranks()) {
+    throw std::logic_error("checkpoint store sized for a different world");
+  }
+  const int rank = ctx.rank();
   // Candidate = newest complete version; walk its delta chain backwards. If
   // the chain is broken (a base was deleted or never completed), fall back
   // to the next-older complete version.
@@ -177,7 +176,8 @@ std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
         off += n;
       }
     }
-    ctx.elapse(pfs.read_time(read_bytes, concurrent_clients));
+    ctx.elapse(storage.model(StorageTierKind::kPfs).read_time(read_bytes,
+                                                              checkpoint_clients(ctx)));
     if (version_out != nullptr) *version_out = *vit;
     return state;
   }

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "iomodel/storage.hpp"
+#include "vmpi/context.hpp"
 
 namespace exasim::ckpt {
 
@@ -22,7 +24,7 @@ namespace exasim::ckpt {
 /// chain that a restart has to replay.
 struct IncrementalPolicy {
   std::size_t block_bytes = 4096;
-  int full_every = 8;  ///< 1 = always full (degenerates to write_rank_checkpoint).
+  int full_every = 8;  ///< 1 = always full (degenerates to ckpt::write_pfs).
 };
 
 /// Per-rank incremental writer. Lives for one application launch; after a
@@ -33,11 +35,12 @@ class IncrementalCheckpointer {
   explicit IncrementalCheckpointer(IncrementalPolicy policy);
 
   /// Writes `payload` for this rank as version `version` (full or delta as
-  /// the policy dictates), charging the PFS model for the bytes actually
-  /// written. Versions must strictly increase per rank.
-  vmpi::Err write(vmpi::Context& ctx, CheckpointStore& store, std::uint64_t version,
-                  std::span<const std::byte> payload, const PfsModel& pfs,
-                  int concurrent_clients);
+  /// the policy dictates) through ckpt::write_pfs, charging the machine's
+  /// PFS tier for the bytes actually written; every rank still alive writes
+  /// concurrently (checkpoint_clients). Versions must strictly increase per
+  /// rank.
+  void write(vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
+             std::uint64_t version, std::span<const std::byte> payload);
 
   /// Oldest version still needed to reconstruct the latest checkpoint; the
   /// application may delete anything older.
@@ -49,13 +52,13 @@ class IncrementalCheckpointer {
 
   /// Reconstructs this rank's latest restorable state: finds the newest
   /// complete version whose delta chain (down to its base full checkpoint)
-  /// is fully present, reads the chain (charging PFS read time), and replays
-  /// it. Returns nullopt on cold start or if every chain is broken.
-  static std::optional<std::vector<std::byte>> read_latest(vmpi::Context& ctx,
-                                                           CheckpointStore& store, int rank,
-                                                           const PfsModel& pfs,
-                                                           int concurrent_clients,
-                                                           std::uint64_t* version_out = nullptr);
+  /// is fully present, reads the chain (charging the PFS tier's read time),
+  /// and replays it. Returns nullopt on cold start or if every chain is
+  /// broken. Throws std::logic_error if the store was sized for a different
+  /// world.
+  static std::optional<std::vector<std::byte>> read_latest(
+      vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
+      std::uint64_t* version_out = nullptr);
 
  private:
   IncrementalPolicy policy_;

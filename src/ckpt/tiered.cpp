@@ -38,23 +38,21 @@ int checkpoint_clients(const vmpi::Context& ctx) {
   return alive < 1 ? 1 : alive;
 }
 
-vmpi::Err TieredWriter::write_pfs(vmpi::Context& ctx, CheckpointStore& store,
-                                  std::uint64_t version, std::span<const std::byte> payload,
-                                  std::size_t logical_bytes) {
+void write_pfs(vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
+               std::uint64_t version, std::span<const std::byte> payload,
+               std::size_t logical_bytes) {
+  if (logical_bytes == 0) logical_bytes = payload.size();
   const int rank = ctx.rank();
   const int clients = checkpoint_clients(ctx);
   store.begin(version, rank);
   const auto pfs = StorageTierKind::kPfs;
-  SimTime t = storage_.model(pfs).write_time(logical_bytes, clients);
-  t += storage_.occupy(pfs, ctx.now(), t);
-  // Elapse before finalize: a failure activating mid-write leaves the file
-  // corrupted (§V-D), exactly as write_rank_checkpoint.
+  SimTime t = storage.model(pfs).write_time(logical_bytes, clients);
+  t += storage.occupy(pfs, ctx.now(), t);
+  // Elapse before finalize: a failure activating mid-write unwinds this
+  // fiber and leaves the file corrupted (§V-D).
   ctx.elapse(t);
   store.append(version, rank, payload);
-  store.finalize(version, rank);
-  store.record_copy(version, rank,
-                    CopyRecord{.level = 2, .holder = -1, .ready_time = ctx.now()});
-  return vmpi::Err::kSuccess;
+  store.finalize(version, rank, CopyRecord{.level = 2, .holder = -1, .ready_time = ctx.now()});
 }
 
 vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
@@ -70,7 +68,8 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   // the node-memory staging budget; otherwise degrade to the flat PFS path.
   if (mode_ == CkptMode::kPfs || world < 2 ||
       !storage_.fits(mem, logical_bytes, world, /*replicas=*/2)) {
-    return write_pfs(ctx, store, version, payload, logical_bytes);
+    write_pfs(ctx, store, storage_, version, payload, logical_bytes);
+    return vmpi::Err::kSuccess;
   }
 
   // A still-draining previous checkpoint owns the memory staging buffer:
@@ -103,14 +102,13 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   err = ctx.waitall(ctx.world(), {send_req, recv_req});
   if (err != vmpi::Err::kSuccess) return err;  // Partner died: file stays corrupted.
 
+  // Two memory-tier copies: the local image, which finalizes the file, and
+  // the replica in the partner's memory. The replica's ready time is this
+  // rank's clock when the exchange completed — the partner's receive
+  // completes at the same modeled event, so the skew is at most the
+  // partner's own clock drift.
   store.append(version, rank, payload);
-  store.finalize(version, rank);
-  // Two memory-tier copies: the local image and the replica in the
-  // partner's memory. The replica's ready time is this rank's clock when
-  // the exchange completed — the partner's receive completes at the same
-  // modeled event, so the skew is at most the partner's own clock drift.
-  store.record_copy(version, rank,
-                    CopyRecord{.level = 0, .holder = rank, .ready_time = ctx.now()});
+  store.finalize(version, rank, CopyRecord{.level = 0, .holder = rank, .ready_time = ctx.now()});
   store.record_copy(version, rank,
                     CopyRecord{.level = 0, .holder = partner, .ready_time = ctx.now()});
   util::count(util::Counter::kCkptPartnerCopies);

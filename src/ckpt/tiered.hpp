@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,18 @@ inline int partner_of(int rank, int world) { return (rank + 1) % world; }
 /// up to the same one-window notice tolerance every failure notice has.
 int checkpoint_clients(const vmpi::Context& ctx);
 
+/// The one PFS commit, shared by every writer that puts a file straight on
+/// the PFS: begins rank's file in `version`, charges the PFS tier's write
+/// time (occupancy window included) for `logical_bytes`, then appends
+/// `payload` and finalizes the file with its PFS copy. The time elapses
+/// before finalize, so a failure activating mid-write leaves the file
+/// corrupted (§V-D). `logical_bytes` is the size charged: pass the real
+/// application state size when the stored payload is a small modeled header
+/// (skeleton apps); 0 means payload.size().
+void write_pfs(vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
+               std::uint64_t version, std::span<const std::byte> payload,
+               std::size_t logical_bytes = 0);
+
 /// Per-rank tiered checkpoint writer. Owns the drain horizon: a staged
 /// write returns once the fast-tier copy is safe, and only a *subsequent*
 /// write blocks on the still-draining previous one.
@@ -61,9 +74,8 @@ class TieredWriter {
 
   CkptMode mode() const { return mode_; }
 
-  /// Writes one rank's checkpoint under the configured mode. Charges
-  /// sim-time exactly like write_rank_checkpoint for kPfs (the byte-identity
-  /// contract); partner/staged modes add the replica exchange and record
+  /// Writes one rank's checkpoint under the configured mode: kPfs is
+  /// write_pfs; partner/staged modes add the replica exchange and record
   /// tier copies for apply_failures. A communication error (dead partner
   /// under a kReturn handler) comes back with the file left unfinalized —
   /// the §V-D corrupted-checkpoint failure mode.
@@ -71,9 +83,6 @@ class TieredWriter {
                   std::span<const std::byte> payload, std::size_t logical_bytes = 0);
 
  private:
-  vmpi::Err write_pfs(vmpi::Context& ctx, CheckpointStore& store, std::uint64_t version,
-                      std::span<const std::byte> payload, std::size_t logical_bytes);
-
   const StorageHierarchy& storage_;
   CkptMode mode_;
   /// Sim-time when this rank's previous staged drain frees the memory

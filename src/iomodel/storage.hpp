@@ -103,10 +103,6 @@ class StorageHierarchy {
   /// Cost model for a tier kind (a shared free model when unpriced).
   const PfsModel& model(StorageTierKind kind) const;
 
-  /// The durable tier's model — what Services::pfs points at; identical to
-  /// the flat PfsModel for the default spec.
-  const PfsModel& pfs_model() const { return model(StorageTierKind::kPfs); }
-
   /// True when no tier charges time and none is contended (the paper's
   /// configuration).
   bool is_free() const;

@@ -165,9 +165,9 @@ TEST(StorageHierarchy, UnpricedTiersAreFreeAndPfsModelMatchesFlatMath) {
   EXPECT_TRUE(h.model(StorageTierKind::kMemory).is_free());
   EXPECT_FALSE(h.is_free());
   // 1 MB at min(2 MB/s, 8/1 MB/s) = 2 MB/s -> 500 ms, plus 1 ms metadata.
-  EXPECT_EQ(h.pfs_model().write_time(1'000'000, 1), sim_ms(501));
+  EXPECT_EQ(h.model(StorageTierKind::kPfs).write_time(1'000'000, 1), sim_ms(501));
   // 8 clients: min(2 MB/s, 1 MB/s) = 1 MB/s -> 1 s + 1 ms.
-  EXPECT_EQ(h.pfs_model().write_time(1'000'000, 8), sim_sec(1) + sim_ms(1));
+  EXPECT_EQ(h.model(StorageTierKind::kPfs).write_time(1'000'000, 8), sim_sec(1) + sim_ms(1));
 }
 
 TEST(StorageHierarchy, CapacityBudgets) {
@@ -203,8 +203,7 @@ TEST(CheckpointCopies, RecordSortsByLevelAndRequiresBegin) {
   EXPECT_THROW(store.record_copy(1, 0, CopyRecord{}), std::logic_error);
   store.begin(1, 0);
   store.append(1, 0, bytes_of("payload"));
-  store.finalize(1, 0);
-  store.record_copy(1, 0, CopyRecord{.level = 2, .holder = -1});
+  store.finalize(1, 0, CopyRecord{.level = 2, .holder = -1});
   store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 0});
   const auto copies = store.copies(1, 0);
   ASSERT_EQ(copies.size(), 2u);
@@ -214,14 +213,6 @@ TEST(CheckpointCopies, RecordSortsByLevelAndRequiresBegin) {
   EXPECT_EQ(store.file_bytes(1, 3), 0u);  // Unknown rank: no file.
 }
 
-TEST(CheckpointCopies, LegacyFilesWithoutCopiesAreIndestructible) {
-  CheckpointStore store(1);
-  store.begin(1, 0);
-  store.finalize(1, 0);
-  EXPECT_EQ(store.apply_failures({FailureSpec{0, sim_sec(1)}}, sim_sec(2)), 0);
-  EXPECT_TRUE(store.set_complete(1));
-}
-
 TEST(CheckpointCopies, FailureMatrixVictimPartnerAndBoth) {
   // Rank 0's file exists in its own memory and in partner rank 1's memory.
   auto make_store = [] {
@@ -229,8 +220,7 @@ TEST(CheckpointCopies, FailureMatrixVictimPartnerAndBoth) {
     for (int r = 0; r < 2; ++r) {
       store->begin(1, r);
       store->append(1, r, bytes_of("img"));
-      store->finalize(1, r);
-      store->record_copy(1, r, CopyRecord{.level = 0, .holder = r});
+      store->finalize(1, r, CopyRecord{.level = 0, .holder = r});
       store->record_copy(1, r, CopyRecord{.level = 0, .holder = 1 - r});
     }
     return store;
@@ -273,8 +263,7 @@ TEST(CheckpointCopies, FailureMatrixVictimPartnerAndBoth) {
 TEST(CheckpointCopies, InFlightDrainsDieWithTheRunOrTheSourceRank) {
   CheckpointStore store(1);
   store.begin(1, 0);
-  store.finalize(1, 0);
-  store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 0});
+  store.finalize(1, 0, CopyRecord{.level = 0, .holder = 0});
   // PFS drain still in flight when the run ends at 1 s: not durable yet.
   store.record_copy(1, 0, CopyRecord{.level = 2, .holder = -1, .ready_time = sim_sec(5),
                                      .depends_on = 0, .depends_until = sim_sec(5)});
@@ -292,9 +281,8 @@ TEST(CheckpointCopies, InFlightDrainsDieWithTheRunOrTheSourceRank) {
   // Source rank dies *after* the hand-off: the shared-tier copy survives.
   CheckpointStore late(1);
   late.begin(1, 0);
-  late.finalize(1, 0);
-  late.record_copy(1, 0, CopyRecord{.level = 1, .holder = -1, .ready_time = sim_ms(200),
-                                    .depends_on = 0, .depends_until = sim_ms(200)});
+  late.finalize(1, 0, CopyRecord{.level = 1, .holder = -1, .ready_time = sim_ms(200),
+                                 .depends_on = 0, .depends_until = sim_ms(200)});
   EXPECT_EQ(late.apply_failures({FailureSpec{0, sim_ms(400)}}, sim_sec(1)), 0);
   EXPECT_TRUE(late.set_complete(1));
 }
@@ -554,13 +542,11 @@ int access_class(const CopyRecord& copy, int rank) {
 }
 
 CopyRecord reference_best_copy(const std::vector<CopyRecord>& copies, int q) {
-  CopyRecord best;  // No copies: a legacy file on the PFS.
-  bool have = false;
+  CopyRecord best = copies.front();  // A finalized file has a copy.
   for (const auto& c : copies) {
-    if (!have || c.level < best.level ||
+    if (c.level < best.level ||
         (c.level == best.level && access_class(c, q) < access_class(best, q))) {
       best = c;
-      have = true;
     }
   }
   return best;
@@ -586,14 +572,14 @@ TEST(RestorePlan, MatchesThePerRankReferenceOnRandomStores) {
       for (int r = 0; r < world; ++r) {
         store.begin(v, r);
         store.append(v, r, std::vector<std::byte>(static_cast<std::size_t>(1 + pick(64))));
-        store.finalize(v, r);
         // Candidate placements: own memory, partner memory, another peer's
-        // memory, burst buffer, PFS; up to kMaxCopies of them in random order.
+        // memory, burst buffer, PFS; 1..kMaxCopies of them in random order,
+        // the first finalizing the file.
         const int partner = ckpt::partner_of(r, world);
         const int peer = pick(world);
         std::vector<CopyRecord> kinds = {mem(r), mem(partner), mem(peer), shared(1), shared(2)};
         std::shuffle(kinds.begin(), kinds.end(), rng);
-        const int n = pick(CheckpointStore::kMaxCopies + 1);  // 0 = legacy file.
+        const int n = 1 + pick(CheckpointStore::kMaxCopies);
         for (int i = 0; i < n; ++i) {
           CopyRecord c = kinds[static_cast<std::size_t>(i)];
           c.ready_time = sim_ms(pick(10));
@@ -601,7 +587,11 @@ TEST(RestorePlan, MatchesThePerRankReferenceOnRandomStores) {
             c.depends_on = r;
             c.depends_until = c.ready_time;
           }
-          store.record_copy(v, r, c);
+          if (i == 0) {
+            store.finalize(v, r, c);
+          } else {
+            store.record_copy(v, r, c);
+          }
         }
       }
     }
@@ -646,8 +636,7 @@ TEST(RestorePlan, RebuiltOnlyWhenThePlannedVersionChanges) {
   for (std::uint64_t v : {1, 2}) {
     for (int r = 0; r < 2; ++r) {
       store.begin(v, r);
-      store.finalize(v, r);
-      store.record_copy(v, r, CopyRecord{.level = 0, .holder = r});
+      store.finalize(v, r, CopyRecord{.level = 0, .holder = r});
       store.record_copy(v, r, CopyRecord{.level = 0, .holder = 1 - r});
     }
   }
