@@ -194,7 +194,6 @@ BENCHMARK(BM_MsgPayloadMake)->Arg(0)->Arg(32)->Arg(256)->Arg(4096)->ArgNames({"b
 /// Steady-state event churn: every delivered event frees its payload and
 /// schedules a successor with a fresh one — the allocation pattern of a
 /// long-running simulation (message payloads birth and die once per event).
-/// This is the headline pooled-vs-heap number for bench_baseline.sh.
 class ChurnLp final : public LogicalProcess {
  public:
   explicit ChurnLp(std::uint64_t budget) : remaining_(budget) {

@@ -36,18 +36,12 @@
 #   scripts/tier1.sh              # all legs, jobs = nproc
 #   scripts/tier1.sh tsan         # one leg (what each CI job runs)
 #   scripts/tier1.sh all 8        # all legs with 8 build jobs
-#   scripts/tier1.sh 8            # back-compat: numeric first arg = jobs
 set -eu
 
 cd "$(dirname "$0")/.."
 
 LEG="${1:-all}"
-# Back-compat: a bare number as the first argument selects the job count.
-case "$LEG" in
-  ''|*[!0-9]*) ;;
-  *) JOBS="$LEG"; LEG=all ;;
-esac
-JOBS="${JOBS:-${2:-$(nproc 2>/dev/null || echo 2)}}"
+JOBS="${2:-$(nproc 2>/dev/null || echo 2)}"
 
 run_release() {
   echo "== tier 1: build + ctest =="
@@ -107,8 +101,8 @@ run_asan() {
   # by remove_file/apply_failures) and the restore plan every rank of a
   # relaunch reads. The trace, ULFM and failure suites cover the per-rank
   # state created on first use: slots kept by traced sends, the extra
-  # communicator list and the fault state. Runs both pooled and --no-pool
-  # configurations via EXASIM_NO_POOL.
+  # communicator list and the fault state. Runs both pooled and with the
+  # pools off (EXASIM_NO_POOL=1).
   suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null

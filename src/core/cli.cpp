@@ -9,7 +9,6 @@
 #include "resilience/schedule.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
-#include "util/pool.hpp"
 
 namespace exasim::core {
 namespace {
@@ -168,15 +167,6 @@ const std::vector<CliOption>& cli_options() {
          const auto n = to_int(v);
          return n && *n >= 1 && assign(o.machine.sim_workers, n);
        }},
-      {"no-pool", nullptr, nullptr,
-       "disable the hot-path memory pools (as EXASIM_NO_POOL=1); identical results either way",
-       [](O& o, V) {
-         // Provenance headers let blocks allocated before the flip still free
-         // correctly.
-         util::set_pool_enabled(false);
-         o.no_pool = true;
-         return true;
-       }},
   };
   return kOptions;
 }
@@ -223,7 +213,7 @@ std::string cli_usage() {
       "The variables reach exasim_run and exasim_mc, not programs that build a SimConfig\n"
       "in code. Host switches, read where they act, never change results:\n"
       "  EXASIM_JOBS=N          default for --jobs\n"
-      "  EXASIM_NO_POOL=1       same as --no-pool\n"
+      "  EXASIM_NO_POOL=1       disable the hot-path memory pools\n"
       "  EXASIM_EAGER_WAKEUP=1  wake a blocked rank on every delivery (no wakeup filtering)\n";
   return out;
 }

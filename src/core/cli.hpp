@@ -37,11 +37,6 @@ struct CliOptions {
   /// itself only carries the value (layering: core must not depend on exp).
   int jobs = -1;
 
-  /// --no-pool was given: hot-path memory pooling globally disabled (the
-  /// flag also calls util::set_pool_enabled(false) as a parse side effect,
-  /// mirroring the EXASIM_NO_POOL environment variable).
-  bool no_pool = false;
-
   std::vector<std::string> positional;  ///< Non-option arguments.
 };
 

@@ -185,8 +185,7 @@ struct SimResult {
   double wall_seconds = 0;
   double events_per_sec = 0;   ///< events_processed / wall_seconds.
   double ns_per_event = 0;     ///< Inverse, in nanoseconds.
-  /// Heap allocations (pool misses routed to ::operator new) per processed
-  /// event — the headline "allocs/event" figure of bench_baseline.sh.
+  /// Heap allocations (pool misses routed to ::operator new) per processed event.
   double heap_allocs_per_event = 0;
 };
 

@@ -24,8 +24,8 @@ namespace exasim::util {
 // the window barriers, so no synchronization is needed at all.
 //
 // Provenance. Every block carries a 16-byte header recording whether it came
-// from a slab or the plain heap, so the runtime toggle (--no-pool /
-// EXASIM_NO_POOL / set_pool_enabled) can flip at any time: a block is always
+// from a slab or the plain heap, so the runtime toggle (EXASIM_NO_POOL /
+// set_pool_enabled) can flip at any time: a block is always
 // returned the way it was obtained. Slabs live for the whole process (they
 // are anchored in a global registry, so leak checkers see them as reachable
 // and cross-thread block migration can never dangle).
@@ -37,7 +37,7 @@ namespace exasim::util {
 
 /// Whether pool_alloc serves from the slab pool (true) or falls through to
 /// the plain heap (false). Initialized from EXASIM_NO_POOL (set and nonzero
-/// disables pooling); flip at runtime via set_pool_enabled (--no-pool).
+/// disables pooling); flip at runtime via set_pool_enabled (tests, benches).
 bool pool_enabled();
 void set_pool_enabled(bool enabled);
 

@@ -11,7 +11,6 @@
 #include "resilience/detector.hpp"
 #include "sim_test_util.hpp"
 #include "util/parse.hpp"
-#include "util/pool.hpp"
 #include "vmpi/context.hpp"
 
 namespace exasim {
@@ -193,26 +192,13 @@ TEST_F(Cli, ParsesStorageAndCkptMode) {
   }
 }
 
-TEST_F(Cli, ParsesNoPool) {
-  const bool before = util::pool_enabled();
-  auto defaulted = parse({"--ranks=8"});
-  ASSERT_TRUE(defaulted.has_value());
-  EXPECT_FALSE(defaulted->no_pool);
-  EXPECT_EQ(util::pool_enabled(), before);  // Parsing alone must not flip it.
-
-  auto off = parse({"--no-pool"});
-  ASSERT_TRUE(off.has_value());
-  EXPECT_TRUE(off->no_pool);
-  EXPECT_FALSE(util::pool_enabled());  // Parse side effect: pools disabled.
-  util::set_pool_enabled(before);      // Restore for the rest of the suite.
-}
-
 TEST_F(Cli, RejectsMalformedOptions) {
   // --scheduler and --speculate are unknown: the sharded engine has one
-  // window rule (DESIGN.md §11).
+  // window rule (DESIGN.md §11). --no-pool is unknown: parsing never flips
+  // the process-wide pool switch (EXASIM_NO_POOL does, where it acts).
   for (auto bad : {"--ranks=abc", "--mttf=xyz", "--distribution=bogus", "--unknown=1",
                    "--failures=nope", "--ranks", "--verbose=1", "--replicates=0",
-                   "--scheduler=fixed", "--speculate=8"}) {
+                   "--scheduler=fixed", "--speculate=8", "--no-pool"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
