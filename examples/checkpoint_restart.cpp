@@ -6,11 +6,11 @@
 // Run: ./build/examples/checkpoint_restart [mttf_seconds] [ckpt_interval]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/heat3d.hpp"
 #include "core/runner.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 using namespace exasim;
 
@@ -19,8 +19,14 @@ int main(int argc, char** argv) {
 
   // Defaults produce a failure-free baseline around 1.6 s of virtual time;
   // an MTTF of the same order makes failure/restart cycles likely.
-  const double mttf_s = argc > 1 ? std::atof(argv[1]) : 1.0;
-  const int ckpt_interval = argc > 2 ? std::atoi(argv[2]) : 50;
+  const auto mttf_arg = parse_double(argc > 1 ? argv[1] : "1");
+  const auto interval_arg = parse_int(argc > 2 ? argv[2] : "50", 0, kIntMax);
+  if (!mttf_arg || !interval_arg) {
+    std::fprintf(stderr, "usage: checkpoint_restart [mttf_seconds] [ckpt_interval]\n");
+    return 2;
+  }
+  const double mttf_s = *mttf_arg;
+  const int ckpt_interval = static_cast<int>(*interval_arg);
 
   core::SimConfig machine;
   machine.ranks = 4096;

@@ -49,6 +49,11 @@
 #     worker by the factor recorded in BENCH_baseline.json. Each worker
 #     count runs 5 repetitions and the medians are compared, since single
 #     runs of this row spread from 1.2x to 3x on one host.
+#  7. Table II at paper scale: bench/table2_checkpoint's six 32,768-rank rows
+#     (E1, E2, F, MTTF_a per MTTF x checkpoint interval) must byte-match
+#     scripts/table2.golden.csv. Every other golden runs at most 1,024 ranks.
+#     The bench writes table2.csv into its working directory, so it runs from
+#     a scratch one and leaves nothing in the tree (about 1 min at 4 jobs).
 #
 # Usage: scripts/bench_smoke.sh [jobs]
 set -eu
@@ -58,7 +63,7 @@ JOBS="${1:-$(nproc 2>/dev/null || echo 2)}"
 GOLDEN=scripts/bench_smoke_result.golden.json
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS" --target exasim_run engine_micro >/dev/null
+cmake --build build -j "$JOBS" --target exasim_run engine_micro table2_checkpoint >/dev/null
 
 WORKLOAD=$(jq -r .workload BENCH_baseline.json)
 if [ ! -f "$GOLDEN" ]; then
@@ -330,5 +335,18 @@ if speedup < need:
     raise SystemExit("multi-core speedup fell below the BENCH_baseline.json floor")
 EOF
 fi
+
+echo "== bench smoke: Table II at 32,768 ranks (table2.csv == golden) =="
+T2DIR=$(mktemp -d)
+ROOT=$(pwd)
+(cd "$T2DIR" && "$ROOT/build/bench/table2_checkpoint" --jobs "$JOBS" >/dev/null 2>&1)
+if ! cmp -s "$T2DIR/table2.csv" scripts/table2.golden.csv; then
+  echo "bench_smoke.sh: table2.csv drifted from scripts/table2.golden.csv:" >&2
+  diff scripts/table2.golden.csv "$T2DIR/table2.csv" >&2 || true
+  rm -rf "$T2DIR"
+  exit 1
+fi
+rm -rf "$T2DIR"
+echo "  table2.csv matches scripts/table2.golden.csv"
 
 echo "bench smoke OK"

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 verification: full build + test suite (plus an examples smoke and a
-# check that every EXASIM_* variable the scripts and CI set is documented in
+# Tier-1 verification: full build + test suite (plus an examples smoke, a
+# malformed-input smoke of the tools' own options, and a check that every
+# EXASIM_* variable the scripts and CI set is documented in
 # `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
 # point-to-point, and resilience tests (the suites that exercise the parallel
@@ -56,6 +57,28 @@ run_release() {
       echo "-- examples/$ex"
       "./build/examples/$ex" >/dev/null
     fi
+  done
+
+  echo "== tier 1: malformed tool options exit 2 with usage text =="
+  # The tools' own options (--app-params, --mc-*), which no unit test
+  # reaches, plus a CLI row whose bad value once crashed the parser. Each
+  # must stop before any run, naming the flag or key.
+  expect_usage() {
+    name=$1
+    shift
+    if out=$("$@" 2>&1); then status=0; else status=$?; fi
+    if [ "$status" -ne 2 ] || ! printf '%s\n' "$out" | grep -q '^usage:' ||
+       ! printf '%s\n' "$out" | head -n 1 | grep -q -- "$name"; then
+      echo "tier1.sh: '$*' exited $status; want 2, usage text and '$name' named:" >&2
+      printf '%s\n' "$out" | head -n 3 >&2
+      exit 1
+    fi
+    echo "  $name: $(printf '%s\n' "$out" | head -n 1)"
+  }
+  expect_usage --ranks-per-node ./build/tools/exasim_run ring --ranks=2 --ranks-per-node=0
+  expect_usage lap ./build/tools/exasim_run ring --ranks=2 --app-params=lap=1
+  for bad in --mc-grid=9x --mc-budget=-1 --mc-victims=0,21x; do
+    expect_usage "${bad%%=*}" ./build/tools/exasim_mc ring --ranks=64 "$bad"
   done
 
   echo "== tier 1: every EXASIM_* variable in scripts and CI is in exasim_run --help =="

@@ -1,55 +1,121 @@
 #include "apps/registry.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "apps/cgproxy.hpp"
 #include "apps/heat3d.hpp"
 #include "apps/ring.hpp"
+#include "util/parse.hpp"
 
 namespace exasim::apps {
+namespace {
 
-const std::vector<std::string>& list_apps() {
-  static const std::vector<std::string> names = {"heat3d", "cgproxy", "ring"};
-  return names;
+constexpr std::int64_t kSizeMax = std::numeric_limits<std::int64_t>::max();
+
+/// One integer `--app-params` key and the values its model runs with: a
+/// count or size is never negative, and a zero process grid, an empty CG
+/// vector or a ring payload too small for its token cannot run.
+struct AppKey {
+  const char* key;
+  std::int64_t min;
+  std::int64_t max = kIntMax;
+};
+
+struct AppInfo {
+  const char* name;
+  std::vector<AppKey> keys;
+  const char* note;  ///< Appended to the key list in the help text.
+};
+
+const std::vector<AppInfo>& app_table() {
+  static const std::vector<AppInfo> kApps = {
+      {"heat3d",
+       {{"nx", 0}, {"ny", 0}, {"nz", 0}, {"px", 1}, {"py", 1}, {"pz", 1}, {"iters", 0},
+        {"interval", 0}},
+       " (halo+ckpt)"},
+      {"cgproxy", {{"iters", 0}, {"interval", 0}, {"elements", 1, kSizeMax}}, ""},
+      {"ring", {{"laps", 0}, {"bytes", 8, kSizeMax}}, ""},
+  };
+  return kApps;
 }
 
-vmpi::AppMain make_app(const std::string& name, const ParamMap& params, int ranks) {
+std::string key_list(const AppInfo& app) {
+  std::string out;
+  for (const AppKey& k : app.keys) out += (out.empty() ? "" : ",") + std::string(k.key);
+  return out;
+}
+
+}  // namespace
+
+vmpi::AppMain make_app(const std::string& name, const std::string& params, int ranks) {
+  const AppInfo* app = nullptr;
+  for (const AppInfo& a : app_table()) {
+    if (name == a.name) app = &a;
+  }
+  if (app == nullptr) throw std::invalid_argument("unknown app: " + name);
+  const auto fields = parse_fields(params);
+  if (!fields) throw std::invalid_argument("malformed --app-params: " + params);
+
+  std::map<std::string, std::int64_t> values;  // A repeated key: the last one wins.
+  for (const auto& [key, text] : *fields) {
+    const AppKey* k = nullptr;
+    for (const AppKey& candidate : app->keys) {
+      if (key == candidate.key) k = &candidate;
+    }
+    if (k == nullptr) {
+      throw std::invalid_argument("unknown --app-params key for " + name + ": " + key +
+                                  " (keys: " + key_list(*app) + ")");
+    }
+    const auto v = parse_int(text, k->min, k->max);
+    if (!v) {
+      throw std::invalid_argument("malformed --app-params value " + key + "=" + text +
+                                  " (want an integer in [" + std::to_string(k->min) + ", " +
+                                  std::to_string(k->max) + "])");
+    }
+    values[key] = *v;
+  }
+  auto get = [&values](const char* key, std::int64_t fallback) {
+    const auto it = values.find(key);
+    return it == values.end() ? fallback : it->second;
+  };
+
   if (name == "heat3d") {
     HeatParams p;
-    p.nx = static_cast<int>(params.get_int("nx").value_or(64));
-    p.ny = static_cast<int>(params.get_int("ny").value_or(p.nx));
-    p.nz = static_cast<int>(params.get_int("nz").value_or(p.nx));
-    p.px = static_cast<int>(params.get_int("px").value_or(2));
-    p.py = static_cast<int>(params.get_int("py").value_or(p.px));
-    p.pz = static_cast<int>(params.get_int("pz").value_or(p.px));
-    p.total_iterations = static_cast<int>(params.get_int("iters").value_or(100));
-    p.halo_interval = static_cast<int>(params.get_int("interval").value_or(25));
+    p.nx = static_cast<int>(get("nx", 64));
+    p.ny = static_cast<int>(get("ny", p.nx));
+    p.nz = static_cast<int>(get("nz", p.nx));
+    p.px = static_cast<int>(get("px", 2));
+    p.py = static_cast<int>(get("py", p.px));
+    p.pz = static_cast<int>(get("pz", p.px));
+    p.total_iterations = static_cast<int>(get("iters", 100));
+    p.halo_interval = static_cast<int>(get("interval", 25));
     p.checkpoint_interval = p.halo_interval;
     p.real_compute = ranks <= 4096;  // Skeleton mode at scale.
     return make_heat3d(p);
   }
   if (name == "cgproxy") {
     CgProxyParams p;
-    p.total_iterations = static_cast<int>(params.get_int("iters").value_or(100));
-    p.checkpoint_interval = static_cast<int>(params.get_int("interval").value_or(20));
-    p.local_elements = static_cast<std::size_t>(params.get_int("elements").value_or(1024));
+    p.total_iterations = static_cast<int>(get("iters", 100));
+    p.checkpoint_interval = static_cast<int>(get("interval", 20));
+    p.local_elements = static_cast<std::size_t>(get("elements", 1024));
     return make_cgproxy(p);
   }
-  if (name == "ring") {
-    RingParams p;
-    p.laps = static_cast<int>(params.get_int("laps").value_or(3));
-    p.payload_bytes = static_cast<std::size_t>(params.get_int("bytes").value_or(8));
-    return make_ring(p);
-  }
-  throw std::invalid_argument("unknown app: " + name);
+  RingParams p;
+  p.laps = static_cast<int>(get("laps", 3));
+  p.payload_bytes = static_cast<std::size_t>(get("bytes", 8));
+  return make_ring(p);
 }
 
 std::string app_params_help() {
-  return
-      "  --app-params=k=v,...   application parameters:\n"
-      "      heat3d: nx,ny,nz,px,py,pz,iters,interval (halo+ckpt)\n"
-      "      cgproxy: iters,interval,elements\n"
-      "      ring: laps,bytes\n";
+  std::string out = "  --app-params=k=v,...   application parameters:\n";
+  for (const AppInfo& app : app_table()) {
+    out += std::string("      ") + app.name + ": " + key_list(app) + app.note + "\n";
+  }
+  return out;
 }
 
 }  // namespace exasim::apps

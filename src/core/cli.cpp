@@ -13,32 +13,10 @@
 namespace exasim::core {
 namespace {
 
-std::optional<double> to_double(const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos == v.size()) return d;
-  } catch (...) {
-  }
-  return std::nullopt;
-}
-
-std::optional<long long> to_int(const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const long long ll = std::stoll(v, &pos);
-    if (pos == v.size()) return ll;
-  } catch (...) {
-  }
-  return std::nullopt;
-}
-
-/// Stores a parsed value; false (and `out` untouched) when parsing failed.
-template <class T, class U>
-bool assign(T& out, const std::optional<U>& parsed) {
-  if (!parsed) return false;
-  out = static_cast<T>(*parsed);
-  return true;
+/// A rate or speed the models divide by: parse_double, and above zero.
+std::optional<double> positive(const std::string& v) {
+  const auto d = parse_double(v);
+  return d && *d > 0 ? d : std::nullopt;
 }
 
 /// Stores a spec string its parser accepted; the library layer parses it
@@ -58,7 +36,7 @@ using V = const std::string&;
 const std::vector<CliOption>& cli_options() {
   static const std::vector<CliOption> kOptions = {
       {"ranks", "N", nullptr, "simulated MPI ranks",
-       [](O& o, V v) { return assign(o.machine.ranks, to_int(v)); }},
+       [](O& o, V v) { return assign(o.machine.ranks, parse_int(v, 1, kIntMax)); }},
       {"topology", "SPEC", nullptr,
        "network topology: torus:XxYxZ, mesh:XxYxZ, fattree:LxS, dragonfly:AxHxG, star:N; "
        "default a star with one node per --ranks-per-node ranks",
@@ -67,18 +45,18 @@ const std::vector<CliOption>& cli_options() {
          return !v.empty();
        }},
       {"ranks-per-node", "N", nullptr, "ranks sharing one node and its NIC",
-       [](O& o, V v) { return assign(o.machine.ranks_per_node, to_int(v)); }},
+       [](O& o, V v) { return assign(o.machine.ranks_per_node, parse_int(v, 1, kIntMax)); }},
       {"link-latency", "DUR", nullptr, "per-hop link latency",
        [](O& o, V v) { return assign(o.machine.net.link_latency, parse_duration(v)); }},
       {"bandwidth", "B/s", nullptr, "link and injection bandwidth",
        [](O& o, V v) {
-         return assign(o.machine.net.bandwidth_bytes_per_sec, to_double(v)) &&
-                assign(o.machine.net.injection_bandwidth_bytes_per_sec, to_double(v));
+         return assign(o.machine.net.bandwidth_bytes_per_sec, positive(v)) &&
+                assign(o.machine.net.injection_bandwidth_bytes_per_sec, positive(v));
        }},
       {"overhead", "DUR", nullptr, "per-message software overhead",
        [](O& o, V v) { return assign(o.machine.net.per_message_overhead, parse_duration(v)); }},
       {"eager-threshold", "BYTES", nullptr, "largest eager message; larger ones rendezvous",
-       [](O& o, V v) { return assign(o.machine.net.eager_threshold, to_int(v)); }},
+       [](O& o, V v) { return assign(o.machine.net.eager_threshold, parse_u64(v)); }},
       {"failure-timeout", "DUR", nullptr, "network failure-detection timeout",
        [](O& o, V v) { return assign(o.machine.net.failure_timeout, parse_duration(v)); }},
       {"routing", "deterministic|adaptive[:spread=K]", "EXASIM_ROUTING",
@@ -98,9 +76,9 @@ const std::vector<CliOption>& cli_options() {
          return true;
        }},
       {"slowdown", "X", nullptr, "simulated node speed relative to the reference core",
-       [](O& o, V v) { return assign(o.machine.proc.slowdown, to_double(v)); }},
+       [](O& o, V v) { return assign(o.machine.proc.slowdown, positive(v)); }},
       {"ns-per-unit", "X", nullptr, "reference-core nanoseconds per modeled work unit",
-       [](O& o, V v) { return assign(o.machine.proc.reference_ns_per_unit, to_double(v)); }},
+       [](O& o, V v) { return assign(o.machine.proc.reference_ns_per_unit, parse_double(v)); }},
       {"storage", "pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]", "EXASIM_STORAGE",
        "storage hierarchy; tier keys bw, cbw, lat, cap, contend; '+' accepted for ';'; "
        "default pfs, a single free PFS tier",
@@ -129,11 +107,11 @@ const std::vector<CliOption>& cli_options() {
                                                          : std::nullopt;
          return assign(o.distribution, d);
        }},
-      {"seed", "N", nullptr, "random seed", [](O& o, V v) { return assign(o.seed, to_int(v)); }},
+      {"seed", "N", nullptr, "random seed", [](O& o, V v) { return assign(o.seed, parse_u64(v)); }},
       {"max-restarts", "N", nullptr, "restart budget of the failure/restart loop",
-       [](O& o, V v) { return assign(o.max_restarts, to_int(v)); }},
+       [](O& o, V v) { return assign(o.max_restarts, parse_int(v, 0, kIntMax)); }},
       {"stack-bytes", "N", nullptr, "size of each LP group's shared fiber stack",
-       [](O& o, V v) { return assign(o.machine.process.fiber_stack_bytes, to_int(v)); }},
+       [](O& o, V v) { return assign(o.machine.process.fiber_stack_bytes, parse_u64(v)); }},
       {"measured-compute", nullptr, nullptr,
        "also fold scaled native fiber CPU time into the virtual clock",
        [](O& o, V) {
@@ -152,20 +130,16 @@ const std::vector<CliOption>& cli_options() {
          return true;
        }},
       {"replicates", "N", nullptr, "repeat with seeds seed..seed+N-1 and report statistics",
-       [](O& o, V v) {
-         const auto n = to_int(v);
-         return n && *n >= 1 && assign(o.replicates, n);
-       }},
+       [](O& o, V v) { return assign(o.replicates, parse_int(v, 1, kIntMax)); }},
       {"jobs", "N", nullptr,
        "worker threads for replicates; 0 = all cores; default EXASIM_JOBS, else 1",
-       [](O& o, V v) { return assign(o.jobs, to_int(v)); }},
+       [](O& o, V v) { return assign(o.jobs, parse_int(v, 0, kIntMax)); }},
       {"sim-workers", "N|auto", "EXASIM_SIM_WORKERS",
        "engine worker threads inside one simulation: 1 = sequential (default), auto = usable "
        "CPUs (affinity/cgroup aware); identical results for any N",
        [](O& o, V v) {
          if (v == "auto") return assign(o.machine.sim_workers, std::optional(-1));
-         const auto n = to_int(v);
-         return n && *n >= 1 && assign(o.machine.sim_workers, n);
+         return assign(o.machine.sim_workers, parse_int(v, 1, kIntMax));
        }},
   };
   return kOptions;
@@ -257,8 +231,9 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
   // Unless a topology was given, default to a star big enough for the rank
   // count (the flat model every rank-pair is 2 hops away in).
   if (opts.machine.topology == SimConfig{}.topology) {
-    const int nodes =
-        (opts.machine.ranks + opts.machine.ranks_per_node - 1) / opts.machine.ranks_per_node;
+    const std::int64_t nodes =
+        (std::int64_t{opts.machine.ranks} + opts.machine.ranks_per_node - 1) /
+        opts.machine.ranks_per_node;
     opts.machine.topology = "star:" + std::to_string(nodes);
   }
 

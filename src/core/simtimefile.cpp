@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+
+#include "util/parse.hpp"
 
 namespace exasim::core {
 
@@ -15,10 +18,9 @@ bool SimTimeFile::save(SimTime exit_time) const {
 std::optional<SimTime> SimTimeFile::load() const {
   std::ifstream f(path_);
   if (!f) return std::nullopt;
-  SimTime t = 0;
-  f >> t;
-  if (f.fail()) return std::nullopt;
-  return t;
+  std::ostringstream text;
+  text << f.rdbuf();
+  return parse_u64(text.str());
 }
 
 void SimTimeFile::reset() const { std::remove(path_.c_str()); }

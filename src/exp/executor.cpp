@@ -5,6 +5,8 @@
 #include <string>
 #include <thread>
 
+#include "util/parse.hpp"
+
 namespace exasim::exp {
 
 int hardware_jobs() {
@@ -14,22 +16,18 @@ int hardware_jobs() {
 
 namespace {
 
-bool parse_jobs_value(const char* text, int* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < 0 || v > 1 << 20) return false;
-  *out = static_cast<int>(v);
-  return true;
+/// A --jobs / EXASIM_JOBS value (0 = all cores, at most 2^20) as a worker
+/// count; nullopt when absent or malformed.
+std::optional<int> parse_jobs(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  const auto v = parse_int(text, 0, 1 << 20);
+  if (!v) return std::nullopt;
+  return *v == 0 ? hardware_jobs() : static_cast<int>(*v);
 }
 
 }  // namespace
 
-int default_jobs() {
-  int v = 0;
-  if (!parse_jobs_value(std::getenv("EXASIM_JOBS"), &v)) return 1;
-  return v == 0 ? hardware_jobs() : v;
-}
+int default_jobs() { return parse_jobs(std::getenv("EXASIM_JOBS")).value_or(1); }
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
@@ -46,12 +44,13 @@ int compose_jobs(int requested_jobs, int sim_workers_per_run) {
 int jobs_from_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    int v = 0;
+    std::optional<int> v;
     if (arg.rfind("--jobs=", 0) == 0) {
-      if (parse_jobs_value(arg.c_str() + 7, &v)) return v == 0 ? hardware_jobs() : v;
+      v = parse_jobs(argv[i] + 7);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      if (parse_jobs_value(argv[i + 1], &v)) return v == 0 ? hardware_jobs() : v;
+      v = parse_jobs(argv[i + 1]);
     }
+    if (v) return *v;
   }
   return -1;
 }

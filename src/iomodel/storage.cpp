@@ -1,9 +1,6 @@
 #include "iomodel/storage.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,33 +9,6 @@
 namespace exasim {
 
 namespace {
-
-/// Non-negative finite double with full-string consumption — the same
-/// hardening posture as make_topology / parse_link_timeout_spec (PR 7):
-/// reject trailing garbage, overflow (ERANGE), inf/nan, and negatives.
-bool parse_double_field(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
-  if (!std::isfinite(parsed) || parsed < 0) return false;
-  *out = parsed;
-  return true;
-}
-
-bool parse_bool_field(const std::string& v, bool* out) {
-  if (v == "0") { *out = false; return true; }
-  if (v == "1") { *out = true; return true; }
-  return false;
-}
-
-std::string format_duration(SimTime t) {
-  if (t % 1'000'000'000 == 0) return std::to_string(t / 1'000'000'000) + "s";
-  if (t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "ms";
-  if (t % 1'000 == 0) return std::to_string(t / 1'000) + "us";
-  return std::to_string(t) + "ns";
-}
 
 std::string format_double(double v) {
   std::ostringstream os;
@@ -55,41 +25,27 @@ std::optional<StorageTierKind> tier_kind_of(const std::string& name) {
 }
 
 std::optional<TierParams> parse_tier(const std::string& text) {
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  const auto kind = tier_kind_of(head);
+  const auto parsed = parse_spec(text);
+  // A ':' must introduce at least one option ("mem:" is malformed).
+  if (!parsed || text.back() == ':') return std::nullopt;
+  const auto kind = tier_kind_of(parsed->name);
   if (!kind) return std::nullopt;
   TierParams tier;
   tier.kind = *kind;
-  // split_trimmed drops empty pieces, so "mem:" or "mem:bw=1,," would slip
-  // through silently; insist options are non-empty when the colon is present.
-  if (text.find(':') != std::string::npos && opts.empty()) return std::nullopt;
-  for (const auto& field : split_trimmed(opts, ',')) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  for (const auto& [key, value] : parsed->fields) {
+    bool ok = false;  // An unknown key stays false.
     if (key == "bw") {
-      if (!parse_double_field(value, &tier.io.aggregate_bandwidth_bytes_per_sec))
-        return std::nullopt;
+      ok = assign(tier.io.aggregate_bandwidth_bytes_per_sec, parse_double(value));
     } else if (key == "cbw") {
-      if (!parse_double_field(value, &tier.io.per_client_bandwidth_bytes_per_sec))
-        return std::nullopt;
+      ok = assign(tier.io.per_client_bandwidth_bytes_per_sec, parse_double(value));
     } else if (key == "lat") {
-      const auto t = parse_duration(value);
-      if (!t) return std::nullopt;
-      tier.io.metadata_latency = *t;
+      ok = assign(tier.io.metadata_latency, parse_duration(value));
     } else if (key == "cap") {
-      if (!parse_double_field(value, &tier.capacity_bytes)) return std::nullopt;
+      ok = assign(tier.capacity_bytes, parse_double(value));
     } else if (key == "contend") {
-      if (!parse_bool_field(value, &tier.contended)) return std::nullopt;
-    } else {
-      return std::nullopt;
+      ok = assign(tier.contended, parse_switch(value));
     }
+    if (!ok) return std::nullopt;
   }
   return tier;
 }

@@ -53,23 +53,15 @@ std::optional<std::vector<int>> parse_victims(const std::string& text, int ranks
     return out;
   }
   if (text.rfind("stride:", 0) == 0) {
-    try {
-      const int stride = std::stoi(text.substr(7));
-      if (stride <= 0) return std::nullopt;
-      for (int r = 0; r < ranks; r += stride) out.push_back(r);
-      return out;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    const auto stride = parse_int(text.substr(7), 1, kIntMax);
+    if (!stride) return std::nullopt;
+    for (std::int64_t r = 0; r < ranks; r += *stride) out.push_back(static_cast<int>(r));
+    return out;
   }
   for (const auto& piece : split_trimmed(text, ',')) {
-    try {
-      const int r = std::stoi(piece);
-      if (r < 0 || r >= ranks) return std::nullopt;
-      out.push_back(r);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    const auto r = parse_int(piece, 0, ranks - 1);
+    if (!r) return std::nullopt;
+    out.push_back(static_cast<int>(*r));
   }
   if (out.empty()) return std::nullopt;
   return out;

@@ -1,8 +1,8 @@
 #include "netmodel/routing.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/parse.hpp"
 
@@ -19,58 +19,22 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool parse_int_field(const std::string& v, int* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || parsed < 1 || parsed > 1 << 20) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool parse_u64_field(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
-  *out = parsed;
-  return true;
-}
-
-std::string format_duration(SimTime t) {
-  if (t % 1'000'000'000 == 0) return std::to_string(t / 1'000'000'000) + "s";
-  if (t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "ms";
-  if (t % 1'000 == 0) return std::to_string(t / 1'000) + "us";
-  return std::to_string(t) + "ns";
-}
-
 }  // namespace
 
 std::optional<RoutingSpec> parse_routing_spec(const std::string& text) {
+  const auto parsed = parse_spec(text);
+  if (!parsed) return std::nullopt;
   RoutingSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  if (head == "deterministic") {
-    spec.kind = RoutingKind::kDeterministic;
-    if (!opts.empty()) return std::nullopt;  // Deterministic takes no options.
+  if (parsed->name == "deterministic") {
+    if (!parsed->fields.empty()) return std::nullopt;  // Deterministic takes no options.
     return spec;
   }
-  if (head != "adaptive") return std::nullopt;
+  if (parsed->name != "adaptive") return std::nullopt;
   spec.kind = RoutingKind::kAdaptive;
-  for (const auto& field : split_trimmed(opts, ',')) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "spread") {
-      if (!parse_int_field(value, &spec.spread)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
+  for (const auto& [key, value] : parsed->fields) {
+    const auto spread = parse_int(value, 1, 1 << 20);
+    if (key != "spread" || !spread) return std::nullopt;
+    spec.spread = static_cast<int>(*spread);
   }
   return spec;
 }
@@ -125,45 +89,38 @@ std::optional<LinkTimeoutSpec> parse_link_timeout_spec(const std::string& text) 
     if (opts.empty()) return spec;  // Plain "uniform": no table at all.
     spec.kind = LinkTimeoutKind::kDistribution;
     // "LO..HI[,seed=N]".
-    std::string range = opts;
-    if (auto comma = opts.find(','); comma != std::string::npos) {
-      range = opts.substr(0, comma);
-      for (const auto& field : split_trimmed(opts.substr(comma + 1), ',')) {
-        const auto eq = field.find('=');
-        if (eq == std::string::npos || field.substr(0, eq) != "seed") return std::nullopt;
-        if (!parse_u64_field(field.substr(eq + 1), &spec.seed)) return std::nullopt;
-      }
+    const auto comma = opts.find(',');
+    const auto range = parse_duration_range(opts.substr(0, comma));
+    const auto fields =
+        parse_fields(comma == std::string::npos ? "" : opts.substr(comma + 1));
+    if (!range || !fields) return std::nullopt;
+    std::tie(spec.lo, spec.hi) = *range;
+    for (const auto& [key, value] : *fields) {
+      const auto seed = parse_u64(value);
+      if (key != "seed" || !seed) return std::nullopt;
+      spec.seed = *seed;
     }
-    const auto dots = range.find("..");
-    if (dots == std::string::npos) return std::nullopt;
-    const auto lo = parse_duration(range.substr(0, dots));
-    const auto hi = parse_duration(range.substr(dots + 2));
-    if (!lo || !hi || *hi < *lo) return std::nullopt;
-    spec.lo = *lo;
-    spec.hi = *hi;
     return spec;
   }
 
   if (head == "hot" || head == "plane") {
     if (opts.empty()) return std::nullopt;
-    // Accept ',' in place of ';' so the spec survives shells and ParamMaps
-    // that treat ';' specially.
+    // Accept ',' in place of ';' so the spec survives shells that treat ';'
+    // specially.
     std::replace(opts.begin(), opts.end(), ',', ';');
-    for (const auto& field : split_trimmed(opts, ';')) {
-      const auto eq = field.find('=');
-      if (eq == std::string::npos) return std::nullopt;
-      const std::string key = field.substr(0, eq);
-      const auto dur = parse_duration(field.substr(eq + 1));
+    const auto fields = parse_fields(opts, ';');
+    if (!fields) return std::nullopt;
+    for (const auto& [key, value] : *fields) {
+      const auto dur = parse_duration(value);
       if (!dur) return std::nullopt;
       if (head == "hot") {
-        std::uint64_t id = 0;
-        if (!parse_u64_field(key, &id)) return std::nullopt;
-        spec.hot.emplace_back(id, *dur);
+        const auto id = parse_u64(key);
+        if (!id) return std::nullopt;
+        spec.hot.emplace_back(*id, *dur);
       } else {
-        int plane = -1;
-        if (key.size() != 1 || key[0] < '0' || key[0] > '9') return std::nullopt;
-        plane = key[0] - '0';
-        spec.planes.emplace_back(plane, *dur);
+        const auto plane = parse_int(key, 0, 9);
+        if (!plane) return std::nullopt;
+        spec.planes.emplace_back(static_cast<int>(*plane), *dur);
       }
     }
     spec.kind = head == "hot" ? LinkTimeoutKind::kHot : LinkTimeoutKind::kPlane;

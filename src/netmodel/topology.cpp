@@ -1,10 +1,11 @@
 #include "netmodel/topology.hpp"
 
-#include <cctype>
 #include <climits>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace exasim {
 namespace {
@@ -366,9 +367,8 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
   const std::string kind = spec.substr(0, colon);
   const std::string dims = spec.substr(colon + 1);
 
-  // Strict dimension parsing: digits only (no sign, no trailing garbage),
-  // >= 1, and both each dimension and the node-count product must fit the
-  // int node-id space.
+  // Each dimension is a whole integer >= 1, and the node-count product must
+  // fit the int node-id space too.
   auto parse_xyz = [&](int expected, const char* format) {
     auto fail = [&](const std::string& why) -> void {
       throw std::invalid_argument("bad topology spec \"" + spec + "\": " + why + " (expected " +
@@ -381,20 +381,16 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
       auto x = dims.find('x', start);
       const std::string piece =
           dims.substr(start, x == std::string::npos ? std::string::npos : x - start);
-      if (piece.empty()) fail("empty dimension");
-      for (char c : piece) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          fail("dimension \"" + piece + "\" is not a positive integer");
-        }
+      const auto v = parse_int(piece, 1, INT_MAX);
+      if (!v) {
+        fail("dimension \"" + piece + "\" is not an integer in [1, " + std::to_string(INT_MAX) +
+             "]");
       }
-      if (piece.size() > 9) fail("dimension \"" + piece + "\" is too large");
-      const long long v = std::atoll(piece.c_str());
-      if (v < 1) fail("dimension \"" + piece + "\" must be >= 1");
-      product *= v;
+      product *= *v;
       if (product > INT_MAX) {
         fail("node count overflows the int node-id space (max " + std::to_string(INT_MAX) + ")");
       }
-      out.push_back(static_cast<int>(v));
+      out.push_back(static_cast<int>(*v));
       if (x == std::string::npos) break;
       start = x + 1;
     }

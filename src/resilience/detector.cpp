@@ -8,112 +8,46 @@
 
 namespace exasim::resilience {
 
-namespace {
-
-std::optional<long> parse_positive_int(const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const long n = std::stol(value, &used);
-    if (used != value.size() || n < 1) return std::nullopt;
-    return n;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(value, &used);
-    if (used != value.size() || value.empty() || value[0] == '-') return std::nullopt;
-    return static_cast<std::uint64_t>(n);
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
 std::optional<DetectorSpec> parse_detector_spec(const std::string& text) {
+  const auto parsed = parse_spec(text);
+  if (!parsed) return std::nullopt;
   DetectorSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-
-  if (head == "paper-instant") {
+  if (parsed->name == "paper-instant") {
     spec.kind = DetectorKind::kPaperInstant;
-  } else if (head == "timeout") {
+  } else if (parsed->name == "timeout") {
     spec.kind = DetectorKind::kTimeout;
-  } else if (head == "heartbeat") {
+  } else if (parsed->name == "heartbeat") {
     spec.kind = DetectorKind::kHeartbeat;
-  } else if (head == "gossip") {
+  } else if (parsed->name == "gossip") {
     spec.kind = DetectorKind::kGossip;
   } else {
     return std::nullopt;
   }
-  if (opts.empty()) return spec;
-  if (spec.kind != DetectorKind::kHeartbeat && spec.kind != DetectorKind::kGossip) {
-    return std::nullopt;  // No options.
-  }
 
-  std::size_t pos = 0;
-  while (pos < opts.size()) {
-    std::size_t comma = opts.find(',', pos);
-    if (comma == std::string::npos) comma = opts.size();
-    const std::string item = opts.substr(pos, comma - pos);
-    pos = comma + 1;
-
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    SimTime* period = spec.kind == DetectorKind::kHeartbeat ? &spec.heartbeat_period
-                                                            : &spec.gossip_period;
-    if (key == "period") {
+  const bool heartbeat = spec.kind == DetectorKind::kHeartbeat;
+  const bool gossip = spec.kind == DetectorKind::kGossip;
+  for (const auto& [key, value] : parsed->fields) {
+    bool ok = false;  // Unknown keys, and every key of paper-instant and timeout.
+    if (key == "period" && (heartbeat || gossip)) {
+      SimTime& period = heartbeat ? spec.heartbeat_period : spec.gossip_period;
       if (value == "auto") {
-        *period = 0;  // Resolved to the network timeout later.
-        continue;
+        period = 0;  // Resolved to the network timeout later.
+        ok = true;
+      } else {
+        const auto t = parse_duration(value);
+        ok = t && *t > 0 && assign(period, t);
       }
-      auto t = parse_duration(value);
-      if (!t || *t == 0) return std::nullopt;
-      *period = *t;
-    } else if (key == "miss" && spec.kind == DetectorKind::kHeartbeat) {
-      auto n = parse_positive_int(value);
-      if (!n) return std::nullopt;
-      spec.heartbeat_miss = static_cast<int>(*n);
-    } else if (key == "fanout" && spec.kind == DetectorKind::kGossip) {
-      auto n = parse_positive_int(value);
-      if (!n) return std::nullopt;
-      spec.gossip_fanout = static_cast<int>(*n);
-    } else if (key == "seed" && spec.kind == DetectorKind::kGossip) {
-      auto n = parse_u64(value);
-      if (!n) return std::nullopt;
-      spec.gossip_seed = *n;
-    } else {
-      return std::nullopt;
+    } else if (key == "miss" && heartbeat) {
+      ok = assign(spec.heartbeat_miss, parse_int(value, 1, kIntMax));
+    } else if (key == "fanout" && gossip) {
+      ok = assign(spec.gossip_fanout, parse_int(value, 1, kIntMax));
+    } else if (key == "seed" && gossip) {
+      ok = assign(spec.gossip_seed, parse_u64(value));
     }
+    if (!ok) return std::nullopt;
   }
   return spec;
 }
-
-namespace {
-
-/// Canonical duration spelling ("100ms", "2s", "750ns") that
-/// parse_detector_spec reads back — unlike the human-facing format_sim_time,
-/// which inserts spaces and fixed decimals.
-std::string canonical_duration(SimTime t) {
-  if (t >= sim_seconds(1.0) && t % sim_seconds(1.0) == 0) {
-    return std::to_string(t / sim_seconds(1.0)) + "s";
-  }
-  if (t >= sim_ms(1) && t % sim_ms(1) == 0) return std::to_string(t / sim_ms(1)) + "ms";
-  if (t >= sim_us(1) && t % sim_us(1) == 0) return std::to_string(t / sim_us(1)) + "us";
-  return std::to_string(t) + "ns";
-}
-
-}  // namespace
 
 std::string to_string(const DetectorSpec& spec) {
   switch (spec.kind) {
@@ -124,14 +58,14 @@ std::string to_string(const DetectorSpec& spec) {
     case DetectorKind::kHeartbeat: {
       std::string out = "heartbeat:period=";
       out += spec.heartbeat_period == 0 ? std::string("auto")
-                                        : canonical_duration(spec.heartbeat_period);
+                                        : format_duration(spec.heartbeat_period);
       out += ",miss=" + std::to_string(spec.heartbeat_miss);
       return out;
     }
     case DetectorKind::kGossip: {
       std::string out = "gossip:period=";
       out += spec.gossip_period == 0 ? std::string("auto")
-                                     : canonical_duration(spec.gossip_period);
+                                     : format_duration(spec.gossip_period);
       out += ",fanout=" + std::to_string(spec.gossip_fanout);
       out += ",seed=" + std::to_string(spec.gossip_seed);
       return out;

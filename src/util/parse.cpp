@@ -1,9 +1,11 @@
 #include "util/parse.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace exasim {
@@ -13,6 +15,19 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
   return s;
+}
+
+template <class T>
+std::optional<T> parse_integer(std::string_view text, T lo, T hi) {
+  text = trim(text);
+  // from_chars takes no '+'; "+-1" keeps its '+' and fails below.
+  if (text.size() > 1 && text[0] == '+' && text[1] != '-') text.remove_prefix(1);
+  T v{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace
@@ -31,9 +46,36 @@ std::string format_sim_time(SimTime t) {
   return buf;
 }
 
+std::optional<std::int64_t> parse_int(std::string_view text, std::int64_t lo, std::int64_t hi) {
+  return parse_integer(text, lo, hi);
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text, std::uint64_t lo,
+                                       std::uint64_t hi) {
+  return parse_integer(text, lo, hi);
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  const std::string s(trim(text));
+  if (s.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v) || v < 0) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<bool> parse_switch(std::string_view text) {
+  text = trim(text);
+  if (text == "0") return false;
+  if (text == "1") return true;
+  return std::nullopt;
+}
+
 std::optional<SimTime> parse_duration(std::string_view text) {
   text = trim(text);
-  if (text.empty()) return std::nullopt;
 
   // Find the split between the numeric part and the unit suffix.
   std::size_t i = 0;
@@ -43,19 +85,9 @@ std::optional<SimTime> parse_duration(std::string_view text) {
           (text[i] == '-' && i > 0 && (text[i - 1] == 'e' || text[i - 1] == 'E')))) {
     ++i;
   }
-  std::string num(text.substr(0, i));
-  std::string_view unit = trim(text.substr(i));
-  if (num.empty()) return std::nullopt;
-
-  double value = 0.0;
-  try {
-    std::size_t pos = 0;
-    value = std::stod(num, &pos);
-    if (pos != num.size()) return std::nullopt;
-  } catch (...) {
-    return std::nullopt;
-  }
-  if (value < 0.0 || !std::isfinite(value)) return std::nullopt;
+  const auto value = parse_double(text.substr(0, i));
+  if (!value) return std::nullopt;
+  const std::string_view unit = trim(text.substr(i));
 
   double scale;
   if (unit.empty() || unit == "s" || unit == "sec") {
@@ -73,7 +105,25 @@ std::optional<SimTime> parse_duration(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<SimTime>(value * scale + 0.5);
+  const double ns = *value * scale + 0.5;
+  if (ns >= 0x1p64) return std::nullopt;  // Past what SimTime holds.
+  return static_cast<SimTime>(ns);
+}
+
+std::optional<std::pair<SimTime, SimTime>> parse_duration_range(std::string_view text) {
+  const auto dots = text.find("..");
+  if (dots == std::string_view::npos) return std::nullopt;
+  const auto lo = parse_duration(text.substr(0, dots));
+  const auto hi = parse_duration(text.substr(dots + 2));
+  if (!lo || !hi || *hi < *lo) return std::nullopt;
+  return std::pair(*lo, *hi);
+}
+
+std::string format_duration(SimTime t) {
+  if (t % sim_sec(1) == 0) return std::to_string(t / sim_sec(1)) + "s";
+  if (t % sim_ms(1) == 0) return std::to_string(t / sim_ms(1)) + "ms";
+  if (t % sim_us(1) == 0) return std::to_string(t / sim_us(1)) + "us";
+  return std::to_string(t) + "ns";
 }
 
 std::vector<std::string> split_trimmed(std::string_view text, char sep) {
@@ -89,6 +139,28 @@ std::vector<std::string> split_trimmed(std::string_view text, char sep) {
   return out;
 }
 
+std::optional<std::vector<Field>> parse_fields(std::string_view text, char sep) {
+  std::vector<Field> out;
+  for (const auto& piece : split_trimmed(text, sep)) {
+    const auto eq = piece.find('=');
+    if (eq == std::string::npos) return std::nullopt;
+    const std::string_view key = trim(std::string_view(piece).substr(0, eq));
+    if (key.empty()) return std::nullopt;
+    out.emplace_back(key, trim(std::string_view(piece).substr(eq + 1)));
+  }
+  return out;
+}
+
+std::optional<Spec> parse_spec(std::string_view text) {
+  const auto colon = text.find(':');
+  Spec spec{std::string(trim(text.substr(0, colon))), {}};
+  if (colon == std::string_view::npos) return spec;
+  auto fields = parse_fields(text.substr(colon + 1));
+  if (!fields) return std::nullopt;
+  spec.fields = std::move(*fields);
+  return spec;
+}
+
 std::optional<std::vector<FailureSpec>> parse_failure_schedule(std::string_view text) {
   // Accept both ',' and ';' as pair separators.
   std::string normalized(text);
@@ -98,19 +170,12 @@ std::optional<std::vector<FailureSpec>> parse_failure_schedule(std::string_view 
 
   std::vector<FailureSpec> specs;
   for (const auto& piece : split_trimmed(normalized, ',')) {
-    auto at = piece.find('@');
+    const auto at = piece.find('@');
     if (at == std::string::npos) return std::nullopt;
-    std::string_view rank_str = trim(std::string_view(piece).substr(0, at));
-    std::string_view time_str = trim(std::string_view(piece).substr(at + 1));
-
-    int rank = -1;
-    auto [p, ec] = std::from_chars(rank_str.data(), rank_str.data() + rank_str.size(), rank);
-    if (ec != std::errc() || p != rank_str.data() + rank_str.size() || rank < 0) {
-      return std::nullopt;
-    }
-    auto t = parse_duration(time_str);
-    if (!t) return std::nullopt;
-    specs.push_back(FailureSpec{rank, *t});
+    const auto rank = parse_int(std::string_view(piece).substr(0, at), 0, kIntMax);
+    const auto t = parse_duration(std::string_view(piece).substr(at + 1));
+    if (!rank || !t) return std::nullopt;
+    specs.push_back(FailureSpec{static_cast<int>(*rank), *t});
   }
   return specs;
 }
@@ -122,68 +187,6 @@ std::string format_failure_schedule(const std::vector<FailureSpec>& specs) {
     os << specs[i].rank << '@' << to_seconds(specs[i].time) << 's';
   }
   return os.str();
-}
-
-std::optional<ParamMap> ParamMap::parse(std::string_view text) {
-  ParamMap map;
-  for (const auto& piece : split_trimmed(text, ',')) {
-    auto eq = piece.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    std::string key(trim(std::string_view(piece).substr(0, eq)));
-    std::string value(trim(std::string_view(piece).substr(eq + 1)));
-    if (key.empty()) return std::nullopt;
-    map.set(std::move(key), std::move(value));
-  }
-  return map;
-}
-
-bool ParamMap::contains(const std::string& key) const {
-  return get(key).has_value();
-}
-
-std::optional<std::string> ParamMap::get(const std::string& key) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return v;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::int64_t> ParamMap::get_int(const std::string& key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  std::int64_t out = 0;
-  auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc() || p != v->data() + v->size()) return std::nullopt;
-  return out;
-}
-
-std::optional<double> ParamMap::get_double(const std::string& key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    double out = std::stod(*v, &pos);
-    if (pos != v->size()) return std::nullopt;
-    return out;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-std::optional<SimTime> ParamMap::get_duration(const std::string& key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  return parse_duration(*v);
-}
-
-void ParamMap::set(std::string key, std::string value) {
-  for (auto& [k, v] : entries_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
-  }
-  entries_.emplace_back(std::move(key), std::move(value));
 }
 
 }  // namespace exasim

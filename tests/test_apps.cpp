@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "apps/cgproxy.hpp"
 #include "apps/heat3d.hpp"
+#include "apps/registry.hpp"
 #include "apps/ring.hpp"
 #include "core/runner.hpp"
 #include "sim_test_util.hpp"
@@ -230,6 +232,33 @@ TEST(Ring, ElapsedTimeGrowsWithLaps) {
     return reports[0].elapsed_seconds;
   };
   EXPECT_GT(elapsed(10), elapsed(1));
+}
+
+TEST(AppRegistry, AcceptsEveryListedKey) {
+  EXPECT_NO_THROW(apps::make_app("ring", "laps=2, bytes=16", 8));
+  EXPECT_NO_THROW(apps::make_app("ring", "", 8));
+  EXPECT_NO_THROW(apps::make_app("cgproxy", "iters=4,interval=0,elements=64", 8));
+  EXPECT_NO_THROW(
+      apps::make_app("heat3d", "nx=8,ny=8,nz=8,px=2,py=2,pz=2,iters=4,interval=2", 8));
+}
+
+TEST(AppRegistry, RejectsUnknownKeysAndMalformedValues) {
+  // Each of these once ran ring's default three laps without a word.
+  for (const char* bad : {"laps=1x", "lap=1", "laps=", "laps", "=1", "laps=-1",
+                          "laps=4294967299", "bytes=4"}) {
+    EXPECT_THROW(apps::make_app("ring", bad, 8), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(apps::make_app("heat3d", "px=0", 8), std::invalid_argument);
+  EXPECT_THROW(apps::make_app("cgproxy", "elements=0", 8), std::invalid_argument);
+  EXPECT_THROW(apps::make_app("heat3d", "laps=1", 8), std::invalid_argument);
+  EXPECT_THROW(apps::make_app("bogus", "", 8), std::invalid_argument);
+}
+
+TEST(AppRegistry, HelpListsTheKeysMakeAppChecks) {
+  const std::string help = apps::app_params_help();
+  EXPECT_NE(help.find("heat3d: nx,ny,nz,px,py,pz,iters,interval"), std::string::npos) << help;
+  EXPECT_NE(help.find("cgproxy: iters,interval,elements"), std::string::npos) << help;
+  EXPECT_NE(help.find("ring: laps,bytes"), std::string::npos) << help;
 }
 
 TEST(CgProxy, ConvergesIdenticallyWithAndWithoutFailure) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "core/cli.hpp"
+#include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
 #include "sim_test_util.hpp"
@@ -202,6 +204,88 @@ TEST_F(Cli, RejectsMalformedOptions) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
+  }
+}
+
+// A value its option's type cannot hold, or its model cannot run, is an
+// error naming the flag. Each of these once started a run with a different
+// value (a truncated rank count, SIZE_MAX, a wrapped seed) or crashed.
+TEST_F(Cli, RejectsValuesOutsideTheOptionsRange) {
+  for (const std::string bad : {
+           "--ranks=4294967298",    // Ran 2 ranks.
+           "--ranks-per-node=0",    // SIGFPE in the default topology.
+           "--eager-threshold=-1",  // SIZE_MAX.
+           "--jobs=-3",             // The EXASIM_JOBS default.
+           "--bandwidth=0",         // std::terminate at the first message.
+           "--ranks=0", "--ranks=8x", "--seed=-1", "--stack-bytes=-1", "--max-restarts=-1",
+           "--bandwidth=nan", "--slowdown=0", "--ns-per-unit=-1", "--mttf=1e30s",
+           "--sim-workers=4294967297"}) {
+    std::string error;
+    EXPECT_FALSE(parse({bad.c_str()}, &error).has_value()) << bad;
+    EXPECT_NE(error.find(bad.substr(0, bad.find('='))), std::string::npos) << error;
+  }
+}
+
+TEST_F(Cli, KeepsEveryInRangeSpelling) {
+  auto opts = parse({"--ranks=+8", "--ranks-per-node=2", "--eager-threshold=0", "--jobs=0",
+                     "--seed=18446744073709551615", "--bandwidth=3.2e10", "--slowdown=0.5",
+                     "--ns-per-unit=0", "--max-restarts=0", "--stack-bytes=65536"});
+  ASSERT_TRUE(opts.has_value());
+  EXPECT_EQ(opts->machine.ranks, 8);
+  EXPECT_EQ(opts->machine.topology, "star:4");
+  EXPECT_EQ(opts->machine.net.eager_threshold, 0u);
+  EXPECT_EQ(opts->jobs, 0);
+  EXPECT_EQ(opts->seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(opts->machine.net.bandwidth_bytes_per_sec, 3.2e10);
+  EXPECT_EQ(opts->machine.proc.slowdown, 0.5);
+  EXPECT_EQ(opts->max_restarts, 0);
+  EXPECT_EQ(opts->machine.process.fiber_stack_bytes, 65536u);
+}
+
+// Every routing, link-timeout, storage and detector spelling in scripts/, the
+// goldens and the README, with the canonical string result-json and reports
+// print for it. The renderings must not move.
+TEST(SpecSpellings, RenderTheSameCanonicalString) {
+  struct Case {
+    std::string (*render)(const std::string&);
+    const char* text;
+    const char* canonical;
+  };
+  auto routing = [](const std::string& t) { return to_string(*parse_routing_spec(t)); };
+  auto links = [](const std::string& t) { return to_string(*parse_link_timeout_spec(t)); };
+  auto storage = [](const std::string& t) { return to_string(*parse_storage_spec(t)); };
+  auto detector = [](const std::string& t) {
+    return resilience::to_string(*resilience::parse_detector_spec(t));
+  };
+  const Case cases[] = {
+      {routing, "deterministic", "deterministic"},
+      {routing, "adaptive", "adaptive"},
+      {routing, "adaptive:spread=8", "adaptive:spread=8"},
+      {routing, "adaptive:spread=4", "adaptive"},
+      {links, "uniform", "uniform"},
+      {links, "uniform:50ms..200ms,seed=7", "uniform:50ms..200ms,seed=7"},
+      {links, "uniform:0..1.5s", "uniform:0s..1500ms"},
+      {links, "hot:0=500ms,7=2s", "hot:0=500ms;7=2s"},
+      {links, "plane:0=300ms", "plane:0=300ms"},
+      {storage, "pfs", "pfs"},
+      {storage, "hpc", "hpc"},
+      {storage, "pfs:lat=1ms", "pfs:lat=1ms"},
+      {storage, "mem:cbw=5e10,cap=4e9;bb:lat=10us;pfs:bw=1e11,lat=1ms",
+       "mem:cbw=50000000000,cap=4000000000;bb:lat=10us;pfs:bw=100000000000,lat=1ms"},
+      {storage, "bb:lat=10us,contend=1+pfs:bw=1e11",
+       "bb:lat=10us,contend=1;pfs:bw=100000000000"},
+      {detector, "paper-instant", "paper-instant"},
+      {detector, "timeout", "timeout"},
+      {detector, "heartbeat", "heartbeat:period=auto,miss=3"},
+      {detector, "gossip", "gossip:period=auto,fanout=2,seed=1"},
+      {detector, "gossip:period=auto,fanout=2,seed=1", "gossip:period=auto,fanout=2,seed=1"},
+      {detector, "gossip:period=1ms,fanout=2", "gossip:period=1ms,fanout=2,seed=1"},
+      {detector, "heartbeat:period=100ms,miss=3", "heartbeat:period=100ms,miss=3"},
+      {detector, "heartbeat:period=1.5s", "heartbeat:period=1500ms,miss=3"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.render(c.text), c.canonical) << c.text;
+    EXPECT_EQ(c.render(c.canonical), c.canonical) << c.canonical;
   }
 }
 

@@ -26,8 +26,7 @@ test::QuietLogs quiet;
 mc::ExplorerConfig ring_config(int ranks = 8) {
   mc::ExplorerConfig config;
   config.runner.base = test::tiny_config(ranks);
-  auto params = ParamMap::parse("laps=10,bytes=8");
-  config.app = apps::make_app("ring", *params, ranks);
+  config.app = apps::make_app("ring", "laps=10,bytes=8", ranks);
   config.app_name = "ring";
   config.app_params = "laps=10,bytes=8";
   config.lattice.victims = {1, ranks / 2};
@@ -89,6 +88,10 @@ TEST(McLattice, VictimParsing) {
   EXPECT_FALSE(mc::parse_victims("9", 8).has_value());
   EXPECT_FALSE(mc::parse_victims("", 8).has_value());
   EXPECT_FALSE(mc::parse_victims("stride:0", 8).has_value());
+  // A victim or stride is the whole field: no trailing text is dropped.
+  for (const char* bad : {"0,21x", "stride:2x", "1x", "0,,x", "stride:", "-1"}) {
+    EXPECT_FALSE(mc::parse_victims(bad, 64).has_value()) << bad;
+  }
 }
 
 TEST(McSignature, QuantizationCollapsesNearbyOutcomes) {
@@ -209,8 +212,7 @@ TEST(McExplorer, MissedNotificationsDetectedUnderGossip) {
   mc::ExplorerConfig config;
   const int ranks = 16;
   config.runner.base = test::tiny_config(ranks);
-  auto params = ParamMap::parse("laps=10,bytes=8");
-  config.app = apps::make_app("ring", *params, ranks);
+  config.app = apps::make_app("ring", "laps=10,bytes=8", ranks);
   config.app_name = "ring";
   config.app_params = "laps=10,bytes=8";
   for (int v = 0; v < ranks; ++v) config.lattice.victims.push_back(v);

@@ -1,6 +1,6 @@
-// util: time conversions, deterministic RNG, duration & failure-schedule
-// parsing, ParamMap, the hot-path pool and the sized message block built
-// on it.
+// util: time conversions, deterministic RNG, the value parsers (integers,
+// numbers, switches, durations, spec fields, failure schedules), the
+// hot-path pool and the sized message block built on it.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -120,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DurationCase{" 10 ms ", sim_ms(10)}, DurationCase{"0", 0}));
 
 TEST(DurationParseErrors, RejectsMalformed) {
-  for (const char* bad : {"", "abc", "5x", "-3s", "1..2s", "s", "3 4s"}) {
+  for (const char* bad : {"", "abc", "5x", "-3s", "1..2s", "s", "3 4s", "1e30s", "inf"}) {
     EXPECT_FALSE(parse_duration(bad).has_value()) << bad;
   }
 }
@@ -161,28 +162,84 @@ TEST(SplitTrimmed, SplitsAndTrims) {
   EXPECT_EQ(parts[2], "c");
 }
 
-TEST(ParamMap, ParsesTypedValues) {
-  auto map = ParamMap::parse("ranks=32768, mttf=6000s, frac=0.5, topo=torus:32x32x32");
-  ASSERT_TRUE(map.has_value());
-  EXPECT_EQ(map->get_int("ranks"), 32768);
-  EXPECT_EQ(map->get_duration("mttf"), sim_sec(6000));
-  EXPECT_EQ(map->get_double("frac"), 0.5);
-  EXPECT_EQ(map->get("topo"), "torus:32x32x32");
-  EXPECT_FALSE(map->contains("missing"));
-  EXPECT_FALSE(map->get_int("topo").has_value());
+TEST(ParseInt, WholeStringWithinRange) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int(" +7 "), 7);
+  EXPECT_EQ(parse_int("-3"), -3);
+  EXPECT_EQ(parse_int("5", 1, 5), 5);
+  for (const char* bad : {"", " ", "x", "1x", "1 2", "+-1", "--1", "+", "0x10", "1.0",
+                          "9223372036854775808"}) {
+    EXPECT_FALSE(parse_int(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_int("0", 1, 10).has_value());
+  EXPECT_FALSE(parse_int("11", 1, 10).has_value());
+  // Once truncated to int: 2^32 + 2 ranks ran as 2.
+  EXPECT_FALSE(parse_int("4294967298", 1, std::numeric_limits<int>::max()).has_value());
 }
 
-TEST(ParamMap, SetOverwrites) {
-  ParamMap m;
-  m.set("a", "1");
-  m.set("a", "2");
-  EXPECT_EQ(m.get_int("a"), 2);
-  EXPECT_EQ(m.size(), 1u);
+TEST(ParseU64, NeverWrapsANegative) {
+  EXPECT_EQ(parse_u64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_u64("+3"), 3u);
+  EXPECT_EQ(parse_u64("0"), 0u);
+  for (const char* bad : {"-1", "-0", "18446744073709551616", "1e3", "", "7 x"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_u64("9", 10).has_value());
 }
 
-TEST(ParamMap, RejectsMalformed) {
-  EXPECT_FALSE(ParamMap::parse("novalue").has_value());
-  EXPECT_FALSE(ParamMap::parse("=x").has_value());
+TEST(ParseDouble, FiniteAndNonNegative) {
+  EXPECT_EQ(parse_double("32e9"), 32e9);
+  EXPECT_EQ(parse_double(" 0.5 "), 0.5);
+  EXPECT_EQ(parse_double("0"), 0.0);
+  for (const char* bad : {"", "-1", "1e999", "inf", "nan", "1e9x", "abc", "1,5"}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << bad;
+  }
+}
+
+TEST(ParseSwitch, ZeroOrOne) {
+  EXPECT_EQ(parse_switch("0"), false);
+  EXPECT_EQ(parse_switch("1"), true);
+  for (const char* bad : {"", "2", "yes", "true", "01"}) {
+    EXPECT_FALSE(parse_switch(bad).has_value()) << bad;
+  }
+}
+
+TEST(FormatDuration, LargestExactUnitAndRoundTrips) {
+  const std::pair<SimTime, const char*> cases[] = {
+      {0, "0s"}, {sim_sec(2), "2s"}, {sim_ms(100), "100ms"},
+      {sim_us(10), "10us"}, {750, "750ns"}, {sim_ms(1500), "1500ms"},
+  };
+  for (const auto& [t, text] : cases) {
+    EXPECT_EQ(format_duration(t), text);
+    EXPECT_EQ(parse_duration(text), t) << text;
+  }
+}
+
+TEST(ParseFields, SplitsTrimsAndRejectsMalformed) {
+  auto fields = parse_fields("ranks=32768, mttf = 6000s,, topo=torus:32x32x32");
+  ASSERT_TRUE(fields.has_value());
+  ASSERT_EQ(fields->size(), 3u);
+  EXPECT_EQ((*fields)[1], (Field{"mttf", "6000s"}));
+  EXPECT_EQ((*fields)[2], (Field{"topo", "torus:32x32x32"}));
+  EXPECT_EQ(parse_fields("a=1;b=2", ';')->size(), 2u);
+  EXPECT_TRUE(parse_fields("")->empty());
+  for (const char* bad : {"novalue", "=x", "a=1,b", " =1"}) {
+    EXPECT_FALSE(parse_fields(bad).has_value()) << bad;
+  }
+}
+
+TEST(ParseSpec, NameThenFields) {
+  auto spec = parse_spec("heartbeat:period=1ms,miss=3");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->name, "heartbeat");
+  ASSERT_EQ(spec->fields.size(), 2u);
+  EXPECT_EQ(spec->fields[1], (Field{"miss", "3"}));
+  for (const char* bare : {"deterministic", "adaptive:"}) {
+    spec = parse_spec(bare);
+    ASSERT_TRUE(spec.has_value()) << bare;
+    EXPECT_TRUE(spec->fields.empty()) << bare;
+  }
+  EXPECT_FALSE(parse_spec("adaptive:spread").has_value());
 }
 
 using util::Counter;

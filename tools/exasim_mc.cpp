@@ -39,6 +39,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -72,26 +73,12 @@ int die_usage(const std::string& msg) {
   return 2;
 }
 
-bool parse_window(const std::string& text, SimTime* lo, SimTime* hi) {
-  const auto sep = text.find("..");
-  if (sep == std::string::npos) return false;
-  const auto lo_t = parse_duration(text.substr(0, sep));
-  const auto hi_t = parse_duration(text.substr(sep + 2));
-  if (!lo_t || !hi_t || *hi_t <= *lo_t) return false;
-  *lo = *lo_t;
-  *hi = *hi_t;
-  return true;
-}
-
 bool parse_grid(const std::string& text, int* grid, int* depth) {
-  try {
-    const auto colon = text.find(':');
-    *grid = std::stoi(text.substr(0, colon));
-    if (colon != std::string::npos) *depth = std::stoi(text.substr(colon + 1));
-    return *grid >= 2 && *depth >= 0 && *depth <= 20;
-  } catch (const std::exception&) {
+  const auto colon = text.find(':');
+  if (colon != std::string::npos && !assign(*depth, parse_int(text.substr(colon + 1), 0, 20))) {
     return false;
   }
+  return assign(*grid, parse_int(text.substr(0, colon), 2, kIntMax));
 }
 
 }  // namespace
@@ -119,27 +106,27 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--mc-policies=", 0) == 0) {
       policies_text = value_of("--mc-policies=");
     } else if (arg.rfind("--mc-window=", 0) == 0) {
-      if (!parse_window(value_of("--mc-window="), &spec.window_lo, &spec.window_hi)) {
+      const auto window = parse_duration_range(value_of("--mc-window="));
+      if (!window || window->first == window->second) {
         return die_usage("malformed --mc-window (want LO..HI durations)");
       }
+      std::tie(spec.window_lo, spec.window_hi) = *window;
     } else if (arg.rfind("--mc-grid=", 0) == 0) {
       if (!parse_grid(value_of("--mc-grid="), &spec.grid, &spec.depth)) {
         return die_usage("malformed --mc-grid (want N[:D], N>=2, 0<=D<=20)");
       }
     } else if (arg.rfind("--mc-quantum=", 0) == 0) {
       const auto q = parse_duration(value_of("--mc-quantum="));
-      if (!q || *q <= 0) return die_usage("malformed --mc-quantum");
+      if (!q || *q == 0) return die_usage("malformed --mc-quantum");
       spec.quantum = *q;
     } else if (arg.rfind("--mc-budget=", 0) == 0) {
-      try {
-        spec.budget = std::stoull(value_of("--mc-budget="));
-      } catch (const std::exception&) {
+      if (!assign(spec.budget, parse_u64(value_of("--mc-budget=")))) {
         return die_usage("malformed --mc-budget");
       }
     } else if (arg.rfind("--mc-prune=", 0) == 0) {
-      const std::string v = value_of("--mc-prune=");
-      if (v != "0" && v != "1") return die_usage("--mc-prune wants 0 or 1");
-      spec.prune = v == "1";
+      if (!assign(spec.prune, parse_switch(value_of("--mc-prune=")))) {
+        return die_usage("--mc-prune wants 0 or 1");
+      }
     } else if (arg.rfind("--mc-report=", 0) == 0) {
       report_path = value_of("--mc-report=");
     } else if (arg.rfind("--app-params=", 0) == 0) {
@@ -172,14 +159,11 @@ int main(int argc, char** argv) {
   if (!policies) return die_usage("malformed --mc-policies");
   spec.policies = *policies;
 
-  const auto params = ParamMap::parse(app_params_text);
-  if (!params) return die_usage("malformed --app-params");
-
   mc::ExplorerConfig config;
   config.lattice = spec;
   config.runner = core::runner_config_from(*options);
   try {
-    config.app = apps::make_app(app_name, *params, options->machine.ranks);
+    config.app = apps::make_app(app_name, app_params_text, options->machine.ranks);
   } catch (const std::invalid_argument& e) {
     return die_usage(e.what());
   }

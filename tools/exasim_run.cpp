@@ -35,7 +35,6 @@
 #include "pdes/sim_workers.hpp"
 #include "resilience/detector.hpp"
 #include "util/log.hpp"
-#include "util/parse.hpp"
 
 using namespace exasim;
 
@@ -180,12 +179,9 @@ int main(int argc, char** argv) {
   if (options->positional.size() != 1) return die_usage("expected exactly one app name");
   const std::string app_name = options->positional.front();
 
-  auto params = ParamMap::parse(app_params_text);
-  if (!params) return die_usage("malformed --app-params");
-
   vmpi::AppMain app;
   try {
-    app = apps::make_app(app_name, *params, options->machine.ranks);
+    app = apps::make_app(app_name, app_params_text, options->machine.ranks);
   } catch (const std::invalid_argument& e) {
     return die_usage(e.what());
   }
