@@ -159,9 +159,9 @@ struct ChurnPayload final : EventPayload {
   std::uint64_t vals[4] = {0, 0, 0, 0};
 };
 
-/// What a delivered eager message actually carries: a vmpi::MsgPayload, one
-/// block holding the envelope and a copy of the 256 data bytes — exactly
-/// the hot-path traffic the pool exists to absorb.
+/// What a delivered eager message with real bytes carries: a
+/// vmpi::MsgPayload attachment, one block holding its header and a copy of
+/// the 256 data bytes (a modeled message has no block at all).
 constexpr std::size_t kChurnMsgBytes = 256;
 
 /// Raw payload allocate/free cycle — the per-event allocator cost in
@@ -177,14 +177,13 @@ void BM_PayloadAllocFree(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadAllocFree)->Arg(0)->Arg(1)->ArgNames({"pooled"});
 
-/// Message block build-and-free cost: header only (a modeled message) and
-/// with real bytes copied into the same block. range(0) = bytes.
+/// Attachment build-and-free cost: header only (a rendezvous RTS) and with
+/// real bytes copied into the same block. range(0) = bytes.
 void BM_MsgPayloadMake(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> src(bytes, std::byte{0x5a});
-  const vmpi::Envelope env;
   for (auto _ : state) {
-    auto msg = vmpi::MsgPayload::make(env, src.data(), bytes);
+    auto msg = vmpi::MsgPayload::make(vmpi::RequestHandle{}, src.data(), bytes);
     benchmark::DoNotOptimize(msg->data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
@@ -203,7 +202,8 @@ class ChurnLp final : public LogicalProcess {
     if (remaining_ == 0) return;
     --remaining_;
     engine.schedule(ev.time + 1, ev.target, 1,
-                    vmpi::MsgPayload::make(vmpi::Envelope{}, scratch_.data(), scratch_.size()));
+                    vmpi::MsgPayload::make(vmpi::RequestHandle{}, scratch_.data(),
+                                           scratch_.size()));
     // The incoming ev.payload dies when ev goes out of scope — one birth and
     // one death per event, the steady state of a long simulation.
   }
@@ -225,7 +225,7 @@ void BM_EventChurn(benchmark::State& state) {
     // Seed four in-flight chains so the queue is never trivially empty.
     for (int i = 0; i < 4; ++i) {
       engine.schedule(static_cast<SimTime>(i), 0, 1,
-                      vmpi::MsgPayload::make(vmpi::Envelope{}, nullptr, 0));
+                      vmpi::MsgPayload::make(vmpi::RequestHandle{}, nullptr, 0));
     }
     state.ResumeTiming();
     engine.run();

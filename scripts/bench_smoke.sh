@@ -23,8 +23,11 @@
 #     quiet, and the memory-bound modeled row slowed more, so the median of
 #     five pairs rose from 0.73 to as much as 1.12 (1.53x). An injected 2x
 #     slowdown of the simulator alone read 1.29-1.49 (1.77-2.04x) on the
-#     quiet host. The walls, ratios, reference and the modeled row's stderr
-#     counter lines go to build/perf_trajectory.json, which CI uploads.
+#     quiet host. The reference tracks the current simulator's speed: it is
+#     re-pinned when the simulator gets faster, or a slowdown back to the
+#     old speed would pass (DESIGN.md §9). The walls, ratios, reference
+#     and the modeled row's stderr counter lines go to
+#     build/perf_trajectory.json, which CI uploads.
 #  2. Sharded-engine determinism: the golden row on 2 sim workers must emit a
 #     result-json byte-identical to the sequential golden, and its window
 #     count must match BENCH_baseline.json exactly.

@@ -77,6 +77,8 @@ run_release() {
   }
   expect_usage --ranks-per-node ./build/tools/exasim_run ring --ranks=2 --ranks-per-node=0
   expect_usage lap ./build/tools/exasim_run ring --ranks=2 --app-params=lap=1
+  expect_usage px ./build/tools/exasim_run heat3d --ranks=8 --app-params=px=3
+  expect_usage nx ./build/tools/exasim_run heat3d --ranks=8 --app-params=nx=9
   for bad in --mc-grid=9x --mc-budget=-1 --mc-victims=0,21x; do
     expect_usage "${bad%%=*}" ./build/tools/exasim_mc ring --ranks=64 "$bad"
   done

@@ -4,6 +4,8 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/cgproxy.hpp"
@@ -95,6 +97,21 @@ vmpi::AppMain make_app(const std::string& name, const std::string& params, int r
     p.halo_interval = static_cast<int>(get("interval", 25));
     p.checkpoint_interval = p.halo_interval;
     p.real_compute = ranks <= 4096;  // Skeleton mode at scale.
+    // decompose() checks the same inside every rank's fiber, where a throw
+    // can only end the process: reject the grid here, as a usage error.
+    if (std::int64_t{p.px} * p.py * p.pz != ranks) {
+      throw std::invalid_argument("--app-params px*py*pz = " + std::to_string(p.px) + "*" +
+                                  std::to_string(p.py) + "*" + std::to_string(p.pz) +
+                                  " must equal --ranks=" + std::to_string(ranks));
+    }
+    for (const auto& [n, q, axis] : {std::tuple{p.nx, p.px, "x"}, std::tuple{p.ny, p.py, "y"},
+                                     std::tuple{p.nz, p.pz, "z"}}) {
+      if (n % q != 0) {
+        throw std::invalid_argument(std::string("--app-params n") + axis + "=" +
+                                    std::to_string(n) + " is not a multiple of p" + axis + "=" +
+                                    std::to_string(q));
+      }
+    }
     return make_heat3d(p);
   }
   if (name == "cgproxy") {

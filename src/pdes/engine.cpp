@@ -70,7 +70,7 @@ std::uint64_t Engine::next_seq_for(LpId source) {
 
 std::uint64_t Engine::schedule(SimTime time, LpId target, int kind,
                                std::unique_ptr<EventPayload> payload,
-                               EventPriority priority) {
+                               EventPriority priority, const EventInline& inline_data) {
   LpGroup* grp = (t_worker.engine == this) ? t_worker.group : nullptr;
   const LpId source = grp ? grp->current_source() : current_source_;
   const SimTime local_now = grp ? grp->now() : now_;
@@ -84,6 +84,7 @@ std::uint64_t Engine::schedule(SimTime time, LpId target, int kind,
   ev.target = target;
   ev.kind = kind;
   ev.payload = std::move(payload);
+  ev.inline_data = inline_data;
 
   // Hoisted before the moves below: reading ev.seq after std::move(ev) only
   // worked because moving leaves POD members behind, and reads as a

@@ -118,9 +118,13 @@ class Engine {
   /// are the one exception at merge: across groups they are the
   /// zero-lookahead failure, abort and revoke notices, which may land up to
   /// one window late (DESIGN.md §11).
+  ///
+  /// `inline_data` travels in the event itself (Event::inline_data); the
+  /// engine never reads it.
   std::uint64_t schedule(SimTime time, LpId target, int kind,
                          std::unique_ptr<EventPayload> payload,
-                         EventPriority priority = EventPriority::kMessage);
+                         EventPriority priority = EventPriority::kMessage,
+                         const EventInline& inline_data = {});
 
   /// Marks an LP dead: all pending and future events targeted at it are
   /// dropped at delivery ("all messages directed to this simulated MPI

@@ -320,13 +320,14 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
 
   switch (ev.kind) {
     case kEvMsgArrival:
-      handle_msg_arrival(ev.payload, ev.time);
+      handle_msg_arrival(ev.inline_data.get<Envelope>(), ev.payload, ev.time);
       break;
     case kEvCtsArrival:
       handle_cts(static_cast<CtsPayload&>(*ev.payload), ev.time);
       break;
     case kEvDataArrival:
-      handle_data(static_cast<MsgPayload&>(*ev.payload), ev.time);
+      handle_data(ev.inline_data.get<Envelope>(), static_cast<MsgPayload&>(*ev.payload),
+                  ev.time);
       break;
     case kEvFailureActivation:
       handle_failure_activation(ev.time);
@@ -350,17 +351,19 @@ void SimProcess::on_event(Engine& engine, Event&& ev) {
   }
 }
 
-void SimProcess::handle_msg_arrival(std::unique_ptr<EventPayload>& payload, SimTime t) {
-  const auto& m = static_cast<const MsgPayload&>(*payload);
-  std::uint32_t b = find_bucket(m.env.comm_id, m.env.src_comm_rank);
-  if (!try_match_posted(m, b, t)) {
+void SimProcess::handle_msg_arrival(const Envelope& env,
+                                    std::unique_ptr<EventPayload>& attachment, SimTime t) {
+  const auto* m = static_cast<const MsgPayload*>(attachment.get());
+  std::uint32_t b = find_bucket(env.comm_id, env.src_comm_rank);
+  if (!try_match_posted(env, m, b, t)) {
     // No matching posted receive yet: unexpected queue (normal MPI behavior),
-    // which takes the arrived block over as is.
-    note_unexpected(m.env);
-    if (b == kNoSlot) b = add_bucket(m.env.comm_id, m.env.src_comm_rank);
+    // which copies the envelope and takes any attachment over as is.
+    note_unexpected(env);
+    if (b == kNoSlot) b = add_bucket(env.comm_id, env.src_comm_rank);
     const std::uint32_t i = slab_acquire(unexpected_msgs_, free_unexpected_);
     UnexpectedMsg& u = unexpected_msgs_[i];
-    u.msg.reset(static_cast<MsgPayload*>(payload.release()));
+    u.env = env;
+    u.attachment.reset(static_cast<MsgPayload*>(attachment.release()));
     u.arrival_time = t;
     u.arrival_seq = next_arrival_seq_++;
     fifo_push(unexpected_msgs_, buckets_[b].unexpected_head, buckets_[b].unexpected_tail, i);
@@ -377,10 +380,12 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
   // completes once injection finishes; the receiver gets the bulk data
   // (built at post time) after the in-flight time.
   std::unique_ptr<MsgPayload> data = std::move(r->rdv_data);
-  data->env.req = p.recv_req;
+  data->req = p.recv_req;
+  const Envelope env{r->comm_id, find_comm(r->comm_id)->my_rank, world_rank_, r->tag, r->bytes};
   const Fabric& fabric = *shared_->fabric;
   shared_->engine->schedule(t + fabric.delivery_at(t, world_rank_, r->peer_world_rank, r->bytes),
-                            r->peer_world_rank, kEvDataArrival, std::move(data));
+                            r->peer_world_rank, kEvDataArrival, std::move(data),
+                            EventPriority::kMessage, EventInline::of(env));
   if (shared_->energy != nullptr) shared_->energy->add_traffic(world_rank_, r->bytes);
   r->complete_time = t + fabric.occupancy(r->bytes);
   r->error = Err::kSuccess;
@@ -388,17 +393,17 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
   maybe_run_fiber();
 }
 
-void SimProcess::handle_data(MsgPayload& p, SimTime t) {
+void SimProcess::handle_data(const Envelope& env, const MsgPayload& p, SimTime t) {
   // Same rule as the CTS: a receive that timed out meanwhile drops the data.
-  Request* r = find_request(p.env.req);
+  Request* r = find_request(p.req);
   if (r == nullptr || r->stage != Request::Stage::kAwaitingData) return;
   if (r->recv_buffer != nullptr && p.data_bytes != 0) {
     // The buffer may lie on the fiber's stack while another fiber occupies it.
     const std::size_t n = std::min(r->bytes, p.data_bytes);
     std::memcpy(fiber_.locate(r->recv_buffer, n), p.data(), n);
   }
-  r->error = p.env.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
-  r->bytes = p.env.bytes;
+  r->error = env.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
+  r->bytes = env.bytes;
   r->delivered = true;
   r->complete_time = t + shared_->fabric->receiver_overhead();
   mark_done(*r);
@@ -636,7 +641,7 @@ SimProcess::UnexpectedHit SimProcess::find_unexpected(std::uint32_t fifo, int co
     for (std::uint32_t i = buckets_[b].unexpected_head; i != kNoSlot;
          prev = i, i = unexpected_msgs_[i].next) {
       const UnexpectedMsg& m = unexpected_msgs_[i];
-      if (tag != kAnyTag && m.msg->env.tag != tag) continue;
+      if (tag != kAnyTag && m.env.tag != tag) continue;
       if (best.msg == kNoSlot || m.arrival_seq < unexpected_msgs_[best.msg].arrival_seq) {
         best = UnexpectedHit{b, i, prev};
       }
@@ -687,32 +692,34 @@ void SimProcess::unindex_posted(Request& r) {
   }
 }
 
-void SimProcess::complete_recv_from_msg(Request& r, const MsgPayload& m, SimTime arrival) {
+void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env, const MsgPayload* m,
+                                        SimTime arrival) {
   unindex_posted(r);
-  if (r.recv_buffer != nullptr && m.data_bytes != 0) {
+  if (r.recv_buffer != nullptr && m != nullptr && m->data_bytes != 0) {
     // Also reached from an arrival handler, outside the fiber (see handle_data).
-    const std::size_t n = std::min(r.bytes, m.data_bytes);
-    std::memcpy(fiber_.locate(r.recv_buffer, n), m.data(), n);
+    const std::size_t n = std::min(r.bytes, m->data_bytes);
+    std::memcpy(fiber_.locate(r.recv_buffer, n), m->data(), n);
   }
   r.complete_time = std::max(r.post_time, arrival) + shared_->fabric->receiver_overhead();
   r.matched = true;
-  r.peer_comm_rank = m.env.src_comm_rank;
-  r.peer_world_rank = m.env.src_world_rank;
-  r.tag = m.env.tag;
-  r.error = m.env.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
-  r.bytes = m.env.bytes;
+  r.peer_comm_rank = env.src_comm_rank;
+  r.peer_world_rank = env.src_world_rank;
+  r.tag = env.tag;
+  r.error = env.bytes > r.bytes ? Err::kTruncate : Err::kSuccess;
+  r.bytes = env.bytes;
   r.delivered = true;
   mark_done(r);
 }
 
-void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival) {
+void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, RequestHandle send_req,
+                                       SimTime arrival) {
   unindex_posted(r);
   // Match time: when this receiver processes the RTS. CTS flies back to the
   // sender; the bulk data will arrive as a kEvDataArrival.
   const Fabric& fabric = *shared_->fabric;
   const SimTime match_time = std::max(r.post_time, arrival) + fabric.receiver_overhead();
   auto cts = std::make_unique<CtsPayload>();
-  cts->send_req = env.req;
+  cts->send_req = send_req;
   cts->recv_req = r.handle();
   shared_->engine->schedule(
       match_time + fabric.delivery_at(match_time, world_rank_, env.src_world_rank, 0),
@@ -724,12 +731,12 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, SimTime 
   r.tag = env.tag;
 }
 
-bool SimProcess::try_match_posted(const MsgPayload& m, std::uint32_t b, SimTime arrival) {
+bool SimProcess::try_match_posted(const Envelope& env, const MsgPayload* m, std::uint32_t b,
+                                  SimTime arrival) {
   // MPI matching order: the earliest-posted matching receive wins. Serials
   // are post-ordered and both FIFOs keep post order, so the winner is the
   // lower-serial of the first tag-compatible entry in the explicit
   // (comm, source) bucket and in the ANY_SOURCE FIFO.
-  const Envelope& env = m.env;
   Request* best = nullptr;
   if (b != kNoSlot) {
     for (std::uint32_t i = buckets_[b].posted_head; i != kNoSlot; i = slots_[i].next) {
@@ -747,10 +754,10 @@ bool SimProcess::try_match_posted(const MsgPayload& m, std::uint32_t b, SimTime 
     }
   }
   if (best == nullptr) return false;
-  if (env.rendezvous()) {
-    start_rendezvous_recv(*best, env, arrival);
+  if (MsgPayload::rendezvous(m)) {
+    start_rendezvous_recv(*best, env, m->req, arrival);
   } else {
-    complete_recv_from_msg(*best, m, arrival);
+    complete_recv_from_msg(*best, env, m, arrival);
   }
   return true;
 }
@@ -759,10 +766,10 @@ bool SimProcess::try_match_unexpected(Request& r, std::uint32_t fifo) {
   const UnexpectedHit hit = find_unexpected(fifo, r.comm_id, r.tag);
   if (hit.msg == kNoSlot) return false;
   const UnexpectedMsg& u = unexpected_msgs_[hit.msg];
-  if (u.msg->env.rendezvous()) {
-    start_rendezvous_recv(r, u.msg->env, u.arrival_time);
+  if (MsgPayload::rendezvous(u.attachment.get())) {
+    start_rendezvous_recv(r, u.env, u.attachment->req, u.arrival_time);
   } else {
-    complete_recv_from_msg(r, *u.msg, u.arrival_time);
+    complete_recv_from_msg(r, u.env, u.attachment.get(), u.arrival_time);
   }
   MatchBucket& b = buckets_[hit.bucket];
   fifo_unlink(unexpected_msgs_, b.unexpected_head, b.unexpected_tail, hit.prev, hit.msg);
@@ -804,12 +811,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     return r.handle();
   }
 
-  Envelope env;
-  env.comm_id = comm.id;
-  env.src_comm_rank = comm.my_rank;
-  env.src_world_rank = world_rank_;
-  env.tag = tag;
-  env.bytes = bytes;
+  const Envelope env{comm.id, comm.my_rank, world_rank_, tag, bytes};
   // Eager: the payload is buffered into the network and the send is locally
   // complete after NIC injection. Rendezvous: a zero-byte RTS naming this
   // request goes out and the payload is captured so the data can be
@@ -823,8 +825,12 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   const Rank peer_world = comm.world_of(dest);
   const std::size_t data_bytes = data != nullptr ? bytes : 0;
   if (eager) {
+    // A modeled message is the event alone; real bytes ride in an attachment.
     engine.schedule(t0 + fabric.delivery_at(t0, world_rank_, peer_world, bytes), peer_world,
-                    kEvMsgArrival, MsgPayload::make(env, data, data_bytes));
+                    kEvMsgArrival,
+                    data_bytes != 0 ? MsgPayload::make(RequestHandle{}, data, data_bytes)
+                                    : nullptr,
+                    EventPriority::kMessage, EventInline::of(env));
     if (shared_->energy != nullptr) shared_->energy->add_traffic(world_rank_, bytes);
     // Complete now, so nothing is left to track: the handle names a done
     // send. A traced send keeps a slot because the trace records at wait
@@ -840,10 +846,10 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
 
   Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
   r.survives_revoke = allow_revoked;
-  r.rdv_data = MsgPayload::make(env, data, data_bytes);
-  env.req = r.handle();
+  r.rdv_data = MsgPayload::make(RequestHandle{}, data, data_bytes);
   engine.schedule(t0 + fabric.delivery_at(t0, world_rank_, peer_world, 0), peer_world,
-                  kEvMsgArrival, MsgPayload::make(env, nullptr, 0));
+                  kEvMsgArrival, MsgPayload::make(r.handle(), nullptr, 0),
+                  EventPriority::kMessage, EventInline::of(env));
   r.stage = Request::Stage::kAwaitingCts;
   // Sending to a peer already known failed: the RTS will be dropped;
   // schedule the timeout release right away (§IV-C: "any message send
@@ -978,7 +984,7 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
     raise_clock_to(std::max(post_time, u.arrival_time) + shared_->fabric->receiver_overhead(),
                    /*busy=*/false);
     if (status != nullptr) {
-      const Envelope& env = u.msg->env;
+      const Envelope& env = u.env;
       *status = MsgStatus{env.src_comm_rank, env.tag, env.bytes, Err::kSuccess};
     }
     return Err::kSuccess;

@@ -290,9 +290,11 @@ class SimProcess final : public LogicalProcess {
   void maybe_run_fiber();
 
   // Event handlers.
-  void handle_msg_arrival(std::unique_ptr<EventPayload>& payload, SimTime t);
+  /// `attachment`: the event's payload, null for a modeled eager message.
+  void handle_msg_arrival(const Envelope& env, std::unique_ptr<EventPayload>& attachment,
+                          SimTime t);
   void handle_cts(CtsPayload& p, SimTime t);
-  void handle_data(MsgPayload& p, SimTime t);
+  void handle_data(const Envelope& env, const MsgPayload& p, SimTime t);
   void handle_failure_activation(SimTime t);
   void handle_failure_notice(FailureNoticePayload& p, SimTime t);
   void handle_abort_notice(AbortNoticePayload& p, SimTime t);
@@ -336,10 +338,14 @@ class SimProcess final : public LogicalProcess {
   /// comm_id), or kNoSlot (none, so no hit).
   UnexpectedHit find_unexpected(std::uint32_t fifo, int comm_id, int tag) const;
   bool match(const Envelope& env, const Request& r) const;
-  void complete_recv_from_msg(Request& r, const MsgPayload& m, SimTime arrival);
-  void start_rendezvous_recv(Request& r, const Envelope& env, SimTime arrival);
+  /// `m`: the message's attachment, null when it carries no bytes.
+  void complete_recv_from_msg(Request& r, const Envelope& env, const MsgPayload* m,
+                              SimTime arrival);
+  void start_rendezvous_recv(Request& r, const Envelope& env, RequestHandle send_req,
+                             SimTime arrival);
   /// `b`: the arrival's bucket (kNoSlot if it has none yet).
-  bool try_match_posted(const MsgPayload& m, std::uint32_t b, SimTime arrival);
+  bool try_match_posted(const Envelope& env, const MsgPayload* m, std::uint32_t b,
+                        SimTime arrival);
   bool try_match_unexpected(Request& r, std::uint32_t fifo);
   void record_trace(const Request& r);
 
@@ -416,7 +422,7 @@ class SimProcess final : public LogicalProcess {
   std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
   // Unexpected messages in a slab whose free entries are chained through
   // UnexpectedMsg::next from free_unexpected_, linked into buckets; each
-  // entry owns its arrival's pool block.
+  // entry holds its arrival's envelope and owns its attachment, if any.
   std::vector<UnexpectedMsg> unexpected_msgs_;
   std::uint64_t next_arrival_seq_ = 1;
   std::uint32_t free_unexpected_ = kNoSlot;

@@ -254,6 +254,22 @@ TEST(AppRegistry, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(apps::make_app("bogus", "", 8), std::invalid_argument);
 }
 
+TEST(AppRegistry, RejectsAHeatGridThatDoesNotFitTheRanks) {
+  // Each once threw from decompose() inside a rank's fiber: std::terminate.
+  auto message_of = [](const char* params) {
+    try {
+      apps::make_app("heat3d", params, 8);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message_of("px=3").find("px*py*pz"), std::string::npos) << message_of("px=3");
+  EXPECT_NE(message_of("nx=9").find("nx=9"), std::string::npos) << message_of("nx=9");
+  EXPECT_NE(message_of("nx=8,ny=8,nz=6,px=2,py=1,pz=4").find("nz=6"), std::string::npos);
+  EXPECT_NO_THROW(apps::make_app("heat3d", "nx=8,ny=4,nz=12,px=2,py=1,pz=4", 8));
+}
+
 TEST(AppRegistry, HelpListsTheKeysMakeAppChecks) {
   const std::string help = apps::app_params_help();
   EXPECT_NE(help.find("heat3d: nx,ny,nz,px,py,pz,iters,interval"), std::string::npos) << help;

@@ -298,25 +298,20 @@ TEST(Pool, AllocationsAreWritableAndDistinct) {
   for (void* p : blocks) util::pool_free(p);
 }
 
-// The sized message block (vmpi::MsgPayload): the envelope and the real
-// bytes share one pool_alloc block sized to them.
+// A message's attachment (vmpi::MsgPayload): the request handle and the
+// real bytes share one pool_alloc block sized to them.
 
 /// Builds a block of `n` patterned bytes and checks it reads back intact.
 void expect_round_trip(std::size_t n) {
   SCOPED_TRACE(n);
   std::vector<std::byte> src(n);
   for (std::size_t i = 0; i < n; ++i) src[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
-  vmpi::Envelope env;
-  env.comm_id = 5;
-  env.src_comm_rank = 6;
-  env.src_world_rank = 7;
-  env.tag = 8;
-  env.bytes = n + 100;  // Logical size is independent of the carried bytes.
-  auto msg = vmpi::MsgPayload::make(env, n == 0 ? nullptr : src.data(), n);
+  const vmpi::RequestHandle req{42, 7};
+  auto msg = vmpi::MsgPayload::make(req, n == 0 ? nullptr : src.data(), n);
   ASSERT_EQ(msg->data_bytes, n);
-  EXPECT_EQ(msg->env.tag, 8);
-  EXPECT_EQ(msg->env.src_world_rank, 7);
-  EXPECT_EQ(msg->env.bytes, n + 100);
+  EXPECT_EQ(msg->req.serial, 42u);
+  EXPECT_EQ(msg->req.slot, 7u);
+  EXPECT_TRUE(vmpi::MsgPayload::rendezvous(msg.get()));
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(msg->data()) % 8, 0u);  // Word-aligned bytes.
   if (n != 0) {
     EXPECT_EQ(std::memcmp(msg->data(), src.data(), n), 0);
@@ -332,14 +327,18 @@ TEST(MsgPayloadBlock, BytesRoundTrip) {
 }
 
 TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
-  static_assert(sizeof(vmpi::MsgPayload) <= 64, "a modeled message fits the 64-byte class");
+  // The header: vtable pointer, request handle and byte count. The envelope
+  // rides in the event (vmpi::Envelope in EventInline), not here.
+  static_assert(sizeof(vmpi::MsgPayload) == 32, "an attachment header is 32 bytes");
+  static_assert(sizeof(vmpi::Envelope) == EventInline::kBytes,
+                "the envelope fills the event's inline area");
   const bool before = util::pool_enabled();
   util::set_pool_enabled(true);
   const std::vector<std::byte> src(util::kPoolMaxBytes, std::byte{0x5a});
   const std::size_t largest_pooled = util::kPoolMaxBytes - sizeof(vmpi::MsgPayload);
   auto heap_allocs_of = [&src](std::size_t n) {
     const std::uint64_t h0 = heap_allocs();
-    auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, src.data(), n);
+    auto msg = vmpi::MsgPayload::make(vmpi::RequestHandle{}, src.data(), n);
     return heap_allocs() - h0;
   };
   EXPECT_EQ(heap_allocs_of(0), 0u);
@@ -359,7 +358,7 @@ TEST(MsgPayloadBlock, SameBytesWithPoolingOff) {
   EXPECT_EQ(heap_allocs() - h0, std::size(kRoundTripSizes));
   // A heap block built while pooling was off is freed correctly after it is
   // back on (provenance header).
-  auto msg = vmpi::MsgPayload::make(vmpi::Envelope{}, nullptr, 0);
+  auto msg = vmpi::MsgPayload::make(vmpi::RequestHandle{}, nullptr, 0);
   util::set_pool_enabled(true);
   msg.reset();
   util::set_pool_enabled(before);

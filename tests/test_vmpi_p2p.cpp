@@ -89,24 +89,69 @@ TEST(P2P, SenderRacesAheadReceiverMatchesLateMessage) {
 }
 
 TEST(P2P, AnySourceAndAnyTagMatch) {
-  int got_source = -1, got_tag = -1;
+  // A modeled message carries no bytes and no payload block: its envelope
+  // alone must match the wildcards.
+  for (const bool modeled : {false, true}) {
+    SCOPED_TRACE(modeled ? "modeled" : "real bytes");
+    int got_source = -1, got_tag = -1;
+    std::size_t got_bytes = 0;
+    auto app = [&](Context& ctx) {
+      if (ctx.rank() == 2) {
+        std::uint32_t v = 0;
+        MsgStatus st;
+        EXPECT_EQ(modeled ? ctx.recv_modeled(ctx.world(), vmpi::kAnySource, vmpi::kAnyTag,
+                                             sizeof v, &st)
+                          : ctx.recv(vmpi::kAnySource, vmpi::kAnyTag, &v, sizeof v, &st),
+                  Err::kSuccess);
+        got_source = st.source;
+        got_tag = st.tag;
+        got_bytes = st.bytes;
+      } else if (ctx.rank() == 1) {
+        std::uint32_t v = 9;
+        if (modeled) {
+          ctx.send_modeled(ctx.world(), 2, 5, sizeof v);
+        } else {
+          ctx.send(2, 5, &v, sizeof v);
+        }
+      }
+      ctx.finalize();
+    };
+    SimResult r = run_app(tiny_config(3), app);
+    EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
+    EXPECT_EQ(got_source, 1);
+    EXPECT_EQ(got_tag, 5);
+    EXPECT_EQ(got_bytes, sizeof(std::uint32_t));
+  }
+}
+
+TEST(P2P, AnySourceTakesTheEarliestOfThreeModeledUnexpectedArrivals) {
+  // Rank 3's first receive creates source 1's match bucket, so the buckets
+  // come in the order 1, 2, 0 while the unexpected arrivals come 2, 0, 1:
+  // ANY_SOURCE + ANY_TAG must follow the arrivals, not the buckets.
+  std::vector<std::pair<int, int>> got;  // (source, tag) per receive.
   auto app = [&](Context& ctx) {
-    if (ctx.rank() == 2) {
-      std::uint32_t v = 0;
-      MsgStatus st;
-      EXPECT_EQ(ctx.recv(vmpi::kAnySource, vmpi::kAnyTag, &v, sizeof v, &st), Err::kSuccess);
-      got_source = st.source;
-      got_tag = st.tag;
-    } else if (ctx.rank() == 1) {
-      std::uint32_t v = 9;
-      ctx.send(2, 5, &v, sizeof v);
+    auto& w = ctx.world();
+    const int r = ctx.rank();
+    if (r == 3) {
+      EXPECT_EQ(ctx.recv_modeled(w, 1, 99, 8), Err::kSuccess);
+      ctx.elapse(sim_us(100));  // All three below have arrived by now.
+      for (int i = 0; i < 3; ++i) {
+        MsgStatus st;
+        EXPECT_EQ(ctx.recv_modeled(w, vmpi::kAnySource, vmpi::kAnyTag, 8, &st), Err::kSuccess);
+        EXPECT_EQ(st.bytes, 8u);
+        got.emplace_back(st.source, st.tag);
+      }
+    } else {
+      if (r == 1) ctx.send_modeled(w, 3, 99, 8);
+      ctx.elapse(sim_us(r == 2 ? 10 : r == 0 ? 20 : 30));
+      ctx.send_modeled(w, 3, 10 + r, 8);
     }
     ctx.finalize();
   };
-  SimResult r = run_app(tiny_config(3), app);
-  EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
-  EXPECT_EQ(got_source, 1);
-  EXPECT_EQ(got_tag, 5);
+  SimResult res = run_app(tiny_config(4), app);
+  EXPECT_EQ(res.outcome, SimResult::Outcome::kCompleted);
+  const std::vector<std::pair<int, int>> want = {{2, 12}, {0, 10}, {1, 11}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(P2P, TagSelectivityHoldsMessagesApart) {
@@ -292,24 +337,73 @@ TEST(P2P, TruncationReportsError) {
 }
 
 TEST(P2P, ProbeSeesMessageWithoutConsuming) {
-  bool probe_ok = false, recv_ok = false;
-  auto app = [&](Context& ctx) {
-    if (ctx.rank() == 0) {
-      int v = 77;
-      ctx.send(1, 4, &v, sizeof v);
-    } else {
-      MsgStatus st;
-      EXPECT_EQ(ctx.probe(ctx.world(), 0, 4, &st), Err::kSuccess);
-      probe_ok = st.bytes == sizeof(int) && st.source == 0 && st.tag == 4;
-      int v = 0;
-      EXPECT_EQ(ctx.recv(0, 4, &v, sizeof v), Err::kSuccess);
-      recv_ok = v == 77;
-    }
-    ctx.finalize();
-  };
-  run_app(tiny_config(2), app);
-  EXPECT_TRUE(probe_ok);
-  EXPECT_TRUE(recv_ok);
+  for (const bool modeled : {false, true}) {
+    SCOPED_TRACE(modeled ? "modeled" : "real bytes");
+    bool probe_ok = false, recv_ok = false;
+    auto app = [&](Context& ctx) {
+      if (ctx.rank() == 0) {
+        int v = 77;
+        if (modeled) {
+          ctx.send_modeled(ctx.world(), 1, 4, sizeof v);
+        } else {
+          ctx.send(1, 4, &v, sizeof v);
+        }
+      } else {
+        MsgStatus st;
+        EXPECT_EQ(ctx.probe(ctx.world(), 0, 4, &st), Err::kSuccess);
+        probe_ok = st.bytes == sizeof(int) && st.source == 0 && st.tag == 4;
+        int v = 0;
+        if (modeled) {
+          EXPECT_EQ(ctx.recv_modeled(ctx.world(), 0, 4, sizeof v, &st), Err::kSuccess);
+          recv_ok = st.bytes == sizeof(int) && st.source == 0 && st.tag == 4;
+        } else {
+          EXPECT_EQ(ctx.recv(0, 4, &v, sizeof v), Err::kSuccess);
+          recv_ok = v == 77;
+        }
+      }
+      ctx.finalize();
+    };
+    run_app(tiny_config(2), app);
+    EXPECT_TRUE(probe_ok);
+    EXPECT_TRUE(recv_ok);
+  }
+}
+
+TEST(P2P, ModeledRendezvousCompletesWithItsStatus) {
+  // 512 KiB > the 256 KiB eager threshold: an RTS, a CTS and bulk data, none
+  // carrying bytes. The receive is posted first, then arrives late.
+  constexpr std::size_t kBytes = 512 * 1024;
+  for (const bool receiver_late : {false, true}) {
+    SCOPED_TRACE(receiver_late ? "unexpected RTS" : "posted receive");
+    auto run = [&](std::size_t eager_threshold, MsgStatus* st) {
+      Err send_err = Err::kInvalidArg, recv_err = Err::kInvalidArg;
+      SimTime recv_end = 0;
+      auto app = [&](Context& ctx) {
+        if (ctx.rank() == 0) {
+          send_err = ctx.send_modeled(ctx.world(), 1, 7, kBytes);
+        } else {
+          if (receiver_late) ctx.elapse(sim_us(100));
+          recv_err = ctx.recv_modeled(ctx.world(), vmpi::kAnySource, vmpi::kAnyTag, kBytes, st);
+          recv_end = ctx.now();
+        }
+        ctx.finalize();
+      };
+      auto cfg = tiny_config(2);
+      cfg.net.eager_threshold = eager_threshold;
+      EXPECT_EQ(run_app(cfg, app).outcome, SimResult::Outcome::kCompleted);
+      EXPECT_EQ(send_err, Err::kSuccess);
+      EXPECT_EQ(recv_err, Err::kSuccess);
+      return recv_end;
+    };
+    MsgStatus st, eager_st;
+    const SimTime rendezvous_end = run(256 * 1024, &st);
+    EXPECT_EQ(st.source, 0);
+    EXPECT_EQ(st.tag, 7);
+    EXPECT_EQ(st.bytes, kBytes);
+    EXPECT_EQ(st.error, Err::kSuccess);
+    // The same message sent eagerly completes earlier: the handshake ran.
+    EXPECT_GT(rendezvous_end, run(1024 * 1024, &eager_st));
+  }
 }
 
 TEST(P2P, ModeledTransfersCarryTimingWithoutPayload) {
