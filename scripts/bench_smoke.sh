@@ -21,11 +21,13 @@
 #     load hit both rows of a pair alike, but not equally: on a 4-vCPU host
 #     shared with other tenants the golden row ran 1.5-2.6x slower than when
 #     quiet, and the memory-bound modeled row slowed more, so the median of
-#     five pairs rose from 0.73 to as much as 1.12 (1.53x). An injected 2x
-#     slowdown of the simulator alone read 1.29-1.49 (1.77-2.04x) on the
-#     quiet host. The reference tracks the current simulator's speed: it is
-#     re-pinned when the simulator gets faster, or a slowdown back to the
-#     old speed would pass (DESIGN.md §9). The walls, ratios, reference
+#     five pairs rose from 0.73 to as much as 1.12 (1.53x). The reference
+#     tracks the current simulator's speed: it is re-pinned when the
+#     simulator gets faster, or a slowdown back to the old speed would pass
+#     (DESIGN.md §9). At 0.42 (limit 0.693), clean runs on a loaded 4-vCPU
+#     host read medians of 0.498-0.511, and an injected busy-wait that made
+#     the modeled row about 1.9x slower read 0.827-1.097, failing 10 of 10
+#     runs. The walls, ratios, reference
 #     and the modeled row's stderr counter lines go to
 #     build/perf_trajectory.json, which CI uploads.
 #  2. Sharded-engine determinism: the golden row on 2 sim workers must emit a

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -127,13 +128,21 @@ class Grid {
     cur_.swap(next_);
   }
 
-  void pack_face(int dir, std::vector<double>& buf) const {
+  /// Halo buffers, one per face direction: what pack_face fills and
+  /// unpack_face reads. They live with the grid, so a modeled rank, which
+  /// has no grid, keeps none in its frame.
+  std::vector<double>& send_buf(int dir) { return send_bufs_[static_cast<std::size_t>(dir)]; }
+  std::vector<double>& recv_buf(int dir) { return recv_bufs_[static_cast<std::size_t>(dir)]; }
+
+  void pack_face(int dir) {
+    std::vector<double>& buf = send_buf(dir);
     buf.clear();
     iterate_face(dir, /*halo=*/false,
                  [&](int x, int y, int z) { buf.push_back(at(cur_, x, y, z)); });
   }
 
-  void unpack_face(int dir, const std::vector<double>& buf) {
+  void unpack_face(int dir) {
+    const std::vector<double>& buf = recv_buf(dir);
     std::size_t i = 0;
     iterate_face(dir, /*halo=*/true, [&](int x, int y, int z) { at(cur_, x, y, z) = buf[i++]; });
   }
@@ -148,16 +157,18 @@ class Grid {
     return s;
   }
 
-  /// Interior values, packed (for checkpointing).
-  std::vector<double> interior() const {
-    std::vector<double> out;
-    out.reserve(d_.points());
+  /// Appends the interior values, packed, to a checkpoint payload.
+  void append_interior(std::vector<std::byte>& out) const {
+    std::size_t at_byte = out.size();
+    out.resize(at_byte + d_.points() * sizeof(double));
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
-        for (int x = 0; x < d_.lx; ++x) out.push_back(at(cur_, x, y, z));
+        for (int x = 0; x < d_.lx; ++x) {
+          std::memcpy(out.data() + at_byte, &at(cur_, x, y, z), sizeof(double));
+          at_byte += sizeof(double);
+        }
       }
     }
-    return out;
   }
 
   void restore_interior(const double* data) {
@@ -201,6 +212,7 @@ class Grid {
 
   const Decomposition& d_;
   std::vector<double> cur_, next_;
+  std::array<std::vector<double>, kDirs> send_bufs_, recv_bufs_;
 };
 
 void set_phase(const HeatParams& p, int rank, HeatPhase phase) {
@@ -213,9 +225,7 @@ void set_phase(const HeatParams& p, int rank, HeatPhase phase) {
 /// the underlying MPI operations reported (the error handler of the world
 /// communicator already ran — under kFatal this call aborts instead of
 /// returning).
-Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
-                  std::vector<std::vector<double>>& send_bufs,
-                  std::vector<std::vector<double>>& recv_bufs) {
+Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid) {
   auto& world = ctx.world();
   std::array<RequestHandle, 2 * kDirs> handles;
   std::size_t n = 0;
@@ -224,9 +234,10 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
     if (d.neighbor[dir] < 0) continue;
     const std::size_t bytes = d.face_bytes(dir);
     if (grid != nullptr) {
-      recv_bufs[static_cast<std::size_t>(dir)].assign(bytes / sizeof(double), 0.0);
+      std::vector<double>& buf = grid->recv_buf(dir);
+      buf.assign(bytes / sizeof(double), 0.0);
       handles[n++] = ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
-                               recv_bufs[static_cast<std::size_t>(dir)].data(), bytes);
+                               buf.data(), bytes);
     } else {
       handles[n++] = ctx.irecv_modeled(world, d.neighbor[dir], kHaloTagBase + opposite(dir), bytes);
     }
@@ -235,9 +246,9 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
     if (d.neighbor[dir] < 0) continue;
     const std::size_t bytes = d.face_bytes(dir);
     if (grid != nullptr) {
-      grid->pack_face(dir, send_bufs[static_cast<std::size_t>(dir)]);
+      grid->pack_face(dir);
       handles[n++] = ctx.isend(world, d.neighbor[dir], kHaloTagBase + dir,
-                               send_bufs[static_cast<std::size_t>(dir)].data(), bytes);
+                               grid->send_buf(dir).data(), bytes);
     } else {
       handles[n++] = ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, bytes);
     }
@@ -247,7 +258,7 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid,
   if (e == Err::kSuccess && grid != nullptr) {
     for (int dir = 0; dir < kDirs; ++dir) {
       if (d.neighbor[dir] < 0) continue;
-      grid->unpack_face(dir, recv_bufs[static_cast<std::size_t>(dir)]);
+      grid->unpack_face(dir);
     }
   }
   return e;
@@ -266,15 +277,13 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   const Decomposition d = decompose(p, rank, ctx.size());
   const std::size_t state_bytes = d.points() * sizeof(double);
 
-  // Halo buffers exist only with a grid; modeled halos carry no bytes.
+  // Halo buffers exist only with a grid (it holds them); modeled halos
+  // carry no bytes.
   std::unique_ptr<Grid> grid;
-  std::vector<std::vector<double>> send_bufs, recv_bufs;
   if (p.real_compute) {
     grid = std::make_unique<Grid>(d);
     grid->init(p);
     if (p.register_memory) ctx.register_memory("heat3d.grid", grid->raw(), grid->raw_bytes());
-    send_bufs.resize(kDirs);
-    recv_bufs.resize(kDirs);
   }
 
   // Restart path (paper §V-B): "it automatically loads the last checkpoint".
@@ -305,27 +314,45 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
     // Checkpoints persist interiors only; rebuild the halo layers so the
     // physics after restart is bit-identical to the uninterrupted run.
     set_phase(p, rank, HeatPhase::kHalo);
-    if (halo_exchange(ctx, d, grid.get(), send_bufs, recv_bufs) != Err::kSuccess) return;
+    if (halo_exchange(ctx, d, grid.get()) != Err::kSuccess) return;
   }
 
   std::uint64_t prev_ckpt_version = restarts_used != 0 ? restored_version : 0;
   bool have_prev_ckpt = restarts_used != 0;
+
+  // The iterations due a halo exchange and a checkpoint are the multiples of
+  // their intervals. Keep the next one due, starting from the first at or
+  // after start_iteration, so a restart keeps the schedule (no interval:
+  // never).
+  auto first_multiple = [start_iteration](int interval) -> std::int64_t {
+    if (interval <= 0) return std::numeric_limits<std::int64_t>::max();
+    return (static_cast<std::int64_t>(start_iteration) + interval - 1) / interval * interval;
+  };
+  std::int64_t next_halo = first_multiple(p.halo_interval);
+  std::int64_t next_ckpt = first_multiple(p.checkpoint_interval);
+  const double work_per_iteration = static_cast<double>(d.points()) * p.work_units_per_point;
+  // One checkpoint buffer per rank, sized once and refilled by every
+  // checkpoint (the loop's last iteration always checkpoints).
+  std::vector<std::byte> payload;
+  if (start_iteration <= p.total_iterations) {
+    payload.reserve(sizeof(HeatCkptHeader) + (grid ? state_bytes : 0));
+  }
 
   for (int it = start_iteration; it <= p.total_iterations; ++it) {
     // Computation phase — by far the longest (§V-D), so most failures
     // activate here and are *detected* in the next halo exchange.
     set_phase(p, rank, HeatPhase::kCompute);
     if (grid) grid->step();
-    ctx.compute(static_cast<double>(d.points()) * p.work_units_per_point);
+    ctx.compute(work_per_iteration);
 
-    const bool do_halo = p.halo_interval > 0 && it % p.halo_interval == 0;
-    const bool do_ckpt =
-        (p.checkpoint_interval > 0 && it % p.checkpoint_interval == 0) ||
-        it == p.total_iterations;
+    const bool do_halo = it == next_halo;
+    if (do_halo) next_halo += p.halo_interval;
+    const bool do_ckpt = it == next_ckpt || it == p.total_iterations;
+    if (it == next_ckpt) next_ckpt += p.checkpoint_interval;
 
     if (do_halo) {
       set_phase(p, rank, HeatPhase::kHalo);
-      if (halo_exchange(ctx, d, grid.get(), send_bufs, recv_bufs) != Err::kSuccess) return;
+      if (halo_exchange(ctx, d, grid.get()) != Err::kSuccess) return;
     }
 
     if (do_ckpt) {
@@ -339,13 +366,9 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
       header.nx = p.nx;
       header.ny = p.ny;
       header.nz = p.nz;
-      std::vector<std::byte> payload(sizeof(header));
-      std::memcpy(payload.data(), &header, sizeof(header));
-      if (grid) {
-        const auto interior = grid->interior();
-        const auto* bytes = reinterpret_cast<const std::byte*>(interior.data());
-        payload.insert(payload.end(), bytes, bytes + state_bytes);
-      }
+      const auto* header_bytes = reinterpret_cast<const std::byte*>(&header);
+      payload.assign(header_bytes, header_bytes + sizeof(header));
+      if (grid) grid->append_interior(payload);
       writer.write(ctx, store, static_cast<std::uint64_t>(it), payload,
                    sizeof(header) + state_bytes);
 

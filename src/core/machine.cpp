@@ -162,6 +162,7 @@ SimResult Machine::run() {
   engine_.set_sharding(std::move(shard));
 
   engine_.run();
+  if (fiber_error_) std::rethrow_exception(fiber_error_);
 
   // Collect results.
   SimResult result;
@@ -302,6 +303,14 @@ void Machine::process_terminated(vmpi::SimProcess& proc) {
     // (§IV-D) — or finished/failed.
     engine_.request_stop();
   }
+}
+
+void Machine::fiber_exception(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(hooks_mutex_);
+    if (!fiber_error_) fiber_error_ = std::move(error);
+  }
+  engine_.request_stop();
 }
 
 std::string sim_result_json(const SimResult& r) {

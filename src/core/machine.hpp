@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -221,6 +222,9 @@ class Machine final : public vmpi::SystemHooks {
   void set_checkpoint_store(ckpt::CheckpointStore* store) { services_.checkpoints = store; }
   void set_run_index(int idx) { services_.run_index = idx; }
 
+  /// Runs the launch to completion, abort or deadlock. A std::exception
+  /// that escaped a rank's application code stops the run and is rethrown
+  /// here (the first one, if several ranks threw).
   SimResult run();
 
   /// Valid after run() when power modeling is enabled.
@@ -238,6 +242,7 @@ class Machine final : public vmpi::SystemHooks {
   void abort_called(vmpi::SimProcess& proc, SimTime when) override;
   void comm_revoked(vmpi::SimProcess& proc, int comm_id, SimTime when) override;
   void process_terminated(vmpi::SimProcess& proc) override;
+  void fiber_exception(std::exception_ptr error) override;
   std::vector<vmpi::Rank> alive_world_ranks() const override;
 
  private:
@@ -259,9 +264,10 @@ class Machine final : public vmpi::SystemHooks {
   std::unique_ptr<vmpi::MemoryTraceSink> trace_;
   std::vector<std::unique_ptr<vmpi::SimProcess>> processes_;
 
-  /// Guards activated_/abort_time_/abort_origin_: SystemHooks fire from
-  /// whichever engine worker owns the reporting rank's LP group.
+  /// Guards activated_/abort_time_/abort_origin_/fiber_error_: SystemHooks
+  /// fire from whichever engine worker owns the reporting rank's LP group.
   mutable std::mutex hooks_mutex_;
+  std::exception_ptr fiber_error_;  ///< First exception out of a rank's fiber.
   std::vector<FailureSpec> activated_;
   std::optional<SimTime> abort_time_;
   int abort_origin_ = -1;

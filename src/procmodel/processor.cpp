@@ -17,10 +17,7 @@ SimTime ProcessorModel::scale_native(SimTime native) const {
                               0.5);
 }
 
-SimTime ProcessorModel::work_time(double units) const {
-  if (units < 0.0) throw std::invalid_argument("negative work");
-  return static_cast<SimTime>(units * params_.reference_ns_per_unit * params_.slowdown + 0.5);
-}
+void ProcessorModel::throw_negative_work() { throw std::invalid_argument("negative work"); }
 
 SimTime ProcessorModel::reference_seconds(double s) const {
   if (s < 0.0) throw std::invalid_argument("negative time");

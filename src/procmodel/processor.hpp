@@ -30,14 +30,20 @@ class ProcessorModel {
   /// Scales a measured native (host) duration to simulated time.
   SimTime scale_native(SimTime native) const;
 
-  /// Simulated time to execute `units` abstract work units.
-  SimTime work_time(double units) const;
+  /// Simulated time to execute `units` abstract work units. Inline: every
+  /// modeled compute step calls it.
+  SimTime work_time(double units) const {
+    if (units < 0.0) throw_negative_work();
+    return static_cast<SimTime>(units * params_.reference_ns_per_unit * params_.slowdown + 0.5);
+  }
 
   /// Simulated time for a duration expressed in reference-core seconds.
   SimTime reference_seconds(double s) const;
 
  private:
   ProcessorParams params_;
+
+  [[noreturn]] static void throw_negative_work();
 };
 
 }  // namespace exasim

@@ -27,11 +27,6 @@ SimTime Context::now() const {
 // Compute modeling
 // ---------------------------------------------------------------------------
 
-void Context::compute(double units) {
-  proc_->fold_native_time();
-  proc_->advance_clock(proc_->proc_model().work_time(units));
-}
-
 void Context::compute_reference_seconds(double s) {
   proc_->fold_native_time();
   proc_->advance_clock(proc_->proc_model().reference_seconds(s));

@@ -44,8 +44,9 @@ class Context {
   SimTime now() const;        ///< Virtual clock in ns.
 
   // ---- Compute modeling ---------------------------------------------------
-  /// Charges `units` abstract work units via the processor model.
-  void compute(double units);
+  /// Charges `units` abstract work units via the processor model. Inline
+  /// (defined in process.hpp): the modeled compute step of every iteration.
+  inline void compute(double units);
   /// Charges a duration given in reference-core seconds (the processor model
   /// applies the simulated node's slowdown).
   void compute_reference_seconds(double s);
@@ -184,3 +185,8 @@ class Context {
 };
 
 }  // namespace exasim::vmpi
+
+// Context::compute's inline definition needs the complete SimProcess. When
+// process.hpp is included first it has already included this header, so
+// this include is skipped and the definition follows in process.hpp.
+#include "vmpi/process.hpp"

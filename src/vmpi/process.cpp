@@ -3,9 +3,11 @@
 #include <ctime>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 
 #include "resilience/policy.hpp"
@@ -114,6 +116,12 @@ void SimProcess::fiber_body() {
     terminate(ProcOutcome::kFailed, clock_);
   } catch (const ProcessAbortSignal&) {
     terminate(ProcOutcome::kAborted, clock_);
+  } catch (const std::exception&) {
+    // Not a simulated outcome but a defect in application or model code
+    // (say, negative work): hand it to the machine, which stops the run and
+    // rethrows it from Machine::run. Fiber::Unwind and the two signals are
+    // not std::exceptions, so they never land here.
+    shared_->hooks->fiber_exception(std::current_exception());
   }
 }
 
@@ -128,8 +136,7 @@ std::uint64_t thread_cpu_ns() {
 
 }  // namespace
 
-void SimProcess::fold_native_time() {
-  if (!shared_->config.measured_compute) return;
+void SimProcess::fold_measured_time() {
   const std::uint64_t now = thread_cpu_ns();
   if (last_native_ns_ != 0 && now > last_native_ns_) {
     advance_clock(shared_->proc_model->scale_native(now - last_native_ns_));
@@ -223,12 +230,7 @@ void SimProcess::terminate(ProcOutcome outcome, SimTime when) {
 // Clock & signals
 // ---------------------------------------------------------------------------
 
-void SimProcess::advance_clock(SimTime dt, bool busy) {
-  if (busy) {
-    busy_time_ += dt;
-  } else {
-    comm_time_ += dt;
-  }
+void SimProcess::after_clock_advance(SimTime dt, bool busy) {
   if (EnergyLedger* energy = shared_->energy; energy != nullptr && dt > 0) {
     if (busy) {
       energy->add_busy(world_rank_, dt);
@@ -236,7 +238,6 @@ void SimProcess::advance_clock(SimTime dt, bool busy) {
       energy->add_comm(world_rank_, dt);
     }
   }
-  clock_ += dt;
   if (soft_errors_ != nullptr && soft_errors_->pending()) soft_errors_->apply_due(clock_);
   check_signals();
 }
@@ -560,6 +561,7 @@ bool SimProcess::on_stall(Engine& engine) {
 
 Request& SimProcess::acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
                                      std::size_t bytes, SimTime post_time) {
+  if (slots_.empty()) slots_.reserve(kFirstReserve);
   const std::uint32_t slot = slab_acquire(slots_, free_slot_);
   Request& r = slots_[slot];
   r.serial = next_serial_++;
@@ -601,7 +603,14 @@ std::vector<std::uint32_t> SimProcess::live_requests_by_serial(Pred pred) const 
 }
 
 std::uint32_t SimProcess::find_bucket(int comm_id, Rank src) const {
-  if (bucket_table_.empty()) return kNoSlot;
+  if (bucket_table_.empty()) {
+    // At most kScanBuckets: one pass over a few contiguous lines beats a
+    // hash into a second array.
+    for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
+      if (buckets_[b].comm_id == comm_id && buckets_[b].src == src) return b;
+    }
+    return kNoSlot;
+  }
   const std::size_t mask = bucket_table_.size() - 1;
   for (std::size_t i = bucket_hash(comm_id, src) & mask;; i = (i + 1) & mask) {
     const std::uint32_t b = bucket_table_[i];
@@ -615,17 +624,21 @@ std::uint32_t SimProcess::bucket_for(int comm_id, Rank src) {
 }
 
 std::uint32_t SimProcess::add_bucket(int comm_id, Rank src) {
+  if (buckets_.empty()) buckets_.reserve(kFirstReserve);
   buckets_.push_back(MatchBucket{comm_id, src});
-  auto insert = [this](std::uint32_t b) {
-    const std::size_t mask = bucket_table_.size() - 1;
-    std::size_t i = bucket_hash(buckets_[b].comm_id, buckets_[b].src) & mask;
-    while (bucket_table_[i] != kNoSlot) i = (i + 1) & mask;
-    bucket_table_[i] = b;
-  };
   const auto b = static_cast<std::uint32_t>(buckets_.size() - 1);
+  if (buckets_.size() <= kScanBuckets) return b;  // Found by scanning.
+  auto insert = [this](std::uint32_t k) {
+    const std::size_t mask = bucket_table_.size() - 1;
+    std::size_t i = bucket_hash(buckets_[k].comm_id, buckets_[k].src) & mask;
+    while (bucket_table_[i] != kNoSlot) i = (i + 1) & mask;
+    bucket_table_[i] = k;
+  };
   if (2 * buckets_.size() > bucket_table_.size()) {
-    // Keep the load at most 1/2: double and reinsert every bucket.
-    bucket_table_.assign(std::max<std::size_t>(16, 2 * bucket_table_.size()), kNoSlot);
+    // Build or grow to the smallest power of two keeping the load at most
+    // 1/2 (32 entries for the first build at 9 buckets), then reinsert
+    // every bucket.
+    bucket_table_.assign(std::bit_ceil(2 * buckets_.size()), kNoSlot);
     for (std::uint32_t k = 0; k <= b; ++k) insert(k);
   } else {
     insert(b);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,6 +55,11 @@ class SystemHooks {
 
   /// Called whenever a process reaches a terminal state.
   virtual void process_terminated(SimProcess& proc) = 0;
+
+  /// Called when a std::exception escapes the application (or the model
+  /// code it calls) on a rank's fiber. The rank's fiber has ended without a
+  /// simulated outcome; the machine stops the run and reports the error.
+  virtual void fiber_exception(std::exception_ptr error) = 0;
 
   /// Global list of world ranks not (yet) failed, in ascending order so
   /// callers can binary-search it — the simulator-internal membership
@@ -167,16 +173,19 @@ class SimProcess final : public LogicalProcess {
   /// Advances the virtual clock by dt, then applies failure/abort activation
   /// (paper §IV-B: failure activates when "the simulated MPI process is
   /// executing, updates its simulated process clock, and the clock reaches or
-  /// goes beyond the ... time of failure").
-  void advance_clock(SimTime dt, bool busy = true);
+  /// goes beyond the ... time of failure"). Inline: the common step is three
+  /// adds and four compares (defined below the class).
+  inline void advance_clock(SimTime dt, bool busy = true);
   /// Raises the clock to at least t (no-op if already past).
   void raise_clock_to(SimTime t, bool busy = false);
 
   /// Measured-compute mode (xSim's native path): folds the host CPU time the
   /// application fiber consumed since the last control point into the
   /// virtual clock, scaled by the processor model. No-op unless
-  /// ProcessConfig::measured_compute is set.
-  void fold_native_time();
+  /// ProcessConfig::measured_compute is set (the inline check).
+  void fold_native_time() {
+    if (shared_->config.measured_compute) fold_measured_time();
+  }
 
   /// allow_revoked lets ULFM recovery operations (shrink/agree) communicate
   /// on a revoked communicator; ordinary traffic completes with kRevoked.
@@ -260,6 +269,13 @@ class SimProcess final : public LogicalProcess {
  private:
   friend class Context;
 
+  // The out-of-line halves of the inline clock step: the measured-compute
+  // fold, and what follows a clock advance when an energy ledger is
+  // attached, soft errors exist or an activation time is reached (in this
+  // order: energy, bit flips, check_signals).
+  void fold_measured_time();
+  void after_clock_advance(SimTime dt, bool busy);
+
   // Fiber body & scheduling.
   void fiber_body();
   void run_fiber();
@@ -327,10 +343,15 @@ class SimProcess final : public LogicalProcess {
   /// order the cold paths that schedule events while iterating must keep.
   template <class Pred>
   std::vector<std::uint32_t> live_requests_by_serial(Pred pred) const;
-  // Each message probes the bucket table once on each side: an arrival
+  // Each message looks its bucket up once on each side: an arrival
   // resolves its (comm, source) bucket once for the posted scan and the
   // unexpected push, and a receive resolves its FIFO once for the
-  // unexpected scan and the indexing, then keeps it in Request::fifo.
+  // unexpected scan and the indexing, then keeps it in Request::fifo. The
+  // lookup scans buckets_ while there are at most kScanBuckets (a halo
+  // rank has up to seven) and probes bucket_table_ from the next one on.
+  static constexpr std::size_t kScanBuckets = 8;
+  /// Entries the first growth of slots_ and buckets_ reserves.
+  static constexpr std::size_t kFirstReserve = 8;
   std::uint32_t find_bucket(int comm_id, Rank src) const;  ///< kNoSlot if none.
   std::uint32_t add_bucket(int comm_id, Rank src);         ///< Must be absent.
   std::uint32_t bucket_for(int comm_id, Rank src);         ///< Finds or adds.
@@ -361,23 +382,21 @@ class SimProcess final : public LogicalProcess {
   /// The world communicator or one this process created; nullptr if none.
   Comm* find_comm(int id);
 
-  // Identity & wiring.
-  Rank world_rank_;
-  const ProcessShared* shared_;
-  SimTime busy_time_ = 0;
-  SimTime comm_time_ = 0;
+  // Fields are ordered by first touch. An arrival reads the identity and
+  // wiring, the recorded block condition and the matching heads, so they
+  // come first and share cache lines; the clock step reads the clock, the
+  // time accounts, the soft-error pointer and the activation times at the
+  // head of fault_, which come next (DESIGN.md §9).
 
-  // Execution state.
-  Context context_{this};
-  SimTime clock_ = 0;
-  SimTime end_time_ = 0;
-  std::uint64_t last_native_ns_ = 0;  ///< Measured-compute snapshot.
+  // Identity & wiring. The four one-byte flags fill the gap before shared_.
+  Rank world_rank_;
   /// Atomic: Machine::alive_world_ranks reads every rank's outcome from
   /// whichever engine worker executes MPI_Comm_shrink.
   std::atomic<ProcOutcome> outcome_{ProcOutcome::kRunning};
   bool started_ = false;
   bool finalized_ = false;
   bool in_fiber_ = false;
+  const ProcessShared* shared_;
 
   // Recorded block condition (see the wakeup-filter note above).
   WaitKind wait_kind_ = WaitKind::kNone;
@@ -388,13 +407,6 @@ class SimProcess final : public LogicalProcess {
   Rank wait_src_world_ = -1;          ///< resolved world rank (-1 = ANY),
   int wait_tag_ = kAnyTag;            ///< tag (may be kAnyTag).
 
-  // Failure/abort/ULFM-ack state and soft-error state, owned by the
-  // resilience subsystem; this class is clock + matching + the glue. Soft
-  // errors are allocated by the first registration or scheduled flip.
-  resilience::FaultState fault_;
-  std::unique_ptr<resilience::SoftErrorState> soft_errors_;
-  resilience::SoftErrorState& soft_errors();  ///< Allocates on first use.
-
   // Messaging state (DESIGN.md §13), flat per-process arrays that a message
   // in steady state reuses without touching the general heap.
   //
@@ -403,21 +415,25 @@ class SimProcess final : public LogicalProcess {
   // rejects stale handles, so lookup and release are O(1). Slot order is
   // not post order once slots are reused: paths that must visit requests in
   // post order sort by serial. A completed eager send takes no slot
-  // (RequestHandle::completed_send).
+  // (RequestHandle::completed_send). The first growth reserves
+  // kFirstReserve slots, so a halo rank allocates the table once.
   std::vector<Request> slots_;
   std::uint64_t next_serial_ = 1;
   std::uint32_t free_slot_ = kNoSlot;
-  // Match index: one open-addressing table from (comm id, source comm rank)
-  // to a MatchBucket. Buckets are append-only (never erased), so steady
-  // traffic causes no churn, and the table grows geometrically, so a
-  // linear collective's root with tens of thousands of sources still finds
-  // its bucket in O(1). ANY_SOURCE receives have their own post-ordered
-  // FIFO; every transition out of Stage::kPosted calls unindex_posted, a
-  // no-op for a receive that was never indexed.
+  // Match index from (comm id, source comm rank) to a MatchBucket. Buckets
+  // are append-only (never erased), so steady traffic causes no churn. Up
+  // to kScanBuckets of them are found by scanning buckets_, which fits in a
+  // few cache lines; the bucket that exceeds it builds the open-addressing
+  // bucket_table_, grown geometrically at load <= 1/2, so a linear
+  // collective's root with tens of thousands of sources still finds its
+  // bucket in O(1). Most ranks never build one. ANY_SOURCE receives have
+  // their own post-ordered FIFO; every transition out of Stage::kPosted
+  // calls unindex_posted, a no-op for a receive that was never indexed.
   void index_posted(Request& r, std::uint32_t fifo);
   void unindex_posted(Request& r);
   std::uint32_t any_head_ = kNoSlot;
   std::uint32_t any_tail_ = kNoSlot;
+  std::uint32_t free_unexpected_ = kNoSlot;  ///< See unexpected_msgs_.
   std::vector<MatchBucket> buckets_;
   std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
   // Unexpected messages in a slab whose free entries are chained through
@@ -425,7 +441,22 @@ class SimProcess final : public LogicalProcess {
   // entry holds its arrival's envelope and owns its attachment, if any.
   std::vector<UnexpectedMsg> unexpected_msgs_;
   std::uint64_t next_arrival_seq_ = 1;
-  std::uint32_t free_unexpected_ = kNoSlot;
+
+  // Clock step state.
+  SimTime clock_ = 0;
+  SimTime busy_time_ = 0;
+  SimTime comm_time_ = 0;
+  // Soft-error state, allocated by the first registration or scheduled flip.
+  std::unique_ptr<resilience::SoftErrorState> soft_errors_;
+  resilience::SoftErrorState& soft_errors();  ///< Allocates on first use.
+  // Failure/abort/ULFM-ack state, owned by the resilience subsystem; this
+  // class is clock + matching + the glue. Its activation times come first.
+  resilience::FaultState fault_;
+
+  // Execution state.
+  Context context_{this};
+  SimTime end_time_ = 0;
+  std::uint64_t last_native_ns_ = 0;  ///< Measured-compute snapshot.
 
   // Communicators: MPI_COMM_WORLD inline, plus the ones comm_dup /
   // comm_split / comm_shrink added (the only ones that allocate; the list
@@ -446,5 +477,21 @@ class SimProcess final : public LogicalProcess {
 /// identical either way — the hatch exists to prove it and to bisect.
 bool eager_wakeup_enabled();
 void set_eager_wakeup(bool eager);
+
+inline void SimProcess::advance_clock(SimTime dt, bool busy) {
+  (busy ? busy_time_ : comm_time_) += dt;
+  clock_ += dt;
+  if (shared_->energy != nullptr || soft_errors_ != nullptr ||
+      clock_ >= fault_.time_of_failure || clock_ >= fault_.pending_abort) [[unlikely]] {
+    after_clock_advance(dt, busy);
+  }
+}
+
+// Declared in context.hpp, which includes this header at its end, so every
+// caller sees the definition: a modeled compute step runs inline.
+inline void Context::compute(double units) {
+  proc_->fold_native_time();
+  proc_->advance_clock(proc_->proc_model().work_time(units));
+}
 
 }  // namespace exasim::vmpi

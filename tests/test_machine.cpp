@@ -54,6 +54,25 @@ TEST(Machine, RejectsBadConfiguration) {
   }
 }
 
+TEST(Machine, ExceptionInARanksFiberIsRethrownFromRun) {
+  // A std::exception out of application or model code is a defect, not a
+  // simulated outcome: the run stops and Machine::run rethrows it (it used
+  // to end the whole process in std::terminate). The other ranks wait for
+  // rank 1 in the barrier.
+  auto app = [](Context& ctx) {
+    if (ctx.rank() == 1) ctx.compute(-1.0);  // The processor model rejects negative work.
+    ctx.barrier(ctx.world());
+    ctx.finalize();
+  };
+  Machine machine(tiny_config(4), app);
+  try {
+    machine.run();
+    ADD_FAILURE() << "Machine::run returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "negative work");
+  }
+}
+
 TEST(Machine, InitialTimeShiftsAllClocks) {
   SimTime t0 = 0;
   SimConfig cfg = tiny_config(2);

@@ -9,6 +9,10 @@
 //   messages is the per-message steady-state allocation rate.
 // - heat3d's halo exchange: the same comparison over the modeled
 //   application's halo-only loop, per rank and iteration.
+// - heat3d's checkpoints: the modeled application checkpointing every
+//   iteration, 10 and 20 times; per rank and extra checkpoint, the store's
+//   copy of the payload is the one allocation (the payload buffer itself
+//   is the rank's, refilled by every checkpoint).
 // - Rank construction: a 64-rank and a 128-rank machine, counted up to the
 //   first rank entering the application; the difference per extra rank is
 //   what building one simulated process costs.
@@ -213,6 +217,43 @@ TEST(VmpiAlloc, Heat3dHaloExchangeStaysOffTheHeap) {
               static_cast<unsigned long long>(a20), static_cast<unsigned long long>(a40),
               per_iteration);
   EXPECT_LT(per_iteration, 0.05);
+}
+
+/// Global-heap allocations of a modeled 64-rank heat3d run that checkpoints
+/// every one of its `iters` iterations and exchanges no halos.
+std::uint64_t heat3d_ckpt_allocs(int iters, int* errors) {
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 16;
+  p.px = p.py = p.pz = kDim;
+  p.total_iterations = iters;
+  p.halo_interval = 0;
+  p.checkpoint_interval = 1;
+  p.real_compute = false;
+  ckpt::CheckpointStore store(kRanks);
+  const core::SimConfig cfg = test::tiny_config(kRanks);
+  auto app = apps::make_heat3d(p);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const core::SimResult res = test::run_app(cfg, app, &store);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  if (res.outcome != core::SimResult::Outcome::kCompleted) ++*errors;
+  return after - before;
+}
+
+TEST(VmpiAlloc, ModeledHeat3dCheckpointAllocatesOncePerRank) {
+  const bool pooled_before = util::pool_enabled();
+  util::set_pool_enabled(true);
+  int errors = 0;
+  heat3d_ckpt_allocs(5, &errors);  // Warm the pools.
+  const std::uint64_t a10 = heat3d_ckpt_allocs(10, &errors);
+  const std::uint64_t a20 = heat3d_ckpt_allocs(20, &errors);
+  util::set_pool_enabled(pooled_before);
+  ASSERT_EQ(errors, 0);
+  const double per_checkpoint = (static_cast<double>(a20) - static_cast<double>(a10)) /
+                                (10.0 * kRanks);
+  std::printf("heat3d checkpoint allocs: 10 ckpts %llu, 20 ckpts %llu, %.4f per rank-checkpoint\n",
+              static_cast<unsigned long long>(a10), static_cast<unsigned long long>(a20),
+              per_checkpoint);
+  EXPECT_LE(per_checkpoint, 1.05);
 }
 
 /// Global-heap allocations from just before a `ranks`-rank machine is built

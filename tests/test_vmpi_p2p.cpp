@@ -763,6 +763,98 @@ TEST(P2P, ThousandSourceFanInAllUnexpected) { fan_in_reverse(/*posted_first=*/fa
 
 TEST(P2P, ThousandSourceFanInPostedFirst) { fan_in_reverse(/*posted_first=*/true); }
 
+/// Rank 0 receives from `senders` ranks through receives posted before and
+/// after the messages land: explicit-source, ANY_SOURCE and ANY_TAG ones.
+/// A rank with up to eight (comm, source) buckets finds one by scanning
+/// them; the ninth builds the hash table. With 8 senders the receiver ends
+/// with eight buckets, with 9 the table is built between two unexpected
+/// arrivals of the second burst, and with 16 during the first burst. Each sender s sends three modeled
+/// messages: tag 7 (s even) or 3 (s odd) at s us, tag 5 at 500 + s us and
+/// tag 9 at 2,000 + (senders + 1 - s) us; sender `senders` also sends the
+/// tag-99 message that lets rank 0 go on once the first two bursts are in.
+/// Returns the (source, tag) of every receive in post order.
+std::vector<std::pair<int, int>> matching_across_bucket_switch(int senders) {
+  const int n = senders;
+  std::vector<std::pair<int, int>> got;
+  auto app = [&](Context& ctx) {
+    auto& w = ctx.world();
+    auto wait_until_us = [&ctx](std::int64_t us) { ctx.elapse(sim_us(us) - ctx.now()); };
+    auto recv = [&](int src, int tag) { return ctx.irecv_modeled(w, src, tag, 8); };
+    auto wait = [&](std::vector<vmpi::RequestHandle> hs) {
+      std::vector<MsgStatus> st;
+      EXPECT_EQ(ctx.waitall(w, hs, &st), Err::kSuccess);
+      for (const MsgStatus& s : st) {
+        EXPECT_EQ(s.bytes, 8u);
+        got.emplace_back(s.source, s.tag);
+      }
+    };
+    const int s = ctx.rank();
+    if (s != 0) {
+      wait_until_us(s);
+      ctx.send_modeled(w, 0, s % 2 == 0 ? 7 : 3, 8);
+      wait_until_us(500 + s);
+      ctx.send_modeled(w, 0, 5, 8);
+      if (s == n) {
+        wait_until_us(900);
+        ctx.send_modeled(w, 0, 99, 8);
+      }
+      wait_until_us(2000 + n + 1 - s);
+      ctx.send_modeled(w, 0, 9, 8);
+      ctx.finalize();
+      return;
+    }
+    // Posted before any arrival; the tag-99 receive blocks until the first
+    // two bursts have landed, all but three of them unexpected.
+    const auto early = {recv(vmpi::kAnySource, 7), recv(1, vmpi::kAnyTag),
+                        recv(vmpi::kAnySource, vmpi::kAnyTag)};
+    wait({recv(n, 99)});
+    wait(early);
+    // Posted after: each matches an unexpected message at once.
+    std::vector<vmpi::RequestHandle> late = {recv(n, vmpi::kAnyTag), recv(vmpi::kAnySource, 7),
+                                             recv(vmpi::kAnySource, 5), recv(2, 5)};
+    for (int src = n; src >= 3; --src) late.push_back(recv(src, 5));
+    for (int i = 0; i < n - 5; ++i) late.push_back(recv(vmpi::kAnySource, vmpi::kAnyTag));
+    wait(late);
+    // Posted before the third burst, which lands in reverse source order.
+    std::vector<vmpi::RequestHandle> third = {recv(vmpi::kAnySource, 9), recv(n - 1, 9),
+                                              recv(vmpi::kAnySource, vmpi::kAnyTag)};
+    for (int src = 1; src <= n - 3; ++src) third.push_back(recv(src, 9));
+    wait(third);
+    ctx.finalize();
+  };
+  EXPECT_EQ(run_app(tiny_config(n + 1), app).outcome, SimResult::Outcome::kCompleted);
+  return got;
+}
+
+TEST(P2P, MatchingOrderHoldsAcrossTheBucketScanTableSwitch) {
+  for (const int n : {8, 9, 16}) {
+    SCOPED_TRACE(std::to_string(n) + " senders");
+    auto first_tag = [](int s) { return s % 2 == 0 ? 7 : 3; };
+    std::vector<std::pair<int, int>> want;
+    // Rank n's tag-99 message, then the three early receives in post
+    // order: the earliest-posted matching receive takes each arrival, so
+    // (1, 3) goes to the explicit receive ahead of the ANY/ANY one.
+    for (const auto& [src, tag] : {std::pair{n, 99}, {2, 7}, {1, 3}, {3, 3}}) {
+      want.emplace_back(src, tag);
+    }
+    // The late receives: source n's earliest message, the earliest tag 7
+    // and tag 5 arrivals, source 2's tag 5, every other tag 5 by source,
+    // then what is left of the first burst in arrival order.
+    for (const auto& [src, tag] : {std::pair{n, first_tag(n)}, {4, 7}, {1, 5}, {2, 5}}) {
+      want.emplace_back(src, tag);
+    }
+    for (int s = n; s >= 3; --s) want.emplace_back(s, 5);
+    for (int s = 5; s < n; ++s) want.emplace_back(s, first_tag(s));
+    // The third burst against receives posted before it: rank n lands
+    // first and takes the earliest-posted ANY_SOURCE receive, n - 1 its
+    // explicit receive ahead of the ANY/ANY one, which n - 2 then takes;
+    // the rest each have their explicit receive.
+    for (int s = n; s >= n - 2; --s) want.emplace_back(s, 9);
+    for (int s = 1; s <= n - 3; ++s) want.emplace_back(s, 9);
+    EXPECT_EQ(matching_across_bucket_switch(n), want);
+  }
+}
+
 TEST(P2P, DuplicatedHandleInWaitallCompletes) {
   // The counted wait counts a duplicated handle once; both entries report.
   std::uint64_t got = 0;
