@@ -20,7 +20,6 @@
 #include "fiber/fiber.hpp"
 #include "pdes/engine.hpp"
 #include "util/log.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "vmpi/context.hpp"
 #include "vmpi/process.hpp"
@@ -145,16 +144,6 @@ BENCHMARK(BM_QueueBulkMerge)->Arg(0)->Arg(1)->ArgNames({"bulk"});
 
 // ---- Hot-path memory (DESIGN.md §9) ---------------------------------------
 
-/// Flips pooling for one benchmark run and restores the prior setting.
-/// state.range(0): 0 = heap (pooling off), 1 = pooled.
-struct PoolMode {
-  explicit PoolMode(bool pooled) : before(util::pool_enabled()) {
-    util::set_pool_enabled(pooled);
-  }
-  ~PoolMode() { util::set_pool_enabled(before); }
-  bool before;
-};
-
 struct ChurnPayload final : EventPayload {
   std::uint64_t vals[4] = {0, 0, 0, 0};
 };
@@ -165,9 +154,8 @@ struct ChurnPayload final : EventPayload {
 constexpr std::size_t kChurnMsgBytes = 256;
 
 /// Raw payload allocate/free cycle — the per-event allocator cost in
-/// isolation. Pooled (steady-state free-list hits) vs heap (::operator new).
+/// isolation (steady-state free-list hits).
 void BM_PayloadAllocFree(benchmark::State& state) {
-  PoolMode mode(state.range(0) != 0);
   for (auto _ : state) {
     auto* p = new ChurnPayload;
     benchmark::DoNotOptimize(p);
@@ -175,7 +163,7 @@ void BM_PayloadAllocFree(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PayloadAllocFree)->Arg(0)->Arg(1)->ArgNames({"pooled"});
+BENCHMARK(BM_PayloadAllocFree);
 
 /// Attachment build-and-free cost: header only (a rendezvous RTS) and with
 /// real bytes copied into the same block. range(0) = bytes.
@@ -215,7 +203,6 @@ class ChurnLp final : public LogicalProcess {
 };
 
 void BM_EventChurn(benchmark::State& state) {
-  PoolMode mode(state.range(0) != 0);
   const std::uint64_t events = 100'000;
   for (auto _ : state) {
     state.PauseTiming();
@@ -233,7 +220,7 @@ void BM_EventChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_EventChurn)->Arg(0)->Arg(1)->ArgNames({"pooled"});
+BENCHMARK(BM_EventChurn);
 
 // ---- Sharded engine: multi-core window throughput -------------------------
 
@@ -433,13 +420,12 @@ BENCHMARK(BM_HaloExchange);
 /// the recorded wait-set (the default). Identical simulated results either
 /// way; only the host cost differs.
 void BM_WakeupFanIn(benchmark::State& state) {
-  const bool eager = state.range(0) != 0;
-  const bool before = vmpi::eager_wakeup_enabled();
-  vmpi::set_eager_wakeup(eager);
   const int ranks = 64;
   const int rounds = 20;
+  core::SimConfig cfg = micro_config(ranks);
+  cfg.process.eager_wakeup = state.range(0) != 0;
   for (auto _ : state) {
-    core::Machine machine(micro_config(ranks), [&](vmpi::Context& ctx) {
+    core::Machine machine(cfg, [&](vmpi::Context& ctx) {
       std::uint64_t v = 0;
       for (int r = 0; r < rounds; ++r) {
         if (ctx.rank() == 0) {
@@ -452,7 +438,6 @@ void BM_WakeupFanIn(benchmark::State& state) {
     });
     machine.run();
   }
-  vmpi::set_eager_wakeup(before);
   state.SetItemsProcessed(state.iterations() * (ranks - 1) * rounds);
 }
 BENCHMARK(BM_WakeupFanIn)->Arg(0)->Arg(1)->ArgNames({"eager"});

@@ -16,10 +16,11 @@
 # multiple worker threads (claim tokens and work stealing included). A
 # third, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
-# windows and drain bookkeeping under the race detector. The ASan leg runs
-# pooled and EXASIM_NO_POOL=1; besides the pool, fiber (copying stacks),
-# engine and resilience suites, and test_vmpi_p2p's deliveries into saved
-# stack images, it covers where message blocks change owner (adopted
+# windows and drain bookkeeping under the race detector. In the ASan build
+# every pool block comes from the heap (util::kPoolSlabs), so ASan sees
+# redzones, quarantine and leaks for each. Besides the pool, fiber (copying
+# stacks), engine and resilience suites, and test_vmpi_p2p's deliveries
+# into saved stack images, it covers where message blocks change owner (adopted
 # unexpected arrivals, rendezvous data built at post time): real-byte
 # collectives (test_vmpi_coll), rendezvous edge cases (test_vmpi_edge) and
 # failure interleavings (test_properties), plus the checkpoint store, whose
@@ -28,10 +29,11 @@
 # per-rank state that is allocated only in some runs: traced sends that keep
 # a request slot (test_trace), the communicator list created by the first
 # dup/split/shrink (test_ulfm) and the fault state created by the first
-# failure notice (test_failures). The mc leg runs the model-checker suite
-# (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
-# EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
-# worker threads under the race detector.
+# failure notice (test_failures), plus test_machine and test_exp, whose
+# pinned results thereby also hold with no block pooled. The mc leg runs
+# the model-checker suite (test_mc — a tiny scenario lattice end to end)
+# under TSan, as-is and with EXASIM_JOBS=4 so the campaign executor fans
+# scenario evaluations across worker threads under the race detector.
 #
 # Usage: scripts/tier1.sh [release|tsan|asan|mc|all] [jobs]
 #   scripts/tier1.sh              # all legs, jobs = nproc
@@ -113,10 +115,11 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure suites) =="
-  # Validates the hot-path memory pools: parked payload blocks are
-  # shadow-poisoned, so stale pointers into them trip ASan even though the
-  # memory never went back to the system allocator. Copying fiber stacks
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure/machine/exp suites) =="
+  # This build takes every pool block from the heap, so a stale pointer into
+  # a message, payload or saved stack image trips ASan like any other heap
+  # use-after-free, and the pinned results of test_machine and test_exp
+  # show the simulation does not depend on the allocator. Copying fiber stacks
   # (test_fiber, test_vmpi_p2p's stack-receive cases) run with the fiber
   # annotations on the shared stack and its shadow unpoisoned at each
   # change of occupant. The vmpi
@@ -126,15 +129,13 @@ run_asan() {
   # by remove_file/apply_failures) and the restore plan every rank of a
   # relaunch reads. The trace, ULFM and failure suites cover the per-rank
   # state created on first use: slots kept by traced sends, the extra
-  # communicator list and the fault state. Runs both pooled and with the
-  # pools off (EXASIM_NO_POOL=1).
-  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures'
+  # communicator list and the fault state.
+  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures test_machine test_exp'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   # shellcheck disable=SC2086  # $suites is a word list by design.
   cmake --build build-asan -j "$JOBS" --target $suites
   (cd build-asan && ctest --output-on-failure -R "$pattern")
-  (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R "$pattern")
 }
 
 run_mc() {

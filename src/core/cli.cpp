@@ -185,10 +185,8 @@ std::string cli_usage() {
   out +=
       "A flag wins over its EXASIM_* variable; a malformed value from either is an error.\n"
       "The variables reach exasim_run and exasim_mc, not programs that build a SimConfig\n"
-      "in code. Host switches, read where they act, never change results:\n"
-      "  EXASIM_JOBS=N          default for --jobs\n"
-      "  EXASIM_NO_POOL=1       disable the hot-path memory pools\n"
-      "  EXASIM_EAGER_WAKEUP=1  wake a blocked rank on every delivery (no wakeup filtering)\n";
+      "in code. One host switch, read where it acts, never changes results:\n"
+      "  EXASIM_JOBS=N          default for --jobs\n";
   return out;
 }
 

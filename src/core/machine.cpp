@@ -112,7 +112,6 @@ SimResult Machine::run() {
   engine_.reserve(static_cast<std::size_t>(config_.ranks));
   for (int r = 0; r < config_.ranks; ++r) {
     auto proc = std::make_unique<vmpi::SimProcess>(r, shared_, config_.initial_time);
-    proc->context().set_error_handler(proc->context().world(), config_.default_error_handler);
     engine_.add_process(r, proc.get());
     processes_.push_back(std::move(proc));
   }
@@ -197,7 +196,7 @@ SimResult Machine::run() {
   result.storage = exasim::to_string(storage_->spec());
   result.ckpt_mode = ckpt::to_string(services_.ckpt_mode);
   result.detector = resilience::to_string(config_.detector);
-  result.error_policy = resilience::to_string(config_.default_error_handler);
+  result.error_policy = resilience::to_string(vmpi::ErrorHandlerKind::kFatal);
   const auto det_stats = bus_->detection_stats();
   result.failure_notices = det_stats.notices;
   result.max_detection_latency = det_stats.max_latency;
@@ -251,12 +250,10 @@ SimResult Machine::run() {
     result.outcome = SimResult::Outcome::kCompleted;
   }
 
-  if (config_.print_stats) {
-    // Shutdown timing statistics: minimum, maximum, and average simulated
-    // MPI process time (paper §IV-D).
-    EXASIM_INFO() << "simulated process times: min=" << end_times.min()
-                  << "s max=" << end_times.max() << "s avg=" << end_times.mean() << "s";
-  }
+  // Shutdown timing statistics: minimum, maximum, and average simulated
+  // MPI process time (paper §IV-D).
+  EXASIM_INFO() << "simulated process times: min=" << end_times.min()
+                << "s max=" << end_times.max() << "s avg=" << end_times.mean() << "s";
   return result;
 }
 

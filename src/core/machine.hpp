@@ -73,16 +73,9 @@ struct SimConfig {
   /// detector reproduces the paper's simulator-internal broadcast exactly.
   resilience::DetectorSpec detector;
 
-  /// Error-handler policy installed on every process's world communicator at
-  /// startup (paper §IV-D; applications may override per communicator).
-  vmpi::ErrorHandlerKind default_error_handler = vmpi::ErrorHandlerKind::kFatal;
-
   /// Initial virtual clock for every process — the restart-continuity value
   /// read back from a SimTimeFile (paper §IV-E).
   SimTime initial_time = 0;
-
-  /// Print per-process timing statistics at shutdown (paper §IV-D).
-  bool print_stats = false;
 
   /// Record every MPI-level operation into an in-memory trace (expensive at
   /// scale; for performance investigation on small/medium machines).

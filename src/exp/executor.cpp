@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -67,7 +69,14 @@ void run_indexed(std::size_t n, int jobs, const std::function<void(std::size_t)>
     return;
   }
 
+  // A throwing item stops the claiming of new ones. Items are claimed in
+  // index order, so every item below the first one to throw was claimed and
+  // runs to its end; rethrowing the lowest index's exception after the join
+  // is exactly what the serial loop throws.
   std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = n;
+  std::exception_ptr error;
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
@@ -75,11 +84,22 @@ void run_indexed(std::size_t n, int jobs, const std::function<void(std::size_t)>
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
-        body(i);
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+          next.store(n, std::memory_order_relaxed);
+          return;
+        }
       }
     });
   }
   for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace detail

@@ -58,7 +58,9 @@ struct ItemOutcome {
 
 namespace detail {
 /// Runs body(i) for every i in [0, n) on up to `jobs` threads (inline when
-/// jobs <= 1). body must not throw — callers wrap it in a try/catch.
+/// jobs <= 1). If a body throws, no further index is claimed and the exception
+/// of the lowest throwing index is rethrown once every thread has joined —
+/// what the serial loop throws, at any job count.
 void run_indexed(std::size_t n, int jobs, const std::function<void(std::size_t)>& body);
 }  // namespace detail
 

@@ -1,34 +1,10 @@
 #include "util/pool.hpp"
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
 #include "util/counters.hpp"
-
-// ASan integration: blocks parked on a free list are poisoned so that a
-// use-after-free of pooled memory is reported just like one of heap memory
-// (the EXASIM_ASAN tier-1 leg). Without the sanitizer these are no-ops.
-#if defined(__SANITIZE_ADDRESS__)
-#define EXASIM_ASAN_POOL 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define EXASIM_ASAN_POOL 1
-#endif
-#endif
-#if defined(EXASIM_ASAN_POOL)
-extern "C" {
-void __asan_poison_memory_region(void const volatile* addr, std::size_t size);
-void __asan_unpoison_memory_region(void const volatile* addr, std::size_t size);
-}
-#define EXASIM_POISON(p, n) __asan_poison_memory_region((p), (n))
-#define EXASIM_UNPOISON(p, n) __asan_unpoison_memory_region((p), (n))
-#else
-#define EXASIM_POISON(p, n) ((void)0)
-#define EXASIM_UNPOISON(p, n) ((void)0)
-#endif
 
 namespace exasim::util {
 
@@ -36,8 +12,7 @@ namespace {
 
 // Block layout: [BlockHeader (16 B)][user bytes]. The header keeps the user
 // region 16-byte aligned, records provenance for pool_free, and doubles as
-// the free-list link while the block is parked (so the poisoned region never
-// includes the link).
+// the free-list link while the block is parked.
 struct BlockHeader {
   std::uint32_t magic;       ///< kPoolMagic or kHeapMagic.
   std::uint32_t size_class;  ///< Index into the class table (pool blocks).
@@ -78,11 +53,6 @@ std::size_t class_for(std::size_t bytes) {
   return kClassCount;  // Oversize: heap.
 }
 
-std::atomic<bool> g_pool_enabled{[] {
-  const char* env = std::getenv("EXASIM_NO_POOL");
-  return env == nullptr || env[0] == '\0' || env[0] == '0';
-}()};
-
 /// Per-thread pool state. Free-listed blocks live in slabs, which are
 /// process-lifetime (anchored in the registry), so a block freed by a
 /// short-lived worker thread stays valid wherever it migrated from. Its
@@ -117,23 +87,16 @@ void* heap_block(std::size_t bytes) {
 
 }  // namespace
 
-bool pool_enabled() { return g_pool_enabled.load(std::memory_order_relaxed); }
-
-void set_pool_enabled(bool enabled) {
-  g_pool_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void* pool_alloc(std::size_t bytes) {
   count(Counter::kPoolAllocs);
   const std::size_t c = class_for(bytes);
-  if (c >= kClassCount || !pool_enabled()) return heap_block(bytes);
+  if (!kPoolSlabs || c >= kClassCount) return heap_block(bytes);
 
   ThreadPool& tp = t_pool;
 
   if (BlockHeader* h = tp.free_list[c]; h != nullptr) {
     tp.free_list[c] = h->next;
     count(Counter::kPoolRecycled);
-    EXASIM_UNPOISON(h + 1, kClassSizes[c]);
     return h + 1;
   }
 
@@ -173,10 +136,8 @@ void pool_free(void* p) {
   }
   ThreadPool& tp = t_pool;
   // Pool block: park it on *this* thread's free list (migration — see
-  // header). The user region is poisoned while parked; the header holding
-  // the link stays accessible.
+  // header).
   const std::size_t c = h->size_class;
-  EXASIM_POISON(h + 1, kClassSizes[c]);
   h->next = tp.free_list[c];
   tp.free_list[c] = h;
 }

@@ -24,22 +24,33 @@ namespace exasim::util {
 // the window barriers, so no synchronization is needed at all.
 //
 // Provenance. Every block carries a 16-byte header recording whether it came
-// from a slab or the plain heap, so the runtime toggle (EXASIM_NO_POOL /
-// set_pool_enabled) can flip at any time: a block is always
-// returned the way it was obtained. Slabs live for the whole process (they
-// are anchored in a global registry, so leak checkers see them as reachable
-// and cross-thread block migration can never dangle).
+// from a slab or the plain heap (oversize requests), so pool_free returns a
+// block the way it was obtained. Slabs live for the whole process (they are
+// anchored in a global registry, so leak checkers see them as reachable and
+// cross-thread block migration can never dangle).
+//
+// AddressSanitizer builds take every block from the heap (kPoolSlabs is
+// false), so ASan sees redzones, quarantine and leaks for each one.
 //
 // Determinism. Pooling affects only *where* bytes live, never the engine's
 // (time, priority, source, seq) event order — the simulated schedule is
-// bit-identical with pools on or off, which tests/test_machine verifies.
+// bit-identical on either route, which the ASan leg of scripts/tier1.sh
+// checks against the pinned results of tests/test_machine and test_exp.
 // ---------------------------------------------------------------------------
 
-/// Whether pool_alloc serves from the slab pool (true) or falls through to
-/// the plain heap (false). Initialized from EXASIM_NO_POOL (set and nonzero
-/// disables pooling); flip at runtime via set_pool_enabled (tests, benches).
-bool pool_enabled();
-void set_pool_enabled(bool enabled);
+/// Whether pool_alloc serves requests up to kPoolMaxBytes from slabs (true)
+/// or every request from the heap (false: AddressSanitizer builds).
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kPoolSlabs = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kPoolSlabs = false;
+#else
+inline constexpr bool kPoolSlabs = true;
+#endif
+#else
+inline constexpr bool kPoolSlabs = true;
+#endif
 
 /// Largest request served from a slab; bigger blocks come from the heap.
 inline constexpr std::size_t kPoolMaxBytes = 65536;
@@ -51,8 +62,8 @@ inline constexpr std::size_t kPoolHeaderBytes = 16;
 /// std::bad_alloc like operator new.
 void* pool_alloc(std::size_t bytes);
 
-/// Returns a pool_alloc block. Safe from any thread and under any toggle
-/// state (provenance header). nullptr is ignored.
+/// Returns a pool_alloc block. Safe from any thread (provenance header).
+/// nullptr is ignored.
 void pool_free(void* p);
 
 }  // namespace exasim::util

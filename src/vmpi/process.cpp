@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <stdexcept>
@@ -19,11 +18,6 @@
 namespace exasim::vmpi {
 
 namespace {
-
-std::atomic<bool> g_eager_wakeup{[] {
-  const char* env = std::getenv("EXASIM_EAGER_WAKEUP");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}()};
 
 // Slab and intrusive-FIFO primitives over the matching engine's flat arrays
 // (element types carry a `next` index). A slab's free entries form a stack
@@ -77,10 +71,6 @@ std::size_t bucket_hash(int comm_id, Rank src) {
 }
 
 }  // namespace
-
-bool eager_wakeup_enabled() { return g_eager_wakeup.load(std::memory_order_relaxed); }
-
-void set_eager_wakeup(bool eager) { g_eager_wakeup.store(eager, std::memory_order_relaxed); }
 
 SimProcess::SimProcess(Rank world_rank, const ProcessShared& shared, SimTime initial_clock)
     : world_rank_(world_rank),
@@ -157,7 +147,7 @@ void SimProcess::maybe_run_fiber() {
   // Resume unless a recorded block condition says this wake cannot matter.
   // kNone (blocked outside a registered wait, or not blocked at all) always
   // resumes — the filter only ever skips provably spurious wakes.
-  if (eager_wakeup_enabled() || wait_kind_ == WaitKind::kNone || wake_pending_) {
+  if (shared_->config.eager_wakeup || wait_kind_ == WaitKind::kNone || wake_pending_) {
     wake_pending_ = false;
     run_fiber();
     return;

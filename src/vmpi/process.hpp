@@ -78,6 +78,10 @@ struct ProcessConfig {
   bool measured_compute = false;  ///< Also fold scaled native fiber CPU time
                                   ///< into the virtual clock (xSim's mode).
   CollectiveAlgo collective_algo = CollectiveAlgo::kLinear;  ///< Paper default.
+  /// Resume a blocked rank's fiber on every delivery instead of filtering
+  /// wakes against its recorded block condition (DESIGN.md §13). The
+  /// delivered schedule is identical either way; tests set it to prove that.
+  bool eager_wakeup = false;
 };
 
 /// Application entry point. Runs on the process's fiber with plain
@@ -295,7 +299,7 @@ class SimProcess final : public LogicalProcess {
   // would have been a pure no-op — the predicates are side-effect-free and
   // completion times never depend on when the fiber re-checks them — so the
   // delivered schedule is byte-identical to eager mode
-  // (EXASIM_EAGER_WAKEUP=1 disables the filter to prove it).
+  // (ProcessConfig::eager_wakeup disables the filter to prove it).
   enum class WaitKind : std::uint8_t { kNone, kRequests, kProbe };
   void register_probe_wait(int comm_id, Rank src, Rank src_world, int tag);
   void clear_wait();
@@ -470,13 +474,6 @@ class SimProcess final : public LogicalProcess {
   // those frames reference the context/request/comm state above.
   Fiber fiber_;
 };
-
-/// Whether spurious fiber resumes are allowed (true) or filtered against the
-/// recorded block condition (false, the default). Initialized from
-/// EXASIM_EAGER_WAKEUP (set and nonzero = eager); the delivered schedule is
-/// identical either way — the hatch exists to prove it and to bisect.
-bool eager_wakeup_enabled();
-void set_eager_wakeup(bool eager);
 
 inline void SimProcess::advance_clock(SimTime dt, bool busy) {
   (busy ? busy_time_ : comm_time_) += dt;

@@ -196,8 +196,8 @@ TEST_F(Cli, ParsesStorageAndCkptMode) {
 
 TEST_F(Cli, RejectsMalformedOptions) {
   // --scheduler and --speculate are unknown: the sharded engine has one
-  // window rule (DESIGN.md §11). --no-pool is unknown: parsing never flips
-  // the process-wide pool switch (EXASIM_NO_POOL does, where it acts).
+  // window rule (DESIGN.md §11). --no-pool is unknown: the memory pools have
+  // no switch (DESIGN.md §9).
   for (auto bad : {"--ranks=abc", "--mttf=xyz", "--distribution=bogus", "--unknown=1",
                    "--failures=nope", "--ranks", "--verbose=1", "--replicates=0",
                    "--scheduler=fixed", "--speculate=8", "--no-pool"}) {
@@ -401,9 +401,8 @@ TEST(CliTable, UsageListsEveryOption) {
       EXPECT_NE(usage.find(o.env), std::string::npos) << o.env;
     }
   }
-  for (const char* host : {"EXASIM_JOBS", "EXASIM_NO_POOL", "EXASIM_EAGER_WAKEUP"}) {
-    EXPECT_NE(usage.find(host), std::string::npos) << host;
-  }
+  // The one host switch outside the table.
+  EXPECT_NE(usage.find("EXASIM_JOBS"), std::string::npos);
 }
 
 // The tier-1 environment legs reach their suites only through tiny_config():

@@ -1,11 +1,14 @@
 // Tests for the exp experiment subsystem: plan enumeration, seed derivation
 // stability, the parallel executor's determinism contract (identical result
-// tables for any job count), and per-item error reporting.
+// tables for any job count), per-item error reporting and per-run switches.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <latch>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,7 +21,6 @@
 #include "metrics/table.hpp"
 #include "sim_test_util.hpp"
 #include "util/log.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 using namespace exasim;
@@ -139,26 +141,6 @@ TEST(ParallelExecutor, ResultTableIdenticalForAnyJobCount) {
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, campaign_csv(4));
   EXPECT_EQ(serial, campaign_csv(exp::hardware_jobs()));
-}
-
-TEST(ParallelExecutor, ResultTableIdenticalWithPoolingOff) {
-  // The hot-path memory pools (DESIGN.md §9) must be invisible to campaign
-  // results: the same table for pooling {on, off} x jobs {1, 4}. The
-  // parallel/pooled case is where per-thread free lists and cross-thread
-  // block migration actually engage.
-  Log::set_level(LogLevel::kOff);
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(true);
-  const std::string pooled = campaign_csv(1);
-  const std::string pooled_parallel = campaign_csv(4);
-  util::set_pool_enabled(false);
-  const std::string heap = campaign_csv(1);
-  const std::string heap_parallel = campaign_csv(4);
-  util::set_pool_enabled(before);
-  EXPECT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, pooled_parallel);
-  EXPECT_EQ(pooled, heap);
-  EXPECT_EQ(pooled, heap_parallel);
 }
 
 TEST(ParallelExecutor, ThrowingEvaluateIsReportedPerItem) {
@@ -299,5 +281,68 @@ TEST(ParallelExecutor, ConcurrentRunsCountOnlyTheirOwnTraffic) {
     }
     EXPECT_GT(solo.run_results[0].perf.ckpt_stages, 0u);
     EXPECT_GT(solo.run_results[0].perf.fanout_notices, 0u);
+  }
+}
+
+TEST(ParallelExecutor, EagerAndFilteredRunsSideBySideKeepTheirOwnDispatch) {
+  // The wakeup filter's switch belongs to a run (ProcessConfig::eager_wakeup,
+  // DESIGN.md §13). An eager and a filtered simulation run side by side, held
+  // together at rank 0's first entry: they deliver the same schedule, and
+  // only the filtered one skips resumes.
+  Log::set_level(LogLevel::kOff);
+  std::latch overlap(2);
+  auto run = [&overlap](bool eager) {
+    core::SimConfig cfg = test::tiny_config(8);
+    cfg.process.eager_wakeup = eager;
+    return test::run_app(cfg, [&overlap](vmpi::Context& ctx) {
+      std::uint64_t v = static_cast<std::uint64_t>(ctx.rank());
+      if (ctx.rank() == 0) {
+        overlap.arrive_and_wait();
+        // Reverse source order: while rank 0 waits on the highest source,
+        // every lower-source arrival is unexpected, a wake the filter skips.
+        for (int src = ctx.size() - 1; src >= 1; --src) ctx.recv(src, 0, &v, sizeof v);
+      } else {
+        ctx.send(0, 0, &v, sizeof v);
+      }
+      ctx.finalize();
+    });
+  };
+  ParallelExecutor pool(ExecutorOptions{2, {}});
+  const auto pair = pool.map(2, [&](std::size_t i) { return run(i == 0); });
+  ASSERT_TRUE(pair[0].ok()) << pair[0].error;
+  ASSERT_TRUE(pair[1].ok()) << pair[1].error;
+  const core::SimResult& eager = *pair[0];
+  const core::SimResult& filtered = *pair[1];
+  auto simulated = [](const core::SimResult& r) {
+    const std::string json = core::sim_result_json(r);
+    return json.substr(0, json.find(",\"wall_seconds\""));
+  };
+  EXPECT_EQ(eager.outcome, core::SimResult::Outcome::kCompleted);
+  EXPECT_EQ(simulated(eager), simulated(filtered));
+  EXPECT_EQ(eager.perf.wakeups_suppressed, 0u);
+  EXPECT_GT(filtered.perf.wakeups_suppressed, 0u);
+  EXPECT_GT(eager.perf.fiber_resumes, filtered.perf.fiber_resumes);
+}
+
+TEST(ParallelExecutor, ThrowingJobIsRethrownAtAnyJobCount) {
+  // exp::detail::run_indexed (under map, which catches per item) lets a
+  // job's exception out once every thread has joined: the lowest throwing
+  // index's, as the serial loop throws it, at any job count.
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    std::atomic<bool> ran_first{false};
+    try {
+      exp::detail::run_indexed(4, jobs, [&](std::size_t i) {
+        if (i == 0) ran_first = true;
+        if (i == 1) throw std::invalid_argument("job 1");
+        if (i == 3) throw std::runtime_error("job 3");
+      });
+      ADD_FAILURE() << "no exception left run_indexed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "job 1");
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "rethrew " << e.what() << ", want job 1";
+    }
+    EXPECT_TRUE(ran_first);
   }
 }

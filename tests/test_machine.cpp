@@ -14,7 +14,6 @@
 #include "resilience/detector.hpp"
 #include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
-#include "util/pool.hpp"
 #include "vmpi/context.hpp"
 
 namespace exasim {
@@ -204,9 +203,9 @@ TEST(Machine, EventsProcessedIsReported) {
 
 TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {
   // A failing heat3d launch must produce the same SimResult on one engine
-  // worker and on four — the sharded engine delivers the identical event
-  // schedule, so every simulated quantity matches. (events_processed and
-  // causality_violations are excluded: a stop request takes effect after
+  // worker and on two or four — the sharded engine delivers the identical
+  // event schedule, so every simulated quantity matches. (events_processed
+  // and causality_violations are excluded: a stop request takes effect after
   // the current *event* sequentially but after the current *window* in
   // parallel, so the post-abort drain length may differ.)
   apps::HeatParams p;
@@ -224,25 +223,28 @@ TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {
     return run_app(cfg, apps::make_heat3d(p), &store);
   };
   const SimResult r1 = run_with(1);
-  const SimResult r4 = run_with(4);
   EXPECT_EQ(r1.outcome, SimResult::Outcome::kAborted);
-  EXPECT_EQ(r4.outcome, r1.outcome);
-  EXPECT_EQ(r4.max_end_time, r1.max_end_time);
-  EXPECT_EQ(r4.min_end_time, r1.min_end_time);
-  EXPECT_DOUBLE_EQ(r4.avg_end_time_sec, r1.avg_end_time_sec);
-  ASSERT_EQ(r4.activated_failures.size(), r1.activated_failures.size());
-  for (std::size_t i = 0; i < r1.activated_failures.size(); ++i) {
-    EXPECT_EQ(r4.activated_failures[i], r1.activated_failures[i]);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const SimResult r = run_with(workers);
+    EXPECT_EQ(r.outcome, r1.outcome);
+    EXPECT_EQ(r.max_end_time, r1.max_end_time);
+    EXPECT_EQ(r.min_end_time, r1.min_end_time);
+    EXPECT_DOUBLE_EQ(r.avg_end_time_sec, r1.avg_end_time_sec);
+    ASSERT_EQ(r.activated_failures.size(), r1.activated_failures.size());
+    for (std::size_t i = 0; i < r1.activated_failures.size(); ++i) {
+      EXPECT_EQ(r.activated_failures[i], r1.activated_failures[i]);
+    }
+    EXPECT_EQ(r.abort_time, r1.abort_time);
+    EXPECT_EQ(r.abort_origin, r1.abort_origin);
+    EXPECT_EQ(r.finished_count, r1.finished_count);
+    EXPECT_EQ(r.failed_count, r1.failed_count);
+    EXPECT_EQ(r.aborted_count, r1.aborted_count);
+    EXPECT_EQ(r.deadlocked_ranks, r1.deadlocked_ranks);
+    EXPECT_EQ(r.total_busy_time, r1.total_busy_time);
+    EXPECT_EQ(r.total_comm_time, r1.total_comm_time);
+    EXPECT_DOUBLE_EQ(r.compute_fraction, r1.compute_fraction);
   }
-  EXPECT_EQ(r4.abort_time, r1.abort_time);
-  EXPECT_EQ(r4.abort_origin, r1.abort_origin);
-  EXPECT_EQ(r4.finished_count, r1.finished_count);
-  EXPECT_EQ(r4.failed_count, r1.failed_count);
-  EXPECT_EQ(r4.aborted_count, r1.aborted_count);
-  EXPECT_EQ(r4.deadlocked_ranks, r1.deadlocked_ranks);
-  EXPECT_EQ(r4.total_busy_time, r1.total_busy_time);
-  EXPECT_EQ(r4.total_comm_time, r1.total_comm_time);
-  EXPECT_DOUBLE_EQ(r4.compute_fraction, r1.compute_fraction);
 }
 
 TEST(Machine, ResultJsonIsWorkerInvariant) {
@@ -404,63 +406,6 @@ TEST(Machine, LinkLevelNetworkIsWorkerInvariant) {
     EXPECT_EQ(r.total_busy_time, ref.total_busy_time);
     EXPECT_EQ(r.total_comm_time, ref.total_comm_time);
     EXPECT_DOUBLE_EQ(r.compute_fraction, ref.compute_fraction);
-  }
-}
-
-TEST(Machine, PoolingDoesNotChangeSimulatedResults) {
-  // The Table II invariance contract of DESIGN.md §9: the memory pools are
-  // invisible to the simulation. The same failing heat3d launch must produce
-  // identical simulated quantities for pooling {on, off} x workers {1,2,4};
-  // every combination is compared against the pooled sequential reference.
-  apps::HeatParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.px = p.py = p.pz = 2;
-  p.total_iterations = 40;
-  p.halo_interval = 10;
-  p.checkpoint_interval = 10;
-  auto run_with = [&](int workers, bool pooled) {
-    const bool before = util::pool_enabled();
-    util::set_pool_enabled(pooled);
-    core::SimConfig cfg = tiny_config(8);
-    cfg.sim_workers = workers;
-    cfg.ranks_per_node = 2;
-    cfg.failures = {FailureSpec{3, sim_us(50)}};
-    ckpt::CheckpointStore store(8);
-    SimResult r = run_app(cfg, apps::make_heat3d(p), &store);
-    util::set_pool_enabled(before);
-    return r;
-  };
-  const SimResult ref = run_with(1, true);
-  EXPECT_EQ(ref.outcome, SimResult::Outcome::kAborted);
-  for (int workers : {1, 2, 4}) {
-    for (bool pooled : {true, false}) {
-      if (workers == 1 && pooled) continue;
-      const SimResult r = run_with(workers, pooled);
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " pooled=" + std::to_string(pooled));
-      EXPECT_EQ(r.outcome, ref.outcome);
-      EXPECT_EQ(r.max_end_time, ref.max_end_time);
-      EXPECT_EQ(r.min_end_time, ref.min_end_time);
-      EXPECT_DOUBLE_EQ(r.avg_end_time_sec, ref.avg_end_time_sec);
-      ASSERT_EQ(r.activated_failures.size(), ref.activated_failures.size());
-      for (std::size_t i = 0; i < ref.activated_failures.size(); ++i) {
-        EXPECT_EQ(r.activated_failures[i], ref.activated_failures[i]);
-      }
-      EXPECT_EQ(r.abort_time, ref.abort_time);
-      EXPECT_EQ(r.abort_origin, ref.abort_origin);
-      EXPECT_EQ(r.finished_count, ref.finished_count);
-      EXPECT_EQ(r.failed_count, ref.failed_count);
-      EXPECT_EQ(r.aborted_count, ref.aborted_count);
-      EXPECT_EQ(r.deadlocked_ranks, ref.deadlocked_ranks);
-      EXPECT_EQ(r.total_busy_time, ref.total_busy_time);
-      EXPECT_EQ(r.total_comm_time, ref.total_comm_time);
-      EXPECT_DOUBLE_EQ(r.compute_fraction, ref.compute_fraction);
-      // Sequential runs also process the identical event count; parallel
-      // ones may drain differently after the abort (see the test above).
-      if (workers == 1) {
-        EXPECT_EQ(r.events_processed, ref.events_processed);
-      }
-    }
   }
 }
 

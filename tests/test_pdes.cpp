@@ -17,7 +17,6 @@
 #include "pdes/event_queue.hpp"
 #include "pdes/sim_workers.hpp"
 #include "util/counters.hpp"
-#include "util/pool.hpp"
 #include "util/rng.hpp"
 
 namespace exasim {
@@ -286,23 +285,6 @@ TEST(ShardedEngine, StormRunsEightWindowsAtAnyWorkerCount) {
     const util::Counters run = util::thread_counters() - before;
     EXPECT_EQ(run[util::Counter::kSchedWindows], 8u) << "workers=" << workers;
   }
-}
-
-TEST(ShardedEngine, EventStormTraceIsPoolingInvariant) {
-  // StormPayload allocation goes through the pooled EventPayload operator
-  // new; the delivered schedule must not depend on where payload bytes live
-  // (DESIGN.md §9), sequentially or across worker threads.
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(true);
-  std::uint64_t pooled_count = 0;
-  const std::string pooled = run_storm(4, &pooled_count);
-  util::set_pool_enabled(false);
-  for (int workers : {1, 4}) {
-    std::uint64_t count = 0;
-    EXPECT_EQ(run_storm(workers, &count), pooled) << "workers=" << workers;
-    EXPECT_EQ(count, pooled_count) << "workers=" << workers;
-  }
-  util::set_pool_enabled(before);
 }
 
 TEST(ShardedEngine, EventExactlyAtWindowBoundIsDelivered) {

@@ -370,9 +370,8 @@ TEST(ResilienceSim, FailureNoticeForcesProbeWakeupUnderFiltering) {
   // honor that flip (wake_pending_) when the next unrelated event arrives —
   // identically to eager dispatch, where the same arrival triggers a re-scan.
   auto run_mode = [&](bool eager, Err* got, SimTime* released_at) {
-    const bool before = vmpi::eager_wakeup_enabled();
-    vmpi::set_eager_wakeup(eager);
     auto cfg = tiny_config(3);
+    cfg.process.eager_wakeup = eager;
     cfg.failures = {FailureSpec{1, sim_ms(1)}};
     auto app = [&](Context& ctx) {
       ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
@@ -394,9 +393,7 @@ TEST(ResilienceSim, FailureNoticeForcesProbeWakeupUnderFiltering) {
       }
       ctx.finalize();
     };
-    SimResult r = run_app(cfg, app);
-    vmpi::set_eager_wakeup(before);
-    return r;
+    return run_app(cfg, app);
   };
   Err got_f = Err::kSuccess, got_e = Err::kSuccess;
   SimTime rel_f = 0, rel_e = 0;

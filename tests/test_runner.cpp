@@ -5,6 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/heat3d.hpp"
 #include "core/runner.hpp"
@@ -178,6 +185,84 @@ TEST(Runner, WritesSimTimeFileWhenConfigured) {
   core::SimTimeFile f(path);
   EXPECT_EQ(f.load(), res.total_time);
   f.reset();
+}
+
+
+// ---- The bench_smoke golden row, eager and filtered (DESIGN.md §13) --------
+
+/// BENCH_baseline.json's "workload": the golden row of scripts/bench_smoke.sh.
+constexpr const char* kGoldenRow =
+    "heat3d --ranks=1024 --topology=torus:16x8x8 --link-latency=1us --bandwidth=32e9 "
+    "--overhead=500ns --eager-threshold=262144 --failure-timeout=100ms --slowdown=1000 "
+    "--ns-per-unit=1281 --stack-bytes=65536 "
+    "--app-params=nx=128,px=16,py=8,pz=8,iters=400,interval=50 --mttf=800s --seed=1";
+
+std::string read_source_file(const std::string& relative) {
+  std::ifstream in(std::string(EXASIM_SOURCE_DIR) + "/" + relative);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The top-level "key": value pairs of a flat JSON object, in either
+/// sim_result_json's compact form or jq's sorted, indented one.
+std::map<std::string, std::string> json_fields(const std::string& json) {
+  static const std::regex field(R"re("(\w+)"\s*:\s*(\[[^\]]*\]|"[^"]*"|[^,}\s]+))re");
+  std::map<std::string, std::string> out;
+  for (std::sregex_iterator it(json.begin(), json.end(), field), end; it != end; ++it) {
+    out[(*it)[1]] = (*it)[2];
+  }
+  return out;
+}
+
+TEST(GoldenRow, EagerAndFilteredMatchTheBenchSmokeGolden) {
+  // The filter only skips resumes that could not matter, so eager and
+  // filtered dispatch must both reproduce the golden, on 1 and 2 engine
+  // workers. Compute is modeled: the golden's PFS is free, so skipping the
+  // native stencil changes no simulated byte, and the row runs in a blink.
+  ASSERT_NE(read_source_file("BENCH_baseline.json").find(kGoldenRow), std::string::npos)
+      << "kGoldenRow is no longer BENCH_baseline.json's workload";
+  auto golden = json_fields(read_source_file("scripts/bench_smoke_result.golden.json"));
+  ASSERT_EQ(golden.size(), 18u);
+
+  std::istringstream words(kGoldenRow);
+  std::vector<std::string> args{"test"};
+  for (std::string w; words >> w;) {
+    if (w.rfind("--app-params=", 0) != 0) args.push_back(w);
+  }
+  std::vector<const char*> argv;
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  std::string error;
+  const auto options = core::parse_cli(static_cast<int>(argv.size()), argv.data(), &error);
+  ASSERT_TRUE(options.has_value()) << error;
+  HeatParams heat;
+  heat.nx = heat.ny = heat.nz = 128;
+  heat.px = 16;
+  heat.py = heat.pz = 8;
+  heat.total_iterations = 400;
+  heat.halo_interval = heat.checkpoint_interval = 50;
+  heat.real_compute = false;
+  const vmpi::AppMain app = apps::make_heat3d(heat);
+
+  for (const bool eager : {false, true}) {
+    for (const int workers : {1, 2}) {
+      SCOPED_TRACE(std::string(eager ? "eager" : "filtered") + " workers=" +
+                   std::to_string(workers));
+      RunnerConfig rc = core::runner_config_from(*options);
+      rc.base.sim_workers = workers;
+      rc.base.process.eager_wakeup = eager;
+      const RunnerResult res = ResilientRunner(rc, app).run();
+      ASSERT_FALSE(res.run_results.empty());
+      auto got = json_fields(core::sim_result_json(res.run_results.back()));
+      got.erase("wall_seconds");
+      got.erase("events_per_sec");
+      EXPECT_EQ(got, golden);
+      const std::uint64_t suppressed = res.run_results.back().perf.wakeups_suppressed;
+      if (eager) {
+        EXPECT_EQ(suppressed, 0u);
+      } else {
+        EXPECT_GT(suppressed, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

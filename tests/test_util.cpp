@@ -248,7 +248,7 @@ using util::Counter;
 std::uint64_t heap_allocs() { return util::thread_counters()[Counter::kPoolHeapAllocs]; }
 
 TEST(Pool, RecyclesWithinSizeClass) {
-  if (!util::pool_enabled()) GTEST_SKIP() << "pooling disabled in this run";
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   const util::Counters s0 = util::thread_counters();
   void* a = util::pool_alloc(48);
   util::pool_free(a);
@@ -262,24 +262,13 @@ TEST(Pool, RecyclesWithinSizeClass) {
   EXPECT_EQ(d[Counter::kPoolHeapAllocs], 0u);
 }
 
-TEST(Pool, OversizeAndDisabledFallBackToHeap) {
+TEST(Pool, OversizeFallsBackToHeap) {
   // Larger than the biggest size class: heap-routed, still freed correctly.
   const std::uint64_t h0 = heap_allocs();
   void* big = util::pool_alloc(1 << 20);
   ASSERT_NE(big, nullptr);
   util::pool_free(big);
-  const std::uint64_t h1 = heap_allocs();
-  EXPECT_EQ(h1 - h0, 1u);
-
-  // Blocks allocated while pooling is off carry the heap provenance header,
-  // so freeing them after pooling is re-enabled must route to the heap.
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(false);
-  void* p = util::pool_alloc(64);
-  util::set_pool_enabled(true);
-  util::pool_free(p);
-  util::set_pool_enabled(before);
-  EXPECT_EQ(heap_allocs() - h1, 1u);
+  EXPECT_EQ(heap_allocs() - h0, 1u);
 }
 
 TEST(Pool, AllocationsAreWritableAndDistinct) {
@@ -332,8 +321,7 @@ TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
   static_assert(sizeof(vmpi::MsgPayload) == 32, "an attachment header is 32 bytes");
   static_assert(sizeof(vmpi::Envelope) == EventInline::kBytes,
                 "the envelope fills the event's inline area");
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   const std::vector<std::byte> src(util::kPoolMaxBytes, std::byte{0x5a});
   const std::size_t largest_pooled = util::kPoolMaxBytes - sizeof(vmpi::MsgPayload);
   auto heap_allocs_of = [&src](std::size_t n) {
@@ -345,23 +333,6 @@ TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
   EXPECT_EQ(heap_allocs_of(48), 0u);
   EXPECT_EQ(heap_allocs_of(largest_pooled), 0u);
   EXPECT_EQ(heap_allocs_of(largest_pooled + 1), 1u);
-  util::set_pool_enabled(before);
-}
-
-TEST(MsgPayloadBlock, SameBytesWithPoolingOff) {
-  // EXASIM_NO_POOL=1 flips the same switch: every block comes from the heap,
-  // and the bytes are the same.
-  const bool before = util::pool_enabled();
-  util::set_pool_enabled(false);
-  const std::uint64_t h0 = heap_allocs();
-  for (const std::size_t n : kRoundTripSizes) expect_round_trip(n);
-  EXPECT_EQ(heap_allocs() - h0, std::size(kRoundTripSizes));
-  // A heap block built while pooling was off is freed correctly after it is
-  // back on (provenance header).
-  auto msg = vmpi::MsgPayload::make(vmpi::RequestHandle{}, nullptr, 0);
-  util::set_pool_enabled(true);
-  msg.reset();
-  util::set_pool_enabled(before);
 }
 
 }  // namespace

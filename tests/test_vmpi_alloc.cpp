@@ -163,15 +163,11 @@ std::uint64_t halo_run_allocs(int iters, int* errors) {
 }
 
 TEST(VmpiAlloc, SteadyStateHaloMessagesStayOffTheHeap) {
-  // The guard is about the default, pooled hot path; EXASIM_NO_POOL sends
-  // every event payload to the heap by design.
-  const bool pooled_before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   int errors = 0;
   halo_run_allocs(5, &errors);  // Warm the process-wide pools and stack cache.
   const std::uint64_t a20 = halo_run_allocs(20, &errors);
   const std::uint64_t a40 = halo_run_allocs(40, &errors);
-  util::set_pool_enabled(pooled_before);
   ASSERT_EQ(errors, 0);
   const double extra_messages = 20.0 * kRanks * kNeighbours;
   const double per_message = (static_cast<double>(a40) - static_cast<double>(a20)) /
@@ -203,13 +199,11 @@ std::uint64_t heat3d_halo_allocs(int iters, int* errors) {
 }
 
 TEST(VmpiAlloc, Heat3dHaloExchangeStaysOffTheHeap) {
-  const bool pooled_before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   int errors = 0;
   heat3d_halo_allocs(5, &errors);  // Warm the pools.
   const std::uint64_t a20 = heat3d_halo_allocs(20, &errors);
   const std::uint64_t a40 = heat3d_halo_allocs(40, &errors);
-  util::set_pool_enabled(pooled_before);
   ASSERT_EQ(errors, 0);
   const double per_iteration = (static_cast<double>(a40) - static_cast<double>(a20)) /
                                (20.0 * kRanks);
@@ -240,13 +234,11 @@ std::uint64_t heat3d_ckpt_allocs(int iters, int* errors) {
 }
 
 TEST(VmpiAlloc, ModeledHeat3dCheckpointAllocatesOncePerRank) {
-  const bool pooled_before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   int errors = 0;
   heat3d_ckpt_allocs(5, &errors);  // Warm the pools.
   const std::uint64_t a10 = heat3d_ckpt_allocs(10, &errors);
   const std::uint64_t a20 = heat3d_ckpt_allocs(20, &errors);
-  util::set_pool_enabled(pooled_before);
   ASSERT_EQ(errors, 0);
   const double per_checkpoint = (static_cast<double>(a20) - static_cast<double>(a10)) /
                                 (10.0 * kRanks);
@@ -319,8 +311,7 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesNoPoolBytes) {
   // event alone, envelope inline, so none of them takes a pool block. The
   // run gets a thread of its own, whose pool starts empty, so its saved
   // stack images are carved: those blocks are all the run may carve.
-  const bool pooled_before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   constexpr int kBigDim = 16;
   constexpr int kBigRanks = kBigDim * kBigDim * kBigDim;
   core::SimConfig cfg = halo_config(kBigDim);
@@ -332,7 +323,6 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesNoPoolBytes) {
     res = test::run_app(std::move(cfg), halo_app(kBigDim, 1, &errors));
     counts = util::thread_counters();
   }).join();
-  util::set_pool_enabled(pooled_before);
   ASSERT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
   ASSERT_EQ(errors, 0);
   const std::uint64_t images = counts[util::Counter::kStackImageBytes];
@@ -434,13 +424,11 @@ std::int64_t heat3d_heap_high_water(int ranks) {
 TEST(VmpiAlloc, HeapHighWaterStaysWithin2900BytesPerRank) {
   // The event pool keeps its slabs, so warming it at the larger size takes
   // its bytes out of both measurements (the in-flight guard above bounds
-  // them). EXASIM_NO_POOL would put every message on the heap instead.
-  const bool pooled_before = util::pool_enabled();
-  util::set_pool_enabled(true);
+  // them).
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   heat3d_heap_high_water(4096);  // Warm the pools and the stack cache.
   const std::int64_t h2k = heat3d_heap_high_water(2048);
   const std::int64_t h4k = heat3d_heap_high_water(4096);
-  util::set_pool_enabled(pooled_before);
   const double per_rank = static_cast<double>(h4k - h2k) / 2048.0;
   std::printf("heap high-water: 2048 ranks %lld B, 4096 ranks %lld B, %.0f B per rank\n",
               static_cast<long long>(h2k), static_cast<long long>(h4k), per_rank);

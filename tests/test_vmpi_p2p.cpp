@@ -482,10 +482,8 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
   // Fan-in: rank 0 receives from every peer in rank order, so most arrivals
   // reach it while it is blocked on a receive they cannot complete. The
   // filtered dispatcher must suppress those resumes (counted) without
-  // changing any simulated quantity vs EXASIM_EAGER_WAKEUP-style dispatch.
+  // changing any simulated quantity vs eager dispatch.
   auto run_mode = [&](bool eager) {
-    const bool before = vmpi::eager_wakeup_enabled();
-    vmpi::set_eager_wakeup(eager);
     auto app = [](Context& ctx) {
       std::uint64_t v = static_cast<std::uint64_t>(ctx.rank());
       if (ctx.rank() == 0) {
@@ -502,9 +500,9 @@ TEST(P2P, WakeupFilterMatchesEagerFieldForField) {
       }
       ctx.finalize();
     };
-    SimResult r = run_app(tiny_config(8), app);
-    vmpi::set_eager_wakeup(before);
-    return r;
+    core::SimConfig cfg = tiny_config(8);
+    cfg.process.eager_wakeup = eager;
+    return run_app(cfg, app);
   };
   const SimResult filtered = run_mode(false);
   const SimResult eager = run_mode(true);
@@ -549,8 +547,10 @@ SimResult halo_loop(core::SimConfig cfg, int dim, int iters) {
 }
 
 /// The 64-rank 4x4x4 halo loop; returns the result and the fiber resumes.
-SimResult halo_loop(int iters, std::uint64_t* resumes) {
-  SimResult res = halo_loop(tiny_config(64), 4, iters);
+SimResult halo_loop(int iters, std::uint64_t* resumes, bool eager = false) {
+  core::SimConfig cfg = tiny_config(64);
+  cfg.process.eager_wakeup = eager;
+  SimResult res = halo_loop(std::move(cfg), 4, iters);
   *resumes = res.perf.fiber_resumes;
   return res;
 }
@@ -567,14 +567,10 @@ TEST(P2P, HaloWaitallResumesOncePerWait) {
   // arrive, so each waitall blocks; the six arrivals complete its requests
   // one by one and only the last may resume the fiber. Two loop lengths
   // cancel the start-up and finalize resumes.
-  const bool before = vmpi::eager_wakeup_enabled();
-  vmpi::set_eager_wakeup(false);
   std::uint64_t r20 = 0, r40 = 0, eager20 = 0;
   const SimResult filtered = halo_loop(20, &r20);
   halo_loop(40, &r40);
-  vmpi::set_eager_wakeup(true);
-  const SimResult eager = halo_loop(20, &eager20);
-  vmpi::set_eager_wakeup(before);
+  const SimResult eager = halo_loop(20, &eager20, /*eager=*/true);
   EXPECT_EQ(filtered.outcome, SimResult::Outcome::kCompleted);
   EXPECT_EQ(r40 - r20, 20u * 64u);  // One resume per rank per waitall.
   EXPECT_GT(eager20, r20);
