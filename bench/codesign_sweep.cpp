@@ -30,7 +30,6 @@
 #include "apps/heat3d.hpp"
 #include "core/runner.hpp"
 #include "exp/axes.hpp"
-#include "exp/emit.hpp"
 #include "exp/executor.hpp"
 #include "exp/plan.hpp"
 #include "metrics/table.hpp"
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   });
 
   const double budget_j = 800.0;  // Energy budget per completed run.
-  exp::ResultTable table({"topology", "collectives", "C", "E2", "F", "energy", "in budget"});
+  TablePrinter table({"topology", "collectives", "C", "E2", "F", "energy", "in budget"});
   std::size_t best_point = plan.point_count();
   double best_e2 = 1e300;
   for (std::size_t i = 0; i < plan.point_count(); ++i) {
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
     return collect(core::ResilientRunner(rc, apps::make_heat3d(heat)).run());
   });
 
-  exp::ResultTable table2({"routing", "failure detector", "E2", "F", "energy"});
+  TablePrinter table2({"routing", "failure detector", "E2", "F", "energy"});
   for (std::size_t i = 0; i < plan2.point_count(); ++i) {
     const exp::Point& p = plan2.point(i);
     const Outcome& out = *outcomes2[i];

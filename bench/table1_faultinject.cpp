@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < csv_begin; ++i) print_campaign(labels[i], *outcomes[i]);
 
-  CsvWriter csv({"victim", "target", "victims", "injections", "min", "max", "mean", "median",
-                 "mode", "stddev"});
+  TablePrinter csv({"victim", "target", "victims", "injections", "min", "max", "mean", "median",
+                    "mode", "stddev"});
   for (std::size_t i = csv_begin; i < configs.size(); ++i) {
     const CampaignResult& r = *outcomes[i];
     const auto& s = r.injections_to_failure;
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
                  TablePrinter::num(s.mean(), 2), TablePrinter::num(s.median(), 0),
                  TablePrinter::num(s.mode(), 0), TablePrinter::num(s.stddev(), 2)});
   }
-  if (csv.write_file("table1.csv")) {
+  if (csv.write_csv("table1.csv")) {
     std::printf("(machine-readable copy written to table1.csv)\n");
   }
   return 0;

@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"MTTF_s", "C", "E1", "E2", "F", "MTTF_a",
                       "paper E2", "paper F", "paper MTTF_a"});
-  CsvWriter csv({"mttf_s", "c", "e1_s", "e2_s", "f", "mttf_a_s", "paper_e2_s", "paper_f",
-                 "paper_mttf_a_s"});
+  TablePrinter csv({"mttf_s", "c", "e1_s", "e2_s", "f", "mttf_a_s", "paper_e2_s", "paper_f",
+                    "paper_mttf_a_s"});
 
   const PaperRow paper_rows[] = {
       {6000, 500, 5258, 7957, 1, 3978}, {6000, 250, 6377, 7074, 1, 3537},
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
                  TablePrinter::integer(row.f), TablePrinter::num(row.mttf_a, 0)});
   }
   table.print();
-  if (csv.write_file("table2.csv")) {
+  if (csv.write_csv("table2.csv")) {
     std::printf("\n(machine-readable copy written to table2.csv)\n");
   }
 

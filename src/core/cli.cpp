@@ -59,12 +59,11 @@ const std::vector<CliOption>& cli_options() {
        [](O& o, V v) { return assign(o.machine.net.eager_threshold, parse_u64(v)); }},
       {"failure-timeout", "DUR", nullptr, "network failure-detection timeout",
        [](O& o, V v) { return assign(o.machine.net.failure_timeout, parse_duration(v)); }},
-      {"routing", "deterministic|adaptive[:spread=K]", "EXASIM_ROUTING",
+      {"routing", "deterministic|adaptive[:spread=K]", nullptr,
        "route-variant policy over equal-cost minimal routes; adaptive spreads flows keyed by "
        "(src,dst,seq); default deterministic",
        [](O& o, V v) { return keep_spec(o.machine.routing, v, parse_routing_spec(v)); }},
-      {"link-timeouts", "uniform[:LO..HI[,seed=N]]|hot:ID=DUR[;..]|plane:P=DUR[;..]",
-       "EXASIM_LINK_TIMEOUTS",
+      {"link-timeouts", "uniform[:LO..HI[,seed=N]]|hot:ID=DUR[;..]|plane:P=DUR[;..]", nullptr,
        "per-link failure-timeout overrides; pair timeout = max over the route's links; "
        "default uniform",
        [](O& o, V v) { return assign(o.machine.net.link_timeouts, parse_link_timeout_spec(v)); }},
@@ -79,7 +78,7 @@ const std::vector<CliOption>& cli_options() {
        [](O& o, V v) { return assign(o.machine.proc.slowdown, positive(v)); }},
       {"ns-per-unit", "X", nullptr, "reference-core nanoseconds per modeled work unit",
        [](O& o, V v) { return assign(o.machine.proc.reference_ns_per_unit, parse_double(v)); }},
-      {"storage", "pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]", "EXASIM_STORAGE",
+      {"storage", "pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]", nullptr,
        "storage hierarchy; tier keys bw, cbw, lat, cap, contend; '+' accepted for ';'; "
        "default pfs, a single free PFS tier",
        [](O& o, V v) { return keep_spec(o.machine.storage, v, parse_storage_spec(v)); }},
@@ -93,7 +92,7 @@ const std::vector<CliOption>& cli_options() {
       {"failure-detector",
        "paper-instant|timeout|heartbeat[:period=DUR][,miss=N]|gossip[:period=DUR][,fanout=K]"
        "[,seed=N]",
-       "EXASIM_FAILURE_DETECTOR", "when survivors learn of a failure; default paper-instant",
+       nullptr, "when survivors learn of a failure; default paper-instant",
        [](O& o, V v) { return assign(o.machine.detector, resilience::parse_detector_spec(v)); }},
       {"mttf", "DUR", nullptr, "system MTTF for random failure injection, one draw per launch",
        [](O& o, V v) { return assign(o.mttf, parse_duration(v)); }},
@@ -132,15 +131,13 @@ const std::vector<CliOption>& cli_options() {
       {"replicates", "N", nullptr, "repeat with seeds seed..seed+N-1 and report statistics",
        [](O& o, V v) { return assign(o.replicates, parse_int(v, 1, kIntMax)); }},
       {"jobs", "N", nullptr,
-       "worker threads for replicates; 0 = all cores; default EXASIM_JOBS, else 1",
+       "worker threads for replicates; 0 = usable CPUs (affinity/cgroup aware); default "
+       "EXASIM_JOBS, else 1",
        [](O& o, V v) { return assign(o.jobs, parse_int(v, 0, kIntMax)); }},
-      {"sim-workers", "N|auto", "EXASIM_SIM_WORKERS",
-       "engine worker threads inside one simulation: 1 = sequential (default), auto = usable "
-       "CPUs (affinity/cgroup aware); identical results for any N",
-       [](O& o, V v) {
-         if (v == "auto") return assign(o.machine.sim_workers, std::optional(-1));
-         return assign(o.machine.sim_workers, parse_int(v, 1, kIntMax));
-       }},
+      {"sim-workers", "N", "EXASIM_SIM_WORKERS",
+       "engine worker threads inside one simulation: 1 = sequential (default); any N gives "
+       "identical results, and N > 1 has measured slower than 1",
+       [](O& o, V v) { return assign(o.machine.sim_workers, parse_int(v, 1, kIntMax)); }},
   };
   return kOptions;
 }

@@ -33,7 +33,7 @@ struct CliOptions {
   int replicates = 1;
 
   /// Worker threads for replication campaigns: -1 = EXASIM_JOBS env default,
-  /// 0 = all hardware threads. Interpreted by exp::resolve_jobs() — core
+  /// 0 = usable CPUs. Interpreted by exp::resolve_jobs() — core
   /// itself only carries the value (layering: core must not depend on exp).
   int jobs = -1;
 

@@ -16,9 +16,7 @@ namespace exasim::core {
 Machine::Machine(SimConfig config, vmpi::AppMain app)
     : config_(std::move(config)) {
   if (config_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
-  if (config_.sim_workers == 0) {
-    throw std::invalid_argument("sim_workers == 0 (1 = sequential, -1 = auto)");
-  }
+  resolve_sim_workers(config_.sim_workers);
   for (const auto& f : config_.failures) {
     if (f.rank < 0 || f.rank >= config_.ranks) {
       throw std::invalid_argument("failure schedule rank out of range");
@@ -142,7 +140,7 @@ SimResult Machine::run() {
   // (DESIGN.md §11).
   const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());
   Engine::ShardingOptions shard;
-  shard.workers = resolve_sim_workers(config_.sim_workers);
+  shard.workers = config_.sim_workers;
   shard.lookahead = network_->min_remote_latency();
   shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
   if (network_->params().contention && shard.workers > 1) {
@@ -212,6 +210,7 @@ SimResult Machine::run() {
   util::Counters counters = util::thread_counters() - counters_begin;
   counters += engine_.worker_counters();
   result.perf = perf_of(counters);
+  result.perf.stacks_high_water = engine_.stack_images_peak();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();
   if (result.wall_seconds > 0 && result.events_processed > 0) {

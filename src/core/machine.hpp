@@ -69,8 +69,8 @@ struct SimConfig {
   std::vector<SoftErrorSpec> soft_errors;
 
   /// Failure-detector model governing when survivors learn about a failure
-  /// (--failure-detector / EXASIM_FAILURE_DETECTOR). The default paper-instant
-  /// detector reproduces the paper's simulator-internal broadcast exactly.
+  /// (--failure-detector). The default paper-instant detector reproduces the
+  /// paper's simulator-internal broadcast exactly.
   resilience::DetectorSpec detector;
 
   /// Initial virtual clock for every process — the restart-continuity value
@@ -82,9 +82,9 @@ struct SimConfig {
   bool trace = false;
 
   /// Engine worker threads (LP groups): 1 = sequential engine, N > 1 =
-  /// conservative-window parallel engine with N groups, -1 = one per usable
-  /// CPU (exasim::resolve_sim_workers — affinity/cgroup aware); 0 is
-  /// rejected. Every setting delivers the identical simulated schedule.
+  /// conservative-window parallel engine with N groups; below 1 is rejected
+  /// (exasim::resolve_sim_workers). Every setting delivers the identical
+  /// simulated schedule.
   int sim_workers = 1;
 };
 

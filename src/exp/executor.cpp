@@ -1,6 +1,7 @@
 #include "exp/executor.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -9,16 +10,64 @@
 
 #include "util/parse.hpp"
 
-namespace exasim::exp {
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
-int hardware_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
+namespace exasim::exp {
 
 namespace {
 
-/// A --jobs / EXASIM_JOBS value (0 = all cores, at most 2^20) as a worker
+/// CPUs allowed by the process affinity mask, 0 when unknown. A container or
+/// `taskset` can restrict the process to far fewer CPUs than the machine has;
+/// std::thread::hardware_concurrency() is allowed to (and on glibc does not)
+/// reflect that, so ask the kernel directly.
+int affinity_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return 0;
+}
+
+/// CPUs implied by the cgroup CPU quota (cgroup v2 `cpu.max`, then cgroup v1
+/// cfs_quota/cfs_period), rounded up; 0 when unlimited or unknown. Kubernetes
+/// and CI runners typically cap a process this way without shrinking the
+/// affinity mask, and jobs beyond the quota only slow each other down.
+int cgroup_quota_cpus() {
+#if defined(__linux__)
+  if (std::FILE* f = std::fopen("/sys/fs/cgroup/cpu.max", "r")) {
+    char buf[64] = {0};
+    const std::size_t got = std::fread(buf, 1, sizeof(buf) - 1, f);
+    std::fclose(f);
+    if (got > 0) {
+      long long quota = 0;
+      long long period = 0;
+      if (std::sscanf(buf, "%lld %lld", &quota, &period) == 2 && quota > 0 && period > 0) {
+        return static_cast<int>((quota + period - 1) / period);
+      }
+      // "max <period>" means unlimited.
+    }
+  }
+  long long quota = 0;
+  long long period = 0;
+  if (std::FILE* f = std::fopen("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "r")) {
+    const int n = std::fscanf(f, "%lld", &quota);
+    std::fclose(f);
+    if (n != 1) quota = 0;
+  }
+  if (std::FILE* f = std::fopen("/sys/fs/cgroup/cpu/cpu.cfs_period_us", "r")) {
+    const int n = std::fscanf(f, "%lld", &period);
+    std::fclose(f);
+    if (n != 1) period = 0;
+  }
+  if (quota > 0 && period > 0) return static_cast<int>((quota + period - 1) / period);
+#endif
+  return 0;
+}
+
+/// A --jobs / EXASIM_JOBS value (0 = hardware_jobs(), at most 2^20) as a worker
 /// count; nullopt when absent or malformed.
 std::optional<int> parse_jobs(const char* text) {
   if (text == nullptr) return std::nullopt;
@@ -28,6 +77,14 @@ std::optional<int> parse_jobs(const char* text) {
 }
 
 }  // namespace
+
+int hardware_jobs() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  int n = hw == 0 ? 1 : static_cast<int>(hw);
+  if (const int affinity = affinity_cpus(); affinity > 0 && affinity < n) n = affinity;
+  if (const int quota = cgroup_quota_cpus(); quota > 0 && quota < n) n = quota;
+  return n < 1 ? 1 : n;
+}
 
 int default_jobs() { return parse_jobs(std::getenv("EXASIM_JOBS")).value_or(1); }
 

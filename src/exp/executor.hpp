@@ -13,14 +13,18 @@
 
 namespace exasim::exp {
 
-/// Number of hardware threads (always >= 1).
+/// Number of CPUs this process may actually use, never less than 1: hardware
+/// threads, capped by the process CPU affinity mask (sched_getaffinity — a
+/// `taskset`/container restriction) and by the cgroup CPU quota (v2 cpu.max
+/// or v1 cfs_quota/cfs_period, rounded up). Plain hardware_concurrency()
+/// would start more jobs than the CPUs a restricted process may use.
 int hardware_jobs();
 
 /// Job count from the EXASIM_JOBS environment variable: a positive value is
-/// used as-is, 0 means "all hardware threads", unset/invalid means 1.
+/// used as-is, 0 means hardware_jobs(), unset/invalid means 1.
 int default_jobs();
 
-/// Resolves a requested job count: > 0 as-is, 0 = all hardware threads,
+/// Resolves a requested job count: > 0 as-is, 0 = hardware_jobs(),
 /// < 0 = default_jobs() (the environment knob).
 int resolve_jobs(int requested);
 

@@ -3,7 +3,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -150,10 +150,6 @@ FiberStack& default_stack(std::size_t bytes) {
   return *t_default_stacks.back();
 }
 
-/// Saved images alive in the process, and their peak.
-std::atomic<std::uint64_t> g_live_images{0};
-std::atomic<std::uint64_t> g_peak_images{0};
-
 /// Images are whole multiples of this: util::pool has a size class every
 /// 64 B up to 2 KiB, where a simulated rank's image falls, so an image
 /// wastes less than one grain.
@@ -278,11 +274,7 @@ void Fiber::save() {
     const std::size_t bytes = (n + kImageGrain - 1) / kImageGrain * kImageGrain;
     void* grown = util::pool_alloc(bytes);
     if (image_ == nullptr) {
-      const std::uint64_t live = g_live_images.fetch_add(1, std::memory_order_relaxed) + 1;
-      std::uint64_t peak = g_peak_images.load(std::memory_order_relaxed);
-      while (live > peak &&
-             !g_peak_images.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
-      }
+      stack_->peak_images_ = std::max(stack_->peak_images_, ++stack_->live_images_);
     } else {
       util::pool_free(image_);
     }
@@ -324,7 +316,7 @@ void Fiber::drop_image() {
   util::pool_free(image_);
   image_ = nullptr;
   image_bytes_ = 0;
-  g_live_images.fetch_sub(1, std::memory_order_relaxed);
+  --stack_->live_images_;
 }
 
 void Fiber::prefetch() const {
@@ -345,10 +337,6 @@ void* Fiber::locate(void* addr, std::size_t bytes) {
     throw std::logic_error("write outside a suspended fiber's live stack region");
   }
   return static_cast<std::byte*>(image_) + (p - low);
-}
-
-std::uint64_t Fiber::saved_images_high_water() {
-  return g_peak_images.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ class FiberStack {
   /// Writable bytes (0 until mapped).
   std::size_t bytes() const { return bytes_; }
 
+  /// Peak number of saved images its fibers held at once since the last
+  /// reset_peak_images().
+  std::size_t peak_images() const { return peak_images_; }
+  /// Starts a new peak at the images alive now.
+  void reset_peak_images() { peak_images_ = live_images_; }
+
   /// Selects `stack` for the fibers first resumed on this thread while the
   /// Use is alive. Uses nest.
   class Use {
@@ -78,6 +84,9 @@ class FiberStack {
   std::size_t bytes_ = 0;
   Fiber* occupant_ = nullptr;  ///< Fiber whose live frames are on the stack.
   std::size_t fibers_ = 0;     ///< Fibers bound and not yet destroyed.
+  /// Saved images its fibers hold, and the high water of that count.
+  std::size_t live_images_ = 0;
+  std::size_t peak_images_ = 0;
 };
 
 /// Cooperative user-space thread (xSim-style: "each simulated MPI rank has
@@ -159,9 +168,6 @@ class Fiber {
   /// Starts fetching the saved image into the cache, for a resume that is
   /// likely to follow. No effect while the fiber's frames are in place.
   void prefetch() const;
-
-  /// Peak number of saved images alive at once in this process.
-  static std::uint64_t saved_images_high_water();
 
   /// Internal entry shims (public only for the per-platform trampolines).
   [[noreturn]] void run_body_and_exit();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -26,6 +27,38 @@ bool activated(const Eval& e) {
 }
 
 }  // namespace
+
+int count_missed_notifications(const core::SimResult& launch, int victim) {
+  // The earliest arrival of the victim's notice at each rank: some arrival
+  // falls within a rank's lifetime exactly when the earliest one does.
+  const std::size_t world = launch.rank_outcomes.size();
+  std::vector<std::optional<SimTime>> earliest(world);
+  for (const resilience::NoticeArrival& a : launch.notice_arrivals) {
+    if (a.failed_rank != victim || a.observer < 0 ||
+        static_cast<std::size_t>(a.observer) >= world) {
+      continue;
+    }
+    std::optional<SimTime>& first = earliest[static_cast<std::size_t>(a.observer)];
+    if (!first || a.arrival < *first) first = a.arrival;
+  }
+  int missed = 0;
+  for (std::size_t r = 0; r < world; ++r) {
+    if (static_cast<int>(r) == victim) continue;
+    const vmpi::ProcOutcome out = launch.rank_outcomes[r];
+    // "Live rank the notice never reached": it ended the launch aborted (or
+    // never terminated at all), so it needed the failure notice — did one
+    // arrive within its lifetime? Notices can be *delivered* after the
+    // rank's logical end time (a blocked process only activates a pending
+    // abort at engine stall, after the event queue — including late
+    // detector notices — has drained), so arrival <= end_time is the
+    // informed-in-time predicate, not mere record existence.
+    if (out != vmpi::ProcOutcome::kAborted && out != vmpi::ProcOutcome::kRunning) continue;
+    const SimTime horizon =
+        out == vmpi::ProcOutcome::kRunning ? kSimTimeNever : launch.rank_end_times[r];
+    if (!earliest[r] || *earliest[r] > horizon) ++missed;
+  }
+  return missed;
+}
 
 ScenarioOutcome evaluate_scenario(const core::RunnerConfig& runner,
                                   const vmpi::AppMain& app, const LatticeRow& row,
@@ -65,32 +98,7 @@ ScenarioOutcome evaluate_scenario(const core::RunnerConfig& runner,
   o.mean_detection_latency =
       static_cast<SimTime>(std::llround(launch0.mean_detection_latency_sec * 1e9));
   if (o.actual_fail_time != kSimTimeNever) {
-    for (std::size_t r = 0; r < launch0.rank_outcomes.size(); ++r) {
-      if (static_cast<int>(r) == row.victim) continue;
-      const auto out = launch0.rank_outcomes[r];
-      // "Live rank the notice never reached": it ended launch 0 aborted (or
-      // never terminated at all), so it needed the failure notice — did one
-      // arrive within its lifetime? Notices can be *delivered* after the
-      // rank's logical end time (a blocked process only activates a pending
-      // abort at engine stall, after the event queue — including late
-      // detector notices — has drained), so arrival <= end_time is the
-      // informed-in-time predicate, not mere record existence.
-      if (out != vmpi::ProcOutcome::kAborted && out != vmpi::ProcOutcome::kRunning) {
-        continue;
-      }
-      const SimTime horizon = out == vmpi::ProcOutcome::kRunning
-                                  ? kSimTimeNever
-                                  : launch0.rank_end_times[r];
-      bool informed = false;
-      for (const resilience::NoticeArrival& a : launch0.notice_arrivals) {
-        if (a.observer == static_cast<int>(r) && a.failed_rank == row.victim &&
-            a.arrival <= horizon) {
-          informed = true;
-          break;
-        }
-      }
-      if (!informed) ++o.missed_notifications;
-    }
+    o.missed_notifications = count_missed_notifications(launch0, row.victim);
   }
   return o;
 }

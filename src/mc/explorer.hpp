@@ -49,6 +49,12 @@ struct ExplorerConfig {
 /// policies, victim out of range).
 McReport explore(const ExplorerConfig& config);
 
+/// Ranks other than `victim` that needed its failure notice in `launch` and
+/// did not get it in time: each rank that ended aborted with no arrival of
+/// the notice at or before its end time, or never terminated and got none.
+/// O(world + notice arrivals).
+int count_missed_notifications(const core::SimResult& launch, int victim);
+
 /// Evaluates a single scenario (exposed for tests): one ResilientRunner run
 /// with `victim` killed at absolute time `t` under the row's detector and
 /// recovery policy.

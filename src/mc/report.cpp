@@ -4,27 +4,14 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "metrics/table.hpp"
+
 namespace exasim::mc {
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_string(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  out += json_escape(s);
   out += '"';
 }
 
@@ -71,7 +58,7 @@ void append_outcome(std::string& out, const ScenarioOutcome& o) {
   out += ",\"missed_notifications\":";
   append_int(out, o.missed_notifications);
   out += ",\"error\":";
-  append_escaped(out, o.error);
+  append_string(out, o.error);
   out += "}";
 }
 
@@ -110,9 +97,9 @@ std::string McReport::to_json() const {
   out.reserve(4096);
   out += "{\n";
   out += "  \"app\": ";
-  append_escaped(out, app);
+  append_string(out, app);
   out += ",\n  \"app_params\": ";
-  append_escaped(out, app_params);
+  append_string(out, app_params);
   out += ",\n  \"ranks\": ";
   append_int(out, ranks);
   out += ",\n  \"window_lo_ns\": ";
@@ -133,11 +120,9 @@ std::string McReport::to_json() const {
   append_array(out, spec.victims,
                [](std::string& o, int v) { append_int(o, v); });
   out += ",\n  \"detectors\": ";
-  append_array(out, detector_names,
-               [](std::string& o, const std::string& s) { append_escaped(o, s); });
+  append_array(out, detector_names, append_string);
   out += ",\n  \"policies\": ";
-  append_array(out, policy_names,
-               [](std::string& o, const std::string& s) { append_escaped(o, s); });
+  append_array(out, policy_names, append_string);
   out += ",\n  \"rows\": ";
   append_array(out, rows, [](std::string& o, const LatticeRow& r) {
     o += "{\"victim\":";

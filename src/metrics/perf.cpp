@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fiber/fiber.hpp"
-
 namespace exasim {
 
 namespace {
@@ -57,7 +55,6 @@ PerfSnapshot PerfSnapshot::operator-(const PerfSnapshot& o) const {
 PerfSnapshot perf_of(const util::Counters& counters) {
   PerfSnapshot s;
   for (const auto& [field, slot] : kFlows) s.*field = counters[slot];
-  s.stacks_high_water = Fiber::saved_images_high_water();
   // The deepest tier any counted restore was served from.
   const Counter by_depth[] = {Counter::kCkptRestoresMem, Counter::kCkptRestoresBb,
                               Counter::kCkptRestoresPfs};

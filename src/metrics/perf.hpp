@@ -32,8 +32,9 @@ struct PerfSnapshot {
   // image per suspended fiber; see src/fiber/fiber.hpp).
   std::uint64_t stacks_mapped = 0;  ///< FiberStack mmaps.
   std::uint64_t stacks_reused = 0;  ///< FiberStacks served from a parked mapping.
-  /// Peak number of saved stack images alive at once: a level of the whole
-  /// process, which concurrent runs share, read at snapshot time.
+  /// Peak number of saved stack images alive at once during the run: a
+  /// level Machine::run reads from its engine's stacks (their peaks summed
+  /// for a sharded run). perf_snapshot() leaves it 0.
   std::uint64_t stacks_high_water = 0;
   std::uint64_t stack_bytes_copied = 0;  ///< Live stack bytes switches copied out and in.
 
@@ -75,8 +76,7 @@ struct PerfSnapshot {
   PerfSnapshot operator-(const PerfSnapshot& o) const;
 };
 
-/// Names the values of a counter block; stacks_high_water is read from the
-/// fiber layer now.
+/// Names the values of a counter block; stacks_high_water stays 0.
 PerfSnapshot perf_of(const util::Counters& counters);
 
 /// Every thread's counters since the process started. Thread-safe;

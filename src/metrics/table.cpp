@@ -8,6 +8,17 @@
 
 namespace exasim {
 
+namespace {
+
+bool write_text_file(const std::string& path, const std::string& content) {
+  std::ofstream f(path);
+  if (!f) return false;
+  f << content;
+  return static_cast<bool>(f);
+}
+
+}  // namespace
+
 TablePrinter::TablePrinter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
 void TablePrinter::add_row(std::vector<std::string> cells) {
@@ -46,6 +57,40 @@ void TablePrinter::print(std::FILE* out) const {
   std::fflush(out);
 }
 
+std::string TablePrinter::to_csv() const {
+  std::ostringstream os;
+  auto emit = [&](const std::vector<std::string>& row) {
+    for (std::size_t c = 0; c < row.size(); ++c) os << (c ? "," : "") << row[c];
+    os << '\n';
+  };
+  emit(headers_);
+  for (const auto& row : rows_) emit(row);
+  return os.str();
+}
+
+std::string TablePrinter::to_json() const {
+  std::ostringstream os;
+  os << "[\n";
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    os << "  {";
+    for (std::size_t c = 0; c < headers_.size(); ++c) {
+      os << (c ? ", " : "") << '"' << json_escape(headers_[c]) << "\": \""
+         << json_escape(rows_[r][c]) << '"';
+    }
+    os << '}' << (r + 1 < rows_.size() ? "," : "") << '\n';
+  }
+  os << "]\n";
+  return os.str();
+}
+
+bool TablePrinter::write_csv(const std::string& path) const {
+  return write_text_file(path, to_csv());
+}
+
+bool TablePrinter::write_json(const std::string& path) const {
+  return write_text_file(path, to_json());
+}
+
 std::string TablePrinter::num(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
@@ -58,31 +103,27 @@ std::string TablePrinter::integer(long long v) {
   return buf;
 }
 
-CsvWriter::CsvWriter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-void CsvWriter::add_row(std::vector<std::string> cells) {
-  if (cells.size() != headers_.size()) {
-    throw std::invalid_argument("CsvWriter row width mismatch");
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned char>(ch));
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
   }
-  rows_.push_back(std::move(cells));
-}
-
-std::string CsvWriter::to_string() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) os << (c ? "," : "") << row[c];
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << to_string();
-  return static_cast<bool>(f);
+  return out;
 }
 
 }  // namespace exasim

@@ -6,17 +6,29 @@
 
 namespace exasim {
 
-/// Plain-text table printer used by every bench to print paper-style rows.
+/// The result table every bench builds: paper-style rows kept once, rendered
+/// as aligned text, CSV for plotting or JSON for downstream tooling.
 ///
-/// Columns are right-aligned; a header separator is emitted; `to_string()`
-/// gives the full rendering for logging or file capture.
+/// Text columns are right-aligned under a header separator. Rows keep the
+/// order they were added in, so code that appends executor outcomes in plan
+/// order renders the same bytes for any job count.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
+
   std::string to_string() const;
   void print(std::FILE* out = stdout) const;
+
+  /// Comma-separated, header line first; cells are written as they are.
+  std::string to_csv() const;
+  /// JSON array of objects keyed by header, e.g.
+  /// `[{"topology": "torus:8x8x8", "E2": "1.23 ms"}, ...]`.
+  std::string to_json() const;
+  /// Write the rendering to a file; false on I/O failure.
+  bool write_csv(const std::string& path) const;
+  bool write_json(const std::string& path) const;
 
   /// Convenience cell formatters.
   static std::string num(double v, int precision = 2);
@@ -27,18 +39,8 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Minimal CSV emission for downstream plotting.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> headers);
-  void add_row(std::vector<std::string> cells);
-  std::string to_string() const;
-  /// Writes to a file; returns false on I/O failure.
-  bool write_file(const std::string& path) const;
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
+/// Escapes a string for inclusion in a JSON document (quotes, backslashes,
+/// control characters), without the surrounding quotes.
+std::string json_escape(const std::string& s);
 
 }  // namespace exasim

@@ -157,12 +157,19 @@ void Engine::run() {
   while (fiber_stacks_.size() < static_cast<std::size_t>(group_count)) {
     fiber_stacks_.push_back(std::make_unique<FiberStack>());
   }
+  for (const auto& stack : fiber_stacks_) stack->reset_peak_images();
   if (group_count <= 1) {
     run_sequential();
   } else {
     run_parallel(group_count);
   }
   count_queue(queue_.take_stats());
+}
+
+std::uint64_t Engine::stack_images_peak() const {
+  std::uint64_t peak = 0;
+  for (const auto& stack : fiber_stacks_) peak += stack->peak_images();
+  return peak;
 }
 
 void Engine::run_sequential() {

@@ -163,6 +163,11 @@ class Engine {
   /// run() plus this.
   const util::Counters& worker_counters() const { return worker_counters_; }
 
+  /// Peak number of saved fiber stack images during the most recent run():
+  /// exact for a sequential run, the sum of the LP groups' peaks (an upper
+  /// bound) for a sharded one.
+  std::uint64_t stack_images_peak() const;
+
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t events_pending() const { return queue_.size(); }
   std::uint64_t events_dropped_dead() const { return events_dropped_dead_; }

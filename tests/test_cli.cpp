@@ -126,10 +126,8 @@ TEST_F(Cli, ParsesSimWorkers) {
   auto literal = parse({"--sim-workers=4"});
   ASSERT_TRUE(literal.has_value());
   EXPECT_EQ(literal->machine.sim_workers, 4);
-  auto automatic = parse({"--sim-workers=auto"});
-  ASSERT_TRUE(automatic.has_value());
-  EXPECT_EQ(automatic->machine.sim_workers, -1);  // -1 = hardware threads.
-  for (auto bad : {"--sim-workers=0", "--sim-workers=-2", "--sim-workers=x"}) {
+  for (auto bad : {"--sim-workers=0", "--sim-workers=-1", "--sim-workers=auto",
+                   "--sim-workers=x"}) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
@@ -326,18 +324,10 @@ struct EnvCase {
 };
 
 const EnvCase kEnvCases[] = {
-    {"EXASIM_ROUTING", "--routing", "adaptive", "deterministic",
-     [](const CliOptions& o) { return o.machine.routing; }},
-    {"EXASIM_LINK_TIMEOUTS", "--link-timeouts", "plane:0=300ms", "hot:0=500ms",
-     [](const CliOptions& o) { return to_string(o.machine.net.link_timeouts); }},
-    {"EXASIM_STORAGE", "--storage", "hpc", "pfs:lat=1ms",
-     [](const CliOptions& o) { return o.machine.storage; }},
     {"EXASIM_CKPT_MODE", "--ckpt-mode", "staged", "partner",
      [](const CliOptions& o) { return o.machine.ckpt_mode; }},
     {"EXASIM_FAILURES", "--failures", "3@250ms", "1@1s",
      [](const CliOptions& o) { return format_failure_schedule(o.machine.failures); }},
-    {"EXASIM_FAILURE_DETECTOR", "--failure-detector", "heartbeat", "timeout",
-     [](const CliOptions& o) { return resilience::to_string(o.machine.detector); }},
     {"EXASIM_SIM_WORKERS", "--sim-workers", "4", "2",
      [](const CliOptions& o) { return std::to_string(o.machine.sim_workers); }},
 };

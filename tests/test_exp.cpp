@@ -15,7 +15,6 @@
 #include "apps/heat3d.hpp"
 #include "apps/ring.hpp"
 #include "core/runner.hpp"
-#include "exp/emit.hpp"
 #include "exp/executor.hpp"
 #include "exp/plan.hpp"
 #include "metrics/table.hpp"
@@ -23,12 +22,15 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 using namespace exasim;
 using exp::Axis;
 using exp::ExperimentPlan;
 using exp::ExecutorOptions;
 using exp::ParallelExecutor;
-using exp::ResultTable;
 using exp::SeedMode;
 using exp::WorkItem;
 
@@ -121,7 +123,7 @@ std::string campaign_csv(int jobs) {
     return e2 + 1e-9 * static_cast<double>(rng.next_below(1000));
   });
 
-  ResultTable table({"laps", "ranks", "replicate", "seed", "e2"});
+  TablePrinter table({"laps", "ranks", "replicate", "seed", "e2"});
   for (std::size_t i = 0; i < plan.item_count(); ++i) {
     const WorkItem item = plan.item(i);
     const exp::Point& point = plan.point(item.point_index);
@@ -135,7 +137,7 @@ std::string campaign_csv(int jobs) {
 
 }  // namespace
 
-TEST(ParallelExecutor, ResultTableIdenticalForAnyJobCount) {
+TEST(ParallelExecutor, TableIdenticalForAnyJobCount) {
   Log::set_level(LogLevel::kOff);
   const std::string serial = campaign_csv(1);
   EXPECT_FALSE(serial.empty());
@@ -197,22 +199,17 @@ TEST(ParallelExecutor, JobsOneRunsInOrder) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ResultTable, EmitsTextCsvAndJson) {
-  ResultTable t({"name", "value"});
-  t.add_row({"alpha", "1"});
-  t.add_row({R"(quo"te)", "2\n3"});
-  EXPECT_NE(t.to_text().find("alpha"), std::string::npos);
-  EXPECT_EQ(t.to_csv(), "name,value\nalpha,1\nquo\"te,2\n3\n");
-  EXPECT_EQ(t.to_json(),
-            "[\n  {\"name\": \"alpha\", \"value\": \"1\"},\n"
-            "  {\"name\": \"quo\\\"te\", \"value\": \"2\\n3\"}\n]\n");
-  EXPECT_THROW(t.add_row({"only-one-cell"}), std::invalid_argument);
-}
-
 TEST(Jobs, ResolutionRules) {
   EXPECT_EQ(exp::resolve_jobs(3), 3);
-  EXPECT_GE(exp::resolve_jobs(0), 1);  // 0 = all hardware threads.
+  EXPECT_EQ(exp::resolve_jobs(0), exp::hardware_jobs());  // 0 = usable CPUs.
   EXPECT_GE(exp::hardware_jobs(), 1);
+#if defined(__linux__)
+  // No more than the CPUs this process may run on.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_LE(exp::hardware_jobs(), CPU_COUNT(&set));
+#endif
 
   const char* args[] = {"bench", "--jobs=5"};
   EXPECT_EQ(exp::jobs_from_cli(2, const_cast<char**>(args)), 5);

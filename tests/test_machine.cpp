@@ -46,10 +46,10 @@ TEST(Machine, RejectsBadConfiguration) {
     cfg.topology = "star:2";  // Too small for 4 ranks.
     EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
   }
-  {
+  for (int workers : {0, -1}) {
     SimConfig cfg = tiny_config(2);
-    cfg.sim_workers = 0;  // Not a worker count (1 = sequential, -1 = auto).
-    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+    cfg.sim_workers = workers;  // Not a worker count (1 = sequential).
+    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument) << workers;
   }
 }
 
@@ -199,6 +199,23 @@ TEST(Machine, EventsProcessedIsReported) {
   };
   SimResult r = run_app(tiny_config(2), app);
   EXPECT_GE(r.events_processed, 3u);  // 2 starts + >=1 arrival.
+}
+
+TEST(Machine, StacksHighWaterIsTheRunsOwnPeak) {
+  // Every rank waits in a barrier with its frames saved, so a run's peak is
+  // about its rank count. A small run after a large one in the same process
+  // reports its own peak, not the process's.
+  auto app = [](Context& ctx) {
+    ctx.compute(1e3);
+    ctx.barrier(ctx.world());
+    ctx.finalize();
+  };
+  const SimResult large = run_app(tiny_config(1024), app);
+  const SimResult small = run_app(tiny_config(64), app);
+  EXPECT_GT(large.perf.stacks_high_water, 64u);
+  EXPECT_LE(large.perf.stacks_high_water, 1024u);
+  EXPECT_GT(small.perf.stacks_high_water, 0u);
+  EXPECT_LE(small.perf.stacks_high_water, 64u);
 }
 
 TEST(Machine, ShardedRunMatchesSequentialUnderFailure) {

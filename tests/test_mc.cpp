@@ -120,6 +120,31 @@ TEST(McSignature, QuantizationCollapsesNearbyOutcomes) {
   EXPECT_NE(mc::signature_of(err, q, 0), mc::signature_of(a, q, sim_ms(90)));
 }
 
+TEST(McExplorer, MissedNotificationsCountOnlyTheVictimsLateOrAbsentNotices) {
+  using enum vmpi::ProcOutcome;
+  core::SimResult launch;
+  launch.rank_outcomes = {kFailed, kAborted, kAborted, kRunning, kRunning, kAborted, kFinished};
+  launch.rank_end_times = {5, 100, 100, 0, 0, 100, 200};
+  // Arrivals as {observer, failed rank, failure time, arrival}.
+  launch.notice_arrivals = {
+      // Rank 1: a late arrival, then one before its end: informed.
+      {1, 0, 5, 150},
+      {1, 0, 5, 50},
+      // Rank 2: only after its end: missed.
+      {2, 0, 5, 150},
+      // Rank 3 never ended: any arrival informs it. Rank 4 never ended and
+      // heard nothing: missed.
+      {3, 0, 5, 900},
+      // Rank 5 heard of rank 2's failure, not of rank 0's.
+      {5, 2, 5, 10},
+  };
+  // Victim 0: ranks 2, 4 and 5 missed it; finished rank 6 needed nothing.
+  EXPECT_EQ(mc::count_missed_notifications(launch, 0), 3);
+  // Victim 2: ranks 1, 3 and 4 missed it, rank 5 heard in time, and rank 0
+  // (failed) needed nothing.
+  EXPECT_EQ(mc::count_missed_notifications(launch, 2), 3);
+}
+
 TEST(McExplorer, PruningPreservesTheClassMap) {
   auto config = ring_config();
   const mc::McReport pruned = mc::explore(config);

@@ -129,10 +129,30 @@ TEST(TablePrinter, NumberFormatting) {
   EXPECT_EQ(TablePrinter::integer(-42), "-42");
 }
 
-TEST(CsvWriter, RendersCsv) {
-  CsvWriter w({"x", "y"});
-  w.add_row({"1", "2"});
-  EXPECT_EQ(w.to_string(), "x,y\n1,2\n");
+TEST(TablePrinter, RendersTextCsvAndJsonFromOneTable) {
+  TablePrinter t({"name", "value"});
+  t.add_row({"alpha", "1"});
+  t.add_row({R"(quo"te)", "2\n3"});
+  EXPECT_EQ(t.to_string(),
+            "  name  value\n"
+            "-------------\n"
+            " alpha      1\n"
+            "quo\"te    2\n3\n");
+  EXPECT_EQ(t.to_csv(), "name,value\nalpha,1\nquo\"te,2\n3\n");
+  EXPECT_EQ(t.to_json(),
+            "[\n  {\"name\": \"alpha\", \"value\": \"1\"},\n"
+            "  {\"name\": \"quo\\\"te\", \"value\": \"2\\n3\"}\n]\n");
+
+  const TablePrinter empty({"x", "y"});
+  EXPECT_EQ(empty.to_csv(), "x,y\n");
+  EXPECT_EQ(empty.to_json(), "[\n]\n");
+}
+
+TEST(JsonEscape, QuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
 }
 
 }  // namespace

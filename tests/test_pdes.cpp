@@ -15,7 +15,6 @@
 
 #include "pdes/engine.hpp"
 #include "pdes/event_queue.hpp"
-#include "pdes/sim_workers.hpp"
 #include "util/counters.hpp"
 #include "util/rng.hpp"
 
@@ -267,7 +266,7 @@ TEST(ShardedEngine, EventStormTraceIsWorkerCountInvariant) {
   std::uint64_t base_count = 0;
   const std::string base = run_storm(1, &base_count);
   EXPECT_GT(base_count, 100u);  // 8 seed events, 5 hops, 2 children each.
-  for (int workers : {2, 4, hardware_sim_workers()}) {
+  for (int workers : {2, 4}) {
     std::uint64_t count = 0;
     EXPECT_EQ(run_storm(workers, &count), base) << "workers=" << workers;
     EXPECT_EQ(count, base_count) << "workers=" << workers;
