@@ -17,7 +17,15 @@
 #       is all simulator: construction, event queue, fibers, vmpi and the
 #       network model. Its runs must complete, all with one result.
 #     The median over the pairs of (modeled wall / golden-row wall) may be at
-#     most 1.65x the BENCH_baseline.json reference. Interleaving lets host
+#     most 1.65x the BENCH_baseline.json reference. The modeled row's
+#     memory and counters are gated against BENCH_baseline.json's
+#     modeled_row pins too, since host load barely moves them (its peak RSS
+#     read the same to 0.1 MiB in every run): the median peak RSS per rank
+#     (ru_maxrss from os.wait4) may be at most 1.03x its pin, every run's
+#     events and fiber resumes must equal theirs exactly, and every run's
+#     stack bytes copied must be within 5% of its pin. These catch a
+#     per-rank memory or structural regression that the noisy timing ratio
+#     cannot. Re-pin them when a change moves them on purpose. Interleaving lets host
 #     load hit both rows of a pair alike, but not equally: on a 4-vCPU host
 #     shared with other tenants the golden row ran 1.5-2.6x slower than when
 #     quiet, and the memory-bound modeled row slowed more, so the median of
@@ -28,8 +36,8 @@
 #     host read medians of 0.498-0.511, and an injected busy-wait that made
 #     the modeled row about 1.9x slower read 0.827-1.097, failing 10 of 10
 #     runs. The walls, ratios, reference
-#     and the modeled row's stderr counter lines go to
-#     build/perf_trajectory.json, which CI uploads.
+#     and the modeled row's stderr counter lines, peak RSS and gated values
+#     go to build/perf_trajectory.json, which CI uploads.
 #  2. Sharded-engine determinism: the golden row on 2 sim workers must emit a
 #     result-json byte-identical to the sequential golden, and its window
 #     count must match BENCH_baseline.json exactly.
@@ -78,54 +86,94 @@ fi
 
 echo "== bench smoke: simulator speed (modeled 32k row / golden row, median of 7 pairs) =="
 WORKLOAD="$WORKLOAD" GOLDEN="$GOLDEN" python3 - <<'EOF'
-import json, os, statistics, subprocess, time
+import json, os, re, statistics, subprocess, time
 
 PAIRS = 7
 TOLERANCE = 1.65
+MODELED_RANKS = 32768
+# One worker: stack bytes copied follow the thread layout.
 MODELED = ("heat3d --ranks=32768 --topology=torus:32x32x32 --link-latency=1us "
            "--bandwidth=32e9 --overhead=500ns --eager-threshold=262144 "
            "--failure-timeout=100ms --slowdown=1000 --ns-per-unit=1281 "
-           "--stack-bytes=65536 --app-params=nx=512,px=32,iters=1000,interval=125")
+           "--stack-bytes=65536 --app-params=nx=512,px=32,iters=1000,interval=125 "
+           "--sim-workers=1")
 COUNTER_LINES = ("perf", "pool", "stacks", "wakeups", "queue")
+RSS_TOLERANCE = 1.03    # Median peak RSS per rank over its pin.
+COPIED_TOLERANCE = 0.05  # Stack bytes copied, either way from its pin.
+COUNTERS = {"events": r"^perf\s*:\s*(\d+) events",
+            "resumes": r"^wakeups\s*:\s*(\d+) resumes",
+            "stack_bytes_copied": r"^stacks\s*:.*?(\d+) B copied"}
 
 def run(args, stderr_path):
-    """Runs exasim_run; returns its wall seconds and its stripped result-json."""
+    """Runs exasim_run; returns its wall seconds, its peak RSS (KiB, from
+    os.wait4) and its stripped result-json."""
     with open(stderr_path, "w") as err:
         start = time.perf_counter()
-        proc = subprocess.run(["./build/tools/exasim_run", *args.split(),
-                               "--result-json=/tmp/bench_smoke_result.json"],
-                              stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen(["./build/tools/exasim_run", *args.split(),
+                                 "--result-json=/tmp/bench_smoke_result.json"],
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"exasim_run {args} failed:\n" + open(stderr_path).read())
     stripped = subprocess.run(
         ["jq", "-S", "del(.wall_seconds, .events_per_sec)", "/tmp/bench_smoke_result.json"],
         check=True, capture_output=True).stdout
-    return wall, stripped
+    return wall, usage.ru_maxrss, stripped
+
+def gated_counters(stderr_path):
+    """The gated counters from one run's stderr perf rollup."""
+    text = open(stderr_path).read()
+    found = {name: re.search(pattern, text, re.M) for name, pattern in COUNTERS.items()}
+    missing = [name for name, m in found.items() if m is None]
+    if missing:
+        raise SystemExit(f"{stderr_path}: no {', '.join(missing)} in the perf rollup")
+    return {name: int(m.group(1)) for name, m in found.items()}
 
 golden_path = os.environ["GOLDEN"]
 golden = open(golden_path, "rb").read()
 golden_walls, modeled_walls, modeled_result = [], [], None
+modeled_rss_kib, modeled_counters = [], []
 for i in range(1, PAIRS + 1):
-    wall, stripped = run(os.environ["WORKLOAD"], f"/tmp/bench_smoke_golden_{i}.stderr")
+    wall, _, stripped = run(os.environ["WORKLOAD"], f"/tmp/bench_smoke_golden_{i}.stderr")
     if stripped != golden:
         open("/tmp/bench_smoke_result.stripped.json", "wb").write(stripped)
         subprocess.run(["diff", golden_path, "/tmp/bench_smoke_result.stripped.json"])
         raise SystemExit(f"deterministic --result-json of golden-row run {i} drifted "
                          f"from {golden_path}")
     golden_walls.append(wall)
-    wall, stripped = run(MODELED, f"/tmp/bench_smoke_modeled_{i}.stderr")
+    wall, rss_kib, stripped = run(MODELED, f"/tmp/bench_smoke_modeled_{i}.stderr")
     if b'"outcome": "completed"' not in stripped:
         raise SystemExit("the modeled row did not complete:\n" + stripped.decode())
     if modeled_result not in (None, stripped):
         raise SystemExit(f"modeled-row run {i} gave another result-json than run 1")
     modeled_result = stripped
     modeled_walls.append(wall)
+    modeled_rss_kib.append(rss_kib)
+    modeled_counters.append(gated_counters(f"/tmp/bench_smoke_modeled_{i}.stderr"))
 print(f"  result-json of all {PAIRS} golden-row runs matches {golden_path}")
 
 ratios = [m / g for m, g in zip(modeled_walls, golden_walls)]
 ratio = statistics.median(ratios)
-reference = json.load(open("BENCH_baseline.json"))["modeled_over_golden_wall"]
+baseline = json.load(open("BENCH_baseline.json"))
+reference = baseline["modeled_over_golden_wall"]
+pins = baseline["modeled_row"]
+kib_per_rank = [kib / MODELED_RANKS for kib in modeled_rss_kib]
+median_kib_per_rank = statistics.median(kib_per_rank)
+rss_limit = RSS_TOLERANCE * pins["peak_rss_kib_per_rank"]
+memory_problems = []
+if median_kib_per_rank > rss_limit:
+    memory_problems.append(f"median peak RSS {median_kib_per_rank:.3f} KiB per rank exceeds "
+                           f"{RSS_TOLERANCE}x the pin {pins['peak_rss_kib_per_rank']}")
+for i, got in enumerate(modeled_counters, 1):
+    for name in ("events", "resumes"):
+        if got[name] != pins[name]:
+            memory_problems.append(f"run {i}: {name} {got[name]} != pin {pins[name]}")
+    copied = got["stack_bytes_copied"]
+    if abs(copied - pins["stack_bytes_copied"]) > COPIED_TOLERANCE * pins["stack_bytes_copied"]:
+        memory_problems.append(f"run {i}: stack bytes copied {copied} is more than "
+                               f"{COPIED_TOLERANCE:.0%} from pin {pins['stack_bytes_copied']}")
 counters = {}
 for line in open("/tmp/bench_smoke_modeled_1.stderr"):
     label, sep, value = line.partition(":")
@@ -133,11 +181,16 @@ for line in open("/tmp/bench_smoke_modeled_1.stderr"):
         counters[label.strip()] = value.strip()
 trajectory = {
     "golden_row": {"workload": os.environ["WORKLOAD"], "walls_s": golden_walls},
-    "modeled_row": {"workload": MODELED, "walls_s": modeled_walls, "counters": counters},
+    "modeled_row": {"workload": MODELED, "walls_s": modeled_walls, "counters": counters,
+                    "peak_rss_kib": modeled_rss_kib, "kib_per_rank": kib_per_rank,
+                    "gated": modeled_counters},
     "ratios": ratios,
     "ratio": ratio,
     "reference": reference,
     "tolerance": TOLERANCE,
+    "memory": {"median_kib_per_rank": median_kib_per_rank, "pins": pins,
+               "rss_tolerance": RSS_TOLERANCE, "rss_limit_kib_per_rank": rss_limit,
+               "copied_tolerance": COPIED_TOLERANCE, "problems": memory_problems},
 }
 with open("build/perf_trajectory.json", "w") as f:
     json.dump(trajectory, f, indent=2, sort_keys=True)
@@ -151,10 +204,18 @@ status = "ok" if ratio <= limit else "REGRESSION"
 print(f"  golden-row walls {fmt(golden_walls)} s; modeled-row walls {fmt(modeled_walls)} s")
 print(f"  modeled/golden wall: median {ratio:.3f} of {fmt(ratios)} "
       f"(reference {reference}, limit {limit:.3f}) {status}")
+print(f"  modeled-row peak RSS per rank: median {median_kib_per_rank:.3f} KiB of "
+      f"{fmt(kib_per_rank)} (pin {pins['peak_rss_kib_per_rank']}, limit {rss_limit:.3f}); "
+      f"events {modeled_counters[0]['events']}, resumes {modeled_counters[0]['resumes']}, "
+      f"stack bytes copied {modeled_counters[0]['stack_bytes_copied']} "
+      f"{'ok' if not memory_problems else 'REGRESSION'}")
 print("  wrote build/perf_trajectory.json")
 if status != "ok":
     raise SystemExit(f"the modeled row slowed: wall ratio {ratio:.3f} exceeds "
                      f"{TOLERANCE}x the BENCH_baseline.json reference {reference}")
+if memory_problems:
+    raise SystemExit("the modeled row's memory or counters moved from BENCH_baseline.json's "
+                     "modeled_row pins:\n  " + "\n  ".join(memory_problems))
 EOF
 
 echo "== bench smoke: sharded engine (2 workers, json byte-stable) =="

@@ -104,7 +104,7 @@ class Grid {
     (void)p;
   }
 
-  void step() {
+  [[gnu::noinline]] void step() {
     constexpr double kAlpha = 0.1;
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
@@ -147,7 +147,7 @@ class Grid {
     iterate_face(dir, /*halo=*/true, [&](int x, int y, int z) { at(cur_, x, y, z) = buf[i++]; });
   }
 
-  double checksum() const {
+  [[gnu::noinline]] double checksum() const {
     double s = 0;
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
@@ -221,47 +221,122 @@ void set_phase(const HeatParams& p, int rank, HeatPhase phase) {
   }
 }
 
-/// Halo exchange with the (up to 6) face neighbors. Returns the first error
-/// the underlying MPI operations reported (the error handler of the world
-/// communicator already ran — under kFatal this call aborts instead of
-/// returning).
-Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid) {
+// A suspended rank's saved image is its live frames, and the image only
+// grows (fiber.hpp), so every byte of a frame that can be on the stack at a
+// suspension point is paid by every modeled rank. The blocks a modeled rank
+// never runs, or runs outside every suspension (the grid's set-up, step and
+// checksum, the restart path, the checkpoint write, the real-grid halo),
+// are kept out of line, so their locals stay out of heat3d_main's frame
+// (DESIGN.md §9).
+
+/// The real-mode grid, initialized, and registered for memory corruption
+/// when `p` asks for it.
+[[gnu::noinline]] std::unique_ptr<Grid> make_grid(Context& ctx, const HeatParams& p,
+                                                 const Decomposition& d) {
+  auto grid = std::make_unique<Grid>(d);
+  grid->init(p);
+  if (p.register_memory) ctx.register_memory("heat3d.grid", grid->raw(), grid->raw_bytes());
+  return grid;
+}
+
+/// Modeled halo exchange with the (up to 6) face neighbors: size-only
+/// messages, no grid, and a frame of little more than the handles. Returns
+/// the first error the underlying MPI operations reported (the error
+/// handler of the world communicator already ran — under kFatal this call
+/// aborts instead of returning).
+Err modeled_halo_exchange(Context& ctx, const Decomposition& d) {
   auto& world = ctx.world();
   std::array<RequestHandle, 2 * kDirs> handles;
   std::size_t n = 0;
-
   for (int dir = 0; dir < kDirs; ++dir) {
     if (d.neighbor[dir] < 0) continue;
-    const std::size_t bytes = d.face_bytes(dir);
-    if (grid != nullptr) {
-      std::vector<double>& buf = grid->recv_buf(dir);
-      buf.assign(bytes / sizeof(double), 0.0);
-      handles[n++] = ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
-                               buf.data(), bytes);
-    } else {
-      handles[n++] = ctx.irecv_modeled(world, d.neighbor[dir], kHaloTagBase + opposite(dir), bytes);
-    }
+    handles[n++] = ctx.irecv_modeled(world, d.neighbor[dir], kHaloTagBase + opposite(dir),
+                                     d.face_bytes(dir));
   }
   for (int dir = 0; dir < kDirs; ++dir) {
     if (d.neighbor[dir] < 0) continue;
-    const std::size_t bytes = d.face_bytes(dir);
-    if (grid != nullptr) {
-      grid->pack_face(dir);
-      handles[n++] = ctx.isend(world, d.neighbor[dir], kHaloTagBase + dir,
-                               grid->send_buf(dir).data(), bytes);
-    } else {
-      handles[n++] = ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, bytes);
-    }
+    handles[n++] = ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, d.face_bytes(dir));
   }
+  return ctx.waitall(world, std::span(handles.data(), n), nullptr);
+}
 
-  Err e = ctx.waitall(world, std::span(handles.data(), n), nullptr);
-  if (e == Err::kSuccess && grid != nullptr) {
+/// The same exchange with real face planes: packs the interior faces out of
+/// `grid` and unpacks the neighbors' into its halo layers.
+[[gnu::noinline]] Err real_halo_exchange(Context& ctx, const Decomposition& d, Grid& grid) {
+  auto& world = ctx.world();
+  std::array<RequestHandle, 2 * kDirs> handles;
+  std::size_t n = 0;
+  for (int dir = 0; dir < kDirs; ++dir) {
+    if (d.neighbor[dir] < 0) continue;
+    const std::size_t bytes = d.face_bytes(dir);
+    std::vector<double>& buf = grid.recv_buf(dir);
+    buf.assign(bytes / sizeof(double), 0.0);
+    handles[n++] = ctx.irecv(world, d.neighbor[dir], kHaloTagBase + opposite(dir), buf.data(),
+                             bytes);
+  }
+  for (int dir = 0; dir < kDirs; ++dir) {
+    if (d.neighbor[dir] < 0) continue;
+    grid.pack_face(dir);
+    handles[n++] = ctx.isend(world, d.neighbor[dir], kHaloTagBase + dir,
+                             grid.send_buf(dir).data(), d.face_bytes(dir));
+  }
+  const Err e = ctx.waitall(world, std::span(handles.data(), n), nullptr);
+  if (e == Err::kSuccess) {
     for (int dir = 0; dir < kDirs; ++dir) {
-      if (d.neighbor[dir] < 0) continue;
-      grid->unpack_face(dir);
+      if (d.neighbor[dir] >= 0) grid.unpack_face(dir);
     }
   }
   return e;
+}
+
+Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid) {
+  return grid != nullptr ? real_halo_exchange(ctx, d, *grid) : modeled_halo_exchange(ctx, d);
+}
+
+/// Restart path (paper §V-B): "it automatically loads the last checkpoint".
+/// Restores the grid's interior from it and garbage-collects the stale
+/// complete sets older than it. Returns the iteration the checkpoint holds,
+/// or 0 on a cold start (checkpoints are taken from iteration 1 on).
+[[gnu::noinline]] int load_checkpoint(Context& ctx, ckpt::CheckpointStore& store,
+                                      const core::Services& services, Grid* grid,
+                                      std::size_t state_bytes, std::uint64_t* version) {
+  const int rank = ctx.rank();
+  auto payload = ckpt::read_latest_checkpoint_tiered(ctx, store, *services.storage, version);
+  if (!payload) return 0;
+  HeatCkptHeader header{};
+  if (payload->size() < sizeof(header)) throw std::runtime_error("corrupt checkpoint header");
+  std::memcpy(&header, payload->data(), sizeof(header));
+  if (header.magic != HeatCkptHeader{}.magic || header.rank != rank) {
+    throw std::runtime_error("checkpoint mismatch");
+  }
+  if (grid != nullptr) {
+    if (payload->size() != sizeof(header) + state_bytes) {
+      throw std::runtime_error("checkpoint payload size mismatch");
+    }
+    grid->restore_interior(reinterpret_cast<const double*>(payload->data() + sizeof(header)));
+  }
+  for (std::uint64_t v : store.versions()) {
+    if (v < *version) store.remove_file(v, rank);
+  }
+  return header.iteration;
+}
+
+/// Writes iteration `it`'s checkpoint: the header, then the grid's interior
+/// when there is a grid, refilled into the rank's one payload buffer.
+[[gnu::noinline]] void write_checkpoint(Context& ctx, ckpt::TieredWriter& writer,
+                                        ckpt::CheckpointStore& store, const HeatParams& p,
+                                        int it, const Grid* grid, std::size_t state_bytes,
+                                        std::vector<std::byte>& payload) {
+  HeatCkptHeader header;
+  header.rank = ctx.rank();
+  header.iteration = it;
+  header.nx = p.nx;
+  header.ny = p.ny;
+  header.nz = p.nz;
+  const auto* header_bytes = reinterpret_cast<const std::byte*>(&header);
+  payload.assign(header_bytes, header_bytes + sizeof(header));
+  if (grid != nullptr) grid->append_interior(payload);
+  writer.write(ctx, store, static_cast<std::uint64_t>(it), payload, sizeof(header) + state_bytes);
 }
 
 void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* reports) {
@@ -280,45 +355,22 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   // Halo buffers exist only with a grid (it holds them); modeled halos
   // carry no bytes.
   std::unique_ptr<Grid> grid;
-  if (p.real_compute) {
-    grid = std::make_unique<Grid>(d);
-    grid->init(p);
-    if (p.register_memory) ctx.register_memory("heat3d.grid", grid->raw(), grid->raw_bytes());
-  }
+  if (p.real_compute) grid = make_grid(ctx, p, d);
 
-  // Restart path (paper §V-B): "it automatically loads the last checkpoint".
-  int start_iteration = 1;
-  int restarts_used = 0;
   std::uint64_t restored_version = 0;
-  if (auto payload = ckpt::read_latest_checkpoint_tiered(ctx, store, *services.storage,
-                                                         &restored_version)) {
-    HeatCkptHeader header{};
-    if (payload->size() < sizeof(header)) throw std::runtime_error("corrupt checkpoint header");
-    std::memcpy(&header, payload->data(), sizeof(header));
-    if (header.magic != HeatCkptHeader{}.magic || header.rank != rank) {
-      throw std::runtime_error("checkpoint mismatch");
-    }
-    start_iteration = header.iteration + 1;
-    restarts_used = 1;
-    if (grid) {
-      if (payload->size() != sizeof(header) + state_bytes) {
-        throw std::runtime_error("checkpoint payload size mismatch");
-      }
-      grid->restore_interior(
-          reinterpret_cast<const double*>(payload->data() + sizeof(header)));
-    }
-    // Stale complete sets older than the one restored are garbage-collected.
-    for (std::uint64_t v : store.versions()) {
-      if (v < restored_version) store.remove_file(v, rank);
-    }
+  const int restored_iteration =
+      load_checkpoint(ctx, store, services, grid.get(), state_bytes, &restored_version);
+  const int start_iteration = restored_iteration + 1;
+  const bool restarted = restored_iteration > 0;
+  if (restarted) {
     // Checkpoints persist interiors only; rebuild the halo layers so the
     // physics after restart is bit-identical to the uninterrupted run.
     set_phase(p, rank, HeatPhase::kHalo);
     if (halo_exchange(ctx, d, grid.get()) != Err::kSuccess) return;
   }
 
-  std::uint64_t prev_ckpt_version = restarts_used != 0 ? restored_version : 0;
-  bool have_prev_ckpt = restarts_used != 0;
+  std::uint64_t prev_ckpt_version = restarted ? restored_version : 0;
+  bool have_prev_ckpt = restarted;
 
   // The iterations due a halo exchange and a checkpoint are the multiples of
   // their intervals. Keep the next one due, starting from the first at or
@@ -360,17 +412,7 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
       // previous checkpoint ("such that the previous checkpoint can be
       // deleted safely", §V-B).
       set_phase(p, rank, HeatPhase::kCheckpoint);
-      HeatCkptHeader header;
-      header.rank = rank;
-      header.iteration = it;
-      header.nx = p.nx;
-      header.ny = p.ny;
-      header.nz = p.nz;
-      const auto* header_bytes = reinterpret_cast<const std::byte*>(&header);
-      payload.assign(header_bytes, header_bytes + sizeof(header));
-      if (grid) grid->append_interior(payload);
-      writer.write(ctx, store, static_cast<std::uint64_t>(it), payload,
-                   sizeof(header) + state_bytes);
+      write_checkpoint(ctx, writer, store, p, it, grid.get(), state_bytes, payload);
 
       set_phase(p, rank, HeatPhase::kBarrier);
       if (ctx.barrier(ctx.world()) != Err::kSuccess) return;
@@ -388,7 +430,7 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   if (reports != nullptr) {
     auto& rep = reports->at(static_cast<std::size_t>(rank));
     rep.completed_iterations = p.total_iterations;
-    rep.restarts_used = restarts_used;
+    rep.restarts_used = restarted ? 1 : 0;
     rep.checksum = grid ? grid->checksum() : 0.0;
   }
   ctx.finalize();

@@ -31,15 +31,20 @@ void CheckpointStore::begin(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   if (rank < 0 || rank >= expected_ranks_) throw std::invalid_argument("bad rank");
   VersionSet& set = touch(versions_[version]);
-  if (set.files.empty()) set.files.resize(static_cast<std::size_t>(expected_ranks_));
+  if (set.files.empty()) {
+    // Every finalized file has a copy: one side-table slot per rank.
+    set.files.resize(static_cast<std::size_t>(expected_ranks_));
+    set.copies.reserve(static_cast<std::size_t>(expected_ranks_));
+  }
   File& file = set.files[static_cast<std::size_t>(rank)];
   if (file.exists) {
     if (file.finalized) --set.finalized_count;
+    drop_copies(set, file);
+    compact_if_sparse(set);
   } else {
     ++set.file_count;
   }
   file.data.clear();
-  file.copy_count = 0;
   file.exists = true;
   file.finalized = false;
 }
@@ -59,7 +64,7 @@ void CheckpointStore::finalize(std::uint64_t version, int rank, const CopyRecord
   auto [set, file] = locate(version, rank);
   if (file == nullptr) throw std::logic_error("finalize before begin");
   if (file->finalized) throw std::logic_error("finalize after finalize");
-  insert_copy(*file, first);
+  insert_copy(*set, *file, first);
   file->finalized = true;
   ++touch(*set).finalized_count;
 }
@@ -111,13 +116,63 @@ std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {
   return file == nullptr ? 0 : file->data.size();
 }
 
-void CheckpointStore::insert_copy(File& file, const CopyRecord& copy) {
+CopyRecord CheckpointStore::record_of(const CopySlot& slot) {
+  return CopyRecord{.level = slot.level, .holder = slot.holder, .ready_time = slot.ready_time,
+                    .depends_on = slot.depends_on, .depends_until = slot.depends_until};
+}
+
+void CheckpointStore::insert_copy(VersionSet& set, File& file, const CopyRecord& copy) {
   if (file.copy_count == kMaxCopies) throw std::logic_error("too many copies");
-  int pos = file.copy_count++;
-  for (; pos > 0 && file.copies[pos - 1].level > copy.level; --pos) {
-    file.copies[pos] = file.copies[pos - 1];
+  std::uint32_t slot = set.free_copy;
+  if (slot != kNoCopy) {
+    set.free_copy = set.copies[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(set.copies.size());
+    set.copies.emplace_back();
   }
-  file.copies[pos] = copy;
+  std::uint32_t* link = &file.first_copy;
+  while (*link != kNoCopy && set.copies[*link].level <= copy.level) {
+    link = &set.copies[*link].next;
+  }
+  CopySlot& entry = set.copies[slot];
+  entry = CopySlot{copy.ready_time, copy.depends_until, copy.level, copy.holder, copy.depends_on};
+  entry.next = *link;
+  *link = slot;
+  ++file.copy_count;
+  ++set.live_copies;
+}
+
+void CheckpointStore::free_slot(VersionSet& set, std::uint32_t slot) {
+  set.copies[slot].next = set.free_copy;
+  set.free_copy = slot;
+  --set.live_copies;
+}
+
+void CheckpointStore::drop_copies(VersionSet& set, File& file) {
+  for (std::uint32_t i = file.first_copy; i != kNoCopy;) {
+    const std::uint32_t next = set.copies[i].next;
+    free_slot(set, i);
+    i = next;
+  }
+  file.first_copy = kNoCopy;
+  file.copy_count = 0;
+}
+
+void CheckpointStore::compact_if_sparse(VersionSet& set) {
+  if (set.copies.size() - set.live_copies <= set.live_copies + kCopySlack) return;
+  std::vector<CopySlot> kept;
+  kept.reserve(set.live_copies);  // No reallocation: `link` stays valid.
+  for (File& file : set.files) {
+    std::uint32_t* link = &file.first_copy;
+    for (std::uint32_t i = file.first_copy; i != kNoCopy; i = set.copies[i].next) {
+      *link = static_cast<std::uint32_t>(kept.size());
+      kept.push_back(set.copies[i]);
+      link = &kept.back().next;
+    }
+    *link = kNoCopy;
+  }
+  set.copies.swap(kept);
+  set.free_copy = kNoCopy;
 }
 
 void CheckpointStore::record_copy(std::uint64_t version, int rank,
@@ -125,7 +180,7 @@ void CheckpointStore::record_copy(std::uint64_t version, int rank,
   std::lock_guard<std::mutex> lock(mu_);
   auto [set, file] = locate(version, rank);
   if (file == nullptr) throw std::logic_error("record_copy before begin");
-  insert_copy(*file, copy);
+  insert_copy(*set, *file, copy);
   touch(*set);
 }
 
@@ -133,7 +188,13 @@ std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank)
   std::lock_guard<std::mutex> lock(mu_);
   const File* file = find_file(version, rank);
   if (file == nullptr) return {};
-  return {file->copies.begin(), file->copies.begin() + file->copy_count};
+  const std::vector<CopySlot>& slots = versions_.find(version)->second.copies;
+  std::vector<CopyRecord> out;
+  out.reserve(file->copy_count);
+  for (std::uint32_t i = file->first_copy; i != kNoCopy; i = slots[i].next) {
+    out.push_back(record_of(slots[i]));
+  }
+  return out;
 }
 
 RestorePlan CheckpointStore::build_plan(std::uint64_t version, const VersionSet& set) const {
@@ -149,13 +210,14 @@ RestorePlan CheckpointStore::build_plan(std::uint64_t version, const VersionSet&
   for (int q = 0; q < world; ++q) {
     // How q reaches a copy, cheapest first: its own node memory, a shared
     // tier (bb/pfs), a peer's node memory (a network fetch).
-    auto access = [q](const CopyRecord& c) { return c.holder == q ? 0 : c.holder < 0 ? 1 : 2; };
+    auto access = [q](const CopySlot& c) { return c.holder == q ? 0 : c.holder < 0 ? 1 : 2; };
     // Copies are level-ordered: only the fastest level's run competes. A
     // complete version's files are finalized, so each has a copy.
     const File& file = set.files[static_cast<std::size_t>(q)];
-    const CopyRecord* best = &file.copies[0];
-    for (int i = 1; i < file.copy_count && file.copies[i].level == best->level; ++i) {
-      if (access(file.copies[i]) < access(*best)) best = &file.copies[i];
+    const CopySlot* best = &set.copies[file.first_copy];
+    for (std::uint32_t i = best->next; i != kNoCopy && set.copies[i].level == best->level;
+         i = set.copies[i].next) {
+      if (access(set.copies[i]) < access(*best)) best = &set.copies[i];
     }
     RestorePlan::Source& src = plan.sources[static_cast<std::size_t>(q)];
     src.level = best->level;
@@ -197,7 +259,9 @@ bool CheckpointStore::erase_file(VersionSet& set, File& file) {
   touch(set);
   if (file.finalized) --set.finalized_count;
   --set.file_count;
+  drop_copies(set, file);
   file = File{};
+  compact_if_sparse(set);
   return set.file_count == 0;
 }
 
@@ -213,7 +277,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
     SimTime& t = died[static_cast<std::size_t>(f.rank)];
     t = std::min(t, f.time);
   }
-  auto survives = [&](const CopyRecord& c) {
+  auto survives = [&](const CopySlot& c) {
     if (c.ready_time > end_time) return false;  // Drain still in flight.
     if (c.holder >= 0 && c.holder < expected_ranks_ &&
         died[static_cast<std::size_t>(c.holder)] != kAlive) {
@@ -232,8 +296,16 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
     for (File& file : set.files) {
       if (!file.exists) continue;
       int kept = 0;
-      for (int i = 0; i < file.copy_count; ++i) {
-        if (survives(file.copies[i])) file.copies[kept++] = file.copies[i];
+      std::uint32_t* link = &file.first_copy;
+      while (*link != kNoCopy) {
+        const std::uint32_t i = *link;
+        if (survives(set.copies[i])) {
+          ++kept;
+          link = &set.copies[i].next;
+        } else {
+          *link = set.copies[i].next;
+          free_slot(set, i);
+        }
       }
       if (kept == file.copy_count) continue;
       lost += file.copy_count - kept;
@@ -241,6 +313,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
       touch(set);
       if (kept == 0) empty = erase_file(set, file);
     }
+    compact_if_sparse(set);
     vit = empty ? versions_.erase(vit) : std::next(vit);
   }
   return lost;
@@ -284,6 +357,13 @@ std::size_t CheckpointStore::file_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
   for (const auto& [v, set] : versions_) total += static_cast<std::size_t>(set.file_count);
+  return total;
+}
+
+std::size_t CheckpointStore::copy_slots() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t total = 0;
+  for (const auto& [v, set] : versions_) total += set.copies.size();
   return total;
 }
 

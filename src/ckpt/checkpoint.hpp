@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -77,10 +76,37 @@ struct RestorePlan {
 /// state that survives an abort/restart cycle. All methods are thread-safe:
 /// ranks checkpointing concurrently live on different engine workers.
 class CheckpointStore {
+  /// A version's tables are world-sized, so each entry is kept small
+  /// (DESIGN.md §9): a file is 32 bytes and carries no copy inline. Its
+  /// copies are a level-ordered chain through its version's side table, in
+  /// slots of 32 bytes: a PFS-mode file has one.
+  static constexpr std::uint32_t kNoCopy = 0xffffffffu;
+  struct File {
+    std::vector<std::byte> data;
+    std::uint32_t first_copy = kNoCopy;  ///< Head of the copy chain.
+    std::uint8_t copy_count = 0;         ///< At least one once finalized.
+    bool exists = false;
+    bool finalized = false;
+  };
+  /// One CopyRecord in a side table, its fields reordered so the link fits.
+  struct CopySlot {
+    SimTime ready_time = 0;
+    SimTime depends_until = 0;
+    int level = 2;
+    int holder = -1;
+    int depends_on = -1;
+    /// The file's next copy; in a free slot, the next free one.
+    std::uint32_t next = kNoCopy;
+  };
+
  public:
   /// Most copy records one file can carry: own memory, partner memory, burst
   /// buffer and PFS — everything TieredWriter records for one write.
   static constexpr int kMaxCopies = 4;
+  /// Bytes of one rank's entry in a version's file table, and of one
+  /// recorded copy in its side table.
+  static constexpr std::size_t kFileRecordBytes = sizeof(File);
+  static constexpr std::size_t kCopySlotBytes = sizeof(CopySlot);
 
   explicit CheckpointStore(int expected_ranks);
 
@@ -157,21 +183,25 @@ class CheckpointStore {
   std::size_t total_bytes() const;
   std::size_t file_count() const;
 
+  /// Free side-table slots a version may hold beyond its recorded copies
+  /// before its table is compacted.
+  static constexpr std::size_t kCopySlack = 64;
+
+  /// Side-table slots held over all versions, free ones included: at most
+  /// twice the copies of live files plus kCopySlack per version.
+  std::size_t copy_slots() const;
+
  private:
-  struct File {
-    std::vector<std::byte> data;
-    /// Physical placements, level-ordered; at least one once finalized.
-    std::array<CopyRecord, kMaxCopies> copies{};
-    std::uint8_t copy_count = 0;
-    bool exists = false;
-    bool finalized = false;
-  };
-  /// Per-version bookkeeping: a dense file table indexed by rank. The
-  /// counters make set_complete() O(1). `stamp` changes with every mutation
-  /// of this version, so a cached plan goes stale only when its own version
-  /// does (heat3d deletes older versions right after restoring).
+  /// Per-version bookkeeping: a dense file table indexed by rank and the
+  /// side table of the files' copies. The counters make set_complete()
+  /// O(1). `stamp` changes with every mutation of this version, so a cached
+  /// plan goes stale only when its own version does (heat3d deletes older
+  /// versions right after restoring).
   struct VersionSet {
     std::vector<File> files;
+    std::vector<CopySlot> copies;
+    std::uint32_t free_copy = kNoCopy;  ///< Chain of free side-table slots.
+    std::uint32_t live_copies = 0;      ///< Side-table slots in use.
     int file_count = 0;
     int finalized_count = 0;
     std::uint64_t stamp = 0;
@@ -184,7 +214,14 @@ class CheckpointStore {
   std::pair<VersionSet*, File*> locate(std::uint64_t version, int rank);
   const File* find_file(std::uint64_t version, int rank) const;
   /// Inserts `copy` after every copy of the same or a faster level.
-  static void insert_copy(File& file, const CopyRecord& copy);
+  static void insert_copy(VersionSet& set, File& file, const CopyRecord& copy);
+  /// Frees every copy of `file`.
+  static void drop_copies(VersionSet& set, File& file);
+  static void free_slot(VersionSet& set, std::uint32_t slot);
+  /// Rebuilds the side table from the live copies, file by file, once its
+  /// free slots outnumber its used ones by more than kCopySlack.
+  static void compact_if_sparse(VersionSet& set);
+  static CopyRecord record_of(const CopySlot& slot);
   /// Drops rank's file from `set`; true if the set is now empty.
   bool erase_file(VersionSet& set, File& file);
   bool set_complete_unlocked(std::uint64_t version) const;

@@ -99,8 +99,9 @@ class FiberStack {
 /// FiberStack, and a switch that changes the stack's occupant saves the old
 /// occupant's live frames, [saved sp, top), into that fiber's image and
 /// copies the new one's image back to the same addresses. A suspended
-/// simulated rank thus costs one image of about 1.3 KiB, and every rank runs
-/// above a guard page. A fiber that never ran has no image.
+/// simulated rank thus costs one image of its deepest live frames (832 B
+/// for modeled heat3d), and every rank runs above a guard page. A fiber
+/// that never ran has no image.
 ///
 /// A fiber runs until it calls Fiber::yield() (from inside the fiber) or its
 /// body returns. resume() switches into the fiber and returns when the fiber

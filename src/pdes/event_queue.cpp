@@ -1,17 +1,9 @@
 #include "pdes/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 namespace exasim {
-
-namespace {
-
-/// Smallest ring a new run starts with.
-constexpr std::size_t kMinRing = 16;
-
-}  // namespace
 
 EventQueue::EventQueue() {
   // Idle slots as a stack with slot 0 on top, so runs fill low slots first.
@@ -19,15 +11,28 @@ EventQueue::EventQueue() {
   idle_count_ = kMaxRuns;
 }
 
+EventQueue::~EventQueue() {
+  for (int i = 0; i < live_; ++i) {
+    const Run& run = runs_[heads_[i].run];
+    Chunk* c = run.first;
+    for (std::uint32_t k = 0, at = run.head; k < run.count; ++k, ++at) {
+      if (at == kChunkEvents) {
+        c = c->next;
+        at = 0;
+      }
+      c->at(at)->~Event();
+    }
+  }
+}
+
 void EventQueue::reserve(std::size_t n) {
   const std::size_t fallback = std::min(n, kRunFloor);
   slab_.reserve(fallback);
   free_.reserve(fallback);
   heap_.reserve(fallback);
-  if (n > kRunFloor && idle_count_ > 0) {
-    std::vector<Event>& ring = runs_[idle_[idle_count_ - 1]].ring;
-    const std::size_t want = std::bit_ceil(n - kRunFloor);
-    if (ring.size() < want) ring = std::vector<Event>(want);
+  const std::size_t run_events = n > kRunFloor ? n - kRunFloor : 0;
+  if (run_events > run_capacity()) {
+    add_chunks((run_events - run_capacity() + kChunkEvents - 1) / kChunkEvents);
   }
 }
 
@@ -109,12 +114,37 @@ void EventQueue::heads_down(std::size_t i) {
   heads_[i] = h;
 }
 
+EventQueue::Chunk* EventQueue::take_chunk() {
+  Chunk* c = free_chunks_;
+  if (c != nullptr) {
+    free_chunks_ = c->next;
+  } else {
+    if (untouched_left_ == 0) add_chunks(kGrowChunks);
+    c = untouched_++;
+    --untouched_left_;
+  }
+  c->next = nullptr;
+  return c;
+}
+
+void EventQueue::add_chunks(std::size_t n) {
+  while (untouched_left_ > 0) {
+    give_chunk(untouched_++);
+    --untouched_left_;
+  }
+  // Default-initialized: no byte of the block is written here.
+  untouched_ = chunk_blocks_.emplace_back(new Chunk[n]).get();
+  untouched_left_ = n;
+  chunk_count_ += n;
+}
+
 void EventQueue::start_run(Event&& ev, const Key& k) {
   const std::uint8_t r = idle_[--idle_count_];
   Run& run = runs_[r];
-  if (run.ring.empty()) run.ring.resize(kMinRing);
-  run.ring[0] = std::move(ev);
+  run.first = run.last = take_chunk();
+  ::new (run.first->at(0)) Event(std::move(ev));
   run.head = 0;
+  run.tail = 1;
   run.count = 1;
   // No live tail is <= k, so the new run's tail is the smallest.
   std::copy_backward(tails_.begin(), tails_.begin() + live_, tails_.begin() + live_ + 1);
@@ -136,6 +166,9 @@ void EventQueue::start_run(Event&& ev, const Key& k) {
 
 void EventQueue::retire_front_run() {
   const std::uint8_t r = heads_[0].run;
+  Run& run = runs_[r];
+  if (run.first != nullptr) give_chunk(run.first);  // Null if it ended a chunk.
+  run.first = run.last = nullptr;
   const int at = static_cast<int>(
       std::find(tail_run_.begin(), tail_run_.begin() + live_, r) - tail_run_.begin());
   std::copy(tails_.begin() + at + 1, tails_.begin() + live_, tails_.begin() + at);
@@ -162,18 +195,11 @@ void EventQueue::push(Event&& ev) {
   if (fit != tails_.begin()) {
     const auto at = static_cast<std::size_t>(fit - tails_.begin()) - 1;
     Run& run = runs_[tail_run_[at]];
-    std::size_t cap = run.ring.size();
-    if (run.count == cap) {
-      // Full: unroll into a ring twice the size.
-      std::vector<Event> grown(cap * 2);
-      for (std::size_t i = 0; i < cap; ++i) {
-        grown[i] = std::move(run.ring[(run.head + i) & (cap - 1)]);
-      }
-      run.ring.swap(grown);
-      run.head = 0;
-      cap *= 2;
+    if (run.tail == kChunkEvents) {
+      run.last = run.last->next = take_chunk();
+      run.tail = 0;
     }
-    run.ring[(run.head + run.count) & (cap - 1)] = std::move(ev);
+    ::new (run.last->at(run.tail++)) Event(std::move(ev));
     ++run.count;
     tails_[at] = k;  // Still below the next tail, which was > k.
     return;
@@ -214,13 +240,19 @@ Event EventQueue::pop() {
   }
   ++stats_.run_pops;
   Run& run = runs_[heads_[0].run];
-  const std::size_t mask = run.ring.size() - 1;
-  Event ev = std::move(run.ring[run.head]);
-  run.head = static_cast<std::uint32_t>((run.head + 1) & mask);
+  Event* slot = run.first->at(run.head);
+  Event ev = std::move(*slot);
+  slot->~Event();
+  if (++run.head == kChunkEvents) {
+    Chunk* done = run.first;
+    run.first = done->next;
+    run.head = 0;
+    give_chunk(done);
+  }
   if (--run.count == 0) {
     retire_front_run();
   } else {
-    heads_[0].key = key_of_event(run.ring[run.head]);
+    heads_[0].key = key_of_event(*run.first->at(run.head));
     heads_down(0);
   }
   return ev;

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "pdes/event.hpp"
@@ -18,10 +20,13 @@ namespace exasim {
 /// Sorted runs plus a fallback heap (DESIGN.md §13). A simulation pushes a
 /// few dozen key-ordered streams at once — every message class is scheduled
 /// at "now + a fixed delay", and now only grows — so the pending set is the
-/// union of a few sorted runs. Each run is a ring buffer of whole Events in
-/// key order. A push appends to the run with the greatest tail at or below
-/// the event's key (best fit, a binary search over at most kMaxRuns tails);
-/// appending keeps the tails sorted. An event no run takes starts a new run
+/// union of a few sorted runs. Each run is a FIFO of whole Events in key
+/// order, held in fixed-size chunks that every run takes from, and returns
+/// to, one queue-wide free list, so the run level holds about the events
+/// pending in runs, not each run's own high water. A push appends to the
+/// run with the greatest tail at or below the event's key (best fit, a
+/// binary search over at most kMaxRuns tails); appending keeps the tails
+/// sorted. An event no run takes starts a new run
 /// when there is room, or goes to the fallback: a binary heap of 24-byte
 /// keys over a slot-stable slab of events. A pop takes the smaller of the
 /// run-head heap's minimum and the fallback's root under the full
@@ -30,6 +35,9 @@ namespace exasim {
 class EventQueue {
  public:
   EventQueue();
+  ~EventQueue();  ///< Destroys the events still in runs.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   void push(Event&& ev);
 
@@ -55,13 +63,9 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Events the run rings (live and idle) have room for: the memory the run
-  /// level holds.
-  std::size_t run_capacity() const {
-    std::size_t n = 0;
-    for (const Run& run : runs_) n += run.ring.size();
-    return n;
-  }
+  /// Events the run chunks (in runs and free) have room for: the memory the
+  /// run level holds.
+  std::size_t run_capacity() const { return chunk_count_ * kChunkEvents; }
 
   /// Queue-local traffic counters, folded into the running thread's
   /// counter block (util/counters.hpp) by the engine at the end of a run.
@@ -87,6 +91,10 @@ class EventQueue {
   /// random keys split a small queue into dozens of short runs:
   /// BM_EventQueueThroughput/1024 fell from 9.5 to 7.6 M events/s.
   static constexpr std::size_t kRunFloor = 256;
+  /// Events per run chunk: 1 KiB of them.
+  static constexpr std::uint32_t kChunkEvents = 16;
+  /// Chunks allocated at once when the free list runs dry: 64 KiB.
+  static constexpr std::size_t kGrowChunks = 64;
 
  private:
   /// Full ordering key. `ps` packs (priority << 32) | sign-biased source so
@@ -106,11 +114,24 @@ class EventQueue {
     std::uint32_t slot = 0;
   };
 
-  /// One sorted run: a power-of-two ring of events in key order. Retired
-  /// runs keep their ring for the next run started in their slot.
+  /// A block of run storage, left uninitialized until a run takes it: an
+  /// event is constructed in its slot by the push that appends it and
+  /// destroyed by the pop that takes it. `next` links the run's next chunk,
+  /// or the next free one.
+  struct Chunk {
+    alignas(Event) std::byte bytes[kChunkEvents * sizeof(Event)];
+    Chunk* next;
+    Event* at(std::uint32_t i) { return std::launder(reinterpret_cast<Event*>(bytes)) + i; }
+  };
+
+  /// One sorted run: its events in key order, from events[head] of the
+  /// first chunk to events[tail - 1] of the last. A retired run holds no
+  /// chunk.
   struct Run {
-    std::vector<Event> ring;
+    Chunk* first = nullptr;
+    Chunk* last = nullptr;
     std::uint32_t head = 0;
+    std::uint32_t tail = 0;
     std::uint32_t count = 0;
   };
 
@@ -152,6 +173,16 @@ class EventQueue {
   void heap_down(std::size_t i);
 
   // Runs.
+  /// From the free list, else the newest block's untouched chunks, else a
+  /// new block of kGrowChunks.
+  Chunk* take_chunk();
+  /// Allocates a block of `n` untouched chunks; the last block's leftovers
+  /// go to the free list.
+  void add_chunks(std::size_t n);
+  void give_chunk(Chunk* c) {
+    c->next = free_chunks_;
+    free_chunks_ = c;
+  }
   void start_run(Event&& ev, const Key& k);
   void retire_front_run();
   void heads_down(std::size_t i);
@@ -161,6 +192,12 @@ class EventQueue {
   std::vector<Event> slab_;          ///< Slot-stable fallback event storage.
   std::vector<std::uint32_t> free_;  ///< Recyclable slab slots.
   std::vector<Entry> heap_;          ///< Fallback binary heap.
+
+  std::vector<std::unique_ptr<Chunk[]>> chunk_blocks_;  ///< Every chunk, owned.
+  std::size_t chunk_count_ = 0;
+  Chunk* free_chunks_ = nullptr;
+  Chunk* untouched_ = nullptr;  ///< The newest block's chunks never taken,
+  std::size_t untouched_left_ = 0;  ///< from untouched_ on.
 
   std::array<Run, kMaxRuns> runs_;
   /// Live runs' tail keys in ascending order, and the run owning each.

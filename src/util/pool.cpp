@@ -30,7 +30,7 @@ constexpr std::uint32_t kHeapMagic = 0x48534158u;  // "XASH"
 // Size classes for the pooled fast path. Header-only payloads are 16–64
 // bytes; a message carrying real bytes is one block sized to them and rides
 // the larger classes. From 512 B to 2 KiB the classes are 64 B apart, so a
-// saved fiber-stack image (about 1.3 KiB per suspended rank; fiber.hpp)
+// saved fiber-stack image (832 B per suspended modeled heat3d rank; fiber.hpp)
 // wastes less than 64 B of its block instead of up to a third of it.
 // Anything above the last class goes straight to the heap (bulk checkpoint
 // payloads — rare and already dominated by the memcpy).

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <exception>
 #include <stdexcept>
+#include <utility>
 
 #include "resilience/policy.hpp"
 #include "util/counters.hpp"
@@ -86,7 +87,11 @@ SimProcess::SimProcess(Rank world_rank, const ProcessShared& shared, SimTime ini
   world_.my_rank = world_rank_;
 }
 
-SimProcess::~SimProcess() = default;
+SimProcess::~SimProcess() {
+  for (const Request& r : slots_) {
+    if (r.serial != 0 && r.kind == Request::Kind::kSend) delete r.rdv_data;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Fiber lifecycle
@@ -370,7 +375,7 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
   // Clear-to-send: the NIC injects the payload now. The sender's request
   // completes once injection finishes; the receiver gets the bulk data
   // (built at post time) after the in-flight time.
-  std::unique_ptr<MsgPayload> data = std::move(r->rdv_data);
+  std::unique_ptr<MsgPayload> data{std::exchange(r->rdv_data, nullptr)};
   data->req = p.recv_req;
   const Envelope env{r->comm_id, find_comm(r->comm_id)->my_rank, world_rank_, r->tag, r->bytes};
   const Fabric& fabric = *shared_->fabric;
@@ -457,7 +462,7 @@ void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTi
 void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_world,
                                        SimTime t_detect) {
   auto p = std::make_unique<ErrorWakeupPayload>();
-  p->request = r.handle();
+  p->request = handle_of(r);
   p->error = Err::kProcFailed;
   // §IV-C timeout release, floored at the detector's notice delivery time:
   // the error cannot surface before this process learned of the failure.
@@ -549,13 +554,17 @@ bool SimProcess::on_stall(Engine& engine) {
 // Matching engine
 // ---------------------------------------------------------------------------
 
+std::uint32_t SimProcess::take_serial() {
+  if (next_serial_ == 0) throw std::overflow_error("vmpi: request serials exhausted");
+  return next_serial_++;
+}
+
 Request& SimProcess::acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
                                      std::size_t bytes, SimTime post_time) {
   if (slots_.empty()) slots_.reserve(kFirstReserve);
   const std::uint32_t slot = slab_acquire(slots_, free_slot_);
   Request& r = slots_[slot];
-  r.serial = next_serial_++;
-  r.slot = slot;
+  r.serial = take_serial();
   r.kind = kind;
   r.comm_id = comm.id;
   r.peer_comm_rank = peer;
@@ -577,14 +586,15 @@ void SimProcess::release_request(RequestHandle h) {
   Request* r = find_request(h);
   if (r == nullptr) return;
   unindex_posted(*r);
+  if (r->kind == Request::Kind::kSend) delete r->rdv_data;
   slab_release(slots_, free_slot_, h.slot);
 }
 
 template <class Pred>
 std::vector<std::uint32_t> SimProcess::live_requests_by_serial(Pred pred) const {
   std::vector<std::uint32_t> out;
-  for (const Request& r : slots_) {
-    if (r.serial != 0 && pred(r)) out.push_back(r.slot);
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].serial != 0 && pred(slots_[i])) out.push_back(i);
   }
   std::sort(out.begin(), out.end(), [this](std::uint32_t a, std::uint32_t b) {
     return slots_[a].serial < slots_[b].serial;
@@ -673,9 +683,9 @@ bool SimProcess::match(const Envelope& env, const Request& r) const {
 
 void SimProcess::index_posted(Request& r, std::uint32_t fifo) {
   if (fifo == kAnyFifo) {
-    fifo_push(slots_, any_head_, any_tail_, r.slot);
+    fifo_push(slots_, any_head_, any_tail_, slot_of(r));
   } else {
-    fifo_push(slots_, buckets_[fifo].posted_head, buckets_[fifo].posted_tail, r.slot);
+    fifo_push(slots_, buckets_[fifo].posted_head, buckets_[fifo].posted_tail, slot_of(r));
   }
   r.fifo = fifo;
 }
@@ -686,9 +696,10 @@ void SimProcess::unindex_posted(Request& r) {
   std::uint32_t& tail = r.fifo == kAnyFifo ? any_tail_ : buckets_[r.fifo].posted_tail;
   r.fifo = kNoSlot;
   // The entry is almost always the head: receives match in post order.
+  const std::uint32_t slot = slot_of(r);
   std::uint32_t prev = kNoSlot;
   for (std::uint32_t i = head; i != kNoSlot; prev = i, i = slots_[i].next) {
-    if (i == r.slot) {
+    if (i == slot) {
       fifo_unlink(slots_, head, tail, prev, i);
       return;
     }
@@ -723,7 +734,7 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, RequestH
   const SimTime match_time = std::max(r.post_time, arrival) + fabric.receiver_overhead();
   auto cts = std::make_unique<CtsPayload>();
   cts->send_req = send_req;
-  cts->recv_req = r.handle();
+  cts->recv_req = handle_of(r);
   shared_->engine->schedule(
       match_time + fabric.delivery_at(match_time, world_rank_, env.src_world_rank, 0),
       env.src_world_rank, kEvCtsArrival, std::move(cts));
@@ -811,7 +822,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     r.complete_time = clock_;
     r.error = Err::kRevoked;
     mark_done(r);
-    return r.handle();
+    return handle_of(r);
   }
 
   const Envelope env{comm.id, comm.my_rank, world_rank_, tag, bytes};
@@ -838,20 +849,20 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     // Complete now, so nothing is left to track: the handle names a done
     // send. A traced send keeps a slot because the trace records at wait
     // time (DESIGN.md §13).
-    if (shared_->trace == nullptr) return RequestHandle{next_serial_++, kNoSlot};
+    if (shared_->trace == nullptr) return RequestHandle{take_serial(), kNoSlot};
     Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
     r.survives_revoke = allow_revoked;
     r.complete_time = clock_;
     r.error = Err::kSuccess;
     mark_done(r);
-    return r.handle();
+    return handle_of(r);
   }
 
   Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
   r.survives_revoke = allow_revoked;
-  r.rdv_data = MsgPayload::make(RequestHandle{}, data, data_bytes);
+  r.rdv_data = MsgPayload::make(RequestHandle{}, data, data_bytes).release();
   engine.schedule(t0 + fabric.delivery_at(t0, world_rank_, peer_world, 0), peer_world,
-                  kEvMsgArrival, MsgPayload::make(r.handle(), nullptr, 0),
+                  kEvMsgArrival, MsgPayload::make(handle_of(r), nullptr, 0),
                   EventPriority::kMessage, EventInline::of(env));
   r.stage = Request::Stage::kAwaitingCts;
   // Sending to a peer already known failed: the RTS will be dropped;
@@ -862,7 +873,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
     schedule_error_wakeup(r, fault_.peer_failure_time(peer_world), peer_world,
                           fault_.peer_detect_time(peer_world));
   }
-  return r.handle();
+  return handle_of(r);
 }
 
 RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
@@ -878,7 +889,7 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
     r.complete_time = clock_;
     r.error = Err::kRevoked;
     mark_done(r);
-    return r.handle();
+    return handle_of(r);
   }
   const std::uint32_t fifo = src == kAnySource ? kAnyFifo : bucket_for(comm.id, src);
   if (!try_match_unexpected(r, fifo)) {
@@ -899,7 +910,7 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
                             fault_.peer_detect_time(r.peer_world_rank));
     }
   }
-  return r.handle();
+  return handle_of(r);
 }
 
 Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {

@@ -339,6 +339,13 @@ class SimProcess final : public LogicalProcess {
     std::uint32_t msg = kNoSlot;
     std::uint32_t prev = kNoSlot;
   };
+  /// The next request serial. Throws std::overflow_error once a rank has
+  /// posted 2^32 - 1 requests, before a serial could repeat.
+  std::uint32_t take_serial();
+  std::uint32_t slot_of(const Request& r) const {
+    return static_cast<std::uint32_t>(&r - slots_.data());
+  }
+  RequestHandle handle_of(const Request& r) const { return RequestHandle{r.serial, slot_of(r)}; }
   Request& acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
                            std::size_t bytes, SimTime post_time);
   Request* find_request(RequestHandle h);
@@ -422,7 +429,7 @@ class SimProcess final : public LogicalProcess {
   // (RequestHandle::completed_send). The first growth reserves
   // kFirstReserve slots, so a halo rank allocates the table once.
   std::vector<Request> slots_;
-  std::uint64_t next_serial_ = 1;
+  std::uint32_t next_serial_ = 1;
   std::uint32_t free_slot_ = kNoSlot;
   // Match index from (comm id, source comm rank) to a MatchBucket. Buckets
   // are append-only (never erased), so steady traffic causes no churn. Up

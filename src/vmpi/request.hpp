@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "util/time.hpp"
 #include "vmpi/types.hpp"
@@ -15,7 +14,7 @@ namespace exasim::vmpi {
 /// slot: its handle has slot kNoSlot, and waiting on it reports success with
 /// an empty status (DESIGN.md §13).
 struct RequestHandle {
-  std::uint64_t serial = 0;
+  std::uint32_t serial = 0;
   std::uint32_t slot = 0;
   bool valid() const { return serial != 0; }
   bool completed_send() const { return serial != 0 && slot == kNoSlot; }
@@ -30,7 +29,9 @@ inline constexpr std::uint32_t kAnyFifo = kNoSlot - 1;
 /// table; applications hold opaque handles (slot + serial) via the Context
 /// API. Holds no bytes: a rendezvous send keeps its pre-built bulk-data
 /// message by pointer, and a receive's MsgStatus is folded into the fields
-/// below (status()).
+/// below (status()). One slot is 64 bytes (DESIGN.md §9): its slot index is
+/// its position in the table, and the two pointers only one kind uses share
+/// a word.
 struct Request {
   enum class Kind : std::uint8_t { kSend, kRecv };
   enum class Stage : std::uint8_t {
@@ -40,8 +41,7 @@ struct Request {
     kDone,          ///< Terminal: complete_time and error are valid.
   };
 
-  std::uint64_t serial = 0;       ///< Post order; 0 marks a free slot.
-  std::uint32_t slot = 0;         ///< Own index in the request table.
+  std::uint32_t serial = 0;       ///< Post order; 0 marks a free slot.
   /// Next receive in the same posted FIFO; in a free slot, the next free one.
   std::uint32_t next = kNoSlot;
   /// The posted FIFO this receive is linked into: a match bucket, kAnyFifo,
@@ -69,17 +69,19 @@ struct Request {
   int tag = kAnyTag;
   std::size_t bytes = 0;             ///< Send size / recv capacity (see delivered).
 
-  /// Receive destination; nullptr for modeled (size-only) transfers.
-  void* recv_buffer = nullptr;
-  /// Rendezvous send: its bulk data, built at post time and kept until the
-  /// CTS hands it to the engine.
-  std::unique_ptr<MsgPayload> rdv_data;
+  union {
+    /// Receive: its destination; nullptr for modeled (size-only) transfers.
+    void* recv_buffer = nullptr;
+    /// Rendezvous send: its bulk data, built at post time and kept until
+    /// the CTS hands it to the engine. The process owns it and frees it
+    /// with the request (SimProcess::release_request).
+    MsgPayload* rdv_data;
+  };
 
   SimTime post_time = 0;
   SimTime complete_time = 0;
 
   bool done() const { return stage == Stage::kDone; }
-  RequestHandle handle() const { return RequestHandle{serial, slot}; }
   MsgStatus status() const {
     if (!matched) return MsgStatus{kAnySource, kAnyTag, 0, error};
     return MsgStatus{peer_comm_rank, tag, delivered ? bytes : 0, error};

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <random>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
@@ -182,6 +185,144 @@ TEST(CheckpointSlots, FifthCopyIsRejected) {
   }
   EXPECT_THROW(store.record_copy(1, 0, CopyRecord{}), std::logic_error);
   EXPECT_EQ(store.copies(1, 0).size(), static_cast<std::size_t>(CheckpointStore::kMaxCopies));
+}
+
+/// What CheckpointStore keeps, as plain per-(version, rank) copy lists:
+/// the reference the side table is checked against.
+class ReferenceStore {
+ public:
+  explicit ReferenceStore(int world) : world_(world) {}
+
+  void begin(std::uint64_t v, int r) { files_[v][r].clear(); }
+  void add_copy(std::uint64_t v, int r, const CopyRecord& c) {
+    std::vector<CopyRecord>& list = files_[v][r];
+    auto at = list.begin();
+    while (at != list.end() && at->level <= c.level) ++at;  // After ties.
+    list.insert(at, c);
+  }
+  void remove_file(std::uint64_t v, int r) {
+    auto it = files_.find(v);
+    if (it == files_.end()) return;
+    it->second.erase(r);
+    if (it->second.empty()) files_.erase(it);
+  }
+  void remove_version(std::uint64_t v) { files_.erase(v); }
+  /// CheckpointStore::apply_failures' rule, copy by copy; returns the
+  /// copies lost.
+  std::size_t apply_failures(const std::vector<FailureSpec>& failures, SimTime end) {
+    std::map<int, SimTime> died;
+    for (const FailureSpec& f : failures) {
+      auto [it, fresh] = died.emplace(f.rank, f.time);
+      if (!fresh) it->second = std::min(it->second, f.time);
+    }
+    auto lost = [&](const CopyRecord& c) {
+      if (c.ready_time > end) return true;
+      if (c.holder >= 0 && died.count(c.holder) != 0) return true;
+      auto dep = died.find(c.depends_on);
+      return c.depends_on >= 0 && dep != died.end() && dep->second < c.depends_until;
+    };
+    std::size_t n = 0;
+    for (auto& [v, ranks] : files_) {
+      for (auto& [r, list] : ranks) n += std::erase_if(list, lost);
+      std::erase_if(ranks, [](const auto& file) { return file.second.empty(); });
+    }
+    std::erase_if(files_, [](const auto& version) { return version.second.empty(); });
+    return n;
+  }
+
+  std::size_t live_copies() const {
+    std::size_t n = 0;
+    for (const auto& [v, ranks] : files_) {
+      for (const auto& [r, list] : ranks) n += list.size();
+    }
+    return n;
+  }
+  std::size_t versions() const { return files_.size(); }
+
+  /// Every file of every version, and only those, with its copies in order.
+  void expect_matches(const CheckpointStore& store) const {
+    std::vector<std::uint64_t> versions;
+    for (const auto& [v, ranks] : files_) versions.push_back(v);
+    ASSERT_EQ(store.versions(), versions);
+    for (const auto& [v, ranks] : files_) {
+      for (int r = 0; r < world_; ++r) {
+        auto it = ranks.find(r);
+        ASSERT_EQ(store.file_exists(v, r), it != ranks.end()) << "version " << v << " rank " << r;
+        if (it != ranks.end()) {
+          ASSERT_EQ(store.copies(v, r), it->second);
+        }
+      }
+    }
+  }
+
+ private:
+  int world_;
+  std::map<std::uint64_t, std::map<int, std::vector<CopyRecord>>> files_;
+};
+
+TEST(CheckpointSlots, CopySideTableMatchesAReferenceOverAThousandVersions) {
+  // Tiered-shaped traffic on 64 ranks: each version's files finalize with
+  // an own-memory copy and then record partner, burst-buffer and PFS copies
+  // in random order; older files and versions are removed and failures
+  // applied in between. The store's copies must match the reference list
+  // for list, and its side tables stay within twice the live copies plus
+  // the compaction slack per version.
+  constexpr int kWorld = 64;
+  std::mt19937_64 rng(2026);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  CheckpointStore store(kWorld);
+  ReferenceStore ref(kWorld);
+  std::size_t lost = 0;
+  for (std::uint64_t v = 1; v <= 1000; ++v) {
+    const SimTime t = sim_ms(static_cast<int>(v));
+    for (int r = 0; r < kWorld; ++r) {
+      store.begin(v, r);
+      ref.begin(v, r);
+      const CopyRecord own{.level = 0, .holder = r, .ready_time = t};
+      store.finalize(v, r, own);
+      ref.add_copy(v, r, own);
+      std::vector<CopyRecord> extra = {
+          CopyRecord{.level = 0, .holder = ckpt::partner_of(r, kWorld), .ready_time = t},
+          CopyRecord{.level = 1, .holder = -1, .ready_time = t + sim_ms(pick(3))},
+          CopyRecord{.level = 2, .holder = -1, .ready_time = t + sim_ms(pick(3)),
+                     .depends_on = r, .depends_until = t + sim_ms(pick(3))}};
+      std::shuffle(extra.begin(), extra.end(), rng);
+      for (int i = pick(4); i > 0; --i) {
+        store.record_copy(v, r, extra[static_cast<std::size_t>(i - 1)]);
+        ref.add_copy(v, r, extra[static_cast<std::size_t>(i - 1)]);
+      }
+    }
+    // Retire some files of the older versions, as heat3d's cleanup does.
+    for (const std::uint64_t old : store.versions()) {
+      if (old == v) continue;
+      for (int r = 0; r < kWorld; ++r) {
+        if (pick(2) == 0) {
+          store.remove_file(old, r);
+          ref.remove_file(old, r);
+        }
+      }
+    }
+    if (store.versions().size() > 4) {
+      const std::uint64_t oldest = store.versions().front();
+      store.remove_version(oldest);
+      ref.remove_version(oldest);
+    }
+    if (pick(4) == 0) {
+      std::vector<FailureSpec> failures;
+      for (int f = 1 + pick(3); f > 0; --f) {
+        failures.push_back(FailureSpec{pick(kWorld), sim_ms(v - 1 + pick(3))});
+      }
+      const SimTime end = t + sim_ms(pick(2));
+      const int store_lost = store.apply_failures(failures, end);
+      ASSERT_EQ(static_cast<std::size_t>(store_lost), ref.apply_failures(failures, end));
+      lost += static_cast<std::size_t>(store_lost);
+    }
+    ASSERT_NO_FATAL_FAILURE(ref.expect_matches(store)) << "after version " << v;
+    ASSERT_LE(store.copy_slots(),
+              2 * ref.live_copies() + CheckpointStore::kCopySlack * ref.versions())
+        << "after version " << v;
+  }
+  EXPECT_GT(lost, 0u);  // Failures did drop copies.
 }
 
 TEST(CheckpointStore, ApiMisuseThrows) {

@@ -318,7 +318,7 @@ TEST(MsgPayloadBlock, BytesRoundTrip) {
 TEST(MsgPayloadBlock, PooledUpToTheLargestClassThenHeap) {
   // The header: vtable pointer, request handle and byte count. The envelope
   // rides in the event (vmpi::Envelope in EventInline), not here.
-  static_assert(sizeof(vmpi::MsgPayload) == 32, "an attachment header is 32 bytes");
+  static_assert(sizeof(vmpi::MsgPayload) == 24, "an attachment header is 24 bytes");
   static_assert(sizeof(vmpi::Envelope) == EventInline::kBytes,
                 "the envelope fills the event's inline area");
   if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";

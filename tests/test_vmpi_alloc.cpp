@@ -25,8 +25,9 @@
 // - Modeled heat3d set-up: the same two sizes, counted from the first rank
 //   entering the application to the end of a launch with no iterations;
 //   without a grid the application allocates nothing per rank.
-// - Footprint: a request slot, an unexpected-queue entry and a simulated
-//   process have fixed size bounds (compile time), and a modeled message in
+// - Footprint: a request slot, an unexpected-queue entry, a simulated
+//   process and a checkpoint file entry and copy slot have fixed size
+//   bounds (compile time), and a modeled message in
 //   flight is its event alone — no pool bytes are carved over one halo
 //   iteration at 4,096 ranks, when every message is in flight at once,
 //   besides the saved stack images.
@@ -100,15 +101,20 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 namespace exasim {
 namespace {
 
-// Per-rank state multiplies by the rank count (DESIGN.md §13): a slot table
-// holds every outstanding request, and the unexpected queue one entry per
-// early arrival.
-static_assert(sizeof(vmpi::Request) <= 96, "a request slot stays within 96 bytes");
+// Per-rank state multiplies by the rank count (DESIGN.md §9, §13): a slot
+// table holds every outstanding request, and the unexpected queue one entry
+// per early arrival.
+static_assert(sizeof(vmpi::Request) == 64, "a request slot is 64 bytes");
 // An unexpected entry holds its 24-byte envelope inline (message.hpp), so
 // a modeled early arrival costs this and no pool block.
 static_assert(sizeof(vmpi::UnexpectedMsg) <= 56, "an unexpected-queue entry stays within 56 bytes");
 // A rank is one heap block: the process with its fiber inline.
 static_assert(sizeof(vmpi::SimProcess) <= 576, "a simulated process stays within 576 bytes");
+// A checkpoint version holds a world-sized file table, and its side table
+// one slot per recorded copy: a PFS-mode file costs 64 bytes besides its
+// payload.
+static_assert(ckpt::CheckpointStore::kFileRecordBytes == 32, "a checkpoint file entry is 32 bytes");
+static_assert(ckpt::CheckpointStore::kCopySlotBytes == 32, "a recorded copy is 32 bytes");
 
 using vmpi::Context;
 using vmpi::Err;
@@ -421,7 +427,7 @@ std::int64_t heat3d_heap_high_water(int ranks) {
   return g_peak.load(std::memory_order_relaxed) - base;
 }
 
-TEST(VmpiAlloc, HeapHighWaterStaysWithin2900BytesPerRank) {
+TEST(VmpiAlloc, HeapHighWaterStaysWithin2020BytesPerRank) {
   // The event pool keeps its slabs, so warming it at the larger size takes
   // its bytes out of both measurements (the in-flight guard above bounds
   // them).
@@ -432,15 +438,15 @@ TEST(VmpiAlloc, HeapHighWaterStaysWithin2900BytesPerRank) {
   const double per_rank = static_cast<double>(h4k - h2k) / 2048.0;
   std::printf("heap high-water: 2048 ranks %lld B, 4096 ranks %lld B, %.0f B per rank\n",
               static_cast<long long>(h2k), static_cast<long long>(h4k), per_rank);
-  EXPECT_LE(per_rank, 2900.0);
+  EXPECT_LE(per_rank, 2020.0);
 }
 
-TEST(VmpiAlloc, SavedStackImagesStayWithin1600BytesPerRank) {
+TEST(VmpiAlloc, SavedStackImagesStayWithin870BytesPerRank) {
   // A suspended rank keeps its live frames in a pool block sized to them
   // (fiber.hpp), not in a resident stack page. Counted are every image
   // allocated, regrowth included, so the bound holds for the peak too.
-  // Frame sizes are the compiler's: the bound is for optimized builds, and
-  // instrumented ones run deeper (1,744 B per rank under UBSan).
+  // Frame sizes are the compiler's: the bound is for optimized builds
+  // (832 B per rank at -O2 with GCC 12), and instrumented ones run deeper.
 #if !defined(__OPTIMIZE__)
   GTEST_SKIP() << "frame sizes are pinned for optimized builds";
 #endif
@@ -452,7 +458,7 @@ TEST(VmpiAlloc, SavedStackImagesStayWithin1600BytesPerRank) {
     const double per_rank = static_cast<double>(bytes) / ranks;
     std::printf("saved stack images: %d ranks %llu B, %.0f B per rank\n", ranks,
                 static_cast<unsigned long long>(bytes), per_rank);
-    EXPECT_LE(per_rank, 1600.0 + util::kPoolHeaderBytes);
+    EXPECT_LE(per_rank, 870.0 + util::kPoolHeaderBytes);
   }
 }
 
