@@ -297,9 +297,10 @@ BENCHMARK(BM_ShardedWindowThroughput)
 // ---- Fibers ---------------------------------------------------------------
 
 void BM_FiberSwitch(benchmark::State& state) {
-  Fiber fiber([] {
+  auto body = [] {
     for (;;) Fiber::yield();
-  });
+  };
+  Fiber fiber(body);
   for (auto _ : state) fiber.resume();
   state.SetItemsProcessed(state.iterations() * 2);  // In + out.
 }
@@ -307,7 +308,7 @@ BENCHMARK(BM_FiberSwitch);
 
 /// Yields from under a frame of about 1.25 KiB, a simulated rank's live
 /// stack depth at its yields (modeled heat3d, EXPERIMENTS.md).
-void yield_under_deep_frame() {
+void yield_under_deep_frame(void*) {
   volatile char frame[1216];
   frame[0] = 0;
   for (;;) {
@@ -319,8 +320,8 @@ void yield_under_deep_frame() {
 void BM_FiberSwitchDeepFrame(benchmark::State& state) {
   // Two fibers take turns, so with copying stacks every resume saves the
   // other's live frames and restores this one's. Items = switches.
-  Fiber a(yield_under_deep_frame);
-  Fiber b(yield_under_deep_frame);
+  Fiber a(&yield_under_deep_frame, nullptr);
+  Fiber b(&yield_under_deep_frame, nullptr);
   for (auto _ : state) {
     a.resume();
     b.resume();
@@ -332,8 +333,9 @@ BENCHMARK(BM_FiberSwitchDeepFrame);
 void BM_FiberCreateDestroy(benchmark::State& state) {
   // A fiber has no stack of its own: it binds to this thread's default
   // stack, so creating, running and destroying one makes no system call.
+  auto body = [] {};
   for (auto _ : state) {
-    Fiber fiber([] {});
+    Fiber fiber(body);
     fiber.resume();
     benchmark::DoNotOptimize(fiber.finished());
   }

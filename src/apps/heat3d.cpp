@@ -21,8 +21,9 @@ constexpr int kDirs = 6;
 constexpr int opposite(int dir) { return dir ^ 1; }
 constexpr int kHaloTagBase = 100;
 
+/// What a rank keeps of the decomposition: a modeled rank holds it in
+/// heat3d_main's frame, which every suspension saves (see below).
 struct Decomposition {
-  int px, py, pz;       // process grid
   int lx, ly, lz;       // local interior dims
   int ix, iy, iz;       // my process coordinates
   int neighbor[kDirs];  // world rank per direction, -1 at physical boundary
@@ -47,9 +48,6 @@ Decomposition decompose(const HeatParams& p, int rank, int size) {
     throw std::invalid_argument("heat3d: grid does not divide evenly");
   }
   Decomposition d{};
-  d.px = p.px;
-  d.py = p.py;
-  d.pz = p.pz;
   d.lx = p.nx / p.px;
   d.ly = p.ny / p.py;
   d.lz = p.nz / p.pz;
@@ -157,18 +155,22 @@ class Grid {
     return s;
   }
 
-  /// Appends the interior values, packed, to a checkpoint payload.
-  void append_interior(std::vector<std::byte>& out) const {
-    std::size_t at_byte = out.size();
-    out.resize(at_byte + d_.points() * sizeof(double));
+  /// A checkpoint payload: `header`, then the interior values, packed,
+  /// in the grid's one checkpoint buffer, sized by the first checkpoint and
+  /// refilled by every later one.
+  std::span<const std::byte> checkpoint_payload(const HeatCkptHeader& header) {
+    ckpt_buf_.resize(sizeof header + d_.points() * sizeof(double));
+    std::memcpy(ckpt_buf_.data(), &header, sizeof header);
+    std::size_t at_byte = sizeof header;
     for (int z = 0; z < d_.lz; ++z) {
       for (int y = 0; y < d_.ly; ++y) {
         for (int x = 0; x < d_.lx; ++x) {
-          std::memcpy(out.data() + at_byte, &at(cur_, x, y, z), sizeof(double));
+          std::memcpy(ckpt_buf_.data() + at_byte, &at(cur_, x, y, z), sizeof(double));
           at_byte += sizeof(double);
         }
       }
     }
+    return ckpt_buf_;
   }
 
   void restore_interior(const double* data) {
@@ -213,6 +215,7 @@ class Grid {
   const Decomposition& d_;
   std::vector<double> cur_, next_;
   std::array<std::vector<double>, kDirs> send_bufs_, recv_bufs_;
+  std::vector<std::byte> ckpt_buf_;  ///< See checkpoint_payload.
 };
 
 void set_phase(const HeatParams& p, int rank, HeatPhase phase) {
@@ -239,14 +242,14 @@ void set_phase(const HeatParams& p, int rank, HeatPhase phase) {
   return grid;
 }
 
-/// Modeled halo exchange with the (up to 6) face neighbors: size-only
-/// messages, no grid, and a frame of little more than the handles. Returns
-/// the first error the underlying MPI operations reported (the error
-/// handler of the world communicator already ran — under kFatal this call
-/// aborts instead of returning).
-Err modeled_halo_exchange(Context& ctx, const Decomposition& d) {
+using HaloHandles = std::array<RequestHandle, 2 * kDirs>;
+
+/// Posts the modeled halo's receives, then its sends, into `handles`;
+/// returns how many. Out of line: its loop state stays out of the frame
+/// that waits.
+[[gnu::noinline]] std::size_t post_modeled_halo(Context& ctx, const Decomposition& d,
+                                                HaloHandles& handles) {
   auto& world = ctx.world();
-  std::array<RequestHandle, 2 * kDirs> handles;
   std::size_t n = 0;
   for (int dir = 0; dir < kDirs; ++dir) {
     if (d.neighbor[dir] < 0) continue;
@@ -257,7 +260,18 @@ Err modeled_halo_exchange(Context& ctx, const Decomposition& d) {
     if (d.neighbor[dir] < 0) continue;
     handles[n++] = ctx.isend_modeled(world, d.neighbor[dir], kHaloTagBase + dir, d.face_bytes(dir));
   }
-  return ctx.waitall(world, std::span(handles.data(), n), nullptr);
+  return n;
+}
+
+/// Modeled halo exchange with the (up to 6) face neighbors: size-only
+/// messages, no grid, and a frame of little more than the handles. Returns
+/// the first error the underlying MPI operations reported (the error
+/// handler of the world communicator already ran — under kFatal this call
+/// aborts instead of returning).
+Err modeled_halo_exchange(Context& ctx, const Decomposition& d) {
+  HaloHandles handles;
+  const std::size_t n = post_modeled_halo(ctx, d, handles);
+  return ctx.waitall(ctx.world(), std::span(handles.data(), n), nullptr);
 }
 
 /// The same exchange with real face planes: packs the interior faces out of
@@ -322,20 +336,20 @@ Err halo_exchange(Context& ctx, const Decomposition& d, Grid* grid) {
 }
 
 /// Writes iteration `it`'s checkpoint: the header, then the grid's interior
-/// when there is a grid, refilled into the rank's one payload buffer.
+/// when there is a grid. A modeled rank's payload is the header alone,
+/// which the store keeps inline (ckpt::Payload), so it needs no buffer.
 [[gnu::noinline]] void write_checkpoint(Context& ctx, ckpt::TieredWriter& writer,
                                         ckpt::CheckpointStore& store, const HeatParams& p,
-                                        int it, const Grid* grid, std::size_t state_bytes,
-                                        std::vector<std::byte>& payload) {
+                                        int it, Grid* grid, std::size_t state_bytes) {
   HeatCkptHeader header;
   header.rank = ctx.rank();
   header.iteration = it;
   header.nx = p.nx;
   header.ny = p.ny;
   header.nz = p.nz;
-  const auto* header_bytes = reinterpret_cast<const std::byte*>(&header);
-  payload.assign(header_bytes, header_bytes + sizeof(header));
-  if (grid != nullptr) grid->append_interior(payload);
+  const std::span<const std::byte> payload = grid != nullptr
+                                                 ? grid->checkpoint_payload(header)
+                                                 : std::as_bytes(std::span(&header, 1));
   writer.write(ctx, store, static_cast<std::uint64_t>(it), payload, sizeof(header) + state_bytes);
 }
 
@@ -383,12 +397,6 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
   std::int64_t next_halo = first_multiple(p.halo_interval);
   std::int64_t next_ckpt = first_multiple(p.checkpoint_interval);
   const double work_per_iteration = static_cast<double>(d.points()) * p.work_units_per_point;
-  // One checkpoint buffer per rank, sized once and refilled by every
-  // checkpoint (the loop's last iteration always checkpoints).
-  std::vector<std::byte> payload;
-  if (start_iteration <= p.total_iterations) {
-    payload.reserve(sizeof(HeatCkptHeader) + (grid ? state_bytes : 0));
-  }
 
   for (int it = start_iteration; it <= p.total_iterations; ++it) {
     // Computation phase — by far the longest (§V-D), so most failures
@@ -412,7 +420,7 @@ void heat3d_main(Context& ctx, const HeatParams& p, std::vector<HeatReport>* rep
       // previous checkpoint ("such that the previous checkpoint can be
       // deleted safely", §V-B).
       set_phase(p, rank, HeatPhase::kCheckpoint);
-      write_checkpoint(ctx, writer, store, p, it, grid.get(), state_bytes, payload);
+      write_checkpoint(ctx, writer, store, p, it, grid.get(), state_bytes);
 
       set_phase(p, rank, HeatPhase::kBarrier);
       if (ctx.barrier(ctx.world()) != Err::kSuccess) return;

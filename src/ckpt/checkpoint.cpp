@@ -1,11 +1,61 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
 
 namespace exasim::ckpt {
+
+Payload::Payload(Payload&& other) noexcept { take(other); }
+
+Payload& Payload::operator=(Payload other) noexcept {
+  clear();
+  take(other);
+  return *this;
+}
+
+void Payload::take(Payload& other) noexcept {
+  // Member by member: as a File's data the object shares its tail padding
+  // with the File's other fields, so it is never copied whole.
+  inline_size_ = other.inline_size_;
+  if (other.on_heap()) {
+    heap_ = other.heap_;
+  } else {
+    std::memcpy(inline_, other.inline_, inline_size_);
+  }
+  other.inline_size_ = 0;
+}
+
+void Payload::append(std::span<const std::byte> more) {
+  if (more.empty()) return;
+  const std::size_t n = size() + more.size();
+  if (!on_heap() && n <= kInlineBytes) {
+    std::memcpy(inline_ + inline_size_, more.data(), more.size());
+    inline_size_ = static_cast<std::uint8_t>(n);
+    return;
+  }
+  if (!on_heap() || n > heap_.capacity) {
+    const std::size_t capacity = std::max(n, on_heap() ? 2 * heap_.capacity : kInlineBytes);
+    auto* grown = new std::byte[capacity];
+    std::memcpy(grown, data(), size());
+    clear();
+    heap_ = Heap{grown, n - more.size(), capacity};
+    inline_size_ = kOnHeap;
+  }
+  std::memcpy(heap_.data + heap_.size, more.data(), more.size());
+  heap_.size = n;
+}
+
+void Payload::clear() {
+  if (on_heap()) delete[] heap_.data;
+  inline_size_ = 0;
+}
+
+bool operator==(const Payload& a, std::span<const std::byte> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 CheckpointStore::CheckpointStore(int expected_ranks) : expected_ranks_(expected_ranks) {
   if (expected_ranks <= 0) throw std::invalid_argument("expected_ranks <= 0");
@@ -56,7 +106,7 @@ void CheckpointStore::append(std::uint64_t version, int rank,
   if (file == nullptr) throw std::logic_error("append before begin");
   if (file->finalized) throw std::logic_error("append after finalize");
   touch(*set);
-  file->data.insert(file->data.end(), data.begin(), data.end());
+  file->data.append(data);
 }
 
 void CheckpointStore::finalize(std::uint64_t version, int rank, const CopyRecord& first) {
@@ -104,10 +154,10 @@ std::optional<std::uint64_t> CheckpointStore::latest_complete_unlocked() const {
   return std::nullopt;
 }
 
-std::vector<std::byte> CheckpointStore::read(std::uint64_t version, int rank) const {
+Payload CheckpointStore::read(std::uint64_t version, int rank) const {
   std::lock_guard<std::mutex> lock(mu_);
   const File* file = find_file(version, rank);
-  return file == nullptr ? std::vector<std::byte>{} : file->data;
+  return file == nullptr ? Payload{} : file->data;
 }
 
 std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {

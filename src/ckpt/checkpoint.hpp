@@ -15,6 +15,50 @@
 
 namespace exasim::ckpt {
 
+/// A checkpoint file's bytes. Up to kInlineBytes live inline, so a
+/// header-sized payload (a modeled application's whole checkpoint) is no
+/// heap block of its own; a larger one is one heap block that append grows
+/// geometrically (DESIGN.md §9).
+class Payload {
+ public:
+  static constexpr std::size_t kInlineBytes = 24;
+
+  Payload() {}
+  Payload(const Payload& other) { append(other.bytes()); }
+  Payload(Payload&& other) noexcept;
+  Payload& operator=(Payload other) noexcept;
+  ~Payload() { clear(); }
+
+  std::size_t size() const { return on_heap() ? heap_.size : inline_size_; }
+  bool empty() const { return size() == 0; }
+  const std::byte* data() const { return on_heap() ? heap_.data : inline_; }
+  const std::byte* begin() const { return data(); }
+  const std::byte* end() const { return data() + size(); }
+  std::span<const std::byte> bytes() const { return {data(), size()}; }
+  /// Whether the bytes are in a heap block (more than kInlineBytes).
+  bool on_heap() const { return inline_size_ == kOnHeap; }
+
+  void append(std::span<const std::byte> more);
+  /// Empties the payload and frees its heap block, if any.
+  void clear();
+
+  friend bool operator==(const Payload& a, std::span<const std::byte> b);
+
+ private:
+  static constexpr std::uint8_t kOnHeap = 0xff;
+  void take(Payload& other) noexcept;  ///< Moves other's bytes into an empty *this.
+  struct Heap {
+    std::byte* data;
+    std::size_t size;
+    std::size_t capacity;
+  };
+  union {
+    std::byte inline_[kInlineBytes];
+    Heap heap_;
+  };
+  std::uint8_t inline_size_ = 0;  ///< Bytes in inline_, or kOnHeap.
+};
+
 /// One physical copy of a rank's checkpoint file somewhere in the storage
 /// hierarchy. A finalized file has at least one; it survives a failure only
 /// through copies that themselves survive (CheckpointStore::apply_failures).
@@ -77,16 +121,18 @@ struct RestorePlan {
 /// ranks checkpointing concurrently live on different engine workers.
 class CheckpointStore {
   /// A version's tables are world-sized, so each entry is kept small
-  /// (DESIGN.md §9): a file is 32 bytes and carries no copy inline. Its
-  /// copies are a level-ordered chain through its version's side table, in
-  /// slots of 32 bytes: a PFS-mode file has one.
+  /// (DESIGN.md §9): a file is 32 bytes, a header-sized payload included,
+  /// and carries no copy inline. Its copies are a level-ordered chain
+  /// through its version's side table, in slots of 32 bytes: a PFS-mode
+  /// file has one. The payload's last 7 bytes are padding, which
+  /// [[no_unique_address]] lets the flags and the chain head fill.
   static constexpr std::uint32_t kNoCopy = 0xffffffffu;
   struct File {
-    std::vector<std::byte> data;
-    std::uint32_t first_copy = kNoCopy;  ///< Head of the copy chain.
-    std::uint8_t copy_count = 0;         ///< At least one once finalized.
+    [[no_unique_address]] Payload data;
+    std::uint8_t copy_count = 0;  ///< At least one once finalized.
     bool exists = false;
     bool finalized = false;
+    std::uint32_t first_copy = kNoCopy;  ///< Head of the copy chain.
   };
   /// One CopyRecord in a side table, its fields reordered so the link fits.
   struct CopySlot {
@@ -134,7 +180,7 @@ class CheckpointStore {
   std::optional<std::uint64_t> latest_complete() const;
 
   /// File contents (valid whether finalized or not; empty if missing).
-  std::vector<std::byte> read(std::uint64_t version, int rank) const;
+  Payload read(std::uint64_t version, int rank) const;
 
   /// Stored size of rank's file (0 if missing).
   std::size_t file_bytes(std::uint64_t version, int rank) const;

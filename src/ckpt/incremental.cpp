@@ -122,7 +122,7 @@ std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
     if (!store.set_complete(*vit)) continue;
 
     // Collect the chain newest -> base full.
-    std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> chain;
+    std::vector<std::pair<std::uint64_t, Payload>> chain;
     std::uint64_t cursor = *vit;
     bool ok = true;
     for (;;) {
@@ -130,7 +130,7 @@ std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
         ok = false;
         break;
       }
-      std::vector<std::byte> data = store.read(cursor, rank);
+      Payload data = store.read(cursor, rank);
       if (data.size() < sizeof(IncHeader)) {
         ok = false;
         break;
@@ -153,7 +153,7 @@ std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
     std::vector<std::byte> state;
     std::size_t read_bytes = 0;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const std::vector<std::byte>& data = it->second;
+      const Payload& data = it->second;
       read_bytes += data.size();
       IncHeader header;
       std::memcpy(&header, data.data(), sizeof header);

@@ -149,7 +149,7 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   return vmpi::Err::kSuccess;
 }
 
-std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
+std::optional<Payload> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
     std::uint64_t* version_out, int* tier_out) {
   if (ctx.size() != store.expected_ranks()) {

@@ -101,7 +101,7 @@ class TieredWriter {
 /// messaging) or when a fetch fails. `tier_out` gets the StorageTierKind
 /// ordinal served from. Throws std::logic_error if the store was sized for
 /// a different world.
-std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
+std::optional<Payload> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
     std::uint64_t* version_out = nullptr, int* tier_out = nullptr);
 

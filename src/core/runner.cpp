@@ -49,10 +49,10 @@ RunnerResult ResilientRunner::run() {
     Machine machine(std::move(cfg), app_);
     machine.set_checkpoint_store(&store_);
     machine.set_run_index(launch);
-    SimResult run = machine.run();
+    // Moved, not copied: a result holds world-sized per-rank vectors.
+    const SimResult& run = result.run_results.emplace_back(machine.run());
     accumulated = run.max_end_time;
     if (time_file) time_file->save(accumulated);
-    result.run_results.push_back(run);
     ++result.launches;
 
     if (run.outcome == SimResult::Outcome::kCompleted) {

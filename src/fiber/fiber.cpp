@@ -99,10 +99,15 @@ namespace exasim {
 
 #if defined(__x86_64__)
 
-extern "C" void exasim_ctx_switch(void** save_sp, void* load_sp);
+extern "C" void* exasim_ctx_switch(void** save_sp, void* load_sp, void* handoff);
 
 // System V AMD64: save the six callee-saved GPRs + return address on the
-// current stack, publish rsp, adopt the new stack, restore, return.
+// current stack, publish rsp, adopt the new stack, restore, return. The
+// switch that resumes a context returns its `handoff` there: resume() hands
+// the fiber itself to the yield() it resumes, which so needs neither a
+// callee-saved register nor a thread-local read to find it again (the
+// fiber may wake on another thread, whose thread-local slot a cached
+// address would miss).
 asm(R"(
 .text
 .globl exasim_ctx_switch
@@ -123,6 +128,7 @@ exasim_ctx_switch:
   popq %r12
   popq %rbx
   popq %rbp
+  movq %rdx, %rax
   ret
 .size exasim_ctx_switch, .-exasim_ctx_switch
 )");
@@ -134,6 +140,13 @@ namespace {
 // Per-thread pointer to the running fiber, so yield() can find its way back
 // and the entry trampoline can find its Fiber.
 thread_local Fiber* t_current = nullptr;
+
+// yield()'s throws, out of line so their exception set-up takes no
+// register or stack space in its frame.
+[[noreturn, gnu::noinline]] void throw_yield_outside_fiber() {
+  throw std::logic_error("Fiber::yield outside fiber");
+}
+[[noreturn, gnu::noinline]] void throw_unwind() { throw Fiber::Unwind{}; }
 
 /// The stack a FiberStack::Use selected on this thread (null: none).
 thread_local FiberStack* t_stack = nullptr;
@@ -151,8 +164,8 @@ FiberStack& default_stack(std::size_t bytes) {
 }
 
 /// Images are whole multiples of this: util::pool has a size class every
-/// 64 B up to 2 KiB, where a simulated rank's image falls, so an image
-/// wastes less than one grain.
+/// 64 B from 64 B to 2 KiB, where a simulated rank's image falls, so an
+/// image fills its block exactly.
 constexpr std::size_t kImageGrain = 64;
 
 std::size_t page_bytes() {
@@ -234,7 +247,7 @@ FiberStack::Use::~Use() { t_stack = prev_; }
 // Binding, saving and restoring (both switch implementations)
 // ---------------------------------------------------------------------------
 
-Fiber::Fiber(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
+Fiber::Fiber(Entry entry, void* arg, std::size_t stack_bytes) : entry_(entry), arg_(arg) {
   const std::size_t ps = page_bytes();
   if (stack_bytes > (std::size_t{1} << 31)) throw std::invalid_argument("fiber stack too large");
   if (stack_bytes < 16 * 1024) stack_bytes = 16 * 1024;
@@ -345,50 +358,43 @@ void* Fiber::locate(void* addr, std::size_t bytes) {
 
 #if defined(__x86_64__)
 
-namespace {
-
-/// First function every fiber executes (entered via `ret` from the switch).
-/// Must never return: when the body finishes, control switches back to the
-/// resumer permanently.
-[[noreturn]] void fiber_entry() {
+// First function every fiber executes (entered via `ret` from the switch),
+// and the bottom frame of every suspended fiber's saved image: it keeps only
+// the fiber pointer, read before the body could move it to another thread.
+// Never returns: when the body finishes, control switches back to the
+// resumer permanently.
+void Fiber::enter() {
   Fiber* self = t_current;
-  self->run_body_and_exit();
-}
-
-}  // namespace
-
-void Fiber::run_body_and_exit() {
   // First instructions on the fiber stack: commit the switch the resumer
   // started (asan_self_fake is null on first entry) and record where to
   // switch back to.
-  EXASIM_ASAN_FINISH_SWITCH(impl_.asan_self_fake, &impl_.asan_caller_bottom,
-                            &impl_.asan_caller_size);
+  EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
+                            &self->impl_.asan_caller_size);
   try {
-    body_();
+    self->entry_(self->arg_);
   } catch (const Unwind&) {
     // ~Fiber is draining an abandoned fiber; the unwind already ran the
     // suspended frames' destructors — just exit the fiber.
   }
-  finished_ = true;
-  t_current = nullptr;
-  void* dummy = nullptr;
-  EXASIM_TSAN_SWITCH_TO_CALLER(impl_);
+  self->finished_ = true;
+  EXASIM_TSAN_SWITCH_TO_CALLER(self->impl_);
   // Null save slot: the fiber is exiting for good, so ASan may free its fake
   // stack frames instead of preserving them.
-  EXASIM_ASAN_START_SWITCH(nullptr, impl_.asan_caller_bottom, impl_.asan_caller_size);
-  exasim_ctx_switch(&dummy, impl_.caller_sp);
+  EXASIM_ASAN_START_SWITCH(nullptr, self->impl_.asan_caller_bottom, self->impl_.asan_caller_size);
+  // The saved stack pointer of a finished fiber is never read again.
+  exasim_ctx_switch(&self->impl_.self_sp, self->impl_.caller_sp, nullptr);
   std::abort();  // Unreachable: a finished fiber is never resumed.
 }
 
 void Fiber::make_entry_frame() {
-  // Craft the initial stack so the first switch `ret`s into fiber_entry with
+  // Craft the initial stack so the first switch `ret`s into enter() with
   // the ABI-required alignment: the return-address slot sits on a 16-byte
   // boundary, with six zeroed callee-saved slots below it. Above it, the
-  // null "return address" of fiber_entry ends an unwinder's walk. Every byte
+  // null "return address" of enter() ends an unwinder's walk. Every byte
   // up to the top is copied at switches, so the frame sits right below it.
   auto* slots = reinterpret_cast<void**>(stack_->top()) - 2;
   slots[1] = nullptr;
-  *slots = reinterpret_cast<void*>(&fiber_entry);
+  *slots = reinterpret_cast<void*>(&Fiber::enter);
   for (int i = 1; i <= 6; ++i) *(slots - i) = nullptr;  // rbp,rbx,r12-r15.
   impl_.self_sp = slots - 6;
 }
@@ -403,30 +409,32 @@ void Fiber::resume() {
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
   EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_->base_, stack_->bytes_);
-  exasim_ctx_switch(&impl_.caller_sp, impl_.self_sp);
+  exasim_ctx_switch(&impl_.caller_sp, impl_.self_sp, this);
   EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
-  // Either the fiber yielded (t_current reset in yield) or finished
-  // (t_current reset in run_body_and_exit).
+  // The fiber yielded or finished; either way this thread runs no fiber.
+  t_current = nullptr;
   switched_out();
 }
 
 void Fiber::yield() {
   Fiber* self = t_current;
-  if (self == nullptr) throw std::logic_error("Fiber::yield outside fiber");
-  t_current = nullptr;
+  if (self == nullptr) throw_yield_outside_fiber();
   EXASIM_TSAN_SWITCH_TO_CALLER(self->impl_);
   EXASIM_ASAN_START_SWITCH(&self->impl_.asan_self_fake, self->impl_.asan_caller_bottom,
                            self->impl_.asan_caller_size);
-  exasim_ctx_switch(&self->impl_.self_sp, self->impl_.caller_sp);
-  // Resumed again, possibly from a different caller stack than last time.
+  // Resumed again, possibly on another thread and from a different caller
+  // stack than last time. The resume hands this fiber back, so this frame,
+  // which every suspended image holds, keeps nothing across the switch.
+  self = static_cast<Fiber*>(exasim_ctx_switch(&self->impl_.self_sp, self->impl_.caller_sp,
+                                               nullptr));
   EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
                             &self->impl_.asan_caller_size);
-  if (self->unwinding_) throw Unwind{};
+  if (self->unwinding_) throw_unwind();
 }
 
 #else  // ucontext fallback
 
-void Fiber::run_body_and_exit() { std::abort(); }  // Unused on this path.
+void Fiber::enter() { std::abort(); }  // Unused on this path.
 
 namespace {
 
@@ -470,19 +478,17 @@ void Fiber::resume() {
   EXASIM_TSAN_FIBER_SAVE_CALLER(impl_);
   EXASIM_TSAN_SWITCH_TO_FIBER(impl_);
   EXASIM_ASAN_START_SWITCH(&impl_.asan_caller_fake, stack_->base_, stack_->bytes_);
-  if (::swapcontext(&impl_.caller, &impl_.self) != 0) {
-    EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
-    t_current = nullptr;
-    throw std::runtime_error("swapcontext failed");
-  }
+  const int failed = ::swapcontext(&impl_.caller, &impl_.self);
   EXASIM_ASAN_FINISH_SWITCH(impl_.asan_caller_fake, nullptr, nullptr);
+  // The fiber yielded or finished; either way this thread runs no fiber.
+  t_current = nullptr;
+  if (failed != 0) throw std::runtime_error("swapcontext failed");
   switched_out();
 }
 
 void Fiber::yield() {
   Fiber* self = t_current;
-  if (self == nullptr) throw std::logic_error("Fiber::yield outside fiber");
-  t_current = nullptr;
+  if (self == nullptr) throw_yield_outside_fiber();
   // The live region's low end: below this frame's locals by the margin.
   volatile char mark = 0;
   const auto base = reinterpret_cast<std::uintptr_t>(self->stack_->base_);
@@ -499,7 +505,7 @@ void Fiber::yield() {
   // Resumed again, possibly from a different caller stack than last time.
   EXASIM_ASAN_FINISH_SWITCH(self->impl_.asan_self_fake, &self->impl_.asan_caller_bottom,
                             &self->impl_.asan_caller_size);
-  if (self->unwinding_) throw Unwind{};
+  if (self->unwinding_) throw_unwind();
 }
 
 #endif
@@ -510,13 +516,12 @@ void Fiber::ucontext_body() {
   EXASIM_ASAN_FINISH_SWITCH(impl_.asan_self_fake, &impl_.asan_caller_bottom,
                             &impl_.asan_caller_size);
   try {
-    body_();
+    entry_(arg_);
   } catch (const Unwind&) {
     // ~Fiber is draining an abandoned fiber; the unwind already ran the
     // suspended frames' destructors — just exit the fiber.
   }
   finished_ = true;
-  t_current = nullptr;
   // Returning switches to uc_link (the caller) inside libc; tell the
   // sanitizers first. Null save slot: the fiber is exiting for good, so ASan
   // may free its fake stack frames instead of preserving them.

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
@@ -99,9 +98,9 @@ class FiberStack {
 /// FiberStack, and a switch that changes the stack's occupant saves the old
 /// occupant's live frames, [saved sp, top), into that fiber's image and
 /// copies the new one's image back to the same addresses. A suspended
-/// simulated rank thus costs one image of its deepest live frames (832 B
-/// for modeled heat3d), and every rank runs above a guard page. A fiber
-/// that never ran has no image.
+/// simulated rank thus costs one image of its deepest live frames (576 B
+/// for modeled heat3d under exasim_run), and every rank runs above a guard
+/// page. A fiber that never ran has no image.
 ///
 /// A fiber runs until it calls Fiber::yield() (from inside the fiber) or its
 /// body returns. resume() switches into the fiber and returns when the fiber
@@ -121,7 +120,10 @@ class FiberStack {
 /// different worker threads.
 class Fiber {
  public:
-  using Body = std::function<void()>;
+  /// The body: a plain function and its argument, 16 bytes inline, so a
+  /// fiber is no heap block of its own and entering it costs one indirect
+  /// call.
+  using Entry = void (*)(void*);
 
   /// Thrown through a suspended fiber's frames when the fiber is destroyed
   /// before its body finished (see ~Fiber), so frame-held resources are
@@ -132,7 +134,13 @@ class Fiber {
   /// stack_bytes is rounded up to the page size; minimum 16 KiB. It sizes
   /// the stack the fiber binds to when that stack is mapped by this fiber,
   /// and a fiber never binds to a smaller one.
-  explicit Fiber(Body body, std::size_t stack_bytes = 128 * 1024);
+  Fiber(Entry entry, void* arg, std::size_t stack_bytes = 128 * 1024);
+
+  /// Runs `body()`, a callable the caller keeps alive until the fiber is
+  /// destroyed: it is referenced, not copied (so a temporary does not bind).
+  template <class F>
+  explicit Fiber(F& body, std::size_t stack_bytes = 128 * 1024)
+      : Fiber([](void* f) { (*static_cast<F*>(f))(); }, &body, stack_bytes) {}
 
   /// If the fiber started but never finished, resumes it one last time with
   /// the unwind flag set: yield() throws Unwind, destructors in the
@@ -171,7 +179,9 @@ class Fiber {
   void prefetch() const;
 
   /// Internal entry shims (public only for the per-platform trampolines).
-  [[noreturn]] void run_body_and_exit();
+  /// On x86-64 a fiber's crafted entry frame returns into enter(), which
+  /// finds its fiber through the thread's running-fiber slot.
+  [[noreturn]] static void enter();
   void ucontext_body();
 
  private:
@@ -209,7 +219,8 @@ class Fiber {
   std::size_t live_bytes() const;  ///< [impl_.self_sp, top of the stack).
 
   Impl impl_;
-  Body body_;
+  Entry entry_;
+  void* arg_;
   FiberStack* stack_ = nullptr;  ///< Bound on first resume.
   void* image_ = nullptr;        ///< util::pool block of image_bytes_ bytes.
   std::uint32_t image_bytes_ = 0;

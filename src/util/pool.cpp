@@ -29,16 +29,17 @@ constexpr std::uint32_t kHeapMagic = 0x48534158u;  // "XASH"
 
 // Size classes for the pooled fast path. Header-only payloads are 16–64
 // bytes; a message carrying real bytes is one block sized to them and rides
-// the larger classes. From 512 B to 2 KiB the classes are 64 B apart, so a
-// saved fiber-stack image (832 B per suspended modeled heat3d rank; fiber.hpp)
-// wastes less than 64 B of its block instead of up to a third of it.
-// Anything above the last class goes straight to the heap (bulk checkpoint
-// payloads — rare and already dominated by the memcpy).
+// the larger classes. From 64 B to 2 KiB the classes are 64 B apart, so a
+// saved fiber-stack image, a whole number of 64-byte grains (640 B per
+// suspended modeled heat3d rank under exasim_run; fiber.hpp), fills its
+// block exactly however shallow the application's frames are. Anything
+// above the last class goes straight to the heap (bulk checkpoint payloads
+// — rare and already dominated by the memcpy).
 constexpr auto kClassSizes = [] {
-  std::array<std::size_t, 34> sizes{};
+  std::array<std::size_t, 38> sizes{};
   std::size_t i = 0;
-  for (std::size_t b = 32; b <= 512; b *= 2) sizes[i++] = b;
-  for (std::size_t b = 576; b <= 2048; b += 64) sizes[i++] = b;
+  sizes[i++] = 32;
+  for (std::size_t b = 64; b <= 2048; b += 64) sizes[i++] = b;
   for (std::size_t b = 4096; b <= 65536; b *= 2) sizes[i++] = b;
   return sizes;
 }();

@@ -304,7 +304,7 @@ Err Context::alltoall(Comm& comm, const void* in, std::size_t bytes_each, void* 
         in == nullptr ? nullptr : in_base + static_cast<std::size_t>(r) * bytes_each;
     handles.push_back(proc_->post_send(comm, r, tag, slot, bytes_each));
   }
-  return proc_->apply_error_handler(comm, proc_->wait_all(handles, nullptr));
+  return proc_->wait_all(handles, nullptr, &comm);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ Rank Comm::rank_of_world(Rank world) const {
   if (identity_size_ >= 0) {
     return world >= 0 && world < identity_size_ ? world : -1;
   }
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i] == world) return static_cast<Rank>(i);
+  const std::vector<Rank>& members = extra_->members;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i] == world) return static_cast<Rank>(i);
   }
   return -1;
 }
 
 std::vector<Rank> Comm::members_snapshot() const {
-  if (identity_size_ < 0) return members_;
+  if (identity_size_ < 0) return extra_->members;
   std::vector<Rank> out(static_cast<std::size_t>(identity_size_));
   for (int i = 0; i < identity_size_; ++i) out[static_cast<std::size_t>(i)] = i;
   return out;

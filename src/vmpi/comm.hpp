@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -24,12 +25,12 @@ using UserErrorHandler = std::function<void(Context&, Comm&, Err)>;
 /// MPI_COMM_WORLD and its dups — O(1) storage, critical with tens of
 /// thousands of simulated processes each holding their own communicator
 /// objects) or an explicit ordered list of world ranks (splits/shrinks).
+/// What identity membership never uses — the member list and a
+/// user-defined error handler — lives in one block allocated on first use,
+/// so every rank's world communicator is 48 bytes (DESIGN.md §9).
 struct Comm {
   int id = 0;
   Rank my_rank = -1;          ///< This process's rank within the communicator.
-  ErrorHandlerKind handler = ErrorHandlerKind::kFatal;
-  UserErrorHandler user_handler;
-  bool revoked = false;       ///< ULFM: set by Comm_revoke.
   std::uint64_t coll_seq = 0; ///< Per-communicator collective sequence number.
   std::uint64_t split_seq = 0;///< Per-communicator dup/split/shrink counter.
   /// ULFM recovery operations (shrink/agree) sequence their internal tags
@@ -38,26 +39,28 @@ struct Comm {
   /// than others before the error), but every survivor performs the same
   /// ordered sequence of recovery operations.
   std::uint64_t recovery_seq = 0;
+  ErrorHandlerKind handler = ErrorHandlerKind::kFatal;
+  bool revoked = false;       ///< ULFM: set by Comm_revoke.
 
   /// Sets identity membership over world ranks [0, n).
   void set_identity_members(int n) {
     identity_size_ = n;
-    members_.clear();
+    if (extra_ != nullptr) extra_->members.clear();
   }
 
   /// Sets explicit membership (world ranks in communicator order).
   void set_members(std::vector<Rank> members) {
     identity_size_ = -1;
-    members_ = std::move(members);
+    extra().members = std::move(members);
   }
 
   int size() const {
-    return identity_size_ >= 0 ? identity_size_ : static_cast<int>(members_.size());
+    return identity_size_ >= 0 ? identity_size_ : static_cast<int>(extra_->members.size());
   }
 
   /// World rank of communicator rank r; r must be in [0, size()).
   Rank world_of(Rank r) const {
-    return identity_size_ >= 0 ? r : members_.at(static_cast<std::size_t>(r));
+    return identity_size_ >= 0 ? r : extra_->members.at(static_cast<std::size_t>(r));
   }
 
   /// Communicator rank of a world rank, or -1 if not a member.
@@ -66,9 +69,26 @@ struct Comm {
   /// Materializes the member list (world ranks in communicator order).
   std::vector<Rank> members_snapshot() const;
 
+  /// The user-defined error handler; null when none is set.
+  const UserErrorHandler* user_handler() const {
+    return extra_ != nullptr && extra_->user_handler ? &extra_->user_handler : nullptr;
+  }
+  void set_user_handler(UserErrorHandler h) {
+    if (h || extra_ != nullptr) extra().user_handler = std::move(h);
+  }
+
  private:
-  int identity_size_ = -1;      ///< >= 0: identity membership of that size.
-  std::vector<Rank> members_;   ///< Explicit membership when identity_size_ < 0.
+  struct Extra {
+    std::vector<Rank> members;  ///< Explicit membership when identity_size_ < 0.
+    UserErrorHandler user_handler;
+  };
+  Extra& extra() {
+    if (extra_ == nullptr) extra_ = std::make_unique<Extra>();
+    return *extra_;
+  }
+
+  int identity_size_ = 0;  ///< >= 0: identity membership of that size.
+  std::unique_ptr<Extra> extra_;
 };
 
 /// Machine-global registry that hands out communicator ids.

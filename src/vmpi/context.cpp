@@ -118,15 +118,16 @@ RequestHandle Context::irecv_modeled(Comm& comm, Rank src, int tag, std::size_t 
 
 Err Context::wait(Comm& comm, RequestHandle h, MsgStatus* status) {
   proc_->fold_native_time();
-  return proc_->apply_error_handler(comm, proc_->wait_all({&h, 1}, status));
+  return proc_->wait_all({&h, 1}, status, &comm);
 }
 
 Err Context::waitall(Comm& comm, std::span<const RequestHandle> handles,
                      std::vector<MsgStatus>* statuses) {
   proc_->fold_native_time();
   if (statuses != nullptr) statuses->resize(handles.size());
-  return proc_->apply_error_handler(
-      comm, proc_->wait_all(handles, statuses == nullptr ? nullptr : statuses->data()));
+  // A tail call: a rank blocked in waitall keeps no frame of this function
+  // in its saved stack image.
+  return proc_->wait_all(handles, statuses == nullptr ? nullptr : statuses->data(), &comm);
 }
 
 bool Context::test(RequestHandle h, MsgStatus* status, Err* err) {
@@ -151,7 +152,7 @@ Comm* Context::comm_dup(Comm& comm) {
 
 void Context::set_error_handler(Comm& comm, ErrorHandlerKind kind, UserErrorHandler handler) {
   comm.handler = kind;
-  comm.user_handler = std::move(handler);
+  comm.set_user_handler(std::move(handler));
 }
 
 // ---------------------------------------------------------------------------

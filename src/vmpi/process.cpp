@@ -23,6 +23,19 @@ namespace {
 // Slab and intrusive-FIFO primitives over the matching engine's flat arrays
 // (element types carry a `next` index). A slab's free entries form a stack
 // chained through `next` from `free`, so the last released is reused first.
+//
+// Every per-rank table grows by half its capacity, at least one entry, not
+// by doubling: a table's size is the most entries the rank ever had in use
+// at once, so its first growths (1, 2, 3, 4, 6, 9, 13, ...) leave it with
+// little or no unused room, while a linear collective's root, whose tables
+// reach the world size, still copies each entry O(1) times (DESIGN.md §9).
+template <class T>
+void make_room_for_one(std::vector<T>& store) {
+  if (store.size() == store.capacity()) {
+    store.reserve(store.capacity() + std::max<std::size_t>(1, store.capacity() / 2));
+  }
+}
+
 template <class T>
 std::uint32_t slab_acquire(std::vector<T>& store, std::uint32_t& free) {
   if (free != kNoSlot) {
@@ -31,6 +44,7 @@ std::uint32_t slab_acquire(std::vector<T>& store, std::uint32_t& free) {
     store[i].next = kNoSlot;
     return i;
   }
+  make_room_for_one(store);
   store.emplace_back();
   return static_cast<std::uint32_t>(store.size() - 1);
 }
@@ -77,7 +91,7 @@ SimProcess::SimProcess(Rank world_rank, const ProcessShared& shared, SimTime ini
     : world_rank_(world_rank),
       shared_(&shared),
       clock_(initial_clock),
-      fiber_([this] { fiber_body(); }, shared.config.fiber_stack_bytes) {
+      fiber_(&SimProcess::fiber_entry, this, shared.config.fiber_stack_bytes) {
   if (shared.engine == nullptr || shared.fabric == nullptr || shared.proc_model == nullptr ||
       shared.hooks == nullptr || shared.registry == nullptr) {
     throw std::invalid_argument("null wiring");
@@ -133,15 +147,19 @@ std::uint64_t thread_cpu_ns() {
 
 void SimProcess::fold_measured_time() {
   const std::uint64_t now = thread_cpu_ns();
-  if (last_native_ns_ != 0 && now > last_native_ns_) {
-    advance_clock(shared_->proc_model->scale_native(now - last_native_ns_));
-  }
-  last_native_ns_ = now;
+  std::uint64_t& last = rare().last_native_ns;
+  if (last != 0 && now > last) advance_clock(shared_->proc_model->scale_native(now - last));
+  last = now;
+}
+
+SimProcess::RareState& SimProcess::rare() {
+  if (rare_ == nullptr) rare_ = std::make_unique<RareState>();
+  return *rare_;
 }
 
 void SimProcess::run_fiber() {
   if (terminated() || fiber_.finished()) return;
-  if (shared_->config.measured_compute) last_native_ns_ = thread_cpu_ns();
+  if (shared_->config.measured_compute) rare().last_native_ns = thread_cpu_ns();
   in_fiber_ = true;
   fiber_.resume();
   in_fiber_ = false;
@@ -283,12 +301,12 @@ void SimProcess::abort_now() {
 Err SimProcess::apply_error_handler(Comm& comm, Err e) {
   if (e == Err::kSuccess) return e;
   using resilience::ErrorAction;
-  switch (resilience::ErrorHandlerPolicy::dispatch(comm.handler,
-                                                   static_cast<bool>(comm.user_handler))) {
+  const UserErrorHandler* user = comm.user_handler();
+  switch (resilience::ErrorHandlerPolicy::dispatch(comm.handler, user != nullptr)) {
     case ErrorAction::kAbort:
       abort_now();  // does not return
     case ErrorAction::kInvokeUserThenReturn:
-      comm.user_handler(context_, comm, e);
+      (*user)(context_, comm, e);
       return e;
     case ErrorAction::kReturn:
       return e;
@@ -561,7 +579,6 @@ std::uint32_t SimProcess::take_serial() {
 
 Request& SimProcess::acquire_request(Request::Kind kind, const Comm& comm, Rank peer, int tag,
                                      std::size_t bytes, SimTime post_time) {
-  if (slots_.empty()) slots_.reserve(kFirstReserve);
   const std::uint32_t slot = slab_acquire(slots_, free_slot_);
   Request& r = slots_[slot];
   r.serial = take_serial();
@@ -603,7 +620,7 @@ std::vector<std::uint32_t> SimProcess::live_requests_by_serial(Pred pred) const 
 }
 
 std::uint32_t SimProcess::find_bucket(int comm_id, Rank src) const {
-  if (bucket_table_.empty()) {
+  if (buckets_.size() <= kScanBuckets) {
     // At most kScanBuckets: one pass over a few contiguous lines beats a
     // hash into a second array.
     for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
@@ -611,9 +628,10 @@ std::uint32_t SimProcess::find_bucket(int comm_id, Rank src) const {
     }
     return kNoSlot;
   }
-  const std::size_t mask = bucket_table_.size() - 1;
+  const std::vector<std::uint32_t>& table = rare_->bucket_table;
+  const std::size_t mask = table.size() - 1;
   for (std::size_t i = bucket_hash(comm_id, src) & mask;; i = (i + 1) & mask) {
-    const std::uint32_t b = bucket_table_[i];
+    const std::uint32_t b = table[i];
     if (b == kNoSlot || (buckets_[b].comm_id == comm_id && buckets_[b].src == src)) return b;
   }
 }
@@ -624,21 +642,22 @@ std::uint32_t SimProcess::bucket_for(int comm_id, Rank src) {
 }
 
 std::uint32_t SimProcess::add_bucket(int comm_id, Rank src) {
-  if (buckets_.empty()) buckets_.reserve(kFirstReserve);
+  make_room_for_one(buckets_);
   buckets_.push_back(MatchBucket{comm_id, src});
   const auto b = static_cast<std::uint32_t>(buckets_.size() - 1);
   if (buckets_.size() <= kScanBuckets) return b;  // Found by scanning.
-  auto insert = [this](std::uint32_t k) {
-    const std::size_t mask = bucket_table_.size() - 1;
+  std::vector<std::uint32_t>& table = rare().bucket_table;
+  auto insert = [this, &table](std::uint32_t k) {
+    const std::size_t mask = table.size() - 1;
     std::size_t i = bucket_hash(buckets_[k].comm_id, buckets_[k].src) & mask;
-    while (bucket_table_[i] != kNoSlot) i = (i + 1) & mask;
-    bucket_table_[i] = k;
+    while (table[i] != kNoSlot) i = (i + 1) & mask;
+    table[i] = k;
   };
-  if (2 * buckets_.size() > bucket_table_.size()) {
+  if (2 * buckets_.size() > table.size()) {
     // Build or grow to the smallest power of two keeping the load at most
     // 1/2 (32 entries for the first build at 9 buckets), then reinsert
     // every bucket.
-    bucket_table_.assign(std::bit_ceil(2 * buckets_.size()), kNoSlot);
+    table.assign(std::bit_ceil(2 * buckets_.size()), kNoSlot);
     for (std::uint32_t k = 0; k <= b; ++k) insert(k);
   } else {
     insert(b);
@@ -913,7 +932,8 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
   return handle_of(r);
 }
 
-Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses) {
+Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses,
+                         Comm* errors_to) {
   // Count the wait-set (a duplicated handle counts once): mark_done counts
   // each completion down and flags the wake, so the fiber resumes for
   // exactly the completions this wait is blocked on (wakeup filter).
@@ -927,7 +947,11 @@ Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* stat
   }
   block_until([this] { return waiting_ == 0; });
   clear_wait();
+  return finish_wait(handles, statuses, errors_to);
+}
 
+[[gnu::noinline]] Err SimProcess::finish_wait(std::span<const RequestHandle> handles,
+                                              MsgStatus* statuses, Comm* errors_to) {
   // Raise the clock to the latest completion among the waited requests (the
   // time the whole wait set is satisfied), then report.
   SimTime latest = clock_;
@@ -948,7 +972,7 @@ Err SimProcess::wait_all(std::span<const RequestHandle> handles, MsgStatus* stat
   }
   for (const RequestHandle h : handles) release_request(h);
   raise_clock_to(latest, /*busy=*/false);
-  return first_error;
+  return errors_to != nullptr ? apply_error_handler(*errors_to, first_error) : first_error;
 }
 
 bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
@@ -1022,20 +1046,20 @@ Comm* SimProcess::new_comm(int id, std::vector<Rank> members, const Comm& inheri
   c->set_members(std::move(members));
   c->my_rank = c->rank_of_world(world_rank_);
   c->handler = inherit_from.handler;
-  c->user_handler = inherit_from.user_handler;
+  if (const UserErrorHandler* h = inherit_from.user_handler()) c->set_user_handler(*h);
   return add_comm(std::move(c));
 }
 
 Comm* SimProcess::add_comm(std::unique_ptr<Comm> c) {
-  if (comms_ == nullptr) comms_ = std::make_unique<std::vector<std::unique_ptr<Comm>>>();
-  comms_->push_back(std::move(c));
-  return comms_->back().get();
+  std::vector<std::unique_ptr<Comm>>& comms = rare().comms;
+  comms.push_back(std::move(c));
+  return comms.back().get();
 }
 
 Comm* SimProcess::find_comm(int id) {
   if (id == world_.id) return &world_;
-  if (comms_ == nullptr) return nullptr;
-  for (const auto& c : *comms_) {
+  if (rare_ == nullptr) return nullptr;
+  for (const auto& c : rare_->comms) {
     if (c->id == id) return c.get();
   }
   return nullptr;
@@ -1055,7 +1079,7 @@ Comm* SimProcess::comm_dup(Comm& parent) {
   }
   c->my_rank = c->rank_of_world(world_rank_);
   c->handler = parent.handler;
-  c->user_handler = parent.user_handler;
+  if (const UserErrorHandler* h = parent.user_handler()) c->set_user_handler(*h);
   return add_comm(std::move(c));
 }
 

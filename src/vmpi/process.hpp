@@ -170,6 +170,20 @@ class SimProcess final : public LogicalProcess {
   SimTime busy_time() const { return busy_time_; }
   SimTime comm_time() const { return comm_time_; }
 
+  /// Entries in use and reserved in the request-slot and match-bucket
+  /// tables. Both grow by half their capacity (DESIGN.md §9), so a table
+  /// whose size never passed a step of 1, 2, 3, 4, 6, 9, 13, ... holds no
+  /// unused entry.
+  struct TableSizes {
+    std::size_t slots = 0;
+    std::size_t slot_capacity = 0;
+    std::size_t buckets = 0;
+    std::size_t bucket_capacity = 0;
+  };
+  TableSizes table_sizes() const {
+    return {slots_.size(), slots_.capacity(), buckets_.size(), buckets_.capacity()};
+  }
+
   // -- Internal API used by Context (the simulated MPI implementation) ----
   // These run on the application fiber and may block (yield) or unwind via
   // ProcessFailedSignal / ProcessAbortSignal.
@@ -200,8 +214,11 @@ class SimProcess final : public LogicalProcess {
 
   /// Blocks until every request is terminal; fills `statuses` (nullptr, or an
   /// array parallel to `handles`). Returns the first non-success error,
-  /// Err::kSuccess otherwise. Completed requests are released.
-  Err wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses);
+  /// Err::kSuccess otherwise, after passing it through `errors_to`'s error
+  /// handler when that is not null (an application's wait; a collective
+  /// applies its handler once, at its end). Completed requests are released.
+  Err wait_all(std::span<const RequestHandle> handles, MsgStatus* statuses,
+               Comm* errors_to = nullptr);
 
   /// Nonblocking completion check; releases the request when done.
   bool test(RequestHandle h, MsgStatus* status, Err* err);
@@ -280,11 +297,16 @@ class SimProcess final : public LogicalProcess {
   void fold_measured_time();
   void after_clock_advance(SimTime dt, bool busy);
 
-  // Fiber body & scheduling.
+  // Fiber body & scheduling. The fiber's entry is fiber_entry(this).
+  static void fiber_entry(void* self) { static_cast<SimProcess*>(self)->fiber_body(); }
   void fiber_body();
   void run_fiber();
   template <class Ready>
   void block_until(Ready ready);
+  /// wait_all after its requests completed: statuses, trace records,
+  /// release, clock, error handler. Out of line, so the frame a blocked
+  /// wait keeps on the fiber's stack holds only what the wait itself needs.
+  Err finish_wait(std::span<const RequestHandle> handles, MsgStatus* statuses, Comm* errors_to);
 
   // Wakeup filter (DESIGN.md §13). While the fiber is blocked, the block
   // condition is recorded here: the count of outstanding waited requests
@@ -359,10 +381,8 @@ class SimProcess final : public LogicalProcess {
   // unexpected push, and a receive resolves its FIFO once for the
   // unexpected scan and the indexing, then keeps it in Request::fifo. The
   // lookup scans buckets_ while there are at most kScanBuckets (a halo
-  // rank has up to seven) and probes bucket_table_ from the next one on.
+  // rank has up to seven) and probes the bucket table from the next one on.
   static constexpr std::size_t kScanBuckets = 8;
-  /// Entries the first growth of slots_ and buckets_ reserves.
-  static constexpr std::size_t kFirstReserve = 8;
   std::uint32_t find_bucket(int comm_id, Rank src) const;  ///< kNoSlot if none.
   std::uint32_t add_bucket(int comm_id, Rank src);         ///< Must be absent.
   std::uint32_t bucket_for(int comm_id, Rank src);         ///< Finds or adds.
@@ -392,6 +412,17 @@ class SimProcess final : public LogicalProcess {
   Comm* new_comm(int id, std::vector<Rank> members, const Comm& inherit_from);
   /// The world communicator or one this process created; nullptr if none.
   Comm* find_comm(int id);
+
+  /// State few ranks ever use, in one block allocated on first use: the
+  /// bucket table of a rank with more than kScanBuckets sources (a linear
+  /// collective's root), the communicators comm_dup / comm_split /
+  /// comm_shrink add, and the measured-compute CPU-time snapshot.
+  struct RareState {
+    std::vector<std::uint32_t> bucket_table;  ///< Power-of-two size; kNoSlot = empty.
+    std::vector<std::unique_ptr<Comm>> comms;
+    std::uint64_t last_native_ns = 0;  ///< Measured-compute snapshot.
+  };
+  RareState& rare();  ///< Allocates on first use.
 
   // Fields are ordered by first touch. An arrival reads the identity and
   // wiring, the recorded block condition and the matching heads, so they
@@ -426,8 +457,8 @@ class SimProcess final : public LogicalProcess {
   // rejects stale handles, so lookup and release are O(1). Slot order is
   // not post order once slots are reused: paths that must visit requests in
   // post order sort by serial. A completed eager send takes no slot
-  // (RequestHandle::completed_send). The first growth reserves
-  // kFirstReserve slots, so a halo rank allocates the table once.
+  // (RequestHandle::completed_send). Like every table below, it grows by
+  // half its capacity, at least one entry (DESIGN.md §9).
   std::vector<Request> slots_;
   std::uint32_t next_serial_ = 1;
   std::uint32_t free_slot_ = kNoSlot;
@@ -435,7 +466,7 @@ class SimProcess final : public LogicalProcess {
   // are append-only (never erased), so steady traffic causes no churn. Up
   // to kScanBuckets of them are found by scanning buckets_, which fits in a
   // few cache lines; the bucket that exceeds it builds the open-addressing
-  // bucket_table_, grown geometrically at load <= 1/2, so a linear
+  // RareState::bucket_table, grown geometrically at load <= 1/2, so a linear
   // collective's root with tens of thousands of sources still finds its
   // bucket in O(1). Most ranks never build one. ANY_SOURCE receives have
   // their own post-ordered FIFO; every transition out of Stage::kPosted
@@ -446,7 +477,6 @@ class SimProcess final : public LogicalProcess {
   std::uint32_t any_tail_ = kNoSlot;
   std::uint32_t free_unexpected_ = kNoSlot;  ///< See unexpected_msgs_.
   std::vector<MatchBucket> buckets_;
-  std::vector<std::uint32_t> bucket_table_;  ///< Power-of-two size; kNoSlot = empty.
   // Unexpected messages in a slab whose free entries are chained through
   // UnexpectedMsg::next from free_unexpected_, linked into buckets; each
   // entry holds its arrival's envelope and owns its attachment, if any.
@@ -467,14 +497,12 @@ class SimProcess final : public LogicalProcess {
   // Execution state.
   Context context_{this};
   SimTime end_time_ = 0;
-  std::uint64_t last_native_ns_ = 0;  ///< Measured-compute snapshot.
 
-  // Communicators: MPI_COMM_WORLD inline, plus the ones comm_dup /
-  // comm_split / comm_shrink added (the only ones that allocate; the list
-  // itself is allocated with the first).
+  // MPI_COMM_WORLD inline; the ones comm_dup / comm_split / comm_shrink add
+  // are in rare_.
   Comm world_;
-  std::unique_ptr<std::vector<std::unique_ptr<Comm>>> comms_;
   Comm* add_comm(std::unique_ptr<Comm> c);
+  std::unique_ptr<RareState> rare_;
 
   // Declared last: destroying the fiber unwinds any frames it still holds
   // (a process left blocked at teardown, e.g. after a deadlock verdict), and

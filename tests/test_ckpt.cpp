@@ -1,13 +1,18 @@
 // ckpt: checkpoint store state machine (complete/incomplete/corrupted),
 // scrub, the per-rank file slots (reset in place, level-ordered inline
-// copies), and the PFS commit and restore through a priced PFS tier,
-// including the failure-during-write corruption path (paper §V-B/§V-D).
+// copies), the inline payload of a header-sized file, and the PFS commit
+// and restore through a priced PFS tier, including the failure-during-write
+// corruption path (paper §V-B/§V-D). Global operator new is replaced with a
+// version that counts this thread's blocks, for the inline-payload tests.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <new>
 #include <random>
 
 #include "ckpt/checkpoint.hpp"
@@ -15,6 +20,26 @@
 #include "iomodel/storage.hpp"
 #include "sim_test_util.hpp"
 #include "vmpi/context.hpp"
+
+namespace {
+
+thread_local std::uint64_t t_heap_blocks = 0;  ///< operator new calls on this thread.
+
+void* counted_alloc(std::size_t n) {
+  ++t_heap_blocks;
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace exasim {
 namespace {
@@ -420,7 +445,7 @@ TEST(CheckpointReader, ReadsLatestAndChargesTime) {
     auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage, &version, &tier);
     delta = ctx.now() - t0;
     ASSERT_TRUE(data.has_value());
-    got = *data;
+    got.assign(data->begin(), data->end());
     ctx.finalize();
   };
   run_app(tiny_config(1), app);
@@ -428,6 +453,92 @@ TEST(CheckpointReader, ReadsLatestAndChargesTime) {
   EXPECT_EQ(version, 3u);
   EXPECT_EQ(tier, 2);
   EXPECT_EQ(delta, sim_us(10));
+}
+
+/// `n` bytes of a fixed pseudo-random pattern.
+std::vector<std::byte> pattern(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) b = static_cast<std::byte>(rng());
+  return out;
+}
+
+TEST(CheckpointPayload, HeaderSizedPayloadRoundTripsWithNoHeapBlock) {
+  // Rank 1's file creates the version's tables, so rank 0's begin, append
+  // and finalize touch its own entry only; the restore plan is built once
+  // per version, before the counted read.
+  CheckpointStore store(2);
+  const std::vector<std::byte> header = pattern(ckpt::Payload::kInlineBytes, 1);
+  store.begin(1, 1);
+  store.append(1, 1, header);
+  store.finalize(1, 1, kPfsCopy);
+  const std::uint64_t before = t_heap_blocks;
+  store.begin(1, 0);
+  store.append(1, 0, header);
+  store.finalize(1, 0, kPfsCopy);
+  EXPECT_EQ(t_heap_blocks - before, 0u);
+  ASSERT_NE(store.restore_plan(), nullptr);
+
+  const StorageHierarchy storage = priced_pfs();
+  std::uint64_t read_blocks = 1;
+  bool same = false;
+  bool on_heap = true;
+  auto app = [&](Context& ctx) {
+    if (ctx.rank() == 0) {
+      const std::uint64_t at = t_heap_blocks;
+      const auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage);
+      read_blocks = t_heap_blocks - at;
+      same = data.has_value() && *data == header;
+      on_heap = !data.has_value() || data->on_heap();
+    }
+    ctx.finalize();
+  };
+  run_app(tiny_config(2), app);
+  EXPECT_EQ(read_blocks, 0u);
+  EXPECT_TRUE(same);
+  EXPECT_FALSE(on_heap);
+}
+
+TEST(CheckpointPayload, AppendsAcrossTheInlineLimitKeepTheirOrder) {
+  // Appends of 10 bytes cross the 24-byte inline limit on the third, and
+  // the heap block grows twice more after it.
+  CheckpointStore store(1);
+  const std::vector<std::byte> all = pattern(200, 2);
+  store.begin(1, 0);
+  ckpt::Payload local;
+  for (std::size_t off = 0; off < all.size(); off += 10) {
+    const std::span<const std::byte> piece(all.data() + off, 10);
+    store.append(1, 0, piece);
+    local.append(piece);
+    EXPECT_EQ(local.on_heap(), off + 10 > ckpt::Payload::kInlineBytes);
+    EXPECT_EQ(local, std::span(all.data(), off + 10));
+  }
+  store.finalize(1, 0, kPfsCopy);
+  EXPECT_EQ(store.read(1, 0), all);
+  EXPECT_EQ(store.file_bytes(1, 0), all.size());
+  // A copy and a move keep the bytes; the moved-from payload is empty.
+  ckpt::Payload copy = local;
+  ckpt::Payload moved = std::move(local);
+  EXPECT_EQ(copy, all);
+  EXPECT_EQ(moved, all);
+  EXPECT_TRUE(local.empty());  // A moved-from payload is empty.
+}
+
+TEST(CheckpointPayload, OneMebibytePayloadRoundTripsByteIdentical) {
+  CheckpointStore store(1);
+  const std::vector<std::byte> big = pattern(std::size_t{1} << 20, 3);
+  store.begin(4, 0);
+  store.append(4, 0, big);
+  store.finalize(4, 0, kPfsCopy);
+  const StorageHierarchy storage = priced_pfs();
+  bool same = false;
+  auto app = [&](Context& ctx) {
+    const auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage);
+    same = data.has_value() && data->on_heap() && *data == big;
+    ctx.finalize();
+  };
+  run_app(tiny_config(1), app);
+  EXPECT_TRUE(same);
 }
 
 TEST(CheckpointReader, ColdStartReturnsNothing) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,7 +23,8 @@ test::QuietLogs quiet;
 
 TEST(Fiber, RunsToCompletion) {
   int x = 0;
-  Fiber f([&] { x = 42; });
+  auto body = [&] { x = 42; };
+  Fiber f(body);
   EXPECT_FALSE(f.started());
   f.resume();
   EXPECT_EQ(x, 42);
@@ -31,13 +33,14 @@ TEST(Fiber, RunsToCompletion) {
 
 TEST(Fiber, YieldSuspendsAndResumes) {
   std::vector<int> trace;
-  Fiber f([&] {
+  auto body = [&] {
     trace.push_back(1);
     Fiber::yield();
     trace.push_back(3);
     Fiber::yield();
     trace.push_back(5);
-  });
+  };
+  Fiber f(body);
   f.resume();
   trace.push_back(2);
   f.resume();
@@ -49,20 +52,22 @@ TEST(Fiber, YieldSuspendsAndResumes) {
 
 TEST(Fiber, LocalStateSurvivesYields) {
   long sum = 0;
-  Fiber f([&] {
+  auto body = [&] {
     long local = 0;
     for (int i = 1; i <= 5; ++i) {
       local += i;
       Fiber::yield();
     }
     sum = local;
-  });
+  };
+  Fiber f(body);
   while (!f.finished()) f.resume();
   EXPECT_EQ(sum, 15);
 }
 
 TEST(Fiber, ResumeAfterFinishThrows) {
-  Fiber f([] {});
+  auto body = [] {};
+  Fiber f(body);
   f.resume();
   EXPECT_THROW(f.resume(), std::logic_error);
 }
@@ -76,11 +81,14 @@ TEST(Fiber, DestroyingSuspendedFiberUnwindsItsFrames) {
   auto resource = std::make_shared<int>(7);
   std::weak_ptr<int> observer = resource;
   bool resumed_past_yield = false;
+  // The body outlives the fiber, and its frame holds the only reference.
+  auto body = [held = std::move(resource), &resumed_past_yield]() mutable {
+    const std::shared_ptr<int> local = std::move(held);
+    Fiber::yield();
+    resumed_past_yield = true;  // Unreachable: the fiber is never resumed.
+  };
   {
-    Fiber f([held = std::move(resource), &resumed_past_yield] {
-      Fiber::yield();
-      resumed_past_yield = true;  // Unreachable: the fiber is never resumed.
-    });
+    Fiber f(body);
     f.resume();
     EXPECT_FALSE(f.finished());
     EXPECT_FALSE(observer.expired());
@@ -91,14 +99,16 @@ TEST(Fiber, DestroyingSuspendedFiberUnwindsItsFrames) {
 
 TEST(Fiber, DestroyingUnstartedFiberDoesNotRunBody) {
   bool ran = false;
-  { Fiber f([&] { ran = true; }); }
+  auto body = [&] { ran = true; };
+  { Fiber f(body); }
   EXPECT_FALSE(ran);
 }
 
 TEST(Fiber, InFiberReflectsState) {
   bool inside = false;
   EXPECT_FALSE(Fiber::in_fiber());
-  Fiber f([&] { inside = Fiber::in_fiber(); });
+  auto body = [&] { inside = Fiber::in_fiber(); };
+  Fiber f(body);
   f.resume();
   EXPECT_TRUE(inside);
   EXPECT_FALSE(Fiber::in_fiber());
@@ -107,14 +117,18 @@ TEST(Fiber, InFiberReflectsState) {
 TEST(Fiber, InterleavesManyFibers) {
   constexpr int kFibers = 50;
   std::vector<int> counters(kFibers, 0);
+  auto body = [&counters](int i) {
+    for (int k = 0; k < 10; ++k) {
+      ++counters[static_cast<std::size_t>(i)];
+      Fiber::yield();
+    }
+  };
+  std::vector<std::function<void()>> bodies;
+  bodies.reserve(kFibers);  // Fibers reference their bodies: no reallocation.
   std::vector<std::unique_ptr<Fiber>> fibers;
   for (int i = 0; i < kFibers; ++i) {
-    fibers.push_back(std::make_unique<Fiber>([&counters, i] {
-      for (int k = 0; k < 10; ++k) {
-        ++counters[static_cast<std::size_t>(i)];
-        Fiber::yield();
-      }
-    }));
+    bodies.emplace_back([&body, i] { body(i); });
+    fibers.push_back(std::make_unique<Fiber>(bodies.back()));
   }
   bool any = true;
   while (any) {
@@ -130,7 +144,8 @@ TEST(Fiber, InterleavesManyFibers) {
 }
 
 TEST(Fiber, StackIsRoundedUpAndUsable) {
-  Fiber f([] {}, 1);  // Below minimum -> rounded to >= 16 KiB.
+  auto body = [] {};
+  Fiber f(body, 1);  // Below minimum -> rounded to >= 16 KiB.
   EXPECT_GE(f.stack_bytes(), std::size_t{16 * 1024});
   f.resume();
   EXPECT_TRUE(f.finished());
@@ -139,20 +154,19 @@ TEST(Fiber, StackIsRoundedUpAndUsable) {
 TEST(Fiber, DeepStackUseWithinBounds) {
   // Touch a decent chunk of a 256 KiB stack via recursion.
   int depth_reached = 0;
-  Fiber f(
-      [&] {
-        struct Rec {
-          static int go(int d, int* max_out) {
-            volatile char pad[512];
-            pad[0] = static_cast<char>(d);
-            *max_out = d;
-            if (d >= 200) return d + pad[0] - pad[0];
-            return Rec::go(d + 1, max_out);
-          }
-        };
-        Rec::go(0, &depth_reached);
-      },
-      256 * 1024);
+  auto body = [&] {
+    struct Rec {
+      static int go(int d, int* max_out) {
+        volatile char pad[512];
+        pad[0] = static_cast<char>(d);
+        *max_out = d;
+        if (d >= 200) return d + pad[0] - pad[0];
+        return Rec::go(d + 1, max_out);
+      }
+    };
+    Rec::go(0, &depth_reached);
+  };
+  Fiber f(body, 256 * 1024);
   f.resume();
   EXPECT_EQ(depth_reached, 200);
 }
@@ -164,22 +178,23 @@ TEST(Fiber, ThousandsOfLazyStacksAreCheap) {
   std::vector<std::unique_ptr<Fiber>> fibers;
   fibers.reserve(kMany);
   int ran = 0;
-  for (int i = 0; i < kMany; ++i) {
-    fibers.push_back(std::make_unique<Fiber>([&ran] { ++ran; }));
-  }
+  auto body = [&ran] { ++ran; };
+  for (int i = 0; i < kMany; ++i) fibers.push_back(std::make_unique<Fiber>(body));
   for (auto& f : fibers) f->resume();
   EXPECT_EQ(ran, kMany);
 }
 
 TEST(Fiber, DestroyUnstartedAndSuspendedFibersSafely) {
+  auto idle = [] {};
+  auto yields = [] {
+    Fiber::yield();
+    Fiber::yield();
+  };
   {
-    Fiber f([] {});  // Never started.
+    Fiber f(idle);  // Never started.
   }
   {
-    auto f = std::make_unique<Fiber>([] {
-      Fiber::yield();
-      Fiber::yield();
-    });
+    auto f = std::make_unique<Fiber>(yields);
     f->resume();  // Suspended at first yield, then destroyed.
   }
   SUCCEED();
@@ -191,19 +206,18 @@ TEST(FiberDeathTest, StackOverflowHitsGuardPage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Fiber f(
-            [] {
-              struct Rec {
-                static std::uint64_t go(std::uint64_t d) {
-                  volatile char pad[1024];
-                  pad[0] = static_cast<char>(d);
-                  if (d > 1'000'000) return d;
-                  return Rec::go(d + 1) + static_cast<std::uint64_t>(pad[0]);
-                }
-              };
-              Rec::go(0);
-            },
-            16 * 1024);
+        auto body = [] {
+          struct Rec {
+            static std::uint64_t go(std::uint64_t d) {
+              volatile char pad[1024];
+              pad[0] = static_cast<char>(d);
+              if (d > 1'000'000) return d;
+              return Rec::go(d + 1) + static_cast<std::uint64_t>(pad[0]);
+            }
+          };
+          Rec::go(0);
+        };
+        Fiber f(body, 16 * 1024);
         f.resume();
       },
       "");
@@ -266,19 +280,21 @@ TEST(Fiber, LocalsSurviveWhileTheStackDepthGrowsShrinksAndGrows) {
   const int depths[] = {1, 12, 2, 30, 3};
   bool intact = true;
   int yields = 0;
-  Fiber grows([&] {
+  auto grows_body = [&] {
     for (int d : depths) {
       intact = frames_survive_a_yield(d, 0x5a) && intact;
       ++yields;
     }
-  });
-  Fiber scribbles([] {
+  };
+  auto scribbles_body = [] {
     for (;;) {
       volatile std::uint8_t junk[4096];
       for (std::size_t i = 0; i < sizeof junk; ++i) junk[i] = 0xee;
       Fiber::yield();
     }
-  });
+  };
+  Fiber grows(grows_body);
+  Fiber scribbles(scribbles_body);
   while (!grows.finished()) {
     grows.resume();
     scribbles.resume();
@@ -293,18 +309,22 @@ TEST(Fiber, DestroyingASuspendedFiberUnwindsItWhileAnotherHoldsTheStack) {
   auto resource = std::make_shared<int>(7);
   std::weak_ptr<int> observer = resource;
   bool other_intact = false;
-  Fiber other([&other_intact] {
+  auto other_body = [&other_intact] {
     volatile std::uint64_t local = 0x0123456789abcdefull;
     Fiber::yield();
     other_intact = local == 0x0123456789abcdefull;
-  });
+  };
+  Fiber other(other_body);
+  // The body outlives the fiber, and its frame holds the only reference.
+  auto body = [held = std::move(resource)]() mutable {
+    const std::shared_ptr<int> local = std::move(held);
+    volatile std::uint64_t pad[64] = {};
+    pad[0] = 1;
+    Fiber::yield();
+    (void)pad[0];
+  };
   {
-    Fiber f([held = std::move(resource)] {
-      volatile std::uint64_t pad[64] = {};
-      pad[0] = 1;
-      Fiber::yield();
-      (void)pad[0];
-    });
+    Fiber f(body);
     f.resume();
     other.resume();  // Saves f's frames and takes the stack.
     EXPECT_FALSE(observer.expired());
@@ -323,12 +343,11 @@ TEST(Fiber, FibersShareOneStackAndCopyOnlyWhenTheOccupantChanges) {
   // nothing; a switch to another fiber copies both live regions.
   constexpr std::size_t kBytes = 80 * 1024;  // A size no other test uses.
   const util::Counters c0 = util::thread_counters();
-  Fiber a([] {
+  auto forever = [] {
     for (;;) Fiber::yield();
-  }, kBytes);
-  Fiber b([] {
-    for (;;) Fiber::yield();
-  }, kBytes);
+  };
+  Fiber a(forever, kBytes);
+  Fiber b(forever, kBytes);
   a.resume();
   b.resume();  // Saves a's frames.
   const util::Counters c1 = util::thread_counters() - c0;
@@ -346,13 +365,15 @@ TEST(Fiber, FibersShareOneStackAndCopyOnlyWhenTheOccupantChanges) {
 TEST(Fiber, LocateRedirectsOnlyTheLiveRegionOfASavedFiber) {
   std::uint64_t* slot = nullptr;
   std::uint64_t seen = 0;
-  Fiber a([&] {
+  auto a_body = [&] {
     std::uint64_t local = 0;
     slot = &local;
     Fiber::yield();
     seen = local;
-  });
-  Fiber b([] { Fiber::yield(); });
+  };
+  auto b_body = [] { Fiber::yield(); };
+  Fiber a(a_body);
+  Fiber b(b_body);
   a.resume();
   EXPECT_EQ(a.locate(slot, sizeof *slot), slot);  // a's frames are in place.
   b.resume();

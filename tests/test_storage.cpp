@@ -418,7 +418,7 @@ TEST(TieredRestore, FetchesFromSurvivingPartnerMemory) {
     int tier = -1;
     auto data = ckpt::read_latest_checkpoint_tiered(ctx, store, storage, &version, &tier);
     ok = ok && data.has_value() &&
-         data->front() == std::byte{static_cast<unsigned char>(ctx.rank())};
+         data->data()[0] == std::byte{static_cast<unsigned char>(ctx.rank())};
     (ctx.rank() == 0 ? tier0 : tier1) = tier;
     ctx.finalize();
   };
