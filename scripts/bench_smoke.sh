@@ -25,7 +25,12 @@
 #     events and fiber resumes must equal theirs exactly, and every run's
 #     stack bytes copied must be within 5% of its pin. These catch a
 #     per-rank memory or structural regression that the noisy timing ratio
-#     cannot. Re-pin them when a change moves them on purpose. Interleaving lets host
+#     cannot. After the pairs, one run of the restoring row (the modeled row
+#     with --failures=5@1000s: rank 5 fails and the relaunch restores the
+#     iteration-125 checkpoint) must complete with its peak RSS per rank at
+#     most 1.03x BENCH_baseline.json's restoring_row pin, so a per-rank
+#     regression on the restart path (notice state, restore planning) fails
+#     too. Re-pin them when a change moves them on purpose. Interleaving lets host
 #     load hit both rows of a pair alike, but not equally: on a 4-vCPU host
 #     shared with other tenants the golden row ran 1.5-2.6x slower than when
 #     quiet, and the memory-bound modeled row slowed more, so the median of
@@ -36,8 +41,9 @@
 #     host read medians of 0.498-0.511, and an injected busy-wait that made
 #     the modeled row about 1.9x slower read 0.827-1.097, failing 10 of 10
 #     runs. The walls, ratios, reference
-#     and the modeled row's stderr counter lines, peak RSS and gated values
-#     go to build/perf_trajectory.json, which CI uploads.
+#     and the modeled row's stderr counter lines, peak RSS and gated values,
+#     and the restoring row's peak RSS, go to build/perf_trajectory.json,
+#     which CI uploads.
 #  2. Sharded-engine determinism: the golden row on 2 sim workers must emit a
 #     result-json byte-identical to the sequential golden, and its window
 #     count must match BENCH_baseline.json exactly.
@@ -97,6 +103,7 @@ MODELED = ("heat3d --ranks=32768 --topology=torus:32x32x32 --link-latency=1us "
            "--failure-timeout=100ms --slowdown=1000 --ns-per-unit=1281 "
            "--stack-bytes=65536 --app-params=nx=512,px=32,iters=1000,interval=125 "
            "--sim-workers=1")
+RESTORING = MODELED + " --failures=5@1000s"
 COUNTER_LINES = ("perf", "pool", "stacks", "wakeups", "queue")
 RSS_TOLERANCE = 1.03    # Median peak RSS per rank over its pin.
 COPIED_TOLERANCE = 0.05  # Stack bytes copied, either way from its pin.
@@ -153,6 +160,9 @@ for i in range(1, PAIRS + 1):
     modeled_rss_kib.append(rss_kib)
     modeled_counters.append(gated_counters(f"/tmp/bench_smoke_modeled_{i}.stderr"))
 print(f"  result-json of all {PAIRS} golden-row runs matches {golden_path}")
+_, restoring_rss_kib, stripped = run(RESTORING, "/tmp/bench_smoke_restoring.stderr")
+if b'"outcome": "completed"' not in stripped:
+    raise SystemExit("the restoring row did not complete:\n" + stripped.decode())
 
 ratios = [m / g for m, g in zip(modeled_walls, golden_walls)]
 ratio = statistics.median(ratios)
@@ -174,6 +184,12 @@ for i, got in enumerate(modeled_counters, 1):
     if abs(copied - pins["stack_bytes_copied"]) > COPIED_TOLERANCE * pins["stack_bytes_copied"]:
         memory_problems.append(f"run {i}: stack bytes copied {copied} is more than "
                                f"{COPIED_TOLERANCE:.0%} from pin {pins['stack_bytes_copied']}")
+restoring_pin = baseline["restoring_row"]["peak_rss_kib_per_rank"]
+restoring_kib_per_rank = restoring_rss_kib / MODELED_RANKS
+restoring_limit = RSS_TOLERANCE * restoring_pin
+if restoring_kib_per_rank > restoring_limit:
+    memory_problems.append(f"restoring row: peak RSS {restoring_kib_per_rank:.3f} KiB per rank "
+                           f"exceeds {RSS_TOLERANCE}x the pin {restoring_pin}")
 counters = {}
 for line in open("/tmp/bench_smoke_modeled_1.stderr"):
     label, sep, value = line.partition(":")
@@ -184,6 +200,9 @@ trajectory = {
     "modeled_row": {"workload": MODELED, "walls_s": modeled_walls, "counters": counters,
                     "peak_rss_kib": modeled_rss_kib, "kib_per_rank": kib_per_rank,
                     "gated": modeled_counters},
+    "restoring_row": {"workload": RESTORING, "peak_rss_kib": restoring_rss_kib,
+                      "kib_per_rank": restoring_kib_per_rank, "pin": restoring_pin,
+                      "rss_limit_kib_per_rank": restoring_limit},
     "ratios": ratios,
     "ratio": ratio,
     "reference": reference,
@@ -209,13 +228,15 @@ print(f"  modeled-row peak RSS per rank: median {median_kib_per_rank:.3f} KiB of
       f"events {modeled_counters[0]['events']}, resumes {modeled_counters[0]['resumes']}, "
       f"stack bytes copied {modeled_counters[0]['stack_bytes_copied']} "
       f"{'ok' if not memory_problems else 'REGRESSION'}")
+print(f"  restoring-row peak RSS per rank: {restoring_kib_per_rank:.3f} KiB "
+      f"(pin {restoring_pin}, limit {restoring_limit:.3f})")
 print("  wrote build/perf_trajectory.json")
 if status != "ok":
     raise SystemExit(f"the modeled row slowed: wall ratio {ratio:.3f} exceeds "
                      f"{TOLERANCE}x the BENCH_baseline.json reference {reference}")
 if memory_problems:
-    raise SystemExit("the modeled row's memory or counters moved from BENCH_baseline.json's "
-                     "modeled_row pins:\n  " + "\n  ".join(memory_problems))
+    raise SystemExit("the modeled or restoring row's memory or counters moved from "
+                     "BENCH_baseline.json's pins:\n  " + "\n  ".join(memory_problems))
 EOF
 
 echo "== bench smoke: sharded engine (2 workers, json byte-stable) =="

@@ -28,8 +28,8 @@
 # shared between ranks (test_ckpt, test_storage, test_incremental), and the
 # per-rank state that is allocated only in some runs: traced sends that keep
 # a request slot (test_trace), the communicator list created by the first
-# dup/split/shrink (test_ulfm) and the fault state created by the first
-# failure notice (test_failures), plus test_machine and test_exp, whose
+# dup/split/shrink (test_ulfm) and the failed-process list created by the
+# first failure notice (test_failures), plus test_machine and test_exp, whose
 # pinned results thereby also hold with no block pooled. The mc leg runs
 # the model-checker suite (test_mc — a tiny scenario lattice end to end)
 # under TSan, as-is and with EXASIM_JOBS=4 so the campaign executor fans
@@ -129,7 +129,7 @@ run_asan() {
   # by remove_file/apply_failures) and the restore plan every rank of a
   # relaunch reads. The trace, ULFM and failure suites cover the per-rank
   # state created on first use: slots kept by traced sends, the extra
-  # communicator list and the fault state.
+  # communicator list and the failed-process list.
   suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures test_machine test_exp'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null

@@ -91,7 +91,6 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
   shared_.world_size = config_.ranks;
   shared_.energy = energy_.get();
   shared_.trace = trace_.get();
-  shared_.notice_log = &notice_log_;
   shared_.services = &services_;
 }
 
@@ -195,17 +194,29 @@ SimResult Machine::run() {
   result.ckpt_mode = ckpt::to_string(services_.ckpt_mode);
   result.detector = resilience::to_string(config_.detector);
   result.error_policy = resilience::to_string(vmpi::ErrorHandlerKind::kFatal);
-  const auto det_stats = bus_->detection_stats();
+  const auto det_stats = bus_->detection_stats(activated_);
   result.failure_notices = det_stats.notices;
   result.max_detection_latency = det_stats.max_latency;
   result.mean_detection_latency_sec = det_stats.mean_latency_sec();
-  result.notice_arrivals = notice_log_.snapshot();
   result.rank_end_times.reserve(processes_.size());
   result.rank_outcomes.reserve(processes_.size());
+  std::size_t notices = 0;
+  for (const auto& proc : processes_) notices += proc->failed_peers().size();
+  result.notice_arrivals.reserve(notices);
   for (const auto& proc : processes_) {
     result.rank_end_times.push_back(proc->end_time());
     result.rank_outcomes.push_back(proc->outcome());
+    const auto told = proc->failed_peers();
+    result.notice_arrivals.insert(result.notice_arrivals.end(), told.begin(), told.end());
   }
+  // (t_fail, failed_rank, observer) is a total order over the records (a
+  // rank hears of each failure once), whichever worker delivered them.
+  std::sort(result.notice_arrivals.begin(), result.notice_arrivals.end(),
+            [](const resilience::NoticeArrival& a, const resilience::NoticeArrival& b) {
+              if (a.t_fail != b.t_fail) return a.t_fail < b.t_fail;
+              if (a.failed_rank != b.failed_rank) return a.failed_rank < b.failed_rank;
+              return a.observer < b.observer;
+            });
   result.events_processed = engine_.events_processed();
   util::Counters counters = util::thread_counters() - counters_begin;
   counters += engine_.worker_counters();

@@ -20,7 +20,7 @@
 #include "procmodel/processor.hpp"
 #include "resilience/bus.hpp"
 #include "resilience/detector.hpp"
-#include "resilience/notice_log.hpp"
+#include "resilience/notice.hpp"
 #include "util/parse.hpp"
 #include "util/time.hpp"
 #include "vmpi/process.hpp"
@@ -114,9 +114,6 @@ struct SimResult {
   std::string routing;
   std::string link_timeouts;
 
-  /// Resolved resilience configuration (canonical spec strings) and the
-  /// detection-latency accounting from the notification bus: one notice per
-  /// (survivor, failure) pair; latency = delivery time - time of failure.
   /// Resolved storage hierarchy and checkpoint mode (canonical spec
   /// strings). In sim_result_json() only when either differs from the
   /// default "pfs"/"pfs" — the default field set stays pinned by the
@@ -124,6 +121,12 @@ struct SimResult {
   std::string storage;
   std::string ckpt_mode;
 
+  /// Resolved resilience configuration (canonical spec strings) and the
+  /// detection-latency accounting from the notification bus: latency =
+  /// detection time - time of failure. `failure_notices` counts one notice
+  /// per (observer, failure) pair for every observer not failed by its
+  /// detection time, including observers that had already finished or
+  /// aborted; `notice_arrivals` below holds only the notices delivered.
   std::string detector;
   std::string error_policy;
   std::uint64_t failure_notices = 0;
@@ -140,9 +143,9 @@ struct SimResult {
 
   std::vector<LpId> deadlocked_ranks;  ///< Non-empty only for kDeadlock.
 
-  /// Per-rank failure-notice arrival log (DESIGN.md §15): one record per
+  /// Every rank's failed-process list (DESIGN.md §15): one record per
   /// failure notice the engine actually delivered, sorted by (t_fail,
-  /// failed_rank, observer) so the log is byte-identical across
+  /// failed_rank, observer) so the records are byte-identical across
   /// `--sim-workers` settings. Not part of sim_result_json() — the model
   /// checker consumes it directly for missed-notification detection.
   std::vector<resilience::NoticeArrival> notice_arrivals;
@@ -250,7 +253,6 @@ class Machine final : public vmpi::SystemHooks {
   std::unique_ptr<vmpi::Fabric> fabric_;
   std::unique_ptr<resilience::DetectorModel> detector_model_;
   std::unique_ptr<resilience::NotificationBus> bus_;
-  resilience::NoticeLog notice_log_;
   std::unique_ptr<ProcessorModel> proc_model_;
   std::unique_ptr<StorageHierarchy> storage_;
   std::unique_ptr<EnergyLedger> energy_;

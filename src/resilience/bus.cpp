@@ -21,10 +21,6 @@ void NotificationBus::notify(SimTime time, int rank, int kind,
 }
 
 void NotificationBus::broadcast_failure(int failed_rank, SimTime t_fail) {
-  {
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    failures_.push_back({failed_rank, t_fail});
-  }
   for (int rank = 0; rank < wiring_.ranks; ++rank) {
     if (rank == failed_rank) continue;
     const SimTime detect = wiring_.detector != nullptr
@@ -33,7 +29,6 @@ void NotificationBus::broadcast_failure(int failed_rank, SimTime t_fail) {
     auto payload = std::make_unique<FailureNoticePayload>();
     payload->failed_rank = failed_rank;
     payload->time_of_failure = t_fail;
-    payload->detect_time = detect;
     notify(detect, rank, wiring_.failure_kind, std::move(payload));
   }
 }
@@ -58,39 +53,28 @@ void NotificationBus::broadcast_revoke(int origin_rank, int comm_id, SimTime whe
   }
 }
 
-NotificationBus::DetectionStats NotificationBus::detection_stats() const {
-  std::vector<FailureRecord> log;
-  {
-    std::lock_guard<std::mutex> lock(log_mutex_);
-    log = failures_;
-  }
-  // Broadcast order depends on which worker's mutex acquisition won, so sort
-  // by (t_fail, rank) before accumulating: the floating-point summation order
-  // — and therefore the mean — is then identical for every worker count.
-  std::sort(log.begin(), log.end(), [](const FailureRecord& a, const FailureRecord& b) {
-    if (a.t_fail != b.t_fail) return a.t_fail < b.t_fail;
-    return a.rank < b.rank;
-  });
+NotificationBus::DetectionStats NotificationBus::detection_stats(
+    std::span<const FailureSpec> failures) const {
   DetectionStats stats;
-  for (const FailureRecord& f : log) {
+  for (const FailureSpec& f : failures) {
     for (int rank = 0; rank < wiring_.ranks; ++rank) {
       if (rank == f.rank) continue;
       const SimTime detect = wiring_.detector != nullptr
-                                 ? wiring_.detector->detection_time(rank, f.rank, f.t_fail)
-                                 : f.t_fail;
+                                 ? wiring_.detector->detection_time(rank, f.rank, f.time)
+                                 : f.time;
       // An observer that itself failed at or before its would-be detection
       // time never sees the notice (the engine drops events to dead LPs), so
       // it must not count: otherwise a second failure re-counts every rank
       // that is already down and inflates the mean.
       bool observer_dead = false;
-      for (const FailureRecord& other : log) {
-        if (other.rank == rank && other.t_fail <= detect) {
+      for (const FailureSpec& other : failures) {
+        if (other.rank == rank && other.time <= detect) {
           observer_dead = true;
           break;
         }
       }
       if (observer_dead) continue;
-      const SimTime latency = detect - f.t_fail;
+      const SimTime latency = detect - f.time;
       stats.max_latency = std::max(stats.max_latency, latency);
       stats.total_latency_sec += to_seconds(latency);
       ++stats.notices;

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <vector>
+#include <span>
 
 #include "pdes/engine.hpp"
 #include "resilience/detector.hpp"
 #include "resilience/notice.hpp"
+#include "util/parse.hpp"
 #include "util/time.hpp"
 
 namespace exasim::resilience {
@@ -50,13 +50,14 @@ class NotificationBus {
   /// Broadcasts a ULFM revoke notice to every rank except the origin.
   void broadcast_revoke(int origin_rank, int comm_id, SimTime when);
 
-  /// Detection-latency accounting (latency = detect_time - time_of_failure
-  /// per observer). Computed on demand from the log of broadcast failures:
-  /// an observer counts for a failure unless it had itself failed at or
-  /// before its would-be detection time — matching which notices the engine
-  /// actually delivers, since it drops events to dead LPs. The double
-  /// summation runs in a (t_fail, rank)-sorted order, so the result is
-  /// independent of which worker thread logged which failure first.
+  /// Detection-latency accounting (latency = detection time - time of
+  /// failure per observer) for `failures`, the failures this bus broadcast,
+  /// sorted by (time, rank) as core::Machine reports them. An observer
+  /// counts for a failure unless it had itself failed at or before its
+  /// would-be detection time, since the engine drops notices to dead LPs; an
+  /// observer that had finished or aborted still counts. The double
+  /// summation runs in the list's order, so the mean is the same for every
+  /// worker count.
   struct DetectionStats {
     std::uint64_t notices = 0;
     SimTime max_latency = 0;
@@ -65,22 +66,13 @@ class NotificationBus {
       return notices == 0 ? 0.0 : total_latency_sec / static_cast<double>(notices);
     }
   };
-  DetectionStats detection_stats() const;
+  DetectionStats detection_stats(std::span<const FailureSpec> failures) const;
 
  private:
-  struct FailureRecord {
-    int rank = 0;
-    SimTime t_fail = 0;
-  };
-
   /// Schedules one notice to `rank` at `time`.
   void notify(SimTime time, int rank, int kind, std::unique_ptr<EventPayload> payload);
 
   Wiring wiring_;
-  /// Failures broadcast so far. Guarded: broadcasts run on whichever engine
-  /// worker owns the reporting LP group.
-  mutable std::mutex log_mutex_;
-  std::vector<FailureRecord> failures_;
 };
 
 }  // namespace exasim::resilience

@@ -4,50 +4,6 @@
 
 namespace exasim::resilience {
 
-FaultState::Peers& FaultState::peers() {
-  if (peers_ == nullptr) peers_ = std::make_unique<Peers>();
-  return *peers_;
-}
-
-void FaultState::record_peer_failure(int world_rank, SimTime t_fail, SimTime t_detect) {
-  Peers& p = peers();
-  p.failed[world_rank] = t_fail;
-  p.detect_times[world_rank] = t_detect;
-}
-
-const std::map<int, SimTime>& FaultState::failed_peers() const {
-  static const std::map<int, SimTime> kNone;
-  return peers_ != nullptr ? peers_->failed : kNone;
-}
-
-SimTime FaultState::peer_failure_time(int world_rank) const {
-  if (peers_ == nullptr) return kSimTimeNever;
-  auto it = peers_->failed.find(world_rank);
-  return it == peers_->failed.end() ? kSimTimeNever : it->second;
-}
-
-SimTime FaultState::peer_detect_time(int world_rank) const {
-  if (peers_ == nullptr) return kSimTimeNever;
-  auto it = peers_->detect_times.find(world_rank);
-  return it == peers_->detect_times.end() ? kSimTimeNever : it->second;
-}
-
-void FaultState::ack_failures(int comm_id, const std::function<bool(int)>& member) {
-  Peers& p = peers();
-  auto& acked = p.acked[comm_id];
-  acked.clear();
-  for (const auto& [peer, when] : p.failed) {
-    (void)when;
-    if (member(peer)) acked.push_back(peer);
-  }
-}
-
-std::vector<int> FaultState::acked(int comm_id) const {
-  if (peers_ == nullptr) return {};
-  auto it = peers_->acked.find(comm_id);
-  return it == peers_->acked.end() ? std::vector<int>{} : it->second;
-}
-
 void SoftErrorState::register_region(const std::string& name, void* ptr, std::size_t bytes) {
   for (auto& r : regions_) {
     if (r.name == name) {

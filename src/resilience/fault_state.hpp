@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,17 +8,12 @@
 
 namespace exasim::resilience {
 
-/// Per-process failure/abort bookkeeping, extracted from vmpi::SimProcess so
-/// the process class is clock + message matching and the resilience pipeline
-/// state lives in one place (paper §IV-B: "each simulated MPI process
-/// maintains its own list of failed simulated MPI processes and their
-/// corresponding time of failure").
-///
-/// The four activation times are inline; the peer lists are allocated on
-/// the first notice or acknowledgement, so a process that never hears of a
-/// failure carries one null pointer for them (DESIGN.md §9).
-class FaultState {
- public:
+/// A process's failure and abort activation times, extracted from
+/// vmpi::SimProcess so the resilience pipeline's per-process timing lives in
+/// one place. All four stay inline because every clock update reads them
+/// (DESIGN.md §9). The failed-process list the notices fill is the
+/// process's own (resilience::NoticeArrival, vmpi::SimProcess::failed_peers).
+struct FaultState {
   /// Earliest virtual time this process is scheduled to fail (injection
   /// schedule or Context::inject_failure); kSimTimeNever = never.
   SimTime time_of_failure = kSimTimeNever;
@@ -30,38 +22,6 @@ class FaultState {
   /// Set by engine-side handlers to unwind a blocked fiber at a given time.
   SimTime forced_failure = kSimTimeNever;
   SimTime forced_abort = kSimTimeNever;
-
-  /// Records a delivered failure notice. t_detect is the notice's delivery
-  /// time per the detector model (== t_fail for paper-instant).
-  void record_peer_failure(int world_rank, SimTime t_fail, SimTime t_detect);
-
-  /// Failed peers (world rank -> actual time of failure), in the shape the
-  /// public Context::failed_peers API exposes.
-  const std::map<int, SimTime>& failed_peers() const;
-  bool knows_failed(int world_rank) const {
-    return peers_ != nullptr && peers_->failed.count(world_rank) != 0;
-  }
-  /// kSimTimeNever when the peer is not known failed.
-  SimTime peer_failure_time(int world_rank) const;
-  /// Detector delivery time of the peer's notice; kSimTimeNever if unknown.
-  SimTime peer_detect_time(int world_rank) const;
-
-  /// ULFM MPI_Comm_failure_ack: snapshots the currently-known failed peers
-  /// accepted by `member` (the communicator-membership predicate) for the
-  /// given communicator.
-  void ack_failures(int comm_id, const std::function<bool(int)>& member);
-  /// ULFM MPI_Comm_failure_get_acked for the given communicator.
-  std::vector<int> acked(int comm_id) const;
-
- private:
-  struct Peers {
-    std::map<int, SimTime> failed;          ///< world rank -> time of failure.
-    std::map<int, SimTime> detect_times;    ///< world rank -> notice delivery time.
-    std::map<int, std::vector<int>> acked;  ///< per-comm ack snapshots.
-  };
-  Peers& peers();  ///< Allocates on first use.
-
-  std::unique_ptr<Peers> peers_;
 };
 
 /// Soft-error injection state (paper §VI future-work item 1): registered

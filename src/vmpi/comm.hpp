@@ -25,9 +25,10 @@ using UserErrorHandler = std::function<void(Context&, Comm&, Err)>;
 /// MPI_COMM_WORLD and its dups — O(1) storage, critical with tens of
 /// thousands of simulated processes each holding their own communicator
 /// objects) or an explicit ordered list of world ranks (splits/shrinks).
-/// What identity membership never uses — the member list and a
-/// user-defined error handler — lives in one block allocated on first use,
-/// so every rank's world communicator is 48 bytes (DESIGN.md §9).
+/// What identity membership never uses — the member list, a user-defined
+/// error handler and a ULFM acknowledgement — lives in one block allocated
+/// on first use, so every rank's world communicator is 48 bytes
+/// (DESIGN.md §9).
 struct Comm {
   int id = 0;
   Rank my_rank = -1;          ///< This process's rank within the communicator.
@@ -77,10 +78,21 @@ struct Comm {
     if (h || extra_ != nullptr) extra().user_handler = std::move(h);
   }
 
+  /// ULFM MPI_Comm_failure_get_acked: the failed members (world ranks,
+  /// ascending) this process knew of at its last MPI_Comm_failure_ack on
+  /// this communicator; empty before the first.
+  std::vector<Rank> acked_failures() const {
+    return extra_ != nullptr ? extra_->acked : std::vector<Rank>{};
+  }
+  void set_acked_failures(std::vector<Rank> failed) {
+    if (!failed.empty() || extra_ != nullptr) extra().acked = std::move(failed);
+  }
+
  private:
   struct Extra {
     std::vector<Rank> members;  ///< Explicit membership when identity_size_ < 0.
     UserErrorHandler user_handler;
+    std::vector<Rank> acked;  ///< The failure_ack snapshot.
   };
   Extra& extra() {
     if (extra_ == nullptr) extra_ = std::make_unique<Extra>();

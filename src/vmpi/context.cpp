@@ -174,7 +174,9 @@ void Context::inject_failure(SimTime delay) {
 
 void Context::fail_now() { proc_->fail_now(); }
 
-const std::map<Rank, SimTime>& Context::failed_peers() const { return proc_->failed_peers(); }
+std::span<const resilience::NoticeArrival> Context::failed_peers() const {
+  return proc_->failed_peers();
+}
 
 // ---------------------------------------------------------------------------
 // ULFM extension
@@ -208,8 +210,6 @@ Err Context::comm_revoke(Comm& comm) {
 
 void Context::failure_ack(Comm& comm) { proc_->failure_ack(comm); }
 
-std::vector<Rank> Context::failure_get_acked(Comm& comm) const {
-  return proc_->failure_get_acked(comm);
-}
+std::vector<Rank> Context::failure_get_acked(Comm& comm) const { return comm.acked_failures(); }
 
 }  // namespace exasim::vmpi

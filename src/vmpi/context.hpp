@@ -2,10 +2,10 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <map>
 #include <span>
 #include <vector>
 
+#include "resilience/notice.hpp"
 #include "util/time.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/request.hpp"
@@ -143,8 +143,10 @@ class Context {
   /// Fails this process right now. Does not return.
   [[noreturn]] void fail_now();
 
-  /// This process's view of failed peers (world rank -> time of failure).
-  const std::map<Rank, SimTime>& failed_peers() const;
+  /// The failed peers this process has been told of, in ascending world
+  /// rank: each notice's failed rank, time of failure and arrival (its
+  /// detection time). Valid until the next failure notice arrives.
+  std::span<const resilience::NoticeArrival> failed_peers() const;
 
   // ---- ULFM extension (paper §VI future-work item 3) ----------------------
   Err comm_revoke(Comm& comm);

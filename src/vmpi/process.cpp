@@ -448,11 +448,12 @@ void SimProcess::handle_failure_activation(SimTime t) {
 }
 
 void SimProcess::handle_failure_notice(FailureNoticePayload& p, SimTime t) {
-  if (shared_->notice_log != nullptr) {
-    shared_->notice_log->record(world_rank_, p.failed_rank, p.time_of_failure, t);
-  }
-  fault_.record_peer_failure(p.failed_rank, p.time_of_failure, p.detect_time);
-  fail_requests_on_notice(p.failed_rank, p.time_of_failure, p.detect_time);
+  // The notice arrives at this process's detection time (the bus schedules
+  // it there), so the event time is the detection time.
+  const resilience::NoticeArrival notice{world_rank_, p.failed_rank, p.time_of_failure, t};
+  resilience::insert_notice(rare().failed_peers, notice);
+  peers_failed_ = true;
+  fail_requests_on_notice(notice);
   // A probe on the failed rank can now return kProcFailed. Notices never
   // resume the fiber themselves (eager mode doesn't either); mark the flip so
   // the next wake site lets the probe re-scan.
@@ -461,11 +462,12 @@ void SimProcess::handle_failure_notice(FailureNoticePayload& p, SimTime t) {
   }
 }
 
-void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTime t_detect) {
+void SimProcess::fail_requests_on_notice(const resilience::NoticeArrival& notice) {
   // Release (and fail) blocked requests involving the failed process after a
   // simulated communication timeout (paper §IV-C): unmatched and rendezvous
   // receives, and sends waiting for a clear-to-send. Post order keeps the
   // scheduled wakeups in a stable sequence.
+  const Rank failed_rank = notice.failed_rank;
   const auto blocked_on_failed = live_requests_by_serial([failed_rank](const Request& r) {
     if (r.done() || r.error_wakeup_scheduled || r.peer_world_rank != failed_rank) return false;
     return r.kind == Request::Kind::kRecv ? r.stage == Request::Stage::kPosted ||
@@ -473,12 +475,11 @@ void SimProcess::fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTi
                                           : r.stage == Request::Stage::kAwaitingCts;
   });
   for (const std::uint32_t i : blocked_on_failed) {
-    schedule_error_wakeup(slots_[i], t_fail, failed_rank, t_detect);
+    schedule_error_wakeup(slots_[i], notice);
   }
 }
 
-void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_world,
-                                       SimTime t_detect) {
+void SimProcess::schedule_error_wakeup(Request& r, const resilience::NoticeArrival& notice) {
   auto p = std::make_unique<ErrorWakeupPayload>();
   p->request = handle_of(r);
   p->error = Err::kProcFailed;
@@ -486,9 +487,9 @@ void SimProcess::schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_wor
   // the error cannot surface before this process learned of the failure.
   // With the paper-instant detector t_detect == t_fail and the floor is a
   // no-op, preserving the paper's exact release times.
-  p->error_time = std::max(
-      std::max(r.post_time, t_fail) + shared_->fabric->failure_timeout(world_rank_, peer_world),
-      t_detect);
+  p->error_time = std::max(std::max(r.post_time, notice.t_fail) +
+                               shared_->fabric->failure_timeout(world_rank_, notice.failed_rank),
+                           notice.arrival);
   r.error_wakeup_scheduled = true;
   // Read the time out before std::move(p): parameter construction order is
   // unspecified, and moving first would null p under this call.
@@ -541,22 +542,19 @@ bool SimProcess::on_stall(Engine& engine) {
   });
   for (const std::uint32_t i : any_source_recvs) {
     Request& r = slots_[i];
-    // Earliest failed member of the request's communicator.
+    // Earliest failed member of the request's communicator (the lowest rank
+    // among equal times).
     const Comm* comm = find_comm(r.comm_id);
     if (comm == nullptr) continue;
-    Rank failed = -1;
-    SimTime t_fail = kSimTimeNever;
-    for (const auto& [peer, when] : fault_.failed_peers()) {
-      if (comm->rank_of_world(peer) >= 0 && when < t_fail) {
-        failed = peer;
-        t_fail = when;
-      }
+    const resilience::NoticeArrival* first = nullptr;
+    for (const resilience::NoticeArrival& n : failed_peers()) {
+      if (comm->rank_of_world(n.failed_rank) < 0) continue;
+      if (first == nullptr || n.t_fail < first->t_fail) first = &n;
     }
-    if (failed < 0) continue;
+    if (first == nullptr) continue;
     unindex_posted(r);
-    r.complete_time = std::max(
-        std::max(r.post_time, t_fail) + shared_->fabric->failure_timeout(world_rank_, failed),
-        fault_.peer_detect_time(failed));
+    const SimTime timeout = shared_->fabric->failure_timeout(world_rank_, first->failed_rank);
+    r.complete_time = std::max(std::max(r.post_time, first->t_fail) + timeout, first->arrival);
     r.error = Err::kProcFailed;
     mark_done(r);
     progressed = true;
@@ -888,9 +886,8 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   // schedule the timeout release right away (§IV-C: "any message send
   // requests waited on after receiving the ... notification fail based on
   // this list").
-  if (fault_.knows_failed(peer_world)) {
-    schedule_error_wakeup(r, fault_.peer_failure_time(peer_world), peer_world,
-                          fault_.peer_detect_time(peer_world));
+  if (const resilience::NoticeArrival* notice = failure_notice(peer_world)) {
+    schedule_error_wakeup(r, *notice);
   }
   return handle_of(r);
 }
@@ -914,9 +911,10 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
   if (!try_match_unexpected(r, fifo)) {
     // Unmatched: if the explicit source is already known failed, the receive
     // can only ever time out (§IV-C).
-    if (src != kAnySource && fault_.knows_failed(r.peer_world_rank)) {
-      schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
-                            fault_.peer_detect_time(r.peer_world_rank));
+    if (src != kAnySource) {
+      if (const resilience::NoticeArrival* notice = failure_notice(r.peer_world_rank)) {
+        schedule_error_wakeup(r, *notice);
+      }
     }
     index_posted(r, fifo);  // Findable by future arrivals.
   } else if (r.stage == Request::Stage::kAwaitingData) {
@@ -924,9 +922,8 @@ RequestHandle SimProcess::post_recv(Comm& comm, Rank src, int tag, void* buffer,
     // failure notice predates this post): the CTS goes to a dead process and
     // the data will never come -- release by timeout like any other wait on
     // a failed peer.
-    if (fault_.knows_failed(r.peer_world_rank)) {
-      schedule_error_wakeup(r, fault_.peer_failure_time(r.peer_world_rank), r.peer_world_rank,
-                            fault_.peer_detect_time(r.peer_world_rank));
+    if (const resilience::NoticeArrival* notice = failure_notice(r.peer_world_rank)) {
+      schedule_error_wakeup(r, *notice);
     }
   }
   return handle_of(r);
@@ -999,19 +996,14 @@ bool SimProcess::test(RequestHandle h, MsgStatus* status, Err* err) {
 Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   const SimTime post_time = clock_;
   UnexpectedHit found;
-  Rank failed_peer = -1;
-  SimTime t_fail = kSimTimeNever;
+  const resilience::NoticeArrival* failed = nullptr;
 
   auto scan = [&]() -> bool {
     found = find_unexpected(src == kAnySource ? kAnyFifo : find_bucket(comm.id, src), comm.id,
                             tag);
     if (found.msg != kNoSlot) return true;
-    if (src != kAnySource && fault_.knows_failed(comm.world_of(src))) {
-      failed_peer = comm.world_of(src);
-      t_fail = fault_.peer_failure_time(failed_peer);
-      return true;
-    }
-    return false;
+    if (src != kAnySource) failed = failure_notice(comm.world_of(src));
+    return failed != nullptr;
   };
 
   register_probe_wait(comm.id, src, src == kAnySource ? -1 : comm.world_of(src), tag);
@@ -1027,11 +1019,10 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
     }
     return Err::kSuccess;
   }
-  raise_clock_to(
-      std::max(std::max(post_time, t_fail) +
-                   shared_->fabric->failure_timeout(world_rank_, failed_peer),
-               fault_.peer_detect_time(failed_peer)),
-      /*busy=*/false);
+  raise_clock_to(std::max(std::max(post_time, failed->t_fail) +
+                              shared_->fabric->failure_timeout(world_rank_, failed->failed_rank),
+                          failed->arrival),
+                 /*busy=*/false);
   if (status != nullptr) status->error = Err::kProcFailed;
   return Err::kProcFailed;
 }
@@ -1121,11 +1112,11 @@ void SimProcess::apply_revoke(int comm_id, SimTime when) {
 }
 
 void SimProcess::failure_ack(Comm& comm) {
-  fault_.ack_failures(comm.id, [&comm](int world) { return comm.rank_of_world(world) >= 0; });
-}
-
-std::vector<Rank> SimProcess::failure_get_acked(Comm& comm) const {
-  return fault_.acked(comm.id);
+  std::vector<Rank> acked;
+  for (const resilience::NoticeArrival& n : failed_peers()) {
+    if (comm.rank_of_world(n.failed_rank) >= 0) acked.push_back(n.failed_rank);
+  }
+  comm.set_acked_failures(std::move(acked));
 }
 
 }  // namespace exasim::vmpi

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,7 +13,7 @@
 #include "pdes/engine.hpp"
 #include "powermodel/power.hpp"
 #include "resilience/fault_state.hpp"
-#include "resilience/notice_log.hpp"
+#include "resilience/notice.hpp"
 #include "procmodel/processor.hpp"
 #include "util/time.hpp"
 #include "vmpi/comm.hpp"
@@ -103,11 +102,6 @@ struct ProcessShared {
   int world_size = 0;
   EnergyLedger* energy = nullptr;  ///< Optional energy accounting.
   TraceSink* trace = nullptr;      ///< Optional MPI-operation tracing.
-  /// Optional failure-notice arrival log: every failure notice actually
-  /// delivered to a process is recorded, giving the model checker the
-  /// per-rank arrival times it needs for missed-notification detection
-  /// (DESIGN.md §15).
-  resilience::NoticeLog* notice_log = nullptr;
   /// Machine-provided service bag (Context::services), opaque to vmpi.
   void* services = nullptr;
 };
@@ -156,10 +150,16 @@ class SimProcess final : public LogicalProcess {
   /// time even while blocked — the same path the machine uses at startup.
   void inject_failure_at(SimTime t);
 
-  /// Failed peers this process has been notified about (paper §IV-B: "each
-  /// simulated MPI process maintains its own list of failed simulated MPI
-  /// processes and their corresponding time of failure").
-  const std::map<Rank, SimTime>& failed_peers() const { return fault_.failed_peers(); }
+  /// Failed peers this process has been notified about, in ascending failed
+  /// rank, each with its time of failure and the notice's arrival (paper
+  /// §IV-B: "each simulated MPI process maintains its own list of failed
+  /// simulated MPI processes and their corresponding time of failure").
+  /// The one record of what the process was told: core::Machine builds
+  /// SimResult::notice_arrivals from these lists.
+  std::span<const resilience::NoticeArrival> failed_peers() const {
+    if (rare_ == nullptr) return {};
+    return rare_->failed_peers;
+  }
 
   /// The machine's MPI-operation trace sink; nullptr when tracing is off.
   TraceSink* trace() { return shared_->trace; }
@@ -258,9 +258,10 @@ class SimProcess final : public LogicalProcess {
   CommRegistry& registry() { return *shared_->registry; }
   Context& context() { return context_; }
 
-  /// ULFM acknowledgement state (MPI_Comm_failure_ack / get_acked).
+  /// ULFM MPI_Comm_failure_ack: snapshots the failed peers this process
+  /// knows of that are members of `comm` into the communicator
+  /// (Comm::acked_failures).
   void failure_ack(Comm& comm);
-  std::vector<Rank> failure_get_acked(Comm& comm) const;
 
   /// Simulator-global alive set used by shrink/agree membership agreement.
   std::vector<Rank> alive_world_ranks_for_shrink() const {
@@ -405,8 +406,15 @@ class SimProcess final : public LogicalProcess {
   // timeout and the detector's notice delivery time (t_detect): an error
   // cannot surface before the process has been told about the failure.
   void check_signals();  ///< Throws Failed/Abort signals if activation is due.
-  void schedule_error_wakeup(Request& r, SimTime t_fail, Rank peer_world, SimTime t_detect);
-  void fail_requests_on_notice(Rank failed_rank, SimTime t_fail, SimTime t_detect);
+  /// The notice of `peer_world`'s failure; nullptr while this process has
+  /// not been told of it. The "no failure known" test is peers_failed_,
+  /// which sits on the line the post paths already read.
+  const resilience::NoticeArrival* failure_notice(Rank peer_world) const {
+    return peers_failed_ ? resilience::find_notice(rare_->failed_peers, peer_world) : nullptr;
+  }
+  /// `notice`: the failed peer, its time of failure and its detection time.
+  void schedule_error_wakeup(Request& r, const resilience::NoticeArrival& notice);
+  void fail_requests_on_notice(const resilience::NoticeArrival& notice);
   void terminate(ProcOutcome outcome, SimTime when);
 
   Comm* new_comm(int id, std::vector<Rank> members, const Comm& inherit_from);
@@ -416,10 +424,13 @@ class SimProcess final : public LogicalProcess {
   /// State few ranks ever use, in one block allocated on first use: the
   /// bucket table of a rank with more than kScanBuckets sources (a linear
   /// collective's root), the communicators comm_dup / comm_split /
-  /// comm_shrink add, and the measured-compute CPU-time snapshot.
+  /// comm_shrink add, the failed-process list the first failure notice
+  /// starts, and the measured-compute CPU-time snapshot.
   struct RareState {
     std::vector<std::uint32_t> bucket_table;  ///< Power-of-two size; kNoSlot = empty.
     std::vector<std::unique_ptr<Comm>> comms;
+    /// Delivered failure notices, sorted by failed rank (failed_peers()).
+    std::vector<resilience::NoticeArrival> failed_peers;
     std::uint64_t last_native_ns = 0;  ///< Measured-compute snapshot.
   };
   RareState& rare();  ///< Allocates on first use.
@@ -443,6 +454,9 @@ class SimProcess final : public LogicalProcess {
   // Recorded block condition (see the wakeup-filter note above).
   WaitKind wait_kind_ = WaitKind::kNone;
   bool wake_pending_ = false;  ///< Condition flipped; resume at next wake site.
+  /// A failure notice arrived, so rare_->failed_peers is not empty. In the
+  /// padding before waiting_, on the line post_send and post_recv read.
+  bool peers_failed_ = false;
   std::uint32_t waiting_ = 0;  ///< Waited requests not yet done (kRequests).
   int wait_comm_id_ = 0;       ///< Probe spec: communicator id,
   Rank wait_src_ = kAnySource;        ///< source comm rank (may be kAnySource),
@@ -490,8 +504,7 @@ class SimProcess final : public LogicalProcess {
   // Soft-error state, allocated by the first registration or scheduled flip.
   std::unique_ptr<resilience::SoftErrorState> soft_errors_;
   resilience::SoftErrorState& soft_errors();  ///< Allocates on first use.
-  // Failure/abort/ULFM-ack state, owned by the resilience subsystem; this
-  // class is clock + matching + the glue. Its activation times come first.
+  // Failure and abort activation times, owned by the resilience subsystem.
   resilience::FaultState fault_;
 
   // Execution state.

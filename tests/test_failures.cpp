@@ -383,7 +383,7 @@ TEST(Detection, PerProcessFailedListsAreMaintained) {
       ctx.recv(1, 0, &v, sizeof v);
       list_sizes[0] = ctx.failed_peers().size();
       if (!ctx.failed_peers().empty()) {
-        recorded_times[0] = ctx.failed_peers().begin()->second;
+        recorded_times[0] = ctx.failed_peers().front().t_fail;
       }
       ctx.send(1, 1, &v, sizeof v);
     } else {
@@ -392,7 +392,7 @@ TEST(Detection, PerProcessFailedListsAreMaintained) {
       ctx.recv(0, 1, &v, sizeof v);  // Blocks past the notice.
       list_sizes[1] = ctx.failed_peers().size();
       if (!ctx.failed_peers().empty()) {
-        recorded_times[1] = ctx.failed_peers().begin()->second;
+        recorded_times[1] = ctx.failed_peers().front().t_fail;
       }
     }
     ctx.finalize();

@@ -1,5 +1,6 @@
 // Resilience subsystem tests: detector specs and models, the failure
-// schedule, error-handler policy dispatch, fault state, programmatic failure
+// schedule, error-handler policy dispatch, failed-process lists and the
+// notice records built from them, soft-error state, programmatic failure
 // injection, and collective failure semantics under both error policies.
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "metrics/perf.hpp"
@@ -16,6 +18,7 @@
 #include "resilience/bus.hpp"
 #include "resilience/detector.hpp"
 #include "resilience/fault_state.hpp"
+#include "resilience/notice.hpp"
 #include "resilience/policy.hpp"
 #include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
@@ -287,28 +290,24 @@ TEST(ErrorHandlerPolicy, DispatchMatrix) {
   EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kUser, false), ErrorAction::kReturn);
 }
 
-TEST(FaultState, RecordsPeerFailuresWithDetectTimes) {
-  resilience::FaultState fs;
-  EXPECT_FALSE(fs.knows_failed(4));
-  EXPECT_EQ(fs.peer_failure_time(4), kSimTimeNever);
-  EXPECT_EQ(fs.peer_detect_time(4), kSimTimeNever);
+TEST(NoticeList, RecordsPeerFailuresWithDetectTimesInRankOrder) {
+  std::vector<resilience::NoticeArrival> list;
+  EXPECT_EQ(resilience::find_notice(list, 4), nullptr);
 
-  fs.record_peer_failure(4, sim_ms(1), sim_ms(3));
-  EXPECT_TRUE(fs.knows_failed(4));
-  EXPECT_EQ(fs.peer_failure_time(4), sim_ms(1));
-  EXPECT_EQ(fs.peer_detect_time(4), sim_ms(3));
-  EXPECT_EQ(fs.failed_peers().size(), 1u);
-}
+  resilience::insert_notice(list, {0, 4, sim_ms(1), sim_ms(3)});
+  resilience::insert_notice(list, {0, 9, sim_ms(2), sim_ms(2)});
+  resilience::insert_notice(list, {0, 2, sim_ms(5), sim_ms(6)});
+  ASSERT_EQ(list.size(), 3u);
+  EXPECT_EQ(list[0].failed_rank, 2);
+  EXPECT_EQ(list[1].failed_rank, 4);
+  EXPECT_EQ(list[2].failed_rank, 9);
 
-TEST(FaultState, AckSnapshotsPerCommunicatorMembership) {
-  resilience::FaultState fs;
-  fs.record_peer_failure(1, sim_ms(1), sim_ms(1));
-  fs.record_peer_failure(2, sim_ms(2), sim_ms(2));
-  EXPECT_TRUE(fs.acked(7).empty());
-  // Communicator 7 contains only even world ranks.
-  fs.ack_failures(7, [](int world) { return world % 2 == 0; });
-  EXPECT_EQ(fs.acked(7), std::vector<int>{2});
-  EXPECT_TRUE(fs.acked(8).empty());  // Other communicators unaffected.
+  const resilience::NoticeArrival* four = resilience::find_notice(list, 4);
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(four->t_fail, sim_ms(1));
+  EXPECT_EQ(four->arrival, sim_ms(3));
+  EXPECT_EQ(resilience::find_notice(list, 3), nullptr);
+  EXPECT_EQ(resilience::find_notice(list, 10), nullptr);
 }
 
 TEST(SoftErrorState, AppliesDueFlipsAndDropsWithoutMemory) {
@@ -437,6 +436,60 @@ TEST(ResilienceSim, TimeoutDetectorReportsDetectionLatency) {
   EXPECT_EQ(r.failure_notices, 2u);  // One notice per survivor.
   EXPECT_EQ(r.max_detection_latency, sim_ms(1));  // = tiny_config timeout.
   EXPECT_DOUBLE_EQ(r.mean_detection_latency_sec, to_seconds(sim_ms(1)));
+}
+
+TEST(ResilienceSim, NoticeArrivalsAreTheNoticesDelivered) {
+  // Rank 3 fails at 1 ms and rank 6 at 1.5 ms; the timeout detector tells
+  // each observer one failure timeout later. Ranks 0 and 1 finish at once,
+  // before either notice arrives; the other survivors wait on each failed
+  // rank in turn, so they are alive for both notices.
+  auto run = [](int workers) {
+    auto cfg = tiny_config(8);
+    cfg.sim_workers = workers;
+    cfg.failures = {FailureSpec{3, sim_ms(1)}, FailureSpec{6, sim_us(1500)}};
+    cfg.detector = *resilience::parse_detector_spec("timeout");
+    auto app = [](Context& ctx) {
+      ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
+      int v = 0;
+      if (ctx.rank() == 3 || ctx.rank() == 6) {
+        ctx.recv(0, 99, &v, sizeof v);  // Dies blocked.
+      } else if (ctx.rank() >= 2) {
+        EXPECT_EQ(ctx.recv(3, 0, &v, sizeof v), Err::kProcFailed);
+        EXPECT_EQ(ctx.recv(6, 0, &v, sizeof v), Err::kProcFailed);
+      }
+      ctx.finalize();
+    };
+    return run_app(std::move(cfg), app);
+  };
+  const SimResult r = run(1);
+  ASSERT_EQ(r.activated_failures.size(), 2u);
+
+  // Four observers of each failure; ranks 0 and 1 had finished, and rank 6
+  // was dead when rank 3's notice would have reached it.
+  ASSERT_EQ(r.notice_arrivals.size(), 8u);
+  const resilience::TimeoutDetector detector([](int, int) { return sim_ms(1); });
+  for (const resilience::NoticeArrival& a : r.notice_arrivals) {
+    EXPECT_NE(a.observer, 0);
+    EXPECT_NE(a.observer, 1);
+    EXPECT_NE(a.observer, 3);
+    EXPECT_NE(a.observer, 6);
+    EXPECT_EQ(a.arrival, detector.detection_time(a.observer, a.failed_rank, a.t_fail));
+  }
+  EXPECT_TRUE(std::is_sorted(r.notice_arrivals.begin(), r.notice_arrivals.end(),
+                             [](const resilience::NoticeArrival& a,
+                                const resilience::NoticeArrival& b) {
+                               return std::tie(a.t_fail, a.failed_rank, a.observer) <
+                                      std::tie(b.t_fail, b.failed_rank, b.observer);
+                             }));
+  EXPECT_EQ(r.notice_arrivals.front().t_fail, sim_ms(1));
+  EXPECT_EQ(r.notice_arrivals.back().failed_rank, 6);
+  // The latency accounting counts the finished observers too: six per
+  // failure.
+  EXPECT_EQ(r.failure_notices, 12u);
+
+  const SimResult r4 = run(4);
+  EXPECT_EQ(r4.notice_arrivals, r.notice_arrivals);
+  EXPECT_EQ(r4.failure_notices, r.failure_notices);
 }
 
 TEST(ResilienceSim, DefaultDetectorIdenticalAcrossSimWorkers) {
@@ -655,7 +708,8 @@ TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
   EXPECT_EQ(rig.engine.events_processed(), static_cast<std::uint64_t>(kRanks));
   EXPECT_EQ(rig.engine.events_dropped_dead(), 0u);
 
-  const resilience::NotificationBus::DetectionStats stats = rig.bus->detection_stats();
+  const std::vector<FailureSpec> broadcast = {FailureSpec{0, sim_us(2)}};
+  const resilience::NotificationBus::DetectionStats stats = rig.bus->detection_stats(broadcast);
   EXPECT_EQ(stats.notices, static_cast<std::uint64_t>(kRanks - 1));
   EXPECT_EQ(stats.max_latency, 0u);  // Instant detector (null).
 }

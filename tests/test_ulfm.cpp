@@ -64,6 +64,47 @@ TEST(Ulfm, FailureAckAndGetAcked) {
   EXPECT_EQ(acked[0], 2);
 }
 
+TEST(Ulfm, AckSnapshotsArePerCommunicator) {
+  // Rank 2 fails at 1 ms and rank 3 at 5 ms. Rank 0 acknowledges on the
+  // world after the first failure and on a dup and an even-rank split after
+  // the second: each communicator keeps its own snapshot, a snapshot holds
+  // only the communicator's members, and a failure noticed after an ack
+  // stays out of that ack's snapshot.
+  std::vector<vmpi::Rank> world_first, dup_first, world_last, dup_last, even_last;
+  auto cfg = tiny_config(4);
+  cfg.failures = {FailureSpec{2, sim_ms(1)}, FailureSpec{3, sim_ms(5)}};
+  auto app = [&](Context& ctx) {
+    ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
+    vmpi::Comm* dup = ctx.comm_dup(ctx.world());
+    vmpi::Comm* even = ctx.comm_split(ctx.world(), ctx.rank() % 2, ctx.rank());
+    ASSERT_NE(dup, nullptr);
+    ASSERT_NE(even, nullptr);
+    int v = 0;
+    if (ctx.rank() >= 2) {
+      ctx.recv(0, 9, &v, sizeof v);  // Dies blocked.
+    } else if (ctx.rank() == 0) {
+      EXPECT_EQ(ctx.recv(2, 0, &v, sizeof v), Err::kProcFailed);
+      ctx.failure_ack(ctx.world());
+      world_first = ctx.failure_get_acked(ctx.world());
+      dup_first = ctx.failure_get_acked(*dup);
+      EXPECT_EQ(ctx.recv(3, 0, &v, sizeof v), Err::kProcFailed);
+      EXPECT_EQ(ctx.failed_peers().size(), 2u);
+      ctx.failure_ack(*dup);
+      ctx.failure_ack(*even);
+      world_last = ctx.failure_get_acked(ctx.world());
+      dup_last = ctx.failure_get_acked(*dup);
+      even_last = ctx.failure_get_acked(*even);
+    }
+    ctx.finalize();
+  };
+  run_app(cfg, app);
+  EXPECT_EQ(world_first, std::vector<vmpi::Rank>{2});
+  EXPECT_TRUE(dup_first.empty());
+  EXPECT_EQ(world_last, std::vector<vmpi::Rank>{2});
+  EXPECT_EQ(dup_last, (std::vector<vmpi::Rank>{2, 3}));
+  EXPECT_EQ(even_last, std::vector<vmpi::Rank>{2});
+}
+
 TEST(Ulfm, RevokePoisonsPendingAndFutureOperations) {
   Err pending_err = Err::kSuccess, future_err = Err::kSuccess;
   auto app = [&](Context& ctx) {

@@ -25,6 +25,11 @@
 // - Modeled heat3d set-up: the same two sizes, counted from the first rank
 //   entering the application to the end of a launch with no iterations;
 //   without a grid the application allocates nothing per rank.
+// - Failure notices: one early failure under the paper-instant detector at
+//   64 and at 128 ranks, each against the same launch with no failure,
+//   counting the heap the machine still holds after the launch; the
+//   difference per extra survivor is what hearing of one failure leaves on
+//   a rank (its cold block and its failed-process list).
 // - Table growth: a rank that posts k receives from k peers and k modeled
 //   sends to them ends with request-slot and match-bucket tables holding
 //   exactly k entries, for k on the tables' growth steps.
@@ -62,6 +67,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::int64_t> g_live_blocks{0};
 // Live bytes (sizes as requested) and their high-water mark, which a
 // measurement resets to the live bytes at its start.
 std::atomic<std::int64_t> g_live{0};
@@ -72,6 +78,7 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
   auto* base = static_cast<unsigned char*>(std::malloc(kHeader + n));
   if (base == nullptr) throw std::bad_alloc();
   *reinterpret_cast<std::size_t*>(base) = n;
@@ -87,6 +94,7 @@ void* counted_alloc(std::size_t n) {
 void counted_free(void* p) noexcept {
   if (p == nullptr) return;
   auto* base = static_cast<unsigned char*>(p) - kHeader;
+  g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
   g_live.fetch_sub(static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(base)),
                    std::memory_order_relaxed);
   std::free(base);
@@ -124,8 +132,8 @@ constexpr std::size_t kSanitizerFiberBytes = 0
 #endif
     ;
 static_assert(sizeof(Fiber) <= 64 + kSanitizerFiberBytes, "a fiber stays within 64 bytes");
-static_assert(sizeof(vmpi::SimProcess) <= 360 + kSanitizerFiberBytes,
-              "a simulated process stays within 360 bytes");
+static_assert(sizeof(vmpi::SimProcess) <= 352 + kSanitizerFiberBytes,
+              "a simulated process stays within 352 bytes");
 #endif
 static_assert(sizeof(vmpi::Comm) <= 48, "a communicator stays within 48 bytes");
 // A checkpoint version holds a world-sized file table, and its side table
@@ -457,6 +465,69 @@ TEST(VmpiAlloc, RankConstructionTakesOneAllocation) {
               static_cast<unsigned long long>(a64), static_cast<unsigned long long>(a128),
               per_rank);
   EXPECT_LE(per_rank, 1.0);
+}
+
+/// Heap blocks and bytes a machine holds after its launch.
+struct HeapUse {
+  double blocks = 0;
+  double bytes = 0;
+};
+
+/// A launch in which every rank but 0 waits for a message from rank 0.
+/// With `fail`, rank 0 fails at about 11 us, before sending: every survivor
+/// hears of it and its receive fails one failure timeout later. Without,
+/// the activation comes at 1,000 s, after the launch has ended, so both
+/// launches start with the same events queued. Every rank first sends
+/// itself a message, so in both launches every rank has scheduled an event
+/// (the engine keeps a sequence counter per source). Counted is what the
+/// machine holds once run() returned and its result is gone: the ranks and
+/// their state.
+HeapUse notice_launch(int ranks, bool fail) {
+  core::SimConfig cfg = test::tiny_config(ranks);
+  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
+  cfg.failures = {FailureSpec{0, fail ? sim_us(5) : sim_sec(1000)}};
+  auto app = [](Context& ctx) {
+    auto& w = ctx.world();
+    ctx.set_error_handler(w, vmpi::ErrorHandlerKind::kReturn);
+    ctx.send_modeled(w, ctx.rank(), 1, 8);
+    ctx.recv_modeled(w, ctx.rank(), 1, 8);
+    if (ctx.rank() == 0) {
+      ctx.compute(1e4);  // 10 us more: past the 5 us failure time.
+      for (int r = 1; r < ctx.size(); ++r) ctx.send_modeled(w, r, 0, 8);
+    } else {
+      ctx.recv_modeled(w, 0, 0, 8);
+    }
+    ctx.finalize();
+  };
+  const std::int64_t blocks = g_live_blocks.load(std::memory_order_relaxed);
+  const std::int64_t bytes = g_live.load(std::memory_order_relaxed);
+  core::Machine machine(std::move(cfg), app);
+  {
+    const core::SimResult res = machine.run();
+    EXPECT_EQ(res.failed_count, fail ? 1 : 0);
+    EXPECT_EQ(res.finished_count, fail ? ranks - 1 : ranks);
+  }
+  return {static_cast<double>(g_live_blocks.load(std::memory_order_relaxed) - blocks),
+          static_cast<double>(g_live.load(std::memory_order_relaxed) - bytes)};
+}
+
+TEST(VmpiAlloc, FailureNoticeCostsASurvivorTwoBlocks) {
+  // A survivor that heard of a failure holds its cold block, which keeps
+  // the failed-process list, and the list's one entry: 2 blocks and 104
+  // bytes. While the list was three std::maps, with a second copy of each
+  // notice in a machine-wide log, it was 3 blocks and 264 bytes.
+  if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
+  notice_launch(128, true);  // Warm the pools and the stack cache.
+  notice_launch(128, false);
+  const HeapUse f64 = notice_launch(64, true);
+  const HeapUse n64 = notice_launch(64, false);
+  const HeapUse f128 = notice_launch(128, true);
+  const HeapUse n128 = notice_launch(128, false);
+  const double blocks = ((f128.blocks - n128.blocks) - (f64.blocks - n64.blocks)) / 64.0;
+  const double bytes = ((f128.bytes - n128.bytes) - (f64.bytes - n64.bytes)) / 64.0;
+  std::printf("failure notice: %.3f blocks, %.1f bytes per extra survivor\n", blocks, bytes);
+  EXPECT_LE(blocks, 2.0);
+  EXPECT_LE(bytes, 104.0);
 }
 
 /// One modeled heat3d launch on a 16 x 16 x (ranks / 256) torus: two halo
