@@ -30,7 +30,9 @@
 # a request slot (test_trace), the communicator list created by the first
 # dup/split/shrink (test_ulfm) and the failed-process list created by the
 # first failure notice (test_failures), plus test_machine and test_exp, whose
-# pinned results thereby also hold with no block pooled. The mc leg runs
+# pinned results thereby also hold with no block pooled, and test_netmodel,
+# whose network levels and contention route scratch are indexed by rank,
+# node and link id. The mc leg runs
 # the model-checker suite (test_mc — a tiny scenario lattice end to end)
 # under TSan, as-is and with EXASIM_JOBS=4 so the campaign executor fans
 # scenario evaluations across worker threads under the race detector.
@@ -115,7 +117,7 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure/machine/exp suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/vmpi/resilience/checkpoint/trace/ulfm/failure/machine/exp/netmodel suites) =="
   # This build takes every pool block from the heap, so a stale pointer into
   # a message, payload or saved stack image trips ASan like any other heap
   # use-after-free, and the pinned results of test_machine and test_exp
@@ -129,8 +131,9 @@ run_asan() {
   # by remove_file/apply_failures) and the restore plan every rank of a
   # relaunch reads. The trace, ULFM and failure suites cover the per-rank
   # state created on first use: slots kept by traced sends, the extra
-  # communicator list and the failed-process list.
-  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures test_machine test_exp'
+  # communicator list and the failed-process list. The network suite indexes
+  # the level table by rank pair and the link tables by route.
+  suites='test_util test_fiber test_pdes test_vmpi_p2p test_vmpi_coll test_vmpi_edge test_properties test_resilience test_ckpt test_storage test_incremental test_trace test_ulfm test_failures test_machine test_exp test_netmodel'
   pattern=$(printf '%s' "$suites" | tr ' ' '|')
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
   # shellcheck disable=SC2086  # $suites is a word list by design.

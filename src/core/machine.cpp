@@ -30,31 +30,36 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
 
   if (config_.network) {
     network_ = config_.network;
-  } else {
-    std::shared_ptr<const Topology> topo = make_topology(config_.topology);
-    const int needed_nodes =
-        (config_.ranks + config_.ranks_per_node - 1) / config_.ranks_per_node;
-    if (topo->node_count() < needed_nodes) {
-      throw std::invalid_argument("topology too small for rank count");
+    if (network_->ranks_per_node() != config_.ranks_per_node) {
+      throw std::invalid_argument(
+          "prebuilt network has " + std::to_string(network_->ranks_per_node()) +
+          " ranks per node but ranks_per_node is " + std::to_string(config_.ranks_per_node));
     }
-    network_ = std::make_shared<NetworkModel>(std::move(topo), config_.net,
-                                              resolve_routing_spec(config_.routing));
+  } else {
+    network_ = std::make_shared<NetworkModel>(make_topology(config_.topology), config_.net,
+                                              resolve_routing_spec(config_.routing),
+                                              config_.ranks_per_node);
   }
-  fabric_ = std::make_unique<vmpi::Fabric>(network_, config_.ranks_per_node);
+  const std::int64_t needed_nodes =
+      (std::int64_t{config_.ranks} + network_->ranks_per_node() - 1) /
+      network_->ranks_per_node();
+  if (network_->topology().node_count() < needed_nodes) {
+    throw std::invalid_argument("topology too small for rank count");
+  }
 
   // Resilience pipeline: the detector model decides when each survivor
   // learns of a failure; the notification bus performs the broadcasts. The
-  // timeout detector consults the fabric's per-pair (per-network-level)
-  // failure timeout; gossip orders observers by the fabric's zero-byte
-  // delivery latency (hop distance under a HierarchicalNetwork); a zero
-  // heartbeat/gossip period defaults to the network's largest
-  // failure-detection timeout.
+  // timeout detector consults the network's per-pair (per-network-level)
+  // failure timeout; gossip orders observers by the network's zero-byte
+  // delivery latency (hop distance, and the on-node and on-chip levels of a
+  // hierarchical network); a zero heartbeat/gossip period defaults to the
+  // network's largest failure-detection timeout.
   resilience::DetectorWiring det_wiring;
-  det_wiring.pair_timeout = [f = fabric_.get()](int observer, int failed) {
-    return f->failure_timeout(observer, failed);
+  det_wiring.pair_timeout = [n = network_.get()](int observer, int failed) {
+    return n->failure_timeout(observer, failed);
   };
-  det_wiring.pair_latency = [f = fabric_.get()](int observer, int failed) {
-    return f->delivery(observer, failed, 0);
+  det_wiring.pair_latency = [n = network_.get()](int observer, int failed) {
+    return n->delivery_time(observer, failed, 0);
   };
   det_wiring.default_period = network_->max_failure_timeout();
   det_wiring.ranks = config_.ranks;
@@ -82,7 +87,7 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
   services_.run_start_time = config_.initial_time;
 
   shared_.engine = &engine_;
-  shared_.fabric = fabric_.get();
+  shared_.network = network_.get();
   shared_.proc_model = proc_model_.get();
   shared_.hooks = this;
   shared_.registry = &registry_;
@@ -137,11 +142,10 @@ SimResult Machine::run() {
   // arrive up to one conservative window (µs-scale) late, absorbed
   // by the ms-scale failure timeouts governing observable behavior
   // (DESIGN.md §11).
-  const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());
   Engine::ShardingOptions shard;
   shard.workers = config_.sim_workers;
   shard.lookahead = network_->min_remote_latency();
-  shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
+  shard.block_alignment = network_->ranks_per_node();
   if (network_->params().contention && shard.workers > 1) {
     // Busy-window interleaving across LP groups depends on window boundaries:
     // contention delays are a modeled approximation there, not the exact

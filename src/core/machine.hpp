@@ -44,8 +44,10 @@ struct SimConfig {
   std::string topology = "star:1";
   NetworkParams net;
   int ranks_per_node = 1;
-  /// Prebuilt network model (e.g. a HierarchicalNetwork); overrides
-  /// topology/net *and* `routing` when set.
+  /// Prebuilt network model (e.g. a hierarchical one); overrides
+  /// topology/net *and* `routing` when set. It brings its own rank-to-node
+  /// mapping: its ranks_per_node() must equal `ranks_per_node`, and its
+  /// topology must hold the ranks (the Machine throws otherwise).
   std::shared_ptr<const NetworkModel> network;
 
   /// Routing policy spec ("deterministic", "adaptive", "adaptive:spread=K").
@@ -250,7 +252,6 @@ class Machine final : public vmpi::SystemHooks {
   Engine engine_;
   vmpi::CommRegistry registry_;
   std::shared_ptr<const NetworkModel> network_;
-  std::unique_ptr<vmpi::Fabric> fabric_;
   std::unique_ptr<resilience::DetectorModel> detector_model_;
   std::unique_ptr<resilience::NotificationBus> bus_;
   std::unique_ptr<ProcessorModel> proc_model_;

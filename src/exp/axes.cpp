@@ -26,29 +26,6 @@ Axis routing_axis() {
   return axis;
 }
 
-RoutingSpec routing_spec_for(std::size_t value_index) {
-  const auto& names = list_routings();
-  if (value_index >= names.size()) throw std::out_of_range("routing axis index");
-  auto spec = parse_routing_spec(names[value_index]);
-  if (!spec) throw std::logic_error("unparsable registered routing name");
-  return *spec;
-}
-
-Axis storage_axis() {
-  Axis axis;
-  axis.name = "storage";
-  for (const auto& p : list_storage()) axis.values.push_back(p.name);
-  return axis;
-}
-
-StorageSpec storage_spec_for(std::size_t value_index) {
-  const auto& presets = list_storage();
-  if (value_index >= presets.size()) throw std::out_of_range("storage axis index");
-  auto spec = parse_storage_spec(presets[value_index].name);
-  if (!spec) throw std::logic_error("unparsable registered storage preset");
-  return *spec;
-}
-
 Axis ckpt_mode_axis() {
   Axis axis;
   axis.name = "ckpt_mode";

@@ -2,7 +2,6 @@
 
 #include "ckpt/tiered.hpp"
 #include "exp/plan.hpp"
-#include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
 
@@ -21,17 +20,6 @@ resilience::DetectorSpec detector_spec_for(std::size_t value_index);
 /// (deterministic, adaptive), in registry order — for campaigns comparing
 /// route-variant spreading under contention or heterogeneous link timeouts.
 Axis routing_axis();
-
-/// RoutingSpec for a routing_axis() value index (family defaults).
-RoutingSpec routing_spec_for(std::size_t value_index);
-
-/// The storage-hierarchy axis: one value per registered storage preset
-/// (pfs, hpc), in registry order — for co-design campaigns sweeping what
-/// checkpoint I/O costs.
-Axis storage_axis();
-
-/// StorageSpec for a storage_axis() value index (registered presets).
-StorageSpec storage_spec_for(std::size_t value_index);
 
 /// The checkpoint-mode axis: pfs / partner / staged, in registry order.
 Axis ckpt_mode_axis();

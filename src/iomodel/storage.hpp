@@ -74,8 +74,8 @@ std::optional<StorageSpec> parse_storage_spec(const std::string& text);
 /// preserved).
 std::string to_string(const StorageSpec& spec);
 
-/// Registered storage presets, registry order — the values of
-/// exp::storage_axis() and the rows of `exasim_run --list-storage`.
+/// Registered storage presets, registry order — the rows of
+/// `exasim_run --list-storage`.
 struct StoragePresetInfo {
   std::string name;
   std::string spec;

@@ -13,32 +13,63 @@ SimTime bytes_over_bandwidth(std::size_t bytes, double bytes_per_sec) {
   return sim_seconds(static_cast<double>(bytes) / bytes_per_sec);
 }
 
+int ranks_per_node_of(int ranks_per_chip, int chips_per_node) {
+  if (ranks_per_chip <= 0 || chips_per_node <= 0) {
+    throw std::invalid_argument("non-positive hierarchy factor");
+  }
+  return ranks_per_chip * chips_per_node;
+}
+
 }  // namespace
 
 NetworkModel::NetworkModel(std::shared_ptr<const Topology> topology, NetworkParams params,
-                           RoutingSpec routing)
+                           RoutingSpec routing, int ranks_per_node)
     : topology_(std::move(topology)),
-      params_(params),
+      params_(std::move(params)),
       routing_spec_(routing),
-      routing_policy_(make_routing(routing)) {
+      ranks_per_node_(ranks_per_node) {
   if (!topology_) throw std::invalid_argument("null topology");
+  if (ranks_per_node_ <= 0) throw std::invalid_argument("ranks_per_node <= 0");
+  levels_[static_cast<std::size_t>(Level::kSystem)] =
+      NetworkLevel{params_.link_latency, params_.bandwidth_bytes_per_sec,
+                   params_.per_message_overhead, params_.failure_timeout};
   link_timeouts_ = build_link_timeouts(params_.link_timeouts, *topology_,
                                        params_.failure_timeout);
-  max_link_timeout_ = params_.failure_timeout;
-  for (const SimTime t : link_timeouts_) max_link_timeout_ = std::max(max_link_timeout_, t);
+  max_failure_timeout_ = params_.failure_timeout;
+  for (const SimTime t : link_timeouts_) {
+    max_failure_timeout_ = std::max(max_failure_timeout_, t);
+  }
 }
 
-SimTime NetworkModel::delivery_time(int src, int dst, std::size_t bytes) const {
-  const int hops = topology_->hop_count(src, dst);
-  return params_.per_message_overhead +
-         static_cast<SimTime>(hops) * params_.link_latency +
-         bytes_over_bandwidth(bytes, params_.bandwidth_bytes_per_sec);
+NetworkModel::NetworkModel(std::shared_ptr<const Topology> topology, NetworkParams system,
+                           NetworkLevel on_node, NetworkLevel on_chip, int ranks_per_chip,
+                           int chips_per_node, RoutingSpec routing)
+    : NetworkModel(std::move(topology), std::move(system), routing,
+                   ranks_per_node_of(ranks_per_chip, chips_per_node)) {
+  ranks_per_chip_ = ranks_per_chip;
+  levels_[static_cast<std::size_t>(Level::kOnNode)] = on_node;
+  levels_[static_cast<std::size_t>(Level::kOnChip)] = on_chip;
+  max_failure_timeout_ =
+      std::max({max_failure_timeout_, on_node.failure_timeout, on_chip.failure_timeout});
 }
 
-SimTime NetworkModel::delivery_time_at(SimTime now, int src, int dst,
+SimTime NetworkModel::delivery_time(int src_rank, int dst_rank, std::size_t bytes) const {
+  const Level l = level_for(src_rank, dst_rank);
+  const int hops = l == Level::kSystem
+                       ? topology_->hop_count(node_of(src_rank), node_of(dst_rank))
+                       : (src_rank == dst_rank ? 0 : 1);
+  const NetworkLevel& p = level(l);
+  return p.per_message_overhead + static_cast<SimTime>(hops) * p.link_latency +
+         bytes_over_bandwidth(bytes, p.bandwidth_bytes_per_sec);
+}
+
+SimTime NetworkModel::delivery_time_at(SimTime now, int src_rank, int dst_rank,
                                        std::size_t bytes) const {
-  SimTime base = delivery_time(src, dst, bytes);
-  if (params_.contention && src != dst) base += contention_delay(now, src, dst, bytes);
+  SimTime base = delivery_time(src_rank, dst_rank, bytes);
+  if (params_.contention) {
+    const int src_node = node_of(src_rank), dst_node = node_of(dst_rank);
+    if (src_node != dst_node) base += contention_delay(now, src_node, dst_node, bytes);
+  }
   return base;
 }
 
@@ -60,7 +91,7 @@ SimTime NetworkModel::contention_delay(SimTime now, int src, int dst,
                             static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
   const std::uint64_t seq = flow_seq_[key]++;
   const std::uint64_t variant =
-      routing_policy_->variant(src, dst, seq, topology_->route_count(src, dst));
+      route_variant(routing_spec_, src, dst, seq, topology_->route_count(src, dst));
 
   route_scratch_.clear();
   topology_->route_into(src, dst, variant, route_scratch_);
@@ -82,8 +113,12 @@ SimTime NetworkModel::sender_occupancy(std::size_t bytes) const {
          bytes_over_bandwidth(bytes, params_.injection_bandwidth_bytes_per_sec);
 }
 
-SimTime NetworkModel::link_pair_timeout(int src_node, int dst_node) const {
-  if (link_timeouts_.empty() || src_node == dst_node) return params_.failure_timeout;
+SimTime NetworkModel::failure_timeout(int src_rank, int dst_rank) const {
+  const Level l = level_for(src_rank, dst_rank);
+  const int src_node = node_of(src_rank), dst_node = node_of(dst_rank);
+  if (l != Level::kSystem || link_timeouts_.empty() || src_node == dst_node) {
+    return level(l).failure_timeout;
+  }
   // The canonical (variant-0) route: detection configuration must not depend
   // on per-flow adaptive variant choices or message interleaving.
   SimTime timeout = 0;
@@ -93,79 +128,6 @@ SimTime NetworkModel::link_pair_timeout(int src_node, int dst_node) const {
     timeout = std::max(timeout, link_timeouts_[static_cast<std::size_t>(link)]);
   }
   return timeout;
-}
-
-SimTime NetworkModel::failure_timeout(int src, int dst) const {
-  return link_pair_timeout(src, dst);
-}
-
-SimTime NetworkModel::min_remote_latency() const {
-  return params_.per_message_overhead + params_.link_latency;
-}
-
-HierarchicalNetwork::HierarchicalNetwork(std::shared_ptr<const Topology> system_topology,
-                                         NetworkParams system, NetworkParams on_node,
-                                         NetworkParams on_chip, int ranks_per_chip,
-                                         int chips_per_node, RoutingSpec routing)
-    : NetworkModel(std::move(system_topology), system, routing),
-      on_node_(on_node),
-      on_chip_(on_chip),
-      ranks_per_chip_(ranks_per_chip),
-      ranks_per_node_(ranks_per_chip * chips_per_node) {
-  if (ranks_per_chip <= 0 || chips_per_node <= 0) {
-    throw std::invalid_argument("non-positive hierarchy factor");
-  }
-}
-
-HierarchicalNetwork::Level HierarchicalNetwork::level_for(int src_rank, int dst_rank) const {
-  if (src_rank / ranks_per_node_ != dst_rank / ranks_per_node_) return Level::kSystem;
-  if (src_rank / ranks_per_chip_ != dst_rank / ranks_per_chip_) return Level::kOnNode;
-  return Level::kOnChip;
-}
-
-const NetworkParams& HierarchicalNetwork::params_for(Level level) const {
-  switch (level) {
-    case Level::kOnChip: return on_chip_;
-    case Level::kOnNode: return on_node_;
-    case Level::kSystem: return params_;
-  }
-  throw std::logic_error("bad level");
-}
-
-SimTime HierarchicalNetwork::delivery_time_ranks(int src_rank, int dst_rank,
-                                                 std::size_t bytes) const {
-  const Level level = level_for(src_rank, dst_rank);
-  const NetworkParams& p = params_for(level);
-  int hops = 1;
-  if (level == Level::kSystem) {
-    hops = topology_->hop_count(node_of_rank(src_rank), node_of_rank(dst_rank));
-  } else if (src_rank == dst_rank) {
-    hops = 0;
-  }
-  return p.per_message_overhead + static_cast<SimTime>(hops) * p.link_latency +
-         (bytes == 0 ? 0 : sim_seconds(static_cast<double>(bytes) / p.bandwidth_bytes_per_sec));
-}
-
-SimTime HierarchicalNetwork::delivery_time_ranks_at(SimTime now, int src_rank, int dst_rank,
-                                                    std::size_t bytes) const {
-  SimTime base = delivery_time_ranks(src_rank, dst_rank, bytes);
-  if (params_.contention && level_for(src_rank, dst_rank) == Level::kSystem) {
-    base += contention_delay(now, node_of_rank(src_rank), node_of_rank(dst_rank), bytes);
-  }
-  return base;
-}
-
-SimTime HierarchicalNetwork::failure_timeout(int src, int dst) const {
-  const Level level = level_for(src, dst);
-  if (level == Level::kSystem) {
-    return link_pair_timeout(node_of_rank(src), node_of_rank(dst));
-  }
-  return params_for(level).failure_timeout;
-}
-
-SimTime HierarchicalNetwork::max_failure_timeout() const {
-  return std::max({NetworkModel::max_failure_timeout(), on_node_.failure_timeout,
-                   on_chip_.failure_timeout});
 }
 
 }  // namespace exasim

@@ -58,22 +58,15 @@ RoutingSpec resolve_routing_spec(const std::string& configured) {
   return *spec;
 }
 
-std::uint64_t AdaptiveRouting::variant(int src, int dst, std::uint64_t seq,
-                                       std::uint64_t equal_cost) const {
-  if (equal_cost <= 1) return 0;
+std::uint64_t route_variant(const RoutingSpec& spec, int src, int dst, std::uint64_t seq,
+                            std::uint64_t equal_cost) {
+  if (spec.kind == RoutingKind::kDeterministic || equal_cost <= 1) return 0;
   const std::uint64_t fanout =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(spread_), equal_cost);
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(std::max(spec.spread, 1)), equal_cost);
   const std::uint64_t key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst));
   return mix64(mix64(key) ^ seq) % fanout;
-}
-
-std::unique_ptr<RoutingPolicy> make_routing(const RoutingSpec& spec) {
-  if (spec.kind == RoutingKind::kAdaptive) {
-    return std::make_unique<AdaptiveRouting>(spec.spread);
-  }
-  return std::make_unique<DeterministicRouting>();
 }
 
 std::optional<LinkTimeoutSpec> parse_link_timeout_spec(const std::string& text) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,8 +12,8 @@
 namespace exasim {
 
 /// Which route-variant selection policy the network model runs (DESIGN.md
-/// §12) — the policy half of the route split; the mechanism half is
-/// Topology::route_into's equal-cost variants.
+/// §12) — the policy half of the route split (route_variant); the mechanism
+/// half is Topology::route_into's equal-cost variants.
 enum class RoutingKind : std::uint8_t {
   kDeterministic,  ///< Always the canonical variant 0 — byte-identical to the
                    ///< pre-route-refactor hop-count model.
@@ -48,46 +47,16 @@ const std::vector<std::string>& list_routings();
 /// std::invalid_argument on malformed text.
 RoutingSpec resolve_routing_spec(const std::string& configured);
 
-/// Selects the route variant each flow takes. Pure and stateless: the
-/// variant depends only on (src, dst, seq, equal_cost), so route choice is
-/// reproducible across runs and engine worker counts.
-class RoutingPolicy {
- public:
-  virtual ~RoutingPolicy() = default;
-
-  virtual const char* name() const = 0;
-
-  /// Variant (< equal_cost) for the seq-th message of the (src, dst) flow,
-  /// where equal_cost = Topology::route_count(src, dst).
-  virtual std::uint64_t variant(int src, int dst, std::uint64_t seq,
-                                std::uint64_t equal_cost) const = 0;
-};
-
-/// Always the canonical route — the default, and the pre-refactor behavior.
-class DeterministicRouting final : public RoutingPolicy {
- public:
-  const char* name() const override { return "deterministic"; }
-  std::uint64_t variant(int, int, std::uint64_t, std::uint64_t) const override { return 0; }
-};
-
-/// Hashes (src, dst, seq) onto min(spread, equal_cost) variants, modeling
-/// per-packet/per-message adaptive routing while staying deterministic: the
-/// per-pair seq counter follows fiber program order, which the engine keeps
-/// identical across worker counts.
-class AdaptiveRouting final : public RoutingPolicy {
- public:
-  explicit AdaptiveRouting(int spread) : spread_(spread < 1 ? 1 : spread) {}
-
-  const char* name() const override { return "adaptive"; }
-  std::uint64_t variant(int src, int dst, std::uint64_t seq,
-                        std::uint64_t equal_cost) const override;
-
- private:
-  int spread_;
-};
-
-/// Policy instance for a spec (stateless; may be shared).
-std::unique_ptr<RoutingPolicy> make_routing(const RoutingSpec& spec);
+/// Route variant (< equal_cost) for the seq-th message of the (src, dst)
+/// flow, where equal_cost = Topology::route_count(src, dst). Pure: the
+/// variant depends only on the arguments, so route choice is reproducible
+/// across runs and engine worker counts. Deterministic routing always takes
+/// the canonical variant 0; adaptive routing hashes (src, dst, seq) onto
+/// min(spread, equal_cost) variants, modeling per-message adaptive routing
+/// while staying deterministic (the per-pair seq counter follows fiber
+/// program order, which the engine keeps identical across worker counts).
+std::uint64_t route_variant(const RoutingSpec& spec, int src, int dst, std::uint64_t seq,
+                            std::uint64_t equal_cost);
 
 // -- Per-link failure-timeout overrides --------------------------------------
 

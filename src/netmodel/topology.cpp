@@ -70,7 +70,8 @@ std::vector<LinkId> Topology::route(int src, int dst, std::uint64_t variant) con
   return links;
 }
 
-Torus3D::Torus3D(int nx, int ny, int nz) : nx_(nx), ny_(ny), nz_(nz) {
+Torus3D::Torus3D(int nx, int ny, int nz, bool wrap)
+    : nx_(nx), ny_(ny), nz_(nz), wrap_(wrap) {
   check_dims(nx, ny, nz);
 }
 
@@ -82,17 +83,24 @@ int Torus3D::node_of(Coord3 c) const {
   return mod(c.x, nx_) + mod(c.y, ny_) * nx_ + mod(c.z, nz_) * nx_ * ny_;
 }
 
-int Torus3D::hop_count(int src, int dst) const {
-  const Coord3 a = coord_of(src), b = coord_of(dst);
-  return ring_distance(a.x, b.x, nx_) + ring_distance(a.y, b.y, ny_) +
-         ring_distance(a.z, b.z, nz_);
+int Torus3D::axis_distance(int from, int to, int n) const {
+  return wrap_ ? ring_distance(from, to, n) : std::abs(from - to);
 }
 
-int Torus3D::diameter() const { return nx_ / 2 + ny_ / 2 + nz_ / 2; }
+int Torus3D::hop_count(int src, int dst) const {
+  const Coord3 a = coord_of(src), b = coord_of(dst);
+  return axis_distance(a.x, b.x, nx_) + axis_distance(a.y, b.y, ny_) +
+         axis_distance(a.z, b.z, nz_);
+}
+
+int Torus3D::diameter() const {
+  if (wrap_) return nx_ / 2 + ny_ / 2 + nz_ / 2;
+  return (nx_ - 1) + (ny_ - 1) + (nz_ - 1);
+}
 
 std::string Torus3D::name() const {
   std::ostringstream os;
-  os << "torus:" << nx_ << 'x' << ny_ << 'x' << nz_;
+  os << (wrap_ ? "torus:" : "mesh:") << nx_ << 'x' << ny_ << 'x' << nz_;
   return os.str();
 }
 
@@ -123,10 +131,11 @@ void Torus3D::route_into(int src, int dst, std::uint64_t variant,
     const int n = sizes[dim];
     const int from = coord_axis(cur, dim), to = coord_axis(b, dim);
     const int forward = mod(to - from, n);
-    const int steps = ring_distance(from, to, n);
-    // A tie (forward == n - forward) breaks toward + so the canonical route
-    // is unique and matches ring_distance exactly.
-    const int dir = forward <= n - forward ? +1 : -1;
+    const int steps = axis_distance(from, to, n);
+    // On the torus a tie (forward == n - forward) breaks toward + so the
+    // canonical route is unique and matches ring_distance exactly; the mesh
+    // always walks straight toward `to`.
+    const int dir = (wrap_ ? forward <= n - forward : to > from) ? +1 : -1;
     for (int s = 0; s < steps; ++s) {
       if (dir > 0) {
         out.push_back(static_cast<LinkId>(node_of(cur)) * 3 + static_cast<LinkId>(dim));
@@ -134,60 +143,6 @@ void Torus3D::route_into(int src, int dst, std::uint64_t variant,
       } else {
         // A -dim step traverses the +dim link owned by the node stepped onto.
         set_coord_axis(cur, dim, mod(coord_axis(cur, dim) - 1, n));
-        out.push_back(static_cast<LinkId>(node_of(cur)) * 3 + static_cast<LinkId>(dim));
-      }
-    }
-  }
-}
-
-Mesh3D::Mesh3D(int nx, int ny, int nz) : nx_(nx), ny_(ny), nz_(nz) {
-  check_dims(nx, ny, nz);
-}
-
-Coord3 Mesh3D::coord_of(int node) const {
-  return Coord3{node % nx_, (node / nx_) % ny_, node / (nx_ * ny_)};
-}
-
-int Mesh3D::node_of(Coord3 c) const { return c.x + c.y * nx_ + c.z * nx_ * ny_; }
-
-int Mesh3D::hop_count(int src, int dst) const {
-  const Coord3 a = coord_of(src), b = coord_of(dst);
-  return std::abs(a.x - b.x) + std::abs(a.y - b.y) + std::abs(a.z - b.z);
-}
-
-int Mesh3D::diameter() const { return (nx_ - 1) + (ny_ - 1) + (nz_ - 1); }
-
-std::string Mesh3D::name() const {
-  std::ostringstream os;
-  os << "mesh:" << nx_ << 'x' << ny_ << 'x' << nz_;
-  return os.str();
-}
-
-std::uint64_t Mesh3D::route_count(int src, int dst) const {
-  std::array<int, 3> dims;
-  return kFactorial[differing_dims(coord_of(src), coord_of(dst), dims)];
-}
-
-void Mesh3D::route_into(int src, int dst, std::uint64_t variant,
-                        std::vector<LinkId>& out) const {
-  const Coord3 b = coord_of(dst);
-  Coord3 cur = coord_of(src);
-  std::array<int, 3> dims;
-  const int ndiff = differing_dims(cur, b, dims);
-  if (ndiff == 0) return;
-  permute_dims(dims, ndiff, variant % kFactorial[ndiff]);
-
-  for (int i = 0; i < ndiff; ++i) {
-    const int dim = dims[i];
-    const int from = coord_axis(cur, dim), to = coord_axis(b, dim);
-    const int dir = to > from ? +1 : -1;
-    const int steps = std::abs(to - from);
-    for (int s = 0; s < steps; ++s) {
-      if (dir > 0) {
-        out.push_back(static_cast<LinkId>(node_of(cur)) * 3 + static_cast<LinkId>(dim));
-        set_coord_axis(cur, dim, coord_axis(cur, dim) + 1);
-      } else {
-        set_coord_axis(cur, dim, coord_axis(cur, dim) - 1);
         out.push_back(static_cast<LinkId>(node_of(cur)) * 3 + static_cast<LinkId>(dim));
       }
     }
@@ -407,7 +362,7 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
   }
   if (kind == "mesh") {
     auto d = parse_xyz(3, "mesh:NXxNYxNZ");
-    return std::make_unique<Mesh3D>(d[0], d[1], d[2]);
+    return std::make_unique<Torus3D>(d[0], d[1], d[2], /*wrap=*/false);
   }
   if (kind == "fattree") {
     auto d = parse_xyz(2, "fattree:RADIXxLEAVES");

@@ -28,8 +28,8 @@ using LinkId = std::uint64_t;
 /// dragonflies). `hop_count()` is derived from it — concrete topologies
 /// override it with the equivalent closed form as a fast path, pinned equal
 /// to `route().size()` by tests. Topologies with several equal-cost minimal
-/// routes expose them as numbered variants (`route_count`), which the
-/// RoutingPolicy layer spreads flows over.
+/// routes expose them as numbered variants (`route_count`), which
+/// route_variant spreads flows over.
 class Topology {
  public:
   virtual ~Topology() = default;
@@ -83,14 +83,16 @@ class Topology {
 };
 
 /// k x l x m torus with wrap-around links and dimension-ordered routing —
-/// the paper's simulated system is a 32x32x32 3-D wrapped torus (§V-C).
+/// the paper's simulated system is a 32x32x32 3-D wrapped torus (§V-C) — or,
+/// with `wrap` false, the k x l x m mesh without them.
 ///
 /// Link encoding: id = node * 3 + dim is the link from `node` to its
-/// +dim-direction neighbor (wrap included); a -dim step traverses the
-/// neighbor's +dim link. Equal-cost variants are the 6 dimension orders.
+/// +dim-direction neighbor (the torus's wrap included); a -dim step
+/// traverses the neighbor's +dim link. Equal-cost variants are the 6
+/// dimension orders.
 class Torus3D final : public Topology {
  public:
-  Torus3D(int nx, int ny, int nz);
+  Torus3D(int nx, int ny, int nz, bool wrap = true);
 
   int node_count() const override { return nx_ * ny_ * nz_; }
   int hop_count(int src, int dst) const override;
@@ -109,7 +111,8 @@ class Torus3D final : public Topology {
   int node_of(Coord3 c) const;  ///< coordinates taken modulo the dimensions.
 
   /// The six face neighbors (x±1, y±1, z±1) of a node, in deterministic
-  /// order (-x, +x, -y, +y, -z, +z) — the halo-exchange partner set.
+  /// order (-x, +x, -y, +y, -z, +z) — the halo-exchange partner set, with
+  /// the torus's wrap-around.
   std::array<int, 6> face_neighbors(int node) const;
 
   int nx() const { return nx_; }
@@ -117,33 +120,11 @@ class Torus3D final : public Topology {
   int nz() const { return nz_; }
 
  private:
+  /// Hops between two coordinates along one dimension of size n.
+  int axis_distance(int from, int to, int n) const;
+
   int nx_, ny_, nz_;
-};
-
-/// k x l x m mesh (no wrap links). Same link encoding as the torus:
-/// id = node * 3 + dim is the link from `node` toward +dim.
-class Mesh3D final : public Topology {
- public:
-  Mesh3D(int nx, int ny, int nz);
-
-  int node_count() const override { return nx_ * ny_ * nz_; }
-  int hop_count(int src, int dst) const override;
-  int diameter() const override;
-  std::string name() const override;
-
-  std::uint64_t link_count() const override {
-    return 3ull * static_cast<std::uint64_t>(node_count());
-  }
-  std::uint64_t route_count(int src, int dst) const override;
-  void route_into(int src, int dst, std::uint64_t variant,
-                  std::vector<LinkId>& out) const override;
-  int link_plane(LinkId link) const override { return static_cast<int>(link % 3); }
-
-  Coord3 coord_of(int node) const;
-  int node_of(Coord3 c) const;
-
- private:
-  int nx_, ny_, nz_;
+  bool wrap_;
 };
 
 /// Two-level k-ary fat tree: `radix` nodes per leaf switch, leaf switches

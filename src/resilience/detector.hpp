@@ -68,17 +68,17 @@ struct DetectorInfo {
 const std::vector<DetectorInfo>& list_detectors();
 
 /// Per-pair failure-detection timeout supplied by the layer that owns the
-/// network model (core wires Fabric::failure_timeout in) — keeps this library
+/// network model (core wires NetworkModel::failure_timeout in) — keeps this library
 /// below vmpi/core in the link order. With per-link timeout overrides
 /// (NetworkParams::link_timeouts, DESIGN.md §12) this is the max over the
 /// pair's canonical route, so a hot link anywhere on the path stretches the
 /// observer's detection bound.
 using PairTimeoutFn = std::function<SimTime(int observer_rank, int failed_rank)>;
 
-/// Per-pair zero-byte delivery latency (core wires Fabric::delivery with
-/// bytes = 0), the gossip detector's network-propagation term: for a
-/// HierarchicalNetwork this is overhead + hops x per-level link latency, so
-/// it orders observers by hop distance from the failed rank.
+/// Per-pair zero-byte delivery latency (core wires NetworkModel::delivery_time
+/// with bytes = 0), the gossip detector's network-propagation term: this is
+/// overhead + hops x link latency of the pair's network level, so it orders
+/// observers by hop distance from the failed rank.
 using PairLatencyFn = std::function<SimTime(int observer_rank, int failed_rank)>;
 
 /// A detector model answers one question: at what virtual time does

@@ -92,7 +92,7 @@ SimProcess::SimProcess(Rank world_rank, const ProcessShared& shared, SimTime ini
       shared_(&shared),
       clock_(initial_clock),
       fiber_(&SimProcess::fiber_entry, this, shared.config.fiber_stack_bytes) {
-  if (shared.engine == nullptr || shared.fabric == nullptr || shared.proc_model == nullptr ||
+  if (shared.engine == nullptr || shared.network == nullptr || shared.proc_model == nullptr ||
       shared.hooks == nullptr || shared.registry == nullptr) {
     throw std::invalid_argument("null wiring");
   }
@@ -396,12 +396,12 @@ void SimProcess::handle_cts(CtsPayload& p, SimTime t) {
   std::unique_ptr<MsgPayload> data{std::exchange(r->rdv_data, nullptr)};
   data->req = p.recv_req;
   const Envelope env{r->comm_id, find_comm(r->comm_id)->my_rank, world_rank_, r->tag, r->bytes};
-  const Fabric& fabric = *shared_->fabric;
-  shared_->engine->schedule(t + fabric.delivery_at(t, world_rank_, r->peer_world_rank, r->bytes),
+  const NetworkModel& net = *shared_->network;
+  shared_->engine->schedule(t + net.delivery_time_at(t, world_rank_, r->peer_world_rank, r->bytes),
                             r->peer_world_rank, kEvDataArrival, std::move(data),
                             EventPriority::kMessage, EventInline::of(env));
   if (shared_->energy != nullptr) shared_->energy->add_traffic(world_rank_, r->bytes);
-  r->complete_time = t + fabric.occupancy(r->bytes);
+  r->complete_time = t + net.sender_occupancy(r->bytes);
   r->error = Err::kSuccess;
   mark_done(*r);
   maybe_run_fiber();
@@ -419,7 +419,7 @@ void SimProcess::handle_data(const Envelope& env, const MsgPayload& p, SimTime t
   r->error = env.bytes > r->bytes ? Err::kTruncate : Err::kSuccess;
   r->bytes = env.bytes;
   r->delivered = true;
-  r->complete_time = t + shared_->fabric->receiver_overhead();
+  r->complete_time = t + shared_->network->receiver_overhead();
   mark_done(*r);
   maybe_run_fiber();
 }
@@ -488,7 +488,7 @@ void SimProcess::schedule_error_wakeup(Request& r, const resilience::NoticeArriv
   // With the paper-instant detector t_detect == t_fail and the floor is a
   // no-op, preserving the paper's exact release times.
   p->error_time = std::max(std::max(r.post_time, notice.t_fail) +
-                               shared_->fabric->failure_timeout(world_rank_, notice.failed_rank),
+                               shared_->network->failure_timeout(world_rank_, notice.failed_rank),
                            notice.arrival);
   r.error_wakeup_scheduled = true;
   // Read the time out before std::move(p): parameter construction order is
@@ -553,7 +553,7 @@ bool SimProcess::on_stall(Engine& engine) {
     }
     if (first == nullptr) continue;
     unindex_posted(r);
-    const SimTime timeout = shared_->fabric->failure_timeout(world_rank_, first->failed_rank);
+    const SimTime timeout = shared_->network->failure_timeout(world_rank_, first->failed_rank);
     r.complete_time = std::max(std::max(r.post_time, first->t_fail) + timeout, first->arrival);
     r.error = Err::kProcFailed;
     mark_done(r);
@@ -731,7 +731,7 @@ void SimProcess::complete_recv_from_msg(Request& r, const Envelope& env, const M
     const std::size_t n = std::min(r.bytes, m->data_bytes);
     std::memcpy(fiber_.locate(r.recv_buffer, n), m->data(), n);
   }
-  r.complete_time = std::max(r.post_time, arrival) + shared_->fabric->receiver_overhead();
+  r.complete_time = std::max(r.post_time, arrival) + shared_->network->receiver_overhead();
   r.matched = true;
   r.peer_comm_rank = env.src_comm_rank;
   r.peer_world_rank = env.src_world_rank;
@@ -747,13 +747,13 @@ void SimProcess::start_rendezvous_recv(Request& r, const Envelope& env, RequestH
   unindex_posted(r);
   // Match time: when this receiver processes the RTS. CTS flies back to the
   // sender; the bulk data will arrive as a kEvDataArrival.
-  const Fabric& fabric = *shared_->fabric;
-  const SimTime match_time = std::max(r.post_time, arrival) + fabric.receiver_overhead();
+  const NetworkModel& net = *shared_->network;
+  const SimTime match_time = std::max(r.post_time, arrival) + net.receiver_overhead();
   auto cts = std::make_unique<CtsPayload>();
   cts->send_req = send_req;
   cts->recv_req = handle_of(r);
   shared_->engine->schedule(
-      match_time + fabric.delivery_at(match_time, world_rank_, env.src_world_rank, 0),
+      match_time + net.delivery_time_at(match_time, world_rank_, env.src_world_rank, 0),
       env.src_world_rank, kEvCtsArrival, std::move(cts));
   r.stage = Request::Stage::kAwaitingData;
   r.matched = true;
@@ -847,17 +847,17 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   // complete after NIC injection. Rendezvous: a zero-byte RTS naming this
   // request goes out and the payload is captured so the data can be
   // injected when the CTS comes back (also for isend).
-  const Fabric& fabric = *shared_->fabric;
+  const NetworkModel& net = *shared_->network;
   Engine& engine = *shared_->engine;
-  const bool eager = fabric.protocol_for(bytes) == Protocol::kEager;
+  const bool eager = net.protocol_for(bytes) == Protocol::kEager;
   // May unwind with ProcessFailedSignal: take the request slot only after.
-  advance_clock(fabric.occupancy(eager ? bytes : 0), /*busy=*/false);
+  advance_clock(net.sender_occupancy(eager ? bytes : 0), /*busy=*/false);
 
   const Rank peer_world = comm.world_of(dest);
   const std::size_t data_bytes = data != nullptr ? bytes : 0;
   if (eager) {
     // A modeled message is the event alone; real bytes ride in an attachment.
-    engine.schedule(t0 + fabric.delivery_at(t0, world_rank_, peer_world, bytes), peer_world,
+    engine.schedule(t0 + net.delivery_time_at(t0, world_rank_, peer_world, bytes), peer_world,
                     kEvMsgArrival,
                     data_bytes != 0 ? MsgPayload::make(RequestHandle{}, data, data_bytes)
                                     : nullptr,
@@ -878,7 +878,7 @@ RequestHandle SimProcess::post_send(Comm& comm, Rank dest, int tag, const void* 
   Request& r = acquire_request(Request::Kind::kSend, comm, dest, tag, bytes, t0);
   r.survives_revoke = allow_revoked;
   r.rdv_data = MsgPayload::make(RequestHandle{}, data, data_bytes).release();
-  engine.schedule(t0 + fabric.delivery_at(t0, world_rank_, peer_world, 0), peer_world,
+  engine.schedule(t0 + net.delivery_time_at(t0, world_rank_, peer_world, 0), peer_world,
                   kEvMsgArrival, MsgPayload::make(handle_of(r), nullptr, 0),
                   EventPriority::kMessage, EventInline::of(env));
   r.stage = Request::Stage::kAwaitingCts;
@@ -1011,7 +1011,7 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
   clear_wait();
   if (found.msg != kNoSlot) {
     const UnexpectedMsg& u = unexpected_msgs_[found.msg];
-    raise_clock_to(std::max(post_time, u.arrival_time) + shared_->fabric->receiver_overhead(),
+    raise_clock_to(std::max(post_time, u.arrival_time) + shared_->network->receiver_overhead(),
                    /*busy=*/false);
     if (status != nullptr) {
       const Envelope& env = u.env;
@@ -1020,7 +1020,7 @@ Err SimProcess::probe(Comm& comm, Rank src, int tag, MsgStatus* status) {
     return Err::kSuccess;
   }
   raise_clock_to(std::max(std::max(post_time, failed->t_fail) +
-                              shared_->fabric->failure_timeout(world_rank_, failed->failed_rank),
+                              shared_->network->failure_timeout(world_rank_, failed->failed_rank),
                           failed->arrival),
                  /*busy=*/false);
   if (status != nullptr) status->error = Err::kProcFailed;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fiber/fiber.hpp"
+#include "netmodel/network.hpp"
 #include "pdes/engine.hpp"
 #include "powermodel/power.hpp"
 #include "resilience/fault_state.hpp"
@@ -18,7 +19,6 @@
 #include "util/time.hpp"
 #include "vmpi/comm.hpp"
 #include "vmpi/context.hpp"
-#include "vmpi/fabric.hpp"
 #include "vmpi/message.hpp"
 #include "vmpi/request.hpp"
 #include "vmpi/trace.hpp"
@@ -93,7 +93,7 @@ using AppMain = std::function<void(Context&)>;
 /// (DESIGN.md §9).
 struct ProcessShared {
   Engine* engine = nullptr;
-  const Fabric* fabric = nullptr;
+  const NetworkModel* network = nullptr;
   const ProcessorModel* proc_model = nullptr;
   SystemHooks* hooks = nullptr;
   CommRegistry* registry = nullptr;
@@ -251,7 +251,7 @@ class SimProcess final : public LogicalProcess {
   void apply_revoke(int comm_id, SimTime when);
 
   const ProcessShared& shared() const { return *shared_; }
-  const Fabric& fabric() const { return *shared_->fabric; }
+  const NetworkModel& network() const { return *shared_->network; }
   const ProcessConfig& config() const { return shared_->config; }
   const ProcessorModel& proc_model() const { return *shared_->proc_model; }
   Engine& engine() { return *shared_->engine; }

@@ -10,6 +10,7 @@
 #include "apps/heat3d.hpp"
 #include "apps/ring.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "netmodel/network.hpp"
 #include "netmodel/routing.hpp"
 #include "resilience/detector.hpp"
 #include "resilience/schedule.hpp"
@@ -51,6 +52,39 @@ TEST(Machine, RejectsBadConfiguration) {
     cfg.sim_workers = workers;  // Not a worker count (1 = sequential).
     EXPECT_THROW(Machine(cfg, noop), std::invalid_argument) << workers;
   }
+}
+
+TEST(Machine, RejectsPrebuiltNetworkTooSmallForRanks) {
+  // The node-count check covers a prebuilt model like a built one: 4 ranks
+  // at 1 per node need 4 nodes, and star:2 has 2. Unchecked, the contended
+  // route of rank 3 would index links the topology does not have.
+  auto noop = [](Context& ctx) { ctx.finalize(); };
+  NetworkParams p;
+  p.contention = true;
+  SimConfig cfg = tiny_config(4);
+  cfg.network = std::make_shared<NetworkModel>(make_topology("star:2"), p);
+  EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+  // At 2 ranks per node the same 2 nodes hold them.
+  cfg.network = std::make_shared<NetworkModel>(make_topology("star:2"), p, RoutingSpec{}, 2);
+  cfg.ranks_per_node = 2;
+  EXPECT_NO_THROW(Machine(cfg, noop));
+}
+
+TEST(Machine, RejectsPrebuiltNetworkWithOtherRanksPerNode) {
+  // A prebuilt model brings its own rank-to-node mapping; a SimConfig that
+  // says otherwise is a contradiction, not an override.
+  auto noop = [](Context& ctx) { ctx.finalize(); };
+  SimConfig cfg = tiny_config(4);
+  cfg.network = std::make_shared<NetworkModel>(make_topology("star:4"), NetworkParams{});
+  cfg.ranks_per_node = 2;
+  EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+  NetworkLevel node, chip;
+  cfg.network = std::make_shared<NetworkModel>(make_topology("star:4"), NetworkParams{}, node,
+                                               chip, /*ranks_per_chip=*/2,
+                                               /*chips_per_node=*/2);
+  EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);  // 4 per node, not 2.
+  cfg.ranks_per_node = 4;
+  EXPECT_NO_THROW(Machine(cfg, noop));
 }
 
 TEST(Machine, ExceptionInARanksFiberIsRethrownFromRun) {
@@ -160,10 +194,10 @@ TEST(Machine, MeasuredComputeFoldsNativeTime) {
 }
 
 TEST(Machine, PrebuiltNetworkOverridesTopologySpec) {
-  NetworkParams system, node, chip;
+  NetworkParams system;
+  NetworkLevel node, chip;
   chip.link_latency = sim_ns(10);
-  auto net = std::make_shared<HierarchicalNetwork>(make_topology("star:2"), system, node,
-                                                   chip, 2, 1);
+  auto net = std::make_shared<NetworkModel>(make_topology("star:2"), system, node, chip, 2, 1);
   SimConfig cfg = tiny_config(4);
   cfg.network = net;
   cfg.topology = "";  // Ignored.

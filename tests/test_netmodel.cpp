@@ -48,7 +48,7 @@ TEST(Torus3D, FaceNeighborsAreOneHop) {
 }
 
 TEST(Mesh3D, NoWrapLinks) {
-  Mesh3D m(8, 1, 1);
+  Torus3D m(8, 1, 1, /*wrap=*/false);
   EXPECT_EQ(m.hop_count(0, 7), 7);
   EXPECT_EQ(m.diameter(), 7);
 }
@@ -235,20 +235,20 @@ TEST(RoutingSpecParse, RejectsMalformed) {
   EXPECT_FALSE(parse_routing_spec("").has_value());
 }
 
-TEST(AdaptiveRoutingPolicy, DeterministicBoundedAndSpreading) {
-  AdaptiveRouting policy(4);
+TEST(RouteVariant, DeterministicBoundedAndSpreading) {
+  const RoutingSpec adaptive{RoutingKind::kAdaptive, 4};
   bool hit_nonzero = false;
   for (std::uint64_t seq = 0; seq < 64; ++seq) {
-    const std::uint64_t v = policy.variant(3, 9, seq, 6);
+    const std::uint64_t v = route_variant(adaptive, 3, 9, seq, 6);
     EXPECT_LT(v, 4u);  // Clamped to spread, not route_count.
-    EXPECT_EQ(v, policy.variant(3, 9, seq, 6));  // Pure function of args.
+    EXPECT_EQ(v, route_variant(adaptive, 3, 9, seq, 6));  // Pure function of args.
     if (v != 0) hit_nonzero = true;
   }
   EXPECT_TRUE(hit_nonzero);  // Actually spreads across variants.
   // A single equal-cost route leaves no choice.
-  EXPECT_EQ(policy.variant(3, 9, 17, 1), 0u);
-  // Deterministic policy always picks the canonical variant.
-  EXPECT_EQ(DeterministicRouting().variant(3, 9, 17, 6), 0u);
+  EXPECT_EQ(route_variant(adaptive, 3, 9, 17, 1), 0u);
+  // Deterministic routing always picks the canonical variant.
+  EXPECT_EQ(route_variant(RoutingSpec{}, 3, 9, 17, 6), 0u);
 }
 
 TEST(LinkTimeoutSpecParse, AcceptsAndRoundTrips) {
@@ -409,25 +409,57 @@ TEST(NetworkModel, MonotoneInSizeAndDistance) {
 }
 
 TEST(HierarchicalNetwork, LevelsAndTimeouts) {
-  NetworkParams system, node, chip;
+  NetworkParams system;
+  NetworkLevel node, chip;
   system.failure_timeout = sim_ms(100);
   node.failure_timeout = sim_ms(10);
   chip.failure_timeout = sim_ms(1);
   chip.link_latency = sim_ns(50);
   node.link_latency = sim_ns(200);
-  HierarchicalNetwork net(make_topology("torus:4x4x4"), system, node, chip,
-                          /*ranks_per_chip=*/2, /*chips_per_node=*/2);
-  using Level = HierarchicalNetwork::Level;
+  NetworkModel net(make_topology("torus:4x4x4"), system, node, chip,
+                   /*ranks_per_chip=*/2, /*chips_per_node=*/2);
+  using Level = NetworkModel::Level;
   EXPECT_EQ(net.level_for(0, 1), Level::kOnChip);    // Same chip.
   EXPECT_EQ(net.level_for(0, 2), Level::kOnNode);    // Same node, other chip.
   EXPECT_EQ(net.level_for(0, 4), Level::kSystem);    // Next node.
   EXPECT_EQ(net.failure_timeout(0, 1), sim_ms(1));
   EXPECT_EQ(net.failure_timeout(0, 2), sim_ms(10));
   EXPECT_EQ(net.failure_timeout(0, 4), sim_ms(100));
+  EXPECT_EQ(net.max_failure_timeout(), sim_ms(100));
   EXPECT_EQ(net.ranks_per_node(), 4);
-  EXPECT_EQ(net.node_of_rank(7), 1);
+  EXPECT_EQ(net.node_of(7), 1);
   // On-chip transfer is faster than cross-system.
-  EXPECT_LT(net.delivery_time_ranks(0, 1, 64), net.delivery_time_ranks(0, 60, 64));
+  EXPECT_LT(net.delivery_time(0, 1, 64), net.delivery_time(0, 60, 64));
+  // One hop of the pair's level (none from a rank to itself); across nodes,
+  // the system hops between the nodes.
+  const SimTime o = system.per_message_overhead;  // Every level's default o.
+  EXPECT_EQ(net.delivery_time(0, 1, 0), o + sim_ns(50));
+  EXPECT_EQ(net.delivery_time(0, 2, 0), o + sim_ns(200));
+  EXPECT_EQ(net.delivery_time(3, 3, 0), o);
+  EXPECT_EQ(net.delivery_time(0, 4, 0), o + system.link_latency);
+  // A slow on-node level raises the detection bound above the system's.
+  node.failure_timeout = sim_seconds(1);
+  NetworkModel slow_node(make_topology("torus:4x4x4"), system, node, chip, 2, 2);
+  EXPECT_EQ(slow_node.max_failure_timeout(), sim_seconds(1));
+  EXPECT_THROW(NetworkModel(make_topology("torus:4x4x4"), system, node, chip, 0, 2),
+               std::invalid_argument);
+}
+
+TEST(NetworkModel, FlatModelPutsRanksOnNodes) {
+  NetworkParams p;
+  p.failure_timeout = sim_ms(100);
+  p.link_timeouts = *parse_link_timeout_spec("hot:0=500ms");
+  NetworkModel net(make_topology("torus:4x4x4"), p, RoutingSpec{}, /*ranks_per_node=*/2);
+  EXPECT_EQ(net.ranks_per_node(), 2);
+  EXPECT_EQ(net.level_for(0, 1), NetworkModel::Level::kSystem);
+  // Ranks 0 and 1 share node 0: zero system hops, the system parameters.
+  EXPECT_EQ(net.delivery_time(0, 1, 0), p.per_message_overhead);
+  EXPECT_EQ(net.failure_timeout(0, 1), sim_ms(100));
+  // Ranks 1 and 2 sit on nodes 0 and 1, whose route crosses the hot link.
+  EXPECT_EQ(net.delivery_time(1, 2, 0), p.per_message_overhead + p.link_latency);
+  EXPECT_EQ(net.failure_timeout(1, 2), sim_ms(500));
+  EXPECT_THROW(NetworkModel(make_topology("star:2"), p, RoutingSpec{}, 0),
+               std::invalid_argument);
 }
 
 TEST(NetworkModel, RejectsBadParameters) {

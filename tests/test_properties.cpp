@@ -227,13 +227,13 @@ TEST(RendezvousFailure, RecvPostedAfterNoticeMatchingDeadSendersRtsTimesOut) {
 // ---------------------------------------------------------------------------
 
 TEST(Hierarchy, HeatRunsWithMultipleRanksPerNode) {
-  NetworkParams system, node, chip;
+  NetworkParams system;
+  NetworkLevel node, chip;
   system.link_latency = sim_us(1);
   node.link_latency = sim_ns(200);
   chip.link_latency = sim_ns(50);
-  auto net = std::make_shared<HierarchicalNetwork>(make_topology("mesh:2x1x1"), system, node,
-                                                   chip, /*ranks_per_chip=*/2,
-                                                   /*chips_per_node=*/2);
+  auto net = std::make_shared<NetworkModel>(make_topology("mesh:2x1x1"), system, node, chip,
+                                            /*ranks_per_chip=*/2, /*chips_per_node=*/2);
   core::SimConfig cfg = tiny_config(8);
   cfg.network = net;
   cfg.ranks_per_node = 4;
@@ -254,12 +254,13 @@ TEST(Hierarchy, HeatRunsWithMultipleRanksPerNode) {
 }
 
 TEST(Hierarchy, IntraNodeTrafficIsFasterThanInterNode) {
-  NetworkParams system, node, chip;
+  NetworkParams system;
+  NetworkLevel node, chip;
   system.link_latency = sim_us(10);
   node.link_latency = sim_ns(100);
   chip.link_latency = sim_ns(100);
-  auto net = std::make_shared<HierarchicalNetwork>(make_topology("mesh:2x1x1"), system, node,
-                                                   chip, 2, 1);
+  auto net = std::make_shared<NetworkModel>(make_topology("mesh:2x1x1"), system, node, chip,
+                                            2, 1);
   auto timed_pair = [&](int src, int dst) {
     core::SimConfig cfg = tiny_config(4);
     cfg.network = net;

@@ -23,7 +23,6 @@
 #include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
 #include "vmpi/context.hpp"
-#include "vmpi/fabric.hpp"
 #include "vmpi/process.hpp"
 
 namespace exasim {
@@ -183,16 +182,14 @@ TEST(DetectorModel, GossipMonotoneWithHierarchicalNetworkHops) {
   // must strictly increase with hop distance from the failed rank.
   NetworkParams system;
   system.link_latency = sim_us(10);
-  NetworkParams on_node;
+  NetworkLevel on_node;
   on_node.link_latency = sim_us(1);
-  NetworkParams on_chip;
+  NetworkLevel on_chip;
   on_chip.link_latency = sim_ns(100);
-  auto net = std::make_shared<HierarchicalNetwork>(
-      std::shared_ptr<const Topology>(make_topology("mesh:8x1x1")), system, on_node,
-      on_chip, /*ranks_per_chip=*/2, /*chips_per_node=*/1);
-  vmpi::Fabric fabric(net, net->ranks_per_node());
+  const NetworkModel net(make_topology("mesh:8x1x1"), system, on_node, on_chip,
+                         /*ranks_per_chip=*/2, /*chips_per_node=*/1);
   const int ranks = 16;
-  auto pair_latency = [&](int o, int f) { return fabric.delivery(o, f, 0); };
+  auto pair_latency = [&](int o, int f) { return net.delivery_time(o, f, 0); };
   resilience::GossipDetector d(sim_ms(1), 2, 1, pair_latency, ranks);
 
   const int failed = 0;

@@ -221,7 +221,8 @@ std::uint64_t heat3d_halo_allocs(int iters, int* errors) {
   p.checkpoint_interval = 0;
   p.real_compute = false;
   ckpt::CheckpointStore store(kRanks);
-  const core::SimConfig cfg = test::tiny_config(kRanks);
+  core::SimConfig cfg = test::tiny_config(kRanks);
+  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   auto app = apps::make_heat3d(p);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const core::SimResult res = test::run_app(cfg, app, &store);
@@ -256,7 +257,8 @@ std::uint64_t heat3d_ckpt_allocs(int iters, int* errors) {
   p.checkpoint_interval = 1;
   p.real_compute = false;
   ckpt::CheckpointStore store(kRanks);
-  const core::SimConfig cfg = test::tiny_config(kRanks);
+  core::SimConfig cfg = test::tiny_config(kRanks);
+  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   auto app = apps::make_heat3d(p);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const core::SimResult res = test::run_app(cfg, app, &store);
