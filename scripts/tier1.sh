@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: full build + test suite (plus an examples smoke, a
-# malformed-input smoke of the tools' own options, and a check that every
+# byte comparison of bench/detector_sweep's output with its golden at 1 and
+# 4 jobs, a malformed-input smoke of the tools' own options, and a check that every
 # EXASIM_* variable the scripts and CI set is documented in
 # `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
@@ -60,6 +61,17 @@ run_release() {
     if [ -x "build/examples/$ex" ]; then
       echo "-- examples/$ex"
       "./build/examples/$ex" >/dev/null
+    fi
+  done
+
+  echo "== tier 1: detector sweep matches its golden at 1 and 4 jobs =="
+  # All four detector families end to end through core::Machine and the
+  # resilient runner, with a hot-link per-link-timeout row; the output must
+  # not depend on the campaign's job count.
+  for j in 1 4; do
+    if ! ./build/bench/detector_sweep --jobs="$j" | cmp - scripts/detector_sweep.golden.txt; then
+      echo "tier1.sh: bench/detector_sweep --jobs=$j differs from scripts/detector_sweep.golden.txt" >&2
+      exit 1
     fi
   done
 

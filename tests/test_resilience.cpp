@@ -247,6 +247,83 @@ TEST(DetectorModel, GossipValidatesWiring) {
   EXPECT_EQ(d->detection_time(1, 0, 0), sim_ms(50) + sim_us(1));
 }
 
+// The detector a machine builds for `text` on `net`: the same wiring
+// core::Machine uses.
+std::unique_ptr<resilience::DetectorModel> detector_on(const std::string& text,
+                                                       const NetworkModel& net, int ranks) {
+  const auto spec = resilience::parse_detector_spec(text);
+  EXPECT_TRUE(spec.has_value()) << text;
+  resilience::DetectorWiring wiring;
+  wiring.pair_timeout = [&net](int o, int f) { return net.failure_timeout(o, f); };
+  wiring.pair_latency = [&net](int o, int f) { return net.delivery_time(o, f, 0); };
+  wiring.default_period = net.max_failure_timeout();
+  wiring.ranks = ranks;
+  return resilience::make_detector(*spec, std::move(wiring));
+}
+
+TEST(DetectorPin, EveryPairOnHierarchicalHotLinkMachine) {
+  // 32 ranks: 8 nodes of torus:2x2x2, each node 2 chips of 2 ranks, so a
+  // pair talks on-chip, on-node or over the system network. Node 0's three
+  // +links carry a 500 ms timeout (every other link the base 100 ms), so a
+  // system pair's timeout depends on its canonical route. For each family the
+  // row pins an FNV-1a digest of detection_time(o, f, t_fail(f)) over every
+  // ordered pair (f outer, o inner), with the largest and summed latency.
+  NetworkParams system;
+  system.link_latency = sim_us(2);
+  system.per_message_overhead = sim_ns(700);
+  system.failure_timeout = sim_ms(100);
+  system.link_timeouts = *parse_link_timeout_spec("hot:0=500ms,1=500ms,2=500ms");
+  NetworkLevel on_node;
+  on_node.link_latency = sim_ns(300);
+  on_node.per_message_overhead = sim_ns(200);
+  on_node.failure_timeout = sim_ms(20);
+  NetworkLevel on_chip;
+  on_chip.link_latency = sim_ns(50);
+  on_chip.per_message_overhead = sim_ns(100);
+  on_chip.failure_timeout = sim_ms(5);
+  const NetworkModel net(make_topology("torus:2x2x2"), system, on_node, on_chip,
+                         /*ranks_per_chip=*/2, /*chips_per_node=*/2);
+  const int ranks = 32;
+
+  struct Pin {
+    const char* spec;
+    std::uint64_t digest;
+    SimTime max_latency;
+    SimTime total_latency;
+  };
+  const Pin pins[] = {
+      {"paper-instant", 0x84070261323d9274ULL, 0, 0},
+      {"timeout", 0x41416c60bd187829ULL, sim_ms(500), 167840000000},
+      {"heartbeat:period=auto,miss=3", 0xae5bcdd7b12b4125ULL, 1499963000, 1472587296000},
+      {"heartbeat:period=7ms,miss=2", 0x2a1c5b41ad57beccULL, 13963000, 11061296000},
+      {"gossip:period=auto,fanout=2,seed=1", 0xe25c8df84c3b7d79ULL, 2000006700,
+       1408003736000},
+      {"gossip:period=3ms,fanout=3,seed=5", 0x51b70b410b9ca5b0ULL, 9006700, 7203736000},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const auto detector = detector_on(pin.spec, net, ranks);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    SimTime max_latency = 0, total_latency = 0;
+    for (int f = 0; f < ranks; ++f) {
+      const SimTime t_fail = sim_ms(1) * static_cast<SimTime>(f) + sim_us(37);
+      for (int o = 0; o < ranks; ++o) {
+        if (o == f) continue;
+        const SimTime t = detector->detection_time(o, f, t_fail);
+        ASSERT_GE(t, t_fail);
+        for (int byte = 0; byte < 8; ++byte) {
+          digest = (digest ^ ((t >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+        }
+        max_latency = std::max(max_latency, t - t_fail);
+        total_latency += t - t_fail;
+      }
+    }
+    EXPECT_EQ(digest, pin.digest);
+    EXPECT_EQ(max_latency, pin.max_latency);
+    EXPECT_EQ(total_latency, pin.total_latency);
+  }
+}
+
 // ---------------------------------------------------------- failure schedule
 
 TEST(FailureSchedule, ParsesRankAtTimePairs) {
