@@ -47,31 +47,16 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
     throw std::invalid_argument("topology too small for rank count");
   }
 
-  // Resilience pipeline: the detector model decides when each survivor
-  // learns of a failure; the notification bus performs the broadcasts. The
-  // timeout detector consults the network's per-pair (per-network-level)
-  // failure timeout; gossip orders observers by the network's zero-byte
-  // delivery latency (hop distance, and the on-node and on-chip levels of a
-  // hierarchical network); a zero heartbeat/gossip period defaults to the
-  // network's largest failure-detection timeout.
-  resilience::DetectorWiring det_wiring;
-  det_wiring.pair_timeout = [n = network_.get()](int observer, int failed) {
-    return n->failure_timeout(observer, failed);
-  };
-  det_wiring.pair_latency = [n = network_.get()](int observer, int failed) {
-    return n->delivery_time(observer, failed, 0);
-  };
-  det_wiring.default_period = network_->max_failure_timeout();
-  det_wiring.ranks = config_.ranks;
-  detector_model_ = resilience::make_detector(config_.detector, std::move(det_wiring));
+  // Resilience pipeline: the bus performs the broadcasts, and its detector
+  // decides when each survivor learns of a failure from the network model
+  // (resilience::Detector).
   resilience::NotificationBus::Wiring wiring;
   wiring.engine = &engine_;
   wiring.ranks = config_.ranks;
-  wiring.detector = detector_model_.get();
   wiring.failure_kind = vmpi::kEvFailureNotice;
   wiring.abort_kind = vmpi::kEvAbortNotice;
   wiring.revoke_kind = vmpi::kEvRevokeNotice;
-  bus_ = std::make_unique<resilience::NotificationBus>(wiring);
+  bus_ = std::make_unique<resilience::NotificationBus>(wiring, config_.detector, *network_);
   proc_model_ = std::make_unique<ProcessorModel>(config_.proc);
   storage_ = std::make_unique<StorageHierarchy>(resolve_storage_spec(config_.storage));
   if (config_.power) {
@@ -282,7 +267,7 @@ void Machine::process_failed(vmpi::SimProcess& proc, SimTime when) {
   }
 
   // Simulator-internal broadcast: every simulated process learns the rank
-  // and time of failure (paper §IV-B), delivered at the detector model's
+  // and time of failure (paper §IV-B), delivered at the detector's
   // per-observer detection time.
   bus_->broadcast_failure(proc.world_rank(), when);
 }

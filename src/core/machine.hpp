@@ -252,7 +252,6 @@ class Machine final : public vmpi::SystemHooks {
   Engine engine_;
   vmpi::CommRegistry registry_;
   std::shared_ptr<const NetworkModel> network_;
-  std::unique_ptr<resilience::DetectorModel> detector_model_;
   std::unique_ptr<resilience::NotificationBus> bus_;
   std::unique_ptr<ProcessorModel> proc_model_;
   std::unique_ptr<StorageHierarchy> storage_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace exasim {
@@ -82,6 +83,7 @@ SimTime NetworkModel::contention_delay(SimTime now, int src, int dst,
   // program order, so variant choice is reproducible for a given worker
   // count; busy-window interleaving across pairs makes the added waits exact
   // only at --sim-workers=1 (core::Machine warns otherwise).
+  check_nodes(src, dst);
   const SimTime occupancy =
       params_.link_latency + bytes_over_bandwidth(bytes, params_.bandwidth_bytes_per_sec);
   std::lock_guard<std::mutex> lock(net_mutex_);
@@ -108,6 +110,15 @@ SimTime NetworkModel::contention_delay(SimTime now, int src, int dst,
   return waited;
 }
 
+void NetworkModel::check_nodes(int src_node, int dst_node) const {
+  const int nodes = topology_->node_count();
+  for (const int node : {src_node, dst_node}) {
+    if (node < 0 || node >= nodes) {
+      throw std::out_of_range("node " + std::to_string(node) + " outside " + topology_->name());
+    }
+  }
+}
+
 SimTime NetworkModel::sender_occupancy(std::size_t bytes) const {
   return params_.per_message_overhead +
          bytes_over_bandwidth(bytes, params_.injection_bandwidth_bytes_per_sec);
@@ -119,6 +130,7 @@ SimTime NetworkModel::failure_timeout(int src_rank, int dst_rank) const {
   if (l != Level::kSystem || link_timeouts_.empty() || src_node == dst_node) {
     return level(l).failure_timeout;
   }
+  check_nodes(src_node, dst_node);
   // The canonical (variant-0) route: detection configuration must not depend
   // on per-flow adaptive variant choices or message interleaving.
   SimTime timeout = 0;

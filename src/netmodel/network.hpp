@@ -139,7 +139,9 @@ class NetworkModel {
   /// canonical (variant-0) route's links, so a hot link anywhere on the path
   /// stretches the pair's detection bound. The canonical route keeps this
   /// independent of per-flow adaptive variant choices (detection
-  /// configuration must not depend on message interleaving).
+  /// configuration must not depend on message interleaving). Throws
+  /// std::out_of_range when it would route from or to a node outside the
+  /// topology.
   SimTime failure_timeout(int src_rank, int dst_rank) const;
 
   /// Largest failure-detection timeout across all links and network levels —
@@ -165,9 +167,15 @@ class NetworkModel {
  private:
   const NetworkLevel& level(Level l) const { return levels_[static_cast<std::size_t>(l)]; }
 
+  /// Throws std::out_of_range unless both nodes are in the topology. The
+  /// paths that index per-link tables by a route call it; the uncontended
+  /// delivery_time does not.
+  void check_nodes(int src_node, int dst_node) const;
+
   /// Contention wait accumulated by the (src, dst) node flow's next message
   /// when sent at `now`. Advances the flow's seq counter and the busy
-  /// windows of the chosen route's links.
+  /// windows of the chosen route's links. Throws std::out_of_range for a
+  /// node outside the topology.
   SimTime contention_delay(SimTime now, int src_node, int dst_node, std::size_t bytes) const;
 
   std::shared_ptr<const Topology> topology_;

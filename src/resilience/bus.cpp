@@ -9,9 +9,11 @@
 
 namespace exasim::resilience {
 
-NotificationBus::NotificationBus(Wiring wiring) : wiring_(wiring) {
+NotificationBus::NotificationBus(Wiring wiring, const DetectorSpec& detector,
+                                 const NetworkModel& network)
+    : wiring_(wiring), detector_(detector, network, wiring.ranks) {
   if (wiring_.engine == nullptr) throw std::invalid_argument("null engine");
-  if (wiring_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
+  // The detector has already rejected a non-positive rank count.
 }
 
 void NotificationBus::notify(SimTime time, int rank, int kind,
@@ -23,9 +25,7 @@ void NotificationBus::notify(SimTime time, int rank, int kind,
 void NotificationBus::broadcast_failure(int failed_rank, SimTime t_fail) {
   for (int rank = 0; rank < wiring_.ranks; ++rank) {
     if (rank == failed_rank) continue;
-    const SimTime detect = wiring_.detector != nullptr
-                               ? wiring_.detector->detection_time(rank, failed_rank, t_fail)
-                               : t_fail;
+    const SimTime detect = detector_.detection_time(rank, failed_rank, t_fail);
     auto payload = std::make_unique<FailureNoticePayload>();
     payload->failed_rank = failed_rank;
     payload->time_of_failure = t_fail;
@@ -59,9 +59,7 @@ NotificationBus::DetectionStats NotificationBus::detection_stats(
   for (const FailureSpec& f : failures) {
     for (int rank = 0; rank < wiring_.ranks; ++rank) {
       if (rank == f.rank) continue;
-      const SimTime detect = wiring_.detector != nullptr
-                                 ? wiring_.detector->detection_time(rank, f.rank, f.time)
-                                 : f.time;
+      const SimTime detect = detector_.detection_time(rank, f.rank, f.time);
       // An observer that itself failed at or before its would-be detection
       // time never sees the notice (the engine drops events to dead LPs), so
       // it must not count: otherwise a second failure re-counts every rank

@@ -23,7 +23,7 @@ namespace exasim::resilience {
 /// setting. Each notice is one Engine::schedule() event, counted in
 /// PerfSnapshot::fanout_notices; a notice to a rank that is already dead is
 /// scheduled like any other and dropped at delivery.
-/// Failure notices are delivered at the detector model's per-observer
+/// Failure notices are delivered at the Detector's per-observer
 /// detection time (>= the failure time); abort and revoke notices at the
 /// event time itself, as in the paper.
 class NotificationBus {
@@ -31,8 +31,6 @@ class NotificationBus {
   struct Wiring {
     Engine* engine = nullptr;
     int ranks = 0;
-    /// Delivery-time model for failure notices; nullptr = instant.
-    const DetectorModel* detector = nullptr;
     /// Event kinds the MPI layer dispatches on (vmpi::kEvFailureNotice etc.
     /// — passed as ints so this library stays below vmpi in the link order).
     int failure_kind = 0;
@@ -40,10 +38,12 @@ class NotificationBus {
     int revoke_kind = 0;
   };
 
-  explicit NotificationBus(Wiring wiring);
+  /// The bus builds its failure detector from `detector` over `network`,
+  /// which must outlive the bus.
+  NotificationBus(Wiring wiring, const DetectorSpec& detector, const NetworkModel& network);
 
   /// Broadcasts a failure notice to every rank except the failed one; each
-  /// observer's notice is delivered at detector->detection_time(...).
+  /// observer's notice is delivered at the detector's detection_time(...).
   void broadcast_failure(int failed_rank, SimTime t_fail);
   /// Broadcasts an abort notice to every rank except the origin.
   void broadcast_abort(int origin_rank, SimTime t_abort);
@@ -73,6 +73,7 @@ class NotificationBus {
   void notify(SimTime time, int rank, int kind, std::unique_ptr<EventPayload> payload);
 
   Wiring wiring_;
+  Detector detector_;
 };
 
 }  // namespace exasim::resilience

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "netmodel/network.hpp"
 #include "util/parse.hpp"
 
 namespace exasim::resilience {
@@ -29,13 +30,12 @@ std::optional<DetectorSpec> parse_detector_spec(const std::string& text) {
   for (const auto& [key, value] : parsed->fields) {
     bool ok = false;  // Unknown keys, and every key of paper-instant and timeout.
     if (key == "period" && (heartbeat || gossip)) {
-      SimTime& period = heartbeat ? spec.heartbeat_period : spec.gossip_period;
       if (value == "auto") {
-        period = 0;  // Resolved to the network timeout later.
+        spec.period = 0;  // Resolved to the network timeout by the Detector.
         ok = true;
       } else {
         const auto t = parse_duration(value);
-        ok = t && *t > 0 && assign(period, t);
+        ok = t && *t > 0 && assign(spec.period, t);
       }
     } else if (key == "miss" && heartbeat) {
       ok = assign(spec.heartbeat_miss, parse_int(value, 1, kIntMax));
@@ -50,26 +50,17 @@ std::optional<DetectorSpec> parse_detector_spec(const std::string& text) {
 }
 
 std::string to_string(const DetectorSpec& spec) {
+  const std::string period = spec.period == 0 ? std::string("auto") : format_duration(spec.period);
   switch (spec.kind) {
     case DetectorKind::kPaperInstant:
       return "paper-instant";
     case DetectorKind::kTimeout:
       return "timeout";
-    case DetectorKind::kHeartbeat: {
-      std::string out = "heartbeat:period=";
-      out += spec.heartbeat_period == 0 ? std::string("auto")
-                                        : format_duration(spec.heartbeat_period);
-      out += ",miss=" + std::to_string(spec.heartbeat_miss);
-      return out;
-    }
-    case DetectorKind::kGossip: {
-      std::string out = "gossip:period=";
-      out += spec.gossip_period == 0 ? std::string("auto")
-                                     : format_duration(spec.gossip_period);
-      out += ",fanout=" + std::to_string(spec.gossip_fanout);
-      out += ",seed=" + std::to_string(spec.gossip_seed);
-      return out;
-    }
+    case DetectorKind::kHeartbeat:
+      return "heartbeat:period=" + period + ",miss=" + std::to_string(spec.heartbeat_miss);
+    case DetectorKind::kGossip:
+      return "gossip:period=" + period + ",fanout=" + std::to_string(spec.gossip_fanout) +
+             ",seed=" + std::to_string(spec.gossip_seed);
   }
   return "?";
 }
@@ -91,32 +82,6 @@ const std::vector<DetectorInfo>& list_detectors() {
   return infos;
 }
 
-SimTime InstantDetector::detection_time(int observer, int failed, SimTime t_fail) const {
-  (void)observer;
-  (void)failed;
-  return t_fail;
-}
-
-TimeoutDetector::TimeoutDetector(PairTimeoutFn pair_timeout)
-    : pair_timeout_(std::move(pair_timeout)) {
-  if (!pair_timeout_) throw std::invalid_argument("null pair timeout");
-}
-
-SimTime TimeoutDetector::detection_time(int observer, int failed, SimTime t_fail) const {
-  return t_fail + pair_timeout_(observer, failed);
-}
-
-HeartbeatDetector::HeartbeatDetector(SimTime period, int miss) : period_(period), miss_(miss) {
-  if (period_ == 0) throw std::invalid_argument("zero heartbeat period");
-  if (miss_ < 1) throw std::invalid_argument("heartbeat miss < 1");
-}
-
-SimTime HeartbeatDetector::detection_time(int observer, int failed, SimTime t_fail) const {
-  (void)observer;
-  (void)failed;
-  return (t_fail / period_ + static_cast<SimTime>(miss_)) * period_;
-}
-
 namespace {
 
 /// splitmix64 finalizer — a cheap, well-mixed 64-bit hash used to shuffle
@@ -130,20 +95,40 @@ std::uint64_t splitmix64(std::uint64_t x) {
 
 }  // namespace
 
-GossipDetector::GossipDetector(SimTime period, int fanout, std::uint64_t seed,
-                               PairLatencyFn pair_latency, int ranks)
-    : period_(period),
-      fanout_(fanout),
-      seed_(seed),
-      pair_latency_(std::move(pair_latency)),
-      ranks_(ranks) {
-  if (period_ == 0) throw std::invalid_argument("zero gossip period");
-  if (fanout_ < 1) throw std::invalid_argument("gossip fanout < 1");
-  if (!pair_latency_) throw std::invalid_argument("null gossip pair latency");
-  if (ranks_ <= 0) throw std::invalid_argument("gossip needs a positive rank count");
+Detector::Detector(const DetectorSpec& spec, const NetworkModel& network, int ranks)
+    : spec_(spec), network_(&network), ranks_(ranks) {
+  if (ranks_ <= 0) throw std::invalid_argument("detector needs a positive rank count");
+  const bool heartbeat = spec_.kind == DetectorKind::kHeartbeat;
+  const bool gossip = spec_.kind == DetectorKind::kGossip;
+  if (!heartbeat && !gossip) return;
+  if (spec_.period == 0) {
+    spec_.period = network.max_failure_timeout();
+    if (spec_.period == 0) {
+      throw std::invalid_argument("failure detector '" + to_string(spec) +
+                                  "': period=auto found a zero network failure timeout");
+    }
+  }
+  if (heartbeat && spec_.heartbeat_miss < 1) throw std::invalid_argument("heartbeat miss < 1");
+  if (gossip && spec_.gossip_fanout < 1) throw std::invalid_argument("gossip fanout < 1");
 }
 
-const std::vector<int>& GossipDetector::rounds_for(int failed) const {
+SimTime Detector::detection_time(int observer, int failed, SimTime t_fail) const {
+  switch (spec_.kind) {
+    case DetectorKind::kPaperInstant:
+      return t_fail;
+    case DetectorKind::kTimeout:
+      return t_fail + network_->failure_timeout(observer, failed);
+    case DetectorKind::kHeartbeat:
+      return (t_fail / spec_.period + static_cast<SimTime>(spec_.heartbeat_miss)) * spec_.period;
+    case DetectorKind::kGossip:
+      if (observer == failed) return t_fail;
+      return t_fail + static_cast<SimTime>(rounds(observer, failed)) * spec_.period +
+             network_->delivery_time(observer, failed, 0);
+  }
+  return t_fail;
+}
+
+const std::vector<int>& Detector::rounds_for(int failed) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   auto it = rounds_cache_.find(failed);
   if (it != rounds_cache_.end()) return it->second;
@@ -154,13 +139,14 @@ const std::vector<int>& GossipDetector::rounds_for(int failed) const {
     int rank;
   };
   std::vector<Entry> order;
-  order.reserve(static_cast<std::size_t>(ranks_ > 0 ? ranks_ - 1 : 0));
+  order.reserve(static_cast<std::size_t>(ranks_ - 1));
   for (int r = 0; r < ranks_; ++r) {
     if (r == failed) continue;
     const std::uint64_t pair =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(failed)) << 32) |
         static_cast<std::uint32_t>(r);
-    order.push_back({pair_latency_(r, failed), splitmix64(seed_ ^ splitmix64(pair)), r});
+    order.push_back({network_->delivery_time(r, failed, 0),
+                     splitmix64(spec_.gossip_seed ^ splitmix64(pair)), r});
   }
   std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
     if (a.latency != b.latency) return a.latency < b.latency;
@@ -175,7 +161,7 @@ const std::vector<int>& GossipDetector::rounds_for(int failed) const {
   // (fanout + 1)^r >= p + 2. Walk the boundary instead of taking logs.
   std::uint64_t boundary = 1;  // Members infected after `round` rounds.
   int round = 0;
-  const std::uint64_t growth = static_cast<std::uint64_t>(fanout_) + 1;
+  const std::uint64_t growth = static_cast<std::uint64_t>(spec_.gossip_fanout) + 1;
   for (std::size_t p = 0; p < order.size(); ++p) {
     while (boundary < p + 2) {
       boundary = boundary > (~0ULL) / growth ? ~0ULL : boundary * growth;
@@ -186,36 +172,9 @@ const std::vector<int>& GossipDetector::rounds_for(int failed) const {
   return rounds_cache_.emplace(failed, std::move(rounds)).first->second;
 }
 
-int GossipDetector::rounds(int observer, int failed) const {
+int Detector::rounds(int observer, int failed) const {
   if (observer == failed) return 0;
   return rounds_for(failed)[static_cast<std::size_t>(observer)];
-}
-
-SimTime GossipDetector::detection_time(int observer, int failed, SimTime t_fail) const {
-  if (observer == failed) return t_fail;
-  return t_fail + static_cast<SimTime>(rounds(observer, failed)) * period_ +
-         pair_latency_(observer, failed);
-}
-
-std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec, DetectorWiring wiring) {
-  switch (spec.kind) {
-    case DetectorKind::kPaperInstant:
-      return std::make_unique<InstantDetector>();
-    case DetectorKind::kTimeout:
-      return std::make_unique<TimeoutDetector>(std::move(wiring.pair_timeout));
-    case DetectorKind::kHeartbeat: {
-      const SimTime period =
-          spec.heartbeat_period != 0 ? spec.heartbeat_period : wiring.default_period;
-      return std::make_unique<HeartbeatDetector>(period, spec.heartbeat_miss);
-    }
-    case DetectorKind::kGossip: {
-      const SimTime period =
-          spec.gossip_period != 0 ? spec.gossip_period : wiring.default_period;
-      return std::make_unique<GossipDetector>(period, spec.gossip_fanout, spec.gossip_seed,
-                                              std::move(wiring.pair_latency), wiring.ranks);
-    }
-  }
-  throw std::invalid_argument("bad detector kind");
 }
 
 }  // namespace exasim::resilience

@@ -1,15 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "util/time.hpp"
+
+namespace exasim {
+class NetworkModel;
+}
 
 namespace exasim::resilience {
 
@@ -38,13 +40,12 @@ namespace exasim::resilience {
 enum class DetectorKind : std::uint8_t { kPaperInstant, kTimeout, kHeartbeat, kGossip };
 
 /// Parsed `--failure-detector` configuration. A zero period (heartbeat or
-/// gossip) means "derive from the network": the machine substitutes the
+/// gossip) means "derive from the network": the detector substitutes the
 /// network model's largest failure-detection timeout as the period.
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kPaperInstant;
-  SimTime heartbeat_period = 0;
-  int heartbeat_miss = 3;
-  SimTime gossip_period = 0;  ///< Epidemic round length; 0 = auto.
+  SimTime period = 0;         ///< Heartbeat or epidemic round period; 0 = auto.
+  int heartbeat_miss = 3;     ///< Missed beats before a heartbeat observer gives up.
   int gossip_fanout = 2;      ///< Rumor targets per infected member per round.
   std::uint64_t gossip_seed = 1;  ///< Tie-break stream for equal-distance observers.
 
@@ -67,124 +68,61 @@ struct DetectorInfo {
 };
 const std::vector<DetectorInfo>& list_detectors();
 
-/// Per-pair failure-detection timeout supplied by the layer that owns the
-/// network model (core wires NetworkModel::failure_timeout in) — keeps this library
-/// below vmpi/core in the link order. With per-link timeout overrides
-/// (NetworkParams::link_timeouts, DESIGN.md §12) this is the max over the
-/// pair's canonical route, so a hot link anywhere on the path stretches the
-/// observer's detection bound.
-using PairTimeoutFn = std::function<SimTime(int observer_rank, int failed_rank)>;
-
-/// Per-pair zero-byte delivery latency (core wires NetworkModel::delivery_time
-/// with bytes = 0), the gossip detector's network-propagation term: this is
-/// overhead + hops x link latency of the pair's network level, so it orders
-/// observers by hop distance from the failed rank.
-using PairLatencyFn = std::function<SimTime(int observer_rank, int failed_rank)>;
-
-/// A detector model answers one question: at what virtual time does
+/// The failure detector of one machine: at what virtual time does
 /// `observer` learn that `failed` died at `t_fail`? The NotificationBus uses
-/// the answer as the delivery time of the failure notice. Implementations
-/// must behave as pure functions of their arguments (internal caches are
-/// allowed but must be thread-safe and value-deterministic): the bus may
-/// invoke them from any engine worker thread, and determinism across
+/// the answer as the delivery time of the failure notice. Each family reads
+/// the network model directly, addressed by rank:
+///  - timeout: t_fail + network.failure_timeout(observer, failed), the
+///    timeout of the pair's network level; with per-link timeout overrides
+///    (NetworkParams::link_timeouts, DESIGN.md §12) the max over the pair's
+///    canonical route, so a hot link anywhere on the path stretches the
+///    observer's detection bound.
+///  - heartbeat: the failed process's last beat is at the last period
+///    boundary at/before t_fail and the observer declares death after `miss`
+///    missed beats: (floor(t_fail / period) + miss) * period.
+///  - gossip: observers of a failed rank f are ordered by
+///    (network.delivery_time(o, f, 0), seeded per-pair hash, rank) — network
+///    distance first, with a deterministic seeded shuffle breaking ties among
+///    equidistant observers — and the epidemic grows `fanout + 1`-fold per
+///    round: the observer at 0-based position p in that order is infected in
+///    round r(p) = min { r >= 1 : (fanout + 1)^r >= p + 2 }. Its notice is
+///    delivered at
+///      t_fail + r(p) * period + network.delivery_time(o, f, 0),
+///    which is strictly increasing in hop distance (the latency term) while
+///    the round term spreads equidistant observers across epidemic
+///    generations.
+/// `period=auto` resolves once, at construction, to
+/// network.max_failure_timeout(). detection_time is a pure function of its
+/// arguments (the gossip rounds cache is guarded and value-deterministic):
+/// the bus may call it from any engine worker thread, and determinism across
 /// `--sim-workers` settings depends on it.
-class DetectorModel {
+class Detector {
  public:
-  virtual ~DetectorModel() = default;
-  virtual const char* name() const = 0;
-  /// Must return a time >= t_fail (a notice cannot precede the failure).
-  virtual SimTime detection_time(int observer, int failed, SimTime t_fail) const = 0;
-};
+  /// Throws std::invalid_argument for a period that resolves to 0, a miss
+  /// count or fanout below 1, or a non-positive rank count.
+  Detector(const DetectorSpec& spec, const NetworkModel& network, int ranks);
 
-/// paper-instant: detection_time == t_fail.
-class InstantDetector final : public DetectorModel {
- public:
-  const char* name() const override { return "paper-instant"; }
-  SimTime detection_time(int observer, int failed, SimTime t_fail) const override;
-};
+  /// Always >= t_fail (a notice cannot precede the failure).
+  SimTime detection_time(int observer, int failed, SimTime t_fail) const;
 
-/// timeout: detection_time == t_fail + pair_timeout(observer, failed).
-class TimeoutDetector final : public DetectorModel {
- public:
-  explicit TimeoutDetector(PairTimeoutFn pair_timeout);
-  const char* name() const override { return "timeout"; }
-  SimTime detection_time(int observer, int failed, SimTime t_fail) const override;
+  /// The heartbeat or gossip period after `period=auto` is resolved.
+  SimTime period() const { return spec_.period; }
 
- private:
-  PairTimeoutFn pair_timeout_;
-};
-
-/// heartbeat: the failed process's last beat is at the last period boundary
-/// at/before t_fail; the observer declares death after `miss` missed beats:
-/// detection_time == (floor(t_fail / period) + miss) * period.
-class HeartbeatDetector final : public DetectorModel {
- public:
-  HeartbeatDetector(SimTime period, int miss);
-  const char* name() const override { return "heartbeat"; }
-  SimTime detection_time(int observer, int failed, SimTime t_fail) const override;
-
-  SimTime period() const { return period_; }
-  int miss() const { return miss_; }
-
- private:
-  SimTime period_;
-  int miss_;
-};
-
-/// gossip: SWIM-style epidemic dissemination. Observers of a failed rank f
-/// are ordered by (pair_latency(o, f), seeded per-pair hash, rank) — network
-/// distance first, with a deterministic seeded shuffle breaking ties among
-/// equidistant observers — and the epidemic doubles `fanout + 1`-fold per
-/// round: the observer at 0-based position p in that order is infected in
-/// round r(p) = min { r >= 1 : (fanout + 1)^r >= p + 2 }. Its notice is
-/// delivered at
-///   t_fail + r(p) * period + pair_latency(o, f),
-/// which is strictly increasing in hop distance (the latency term) while the
-/// round term spreads equidistant observers across epidemic generations.
-class GossipDetector final : public DetectorModel {
- public:
-  GossipDetector(SimTime period, int fanout, std::uint64_t seed,
-                 PairLatencyFn pair_latency, int ranks);
-  const char* name() const override { return "gossip"; }
-  SimTime detection_time(int observer, int failed, SimTime t_fail) const override;
-
-  /// Epidemic round in which `observer` is infected (>= 1; 0 for the failed
-  /// rank itself). Exposed for tests and the detector sweep.
+  /// Gossip only: the epidemic round in which `observer` is infected (>= 1;
+  /// 0 for the failed rank itself). Exposed for tests.
   int rounds(int observer, int failed) const;
-
-  SimTime period() const { return period_; }
-  int fanout() const { return fanout_; }
-  std::uint64_t seed() const { return seed_; }
 
  private:
   const std::vector<int>& rounds_for(int failed) const;
 
-  SimTime period_;
-  int fanout_;
-  std::uint64_t seed_;
-  PairLatencyFn pair_latency_;
+  DetectorSpec spec_;  ///< With the period resolved.
+  const NetworkModel* network_;
   int ranks_;
-  /// Per-failed-rank infection rounds, computed once per failure target
-  /// (O(ranks log ranks)) so a ranks-wide broadcast costs O(1) per observer.
-  /// Guarded: detection_time may run on any engine worker.
+  /// Per-failed-rank gossip infection rounds, computed once per failure
+  /// target (O(ranks log ranks)) so a ranks-wide broadcast costs O(1) per
+  /// observer. Guarded: detection_time may run on any engine worker.
   mutable std::mutex cache_mutex_;
   mutable std::map<int, std::vector<int>> rounds_cache_;
 };
-
-/// Everything a detector family may need from the layers that own the
-/// network: per-pair timeouts (timeout), per-pair zero-byte latency and the
-/// rank count (gossip), and the network-derived default period substituted
-/// for `period=auto` (heartbeat, gossip).
-struct DetectorWiring {
-  PairTimeoutFn pair_timeout;
-  PairLatencyFn pair_latency;
-  SimTime default_period = 0;
-  int ranks = 0;
-};
-
-/// Builds the detector for a spec from the supplied wiring. Throws
-/// std::invalid_argument when the spec needs wiring that is absent (e.g.
-/// gossip without pair_latency/ranks).
-std::unique_ptr<DetectorModel> make_detector(const DetectorSpec& spec, DetectorWiring wiring);
 
 }  // namespace exasim::resilience

@@ -11,16 +11,4 @@ std::string to_string(ErrorPolicy p) {
   return "?";
 }
 
-ErrorAction ErrorHandlerPolicy::dispatch(ErrorPolicy policy, bool has_user_handler) {
-  switch (policy) {
-    case ErrorPolicy::kFatal:
-      return ErrorAction::kAbort;
-    case ErrorPolicy::kUser:
-      return has_user_handler ? ErrorAction::kInvokeUserThenReturn : ErrorAction::kReturn;
-    case ErrorPolicy::kReturn:
-      return ErrorAction::kReturn;
-  }
-  return ErrorAction::kReturn;
-}
-
 }  // namespace exasim::resilience

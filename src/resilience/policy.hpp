@@ -13,22 +13,4 @@ enum class ErrorPolicy : std::uint8_t { kFatal, kReturn, kUser };
 
 std::string to_string(ErrorPolicy p);
 
-/// What the MPI layer must do with a non-success operation error.
-enum class ErrorAction : std::uint8_t {
-  kAbort,               ///< MPI_ERRORS_ARE_FATAL: MPI_Abort, does not return.
-  kInvokeUserThenReturn,///< User handler runs, then the error is returned.
-  kReturn,              ///< MPI_ERRORS_RETURN / ULFM: caller handles it.
-};
-
-/// Unifies the kFatal / kUser / ULFM-return dispatch that used to be inlined
-/// in SimProcess::apply_error_handler. Pure policy: the caller performs the
-/// action (it owns the abort machinery and the user-handler invocation).
-class ErrorHandlerPolicy {
- public:
-  /// `has_user_handler` distinguishes a kUser policy with no handler
-  /// installed (treated as plain return, matching MPI's errhandler-free
-  /// fallback) from one that must invoke the handler first.
-  static ErrorAction dispatch(ErrorPolicy policy, bool has_user_handler);
-};
-
 }  // namespace exasim::resilience

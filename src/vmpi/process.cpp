@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "resilience/policy.hpp"
 #include "util/counters.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
@@ -300,15 +299,15 @@ void SimProcess::abort_now() {
 
 Err SimProcess::apply_error_handler(Comm& comm, Err e) {
   if (e == Err::kSuccess) return e;
-  using resilience::ErrorAction;
-  const UserErrorHandler* user = comm.user_handler();
-  switch (resilience::ErrorHandlerPolicy::dispatch(comm.handler, user != nullptr)) {
-    case ErrorAction::kAbort:
-      abort_now();  // does not return
-    case ErrorAction::kInvokeUserThenReturn:
-      (*user)(context_, comm, e);
+  switch (comm.handler) {
+    case ErrorHandlerKind::kFatal:
+      abort_now();  // MPI_ERRORS_ARE_FATAL: MPI_Abort, does not return.
+    case ErrorHandlerKind::kUser:
+      // A kUser policy with no handler installed returns the error, as
+      // MPI's errhandler-free fallback does.
+      if (const UserErrorHandler* user = comm.user_handler()) (*user)(context_, comm, e);
       return e;
-    case ErrorAction::kReturn:
+    case ErrorHandlerKind::kReturn:  // MPI_ERRORS_RETURN / ULFM: caller handles it.
       return e;
   }
   return e;
@@ -606,8 +605,8 @@ void SimProcess::release_request(RequestHandle h) {
 }
 
 template <class Pred>
-std::vector<std::uint32_t> SimProcess::live_requests_by_serial(Pred pred) const {
-  std::vector<std::uint32_t> out;
+SimProcess::SlotList SimProcess::live_requests_by_serial(Pred pred) const {
+  SlotList out;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].serial != 0 && pred(slots_[i])) out.push_back(i);
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -373,10 +374,36 @@ class SimProcess final : public LogicalProcess {
                            std::size_t bytes, SimTime post_time);
   Request* find_request(RequestHandle h);
   void release_request(RequestHandle h);
+  /// Request slots, the first kInline in place and the rest on the heap: a
+  /// failure notice, stall or revoke usually finds a handful, and a survivor
+  /// should not pay a heap block for them.
+  class SlotList {
+   public:
+    void push_back(std::uint32_t slot) {
+      if (size_ < kInline) {
+        inline_[size_++] = slot;
+        return;
+      }
+      if (size_ == kInline) heap_.assign(inline_.begin(), inline_.end());
+      heap_.push_back(slot);
+      ++size_;
+    }
+    std::uint32_t* begin() { return size_ > kInline ? heap_.data() : inline_.data(); }
+    std::uint32_t* end() { return begin() + size_; }
+    const std::uint32_t* begin() const { return size_ > kInline ? heap_.data() : inline_.data(); }
+    const std::uint32_t* end() const { return begin() + size_; }
+    bool empty() const { return size_ == 0; }
+
+   private:
+    static constexpr std::size_t kInline = 8;
+    std::array<std::uint32_t, kInline> inline_{};
+    std::size_t size_ = 0;
+    std::vector<std::uint32_t> heap_;
+  };
   /// Live requests satisfying `pred`, as slots in post (serial) order — the
   /// order the cold paths that schedule events while iterating must keep.
   template <class Pred>
-  std::vector<std::uint32_t> live_requests_by_serial(Pred pred) const;
+  SlotList live_requests_by_serial(Pred pred) const;
   // Each message looks its bucket up once on each side: an arrival
   // resolves its (comm, source) bucket once for the posted scan and the
   // unexpected push, and a receive resolves its FIFO once for the

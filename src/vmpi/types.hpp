@@ -33,8 +33,8 @@ enum class Err : std::uint8_t {
 std::string to_string(Err e);
 
 /// Error handler attached to a communicator (paper §IV-D) — the resilience
-/// subsystem's ErrorPolicy (kFatal/kReturn/kUser), whose dispatch is decided
-/// by resilience::ErrorHandlerPolicy.
+/// subsystem's ErrorPolicy (kFatal/kReturn/kUser), dispatched by
+/// SimProcess::apply_error_handler.
 using ErrorHandlerKind = resilience::ErrorPolicy;
 
 /// Receive/operation status returned by waits and receives.

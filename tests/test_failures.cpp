@@ -335,6 +335,30 @@ TEST(Abort, UserErrorHandlerRunsBeforeReturn) {
   EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
 }
 
+TEST(Abort, UserPolicyWithoutHandlerReturnsTheError) {
+  // kUser with no handler installed falls back to returning the error, as
+  // MPI's errhandler-free fallback does: no abort, and the survivor
+  // finishes.
+  auto cfg = tiny_config(2);
+  cfg.failures = {FailureSpec{1, sim_us(1)}};
+  auto app = [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kUser);
+      ctx.compute(1e6);
+      int v = 0;
+      EXPECT_EQ(ctx.recv(1, 0, &v, sizeof v), Err::kProcFailed);
+    } else {
+      ctx.compute(1e9);
+    }
+    ctx.finalize();
+  };
+  SimResult r = run_app(cfg, app);
+  EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_FALSE(r.abort_time.has_value());
+  EXPECT_EQ(r.finished_count, 1);
+  EXPECT_EQ(r.failed_count, 1);
+}
+
 TEST(Abort, TimingStatisticsCoverAllProcesses) {
   auto cfg = tiny_config(4);
   cfg.failures = {FailureSpec{0, sim_ms(1)}};

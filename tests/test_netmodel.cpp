@@ -462,6 +462,25 @@ TEST(NetworkModel, FlatModelPutsRanksOnNodes) {
                std::invalid_argument);
 }
 
+TEST(NetworkModel, RoutedPathsRejectNodesOutsideTheTopology) {
+  // fattree:2x2 has 4 nodes; at 4 ranks per node, rank 31 sits on node 7.
+  // The paths that index link tables by route must refuse it, not write or
+  // read past the table.
+  NetworkParams p;
+  p.contention = true;
+  p.link_timeouts = *parse_link_timeout_spec("hot:0=500ms");
+  const NetworkModel net(make_topology("fattree:2x2"), p, NetworkLevel{}, NetworkLevel{},
+                         /*ranks_per_chip=*/2, /*chips_per_node=*/2);
+  EXPECT_THROW(net.delivery_time_at(0, 0, 31, 64), std::out_of_range);
+  EXPECT_THROW(net.delivery_time_at(0, 31, 0, 64), std::out_of_range);
+  EXPECT_THROW(net.failure_timeout(0, 31), std::out_of_range);
+  EXPECT_THROW(net.failure_timeout(31, 0), std::out_of_range);
+  EXPECT_THROW(net.failure_timeout(-4, 0), std::out_of_range);
+  // Ranks on the topology's last node still route.
+  EXPECT_GE(net.delivery_time_at(0, 0, 15, 64), net.delivery_time(0, 15, 64));
+  EXPECT_EQ(net.failure_timeout(15, 0), sim_ms(500));
+}
+
 TEST(NetworkModel, RejectsBadParameters) {
   NetworkParams p;
   p.bandwidth_bytes_per_sec = -1;

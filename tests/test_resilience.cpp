@@ -1,5 +1,5 @@
-// Resilience subsystem tests: detector specs and models, the failure
-// schedule, error-handler policy dispatch, failed-process lists and the
+// Resilience subsystem tests: detector specs and the detector over real
+// network models, the failure schedule, failed-process lists and the
 // notice records built from them, soft-error state, programmatic failure
 // injection, and collective failure semantics under both error policies.
 
@@ -19,7 +19,6 @@
 #include "resilience/detector.hpp"
 #include "resilience/fault_state.hpp"
 #include "resilience/notice.hpp"
-#include "resilience/policy.hpp"
 #include "resilience/schedule.hpp"
 #include "sim_test_util.hpp"
 #include "vmpi/context.hpp"
@@ -58,12 +57,12 @@ TEST(DetectorSpec, ParsesHeadsAndHeartbeatOptions) {
   auto hb = resilience::parse_detector_spec("heartbeat:period=5ms,miss=2");
   ASSERT_TRUE(hb.has_value());
   EXPECT_EQ(hb->kind, resilience::DetectorKind::kHeartbeat);
-  EXPECT_EQ(hb->heartbeat_period, sim_ms(5));
+  EXPECT_EQ(hb->period, sim_ms(5));
   EXPECT_EQ(hb->heartbeat_miss, 2);
 
   auto defaults = resilience::parse_detector_spec("heartbeat");
   ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->heartbeat_period, 0u);  // 0 = auto (network timeout).
+  EXPECT_EQ(defaults->period, 0u);  // 0 = auto (network timeout).
   EXPECT_EQ(defaults->heartbeat_miss, 3);
 }
 
@@ -71,13 +70,13 @@ TEST(DetectorSpec, ParsesGossipOptions) {
   auto defaults = resilience::parse_detector_spec("gossip");
   ASSERT_TRUE(defaults.has_value());
   EXPECT_EQ(defaults->kind, resilience::DetectorKind::kGossip);
-  EXPECT_EQ(defaults->gossip_period, 0u);  // 0 = auto (network timeout).
+  EXPECT_EQ(defaults->period, 0u);  // 0 = auto (network timeout).
   EXPECT_EQ(defaults->gossip_fanout, 2);
   EXPECT_EQ(defaults->gossip_seed, 1u);
 
   auto full = resilience::parse_detector_spec("gossip:period=1ms,fanout=3,seed=42");
   ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->gossip_period, sim_ms(1));
+  EXPECT_EQ(full->period, sim_ms(1));
   EXPECT_EQ(full->gossip_fanout, 3);
   EXPECT_EQ(full->gossip_seed, 42u);
 }
@@ -112,71 +111,129 @@ TEST(DetectorSpec, ToStringRoundTrips) {
   ASSERT_TRUE(hb.has_value());
   auto again = resilience::parse_detector_spec(resilience::to_string(*hb));
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->heartbeat_period, hb->heartbeat_period);
+  EXPECT_EQ(again->period, hb->period);
   EXPECT_EQ(again->heartbeat_miss, hb->heartbeat_miss);
 }
 
-TEST(DetectorModel, InstantDetectsAtFailureTime) {
-  resilience::InstantDetector d;
+resilience::DetectorSpec spec_of(const std::string& text) {
+  const auto spec = resilience::parse_detector_spec(text);
+  EXPECT_TRUE(spec.has_value()) << text;
+  return spec.value_or(resilience::DetectorSpec{});
+}
+
+// A flat network over `topology`, one rank per node, with `link_latency`
+// per hop, `overhead` per message and a uniform failure timeout.
+std::unique_ptr<NetworkModel> flat_network(const std::string& topology, SimTime link_latency,
+                                           SimTime overhead, SimTime timeout = sim_ms(50)) {
+  NetworkParams p;
+  p.link_latency = link_latency;
+  p.per_message_overhead = overhead;
+  p.failure_timeout = timeout;
+  return std::make_unique<NetworkModel>(make_topology(topology), p);
+}
+
+// 32 ranks: 8 nodes of torus:2x2x2, each node 2 chips of 2 ranks, so a pair
+// talks on-chip (5 ms timeout), on-node (20 ms) or over the system network.
+// Node 0's three +links carry a 500 ms timeout and every other link the
+// base 100 ms, so a system pair's timeout depends on its canonical route.
+std::unique_ptr<NetworkModel> hot_link_machine() {
+  NetworkParams system;
+  system.link_latency = sim_us(2);
+  system.per_message_overhead = sim_ns(700);
+  system.failure_timeout = sim_ms(100);
+  system.link_timeouts = *parse_link_timeout_spec("hot:0=500ms,1=500ms,2=500ms");
+  NetworkLevel on_node;
+  on_node.link_latency = sim_ns(300);
+  on_node.per_message_overhead = sim_ns(200);
+  on_node.failure_timeout = sim_ms(20);
+  NetworkLevel on_chip;
+  on_chip.link_latency = sim_ns(50);
+  on_chip.per_message_overhead = sim_ns(100);
+  on_chip.failure_timeout = sim_ms(5);
+  return std::make_unique<NetworkModel>(make_topology("torus:2x2x2"), system, on_node, on_chip,
+                                        /*ranks_per_chip=*/2, /*chips_per_node=*/2);
+}
+
+TEST(Detector, InstantDetectsAtFailureTime) {
+  const auto net = hot_link_machine();
+  const resilience::Detector d(spec_of("paper-instant"), *net, 32);
   EXPECT_EQ(d.detection_time(0, 1, sim_ms(7)), sim_ms(7));
+  EXPECT_EQ(d.detection_time(31, 0, sim_ms(7)), sim_ms(7));
 }
 
-TEST(DetectorModel, TimeoutAddsPerPairTimeout) {
-  resilience::TimeoutDetector d(
-      [](int observer, int failed) { return sim_us(observer * 100 + failed); });
-  EXPECT_EQ(d.detection_time(2, 3, sim_ms(1)), sim_ms(1) + sim_us(203));
-  EXPECT_THROW(resilience::TimeoutDetector(nullptr), std::invalid_argument);
+TEST(Detector, TimeoutAddsPerLevelAndPerRouteTimeout) {
+  // The notice comes one failure timeout of the pair's network level after
+  // the failure; across nodes, the max over the canonical route's links.
+  const auto net = hot_link_machine();
+  const resilience::Detector d(spec_of("timeout"), *net, 32);
+  const SimTime t_fail = sim_ms(1);
+  EXPECT_EQ(d.detection_time(1, 0, t_fail), t_fail + sim_ms(5));   // Same chip.
+  EXPECT_EQ(d.detection_time(2, 0, t_fail), t_fail + sim_ms(20));  // Same node.
+  std::vector<SimTime> system_timeouts;
+  for (int f = 0; f < 32; ++f) {
+    for (int o = 0; o < 32; ++o) {
+      if (net->node_of(o) == net->node_of(f)) continue;
+      const SimTime latency = d.detection_time(o, f, t_fail) - t_fail;
+      EXPECT_EQ(latency, net->failure_timeout(o, f)) << o << " " << f;
+      system_timeouts.push_back(latency);
+    }
+  }
+  // Some canonical routes cross node 0's hot links and some do not.
+  EXPECT_EQ(*std::min_element(system_timeouts.begin(), system_timeouts.end()), sim_ms(100));
+  EXPECT_EQ(*std::max_element(system_timeouts.begin(), system_timeouts.end()), sim_ms(500));
 }
 
-TEST(DetectorModel, HeartbeatRoundsUpToMissedPeriods) {
-  resilience::HeartbeatDetector d(sim_ms(100), 3);
+TEST(Detector, HeartbeatRoundsUpToMissedPeriods) {
+  const auto net = flat_network("star:4", sim_us(1), sim_ns(500));
+  const resilience::Detector d(spec_of("heartbeat:period=100ms,miss=3"), *net, 4);
   // Failure inside period 0 -> declared after 3 more period boundaries.
   EXPECT_EQ(d.detection_time(0, 1, sim_ms(5)), sim_ms(300));
   // Failure exactly on a boundary counts that period as already begun.
   EXPECT_EQ(d.detection_time(0, 1, sim_ms(100)), sim_ms(400));
-  EXPECT_THROW(resilience::HeartbeatDetector(0, 3), std::invalid_argument);
-  EXPECT_THROW(resilience::HeartbeatDetector(sim_ms(1), 0), std::invalid_argument);
 }
 
-TEST(DetectorModel, MakeDetectorSubstitutesAutoHeartbeatPeriod) {
-  auto spec = resilience::parse_detector_spec("heartbeat:miss=1");
-  ASSERT_TRUE(spec.has_value());
-  resilience::DetectorWiring wiring;
-  wiring.default_period = sim_ms(50);
-  auto d = resilience::make_detector(*spec, std::move(wiring));
-  // Auto period = the supplied default (the network's max failure timeout).
-  EXPECT_EQ(d->detection_time(0, 1, 0), sim_ms(50));
+TEST(Detector, AutoPeriodIsTheNetworksLargestFailureTimeout) {
+  // The hot links' 500 ms is the largest timeout on any level or link.
+  const auto net = hot_link_machine();
+  const resilience::Detector heartbeat(spec_of("heartbeat:miss=1"), *net, 32);
+  EXPECT_EQ(heartbeat.period(), sim_ms(500));
+  EXPECT_EQ(heartbeat.detection_time(0, 1, 0), sim_ms(500));
+  // Gossip: one round of the auto period plus the pair's zero-byte latency.
+  const resilience::Detector gossip(spec_of("gossip:fanout=1"), *net, 32);
+  EXPECT_EQ(gossip.period(), sim_ms(500));
+  EXPECT_EQ(gossip.rounds(1, 0), 1);  // Rank 1 shares rank 0's chip: closest.
+  EXPECT_EQ(gossip.detection_time(1, 0, 0), sim_ms(500) + net->delivery_time(1, 0, 0));
 }
 
-TEST(DetectorModel, GossipRoundsFollowEpidemicGrowth) {
-  // Observers of rank 7, latency strictly increasing with rank: position
-  // order == rank order. fanout=2 -> the rumor triples per round: positions
-  // 0-1 in round 1 (3 infected), positions 2-6 in round 2 (9 infected).
-  resilience::GossipDetector d(
-      sim_ms(1), 2, 1, [](int o, int) { return sim_us(o * 10 + 1); }, 8);
-  EXPECT_EQ(d.rounds(7, 7), 0);  // The failed rank itself.
-  EXPECT_EQ(d.rounds(0, 7), 1);
-  EXPECT_EQ(d.rounds(1, 7), 1);
-  EXPECT_EQ(d.rounds(2, 7), 2);
-  EXPECT_EQ(d.rounds(6, 7), 2);
-  EXPECT_EQ(d.detection_time(0, 7, sim_ms(10)), sim_ms(11) + sim_us(1));
-  EXPECT_EQ(d.detection_time(6, 7, sim_ms(10)), sim_ms(12) + sim_us(61));
+TEST(Detector, GossipRoundsFollowEpidemicGrowth) {
+  // Observers of rank 0 on a line of 8 nodes: the latency strictly
+  // increases with rank, so position order == rank order. fanout=2 -> the
+  // rumor triples per round: positions 0-1 in round 1 (3 infected),
+  // positions 2-6 in round 2 (9 infected).
+  const auto net = flat_network("mesh:8x1x1", sim_us(10), sim_us(1));
+  const resilience::Detector d(spec_of("gossip:period=1ms,fanout=2,seed=1"), *net, 8);
+  EXPECT_EQ(d.rounds(0, 0), 0);  // The failed rank itself.
+  EXPECT_EQ(d.rounds(1, 0), 1);
+  EXPECT_EQ(d.rounds(2, 0), 1);
+  EXPECT_EQ(d.rounds(3, 0), 2);
+  EXPECT_EQ(d.rounds(7, 0), 2);
+  EXPECT_EQ(d.detection_time(1, 0, sim_ms(10)), sim_ms(11) + sim_us(11));
+  EXPECT_EQ(d.detection_time(7, 0, sim_ms(10)), sim_ms(12) + sim_us(71));
 }
 
-TEST(DetectorModel, GossipDetectionTimeMonotoneInLatency) {
-  auto latency = [](int o, int) { return sim_us(o * 3 + 2); };
-  resilience::GossipDetector d(sim_ms(1), 2, 1, latency, 32);
+TEST(Detector, GossipDetectionTimeMonotoneInLatency) {
+  const auto net = flat_network("mesh:32x1x1", sim_us(3), sim_us(2));
+  const resilience::Detector d(spec_of("gossip:period=1ms,fanout=2,seed=1"), *net, 32);
   SimTime prev = 0;
-  for (int o = 0; o < 32; ++o) {
-    if (o == 31) continue;  // Rank 31 is the failed one.
-    const SimTime t = d.detection_time(o, 31, sim_ms(5));
+  for (int o = 1; o < 32; ++o) {  // Rank 0 is the failed one.
+    const SimTime t = d.detection_time(o, 0, sim_ms(5));
     EXPECT_GT(t, prev) << "observer " << o;
     EXPECT_GE(t, sim_ms(5));
     prev = t;
   }
 }
 
-TEST(DetectorModel, GossipMonotoneWithHierarchicalNetworkHops) {
+TEST(Detector, GossipMonotoneWithHierarchicalNetworkHops) {
   // 2-level machine: 8 nodes in a 1-D mesh line, 2 ranks per node. The
   // zero-byte pair latency grows with node hop count, so detection times
   // must strictly increase with hop distance from the failed rank.
@@ -189,13 +246,12 @@ TEST(DetectorModel, GossipMonotoneWithHierarchicalNetworkHops) {
   const NetworkModel net(make_topology("mesh:8x1x1"), system, on_node, on_chip,
                          /*ranks_per_chip=*/2, /*chips_per_node=*/1);
   const int ranks = 16;
-  auto pair_latency = [&](int o, int f) { return net.delivery_time(o, f, 0); };
-  resilience::GossipDetector d(sim_ms(1), 2, 1, pair_latency, ranks);
+  const resilience::Detector d(spec_of("gossip:period=1ms,fanout=2,seed=1"), net, ranks);
 
   const int failed = 0;
   for (int a = 1; a < ranks; ++a) {
     for (int b = 1; b < ranks; ++b) {
-      if (pair_latency(a, failed) < pair_latency(b, failed)) {
+      if (net.delivery_time(a, failed, 0) < net.delivery_time(b, failed, 0)) {
         EXPECT_LT(d.detection_time(a, failed, sim_ms(1)),
                   d.detection_time(b, failed, sim_ms(1)))
             << "observers " << a << " vs " << b;
@@ -204,17 +260,17 @@ TEST(DetectorModel, GossipMonotoneWithHierarchicalNetworkHops) {
   }
 }
 
-TEST(DetectorModel, GossipSeedStableAndSeedSensitive) {
+TEST(Detector, GossipSeedStableAndSeedSensitive) {
   // A star network gives every observer the same latency, so the epidemic
   // order is purely the seeded shuffle: the same seed must reproduce the
   // same times across instances, a different seed must change some of them,
   // and the multiset of rounds (the epidemic's shape) must not depend on
   // the seed.
-  auto flat = [](int, int) { return sim_us(5); };
   const int ranks = 64;
-  resilience::GossipDetector a(sim_ms(1), 2, 9, flat, ranks);
-  resilience::GossipDetector b(sim_ms(1), 2, 9, flat, ranks);
-  resilience::GossipDetector c(sim_ms(1), 2, 10, flat, ranks);
+  const auto net = flat_network("star:64", sim_us(2), sim_us(1));
+  const resilience::Detector a(spec_of("gossip:period=1ms,fanout=2,seed=9"), *net, ranks);
+  const resilience::Detector b(spec_of("gossip:period=1ms,fanout=2,seed=9"), *net, ranks);
+  const resilience::Detector c(spec_of("gossip:period=1ms,fanout=2,seed=10"), *net, ranks);
   bool any_diff = false;
   std::vector<int> rounds_a, rounds_c;
   for (int o = 1; o < ranks; ++o) {
@@ -229,60 +285,42 @@ TEST(DetectorModel, GossipSeedStableAndSeedSensitive) {
   EXPECT_EQ(rounds_a, rounds_c);
 }
 
-TEST(DetectorModel, GossipValidatesWiring) {
-  auto flat = [](int, int) { return sim_us(1); };
-  EXPECT_THROW(resilience::GossipDetector(0, 2, 1, flat, 4), std::invalid_argument);
-  EXPECT_THROW(resilience::GossipDetector(sim_ms(1), 0, 1, flat, 4), std::invalid_argument);
-  EXPECT_THROW(resilience::GossipDetector(sim_ms(1), 2, 1, nullptr, 4),
-               std::invalid_argument);
-  EXPECT_THROW(resilience::GossipDetector(sim_ms(1), 2, 1, flat, 0), std::invalid_argument);
-  // make_detector substitutes the default period and forwards the wiring.
-  auto spec = resilience::parse_detector_spec("gossip:fanout=1");
-  ASSERT_TRUE(spec.has_value());
-  resilience::DetectorWiring wiring;
-  wiring.pair_latency = [](int o, int) { return sim_us(o); };  // Rank 1 is closest.
-  wiring.default_period = sim_ms(50);
-  wiring.ranks = 4;
-  auto d = resilience::make_detector(*spec, std::move(wiring));
-  EXPECT_EQ(d->detection_time(1, 0, 0), sim_ms(50) + sim_us(1));
-}
+TEST(Detector, ValidatesSpecAndRankCount) {
+  const auto net = flat_network("star:4", sim_us(1), sim_ns(500));
+  auto gossip = spec_of("gossip:period=1ms");
+  gossip.gossip_fanout = 0;
+  EXPECT_THROW(resilience::Detector(gossip, *net, 4), std::invalid_argument);
+  auto heartbeat = spec_of("heartbeat:period=1ms");
+  heartbeat.heartbeat_miss = 0;
+  EXPECT_THROW(resilience::Detector(heartbeat, *net, 4), std::invalid_argument);
+  EXPECT_THROW(resilience::Detector(spec_of("timeout"), *net, 0), std::invalid_argument);
 
-// The detector a machine builds for `text` on `net`: the same wiring
-// core::Machine uses.
-std::unique_ptr<resilience::DetectorModel> detector_on(const std::string& text,
-                                                       const NetworkModel& net, int ranks) {
-  const auto spec = resilience::parse_detector_spec(text);
-  EXPECT_TRUE(spec.has_value()) << text;
-  resilience::DetectorWiring wiring;
-  wiring.pair_timeout = [&net](int o, int f) { return net.failure_timeout(o, f); };
-  wiring.pair_latency = [&net](int o, int f) { return net.delivery_time(o, f, 0); };
-  wiring.default_period = net.max_failure_timeout();
-  wiring.ranks = ranks;
-  return resilience::make_detector(*spec, std::move(wiring));
+  // An auto period on a network whose every failure timeout is 0 resolves
+  // to 0: the error names the spec and where the period came from.
+  const auto zero = flat_network("star:4", sim_us(1), sim_ns(500), /*timeout=*/0);
+  for (const char* text : {"heartbeat:period=auto,miss=3", "gossip:period=auto,fanout=2,seed=1"}) {
+    SCOPED_TRACE(text);
+    try {
+      resilience::Detector d(spec_of(text), *zero, 4);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(text), std::string::npos) << what;
+      EXPECT_NE(what.find("failure timeout"), std::string::npos) << what;
+    }
+  }
+  // An explicit period needs no network timeout; paper-instant and timeout
+  // have no period at all.
+  EXPECT_NO_THROW(resilience::Detector(spec_of("heartbeat:period=1ms"), *zero, 4));
+  EXPECT_NO_THROW(resilience::Detector(spec_of("paper-instant"), *zero, 4));
+  EXPECT_NO_THROW(resilience::Detector(spec_of("timeout"), *zero, 4));
 }
 
 TEST(DetectorPin, EveryPairOnHierarchicalHotLinkMachine) {
-  // 32 ranks: 8 nodes of torus:2x2x2, each node 2 chips of 2 ranks, so a
-  // pair talks on-chip, on-node or over the system network. Node 0's three
-  // +links carry a 500 ms timeout (every other link the base 100 ms), so a
-  // system pair's timeout depends on its canonical route. For each family the
-  // row pins an FNV-1a digest of detection_time(o, f, t_fail(f)) over every
-  // ordered pair (f outer, o inner), with the largest and summed latency.
-  NetworkParams system;
-  system.link_latency = sim_us(2);
-  system.per_message_overhead = sim_ns(700);
-  system.failure_timeout = sim_ms(100);
-  system.link_timeouts = *parse_link_timeout_spec("hot:0=500ms,1=500ms,2=500ms");
-  NetworkLevel on_node;
-  on_node.link_latency = sim_ns(300);
-  on_node.per_message_overhead = sim_ns(200);
-  on_node.failure_timeout = sim_ms(20);
-  NetworkLevel on_chip;
-  on_chip.link_latency = sim_ns(50);
-  on_chip.per_message_overhead = sim_ns(100);
-  on_chip.failure_timeout = sim_ms(5);
-  const NetworkModel net(make_topology("torus:2x2x2"), system, on_node, on_chip,
-                         /*ranks_per_chip=*/2, /*chips_per_node=*/2);
+  // On hot_link_machine(), for each family the row pins an FNV-1a digest of
+  // detection_time(o, f, t_fail(f)) over every ordered pair (f outer, o
+  // inner), with the largest and summed latency.
+  const auto net = hot_link_machine();
   const int ranks = 32;
 
   struct Pin {
@@ -296,20 +334,19 @@ TEST(DetectorPin, EveryPairOnHierarchicalHotLinkMachine) {
       {"timeout", 0x41416c60bd187829ULL, sim_ms(500), 167840000000},
       {"heartbeat:period=auto,miss=3", 0xae5bcdd7b12b4125ULL, 1499963000, 1472587296000},
       {"heartbeat:period=7ms,miss=2", 0x2a1c5b41ad57beccULL, 13963000, 11061296000},
-      {"gossip:period=auto,fanout=2,seed=1", 0xe25c8df84c3b7d79ULL, 2000006700,
-       1408003736000},
+      {"gossip:period=auto,fanout=2,seed=1", 0xe25c8df84c3b7d79ULL, 2000006700, 1408003736000},
       {"gossip:period=3ms,fanout=3,seed=5", 0x51b70b410b9ca5b0ULL, 9006700, 7203736000},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.spec);
-    const auto detector = detector_on(pin.spec, net, ranks);
+    const resilience::Detector detector(spec_of(pin.spec), *net, ranks);
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     SimTime max_latency = 0, total_latency = 0;
     for (int f = 0; f < ranks; ++f) {
       const SimTime t_fail = sim_ms(1) * static_cast<SimTime>(f) + sim_us(37);
       for (int o = 0; o < ranks; ++o) {
         if (o == f) continue;
-        const SimTime t = detector->detection_time(o, f, t_fail);
+        const SimTime t = detector.detection_time(o, f, t_fail);
         ASSERT_GE(t, t_fail);
         for (int byte = 0; byte < 8; ++byte) {
           digest = (digest ^ ((t >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
@@ -348,21 +385,7 @@ TEST(FailureSchedule, ShiftAndValidation) {
   EXPECT_FALSE(s.first_invalid_rank(6).has_value());
 }
 
-// ------------------------------------------------------------ policy + state
-
-TEST(ErrorHandlerPolicy, DispatchMatrix) {
-  using resilience::ErrorAction;
-  using resilience::ErrorHandlerPolicy;
-  using resilience::ErrorPolicy;
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kFatal, false), ErrorAction::kAbort);
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kFatal, true), ErrorAction::kAbort);
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kReturn, false), ErrorAction::kReturn);
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kReturn, true), ErrorAction::kReturn);
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kUser, true),
-            ErrorAction::kInvokeUserThenReturn);
-  // kUser with no handler installed degrades to a plain return.
-  EXPECT_EQ(ErrorHandlerPolicy::dispatch(ErrorPolicy::kUser, false), ErrorAction::kReturn);
-}
+// ------------------------------------------------------------ notice state
 
 TEST(NoticeList, RecordsPeerFailuresWithDetectTimesInRankOrder) {
   std::vector<resilience::NoticeArrival> list;
@@ -541,13 +564,12 @@ TEST(ResilienceSim, NoticeArrivalsAreTheNoticesDelivered) {
   // Four observers of each failure; ranks 0 and 1 had finished, and rank 6
   // was dead when rank 3's notice would have reached it.
   ASSERT_EQ(r.notice_arrivals.size(), 8u);
-  const resilience::TimeoutDetector detector([](int, int) { return sim_ms(1); });
   for (const resilience::NoticeArrival& a : r.notice_arrivals) {
     EXPECT_NE(a.observer, 0);
     EXPECT_NE(a.observer, 1);
     EXPECT_NE(a.observer, 3);
     EXPECT_NE(a.observer, 6);
-    EXPECT_EQ(a.arrival, detector.detection_time(a.observer, a.failed_rank, a.t_fail));
+    EXPECT_EQ(a.arrival, a.t_fail + sim_ms(1));  // tiny_config's failure timeout.
   }
   EXPECT_TRUE(std::is_sorted(r.notice_arrivals.begin(), r.notice_arrivals.end(),
                              [](const resilience::NoticeArrival& a,
@@ -738,9 +760,11 @@ struct NullLp final : LogicalProcess {
 };
 
 /// `ranks` NullLps in `blocks` contiguous blocks, sharded over `workers`
-/// groups, with a notice bus wired to the engine.
+/// groups, with a notice bus (paper-instant detector) wired to the engine.
 struct NoticeRig {
-  NoticeRig(int ranks, int workers, int blocks) : lps(static_cast<std::size_t>(ranks)) {
+  NoticeRig(int ranks, int workers, int blocks)
+      : network(make_topology("star:1"), NetworkParams{}, RoutingSpec{}, ranks),
+        lps(static_cast<std::size_t>(ranks)) {
     for (int id = 0; id < ranks; ++id) engine.add_process(id, &lps[static_cast<std::size_t>(id)]);
     Engine::ShardingOptions shard;
     shard.workers = workers;
@@ -753,9 +777,11 @@ struct NoticeRig {
     wiring.failure_kind = 1;
     wiring.abort_kind = 2;
     wiring.revoke_kind = 3;
-    bus = std::make_unique<resilience::NotificationBus>(wiring);
+    bus = std::make_unique<resilience::NotificationBus>(wiring, resilience::DetectorSpec{},
+                                                        network);
   }
 
+  NetworkModel network;
   Engine engine;
   std::vector<NullLp> lps;
   std::unique_ptr<resilience::NotificationBus> bus;
@@ -785,7 +811,7 @@ TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
   const std::vector<FailureSpec> broadcast = {FailureSpec{0, sim_us(2)}};
   const resilience::NotificationBus::DetectionStats stats = rig.bus->detection_stats(broadcast);
   EXPECT_EQ(stats.notices, static_cast<std::uint64_t>(kRanks - 1));
-  EXPECT_EQ(stats.max_latency, 0u);  // Instant detector (null).
+  EXPECT_EQ(stats.max_latency, 0u);  // paper-instant.
 }
 
 TEST(NoticeEvents, NoticesToDeadRanksAreDroppedAtDelivery) {

@@ -129,6 +129,32 @@ TEST(Ulfm, RevokePoisonsPendingAndFutureOperations) {
   EXPECT_EQ(future_err, Err::kRevoked);
 }
 
+TEST(Ulfm, RevokeReleasesManyPendingRequests) {
+  // More pending requests than the revoke path keeps in place: every one
+  // of them completes with kRevoked.
+  constexpr int kPending = 20;
+  std::vector<Err> errs;
+  auto app = [&](Context& ctx) {
+    ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
+    if (ctx.rank() == 0) {
+      std::vector<vmpi::RequestHandle> reqs;
+      for (int tag = 0; tag < kPending; ++tag) {
+        reqs.push_back(ctx.irecv_modeled(ctx.world(), 2, tag, 8));  // Never sent.
+      }
+      for (const vmpi::RequestHandle h : reqs) errs.push_back(ctx.wait(ctx.world(), h));
+    } else if (ctx.rank() == 1) {
+      ctx.compute(1e6);  // 1 ms, then revoke.
+      ctx.comm_revoke(ctx.world());
+    } else {
+      ctx.compute(5e6);
+    }
+    ctx.finalize();
+  };
+  SimResult r = run_app(tiny_config(3), app);
+  EXPECT_EQ(r.outcome, SimResult::Outcome::kCompleted);
+  EXPECT_EQ(errs, std::vector<Err>(kPending, Err::kRevoked));
+}
+
 TEST(Ulfm, ShrinkExcludesFailedRanksAndWorks) {
   std::vector<int> shrunk_size(4, -1), shrunk_rank(4, -1);
   long long sum_after = -1;

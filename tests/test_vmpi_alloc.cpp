@@ -469,10 +469,12 @@ TEST(VmpiAlloc, RankConstructionTakesOneAllocation) {
   EXPECT_LE(per_rank, 1.0);
 }
 
-/// Heap blocks and bytes a machine holds after its launch.
+/// Heap blocks and bytes a machine holds after its launch, and the heap
+/// allocations its launch made.
 struct HeapUse {
   double blocks = 0;
   double bytes = 0;
+  double allocs = 0;
 };
 
 /// A launch in which every rank but 0 waits for a message from rank 0.
@@ -483,7 +485,7 @@ struct HeapUse {
 /// itself a message, so in both launches every rank has scheduled an event
 /// (the engine keeps a sequence counter per source). Counted is what the
 /// machine holds once run() returned and its result is gone: the ranks and
-/// their state.
+/// their state; and every heap allocation the machine and its launch made.
 HeapUse notice_launch(int ranks, bool fail) {
   core::SimConfig cfg = test::tiny_config(ranks);
   cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
@@ -503,6 +505,7 @@ HeapUse notice_launch(int ranks, bool fail) {
   };
   const std::int64_t blocks = g_live_blocks.load(std::memory_order_relaxed);
   const std::int64_t bytes = g_live.load(std::memory_order_relaxed);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
   core::Machine machine(std::move(cfg), app);
   {
     const core::SimResult res = machine.run();
@@ -510,14 +513,17 @@ HeapUse notice_launch(int ranks, bool fail) {
     EXPECT_EQ(res.finished_count, fail ? ranks - 1 : ranks);
   }
   return {static_cast<double>(g_live_blocks.load(std::memory_order_relaxed) - blocks),
-          static_cast<double>(g_live.load(std::memory_order_relaxed) - bytes)};
+          static_cast<double>(g_live.load(std::memory_order_relaxed) - bytes),
+          static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs)};
 }
 
 TEST(VmpiAlloc, FailureNoticeCostsASurvivorTwoBlocks) {
   // A survivor that heard of a failure holds its cold block, which keeps
   // the failed-process list, and the list's one entry: 2 blocks and 104
   // bytes. While the list was three std::maps, with a second copy of each
-  // notice in a machine-wide log, it was 3 blocks and 264 bytes.
+  // notice in a machine-wide log, it was 3 blocks and 264 bytes. Those two
+  // blocks are also every allocation the notice makes: the requests it
+  // fails are collected in place, not in a transient heap vector.
   if (!util::kPoolSlabs) GTEST_SKIP() << "this build takes every block from the heap";
   notice_launch(128, true);  // Warm the pools and the stack cache.
   notice_launch(128, false);
@@ -527,9 +533,12 @@ TEST(VmpiAlloc, FailureNoticeCostsASurvivorTwoBlocks) {
   const HeapUse n128 = notice_launch(128, false);
   const double blocks = ((f128.blocks - n128.blocks) - (f64.blocks - n64.blocks)) / 64.0;
   const double bytes = ((f128.bytes - n128.bytes) - (f64.bytes - n64.bytes)) / 64.0;
-  std::printf("failure notice: %.3f blocks, %.1f bytes per extra survivor\n", blocks, bytes);
+  const double allocs = ((f128.allocs - n128.allocs) - (f64.allocs - n64.allocs)) / 64.0;
+  std::printf("failure notice: %.3f blocks, %.1f bytes, %.3f allocations per extra survivor\n",
+              blocks, bytes, allocs);
   EXPECT_LE(blocks, 2.0);
   EXPECT_LE(bytes, 104.0);
+  EXPECT_LE(allocs, 2.0);
 }
 
 /// One modeled heat3d launch on a 16 x 16 x (ranks / 256) torus: two halo
