@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: full build + test suite (plus an examples smoke, a
-# byte comparison of bench/detector_sweep's output with its golden at 1 and
-# 4 jobs, a malformed-input smoke of the tools' own options, and a check that every
+# byte comparison of the output of bench/detector_sweep, bench/storage_sweep
+# and bench/incremental_ckpt with their goldens at 1 and 4 jobs, a
+# malformed-input smoke of the tools' own options, and a check that every
 # EXASIM_* variable the scripts and CI set is documented in
 # `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
@@ -64,15 +65,19 @@ run_release() {
     fi
   done
 
-  echo "== tier 1: detector sweep matches its golden at 1 and 4 jobs =="
-  # All four detector families end to end through core::Machine and the
-  # resilient runner, with a hot-link per-link-timeout row; the output must
-  # not depend on the campaign's job count.
-  for j in 1 4; do
-    if ! ./build/bench/detector_sweep --jobs="$j" | cmp - scripts/detector_sweep.golden.txt; then
-      echo "tier1.sh: bench/detector_sweep --jobs=$j differs from scripts/detector_sweep.golden.txt" >&2
-      exit 1
-    fi
+  echo "== tier 1: bench sweeps match their goldens at 1 and 4 jobs =="
+  # detector_sweep: all four detector families end to end through
+  # core::Machine and the resilient runner, with a hot-link per-link-timeout
+  # row. storage_sweep: every checkpoint mode on a priced three-tier stack.
+  # incremental_ckpt: full against incremental writes on a shared PFS. The
+  # output must not depend on the campaign's job count.
+  for bench in detector_sweep storage_sweep incremental_ckpt; do
+    for j in 1 4; do
+      if ! "./build/bench/$bench" --jobs="$j" | cmp - "scripts/$bench.golden.txt"; then
+        echo "tier1.sh: bench/$bench --jobs=$j differs from scripts/$bench.golden.txt" >&2
+        exit 1
+      fi
+    done
   done
 
   echo "== tier 1: malformed tool options exit 2 with usage text =="

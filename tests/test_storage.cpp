@@ -195,6 +195,82 @@ TEST(StorageHierarchy, OccupancyWindowQueuesLikeLinkContention) {
   EXPECT_EQ(h.occupy(StorageTierKind::kMemory, 0, sim_ms(10)), 0);
 }
 
+// One checkpoint write as the tiered writer prices it: the transfer, then
+// the occupancy wait on its duration.
+SimTime pin_write(const StorageHierarchy& h, StorageTierKind kind, SimTime start,
+                  std::size_t bytes, int clients) {
+  const SimTime t = h.model(kind).write_time(bytes, clients);
+  return t + h.occupy(kind, start, t);
+}
+
+SimTime pin_read(const StorageHierarchy& h, StorageTierKind kind, std::size_t bytes,
+                 int clients) {
+  return h.model(kind).read_time(bytes, clients);
+}
+
+TEST(StoragePin, EveryTierWriteAndReadTime) {
+  // For each spec, every tier kind (priced or not) is written and read over
+  // bytes {0, 1, 24, 32 KiB, 1 MB} x clients {1, 64, 32768}; write i starts
+  // at i * 3 us, so a contended tier queues. The row pins an FNV-1a digest
+  // of (write, read) per grid point with the summed write and read times.
+  struct Pin {
+    const char* spec;
+    std::uint64_t digest;
+    SimTime total_write;
+    SimTime total_read;
+  };
+  const Pin pins[] = {
+      {"pfs", 0xa987b600a8b7fb65ULL, 0, 0},
+      {"hpc", 0xed5f0be4396b5241ULL, 524166700, 524166700},
+      {"bb:bw=2e11,cbw=1e10,lat=10us,contend=1;pfs:bw=1e11,cbw=5e9,lat=1ms,contend=1",
+       0x427d53533c44e44bULL, 679638534, 524089735},
+  };
+  const std::size_t sizes[] = {0, 1, 24, 32 * 1024, 1'000'000};
+  const int clients[] = {1, 64, 32768};
+  const StorageTierKind kinds[] = {StorageTierKind::kMemory, StorageTierKind::kBurstBuffer,
+                                   StorageTierKind::kPfs};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const StorageHierarchy h(must_parse(pin.spec));
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    const auto mix = [&digest](SimTime t) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest = (digest ^ ((t >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+    };
+    SimTime total_write = 0, total_read = 0;
+    SimTime start = 0;
+    for (const auto kind : kinds) {
+      for (const std::size_t bytes : sizes) {
+        for (const int c : clients) {
+          const SimTime w = pin_write(h, kind, start, bytes, c);
+          const SimTime r = pin_read(h, kind, bytes, c);
+          mix(w);
+          mix(r);
+          total_write += w;
+          total_read += r;
+          start += sim_us(3);
+        }
+      }
+    }
+    EXPECT_EQ(digest, pin.digest);
+    EXPECT_EQ(total_write, pin.total_write);
+    EXPECT_EQ(total_read, pin.total_read);
+  }
+
+  // A fixed occupancy sequence on a contended burst buffer at 1 MB/s per
+  // client: writes overlap, queue back to back, and reads never wait.
+  const StorageHierarchy h(must_parse("bb:cbw=1e6,lat=1us,contend=1;pfs:cbw=1e6"));
+  const auto bb = StorageTierKind::kBurstBuffer;
+  EXPECT_EQ(pin_write(h, bb, 0, 10'000, 1), sim_us(10'001));  // Idle: busy to 10.001 ms.
+  EXPECT_EQ(pin_write(h, bb, sim_ms(4), 10'000, 1), sim_us(16'002));  // Waits 6.001 ms.
+  EXPECT_EQ(pin_read(h, bb, 10'000, 1), sim_us(10'001));  // Reads take no window.
+  EXPECT_EQ(pin_write(h, bb, sim_ms(19), 1'000, 2), sim_us(2'003));  // Waits 1.002 ms.
+  EXPECT_EQ(pin_write(h, bb, sim_ms(30), 0, 1), sim_us(1));  // After the window.
+  EXPECT_EQ(pin_write(h, StorageTierKind::kPfs, 0, 10'000, 1), sim_ms(10));  // Uncontended.
+  EXPECT_EQ(pin_write(h, StorageTierKind::kPfs, sim_ms(1), 10'000, 1), sim_ms(10));
+}
+
 // ---------------------------------------------------------------------------
 // CheckpointStore copy records and the failure matrix.
 
