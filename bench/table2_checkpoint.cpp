@@ -63,7 +63,7 @@ core::SimConfig paper_machine() {
   machine.proc.slowdown = 1000.0;
   machine.proc.reference_ns_per_unit = 1281.0;  // Calibration (DESIGN.md §6).
   machine.process.fiber_stack_bytes = 64 * 1024;
-  // Checkpoint I/O free, like the paper (PfsParams default).
+  // Checkpoint I/O free, like the paper (the default "pfs" storage).
   return machine;
 }
 

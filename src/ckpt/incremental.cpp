@@ -176,8 +176,7 @@ std::optional<std::vector<std::byte>> IncrementalCheckpointer::read_latest(
         off += n;
       }
     }
-    ctx.elapse(storage.model(StorageTierKind::kPfs).read_time(read_bytes,
-                                                              checkpoint_clients(ctx)));
+    ctx.elapse(storage.read_time(StorageTierKind::kPfs, read_bytes, checkpoint_clients(ctx)));
     if (version_out != nullptr) *version_out = *vit;
     return state;
   }

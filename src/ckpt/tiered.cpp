@@ -45,9 +45,8 @@ void write_pfs(vmpi::Context& ctx, CheckpointStore& store, const StorageHierarch
   const int rank = ctx.rank();
   const int clients = checkpoint_clients(ctx);
   store.begin(version, rank);
-  const auto pfs = StorageTierKind::kPfs;
-  SimTime t = storage.model(pfs).write_time(logical_bytes, clients);
-  t += storage.occupy(pfs, ctx.now(), t);
+  const SimTime t =
+      storage.write_time(StorageTierKind::kPfs, ctx.now(), logical_bytes, clients);
   // Elapse before finalize: a failure activating mid-write unwinds this
   // fiber and leaves the file corrupted (§V-D).
   ctx.elapse(t);
@@ -81,9 +80,7 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   store.begin(version, rank);
   const int clients = checkpoint_clients(ctx);
   // Local node-memory write: one writer into its own memory.
-  SimTime local = storage_.model(mem).write_time(logical_bytes, /*clients=*/1);
-  local += storage_.occupy(mem, ctx.now(), local);
-  ctx.elapse(local);
+  ctx.elapse(storage_.write_time(mem, ctx.now(), logical_bytes, /*clients=*/1));
 
   // Partner replica over the real network route. Payload sizes can differ
   // across ranks (uneven decompositions) and modeled recv treats a short
@@ -120,14 +117,11 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   // produces die with this rank if it fails before that hand-off.
   const SimTime t0 = ctx.now();
   if (storage_.has(bb) && storage_.fits(bb, logical_bytes, world)) {
-    SimTime bb_w = storage_.model(bb).write_time(logical_bytes, clients);
-    bb_w += storage_.occupy(bb, t0, bb_w);
-    const SimTime t_bb = t0 + bb_w;
+    const SimTime t_bb = t0 + storage_.write_time(bb, t0, logical_bytes, clients);
     store.record_copy(version, rank,
                       CopyRecord{.level = 1, .holder = -1, .ready_time = t_bb,
                                  .depends_on = rank, .depends_until = t_bb});
-    SimTime pfs_w = storage_.model(pfs).write_time(logical_bytes, clients);
-    pfs_w += storage_.occupy(pfs, t_bb, pfs_w);
+    const SimTime pfs_w = storage_.write_time(pfs, t_bb, logical_bytes, clients);
     // The PFS leg reads from the burst-buffer copy, so it only needs this
     // rank alive until the bb copy landed.
     store.record_copy(version, rank,
@@ -138,8 +132,7 @@ vmpi::Err TieredWriter::write(vmpi::Context& ctx, CheckpointStore& store,
   } else {
     // No burst buffer: drain straight to the PFS, holding the memory
     // staging buffer (and the dependency on this rank) the whole way.
-    SimTime pfs_w = storage_.model(pfs).write_time(logical_bytes, clients);
-    pfs_w += storage_.occupy(pfs, t0, pfs_w);
+    const SimTime pfs_w = storage_.write_time(pfs, t0, logical_bytes, clients);
     store.record_copy(version, rank,
                       CopyRecord{.level = 2, .holder = -1, .ready_time = t0 + pfs_w,
                                  .depends_on = rank, .depends_until = t0 + pfs_w});
@@ -180,7 +173,7 @@ std::optional<Payload> read_latest_checkpoint_tiered(
 
   auto data = store.read(plan->version, rank);
   const auto kind = static_cast<StorageTierKind>(mine.level);
-  ctx.elapse(storage.model(kind).read_time(data.size(), checkpoint_clients(ctx)));
+  ctx.elapse(storage.read_time(kind, data.size(), checkpoint_clients(ctx)));
   static constexpr util::Counter kRestoredFrom[kStorageTierKinds] = {
       util::Counter::kCkptRestoresMem, util::Counter::kCkptRestoresBb,
       util::Counter::kCkptRestoresPfs};

@@ -35,15 +35,15 @@ std::optional<TierParams> parse_tier(const std::string& text) {
   for (const auto& [key, value] : parsed->fields) {
     bool ok = false;  // An unknown key stays false.
     if (key == "bw") {
-      ok = assign(tier.io.aggregate_bandwidth_bytes_per_sec, parse_double(value));
+      ok = assign(tier.bw, parse_double(value));
     } else if (key == "cbw") {
-      ok = assign(tier.io.per_client_bandwidth_bytes_per_sec, parse_double(value));
+      ok = assign(tier.cbw, parse_double(value));
     } else if (key == "lat") {
-      ok = assign(tier.io.metadata_latency, parse_duration(value));
+      ok = assign(tier.lat, parse_duration(value));
     } else if (key == "cap") {
-      ok = assign(tier.capacity_bytes, parse_double(value));
+      ok = assign(tier.cap, parse_double(value));
     } else if (key == "contend") {
-      ok = assign(tier.contended, parse_switch(value));
+      ok = assign(tier.contend, parse_switch(value));
     }
     if (!ok) return std::nullopt;
   }
@@ -109,14 +109,11 @@ std::string to_string(const StorageSpec& spec) {
       opts += opts.empty() ? "" : ",";
       opts += kv;
     };
-    if (tier.io.aggregate_bandwidth_bytes_per_sec != 0)
-      add("bw=" + format_double(tier.io.aggregate_bandwidth_bytes_per_sec));
-    if (tier.io.per_client_bandwidth_bytes_per_sec != 0)
-      add("cbw=" + format_double(tier.io.per_client_bandwidth_bytes_per_sec));
-    if (tier.io.metadata_latency != 0)
-      add("lat=" + format_duration(tier.io.metadata_latency));
-    if (tier.capacity_bytes != 0) add("cap=" + format_double(tier.capacity_bytes));
-    if (tier.contended) add("contend=1");
+    if (tier.bw != 0) add("bw=" + format_double(tier.bw));
+    if (tier.cbw != 0) add("cbw=" + format_double(tier.cbw));
+    if (tier.lat != 0) add("lat=" + format_duration(tier.lat));
+    if (tier.cap != 0) add("cap=" + format_double(tier.cap));
+    if (tier.contend) add("contend=1");
     if (!opts.empty()) s += ":" + opts;
   }
   return s;
@@ -147,62 +144,69 @@ StorageHierarchy::StorageHierarchy(StorageSpec spec) : spec_(std::move(spec)) {
     index_[k] = -1;
     busy_until_[k] = 0;
   }
-  models_.reserve(spec_.tiers.size());
   for (std::size_t i = 0; i < spec_.tiers.size(); ++i) {
-    index_[static_cast<int>(spec_.tiers[i].kind)] = static_cast<int>(i);
-    models_.emplace_back(spec_.tiers[i].io);
+    const TierParams& t = spec_.tiers[i];
+    if (t.bw < 0 || t.cbw < 0) throw std::invalid_argument("negative bandwidth");
+    index_[static_cast<int>(t.kind)] = static_cast<int>(i);
   }
 }
 
-bool StorageHierarchy::has(StorageTierKind kind) const {
-  return index_[static_cast<int>(kind)] >= 0;
-}
-
-const PfsModel& StorageHierarchy::model(StorageTierKind kind) const {
-  static const PfsModel kFree{PfsParams{}};
+const TierParams* StorageHierarchy::tier(StorageTierKind kind) const {
   const int i = index_[static_cast<int>(kind)];
-  return i < 0 ? kFree : models_[static_cast<std::size_t>(i)];
+  return i < 0 ? nullptr : &spec_.tiers[static_cast<std::size_t>(i)];
 }
 
-bool StorageHierarchy::is_free() const {
-  for (const auto& m : models_) {
-    if (!m.is_free()) return false;
-  }
-  return !any_contended();
-}
+bool StorageHierarchy::has(StorageTierKind kind) const { return tier(kind) != nullptr; }
 
 bool StorageHierarchy::any_contended() const {
-  for (const auto& tier : spec_.tiers) {
-    if (tier.contended) return true;
+  for (const auto& t : spec_.tiers) {
+    if (t.contend) return true;
   }
   return false;
 }
 
 bool StorageHierarchy::fits(StorageTierKind kind, std::size_t bytes,
                             int world_ranks, int replicas) const {
-  const int i = index_[static_cast<int>(kind)];
-  if (i < 0) return true;
-  const double cap = spec_.tiers[static_cast<std::size_t>(i)].capacity_bytes;
-  if (cap <= 0) return true;
+  const TierParams* t = tier(kind);
+  if (t == nullptr || t->cap <= 0) return true;
   const double need = static_cast<double>(bytes);
   if (kind == StorageTierKind::kMemory) {
     // Node memory is a per-node budget: a rank's own image plus every
     // partner replica it hosts must fit together.
-    return need * std::max(1, replicas) <= cap;
+    return need * std::max(1, replicas) <= t->cap;
   }
   // Shared tiers split capacity evenly over the world.
-  return need * static_cast<double>(std::max(1, world_ranks)) <= cap;
+  return need * static_cast<double>(std::max(1, world_ranks)) <= t->cap;
 }
 
-SimTime StorageHierarchy::occupy(StorageTierKind kind, SimTime start,
-                                 SimTime duration) const {
-  const int i = index_[static_cast<int>(kind)];
-  if (i < 0 || !spec_.tiers[static_cast<std::size_t>(i)].contended) return 0;
+SimTime StorageHierarchy::transfer_time(StorageTierKind kind, std::size_t bytes,
+                                        int clients) const {
+  if (clients < 1) throw std::invalid_argument("clients < 1");
+  const TierParams* t = tier(kind);
+  if (t == nullptr) return 0;
+  if (bytes == 0) return t->lat;
+  double bw = 0;
+  if (t->bw > 0) bw = t->bw / clients;
+  if (t->cbw > 0) bw = bw > 0 ? std::min(bw, t->cbw) : t->cbw;
+  if (bw <= 0) return t->lat;  // Bandwidth unmodeled: the transfer is free.
+  return t->lat + sim_seconds(static_cast<double>(bytes) / bw);
+}
+
+SimTime StorageHierarchy::write_time(StorageTierKind kind, SimTime start,
+                                     std::size_t bytes, int clients) const {
+  const SimTime duration = transfer_time(kind, bytes, clients);
+  const TierParams* t = tier(kind);
+  if (t == nullptr || !t->contend) return duration;
   std::lock_guard<std::mutex> lock(mu_);
   SimTime& busy = busy_until_[static_cast<int>(kind)];
   const SimTime begin = std::max(start, busy);
   busy = begin + duration;
-  return begin - start;
+  return begin - start + duration;
+}
+
+SimTime StorageHierarchy::read_time(StorageTierKind kind, std::size_t bytes,
+                                    int clients) const {
+  return transfer_time(kind, bytes, clients);
 }
 
 }  // namespace exasim

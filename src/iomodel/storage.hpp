@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "iomodel/pfs.hpp"
 #include "util/time.hpp"
 
 namespace exasim {
@@ -22,20 +21,22 @@ inline constexpr int kStorageTierKinds = 3;
 
 const char* to_string(StorageTierKind kind);
 
-/// One tier of the hierarchy. The cost math is the flat PfsModel's
-/// (metadata latency + min(per-client, aggregate/clients) bandwidth); a tier
-/// with all-zero parameters charges nothing — the paper's configuration.
+/// One tier of the hierarchy: its five settable values, named as in the
+/// spec grammar. A tier with all-zero parameters charges nothing — the
+/// paper's configuration.
 struct TierParams {
   StorageTierKind kind = StorageTierKind::kPfs;
-  PfsParams io;
+  double bw = 0;    ///< Aggregate bytes/s shared by all clients; 0 = unmodeled.
+  double cbw = 0;   ///< Per-client bytes/s cap; 0 = unmodeled.
+  SimTime lat = 0;  ///< Metadata (open/create/close) round trip per transfer.
   /// Capacity in bytes; 0 = unlimited. Node memory is a per-node staging
   /// budget (a rank's own copy plus the partner replica it hosts must fit);
   /// shared tiers divide capacity evenly over the world size.
-  double capacity_bytes = 0;
-  /// Fold occupancy-window waits into transfer times (the same queueing
+  double cap = 0;
+  /// Fold occupancy-window waits into write times (the same queueing
   /// shape as per-link network contention, DESIGN.md §12): exact at
   /// --sim-workers=1, approximate otherwise (core::Machine warns).
-  bool contended = false;
+  bool contend = false;
 
   friend bool operator==(const TierParams&, const TierParams&) = default;
 };
@@ -54,11 +55,6 @@ struct StorageSpec {
   std::vector<TierParams> tiers = {TierParams{}};
   /// Set when the spec came from a registered preset name (display only).
   std::string preset = "pfs";
-
-  /// True for the paper-default single free PFS tier.
-  bool is_default() const {
-    return tiers.size() == 1 && tiers.front() == TierParams{};
-  }
 
   friend bool operator==(const StorageSpec& a, const StorageSpec& b) {
     return a.tiers == b.tiers;  // The preset name is presentation, not config.
@@ -87,10 +83,13 @@ const std::vector<StoragePresetInfo>& list_storage();
 /// std::invalid_argument on malformed text.
 StorageSpec resolve_storage_spec(const std::string& configured);
 
-/// The machine's storage stack: per-tier PfsModel cost math plus optional
-/// occupancy-window contention. Tiers absent from the spec behave as free,
-/// uncontended, unlimited — node memory and a burst buffer always exist
-/// physically; the spec only prices them.
+/// The machine's storage stack, addressed by tier kind. A transfer costs
+/// the tier's metadata latency plus bytes / min(cbw, bw / clients) — a zero
+/// bandwidth is unmodeled, and zero bytes or no modeled bandwidth transfer
+/// for free. A contended tier additionally queues writes in an occupancy
+/// window. Tiers absent from the spec behave as free, uncontended,
+/// unlimited — node memory and a burst buffer always exist physically; the
+/// spec only prices them.
 class StorageHierarchy {
  public:
   explicit StorageHierarchy(StorageSpec spec);
@@ -100,13 +99,6 @@ class StorageHierarchy {
   /// True when the spec prices the tier (present in the tier list).
   bool has(StorageTierKind kind) const;
 
-  /// Cost model for a tier kind (a shared free model when unpriced).
-  const PfsModel& model(StorageTierKind kind) const;
-
-  /// True when no tier charges time and none is contended (the paper's
-  /// configuration).
-  bool is_free() const;
-
   bool any_contended() const;
 
   /// Whether `bytes` fit the tier's capacity budget: node memory must hold
@@ -115,17 +107,28 @@ class StorageHierarchy {
   bool fits(StorageTierKind kind, std::size_t bytes, int world_ranks,
             int replicas = 1) const;
 
-  /// Occupancy-window wait for a transfer of `duration` starting at `start`
-  /// on a contended tier (0 when uncontended): the tier serves overlapping
-  /// transfers back to back, exactly the per-link busy-until queueing of
-  /// NetworkModel::contention_delay.
-  SimTime occupy(StorageTierKind kind, SimTime start, SimTime duration) const;
+  /// Time for one client to write `bytes` starting at `start` while
+  /// `clients` clients (itself included) share the tier. On a contended tier
+  /// the write also waits for the occupancy window — the tier serves
+  /// overlapping writes back to back, exactly the per-link busy-until
+  /// queueing of NetworkModel::contention_delay — and holds it for its
+  /// transfer time.
+  SimTime write_time(StorageTierKind kind, SimTime start, std::size_t bytes,
+                     int clients) const;
+
+  /// Time for one client to read `bytes` while `clients` clients share the
+  /// tier. Reads take no occupancy window.
+  SimTime read_time(StorageTierKind kind, std::size_t bytes, int clients) const;
 
  private:
+  /// The tier's parameters, or nullptr when the spec leaves it unpriced.
+  const TierParams* tier(StorageTierKind kind) const;
+
+  SimTime transfer_time(StorageTierKind kind, std::size_t bytes, int clients) const;
+
   StorageSpec spec_;
   /// Index into spec_.tiers per kind; -1 = unpriced.
   int index_[kStorageTierKinds];
-  std::vector<PfsModel> models_;
   /// Occupancy windows are queueing state of the model, not configuration —
   /// mutable so cost queries stay const for callers holding const refs.
   mutable std::mutex mu_;

@@ -1,8 +1,7 @@
-// procmodel / iomodel / powermodel unit tests.
+// procmodel / powermodel unit tests (the storage model is in test_storage).
 
 #include <gtest/gtest.h>
 
-#include "iomodel/pfs.hpp"
 #include "powermodel/power.hpp"
 #include "procmodel/processor.hpp"
 
@@ -48,48 +47,6 @@ TEST(ProcessorModel, RejectsBadInput) {
   ProcessorModel m{ProcessorParams{}};
   EXPECT_THROW(m.work_time(-1.0), std::invalid_argument);
   EXPECT_THROW(m.reference_seconds(-0.5), std::invalid_argument);
-}
-
-TEST(PfsModel, FreeModelChargesNothing) {
-  // The paper's configuration: "the file system overhead for
-  // checkpoint/restart was not considered" (§V-C).
-  PfsModel pfs{PfsParams{}};
-  EXPECT_TRUE(pfs.is_free());
-  EXPECT_EQ(pfs.write_time(1 << 20, 32768), 0u);
-  EXPECT_EQ(pfs.read_time(1 << 20, 1), 0u);
-}
-
-TEST(PfsModel, AggregateBandwidthSharesAcrossClients) {
-  PfsParams p;
-  p.aggregate_bandwidth_bytes_per_sec = 1e9;
-  PfsModel pfs(p);
-  // 1 client gets 1 GB/s; 10 clients get 100 MB/s each.
-  EXPECT_EQ(pfs.write_time(1'000'000, 1), sim_ms(1));
-  EXPECT_EQ(pfs.write_time(1'000'000, 10), sim_ms(10));
-}
-
-TEST(PfsModel, PerClientCapApplies) {
-  PfsParams p;
-  p.aggregate_bandwidth_bytes_per_sec = 100e9;
-  p.per_client_bandwidth_bytes_per_sec = 1e9;
-  PfsModel pfs(p);
-  // Aggregate/1 = 100 GB/s but the per-client cap (1 GB/s) binds.
-  EXPECT_EQ(pfs.write_time(1'000'000, 1), sim_ms(1));
-}
-
-TEST(PfsModel, MetadataLatencyAdds) {
-  PfsParams p;
-  p.metadata_latency = sim_us(50);
-  p.per_client_bandwidth_bytes_per_sec = 1e9;
-  PfsModel pfs(p);
-  EXPECT_EQ(pfs.write_time(0, 4), sim_us(50));
-  EXPECT_EQ(pfs.metadata_time(), sim_us(50));
-  EXPECT_EQ(pfs.write_time(1000, 1), sim_us(50) + sim_us(1));
-}
-
-TEST(PfsModel, RejectsBadClients) {
-  PfsModel pfs{PfsParams{}};
-  EXPECT_THROW(pfs.write_time(10, 0), std::invalid_argument);
 }
 
 TEST(EnergyLedger, AccumulatesPerState) {

@@ -51,14 +51,14 @@ StorageSpec must_parse(const std::string& text) {
 
 TEST(StorageSpec, DefaultIsSingleFreePfsTier) {
   const StorageSpec spec;
-  EXPECT_TRUE(spec.is_default());
   EXPECT_EQ(spec.tiers.size(), 1u);
+  EXPECT_EQ(spec.tiers.front(), TierParams{});
   EXPECT_EQ(spec.tiers.front().kind, StorageTierKind::kPfs);
   EXPECT_EQ(to_string(spec), "pfs");
 }
 
 TEST(StorageSpec, PresetNamesParse) {
-  EXPECT_TRUE(must_parse("pfs").is_default());
+  EXPECT_EQ(must_parse("pfs"), StorageSpec{});
   const StorageSpec hpc = must_parse("hpc");
   EXPECT_EQ(hpc.tiers.size(), 3u);
   EXPECT_EQ(to_string(hpc), "hpc");  // Preset names survive round-trips.
@@ -79,19 +79,19 @@ TEST(StorageSpec, TierListRoundTripsCanonically) {
   const StorageSpec spec = must_parse(text);
   ASSERT_EQ(spec.tiers.size(), 3u);
   EXPECT_EQ(spec.tiers[0].kind, StorageTierKind::kMemory);
-  EXPECT_EQ(spec.tiers[0].io.per_client_bandwidth_bytes_per_sec, 5e10);
-  EXPECT_EQ(spec.tiers[0].io.metadata_latency, sim_us(1));
-  EXPECT_EQ(spec.tiers[0].capacity_bytes, 4e9);
-  EXPECT_EQ(spec.tiers[1].io.aggregate_bandwidth_bytes_per_sec, 2e11);
-  EXPECT_EQ(spec.tiers[2].io.metadata_latency, sim_ms(1));
+  EXPECT_EQ(spec.tiers[0].cbw, 5e10);
+  EXPECT_EQ(spec.tiers[0].lat, sim_us(1));
+  EXPECT_EQ(spec.tiers[0].cap, 4e9);
+  EXPECT_EQ(spec.tiers[1].bw, 2e11);
+  EXPECT_EQ(spec.tiers[2].lat, sim_ms(1));
   EXPECT_EQ(must_parse(to_string(spec)), spec);
 }
 
 TEST(StorageSpec, PlusSeparatorAndContendFlag) {
   const StorageSpec spec = must_parse("bb:lat=10us,contend=1+pfs:bw=1e11");
   ASSERT_EQ(spec.tiers.size(), 2u);
-  EXPECT_TRUE(spec.tiers[0].contended);
-  EXPECT_FALSE(spec.tiers[1].contended);
+  EXPECT_TRUE(spec.tiers[0].contend);
+  EXPECT_FALSE(spec.tiers[1].contend);
   EXPECT_EQ(spec, must_parse("bb:lat=10us,contend=1;pfs:bw=1e11"));
   EXPECT_EQ(must_parse(to_string(spec)), spec);
 }
@@ -128,18 +128,18 @@ TEST(StorageSpec, ResolveParsesOrThrows) {
   EXPECT_THROW(resolve_storage_spec("nonsense"), std::invalid_argument);
   EXPECT_THROW(resolve_storage_spec(""), std::invalid_argument);
   EXPECT_EQ(resolve_storage_spec("hpc").tiers.size(), 3u);
-  EXPECT_TRUE(resolve_storage_spec("pfs").is_default());
+  EXPECT_EQ(resolve_storage_spec("pfs"), StorageSpec{});
 }
 
-// A pfs tier spec carries exactly the flat PfsParams (the slow-PFS benches
-// and examples configure their file system this way).
-TEST(StorageSpec, PfsTierSpecCarriesFlatPfsParams) {
-  PfsParams flat;
-  flat.per_client_bandwidth_bytes_per_sec = 1e6;
-  flat.metadata_latency = sim_ms(1);
+// A tier spec sets exactly the named values and leaves the rest zero (the
+// slow-PFS benches and examples configure their file system this way).
+TEST(StorageSpec, PfsTierSpecSetsOnlyTheNamedValues) {
+  TierParams flat;
+  flat.cbw = 1e6;
+  flat.lat = sim_ms(1);
   const StorageSpec spec = must_parse("pfs:cbw=1e6,lat=1ms");
   ASSERT_EQ(spec.tiers.size(), 1u);
-  EXPECT_EQ(spec.tiers.front().io, flat);
+  EXPECT_EQ(spec.tiers.front(), flat);
 }
 
 TEST(CkptModeSpec, ParseRoundTripAndResolve) {
@@ -158,16 +158,39 @@ TEST(CkptModeSpec, ParseRoundTripAndResolve) {
 // ---------------------------------------------------------------------------
 // Hierarchy cost math, capacity, occupancy windows.
 
-TEST(StorageHierarchy, UnpricedTiersAreFreeAndPfsModelMatchesFlatMath) {
+TEST(StorageHierarchy, UnpricedTiersAreFreeAndPricedTiersShareBandwidth) {
   const StorageHierarchy h(must_parse("pfs:bw=8e6,cbw=2e6,lat=1ms"));
-  EXPECT_TRUE(h.has(StorageTierKind::kPfs));
+  const auto pfs = StorageTierKind::kPfs;
+  EXPECT_TRUE(h.has(pfs));
   EXPECT_FALSE(h.has(StorageTierKind::kMemory));
-  EXPECT_TRUE(h.model(StorageTierKind::kMemory).is_free());
-  EXPECT_FALSE(h.is_free());
+  EXPECT_EQ(h.write_time(StorageTierKind::kMemory, 0, 1'000'000, 1), 0u);
+  EXPECT_EQ(h.read_time(StorageTierKind::kBurstBuffer, 1'000'000, 64), 0u);
   // 1 MB at min(2 MB/s, 8/1 MB/s) = 2 MB/s -> 500 ms, plus 1 ms metadata.
-  EXPECT_EQ(h.model(StorageTierKind::kPfs).write_time(1'000'000, 1), sim_ms(501));
+  EXPECT_EQ(h.write_time(pfs, 0, 1'000'000, 1), sim_ms(501));
   // 8 clients: min(2 MB/s, 1 MB/s) = 1 MB/s -> 1 s + 1 ms.
-  EXPECT_EQ(h.model(StorageTierKind::kPfs).write_time(1'000'000, 8), sim_sec(1) + sim_ms(1));
+  EXPECT_EQ(h.write_time(pfs, 0, 1'000'000, 8), sim_sec(1) + sim_ms(1));
+  EXPECT_EQ(h.read_time(pfs, 1'000'000, 8), sim_sec(1) + sim_ms(1));
+  // Zero bytes pay only the metadata round trip.
+  EXPECT_EQ(h.write_time(pfs, 0, 0, 4), sim_ms(1));
+}
+
+TEST(StorageHierarchy, TierMathMatchesThePaperDefaultAndEachBandwidthBound) {
+  // The paper's configuration: "the file system overhead for
+  // checkpoint/restart was not considered" (§V-C).
+  const StorageHierarchy free(StorageSpec{});
+  EXPECT_EQ(free.write_time(StorageTierKind::kPfs, 0, 1 << 20, 32768), 0u);
+  EXPECT_EQ(free.read_time(StorageTierKind::kPfs, 1 << 20, 1), 0u);
+  // Aggregate only: 1 client gets 1 GB/s; 10 clients get 100 MB/s each.
+  const StorageHierarchy shared(must_parse("pfs:bw=1e9"));
+  EXPECT_EQ(shared.write_time(StorageTierKind::kPfs, 0, 1'000'000, 1), sim_ms(1));
+  EXPECT_EQ(shared.write_time(StorageTierKind::kPfs, 0, 1'000'000, 10), sim_ms(10));
+  // Aggregate/1 = 100 GB/s but the per-client cap (1 GB/s) binds.
+  const StorageHierarchy capped(must_parse("pfs:bw=100e9,cbw=1e9,lat=50us"));
+  EXPECT_EQ(capped.write_time(StorageTierKind::kPfs, 0, 1000, 1), sim_us(50) + sim_us(1));
+  EXPECT_EQ(capped.write_time(StorageTierKind::kPfs, 0, 1'000'000, 1), sim_us(50) + sim_ms(1));
+  // Every tier, priced or not, needs at least one client.
+  EXPECT_THROW(free.write_time(StorageTierKind::kPfs, 0, 10, 0), std::invalid_argument);
+  EXPECT_THROW(free.read_time(StorageTierKind::kMemory, 10, 0), std::invalid_argument);
 }
 
 TEST(StorageHierarchy, CapacityBudgets) {
@@ -183,29 +206,17 @@ TEST(StorageHierarchy, CapacityBudgets) {
 }
 
 TEST(StorageHierarchy, OccupancyWindowQueuesLikeLinkContention) {
+  // 1 MB/s per client: 10,000 bytes take 10 ms, 1,000 bytes 1 ms.
   const StorageHierarchy h(must_parse("bb:cbw=1e6,contend=1;pfs:cbw=1e6"));
   const auto bb = StorageTierKind::kBurstBuffer;
   EXPECT_TRUE(h.any_contended());
-  EXPECT_EQ(h.occupy(bb, 0, sim_ms(10)), 0);          // Idle tier: no wait.
-  EXPECT_EQ(h.occupy(bb, sim_ms(4), sim_ms(10)), sim_ms(6));   // Busy until 10.
-  EXPECT_EQ(h.occupy(bb, sim_ms(30), sim_ms(1)), 0);  // After the window.
+  EXPECT_EQ(h.write_time(bb, 0, 10'000, 1), sim_ms(10));  // Idle tier: no wait.
+  EXPECT_EQ(h.write_time(bb, sim_ms(4), 10'000, 1), sim_ms(6) + sim_ms(10));  // Busy to 10.
+  EXPECT_EQ(h.write_time(bb, sim_ms(30), 1'000, 1), sim_ms(1));  // After the window.
   // Uncontended and unpriced tiers never wait.
-  EXPECT_EQ(h.occupy(StorageTierKind::kPfs, 0, sim_ms(10)), 0);
-  EXPECT_EQ(h.occupy(StorageTierKind::kPfs, sim_ms(1), sim_ms(10)), 0);
-  EXPECT_EQ(h.occupy(StorageTierKind::kMemory, 0, sim_ms(10)), 0);
-}
-
-// One checkpoint write as the tiered writer prices it: the transfer, then
-// the occupancy wait on its duration.
-SimTime pin_write(const StorageHierarchy& h, StorageTierKind kind, SimTime start,
-                  std::size_t bytes, int clients) {
-  const SimTime t = h.model(kind).write_time(bytes, clients);
-  return t + h.occupy(kind, start, t);
-}
-
-SimTime pin_read(const StorageHierarchy& h, StorageTierKind kind, std::size_t bytes,
-                 int clients) {
-  return h.model(kind).read_time(bytes, clients);
+  EXPECT_EQ(h.write_time(StorageTierKind::kPfs, 0, 10'000, 1), sim_ms(10));
+  EXPECT_EQ(h.write_time(StorageTierKind::kPfs, sim_ms(1), 10'000, 1), sim_ms(10));
+  EXPECT_EQ(h.write_time(StorageTierKind::kMemory, 0, 10'000, 1), 0u);
 }
 
 TEST(StoragePin, EveryTierWriteAndReadTime) {
@@ -243,8 +254,8 @@ TEST(StoragePin, EveryTierWriteAndReadTime) {
     for (const auto kind : kinds) {
       for (const std::size_t bytes : sizes) {
         for (const int c : clients) {
-          const SimTime w = pin_write(h, kind, start, bytes, c);
-          const SimTime r = pin_read(h, kind, bytes, c);
+          const SimTime w = h.write_time(kind, start, bytes, c);
+          const SimTime r = h.read_time(kind, bytes, c);
           mix(w);
           mix(r);
           total_write += w;
@@ -262,13 +273,13 @@ TEST(StoragePin, EveryTierWriteAndReadTime) {
   // client: writes overlap, queue back to back, and reads never wait.
   const StorageHierarchy h(must_parse("bb:cbw=1e6,lat=1us,contend=1;pfs:cbw=1e6"));
   const auto bb = StorageTierKind::kBurstBuffer;
-  EXPECT_EQ(pin_write(h, bb, 0, 10'000, 1), sim_us(10'001));  // Idle: busy to 10.001 ms.
-  EXPECT_EQ(pin_write(h, bb, sim_ms(4), 10'000, 1), sim_us(16'002));  // Waits 6.001 ms.
-  EXPECT_EQ(pin_read(h, bb, 10'000, 1), sim_us(10'001));  // Reads take no window.
-  EXPECT_EQ(pin_write(h, bb, sim_ms(19), 1'000, 2), sim_us(2'003));  // Waits 1.002 ms.
-  EXPECT_EQ(pin_write(h, bb, sim_ms(30), 0, 1), sim_us(1));  // After the window.
-  EXPECT_EQ(pin_write(h, StorageTierKind::kPfs, 0, 10'000, 1), sim_ms(10));  // Uncontended.
-  EXPECT_EQ(pin_write(h, StorageTierKind::kPfs, sim_ms(1), 10'000, 1), sim_ms(10));
+  EXPECT_EQ(h.write_time(bb, 0, 10'000, 1), sim_us(10'001));  // Idle: busy to 10.001 ms.
+  EXPECT_EQ(h.write_time(bb, sim_ms(4), 10'000, 1), sim_us(16'002));  // Waits 6.001 ms.
+  EXPECT_EQ(h.read_time(bb, 10'000, 1), sim_us(10'001));  // Reads take no window.
+  EXPECT_EQ(h.write_time(bb, sim_ms(19), 1'000, 2), sim_us(2'003));  // Waits 1.002 ms.
+  EXPECT_EQ(h.write_time(bb, sim_ms(30), 0, 1), sim_us(1));  // After the window.
+  EXPECT_EQ(h.write_time(StorageTierKind::kPfs, 0, 10'000, 1), sim_ms(10));  // Uncontended.
+  EXPECT_EQ(h.write_time(StorageTierKind::kPfs, sim_ms(1), 10'000, 1), sim_ms(10));
 }
 
 // ---------------------------------------------------------------------------
