@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tier-1 verification: full build + test suite (plus an examples smoke, a
-# byte comparison of the output of bench/detector_sweep, bench/storage_sweep
-# and bench/incremental_ckpt with their goldens at 1 and 4 jobs, a
-# malformed-input smoke of the tools' own options, and a check that every
-# EXASIM_* variable the scripts and CI set is documented in
+# byte comparison of the output of bench/detector_sweep, bench/storage_sweep,
+# bench/incremental_ckpt and bench/ckpt_overhead with their goldens at 1 and
+# 4 jobs, a malformed-input smoke of the tools' own options, and a check
+# that every EXASIM_* variable the scripts and CI set is documented in
 # `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
 # point-to-point, and resilience tests (the suites that exercise the parallel
@@ -69,9 +69,10 @@ run_release() {
   # detector_sweep: all four detector families end to end through
   # core::Machine and the resilient runner, with a hot-link per-link-timeout
   # row. storage_sweep: every checkpoint mode on a priced three-tier stack.
-  # incremental_ckpt: full against incremental writes on a shared PFS. The
-  # output must not depend on the campaign's job count.
-  for bench in detector_sweep storage_sweep incremental_ckpt; do
+  # incremental_ckpt: full against incremental writes on a shared PFS.
+  # ckpt_overhead: Table II's E1 split by checkpoint interval, free and
+  # priced PFS. The output must not depend on the campaign's job count.
+  for bench in detector_sweep storage_sweep incremental_ckpt ckpt_overhead; do
     for j in 1 4; do
       if ! "./build/bench/$bench" --jobs="$j" | cmp - "scripts/$bench.golden.txt"; then
         echo "tier1.sh: bench/$bench --jobs=$j differs from scripts/$bench.golden.txt" >&2

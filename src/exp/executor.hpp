@@ -5,6 +5,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -50,14 +51,19 @@ struct ExecutorOptions {
 };
 
 /// Result of one work item: either a value or the error that evaluate threw.
+/// Dereferencing a failed item throws std::runtime_error carrying its error,
+/// so a failed item can never be read as a number.
 template <typename R>
 struct ItemOutcome {
   std::optional<R> value;
   std::string error;
 
   bool ok() const { return value.has_value(); }
-  const R& operator*() const { return *value; }
-  const R* operator->() const { return &*value; }
+  const R& operator*() const {
+    if (!ok()) throw std::runtime_error("work item failed: " + error);
+    return *value;
+  }
+  const R* operator->() const { return &**this; }
 };
 
 namespace detail {

@@ -163,6 +163,27 @@ TEST(ParallelExecutor, ThrowingEvaluateIsReportedPerItem) {
   }
 }
 
+TEST(ParallelExecutor, DereferencingAFailedItemThrowsItsError) {
+  struct Row {
+    double seconds = 0;
+  };
+  ParallelExecutor pool(ExecutorOptions{2, {}});
+  auto outcomes = pool.map(2, [](std::size_t i) -> Row {
+    if (i == 1) throw std::invalid_argument("malformed storage spec: ");
+    return Row{1.5};
+  });
+  EXPECT_EQ((*outcomes[0]).seconds, 1.5);
+  EXPECT_EQ(outcomes[0]->seconds, 1.5);
+  ASSERT_FALSE(outcomes[1].ok());
+  EXPECT_THROW((void)outcomes[1]->seconds, std::runtime_error);
+  try {
+    (void)*outcomes[1];
+    ADD_FAILURE() << "a failed item dereferenced without throwing";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "work item failed: malformed storage spec: ");
+  }
+}
+
 TEST(ParallelExecutor, NonStandardExceptionIsCaptured) {
   ParallelExecutor pool(ExecutorOptions{2, {}});
   auto outcomes = pool.map(2, [](std::size_t i) -> int {
