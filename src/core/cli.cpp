@@ -232,9 +232,10 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     opts.machine.topology = "star:" + std::to_string(nodes);
   }
 
-  const resilience::FailureSchedule schedule(opts.machine.failures);
-  if (auto bad = schedule.first_invalid_rank(opts.machine.ranks)) {
-    return fail("failure schedule rank out of range: " + std::to_string(*bad));
+  for (const FailureSpec& f : opts.machine.failures) {
+    if (f.rank < 0 || f.rank >= opts.machine.ranks) {
+      return fail("failure schedule rank out of range: " + std::to_string(f.rank));
+    }
   }
   return opts;
 }

@@ -182,7 +182,7 @@ SimResult Machine::run() {
   result.storage = exasim::to_string(storage_->spec());
   result.ckpt_mode = ckpt::to_string(services_.ckpt_mode);
   result.detector = resilience::to_string(config_.detector);
-  result.error_policy = resilience::to_string(vmpi::ErrorHandlerKind::kFatal);
+  result.error_policy = "errors-are-fatal";  // MPI_COMM_WORLD's default handler.
   const auto det_stats = bus_->detection_stats(activated_);
   result.failure_notices = det_stats.notices;
   result.max_detection_latency = det_stats.max_latency;

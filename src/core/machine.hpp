@@ -65,8 +65,8 @@ struct SimConfig {
   vmpi::ProcessConfig process;
 
   /// Injected MPI process failure schedule (rank/time pairs, absolute
-  /// virtual time; paper §IV-B). Owned/derived by resilience::FailureSchedule
-  /// (--failures / EXASIM_FAILURES, or reliability-model draws).
+  /// virtual time; paper §IV-B): --failures / EXASIM_FAILURES, or the
+  /// resilient runner's reliability-model draws.
   std::vector<FailureSpec> failures;
   std::vector<SoftErrorSpec> soft_errors;
 

@@ -38,13 +38,14 @@ RunnerResult ResilientRunner::run() {
     // rank uniform, time uniform within 2*MTTF, applied to each run
     // separately), plus the deterministic first-launch extras; drawn relative
     // to launch start, then shifted to absolute virtual time (§IV-E).
-    resilience::FailureSchedule schedule;
-    if (reliability) schedule.add_draw(*reliability);
-    if (launch == 0) {
-      for (const FailureSpec& f : config_.first_run_failures) schedule.add(f);
+    if (reliability) {
+      if (const auto drawn = reliability->draw()) cfg.failures.push_back(*drawn);
     }
-    schedule.shift(accumulated);
-    cfg.failures = schedule.specs();
+    if (launch == 0) {
+      cfg.failures.insert(cfg.failures.end(), config_.first_run_failures.begin(),
+                          config_.first_run_failures.end());
+    }
+    for (FailureSpec& f : cfg.failures) f.time += accumulated;
 
     Machine machine(std::move(cfg), app_);
     machine.set_checkpoint_store(&store_);

@@ -12,9 +12,8 @@ ProcessorModel::ProcessorModel(ProcessorParams params) : params_(params) {
 }
 
 SimTime ProcessorModel::scale_native(SimTime native) const {
-  return static_cast<SimTime>(static_cast<double>(native) * params_.host_to_reference *
-                                  params_.slowdown +
-                              0.5);
+  return checked_sim_ns(static_cast<double>(native) * params_.host_to_reference *
+                        params_.slowdown);
 }
 
 void ProcessorModel::throw_negative_work() { throw std::invalid_argument("negative work"); }

@@ -34,7 +34,7 @@ class ProcessorModel {
   /// modeled compute step calls it.
   SimTime work_time(double units) const {
     if (units < 0.0) throw_negative_work();
-    return static_cast<SimTime>(units * params_.reference_ns_per_unit * params_.slowdown + 0.5);
+    return checked_sim_ns(units * params_.reference_ns_per_unit * params_.slowdown);
   }
 
   /// Simulated time for a duration expressed in reference-core seconds.

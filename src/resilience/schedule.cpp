@@ -12,7 +12,7 @@ ReliabilityModel::ReliabilityModel(FailureDistribution dist, SimTime system_mttf
   if (ranks <= 0) throw std::invalid_argument("ranks <= 0");
 }
 
-FailureSpec ReliabilityModel::draw() {
+std::optional<FailureSpec> ReliabilityModel::draw() {
   FailureSpec spec;
   spec.rank = static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(ranks_)));
   const double mttf_s = to_seconds(system_mttf_);
@@ -31,6 +31,7 @@ FailureSpec ReliabilityModel::draw() {
       break;
     }
   }
+  if (!fits_sim_ns(t_s * 1e9)) return std::nullopt;
   spec.time = sim_seconds(t_s);
   return spec;
 }
@@ -47,23 +48,6 @@ double ReliabilityModel::expected_failures(SimTime run_length) const {
       return len / mttf;
   }
   return 0;
-}
-
-std::optional<FailureSchedule> FailureSchedule::parse(const std::string& text) {
-  auto specs = parse_failure_schedule(text);
-  if (!specs) return std::nullopt;
-  return FailureSchedule(std::move(*specs));
-}
-
-void FailureSchedule::shift(SimTime offset) {
-  for (auto& f : specs_) f.time += offset;
-}
-
-std::optional<int> FailureSchedule::first_invalid_rank(int ranks) const {
-  for (const auto& f : specs_) {
-    if (f.rank < 0 || f.rank >= ranks) return f.rank;
-  }
-  return std::nullopt;
 }
 
 }  // namespace exasim::resilience

@@ -37,8 +37,9 @@ class ReliabilityModel {
 
   /// Draws the next application launch's failure (rank + time relative to
   /// launch start). The caller decides whether the time lands inside the
-  /// run. Each call advances the deterministic RNG stream.
-  FailureSpec draw();
+  /// run. Each call advances the deterministic RNG stream. A time past what
+  /// SimTime holds (2^64 ns) lands after any run: nullopt, no failure.
+  std::optional<FailureSpec> draw();
 
   /// Expected failures for an execution of the given length (diagnostics).
   double expected_failures(SimTime run_length) const;
@@ -51,40 +52,6 @@ class ReliabilityModel {
   SimTime system_mttf_;
   int ranks_;
   Rng rng_;
-};
-
-/// Owns a rank/time failure schedule: parsing the paper's `R@T,R@T` notation
-/// from the command line or environment (§IV-B: "xSim additionally offers to
-/// pass a simulated MPI process failure schedule in the form of rank/time
-/// pairs on the command line or via an environment variable"), derivation of
-/// per-launch random failures from a ReliabilityModel, and the
-/// relative-to-absolute time shift a restarting runner applies.
-class FailureSchedule {
- public:
-  FailureSchedule() = default;
-  explicit FailureSchedule(std::vector<FailureSpec> specs) : specs_(std::move(specs)) {}
-
-  /// Parses the `R@T,R@T,...` notation; nullopt on malformed input.
-  static std::optional<FailureSchedule> parse(const std::string& text);
-
-  void add(FailureSpec f) { specs_.push_back(f); }
-  /// Derivation: appends one random failure drawn from the model (times
-  /// relative to launch start; shift() afterwards for restart continuity).
-  void add_draw(ReliabilityModel& model) { specs_.push_back(model.draw()); }
-  /// Shifts every failure time by `offset` (relative -> absolute virtual
-  /// time when relaunching at accumulated time `offset`, paper §IV-E).
-  void shift(SimTime offset);
-
-  /// First out-of-range rank for a machine of `ranks`, or nullopt if valid.
-  std::optional<int> first_invalid_rank(int ranks) const;
-
-  bool empty() const { return specs_.empty(); }
-  std::size_t size() const { return specs_.size(); }
-  const std::vector<FailureSpec>& specs() const { return specs_; }
-  std::string to_string() const { return format_failure_schedule(specs_); }
-
- private:
-  std::vector<FailureSpec> specs_;
 };
 
 }  // namespace exasim::resilience

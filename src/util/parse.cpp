@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace exasim {
 namespace {
@@ -31,6 +32,12 @@ std::optional<T> parse_integer(std::string_view text, T lo, T hi) {
 }
 
 }  // namespace
+
+void throw_sim_time_overflow(double ns) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "simulated time overflow: %g ns does not fit SimTime", ns);
+  throw std::overflow_error(buf);
+}
 
 std::string format_sim_time(SimTime t) {
   char buf[64];
@@ -105,9 +112,9 @@ std::optional<SimTime> parse_duration(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  const double ns = *value * scale + 0.5;
-  if (ns >= 0x1p64) return std::nullopt;  // Past what SimTime holds.
-  return static_cast<SimTime>(ns);
+  const double ns = *value * scale;
+  if (!fits_sim_ns(ns)) return std::nullopt;  // Past what SimTime holds.
+  return checked_sim_ns(ns);
 }
 
 std::optional<std::pair<SimTime, SimTime>> parse_duration_range(std::string_view text) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "resilience/policy.hpp"
 #include "util/time.hpp"
 
 namespace exasim::vmpi {
@@ -32,10 +31,11 @@ enum class Err : std::uint8_t {
 
 std::string to_string(Err e);
 
-/// Error handler attached to a communicator (paper §IV-D) — the resilience
-/// subsystem's ErrorPolicy (kFatal/kReturn/kUser), dispatched by
-/// SimProcess::apply_error_handler.
-using ErrorHandlerKind = resilience::ErrorPolicy;
+/// Error handler attached to a communicator (paper §IV-D: MPI_ERRORS_ARE_FATAL
+/// (default), MPI_ERRORS_RETURN, and user handlers), dispatched by
+/// SimProcess::apply_error_handler. ULFM recovery (paper §VI) runs on top of
+/// kReturn/kUser.
+enum class ErrorHandlerKind : std::uint8_t { kFatal, kReturn, kUser };
 
 /// Receive/operation status returned by waits and receives.
 struct MsgStatus {

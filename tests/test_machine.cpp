@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/heat3d.hpp"
+#include "apps/registry.hpp"
 #include "apps/ring.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "netmodel/network.hpp"
@@ -460,10 +463,60 @@ TEST(Machine, LinkLevelNetworkIsWorkerInvariant) {
   }
 }
 
+// One exasim_run invocation: the CLI's option table, the app registry and the
+// resilient runner, as tools/exasim_run wires them.
+core::RunnerResult run_cli(std::vector<const char*> args, const std::string& app_params) {
+  args.insert(args.begin(), "exasim_run");
+  std::string error;
+  const auto options = core::parse_cli(static_cast<int>(args.size()), args.data(), &error);
+  if (!options) throw std::invalid_argument(error);
+  auto app = apps::make_app(options->positional.front(), app_params, options->machine.ranks);
+  return core::ResilientRunner(core::runner_config_from(*options), std::move(app)).run();
+}
+
+void expect_overflow(std::vector<const char*> args, const std::string& app_params) {
+  try {
+    run_cli(std::move(args), app_params);
+    ADD_FAILURE() << "the run finished instead of naming the overflow";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Machine, NetworkCostPastSimTimeStopsTheRun) {
+  // 1e-300 B/s makes every message take forever, not about 0 s.
+  expect_overflow({"ring", "--ranks=4", "--bandwidth=1e-300"}, "");
+  EXPECT_EQ(run_cli({"ring", "--ranks=4", "--bandwidth=1"}, "").total_time, 96'000'036'000u);
+}
+
+TEST(Machine, ComputeCostPastSimTimeStopsTheRun) {
+  const std::string heat = "nx=16,px=2,iters=10,interval=5";
+  expect_overflow({"heat3d", "--ranks=8", "--ns-per-unit=1e300"}, heat);
+  EXPECT_EQ(run_cli({"heat3d", "--ranks=8", "--ns-per-unit=1e12"}, heat).total_time,
+            5'120'000'000'000'031'096u);
+}
+
+TEST(Machine, StorageCostPastSimTimeStopsTheRun) {
+  expect_overflow({"heat3d", "--ranks=8", "--storage=pfs:bw=1e-300", "--failures=3@1ms"},
+                  "nx=16,px=2,iters=10,interval=5");
+}
+
+TEST(Machine, ReliabilityDrawPastSimTimeIsNoFailure) {
+  // A uniform draw in [0, 2e10 s) with this seed lands past 2^64 ns: the
+  // launch sees no failure instead of one at about t = 0.
+  const auto res = run_cli({"ring", "--ranks=4", "--mttf=1e10s", "--seed=6"}, "");
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.failures, 0);
+  EXPECT_EQ(res.launches, 1);
+  ReliabilityModel model(resilience::FailureDistribution::kUniform2Mttf, sim_sec(10'000'000'000),
+                         4, 6);
+  EXPECT_FALSE(model.draw().has_value());
+}
+
 TEST(ReliabilityModel, Uniform2MttfDrawsInRange) {
   ReliabilityModel m(resilience::FailureDistribution::kUniform2Mttf, sim_sec(6000), 32768, 42);
   for (int i = 0; i < 500; ++i) {
-    FailureSpec f = m.draw();
+    FailureSpec f = m.draw().value();
     EXPECT_GE(f.rank, 0);
     EXPECT_LT(f.rank, 32768);
     EXPECT_LT(f.time, sim_sec(12000));
@@ -474,7 +527,7 @@ TEST(ReliabilityModel, ExponentialMeanRoughlyMttf) {
   ReliabilityModel m(resilience::FailureDistribution::kExponential, sim_sec(100), 8, 7);
   double sum = 0;
   const int n = 5000;
-  for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
+  for (int i = 0; i < n; ++i) sum += to_seconds(m.draw()->time);
   EXPECT_NEAR(sum / n, 100.0, 5.0);
 }
 
@@ -482,7 +535,7 @@ TEST(ReliabilityModel, WeibullMeanRoughlyMttf) {
   ReliabilityModel m(resilience::FailureDistribution::kWeibull, sim_sec(100), 8, 9);
   double sum = 0;
   const int n = 8000;
-  for (int i = 0; i < n; ++i) sum += to_seconds(m.draw().time);
+  for (int i = 0; i < n; ++i) sum += to_seconds(m.draw()->time);
   EXPECT_NEAR(sum / n, 100.0, 8.0);
 }
 

@@ -361,30 +361,6 @@ TEST(DetectorPin, EveryPairOnHierarchicalHotLinkMachine) {
   }
 }
 
-// ---------------------------------------------------------- failure schedule
-
-TEST(FailureSchedule, ParsesRankAtTimePairs) {
-  auto s = resilience::FailureSchedule::parse("1@5ms,2@1s");
-  ASSERT_TRUE(s.has_value());
-  ASSERT_EQ(s->size(), 2u);
-  EXPECT_EQ(s->specs()[0], (FailureSpec{1, sim_ms(5)}));
-  EXPECT_EQ(s->specs()[1], (FailureSpec{2, sim_seconds(1.0)}));
-  EXPECT_FALSE(resilience::FailureSchedule::parse("1@").has_value());
-  EXPECT_FALSE(resilience::FailureSchedule::parse("nope").has_value());
-}
-
-TEST(FailureSchedule, ShiftAndValidation) {
-  resilience::FailureSchedule s;
-  s.add(FailureSpec{0, sim_ms(1)});
-  s.add(FailureSpec{5, sim_ms(2)});
-  s.shift(sim_seconds(1.0));
-  EXPECT_EQ(s.specs()[0].time, sim_seconds(1.0) + sim_ms(1));
-  EXPECT_EQ(s.specs()[1].time, sim_seconds(1.0) + sim_ms(2));
-
-  EXPECT_EQ(s.first_invalid_rank(4), std::optional<int>(5));
-  EXPECT_FALSE(s.first_invalid_rank(6).has_value());
-}
-
 // ------------------------------------------------------------ notice state
 
 TEST(NoticeList, RecordsPeerFailuresWithDetectTimesInRankOrder) {

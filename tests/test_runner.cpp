@@ -144,6 +144,33 @@ TEST(Runner, RestartOverheadAccumulates) {
   EXPECT_EQ(with.total_time, without.total_time + sim_sec(1));
 }
 
+TEST(Runner, DrawnFailuresAreShiftedToEachLaunchStart) {
+  // One reliability draw per launch, relative to launch start; the runner
+  // shifts it to absolute virtual time: the previous launch's end plus the
+  // restart overhead (paper §IV-E). A failure activates at the victim's
+  // first scheduling point at or after its time, within one 64 us iteration.
+  RunnerConfig rc = small_runner(5);
+  rc.system_mttf = sim_ms(2);
+  rc.seed = 12345;
+  rc.restart_overhead = sim_us(7);
+  const RunnerResult res = ResilientRunner(rc, apps::make_heat3d(small_heat(5))).run();
+  resilience::ReliabilityModel reference(rc.distribution, *rc.system_mttf, 8, rc.seed);
+  SimTime start = 0;
+  int shifted = 0;
+  for (const core::SimResult& run : res.run_results) {
+    const FailureSpec drawn = reference.draw().value();
+    if (!run.activated_failures.empty()) {
+      const FailureSpec& activated = run.activated_failures.front();
+      EXPECT_EQ(activated.rank, drawn.rank);
+      EXPECT_GE(activated.time, start + drawn.time);
+      EXPECT_LT(activated.time, start + drawn.time + sim_us(64));
+      if (start > 0) ++shifted;
+    }
+    start = run.max_end_time + rc.restart_overhead;
+  }
+  EXPECT_GT(shifted, 0);
+}
+
 TEST(Runner, RejectsManagedFieldsInBase) {
   RunnerConfig rc;
   rc.base = test::tiny_config(2);

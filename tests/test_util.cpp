@@ -12,6 +12,8 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "util/counters.hpp"
@@ -31,6 +33,26 @@ TEST(Time, ConversionsRoundTrip) {
   EXPECT_EQ(sim_seconds(1.5), 1'500'000'000u);
   EXPECT_DOUBLE_EQ(to_seconds(sim_sec(3)), 3.0);
   EXPECT_DOUBLE_EQ(to_micros(sim_us(7)), 7.0);
+}
+
+TEST(Time, CheckedConversionThrowsPastTheSimTimeRange) {
+  // The largest double below 2^64 ns still fits; 2^64 ns, infinity, NaN and
+  // negative counts do not, and name the overflow instead of wrapping.
+  EXPECT_EQ(checked_sim_ns(0x1p64 - 2048), 18'446'744'073'709'549'568u);
+  EXPECT_EQ(checked_sim_ns(-0.4), 0u);
+  EXPECT_EQ(sim_seconds(1.8e10), 18'000'000'000'000'000'000u);
+  for (const double ns : {0x1p64, 1e300, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(), -2.0}) {
+    EXPECT_FALSE(fits_sim_ns(ns)) << ns;
+    EXPECT_THROW(checked_sim_ns(ns), std::overflow_error) << ns;
+  }
+  EXPECT_THROW(sim_seconds(1.9e10), std::overflow_error);
+  try {
+    (void)sim_seconds(1e300);
+    ADD_FAILURE() << "sim_seconds(1e300) returned";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Time, FormatPicksUnits) {
