@@ -50,6 +50,20 @@ std::optional<TierParams> parse_tier(const std::string& text) {
   return tier;
 }
 
+/// One client's transfer of `bytes` while `clients` share the tier: metadata
+/// latency plus bytes / min(cbw, bw / clients). An unpriced tier (nullptr)
+/// charges nothing.
+SimTime transfer_time(const TierParams* t, std::size_t bytes, int clients) {
+  if (clients < 1) throw std::invalid_argument("clients < 1");
+  if (t == nullptr) return 0;
+  if (bytes == 0) return t->lat;
+  double bw = 0;
+  if (t->bw > 0) bw = t->bw / clients;
+  if (t->cbw > 0) bw = bw > 0 ? std::min(bw, t->cbw) : t->cbw;
+  if (bw <= 0) return t->lat;  // Bandwidth unmodeled: the transfer is free.
+  return t->lat + sim_seconds(static_cast<double>(bytes) / bw);
+}
+
 /// Tier-list grammar only (no preset lookup) — `parse_storage_spec` resolves
 /// preset names through this, so a preset named like a tier ("pfs") cannot
 /// recurse.
@@ -179,23 +193,10 @@ bool StorageHierarchy::fits(StorageTierKind kind, std::size_t bytes,
   return need * static_cast<double>(std::max(1, world_ranks)) <= t->cap;
 }
 
-SimTime StorageHierarchy::transfer_time(StorageTierKind kind, std::size_t bytes,
-                                        int clients) const {
-  if (clients < 1) throw std::invalid_argument("clients < 1");
-  const TierParams* t = tier(kind);
-  if (t == nullptr) return 0;
-  if (bytes == 0) return t->lat;
-  double bw = 0;
-  if (t->bw > 0) bw = t->bw / clients;
-  if (t->cbw > 0) bw = bw > 0 ? std::min(bw, t->cbw) : t->cbw;
-  if (bw <= 0) return t->lat;  // Bandwidth unmodeled: the transfer is free.
-  return t->lat + sim_seconds(static_cast<double>(bytes) / bw);
-}
-
 SimTime StorageHierarchy::write_time(StorageTierKind kind, SimTime start,
                                      std::size_t bytes, int clients) const {
-  const SimTime duration = transfer_time(kind, bytes, clients);
   const TierParams* t = tier(kind);
+  const SimTime duration = transfer_time(t, bytes, clients);
   if (t == nullptr || !t->contend) return duration;
   std::lock_guard<std::mutex> lock(mu_);
   SimTime& busy = busy_until_[static_cast<int>(kind)];
@@ -206,7 +207,7 @@ SimTime StorageHierarchy::write_time(StorageTierKind kind, SimTime start,
 
 SimTime StorageHierarchy::read_time(StorageTierKind kind, std::size_t bytes,
                                     int clients) const {
-  return transfer_time(kind, bytes, clients);
+  return transfer_time(tier(kind), bytes, clients);
 }
 
 }  // namespace exasim

@@ -124,8 +124,6 @@ class StorageHierarchy {
   /// The tier's parameters, or nullptr when the spec leaves it unpriced.
   const TierParams* tier(StorageTierKind kind) const;
 
-  SimTime transfer_time(StorageTierKind kind, std::size_t bytes, int clients) const;
-
   StorageSpec spec_;
   /// Index into spec_.tiers per kind; -1 = unpriced.
   int index_[kStorageTierKinds];

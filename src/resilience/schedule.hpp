@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
 
 #include "util/parse.hpp"
 #include "util/rng.hpp"
