@@ -12,8 +12,8 @@
 #include <iterator>
 #include <memory>
 #include <set>
-#include <string>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/counters.hpp"
