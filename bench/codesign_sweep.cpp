@@ -171,8 +171,7 @@ int main(int argc, char** argv) {
   // Routing x detector campaign: contended fat tree, tree collectives,
   // checkpoint every 125 iterations, with MTTF sized to the contended E2 so
   // failures land inside the run and detection latency shows up in E2.
-  // Contention modeling is exact at one engine worker, the SimConfig
-  // default. The campaign runs at 64 ranks (fattree:16x4): with
+  // The campaign runs at 64 ranks (fattree:16x4): with
   // halo traffic contending every iteration AND failure-driven restart
   // replay, the 512-node fabric costs minutes per configuration; the
   // 4-spine fat tree shows the same routing/contention coupling at a

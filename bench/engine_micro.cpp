@@ -105,43 +105,6 @@ void BM_QueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_QueuePushPop)->Arg(0)->Arg(1)->ArgNames({"streams"});
 
-/// Inbox merge: drain a batch into a loaded queue. range(0) = 0 pushes the
-/// batch one event at a time; 1 uses push_bulk (one Floyd rebuild of the
-/// fallback heap when the batch is large relative to it) — the
-/// LpGroup::merge_inbox path of the sharded engine.
-void BM_QueueBulkMerge(benchmark::State& state) {
-  const bool bulk = state.range(0) != 0;
-  constexpr int kHeap = 1024;   ///< Group heap near a window barrier (drained).
-  constexpr int kBatch = 8192;  ///< The window's inbound mailbox traffic.
-  constexpr SimTime kSpan = 64 * 1024;
-  Rng rng(13);
-  for (auto _ : state) {
-    state.PauseTiming();
-    EventQueue q;
-    for (int i = 0; i < kHeap; ++i) {
-      Event ev;
-      ev.time = rng.next_below(kSpan);
-      ev.seq = static_cast<std::uint64_t>(i);
-      q.push(std::move(ev));
-    }
-    std::vector<Event> inbox(kBatch);
-    for (int i = 0; i < kBatch; ++i) {
-      inbox[i].time = rng.next_below(kSpan);
-      inbox[i].seq = static_cast<std::uint64_t>(kHeap + i);
-    }
-    state.ResumeTiming();
-    if (bulk) {
-      q.push_bulk(inbox);
-    } else {
-      for (Event& ev : inbox) q.push(std::move(ev));
-      inbox.clear();
-    }
-    benchmark::DoNotOptimize(q.min_time());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_QueueBulkMerge)->Arg(0)->Arg(1)->ArgNames({"bulk"});
-
 // ---- Hot-path memory (DESIGN.md §9) ---------------------------------------
 
 struct ChurnPayload final : EventPayload {
@@ -221,78 +184,6 @@ void BM_EventChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventChurn);
-
-// ---- Sharded engine: multi-core window throughput -------------------------
-
-constexpr SimTime kSpinLookahead = 8;
-
-struct SpinPayload final : EventPayload {
-  explicit SpinPayload(int h) : hops(h) {}
-  int hops;
-};
-
-/// Event-dense macro workload: every delivered event burns a fixed slab of
-/// compute (an LCG spin), self-schedules within the window, and occasionally
-/// fans out across LPs at >= lookahead. Execution-bound by construction —
-/// the regime where window parallelism pays. The spin seed depends only on
-/// the event's identity, so the schedule (and total event count) is
-/// byte-identical for every worker count and scheduling policy.
-class SpinLp final : public LogicalProcess {
- public:
-  SpinLp(LpId id, int lp_count) : id_(id), lp_count_(lp_count) {}
-
-  void on_event(Engine& engine, Event&& ev) override {
-    std::uint64_t acc = 0x9e3779b97f4a7c15ull ^ (static_cast<std::uint64_t>(ev.time) << 8) ^
-                        static_cast<std::uint64_t>(id_);
-    for (int i = 0; i < 2000; ++i) {
-      acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-    }
-    benchmark::DoNotOptimize(acc);
-    auto* p = static_cast<SpinPayload*>(ev.payload.get());
-    if (p == nullptr || p->hops <= 0) return;
-    engine.schedule(ev.time + 1 + acc % 4, id_, 0, std::make_unique<SpinPayload>(p->hops - 1));
-    if (acc % 8 == 0) {
-      engine.schedule(ev.time + kSpinLookahead + acc % 16, static_cast<LpId>(acc % lp_count_),
-                      1, std::make_unique<SpinPayload>(p->hops - 1));
-    }
-  }
-  bool terminated() const override { return true; }
-
- private:
-  LpId id_;
-  int lp_count_;
-};
-
-/// range(0) = workers, one LP group each. Real time, not CPU time: the
-/// whole point is wall-clock speedup.
-void BM_ShardedWindowThroughput(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  constexpr int kLps = 64;
-  constexpr int kHops = 40;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine engine;
-    std::vector<std::unique_ptr<SpinLp>> lps;
-    for (LpId i = 0; i < kLps; ++i) {
-      lps.push_back(std::make_unique<SpinLp>(i, kLps));
-      engine.add_process(i, lps.back().get());
-      engine.schedule(static_cast<SimTime>(i % 3), i, 0, std::make_unique<SpinPayload>(kHops));
-    }
-    engine.set_sharding(Engine::ShardingOptions{workers, kSpinLookahead, 1});
-    state.ResumeTiming();
-    engine.run();
-    events = engine.events_processed();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_ShardedWindowThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgName("workers")
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // ---- Fibers ---------------------------------------------------------------
 

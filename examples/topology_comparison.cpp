@@ -106,8 +106,7 @@ int main(int argc, char** argv) {
       "more expensive networks.\n");
 
   // Routing x contention sweep: same halo workload with per-link occupancy
-  // windows folded into delivery times. Contention modeling is exact at one
-  // engine worker, the SimConfig default.
+  // windows folded into delivery times.
   const auto routing_axis = exp::routing_axis();
   const auto plan2 = exp::ExperimentPlan::cross_product(
       {exp::Axis{"topology", topologies}, routing_axis});

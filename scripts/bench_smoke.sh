@@ -44,30 +44,22 @@
 #     and the modeled row's stderr counter lines, peak RSS and gated values,
 #     and the restoring row's peak RSS, go to build/perf_trajectory.json,
 #     which CI uploads.
-#  2. Sharded-engine determinism: the golden row on 2 sim workers must emit a
-#     result-json byte-identical to the sequential golden, and its window
-#     count must match BENCH_baseline.json exactly.
-#  3. Link-level network determinism (DESIGN.md §12): the golden row with an
-#     explicit --routing=deterministic must byte-match the committed golden
-#     (the route refactor's default path is the pre-refactor model), and the
-#     adaptive-routing + per-link-timeout + timeout-detector row must emit
-#     identical result-json on 1 and 2 sim workers.
-#  4. Hot-path counters live (DESIGN.md §13): the default golden run's
+#  2. Link-level network (DESIGN.md §12): the golden row with an explicit
+#     --routing=deterministic must byte-match the committed golden (the
+#     route refactor's default path is the pre-refactor model), and the
+#     adaptive-routing + per-link-timeout + timeout-detector row must emit a
+#     result-json that differs from it.
+#  3. Hot-path counters live (DESIGN.md §13): the default golden run's
 #     stderr must report suppressed wakeups and queue pops served from
 #     sorted runs actually happening. That eager dispatch (the wakeup filter
-#     off) reproduces the golden on 1 and 2 sim workers is checked by ctest
-#     (test_runner's GoldenRow test), on the run's own ProcessConfig.
-#  5. Tiered storage (DESIGN.md §14): the golden row with an explicit
+#     off) reproduces the golden is checked by ctest (test_runner's
+#     GoldenRow test), on the run's own ProcessConfig.
+#  4. Tiered storage (DESIGN.md §14): the golden row with an explicit
 #     --storage=pfs --ckpt-mode=pfs must byte-match the committed golden
 #     (the hierarchy's default path is the pre-refactor flat model), and a
 #     staged-mode probe with an injected failure must report partner copies
 #     being made and a restart recovered from a surviving non-PFS tier.
-#  6. Multi-core speedup (skipped below 4 CPUs): the event-dense
-#     BM_ShardedWindowThroughput macro benchmark on 4 workers must beat 1
-#     worker by the factor recorded in BENCH_baseline.json. Each worker
-#     count runs 5 repetitions and the medians are compared, since single
-#     runs of this row spread from 1.2x to 3x on one host.
-#  7. Table II at paper scale: bench/table2_checkpoint's six 32,768-rank rows
+#  5. Table II at paper scale: bench/table2_checkpoint's six 32,768-rank rows
 #     (E1, E2, F, MTTF_a per MTTF x checkpoint interval) must byte-match
 #     scripts/table2.golden.csv. Every other golden runs at most 1,024 ranks.
 #     The bench writes table2.csv into its working directory, so it runs from
@@ -81,7 +73,7 @@ JOBS="${1:-$(nproc 2>/dev/null || echo 2)}"
 GOLDEN=scripts/bench_smoke_result.golden.json
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS" --target exasim_run engine_micro table2_checkpoint >/dev/null
+cmake --build build -j "$JOBS" --target exasim_run table2_checkpoint >/dev/null
 
 WORKLOAD=$(jq -r .workload BENCH_baseline.json)
 if [ ! -f "$GOLDEN" ]; then
@@ -97,12 +89,10 @@ import json, os, re, statistics, subprocess, time
 PAIRS = 7
 TOLERANCE = 1.65
 MODELED_RANKS = 32768
-# One worker: stack bytes copied follow the thread layout.
 MODELED = ("heat3d --ranks=32768 --topology=torus:32x32x32 --link-latency=1us "
            "--bandwidth=32e9 --overhead=500ns --eager-threshold=262144 "
            "--failure-timeout=100ms --slowdown=1000 --ns-per-unit=1281 "
-           "--stack-bytes=65536 --app-params=nx=512,px=32,iters=1000,interval=125 "
-           "--sim-workers=1")
+           "--stack-bytes=65536 --app-params=nx=512,px=32,iters=1000,interval=125")
 RESTORING = MODELED + " --failures=5@1000s"
 COUNTER_LINES = ("perf", "pool", "stacks", "wakeups", "queue")
 RSS_TOLERANCE = 1.03    # Median peak RSS per rank over its pin.
@@ -239,36 +229,7 @@ if memory_problems:
                      "BENCH_baseline.json's pins:\n  " + "\n  ".join(memory_problems))
 EOF
 
-echo "== bench smoke: sharded engine (2 workers, json byte-stable) =="
-# shellcheck disable=SC2086
-./build/tools/exasim_run $WORKLOAD --sim-workers=2 \
-  --result-json=/tmp/bench_smoke_fixed.json >/dev/null 2>/tmp/bench_smoke_fixed.stderr
-
-jq -S 'del(.wall_seconds, .events_per_sec)' /tmp/bench_smoke_fixed.json \
-  >/tmp/bench_smoke_fixed.stripped.json
-if ! cmp -s /tmp/bench_smoke_fixed.stripped.json "$GOLDEN"; then
-  echo "bench_smoke.sh: sharded result-json drifted from the sequential golden:" >&2
-  diff "$GOLDEN" /tmp/bench_smoke_fixed.stripped.json >&2 || true
-  exit 1
-fi
-echo "  sharded result-json matches the sequential golden"
-
-python3 - <<'EOF'
-import json, re
-
-baseline = json.load(open("BENCH_baseline.json"))["scheduler"]["macro_sharded"]
-err = open("/tmp/bench_smoke_fixed.stderr").read()
-m = re.search(r"sched\s*: (\d+) windows, (\d+) steals, ([\d.]+) s barrier idle", err)
-if not m:
-    raise SystemExit("could not parse sched counters:\n" + err)
-windows, steals, idle = int(m.group(1)), int(m.group(2)), float(m.group(3))
-print(f"  2 workers: {windows} windows, {steals} steals, idle {idle:.2f}s")
-if windows != baseline["fixed_windows"]:
-    raise SystemExit(f"window count {windows} != baseline {baseline['fixed_windows']}"
-                     " (the conservative cycle structure drifted)")
-EOF
-
-echo "== bench smoke: link-level network (deterministic == golden, adaptive worker-stable) =="
+echo "== bench smoke: link-level network (deterministic == golden, adaptive differs) =="
 # Explicit deterministic routing must be the byte-identical default path.
 # shellcheck disable=SC2086
 ./build/tools/exasim_run $WORKLOAD --routing=deterministic \
@@ -283,28 +244,19 @@ fi
 echo "  --routing=deterministic matches $GOLDEN"
 
 # The full link-level path (adaptive routing, per-link timeout distribution,
-# timeout detector) must be deterministic across engine worker counts.
-for w in 1 2; do
-  # shellcheck disable=SC2086
-  ./build/tools/exasim_run $WORKLOAD --sim-workers=$w \
-    --routing=adaptive --link-timeouts=uniform:50ms..200ms,seed=7 \
-    --failure-detector=timeout \
-    --result-json="/tmp/bench_smoke_linklevel_$w.json" >/dev/null 2>&1
-  jq -S 'del(.wall_seconds, .events_per_sec)' "/tmp/bench_smoke_linklevel_$w.json" \
-    >"/tmp/bench_smoke_linklevel_$w.stripped.json"
-done
-if ! cmp -s /tmp/bench_smoke_linklevel_1.stripped.json \
-            /tmp/bench_smoke_linklevel_2.stripped.json; then
-  echo "bench_smoke.sh: adaptive+link-timeouts result-json differs across sim workers:" >&2
-  diff /tmp/bench_smoke_linklevel_1.stripped.json \
-       /tmp/bench_smoke_linklevel_2.stripped.json >&2 || true
-  exit 1
-fi
-if cmp -s /tmp/bench_smoke_linklevel_1.stripped.json /tmp/bench_smoke_routed.stripped.json; then
+# timeout detector) must show in the result.
+# shellcheck disable=SC2086
+./build/tools/exasim_run $WORKLOAD \
+  --routing=adaptive --link-timeouts=uniform:50ms..200ms,seed=7 \
+  --failure-detector=timeout \
+  --result-json=/tmp/bench_smoke_linklevel.json >/dev/null 2>&1
+jq -S 'del(.wall_seconds, .events_per_sec)' /tmp/bench_smoke_linklevel.json \
+  >/tmp/bench_smoke_linklevel.stripped.json
+if cmp -s /tmp/bench_smoke_linklevel.stripped.json /tmp/bench_smoke_routed.stripped.json; then
   echo "bench_smoke.sh: link-timeout overrides had no observable effect on the golden row" >&2
   exit 1
 fi
-echo "  adaptive+link-timeouts row identical on 1 and 2 workers (and distinct from default)"
+echo "  adaptive+link-timeouts row distinct from the default"
 
 echo "== bench smoke: hot-path counters live (suppressed wakeups, run pops) =="
 python3 - <<'EOF'
@@ -315,7 +267,7 @@ m = re.search(r"wakeups\s*: (\d+) resumes, (\d+) suppressed", err)
 if not m:
     raise SystemExit("no wakeups counter line in the default golden-row stderr:\n" + err)
 resumes, suppressed = int(m.group(1)), int(m.group(2))
-q = re.search(r"queue\s*: \d+ pops, (\d+) run pops \(([\d.]+)%\), (\d+) bulk merges", err)
+q = re.search(r"queue\s*: \d+ pops, (\d+) run pops \(([\d.]+)%\)", err)
 if not q:
     raise SystemExit("no queue counter line in the default golden-row stderr:\n" + err)
 run_pops = int(q.group(1))
@@ -370,41 +322,6 @@ if "completed    : yes" not in out and not re.search(r"completed\s*: yes", out):
     raise SystemExit("staged probe did not complete after the failure:\n" + out)
 EOF
 echo "  staged probe recovered from a non-PFS tier"
-
-CORES=$(nproc 2>/dev/null || echo 1)
-if [ "$CORES" -lt 4 ]; then
-  echo "== bench smoke: multi-core speedup skipped ($CORES CPUs < 4) =="
-else
-  echo "== bench smoke: multi-core speedup (4 vs 1 workers) =="
-  ./build/bench/engine_micro \
-    --benchmark_filter='BM_ShardedWindowThroughput/workers:(1|4)/' \
-    --benchmark_min_time=0.5 --benchmark_repetitions=5 \
-    --benchmark_format=json >/tmp/bench_smoke_sharded.json
-
-  python3 - <<'EOF'
-import json
-
-baseline = json.load(open("BENCH_baseline.json"))["scheduler"]["macro_sharded"]
-data = json.load(open("/tmp/bench_smoke_sharded.json"))
-times = {}
-for b in data["benchmarks"]:
-    if b.get("aggregate_name") != "median":
-        continue
-    if "workers:1" in b["name"]:
-        times[1] = b["real_time"]
-    elif "workers:4" in b["name"]:
-        times[4] = b["real_time"]
-if 1 not in times or 4 not in times:
-    raise SystemExit("missing BM_ShardedWindowThroughput median rows")
-speedup = times[1] / times[4]
-need = baseline["min_speedup_4v1"]
-status = "ok" if speedup >= need else "REGRESSION"
-print(f"  4-vs-1 worker speedup of the medians of 5: {speedup:.2f}x "
-      f"({times[1]:.2f} / {times[4]:.2f} ms, need >= {need}x) {status}")
-if speedup < need:
-    raise SystemExit("multi-core speedup fell below the BENCH_baseline.json floor")
-EOF
-fi
 
 echo "== bench smoke: Table II at 32,768 ranks (table2.csv == golden) =="
 T2DIR=$(mktemp -d)

@@ -7,18 +7,11 @@
 # `exasim_run --help`), then the thread-safety gate —
 # a ThreadSanitizer build of the experiment executor, fiber, PDES engine, MPI
 # point-to-point, and resilience tests (the suites that exercise the parallel
-# campaign machinery, the sharded engine, and the failure-notification bus
-# end to end; test_fiber's relaunch case runs a 64-rank ResilientRunner for
-# 3 launches on 4 engine workers, so LP groups stolen by other workers take
-# their shared fiber stack and the saved stack images of their ranks along,
-# and test_vmpi_p2p's stack-receive cases deliver into saved images on 4
-# workers; test_exp runs two simulations side by side and checks that each
-# run's counters are its own). The TSan suites run twice: as-is, and with
-# EXASIM_SIM_WORKERS=4 so every engine run inside them is forced onto
-# multiple worker threads (claim tokens and work stealing included). A
-# third, scoped repeat runs test_storage with
-# EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
-# windows and drain bookkeeping under the race detector. In the ASan build
+# campaign machinery and the failure-notification bus end to end; test_exp
+# runs two simulations side by side on --jobs worker threads and checks that
+# each run's counters are its own). A scoped repeat runs test_storage with
+# EXASIM_CKPT_MODE=staged — the tiered writer's occupancy windows and drain
+# bookkeeping under the race detector. In the ASan build
 # every pool block comes from the heap (util::kPoolSlabs), so ASan sees
 # redzones, quarantine and leaks for each. Besides the pool, fiber (copying
 # stacks), engine and resilience suites, and test_vmpi_p2p's deliveries
@@ -124,14 +117,10 @@ run_tsan() {
   cmake --build build-tsan -j "$JOBS" --target test_exp test_fiber test_pdes test_vmpi_p2p test_resilience test_storage
   (cd build-tsan && ctest --output-on-failure -R 'test_exp|test_fiber|test_pdes|test_vmpi_p2p|test_resilience|test_storage')
 
-  echo "== tier 1: ThreadSanitizer, forced multi-worker engine =="
-  (cd build-tsan && EXASIM_SIM_WORKERS=4 ctest --output-on-failure -R 'test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
-
-  echo "== tier 1: ThreadSanitizer, staged checkpointing on the sharded engine =="
+  echo "== tier 1: ThreadSanitizer, staged checkpointing =="
   # Scoped to test_storage: the staged env default would change the simulated
   # times that other suites pin exactly.
-  (cd build-tsan && EXASIM_SIM_WORKERS=4 EXASIM_CKPT_MODE=staged \
-    ctest --output-on-failure -R 'test_storage')
+  (cd build-tsan && EXASIM_CKPT_MODE=staged ctest --output-on-failure -R 'test_storage')
 }
 
 run_asan() {

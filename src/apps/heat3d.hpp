@@ -25,10 +25,9 @@ enum class HeatPhase : std::uint8_t {
 const char* to_string(HeatPhase p);
 
 /// Optional per-rank phase telemetry. Each slot is written only by its own
-/// rank's fiber (which the sharded engine pins to one worker thread), so
-/// plain per-slot writes are safe; read after the run. `last_phase[rank]`
-/// tracks the phase a rank was last executing (the phase an abort/failure
-/// interrupted).
+/// rank's fiber, so plain per-slot writes are safe; read after the run.
+/// `last_phase[rank]` tracks the phase a rank was last executing (the phase
+/// an abort/failure interrupted).
 struct HeatTelemetry {
   std::vector<HeatPhase> last_phase;
   explicit HeatTelemetry(int ranks)

@@ -117,8 +117,7 @@ struct RestorePlan {
 /// finalized are valid restart candidates.
 ///
 /// The store outlives individual simulation runs — it is the persistent
-/// state that survives an abort/restart cycle. All methods are thread-safe:
-/// ranks checkpointing concurrently live on different engine workers.
+/// state that survives an abort/restart cycle. All methods are thread-safe.
 class CheckpointStore {
   /// A version's tables are world-sized, so each entry is kept small
   /// (DESIGN.md §9): a file is 32 bytes, a header-sized payload included,

@@ -68,8 +68,7 @@ const std::vector<CliOption>& cli_options() {
        "default uniform",
        [](O& o, V v) { return assign(o.machine.net.link_timeouts, parse_link_timeout_spec(v)); }},
       {"contention", nullptr, nullptr,
-       "fold per-link occupancy waits into delivery times; exact at --sim-workers=1, "
-       "approximate otherwise",
+       "fold per-link occupancy waits into delivery times",
        [](O& o, V) {
          o.machine.net.contention = true;
          return true;
@@ -109,7 +108,7 @@ const std::vector<CliOption>& cli_options() {
       {"seed", "N", nullptr, "random seed", [](O& o, V v) { return assign(o.seed, parse_u64(v)); }},
       {"max-restarts", "N", nullptr, "restart budget of the failure/restart loop",
        [](O& o, V v) { return assign(o.max_restarts, parse_int(v, 0, kIntMax)); }},
-      {"stack-bytes", "N", nullptr, "size of each LP group's shared fiber stack",
+      {"stack-bytes", "N", nullptr, "size of the engine's shared fiber stack",
        [](O& o, V v) { return assign(o.machine.process.fiber_stack_bytes, parse_u64(v)); }},
       {"measured-compute", nullptr, nullptr,
        "also fold scaled native fiber CPU time into the virtual clock",
@@ -134,9 +133,8 @@ const std::vector<CliOption>& cli_options() {
        "worker threads for replicates; 0 = usable CPUs (affinity/cgroup aware); default "
        "EXASIM_JOBS, else 1",
        [](O& o, V v) { return assign(o.jobs, parse_int(v, 0, kIntMax)); }},
-      {"sim-workers", "N", "EXASIM_SIM_WORKERS",
-       "engine worker threads inside one simulation: 1 = sequential (default); any N gives "
-       "identical results, and N > 1 has measured slower than 1",
+      {"sim-workers", "N", nullptr,
+       "accepted for compatibility and ignored: every simulation runs on one engine thread",
        [](O& o, V v) { return assign(o.machine.sim_workers, parse_int(v, 1, kIntMax)); }},
   };
   return kOptions;

@@ -87,8 +87,7 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
 Machine::~Machine() = default;
 
 SimResult Machine::run() {
-  // This run's counters: this thread's over the run, plus the engine's other
-  // worker threads' (metrics/perf.hpp).
+  // This run's counters: this thread's over the run (metrics/perf.hpp).
   const util::Counters counters_begin = util::thread_counters();
   const auto wall_begin = std::chrono::steady_clock::now();
 
@@ -120,32 +119,6 @@ SimResult Machine::run() {
     engine_.schedule(config_.initial_time, r, vmpi::kEvStart, nullptr);
   }
 
-  // Engine sharding: LP groups aligned to nodes so that only cross-node
-  // traffic — which the network model bounds below by min_remote_latency()
-  // — crosses groups. Causality violations throw; the one exception is the
-  // kControl failure/abort/revoke notices broadcast "at now", which may
-  // arrive up to one conservative window (µs-scale) late, absorbed
-  // by the ms-scale failure timeouts governing observable behavior
-  // (DESIGN.md §11).
-  Engine::ShardingOptions shard;
-  shard.workers = config_.sim_workers;
-  shard.lookahead = network_->min_remote_latency();
-  shard.block_alignment = network_->ranks_per_node();
-  if (network_->params().contention && shard.workers > 1) {
-    // Busy-window interleaving across LP groups depends on window boundaries:
-    // contention delays are a modeled approximation there, not the exact
-    // sequential schedule. Everything else stays deterministic.
-    EXASIM_WARN() << "link contention with " << shard.workers
-                  << " sim workers: contended delays are approximate; use "
-                     "--sim-workers=1 for exact contention modeling";
-  }
-  if (storage_->any_contended() && shard.workers > 1) {
-    EXASIM_WARN() << "storage contention with " << shard.workers
-                  << " sim workers: occupancy-window delays are approximate; "
-                     "use --sim-workers=1 for exact contention modeling";
-  }
-  engine_.set_sharding(std::move(shard));
-
   engine_.run();
   if (fiber_error_) std::rethrow_exception(fiber_error_);
 
@@ -166,9 +139,7 @@ SimResult Machine::run() {
   }
   result.min_end_time = sim_seconds(end_times.min());
   result.avg_end_time_sec = end_times.mean();
-  // Hook order across LP groups is scheduling-dependent; (time, rank) is the
-  // order the sequential engine produces, so sorting makes the report
-  // identical for every worker count.
+  // Report the activations in (time, rank) order.
   std::sort(activated_.begin(), activated_.end(),
             [](const FailureSpec& a, const FailureSpec& b) {
               return a.time != b.time ? a.time < b.time : a.rank < b.rank;
@@ -199,7 +170,7 @@ SimResult Machine::run() {
     result.notice_arrivals.insert(result.notice_arrivals.end(), told.begin(), told.end());
   }
   // (t_fail, failed_rank, observer) is a total order over the records (a
-  // rank hears of each failure once), whichever worker delivered them.
+  // rank hears of each failure once).
   std::sort(result.notice_arrivals.begin(), result.notice_arrivals.end(),
             [](const resilience::NoticeArrival& a, const resilience::NoticeArrival& b) {
               if (a.t_fail != b.t_fail) return a.t_fail < b.t_fail;
@@ -207,9 +178,7 @@ SimResult Machine::run() {
               return a.observer < b.observer;
             });
   result.events_processed = engine_.events_processed();
-  util::Counters counters = util::thread_counters() - counters_begin;
-  counters += engine_.worker_counters();
-  result.perf = perf_of(counters);
+  result.perf = perf_of(util::thread_counters() - counters_begin);
   result.perf.stacks_high_water = engine_.stack_images_peak();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_begin).count();

@@ -83,10 +83,9 @@ struct SimConfig {
   /// scale; for performance investigation on small/medium machines).
   bool trace = false;
 
-  /// Engine worker threads (LP groups): 1 = sequential engine, N > 1 =
-  /// conservative-window parallel engine with N groups; below 1 is rejected
-  /// (exasim::resolve_sim_workers). Every setting delivers the identical
-  /// simulated schedule.
+  /// Has no effect: every value runs the one sequential engine (DESIGN.md
+  /// §8). Below 1 is rejected (exasim::resolve_sim_workers). Kept only
+  /// because simbench sets it.
   int sim_workers = 1;
 };
 
@@ -147,8 +146,7 @@ struct SimResult {
 
   /// Every rank's failed-process list (DESIGN.md §15): one record per
   /// failure notice the engine actually delivered, sorted by (t_fail,
-  /// failed_rank, observer) so the records are byte-identical across
-  /// `--sim-workers` settings. Not part of sim_result_json() — the model
+  /// failed_rank, observer). Not part of sim_result_json() — the model
   /// checker consumes it directly for missed-notification detection.
   std::vector<resilience::NoticeArrival> notice_arrivals;
   /// Final virtual time of every rank (index = world rank; 0 for a rank that
@@ -259,8 +257,8 @@ class Machine final : public vmpi::SystemHooks {
   std::unique_ptr<vmpi::MemoryTraceSink> trace_;
   std::vector<std::unique_ptr<vmpi::SimProcess>> processes_;
 
-  /// Guards activated_/abort_time_/abort_origin_/fiber_error_: SystemHooks
-  /// fire from whichever engine worker owns the reporting rank's LP group.
+  /// Guards activated_/abort_time_/abort_origin_/fiber_error_, which the
+  /// SystemHooks write.
   mutable std::mutex hooks_mutex_;
   std::exception_ptr fiber_error_;  ///< First exception out of a rank's fiber.
   std::vector<FailureSpec> activated_;

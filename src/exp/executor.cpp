@@ -94,12 +94,6 @@ int resolve_jobs(int requested) {
   return default_jobs();
 }
 
-int compose_jobs(int requested_jobs, int sim_workers_per_run) {
-  const int jobs = resolve_jobs(requested_jobs);
-  const int per_run = std::max(sim_workers_per_run, 1);
-  return std::max(1, (jobs + per_run - 1) / per_run);
-}
-
 int jobs_from_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

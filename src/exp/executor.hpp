@@ -34,13 +34,6 @@ int resolve_jobs(int requested);
 /// arguments are ignored, so benches with no further CLI stay one-liners.
 int jobs_from_cli(int argc, char** argv);
 
-/// Composes the campaign-level job count with the engine-level worker count:
-/// when every simulation in the campaign itself runs `sim_workers_per_run`
-/// engine threads, the campaign should only run ceil(jobs /
-/// sim_workers_per_run) simulations at once to keep the total thread count
-/// near `requested_jobs` (both knobs resolved first; result >= 1).
-int compose_jobs(int requested_jobs, int sim_workers_per_run);
-
 struct ExecutorOptions {
   /// Worker thread count; see resolve_jobs(). Default: EXASIM_JOBS or 1.
   int jobs = -1;

@@ -304,9 +304,9 @@ void Fiber::switch_in() {
     bind();
     return;
   }
-  // A stack serves one LP group; resuming a fiber on another group's turn
-  // would run two groups' fibers on one stack. The teardown unwind
-  // (~Fiber) runs outside any group.
+  // A stack serves one engine; resuming a fiber while another stack is in
+  // use would run two engines' fibers on one stack. The teardown unwind
+  // (~Fiber) runs outside any engine run.
   if (t_stack != nullptr && t_stack != stack_ && !unwinding_) {
     throw std::logic_error("fiber resumed while another fiber stack is in use");
   }

@@ -38,7 +38,7 @@ class Fiber;
 /// fiber binds to it, at that fiber's stack size; a destroyed stack's mapping
 /// is parked, touched pages intact, for the next stack of its size.
 ///
-/// The Engine owns one per LP group (pdes/engine.hpp). A fiber binds to the
+/// The Engine owns one (pdes/engine.hpp). A fiber binds to the
 /// stack in use on its thread when it is first resumed (see Use), or to the
 /// thread's default stack of its size if none is. It stays bound: its saved
 /// image holds absolute stack addresses. A stack must outlive every fiber
@@ -114,10 +114,9 @@ class FiberStack {
 /// Threading contract: a fiber is pinned to one native thread at a time —
 /// yield() returns control to whichever thread last called resume(), via
 /// that thread's thread-local resumer slot — and to one FiberStack for its
-/// life. The sharded engine satisfies both by construction: a simulated
-/// process's fiber is only ever resumed while its LP group runs, on that
-/// group's stack, and the window barriers order the group's turns on
-/// different worker threads.
+/// life. The engine satisfies both by construction: a simulated process's
+/// fiber is only ever resumed by its engine's run(), on that engine's
+/// stack.
 class Fiber {
  public:
   /// The body: a plain function and its argument, 16 bytes inline, so a

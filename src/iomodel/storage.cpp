@@ -172,13 +172,6 @@ const TierParams* StorageHierarchy::tier(StorageTierKind kind) const {
 
 bool StorageHierarchy::has(StorageTierKind kind) const { return tier(kind) != nullptr; }
 
-bool StorageHierarchy::any_contended() const {
-  for (const auto& t : spec_.tiers) {
-    if (t.contend) return true;
-  }
-  return false;
-}
-
 bool StorageHierarchy::fits(StorageTierKind kind, std::size_t bytes,
                             int world_ranks, int replicas) const {
   const TierParams* t = tier(kind);

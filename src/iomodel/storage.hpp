@@ -34,8 +34,7 @@ struct TierParams {
   /// shared tiers divide capacity evenly over the world size.
   double cap = 0;
   /// Fold occupancy-window waits into write times (the same queueing
-  /// shape as per-link network contention, DESIGN.md §12): exact at
-  /// --sim-workers=1, approximate otherwise (core::Machine warns).
+  /// shape as per-link network contention, DESIGN.md §12).
   bool contend = false;
 
   friend bool operator==(const TierParams&, const TierParams&) = default;
@@ -98,8 +97,6 @@ class StorageHierarchy {
 
   /// True when the spec prices the tier (present in the tier list).
   bool has(StorageTierKind kind) const;
-
-  bool any_contended() const;
 
   /// Whether `bytes` fit the tier's capacity budget: node memory must hold
   /// `replicas` copies per rank (own + hosted partner images); shared tiers

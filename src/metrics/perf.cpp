@@ -9,8 +9,9 @@ namespace {
 
 using util::Counter;
 
-/// The flow fields and the block slot each one names. sched_window_widenings,
-/// fanout_relays and fanout_dead_skips have no slot: they are always 0.
+/// The flow fields and the block slot each one names. The sched_* fields,
+/// bulk_merges, fanout_relays and fanout_dead_skips have no slot: they are
+/// always 0.
 constexpr std::pair<std::uint64_t PerfSnapshot::*, Counter> kFlows[] = {
     {&PerfSnapshot::pool_allocs, Counter::kPoolAllocs},
     {&PerfSnapshot::pool_frees, Counter::kPoolFrees},
@@ -21,14 +22,10 @@ constexpr std::pair<std::uint64_t PerfSnapshot::*, Counter> kFlows[] = {
     {&PerfSnapshot::stacks_reused, Counter::kStacksReused},
     {&PerfSnapshot::stack_bytes_copied, Counter::kStackBytesCopied},
     {&PerfSnapshot::fanout_notices, Counter::kFanoutNotices},
-    {&PerfSnapshot::sched_windows, Counter::kSchedWindows},
-    {&PerfSnapshot::sched_steals, Counter::kSchedSteals},
-    {&PerfSnapshot::sched_barrier_idle_ns, Counter::kSchedBarrierIdleNs},
     {&PerfSnapshot::fiber_resumes, Counter::kFiberResumes},
     {&PerfSnapshot::wakeups_suppressed, Counter::kWakeupsSuppressed},
     {&PerfSnapshot::queue_pops, Counter::kQueuePops},
     {&PerfSnapshot::queue_near_hits, Counter::kQueueRunPops},
-    {&PerfSnapshot::bulk_merges, Counter::kQueueBulkMerges},
     {&PerfSnapshot::ckpt_stages, Counter::kCkptStages},
     {&PerfSnapshot::ckpt_drains, Counter::kCkptDrains},
     {&PerfSnapshot::ckpt_partner_copies, Counter::kCkptPartnerCopies},

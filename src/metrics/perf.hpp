@@ -8,9 +8,8 @@ namespace exasim {
 
 /// Hot-path counters of one run, or of the whole process (DESIGN.md §9).
 ///
-/// Per run: core::Machine::run fills SimResult::perf from the counter blocks
-/// (util/counters.hpp) of the threads that ran it — the calling thread's
-/// difference over the run plus that of each engine worker thread — so
+/// Per run: core::Machine::run fills SimResult::perf from the difference of
+/// its thread's counter block (util/counters.hpp) over the run, so
 /// simulations running side by side (--jobs, exasim_mc) never count each
 /// other's traffic. Every field is such a flow except two levels:
 /// stacks_high_water and ckpt_restore_tier (see their comments). Summing
@@ -28,13 +27,13 @@ struct PerfSnapshot {
   std::uint64_t pool_heap_allocs = 0;  ///< Allocs routed to ::operator new.
   std::uint64_t pool_slab_bytes = 0;   ///< Bytes of slab carved so far.
 
-  // Copying fiber stacks (one guarded FiberStack per LP group, a saved
-  // image per suspended fiber; see src/fiber/fiber.hpp).
+  // Copying fiber stacks (one guarded FiberStack per engine, a saved image
+  // per suspended fiber; see src/fiber/fiber.hpp).
   std::uint64_t stacks_mapped = 0;  ///< FiberStack mmaps.
   std::uint64_t stacks_reused = 0;  ///< FiberStacks served from a parked mapping.
   /// Peak number of saved stack images alive at once during the run: a
-  /// level Machine::run reads from its engine's stacks (their peaks summed
-  /// for a sharded run). perf_snapshot() leaves it 0.
+  /// level Machine::run reads from its engine's stack. perf_snapshot()
+  /// leaves it 0.
   std::uint64_t stacks_high_water = 0;
   std::uint64_t stack_bytes_copied = 0;  ///< Live stack bytes switches copied out and in.
 
@@ -43,24 +42,23 @@ struct PerfSnapshot {
   std::uint64_t fanout_relays = 0;      ///< Always 0 (no relay carriers); simbench reads it.
   std::uint64_t fanout_dead_skips = 0;  ///< Always 0 (dropped at delivery); simbench reads it.
 
-  // Sharded-engine windows and stealing (DESIGN.md §11). Host-timing-
-  // sensitive statistics — never part of the simulated result, which is
-  // identical for every worker count.
-  std::uint64_t sched_windows = 0;           ///< Window phases decided.
-  std::uint64_t sched_window_widenings = 0;  ///< Always 0 (no window widens); simbench reads it.
-  std::uint64_t sched_steals = 0;            ///< Groups run by non-home workers.
-  std::uint64_t sched_barrier_idle_ns = 0;   ///< Worker ns waiting at barriers.
+  // The deleted sharded engine's window statistics (DESIGN.md §8): always
+  // 0, kept only because simbench reads them.
+  std::uint64_t sched_windows = 0;
+  std::uint64_t sched_window_widenings = 0;
+  std::uint64_t sched_steals = 0;
+  std::uint64_t sched_barrier_idle_ns = 0;
 
   // Hot-path dispatch & queue traffic (DESIGN.md §13): fiber context
-  // switches, spurious resumes the vmpi wakeup filter skipped, event-queue
-  // pops (all of them, and those served from a sorted run), and bulk inbox
-  // merges. Each pop delivers an event or drops one for a dead target:
+  // switches, spurious resumes the vmpi wakeup filter skipped, and
+  // event-queue pops (all of them, and those served from a sorted run).
+  // Each pop delivers an event or drops one for a dead target:
   // queue_pops = events processed + events dropped dead.
   std::uint64_t fiber_resumes = 0;       ///< Fiber::resume switches.
   std::uint64_t wakeups_suppressed = 0;  ///< Spurious resumes filtered out.
   std::uint64_t queue_pops = 0;          ///< Pops by the delivery loops.
   std::uint64_t queue_near_hits = 0;     ///< Pops from a sorted run.
-  std::uint64_t bulk_merges = 0;         ///< EventQueue::push_bulk calls.
+  std::uint64_t bulk_merges = 0;         ///< Always 0 (no bulk merges); simbench reads it.
 
   // Tiered checkpointing (DESIGN.md §14): non-PFS checkpoint stages,
   // background tier-to-tier drains, partner replicas shipped over the
@@ -74,6 +72,7 @@ struct PerfSnapshot {
 
   PerfSnapshot& operator+=(const PerfSnapshot& o);
   PerfSnapshot operator-(const PerfSnapshot& o) const;
+  friend bool operator==(const PerfSnapshot&, const PerfSnapshot&) = default;
 };
 
 /// Names the values of a counter block; stacks_high_water stays 0.

@@ -80,9 +80,7 @@ SimTime NetworkModel::contention_delay(SimTime now, int src, int dst,
   // the payload serialization; a message waits wherever its route hits a
   // still-busy link (cut-through: only the waits are charged on top of the
   // uncontended pipeline cost). The per-pair seq counter follows fiber
-  // program order, so variant choice is reproducible for a given worker
-  // count; busy-window interleaving across pairs makes the added waits exact
-  // only at --sim-workers=1 (core::Machine warns otherwise).
+  // program order, so variant choice is reproducible.
   check_nodes(src, dst);
   const SimTime occupancy =
       params_.link_latency + bytes_over_bandwidth(bytes, params_.bandwidth_bytes_per_sec);

@@ -30,8 +30,7 @@ struct NetworkParams {
   /// Per-link failure-timeout overrides (DESIGN.md §12). The default uniform
   /// spec keeps `failure_timeout` for every link and builds no table.
   LinkTimeoutSpec link_timeouts;
-  /// Fold per-link occupancy windows into delivery times (off by default;
-  /// exactly deterministic only at --sim-workers=1).
+  /// Fold per-link occupancy windows into delivery times (off by default).
   bool contention = false;
 };
 
@@ -151,19 +150,6 @@ class NetworkModel {
   /// the timeout detector).
   SimTime max_failure_timeout() const { return max_failure_timeout_; }
 
-  /// Lower bound on the delivery time of any message between two distinct
-  /// nodes — the engine's conservative-window lookahead: no cross-node event
-  /// scheduled at virtual time t can arrive before t + min_remote_latency().
-  /// Provable over any route: every route between distinct nodes traverses
-  /// at least one link (o + at least one hop of L with zero payload), every
-  /// route variant is minimal, and the optional layers (contention waits,
-  /// link timeouts) only ever *add* delay. It is the system level's, matching
-  /// the engine's node-aligned LP grouping (intra-node traffic never crosses
-  /// groups).
-  SimTime min_remote_latency() const {
-    return params_.per_message_overhead + params_.link_latency;
-  }
-
  private:
   const NetworkLevel& level(Level l) const { return levels_[static_cast<std::size_t>(l)]; }
 
@@ -190,7 +176,7 @@ class NetworkModel {
   SimTime max_failure_timeout_;
 
   /// Contention state (only touched when params_.contention). Guarded by
-  /// net_mutex_: delivery queries come from any engine worker thread.
+  /// net_mutex_.
   mutable std::mutex net_mutex_;
   mutable std::vector<SimTime> link_busy_;  ///< Busy-until per link id.
   mutable std::unordered_map<std::uint64_t, std::uint64_t> flow_seq_;

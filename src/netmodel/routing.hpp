@@ -50,7 +50,7 @@ RoutingSpec resolve_routing_spec(const std::string& configured);
 /// Route variant (< equal_cost) for the seq-th message of the (src, dst)
 /// flow, where equal_cost = Topology::route_count(src, dst). Pure: the
 /// variant depends only on the arguments, so route choice is reproducible
-/// across runs and engine worker counts. Deterministic routing always takes
+/// across runs. Deterministic routing always takes
 /// the canonical variant 0; adaptive routing hashes (src, dst, seq) onto
 /// min(spread, equal_cost) variants, modeling per-message adaptive routing
 /// while staying deterministic (the per-pair seq counter follows fiber

@@ -64,8 +64,8 @@ class Topology {
   /// traversal order. `variant` (taken modulo route_count(src, dst)) selects
   /// among the equal-cost minimal routes; variant 0 is the canonical
   /// deterministic route. The route from a node to itself is empty. Must be
-  /// a pure function of its arguments — routes are computed from any engine
-  /// worker thread.
+  /// a pure function of its arguments — a network model may be shared by
+  /// simulations on different threads.
   virtual void route_into(int src, int dst, std::uint64_t variant,
                           std::vector<LinkId>& out) const = 0;
 

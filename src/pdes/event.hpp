@@ -36,8 +36,7 @@ enum class EventPriority : std::uint8_t {
 /// layer, timers) derive their own payload types and dispatch on Event::kind.
 ///
 /// A payload is a block per event, so allocation is routed through the
-/// thread-local slab pool (util::pool_alloc — thread-local means
-/// LP-group-local under the sharded engine; DESIGN.md §9). Derived classes
+/// thread-local slab pool (util::pool_alloc; DESIGN.md §9). Derived classes
 /// inherit the class-level operator new/delete; deletion through the base
 /// pointer resolves to them via the virtual destructor.
 struct EventPayload {
@@ -91,10 +90,8 @@ class EventInline {
 /// A scheduled simulation event. Ordering is (time, priority, source, seq):
 /// `source` is the LP whose handler scheduled the event (kExternalSource for
 /// setup events) and `seq` is a per-source sequence number. The key is a pure
-/// function of the simulation plan — independent of how LP groups interleave
-/// on native threads — which is what makes the sharded engine's schedule
-/// bit-reproducible for any worker count (paper §V-E requires repeatable
-/// experiments).
+/// function of the simulation plan, which makes the schedule
+/// bit-reproducible (paper §V-E requires repeatable experiments).
 ///
 /// An event is one cache line: the key, the target and kind, the optional
 /// payload block and the inline area. The queue moves events by value, so

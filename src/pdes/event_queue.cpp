@@ -211,26 +211,6 @@ void EventQueue::push(Event&& ev) {
   fallback_push(std::move(ev));
 }
 
-void EventQueue::push_bulk(std::vector<Event>& evs) {
-  if (evs.empty()) return;
-  ++stats_.bulk_merges;
-  if (evs.size() * 8 >= heap_.size()) {
-    // Batch large relative to the heap: append, then one Floyd rebuild.
-    for (Event& ev : evs) {
-      Entry e;
-      e.time = ev.time;
-      e.ps = pack_ps(ev.priority, ev.source);
-      e.slot = slab_put(std::move(ev));
-      heap_.push_back(e);
-    }
-    size_ += evs.size();
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) heap_down(i);
-  } else {
-    for (Event& ev : evs) push(std::move(ev));
-  }
-  evs.clear();
-}
-
 Event EventQueue::pop() {
   --size_;
   ++stats_.pops;

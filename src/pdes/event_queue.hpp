@@ -12,10 +12,9 @@
 
 namespace exasim {
 
-/// Min-priority queue of events under EventOrder — the per-LP-group event
-/// queue of the sharded engine (one per group; the sequential engine is the
-/// one-group degenerate case). Not thread-safe: each queue is owned by
-/// exactly one worker thread.
+/// Min-priority queue of events under EventOrder — the engine's pending
+/// events. Not thread-safe: a queue belongs to the thread running its
+/// engine.
 ///
 /// Sorted runs plus a fallback heap (DESIGN.md §13). A simulation pushes a
 /// few dozen key-ordered streams at once — every message class is scheduled
@@ -46,18 +45,10 @@ class EventQueue {
   /// fallback holds the first kRunFloor and one run the rest.
   void reserve(std::size_t n);
 
-  /// Drains `evs` into the queue — the bulk half of a mailbox merge. A
-  /// batch that is large relative to the fallback heap (>= 1/8 of it) is
-  /// appended to the heap and re-heapified in one Floyd pass, which beats
-  /// per-event pushes for inbox-sized batches; a small one is pushed event
-  /// by event.
-  void push_bulk(std::vector<Event>& evs);
-
   /// Pops the earliest event; undefined on an empty queue.
   Event pop();
 
-  /// Timestamp of the earliest event, kSimTimeNever when empty — the value a
-  /// group publishes for the conservative window-bound computation.
+  /// Timestamp of the earliest event, kSimTimeNever when empty.
   SimTime min_time() const;
 
   bool empty() const { return size_ == 0; }
@@ -73,7 +64,6 @@ class EventQueue {
     std::uint64_t pops = 0;          ///< Every pop.
     std::uint64_t run_pops = 0;      ///< Pops served from a sorted run.
     std::uint64_t runs_created = 0;  ///< Runs started (including reuses).
-    std::uint64_t bulk_merges = 0;   ///< push_bulk calls.
   };
   LocalStats take_stats() {
     LocalStats s = stats_;

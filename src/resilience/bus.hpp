@@ -19,9 +19,8 @@ namespace exasim::resilience {
 /// Ordering contract: one broadcast creates its notices in ascending rank
 /// order from the LP whose handler is running, at EventPriority::kControl, so
 /// the engine's (time, priority, source LP, per-source seq) key delivers
-/// same-time notices in rank order, identically for every `--sim-workers`
-/// setting. Each notice is one Engine::schedule() event, counted in
-/// PerfSnapshot::fanout_notices; a notice to a rank that is already dead is
+/// same-time notices in rank order. Each notice is one Engine::schedule()
+/// event, counted in PerfSnapshot::fanout_notices; a notice to a rank that is already dead is
 /// scheduled like any other and dropped at delivery.
 /// Failure notices are delivered at the Detector's per-observer
 /// detection time (>= the failure time); abort and revoke notices at the

@@ -93,9 +93,7 @@ const std::vector<DetectorInfo>& list_detectors();
 ///    generations.
 /// `period=auto` resolves once, at construction, to
 /// network.max_failure_timeout(). detection_time is a pure function of its
-/// arguments (the gossip rounds cache is guarded and value-deterministic):
-/// the bus may call it from any engine worker thread, and determinism across
-/// `--sim-workers` settings depends on it.
+/// arguments (the gossip rounds cache is guarded and value-deterministic).
 class Detector {
  public:
   /// Throws std::invalid_argument for a period that resolves to 0, a miss
@@ -120,7 +118,7 @@ class Detector {
   int ranks_;
   /// Per-failed-rank gossip infection rounds, computed once per failure
   /// target (O(ranks log ranks)) so a ranks-wide broadcast costs O(1) per
-  /// observer. Guarded: detection_time may run on any engine worker.
+  /// observer. Guarded by cache_mutex_.
   mutable std::mutex cache_mutex_;
   mutable std::map<int, std::vector<int>> rounds_cache_;
 };

@@ -11,10 +11,10 @@ namespace exasim::util {
 // monotonic slot of one block per thread. Only the owning thread writes its
 // block — a relaxed load and store, no locked RMW — and other threads may
 // read it. A region is metered as the difference of two thread_counters()
-// readings; core::Machine::run adds its engine workers' differences
-// (pdes::Engine::worker_counters), so concurrent simulations never count
-// each other's traffic. An exiting thread's block is folded into a retired
-// total and freed. metrics/perf.hpp names the slots for reports.
+// readings; a simulation runs on one thread, so core::Machine::run meters
+// it that way and concurrent simulations never count each other's traffic.
+// An exiting thread's block is folded into a retired total and freed.
+// metrics/perf.hpp names the slots for reports.
 enum class Counter : std::uint8_t {
   kPoolAllocs,          ///< util::pool_alloc calls.
   kPoolFrees,           ///< util::pool_free calls (non-null).
@@ -31,11 +31,7 @@ enum class Counter : std::uint8_t {
   kWakeupsSuppressed,   ///< Resumes the vmpi wakeup filter skipped.
   kQueuePops,           ///< pdes::EventQueue pops by the engine's delivery loops.
   kQueueRunPops,        ///< Pops served from a sorted run.
-  kQueueBulkMerges,     ///< EventQueue::push_bulk calls.
   kFanoutNotices,       ///< resilience::NotificationBus notice events scheduled.
-  kSchedWindows,        ///< Sharded-engine window phases decided.
-  kSchedSteals,         ///< Groups run by a non-home worker.
-  kSchedBarrierIdleNs,  ///< Worker ns waiting at barriers.
   kCkptStages,          ///< Non-PFS synchronous checkpoint writes.
   kCkptDrains,          ///< Background tier-to-tier drains issued.
   kCkptPartnerCopies,   ///< Partner replicas shipped over the network.

@@ -56,7 +56,7 @@ std::size_t class_for(std::size_t bytes) {
 
 /// Per-thread pool state. Free-listed blocks live in slabs, which are
 /// process-lifetime (anchored in the registry), so a block freed by a
-/// short-lived worker thread stays valid wherever it migrated from. Its
+/// short-lived thread stays valid wherever it migrated from. Its
 /// traffic is counted in the thread's block (util/counters.hpp).
 struct ThreadPool {
   BlockHeader* free_list[kClassCount] = {nullptr};

@@ -14,14 +14,10 @@ namespace exasim::util {
 // carved from process-lifetime slabs: the steady-state cost is a pointer
 // pop/push, with zero locks and zero heap traffic.
 //
-// Thread model. Free lists are thread-local, which for the sharded PDES
-// engine means pool-local to the owning LP group (each group runs on exactly
-// one worker thread). A payload scheduled cross-group is allocated on the
-// producer's thread and freed on the consumer's; the block then simply joins
-// the consumer's free list and re-enters circulation there. Window-barrier
-// mailbox traffic is symmetric across groups, so the lists stay balanced
-// without a central return path — and every hand-off is already separated by
-// the window barriers, so no synchronization is needed at all.
+// Thread model. Free lists are thread-local: a simulation runs on one
+// thread, so its payloads are allocated and freed on that thread's lists
+// with no synchronization. A block freed on another thread simply joins
+// that thread's free list and re-enters circulation there.
 //
 // Provenance. Every block carries a 16-byte header recording whether it came
 // from a slab or the plain heap (oversize requests), so pool_free returns a

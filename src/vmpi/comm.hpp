@@ -115,8 +115,7 @@ class CommRegistry {
   static constexpr int kWorldId = 0;
 
   /// Returns the id for this (parent, seq, color) tuple, allocating on first
-  /// use. Thread-safe: processes on different engine workers may create
-  /// communicators concurrently. The *set* of (tuple → id) assignments is
+  /// use. Thread-safe. The *set* of (tuple → id) assignments is
   /// deterministic because every simulated schedule yields the same tuples;
   /// only the numeric ids may vary with first-request interleaving — nothing
   /// observable keys off the raw id value across runs.

@@ -71,23 +71,6 @@ class Context {
   Err send(Rank dest, int tag, const void* data, std::size_t bytes);
   Err recv(Rank src, int tag, void* buffer, std::size_t capacity, MsgStatus* status = nullptr);
 
-  template <typename T>
-  Err send_span(Comm& comm, Rank dest, int tag, std::span<const T> data) {
-    return send(comm, dest, tag, data.data(), data.size_bytes());
-  }
-  template <typename T>
-  Err recv_span(Comm& comm, Rank src, int tag, std::span<T> data, MsgStatus* status = nullptr) {
-    return recv(comm, src, tag, data.data(), data.size_bytes(), status);
-  }
-  template <typename T>
-  Err send_value(Comm& comm, Rank dest, int tag, const T& v) {
-    return send(comm, dest, tag, &v, sizeof(T));
-  }
-  template <typename T>
-  Err recv_value(Comm& comm, Rank src, int tag, T& v, MsgStatus* status = nullptr) {
-    return recv(comm, src, tag, &v, sizeof(T), status);
-  }
-
   // ---- Nonblocking point-to-point ------------------------------------------
   RequestHandle isend(Comm& comm, Rank dest, int tag, const void* data, std::size_t bytes);
   RequestHandle irecv(Comm& comm, Rank src, int tag, void* buffer, std::size_t capacity);

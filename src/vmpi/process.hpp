@@ -74,7 +74,7 @@ enum class CollectiveAlgo : std::uint8_t { kLinear, kBinomialTree };
 
 /// Per-process configuration shared by the whole simulated machine.
 struct ProcessConfig {
-  std::size_t fiber_stack_bytes = 128 * 1024;  ///< Each LP group's shared stack.
+  std::size_t fiber_stack_bytes = 128 * 1024;  ///< The engine's shared stack.
   bool measured_compute = false;  ///< Also fold scaled native fiber CPU time
                                   ///< into the virtual clock (xSim's mode).
   CollectiveAlgo collective_algo = CollectiveAlgo::kLinear;  ///< Paper default.
@@ -470,8 +470,8 @@ class SimProcess final : public LogicalProcess {
 
   // Identity & wiring. The four one-byte flags fill the gap before shared_.
   Rank world_rank_;
-  /// Atomic: Machine::alive_world_ranks reads every rank's outcome from
-  /// whichever engine worker executes MPI_Comm_shrink.
+  /// Atomic: Machine::alive_world_ranks reads every rank's outcome while
+  /// executing MPI_Comm_shrink.
   std::atomic<ProcOutcome> outcome_{ProcOutcome::kRunning};
   bool started_ = false;
   bool finalized_ = false;

@@ -28,8 +28,7 @@ struct TraceRecord {
   std::string marker;     ///< Marker label (markers only).
 };
 
-/// Destination for trace records. Implementations must be thread-safe:
-/// simulated processes on different engine workers record concurrently.
+/// Destination for trace records. Implementations must be thread-safe.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

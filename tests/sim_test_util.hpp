@@ -17,7 +17,7 @@ namespace exasim::test {
 /// Small star-network machine with fast, simple timing: 1 us latency,
 /// 1 GB/s, no slowdown — convenient exact numbers for assertions. Starts
 /// from core::parse_cli of an empty command line, so the EXASIM_* variables
-/// of the option table (sim workers, ckpt mode, ...) reach every
+/// of the option table (ckpt mode, failures, ...) reach every
 /// test that builds its machine here.
 inline core::SimConfig tiny_config(int ranks) {
   const char* argv[] = {"test"};

@@ -122,7 +122,7 @@ TEST_F(Cli, ParsesExperimentOptions) {
 TEST_F(Cli, ParsesSimWorkers) {
   auto defaulted = parse({"--ranks=8"});
   ASSERT_TRUE(defaulted.has_value());
-  EXPECT_EQ(defaulted->machine.sim_workers, 1);  // Sequential engine.
+  EXPECT_EQ(defaulted->machine.sim_workers, 1);  // Accepted, no effect.
   auto literal = parse({"--sim-workers=4"});
   ASSERT_TRUE(literal.has_value());
   EXPECT_EQ(literal->machine.sim_workers, 4);
@@ -193,8 +193,8 @@ TEST_F(Cli, ParsesStorageAndCkptMode) {
 }
 
 TEST_F(Cli, RejectsMalformedOptions) {
-  // --scheduler and --speculate are unknown: the sharded engine has one
-  // window rule (DESIGN.md §11). --no-pool is unknown: the memory pools have
+  // --scheduler and --speculate are unknown: the engine has one sequential
+  // loop (DESIGN.md §8). --no-pool is unknown: the memory pools have
   // no switch (DESIGN.md §9).
   for (auto bad : {"--ranks=abc", "--mttf=xyz", "--distribution=bogus", "--unknown=1",
                    "--failures=nope", "--ranks", "--verbose=1", "--replicates=0",
@@ -328,8 +328,6 @@ const EnvCase kEnvCases[] = {
      [](const CliOptions& o) { return o.machine.ckpt_mode; }},
     {"EXASIM_FAILURES", "--failures", "3@250ms", "1@1s",
      [](const CliOptions& o) { return format_failure_schedule(o.machine.failures); }},
-    {"EXASIM_SIM_WORKERS", "--sim-workers", "4", "2",
-     [](const CliOptions& o) { return std::to_string(o.machine.sim_workers); }},
 };
 
 class CliEnvVar : public Cli, public ::testing::WithParamInterface<EnvCase> {};
@@ -396,11 +394,10 @@ TEST(CliTable, UsageListsEveryOption) {
 }
 
 // The tier-1 environment legs reach their suites only through tiny_config():
-// if it stopped seeing the environment, those legs would quietly run the
-// sequential engine with the default presets.
+// if it stopped seeing the environment, those legs would quietly run with
+// the default presets.
 TEST_F(Cli, EnvironmentReachesTinyConfig) {
   test::QuietLogs quiet;
-  ::setenv("EXASIM_SIM_WORKERS", "2", 1);
   ::setenv("EXASIM_CKPT_MODE", "staged", 1);
   auto app = [](vmpi::Context& ctx) {
     for (int i = 0; i < 4; ++i) {
@@ -412,7 +409,6 @@ TEST_F(Cli, EnvironmentReachesTinyConfig) {
   const core::SimResult r = test::run_app(test::tiny_config(4), app);
   EXPECT_EQ(r.outcome, core::SimResult::Outcome::kCompleted);
   EXPECT_EQ(r.ckpt_mode, "staged");
-  EXPECT_GT(r.perf.sched_windows, 0u);
 }
 
 }  // namespace

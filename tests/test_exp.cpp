@@ -243,9 +243,8 @@ TEST(Jobs, ResolutionRules) {
 TEST(ParallelExecutor, ConcurrentRunsCountOnlyTheirOwnTraffic) {
   // Two copies of one failure + restart simulation run side by side, held
   // together at rank 0's first entry. Each launch's counters must equal a
-  // solo run's: what the other simulation does on its own threads is not
-  // its traffic. With 2 engine workers, each run is also counted across its
-  // worker threads.
+  // solo run's: what the other simulation does on its own thread is not
+  // its traffic.
   Log::set_level(LogLevel::kOff);
   apps::HeatParams heat;
   heat.nx = heat.ny = heat.nz = 8;
@@ -262,44 +261,40 @@ TEST(ParallelExecutor, ConcurrentRunsCountOnlyTheirOwnTraffic) {
       heat_app(ctx);
     };
   };
-  for (int workers : {1, 2}) {
-    SCOPED_TRACE(workers);
-    core::RunnerConfig rc;
-    rc.base = test::tiny_config(8);
-    rc.base.sim_workers = workers;
-    rc.base.storage = "hpc";
-    rc.base.ckpt_mode = "staged";
-    rc.first_run_failures = {FailureSpec{1, sim_us(5 * 64)}};
-    const core::RunnerResult solo = core::ResilientRunner(rc, app(nullptr)).run();
-    ASSERT_TRUE(solo.completed);
-    ASSERT_EQ(solo.launches, 2);
+  core::RunnerConfig rc;
+  rc.base = test::tiny_config(8);
+  rc.base.storage = "hpc";
+  rc.base.ckpt_mode = "staged";
+  rc.first_run_failures = {FailureSpec{1, sim_us(5 * 64)}};
+  const core::RunnerResult solo = core::ResilientRunner(rc, app(nullptr)).run();
+  ASSERT_TRUE(solo.completed);
+  ASSERT_EQ(solo.launches, 2);
 
-    std::latch overlap(2);
-    ParallelExecutor pool(ExecutorOptions{2, {}});
-    const auto pair = pool.map(
-        2, [&](std::size_t) { return core::ResilientRunner(rc, app(&overlap)).run(); });
-    for (const auto& outcome : pair) {
-      ASSERT_TRUE(outcome.ok()) << outcome.error;
-      ASSERT_EQ(outcome->total_time, solo.total_time);
-      ASSERT_EQ(outcome->run_results.size(), solo.run_results.size());
-      for (std::size_t launch = 0; launch < solo.run_results.size(); ++launch) {
-        SCOPED_TRACE(launch);
-        const PerfSnapshot& want = solo.run_results[launch].perf;
-        const PerfSnapshot& got = outcome->run_results[launch].perf;
-        EXPECT_EQ(got.pool_allocs, want.pool_allocs);
-        EXPECT_EQ(got.fiber_resumes, want.fiber_resumes);
-        EXPECT_EQ(got.wakeups_suppressed, want.wakeups_suppressed);
-        EXPECT_EQ(got.queue_near_hits, want.queue_near_hits);
-        EXPECT_EQ(got.fanout_notices, want.fanout_notices);
-        EXPECT_EQ(got.fanout_relays, want.fanout_relays);
-        EXPECT_EQ(got.fanout_dead_skips, want.fanout_dead_skips);
-        EXPECT_EQ(got.ckpt_stages, want.ckpt_stages);
-        EXPECT_EQ(got.ckpt_partner_copies, want.ckpt_partner_copies);
-      }
+  std::latch overlap(2);
+  ParallelExecutor pool(ExecutorOptions{2, {}});
+  const auto pair = pool.map(
+      2, [&](std::size_t) { return core::ResilientRunner(rc, app(&overlap)).run(); });
+  for (const auto& outcome : pair) {
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    ASSERT_EQ(outcome->total_time, solo.total_time);
+    ASSERT_EQ(outcome->run_results.size(), solo.run_results.size());
+    for (std::size_t launch = 0; launch < solo.run_results.size(); ++launch) {
+      SCOPED_TRACE(launch);
+      const PerfSnapshot& want = solo.run_results[launch].perf;
+      const PerfSnapshot& got = outcome->run_results[launch].perf;
+      EXPECT_EQ(got.pool_allocs, want.pool_allocs);
+      EXPECT_EQ(got.fiber_resumes, want.fiber_resumes);
+      EXPECT_EQ(got.wakeups_suppressed, want.wakeups_suppressed);
+      EXPECT_EQ(got.queue_near_hits, want.queue_near_hits);
+      EXPECT_EQ(got.fanout_notices, want.fanout_notices);
+      EXPECT_EQ(got.fanout_relays, want.fanout_relays);
+      EXPECT_EQ(got.fanout_dead_skips, want.fanout_dead_skips);
+      EXPECT_EQ(got.ckpt_stages, want.ckpt_stages);
+      EXPECT_EQ(got.ckpt_partner_copies, want.ckpt_partner_copies);
     }
-    EXPECT_GT(solo.run_results[0].perf.ckpt_stages, 0u);
-    EXPECT_GT(solo.run_results[0].perf.fanout_notices, 0u);
   }
+  EXPECT_GT(solo.run_results[0].perf.ckpt_stages, 0u);
+  EXPECT_GT(solo.run_results[0].perf.fanout_notices, 0u);
 }
 
 TEST(ParallelExecutor, EagerAndFilteredRunsSideBySideKeepTheirOwnDispatch) {

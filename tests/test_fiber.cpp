@@ -224,13 +224,12 @@ TEST(FiberDeathTest, StackOverflowHitsGuardPage) {
 }
 
 TEST(FiberDeathTest, RankOfA32kMachineOverflowsIntoTheGuardPage) {
-  // Every rank runs on its LP group's one guarded stack, so one rank of a
+  // Every rank runs on the engine's one guarded stack, so one rank of a
   // paper-scale machine running off its stack faults on the guard page
   // (SIGSEGV) like a raw fiber does.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto overflow = [] {
     core::SimConfig cfg = test::tiny_config(32768);
-    cfg.sim_workers = 1;
     cfg.process.fiber_stack_bytes = 64 * 1024;
     test::run_app(std::move(cfg), [](vmpi::Context& ctx) {
       struct Rec {
@@ -388,12 +387,10 @@ TEST(Fiber, LocateRedirectsOnlyTheLiveRegionOfASavedFiber) {
   b.resume();
 }
 
-TEST(Fiber, RanksKeepTheirGroupStackAcrossStealsAndRelaunches) {
-  // A 64-rank heat3d run under ResilientRunner on 4 engine workers, failed
-  // in its first two launches. Every rank binds to its LP group's stack, a
-  // group stolen by another worker takes its stack along (the
-  // ThreadSanitizer leg runs this), and each relaunch takes over the parked
-  // mappings of the previous launch's stacks.
+TEST(Fiber, RanksShareOneStackAcrossRelaunches) {
+  // A 64-rank heat3d run under ResilientRunner, failed in its first two
+  // launches. Every rank binds to the engine's one stack, and each relaunch
+  // takes over the parked mapping of the previous launch's stack.
   apps::HeatParams p;
   p.nx = p.ny = p.nz = 16;
   p.px = p.py = p.pz = 4;
@@ -403,7 +400,6 @@ TEST(Fiber, RanksKeepTheirGroupStackAcrossStealsAndRelaunches) {
   p.work_units_per_point = 1000.0;  // 64 us per iteration at 1 ns/unit.
   core::RunnerConfig rc;
   rc.base = test::tiny_config(64);
-  rc.base.sim_workers = 4;
   auto heat = apps::make_heat3d(p);
   auto app = [heat](vmpi::Context& ctx) {
     if (core::services_of(ctx).run_index < 2 && ctx.rank() == 5) {
@@ -415,7 +411,7 @@ TEST(Fiber, RanksKeepTheirGroupStackAcrossStealsAndRelaunches) {
   EXPECT_TRUE(res.completed);
   ASSERT_EQ(res.run_results.size(), 3u);
   for (const core::SimResult& r : res.run_results) {
-    EXPECT_EQ(r.perf.stacks_mapped + r.perf.stacks_reused, 4u);  // One per LP group.
+    EXPECT_EQ(r.perf.stacks_mapped + r.perf.stacks_reused, 1u);  // The engine's one.
     EXPECT_GT(r.perf.stack_bytes_copied, 0u);
   }
   EXPECT_EQ(res.run_results[1].perf.stacks_mapped, 0u);

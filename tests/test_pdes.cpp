@@ -1,7 +1,5 @@
 // pdes: deterministic event ordering, dead-LP dropping, stall hooks, engine
-// bookkeeping, and sharded-engine determinism (the parallel engine must
-// deliver the exact same schedule as the sequential one for any worker
-// count).
+// bookkeeping, the causality guard, and a pinned event-storm schedule.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 
 #include "pdes/engine.hpp"
 #include "pdes/event_queue.hpp"
-#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace exasim {
@@ -189,14 +186,8 @@ TEST(Engine, UnknownTargetIsLogicError) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine (--sim-workers): worker-count invariance, window edges,
-// multi-group stall handling, and the causality guard.
-
-constexpr SimTime kLookahead = 10;
-
-Engine::ShardingOptions sharded(int workers) {
-  return Engine::ShardingOptions{workers, kLookahead, 1};
-}
+// Event storm: a pinned schedule, the deadlock and stall rounds, and the
+// causality guard.
 
 struct StormPayload final : EventPayload {
   explicit StormPayload(int h) : hops(h) {}
@@ -213,8 +204,7 @@ std::uint64_t storm_mix(std::uint64_t x) {
 }
 
 /// Records its delivery order and fans out pseudo-random child events: one
-/// self event with any delta >= 0 and one cross-LP event with delta >=
-/// lookahead (the contract that makes the schedule partition-independent).
+/// self event 0-2 ns ahead and one event 10-16 ns ahead to a pseudo-random LP.
 class StormLp : public LogicalProcess {
  public:
   StormLp(LpId id, int lp_count) : id_(id), lp_count_(lp_count) {}
@@ -230,7 +220,7 @@ class StormLp : public LogicalProcess {
     engine.schedule(ev.time + r % 3, id_, static_cast<int>(r % 100),
                     std::make_unique<StormPayload>(p->hops - 1));
     r = storm_mix(r);
-    engine.schedule(ev.time + kLookahead + r % 7, static_cast<LpId>(r % lp_count_),
+    engine.schedule(ev.time + 10 + r % 7, static_cast<LpId>(r % lp_count_),
                     static_cast<int>(r % 100), std::make_unique<StormPayload>(p->hops - 1));
   }
   bool terminated() const override { return true; }
@@ -242,7 +232,8 @@ class StormLp : public LogicalProcess {
   int lp_count_;
 };
 
-std::string run_storm(int workers, std::uint64_t* processed) {
+/// FNV-1a over every LP's delivery trace, in LP order.
+std::uint64_t run_storm(std::uint64_t* processed) {
   constexpr int kLps = 8;
   Engine e;
   std::vector<std::unique_ptr<StormLp>> lps;
@@ -254,111 +245,77 @@ std::string run_storm(int workers, std::uint64_t* processed) {
     e.schedule(static_cast<SimTime>(i % 3), i, static_cast<int>(i),
                std::make_unique<StormPayload>(5));
   }
-  e.set_sharding(sharded(workers));
   e.run();
   *processed = e.events_processed();
-  std::string all;
-  for (auto& lp : lps) all += lp->trace + "\n";
-  return all;
-}
-
-TEST(ShardedEngine, EventStormTraceIsWorkerCountInvariant) {
-  std::uint64_t base_count = 0;
-  const std::string base = run_storm(1, &base_count);
-  EXPECT_GT(base_count, 100u);  // 8 seed events, 5 hops, 2 children each.
-  for (int workers : {2, 4}) {
-    std::uint64_t count = 0;
-    EXPECT_EQ(run_storm(workers, &count), base) << "workers=" << workers;
-    EXPECT_EQ(count, base_count) << "workers=" << workers;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (auto& lp : lps) {
+    for (const char c : lp->trace + "\n") {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
   }
+  return h;
 }
 
-TEST(ShardedEngine, StormRunsEightWindowsAtAnyWorkerCount) {
-  // Every bound is exactly global-min + lookahead, so the cycle structure is
-  // a pure function of queue state — 8 windows on the storm at any worker
-  // count.
-  for (int workers : {2, 4}) {
-    const util::Counters before = util::thread_counters();
-    std::uint64_t count = 0;
-    run_storm(workers, &count);
-    const util::Counters run = util::thread_counters() - before;
-    EXPECT_EQ(run[util::Counter::kSchedWindows], 8u) << "workers=" << workers;
-  }
+TEST(Engine, EventStormSchedulePinned) {
+  // 8 seed events, 5 hops, 2 children each: the digest pins the delivery
+  // order of every event, and the count the whole schedule.
+  std::uint64_t count = 0;
+  const std::uint64_t digest = run_storm(&count);
+  EXPECT_EQ(count, 504u);
+  EXPECT_EQ(digest, 9305233903494301632ull);
 }
 
-TEST(ShardedEngine, EventExactlyAtWindowBoundIsDelivered) {
-  // A cross-group event landing exactly at the window bound (delta ==
-  // lookahead, the minimum legal cross-node delivery) must not be lost or
-  // reordered against a same-instant event from another source.
-  for (int workers : {1, 2}) {
-    Engine e;
-    RecorderLp a, b;
-    a.done = b.done = true;
-    e.add_process(0, &a);
-    e.add_process(1, &b);
-    a.callback = [](Engine& eng, const Event& ev) {
-      if (ev.kind == 1) eng.schedule(ev.time + kLookahead, 1, 42, nullptr);
-    };
-    e.schedule(kLookahead, 1, 99, nullptr);  // External, same instant.
-    e.schedule(0, 0, 1, nullptr);
-    e.set_sharding(sharded(workers));
-    e.run();
-    ASSERT_EQ(b.delivered.size(), 2u) << "workers=" << workers;
-    // Tie at t == lookahead: external source (-1) orders before LP 0.
-    EXPECT_EQ(b.delivered[0].kind, 99) << "workers=" << workers;
-    EXPECT_EQ(b.delivered[1].kind, 42) << "workers=" << workers;
-  }
+TEST(Engine, SameInstantExternalEventOrdersFirst) {
+  // LP 0 schedules an event for LP 1 at t = 10, the instant an external
+  // event for LP 1 already holds: neither is lost, and the external source
+  // (-1) orders before LP 0.
+  Engine e;
+  RecorderLp a, b;
+  a.done = b.done = true;
+  e.add_process(0, &a);
+  e.add_process(1, &b);
+  a.callback = [](Engine& eng, const Event& ev) {
+    if (ev.kind == 1) eng.schedule(ev.time + 10, 1, 42, nullptr);
+  };
+  e.schedule(10, 1, 99, nullptr);  // External, same instant.
+  e.schedule(0, 0, 1, nullptr);
+  e.run();
+  ASSERT_EQ(b.delivered.size(), 2u);
+  EXPECT_EQ(b.delivered[0].kind, 99);
+  EXPECT_EQ(b.delivered[1].kind, 42);
 }
 
-TEST(ShardedEngine, MultiGroupDeadlockEndsTheRun) {
-  // No events, nothing terminated: every group's stall round runs exactly
-  // once (the two-phase global check), then the run ends as deadlocked.
+TEST(Engine, DeadlockEndsTheRun) {
+  // No events, nothing terminated: every LP's stall hook runs exactly once,
+  // then the run ends as deadlocked.
   Engine e;
   RecorderLp lps[4];
   for (LpId i = 0; i < 4; ++i) e.add_process(i, &lps[i]);
-  e.set_sharding(sharded(4));
   e.run();
   for (auto& lp : lps) EXPECT_EQ(lp.stall_calls, 1);
   EXPECT_EQ(e.unterminated(), (std::vector<LpId>{0, 1, 2, 3}));
 }
 
-TEST(ShardedEngine, StallProgressCrossesGroups) {
-  // Progress made by one group's stall hook (a cross-group wakeup) must keep
-  // the whole run alive until the woken group finishes.
+TEST(Engine, StallProgressWakesAnotherLp) {
+  // Progress made by one LP's stall hook (a wakeup for another LP) keeps the
+  // run alive until the woken LP finishes.
   Engine e;
   RecorderLp a, b;
   a.stall_action = [&](Engine& eng) {
-    eng.schedule(eng.now() + kLookahead, 1, 7, nullptr);
+    eng.schedule(eng.now() + 10, 1, 7, nullptr);
     a.done = true;
     return true;
   };
   b.callback = [&](Engine&, const Event&) { b.done = true; };
   e.add_process(0, &a);
   e.add_process(1, &b);
-  e.set_sharding(sharded(2));
   e.run();
   ASSERT_EQ(b.delivered.size(), 1u);
   EXPECT_EQ(b.delivered[0].kind, 7);
   EXPECT_TRUE(e.unterminated().empty());
 }
 
-TEST(ShardedEngine, WorkerCountClampsToAlignmentBlocks) {
-  // 3 LPs in blocks of 2 -> 2 blocks -> at most 2 groups, however many
-  // workers were requested.
-  Engine e;
-  RecorderLp lps[3];
-  for (LpId i = 0; i < 3; ++i) {
-    lps[i].done = true;
-    e.add_process(i, &lps[i]);
-  }
-  e.schedule(1, 2, 1, nullptr);
-  e.set_sharding(Engine::ShardingOptions{8, kLookahead, 2});
-  e.run();
-  EXPECT_EQ(e.worker_groups(), 2);
-  EXPECT_EQ(lps[2].delivered.size(), 1u);
-}
-
-TEST(ShardedEngine, CausalityViolationThrows) {
+TEST(Engine, CausalityViolationThrows) {
   Engine e;
   RecorderLp lp;
   lp.done = true;
@@ -368,51 +325,6 @@ TEST(ShardedEngine, CausalityViolationThrows) {
   e.add_process(0, &lp);
   e.schedule(10, 0, 1, nullptr);
   EXPECT_THROW(e.run(), std::logic_error);
-}
-
-TEST(ShardedEngine, CrossGroupEventInTheReceiversPastThrowsAtMerge) {
-  // LP 0 sends to LP 1 only 1 ns ahead, below the lookahead, while LP 1's
-  // own timer chain carries its group's clock to 9 in the same window. At the
-  // next barrier the event reaches LP 1's group already in its past.
-  Engine e;
-  RecorderLp a, b;
-  a.done = b.done = true;
-  a.callback = [](Engine& eng, const Event& ev) { eng.schedule(ev.time + 1, 1, 2, nullptr); };
-  b.callback = [](Engine& eng, const Event& ev) {
-    if (ev.kind == 1 && ev.time < 9) eng.schedule(ev.time + 1, 1, 1, nullptr);
-  };
-  e.add_process(0, &a);
-  e.add_process(1, &b);
-  e.schedule(0, 0, 1, nullptr);
-  e.schedule(0, 1, 1, nullptr);
-  e.set_sharding(sharded(2));
-  EXPECT_THROW(e.run(), std::logic_error);
-}
-
-TEST(ShardedEngine, LateCrossGroupControlEventIsDeliveredAtMerge) {
-  // The same late cross-group event as above, sent at kControl priority — the
-  // priority of the zero-lookahead failure, abort and revoke notices — is
-  // merged and delivered after the receiver's own events up to time 9.
-  Engine e;
-  RecorderLp a, b;
-  a.done = b.done = true;
-  a.callback = [](Engine& eng, const Event& ev) {
-    eng.schedule(ev.time + 1, 1, 2, nullptr, EventPriority::kControl);
-  };
-  b.callback = [](Engine& eng, const Event& ev) {
-    if (ev.kind == 1 && ev.time < 9) eng.schedule(ev.time + 1, 1, 1, nullptr);
-  };
-  e.add_process(0, &a);
-  e.add_process(1, &b);
-  e.schedule(0, 0, 1, nullptr);
-  e.schedule(0, 1, 1, nullptr);
-  e.set_sharding(sharded(2));
-  ASSERT_NO_THROW(e.run());
-  EXPECT_EQ(e.worker_groups(), 2);
-  ASSERT_EQ(b.delivered.size(), 11u);
-  EXPECT_EQ(b.delivered[9].time, 9);
-  EXPECT_EQ(b.delivered.back().kind, 2);
-  EXPECT_EQ(b.delivered.back().time, 1);
 }
 
 TEST(EventOrder, OrdersByTimePriositySeq) {
@@ -569,41 +481,8 @@ TEST(EventQueue, RunThatNeverDrainsHoldsMemoryForItsLiveEvents) {
   EXPECT_LE(q.run_capacity(), 2 * peak);
 }
 
-TEST(EventQueue, PushBulkMatchesIndividualPushes) {
-  Rng rng(23);
-  std::vector<Event> plan;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    plan.push_back(make_event(rng.next_below(1000),
-                              i % 7 == 0 ? EventPriority::kControl : EventPriority::kMessage,
-                              static_cast<LpId>(rng.next_below(16)), i));
-  }
-
-  EventQueue individual;
-  for (const Event& ev : plan) {
-    individual.push(make_event(ev.time, ev.priority, ev.source, ev.seq));
-  }
-
-  EventQueue bulk;
-  std::vector<Event> batch;
-  for (const Event& ev : plan) batch.push_back(make_event(ev.time, ev.priority, ev.source, ev.seq));
-  bulk.push_bulk(batch);
-  EXPECT_TRUE(batch.empty());  // push_bulk drains its input.
-  EXPECT_GE(bulk.take_stats().bulk_merges, 1u);
-
-  ASSERT_EQ(individual.size(), bulk.size());
-  while (!individual.empty()) {
-    const Event a = individual.pop();
-    const Event b = bulk.pop();
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.priority, b.priority);
-    EXPECT_EQ(a.source, b.source);
-    EXPECT_EQ(a.seq, b.seq);
-  }
-  EXPECT_TRUE(bulk.empty());
-}
-
 TEST(EventQueue, RandomizedInterleavedOpsMatchReferenceOrder) {
-  // Random pushes, sorted-stream pushes, bulk merges and pops, cross-checked
+  // Random pushes, sorted-stream pushes, control bursts and pops, cross-checked
   // against a reference of whatever should still be queued. The standing
   // population swings between below and well above the run floor, so runs
   // start, drain and retire while the fallback heap holds the rest.
@@ -648,15 +527,14 @@ TEST(EventQueue, RandomizedInterleavedOpsMatchReferenceOrder) {
       reference.push_back(make_event(t, EventPriority::kMessage, src, seq));
       ++seq;
     } else {
-      std::vector<Event> batch;
+      // A burst of up to 63 control events from one source.
       const std::uint64_t n = rng.next_below(64);
       for (std::uint64_t i = 0; i < n; ++i) {
         const SimTime t = now + rng.next_below(2048);
-        batch.push_back(make_event(t, EventPriority::kControl, 3, seq));
+        q.push(make_event(t, EventPriority::kControl, 3, seq));
         reference.push_back(make_event(t, EventPriority::kControl, 3, seq));
         ++seq;
       }
-      q.push_bulk(batch);
     }
     ASSERT_EQ(q.size(), reference.size());
   }

@@ -516,9 +516,8 @@ TEST(ResilienceSim, NoticeArrivalsAreTheNoticesDelivered) {
   // each observer one failure timeout later. Ranks 0 and 1 finish at once,
   // before either notice arrives; the other survivors wait on each failed
   // rank in turn, so they are alive for both notices.
-  auto run = [](int workers) {
+  auto run = [] {
     auto cfg = tiny_config(8);
-    cfg.sim_workers = workers;
     cfg.failures = {FailureSpec{3, sim_ms(1)}, FailureSpec{6, sim_us(1500)}};
     cfg.detector = *resilience::parse_detector_spec("timeout");
     auto app = [](Context& ctx) {
@@ -534,7 +533,7 @@ TEST(ResilienceSim, NoticeArrivalsAreTheNoticesDelivered) {
     };
     return run_app(std::move(cfg), app);
   };
-  const SimResult r = run(1);
+  const SimResult r = run();
   ASSERT_EQ(r.activated_failures.size(), 2u);
 
   // Four observers of each failure; ranks 0 and 1 had finished, and rank 6
@@ -558,107 +557,54 @@ TEST(ResilienceSim, NoticeArrivalsAreTheNoticesDelivered) {
   // The latency accounting counts the finished observers too: six per
   // failure.
   EXPECT_EQ(r.failure_notices, 12u);
-
-  const SimResult r4 = run(4);
-  EXPECT_EQ(r4.notice_arrivals, r.notice_arrivals);
-  EXPECT_EQ(r4.failure_notices, r.failure_notices);
 }
 
-TEST(ResilienceSim, DefaultDetectorIdenticalAcrossSimWorkers) {
-  // The paper-instant default must reproduce the sequential schedule exactly
-  // on the sharded engine: every simulated quantity of a failing launch
-  // matches across 1/2/4 workers.
-  auto run_with = [&](int workers) {
-    auto cfg = tiny_config(4);
-    cfg.sim_workers = workers;
-    cfg.ranks_per_node = 2;
-    cfg.failures = {FailureSpec{2, sim_ms(1)}};
-    auto app = [](Context& ctx) {
-      std::int64_t mine = ctx.rank(), out = 0;
-      for (int i = 0; i < 20; ++i) {
-        ctx.compute(1e5);
-        if (ctx.allreduce(ctx.world(), vmpi::ReduceOp::kSum, vmpi::Dtype::kI64, &mine, &out,
-                          1) != Err::kSuccess) {
-          break;
-        }
+/// Rank 2 of 4 (2 per node) fails at 1 ms inside a loop of allreduces;
+/// with `return_errors` the survivors see the failure as an error code
+/// instead of aborting.
+SimResult failing_allreduce_launch(const char* detector, bool return_errors) {
+  auto cfg = tiny_config(4);
+  cfg.ranks_per_node = 2;
+  cfg.failures = {FailureSpec{2, sim_ms(1)}};
+  cfg.detector = *resilience::parse_detector_spec(detector);
+  auto app = [return_errors](Context& ctx) {
+    if (return_errors) ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
+    std::int64_t mine = ctx.rank(), out = 0;
+    for (int i = 0; i < 20; ++i) {
+      ctx.compute(1e5);
+      if (ctx.allreduce(ctx.world(), vmpi::ReduceOp::kSum, vmpi::Dtype::kI64, &mine, &out,
+                        1) != Err::kSuccess) {
+        break;
       }
-      ctx.finalize();
-    };
-    return run_app(cfg, app);
-  };
-  const SimResult ref = run_with(1);
-  EXPECT_EQ(ref.outcome, SimResult::Outcome::kAborted);
-  EXPECT_EQ(ref.detector, "paper-instant");
-  for (int workers : {2, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const SimResult r = run_with(workers);
-    EXPECT_EQ(r.outcome, ref.outcome);
-    EXPECT_EQ(r.max_end_time, ref.max_end_time);
-    EXPECT_EQ(r.min_end_time, ref.min_end_time);
-    EXPECT_DOUBLE_EQ(r.avg_end_time_sec, ref.avg_end_time_sec);
-    EXPECT_EQ(r.abort_time, ref.abort_time);
-    EXPECT_EQ(r.abort_origin, ref.abort_origin);
-    ASSERT_EQ(r.activated_failures.size(), ref.activated_failures.size());
-    for (std::size_t i = 0; i < ref.activated_failures.size(); ++i) {
-      EXPECT_EQ(r.activated_failures[i], ref.activated_failures[i]);
     }
-    EXPECT_EQ(r.failure_notices, ref.failure_notices);
-    EXPECT_EQ(r.max_detection_latency, ref.max_detection_latency);
-    EXPECT_EQ(r.finished_count, ref.finished_count);
-    EXPECT_EQ(r.failed_count, ref.failed_count);
-    EXPECT_EQ(r.aborted_count, ref.aborted_count);
-    EXPECT_EQ(r.total_busy_time, ref.total_busy_time);
-    EXPECT_EQ(r.total_comm_time, ref.total_comm_time);
-  }
+    ctx.finalize();
+  };
+  return run_app(cfg, app);
 }
 
-TEST(ResilienceSim, GossipDetectorIdenticalAcrossSimWorkers) {
+TEST(ResilienceSim, DefaultDetectorFailingLaunchIsPinned) {
+  const SimResult r = failing_allreduce_launch("paper-instant", false);
+  EXPECT_EQ(r.outcome, SimResult::Outcome::kAborted);
+  EXPECT_EQ(r.detector, "paper-instant");
+  EXPECT_EQ(r.max_end_time, 2063280u);
+  EXPECT_EQ(r.abort_time, 2063280u);
+  EXPECT_EQ(r.aborted_count, 3);
+  EXPECT_EQ(r.failure_notices, 3u);
+  EXPECT_EQ(r.total_comm_time, 1252136u);
+}
+
+TEST(ResilienceSim, GossipDetectorFailingLaunchIsPinned) {
   // With gossip active the per-observer notice times are NOT rank-ordered
-  // (the epidemic order is latency+hash), which exercises the min-key relay
-  // batching: every simulated quantity — including the detection-latency
-  // stats — must still match across 1/2/4 workers.
-  auto run_with = [&](int workers) {
-    auto cfg = tiny_config(4);
-    cfg.sim_workers = workers;
-    cfg.ranks_per_node = 2;
-    cfg.failures = {FailureSpec{2, sim_ms(1)}};
-    auto spec = resilience::parse_detector_spec("gossip:period=1ms,fanout=2,seed=3");
-    EXPECT_TRUE(spec.has_value());
-    cfg.detector = *spec;
-    auto app = [](Context& ctx) {
-      ctx.set_error_handler(ctx.world(), vmpi::ErrorHandlerKind::kReturn);
-      std::int64_t mine = ctx.rank(), out = 0;
-      for (int i = 0; i < 20; ++i) {
-        ctx.compute(1e5);
-        if (ctx.allreduce(ctx.world(), vmpi::ReduceOp::kSum, vmpi::Dtype::kI64, &mine, &out,
-                          1) != Err::kSuccess) {
-          break;
-        }
-      }
-      ctx.finalize();
-    };
-    return run_app(cfg, app);
-  };
-  const SimResult ref = run_with(1);
-  EXPECT_EQ(ref.detector, "gossip:period=1ms,fanout=2,seed=3");
-  EXPECT_EQ(ref.failure_notices, 3u);
-  EXPECT_GT(ref.max_detection_latency, sim_ms(1));  // >= one epidemic round.
-  for (int workers : {2, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const SimResult r = run_with(workers);
-    EXPECT_EQ(r.outcome, ref.outcome);
-    EXPECT_EQ(r.max_end_time, ref.max_end_time);
-    EXPECT_EQ(r.min_end_time, ref.min_end_time);
-    EXPECT_DOUBLE_EQ(r.avg_end_time_sec, ref.avg_end_time_sec);
-    EXPECT_EQ(r.failure_notices, ref.failure_notices);
-    EXPECT_EQ(r.max_detection_latency, ref.max_detection_latency);
-    EXPECT_DOUBLE_EQ(r.mean_detection_latency_sec, ref.mean_detection_latency_sec);
-    EXPECT_EQ(r.finished_count, ref.finished_count);
-    EXPECT_EQ(r.failed_count, ref.failed_count);
-    EXPECT_EQ(r.aborted_count, ref.aborted_count);
-    EXPECT_EQ(r.total_busy_time, ref.total_busy_time);
-    EXPECT_EQ(r.total_comm_time, ref.total_comm_time);
-  }
+  // (the epidemic order is latency+hash).
+  const SimResult r = failing_allreduce_launch("gossip:period=1ms,fanout=2,seed=3", true);
+  EXPECT_EQ(r.detector, "gossip:period=1ms,fanout=2,seed=3");
+  EXPECT_EQ(r.failure_notices, 3u);
+  EXPECT_GT(r.max_detection_latency, sim_ms(1));  // >= one epidemic round.
+  EXPECT_EQ(r.max_end_time, 2065780u);
+  EXPECT_EQ(r.max_detection_latency, 2002500u);
+  EXPECT_DOUBLE_EQ(r.mean_detection_latency_sec, 0.0013351666666666668);
+  EXPECT_EQ(r.total_busy_time, 4000000u);
+  EXPECT_EQ(r.total_comm_time, 1254636u);
 }
 
 TEST(ResilienceSim, RepeatedFailuresDontInflateMeanLatency) {
@@ -720,8 +666,8 @@ TEST(ResilienceSim, InjectFailureKillsProcessProgrammatically) {
 
 // ------------------------------------------------ notices are ordinary events
 
-// An LP that ignores every event; LP 0 optionally fires a one-shot hook on
-// its first event (used to broadcast a failure from inside a worker thread).
+// An LP that ignores every event; an LP optionally fires a one-shot hook on
+// its first event (used to broadcast a failure from inside a handler).
 struct NullLp final : LogicalProcess {
   std::function<void(Engine&)> on_first_event;
   void on_event(Engine& engine, Event&& ev) override {
@@ -735,18 +681,13 @@ struct NullLp final : LogicalProcess {
   bool terminated() const override { return true; }
 };
 
-/// `ranks` NullLps in `blocks` contiguous blocks, sharded over `workers`
-/// groups, with a notice bus (paper-instant detector) wired to the engine.
+/// `ranks` NullLps with a notice bus (paper-instant detector) wired to the
+/// engine.
 struct NoticeRig {
-  NoticeRig(int ranks, int workers, int blocks)
+  explicit NoticeRig(int ranks)
       : network(make_topology("star:1"), NetworkParams{}, RoutingSpec{}, ranks),
         lps(static_cast<std::size_t>(ranks)) {
     for (int id = 0; id < ranks; ++id) engine.add_process(id, &lps[static_cast<std::size_t>(id)]);
-    Engine::ShardingOptions shard;
-    shard.workers = workers;
-    shard.lookahead = sim_us(1);
-    shard.block_alignment = ranks / blocks;
-    engine.set_sharding(shard);
     resilience::NotificationBus::Wiring wiring;
     wiring.engine = &engine;
     wiring.ranks = ranks;
@@ -764,11 +705,10 @@ struct NoticeRig {
 };
 
 TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
-  // A failure on a 32,768-rank, 8-group run schedules one notice event per
-  // survivor, through Engine::schedule like any other event: no relays.
+  // A failure on a 32,768-rank run schedules one notice event per survivor,
+  // through Engine::schedule like any other event: no relays.
   constexpr int kRanks = 32768;
-  constexpr int kGroups = 8;
-  NoticeRig rig(kRanks, kGroups, kGroups);
+  NoticeRig rig(kRanks);
   rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(0, eng.now()); };
   rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
 
@@ -776,7 +716,6 @@ TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
   rig.engine.run();
   const PerfSnapshot d = perf_delta(before, perf_snapshot());
 
-  EXPECT_EQ(rig.engine.worker_groups(), kGroups);
   EXPECT_EQ(d.fanout_notices, static_cast<std::uint64_t>(kRanks - 1));
   EXPECT_EQ(d.fanout_relays, 0u);
   EXPECT_EQ(d.fanout_dead_skips, 0u);
@@ -792,66 +731,51 @@ TEST(NoticeEvents, FailureOn32kRanksIsOneEventPerSurvivor) {
 
 TEST(NoticeEvents, NoticesToDeadRanksAreDroppedAtDelivery) {
   // Notices to ranks already dead are scheduled like the rest and dropped
-  // when they come due, whether the dead rank shares the broadcasting LP's
-  // group (rank 3) or lives in another one (rank 40).
+  // when they come due.
   constexpr int kRanks = 64;
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(workers);
-    NoticeRig rig(kRanks, workers, 4);
-    rig.engine.mark_dead(3);
-    rig.engine.mark_dead(40);
-    rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
-    rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
+  NoticeRig rig(kRanks);
+  rig.engine.mark_dead(3);
+  rig.engine.mark_dead(40);
+  rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
+  rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);
 
-    const util::Counters before = util::thread_counters();
-    rig.engine.run();
-    util::Counters counters = util::thread_counters() - before;
-    counters += rig.engine.worker_counters();
-    const PerfSnapshot d = perf_of(counters);
+  const util::Counters before = util::thread_counters();
+  rig.engine.run();
+  const PerfSnapshot d = perf_of(util::thread_counters() - before);
 
-    EXPECT_EQ(rig.engine.worker_groups(), workers);
-    // 63 observers of rank 7, all of them scheduled; the 2 dead ones dropped.
-    EXPECT_EQ(d.fanout_notices, static_cast<std::uint64_t>(kRanks - 1));
-    EXPECT_EQ(d.fanout_dead_skips, 0u);
-    EXPECT_EQ(rig.engine.events_dropped_dead(), 2u);
-    // The kick and 61 notices.
-    EXPECT_EQ(rig.engine.events_processed(), 62u);
-  }
+  // 63 observers of rank 7, all of them scheduled; the 2 dead ones dropped.
+  EXPECT_EQ(d.fanout_notices, static_cast<std::uint64_t>(kRanks - 1));
+  EXPECT_EQ(d.fanout_dead_skips, 0u);
+  EXPECT_EQ(rig.engine.events_dropped_dead(), 2u);
+  // The kick and 61 notices.
+  EXPECT_EQ(rig.engine.events_processed(), 62u);
 }
 
-TEST(NoticeEvents, QueuePopsAddUpAtOneAndFourWorkers) {
-  // Every pop delivers an event or drops one whose target is dead. Moving
-  // events into the group queues before a sharded run and out of them after
-  // it is no pop.
+TEST(NoticeEvents, QueuePopsAddUp) {
+  // Every pop delivers an event or drops one whose target is dead.
   constexpr int kRanks = 64;
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(workers);
-    NoticeRig rig(kRanks, workers, 4);
-    rig.engine.mark_dead(3);
-    rig.engine.mark_dead(40);
-    rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
-    rig.lps[7].on_first_event = [](Engine& eng) { eng.request_stop(); };
-    rig.engine.schedule(sim_us(1), 3, /*kind=*/99, nullptr);   // Dead: popped, dropped.
-    rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);   // The broadcast.
-    rig.engine.schedule(sim_us(5), 40, /*kind=*/99, nullptr);  // Dead: popped, dropped.
-    rig.engine.schedule(sim_us(50), 7, /*kind=*/99, nullptr);  // Stops the run.
-    rig.engine.schedule(sim_sec(1), 5, /*kind=*/99, nullptr);  // Left pending.
+  NoticeRig rig(kRanks);
+  rig.engine.mark_dead(3);
+  rig.engine.mark_dead(40);
+  rig.lps[0].on_first_event = [&](Engine& eng) { rig.bus->broadcast_failure(7, eng.now()); };
+  rig.lps[7].on_first_event = [](Engine& eng) { eng.request_stop(); };
+  rig.engine.schedule(sim_us(1), 3, /*kind=*/99, nullptr);   // Dead: popped, dropped.
+  rig.engine.schedule(sim_us(2), 0, /*kind=*/99, nullptr);   // The broadcast.
+  rig.engine.schedule(sim_us(5), 40, /*kind=*/99, nullptr);  // Dead: popped, dropped.
+  rig.engine.schedule(sim_us(50), 7, /*kind=*/99, nullptr);  // Stops the run.
+  rig.engine.schedule(sim_sec(1), 5, /*kind=*/99, nullptr);  // Left pending.
 
-    const util::Counters before = util::thread_counters();
-    rig.engine.run();
-    util::Counters counters = util::thread_counters() - before;
-    counters += rig.engine.worker_counters();
-    const PerfSnapshot d = perf_of(counters);
+  const util::Counters before = util::thread_counters();
+  rig.engine.run();
+  const PerfSnapshot d = perf_of(util::thread_counters() - before);
 
-    EXPECT_EQ(rig.engine.worker_groups(), workers);
-    EXPECT_EQ(rig.engine.events_pending(), 1u);
-    // The kick, the stop and 61 notices (63 observers, 2 of them dead).
-    EXPECT_EQ(rig.engine.events_processed(), static_cast<std::uint64_t>(kRanks - 1));
-    // Two kicks and two notices to the dead ranks.
-    EXPECT_EQ(rig.engine.events_dropped_dead(), 4u);
-    EXPECT_EQ(d.fanout_relays, 0u);
-    EXPECT_EQ(d.queue_pops, rig.engine.events_processed() + rig.engine.events_dropped_dead());
-  }
+  EXPECT_EQ(rig.engine.events_pending(), 1u);
+  // The kick, the stop and 61 notices (63 observers, 2 of them dead).
+  EXPECT_EQ(rig.engine.events_processed(), static_cast<std::uint64_t>(kRanks - 1));
+  // Two kicks and two notices to the dead ranks.
+  EXPECT_EQ(rig.engine.events_dropped_dead(), 4u);
+  EXPECT_EQ(d.fanout_relays, 0u);
+  EXPECT_EQ(d.queue_pops, rig.engine.events_processed() + rig.engine.events_dropped_dead());
 }
 
 // -------------------------------------------- reduce commutativity (MPI_REPLACE)

@@ -242,9 +242,9 @@ std::map<std::string, std::string> json_fields(const std::string& json) {
 
 TEST(GoldenRow, EagerAndFilteredMatchTheBenchSmokeGolden) {
   // The filter only skips resumes that could not matter, so eager and
-  // filtered dispatch must both reproduce the golden, on 1 and 2 engine
-  // workers. Compute is modeled: the golden's PFS is free, so skipping the
-  // native stencil changes no simulated byte, and the row runs in a blink.
+  // filtered dispatch must both reproduce the golden. Compute is modeled:
+  // the golden's PFS is free, so skipping the native stencil changes no
+  // simulated byte, and the row runs in a blink.
   ASSERT_NE(read_source_file("BENCH_baseline.json").find(kGoldenRow), std::string::npos)
       << "kGoldenRow is no longer BENCH_baseline.json's workload";
   auto golden = json_fields(read_source_file("scripts/bench_smoke_result.golden.json"));
@@ -270,24 +270,20 @@ TEST(GoldenRow, EagerAndFilteredMatchTheBenchSmokeGolden) {
   const vmpi::AppMain app = apps::make_heat3d(heat);
 
   for (const bool eager : {false, true}) {
-    for (const int workers : {1, 2}) {
-      SCOPED_TRACE(std::string(eager ? "eager" : "filtered") + " workers=" +
-                   std::to_string(workers));
-      RunnerConfig rc = core::runner_config_from(*options);
-      rc.base.sim_workers = workers;
-      rc.base.process.eager_wakeup = eager;
-      const RunnerResult res = ResilientRunner(rc, app).run();
-      ASSERT_FALSE(res.run_results.empty());
-      auto got = json_fields(core::sim_result_json(res.run_results.back()));
-      got.erase("wall_seconds");
-      got.erase("events_per_sec");
-      EXPECT_EQ(got, golden);
-      const std::uint64_t suppressed = res.run_results.back().perf.wakeups_suppressed;
-      if (eager) {
-        EXPECT_EQ(suppressed, 0u);
-      } else {
-        EXPECT_GT(suppressed, 0u);
-      }
+    SCOPED_TRACE(eager ? "eager" : "filtered");
+    RunnerConfig rc = core::runner_config_from(*options);
+    rc.base.process.eager_wakeup = eager;
+    const RunnerResult res = ResilientRunner(rc, app).run();
+    ASSERT_FALSE(res.run_results.empty());
+    auto got = json_fields(core::sim_result_json(res.run_results.back()));
+    got.erase("wall_seconds");
+    got.erase("events_per_sec");
+    EXPECT_EQ(got, golden);
+    const std::uint64_t suppressed = res.run_results.back().perf.wakeups_suppressed;
+    if (eager) {
+      EXPECT_EQ(suppressed, 0u);
+    } else {
+      EXPECT_GT(suppressed, 0u);
     }
   }
 }

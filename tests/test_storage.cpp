@@ -209,7 +209,6 @@ TEST(StorageHierarchy, OccupancyWindowQueuesLikeLinkContention) {
   // 1 MB/s per client: 10,000 bytes take 10 ms, 1,000 bytes 1 ms.
   const StorageHierarchy h(must_parse("bb:cbw=1e6,contend=1;pfs:cbw=1e6"));
   const auto bb = StorageTierKind::kBurstBuffer;
-  EXPECT_TRUE(h.any_contended());
   EXPECT_EQ(h.write_time(bb, 0, 10'000, 1), sim_ms(10));  // Idle tier: no wait.
   EXPECT_EQ(h.write_time(bb, sim_ms(4), 10'000, 1), sim_ms(6) + sim_ms(10));  // Busy to 10.
   EXPECT_EQ(h.write_time(bb, sim_ms(30), 1'000, 1), sim_ms(1));  // After the window.
@@ -586,8 +585,7 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   // Both ranks die: every copy of every file is gone.
   store.apply_failures({FailureSpec{0, sim_sec(1)}, FailureSpec{1, sim_sec(1)}},
                        sim_sec(2));
-  // One result slot per rank: under a sharded engine the two ranks' fibers
-  // run on different workers.
+  // One result slot per rank.
   std::vector<char> restored(2, 1);
   auto restore_app = [&](Context& ctx) {
     restored[static_cast<std::size_t>(ctx.rank())] =
@@ -602,7 +600,7 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
 TEST(TieredRestore, StoreSizedForAnotherWorldIsRejected) {
   CheckpointStore store(3);
   const StorageHierarchy storage(must_parse("pfs"));
-  std::vector<char> threw(2, 0);  // One slot per rank: ranks may run on different workers.
+  std::vector<char> threw(2, 0);  // One slot per rank.
   auto app = [&](Context& ctx) {
     try {
       ckpt::read_latest_checkpoint_tiered(ctx, store, storage);

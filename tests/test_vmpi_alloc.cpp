@@ -222,7 +222,6 @@ std::uint64_t heat3d_halo_allocs(int iters, int* errors) {
   p.real_compute = false;
   ckpt::CheckpointStore store(kRanks);
   core::SimConfig cfg = test::tiny_config(kRanks);
-  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   auto app = apps::make_heat3d(p);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const core::SimResult res = test::run_app(cfg, app, &store);
@@ -258,7 +257,6 @@ std::uint64_t heat3d_ckpt_allocs(int iters, int* errors) {
   p.real_compute = false;
   ckpt::CheckpointStore store(kRanks);
   core::SimConfig cfg = test::tiny_config(kRanks);
-  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   auto app = apps::make_heat3d(p);
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const core::SimResult res = test::run_app(cfg, app, &store);
@@ -304,7 +302,6 @@ std::uint64_t construction_allocs(int ranks) {
     ctx.finalize();
   };
   core::SimConfig cfg = test::tiny_config(ranks);
-  cfg.sim_workers = 1;  // Worker groups would add their own queues.
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const core::SimResult res = test::run_app(std::move(cfg), app);
   EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
@@ -355,7 +352,6 @@ TEST(VmpiAlloc, InFlightModeledMessageCarvesNoPoolBytes) {
   constexpr int kBigDim = 16;
   constexpr int kBigRanks = kBigDim * kBigDim * kBigDim;
   core::SimConfig cfg = halo_config(kBigDim);
-  cfg.sim_workers = 1;  // One thread's pool, whatever EXASIM_SIM_WORKERS says.
   int errors = 0;
   core::SimResult res;
   util::Counters counts;
@@ -396,7 +392,6 @@ std::uint64_t ping_pong_pool_allocs(int messages, bool real_bytes) {
     ctx.finalize();
   };
   core::SimConfig cfg = test::tiny_config(2);
-  cfg.sim_workers = 1;  // This thread's counters, whatever EXASIM_SIM_WORKERS says.
   const std::uint64_t before = util::thread_counters()[util::Counter::kPoolAllocs];
   const core::SimResult res = test::run_app(std::move(cfg), app);
   EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);
@@ -488,7 +483,6 @@ struct HeapUse {
 /// their state; and every heap allocation the machine and its launch made.
 HeapUse notice_launch(int ranks, bool fail) {
   core::SimConfig cfg = test::tiny_config(ranks);
-  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   cfg.failures = {FailureSpec{0, fail ? sim_us(5) : sim_sec(1000)}};
   auto app = [](Context& ctx) {
     auto& w = ctx.world();
@@ -555,7 +549,6 @@ void heat3d_table2_shape(int ranks) {
   p.real_compute = false;
   core::SimConfig cfg = test::tiny_config(ranks);
   cfg.topology = "torus:16x16x" + std::to_string(p.pz);
-  cfg.sim_workers = 1;  // One thread's pools, whatever EXASIM_SIM_WORKERS says.
   ckpt::CheckpointStore store(ranks);
   const core::SimResult res = test::run_app(std::move(cfg), apps::make_heat3d(p), &store);
   EXPECT_EQ(res.outcome, core::SimResult::Outcome::kCompleted);

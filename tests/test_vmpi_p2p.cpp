@@ -577,30 +577,17 @@ TEST(P2P, HaloWaitallResumesOncePerWait) {
   EXPECT_EQ(simulated_json(filtered), simulated_json(eager));
 }
 
-TEST(P2P, RunQueueHaloMatchesOnFourWorkers) {
+TEST(P2P, RunQueueServesMostPopsOfA512RankHalo) {
   // 512 ranks keep thousands of events pending, past the event queue's run
   // floor, so sorted runs serve the pops (the 64-rank goldens never get
-  // there). Sequential and 4-worker runs must agree exactly.
+  // there).
   constexpr int kDim = 8;
-  core::SimConfig sequential = tiny_config(kDim * kDim * kDim);
-  sequential.sim_workers = 1;
-  core::SimConfig sharded = sequential;
-  sharded.sim_workers = 4;
-  const SimResult seq = halo_loop(sequential, kDim, 10);
-  const SimResult par = halo_loop(sharded, kDim, 10);
-  const PerfSnapshot& seq_perf = seq.perf;
-  const PerfSnapshot& par_perf = par.perf;
+  const SimResult seq = halo_loop(tiny_config(kDim * kDim * kDim), kDim, 10);
   EXPECT_EQ(seq.outcome, SimResult::Outcome::kCompleted);
-  EXPECT_EQ(simulated_json(seq), simulated_json(par));
-  EXPECT_EQ(seq.events_processed, par.events_processed);
-  EXPECT_EQ(seq.rank_end_times, par.rank_end_times);
-  EXPECT_EQ(seq.rank_outcomes, par.rank_outcomes);
-  std::printf("run pops: sequential %llu of %llu events, 4 workers %llu\n",
-              static_cast<unsigned long long>(seq_perf.queue_near_hits),
-              static_cast<unsigned long long>(seq.events_processed),
-              static_cast<unsigned long long>(par_perf.queue_near_hits));
-  EXPECT_GT(seq_perf.queue_near_hits, seq.events_processed / 2);
-  EXPECT_GT(par_perf.queue_near_hits, 0u);
+  std::printf("run pops: %llu of %llu events\n",
+              static_cast<unsigned long long>(seq.perf.queue_near_hits),
+              static_cast<unsigned long long>(seq.events_processed));
+  EXPECT_GT(seq.perf.queue_near_hits, seq.events_processed / 2);
 }
 
 TEST(P2P, AnySourceMatchForcesWakeupUnderFiltering) {
@@ -1216,20 +1203,17 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSweep,
                                            std::size_t{1024 * 1024}));
 
 // Receive buffers on the receiving rank's own stack. The engine delivers
-// outside the fiber, and while other ranks of the LP group take their turns
-// on the group's shared stack the receiver's frames sit in its saved image,
-// so the bytes must land there (Fiber::locate): an eager double and a
-// rendezvous array above the eager threshold, at 1 and 4 engine workers.
-class StackReceive : public ::testing::TestWithParam<int> {};
-
-TEST_P(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
+// outside the fiber, and while other ranks take their turns on the engine's
+// shared stack the receiver's frames sit in its saved image, so the bytes
+// must land there (Fiber::locate): an eager double and a rendezvous array
+// above the eager threshold.
+TEST(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
   constexpr int kRanks = 16;
   constexpr std::size_t kEagerThreshold = 1024;
   constexpr std::size_t kRendezvousBytes = 3000;
   constexpr double kValue = 2.718281828459045;
   core::SimConfig cfg = tiny_config(kRanks);
-  cfg.ranks_per_node = 4;  // At 4 workers: four LP groups of four ranks.
-  cfg.sim_workers = GetParam();
+  cfg.ranks_per_node = 4;
   cfg.net.eager_threshold = kEagerThreshold;
   auto pattern = [](std::size_t i) { return static_cast<std::uint8_t>(i * 7 + 3); };
   double got = 0;
@@ -1238,7 +1222,7 @@ TEST_P(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
     const int r = ctx.rank();
     if (r == 0) {
       double v = 0;
-      EXPECT_EQ(ctx.recv(1, 1, &v, sizeof v), Err::kSuccess);  // Eager, same group.
+      EXPECT_EQ(ctx.recv(1, 1, &v, sizeof v), Err::kSuccess);  // Eager, same node.
       std::uint8_t big[kRendezvousBytes] = {};
       EXPECT_EQ(ctx.recv(8, 2, big, sizeof big), Err::kSuccess);  // Rendezvous.
       got = v;
@@ -1254,7 +1238,7 @@ TEST_P(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
       EXPECT_EQ(ctx.send(0, 2, data.data(), data.size()), Err::kSuccess);
     } else if (r != 9) {
       // Ping-pong with a partner in the same node until after both
-      // deliveries, taking turns on the group's stack with rank 0.
+      // deliveries, taking turns on the shared stack with rank 0.
       const int partner = r ^ 1;
       std::uint64_t token = 0;
       for (int round = 0; round < 60; ++round) {
@@ -1277,8 +1261,6 @@ TEST_P(StackReceive, DeliversExactBytesIntoASuspendedRanksStack) {
   EXPECT_EQ(wrong_bytes, 0u);
   EXPECT_GT(res.perf.stack_bytes_copied, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Workers, StackReceive, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace exasim

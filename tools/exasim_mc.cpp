@@ -46,7 +46,6 @@
 #include "core/cli.hpp"
 #include "exp/executor.hpp"
 #include "mc/explorer.hpp"
-#include "pdes/sim_workers.hpp"
 #include "util/parse.hpp"
 
 using namespace exasim;
@@ -169,11 +168,7 @@ int main(int argc, char** argv) {
   }
   config.app_name = app_name;
   config.app_params = app_params_text;
-  // Each scenario may itself run several engine worker threads, so divide
-  // the campaign job budget by the per-run worker count (as exasim_run's
-  // replicate campaigns do).
-  config.jobs = exp::compose_jobs(
-      options->jobs, resolve_sim_workers(options->machine.sim_workers));
+  config.jobs = options->jobs;
   config.progress = [](int wave, std::uint64_t explored, std::uint64_t raw) {
     std::fprintf(stderr, "exasim_mc: wave %d done, %llu/%llu scenarios evaluated\n",
                  wave, static_cast<unsigned long long>(explored),

@@ -32,7 +32,6 @@
 #include "exp/plan.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
-#include "pdes/sim_workers.hpp"
 #include "resilience/detector.hpp"
 #include "util/log.hpp"
 
@@ -93,23 +92,14 @@ void print_perf(const std::vector<const core::RunnerResult*>& results) {
   if (p.fanout_notices > 0) {
     std::fprintf(stderr, "fanout         : %" PRIu64 " notices\n", p.fanout_notices);
   }
-  if (p.sched_windows > 0) {
-    std::fprintf(stderr,
-                 "sched          : %" PRIu64 " windows, %" PRIu64 " steals, %.3f s barrier idle\n",
-                 p.sched_windows, p.sched_steals,
-                 static_cast<double>(p.sched_barrier_idle_ns) / 1e9);
-  }
   if (p.fiber_resumes > 0) {
     std::fprintf(stderr, "wakeups        : %" PRIu64 " resumes, %" PRIu64 " suppressed (%.1f%%)\n",
                  p.fiber_resumes, p.wakeups_suppressed,
                  percent(p.wakeups_suppressed, p.fiber_resumes + p.wakeups_suppressed));
   }
-  if (p.queue_pops > 0 || p.bulk_merges > 0) {
-    std::fprintf(stderr,
-                 "queue          : %" PRIu64 " pops, %" PRIu64 " run pops (%.1f%%), %" PRIu64
-                 " bulk merges\n",
-                 p.queue_pops, p.queue_near_hits, percent(p.queue_near_hits, p.queue_pops),
-                 p.bulk_merges);
+  if (p.queue_pops > 0) {
+    std::fprintf(stderr, "queue          : %" PRIu64 " pops, %" PRIu64 " run pops (%.1f%%)\n",
+                 p.queue_pops, p.queue_near_hits, percent(p.queue_near_hits, p.queue_pops));
   }
   if (p.ckpt_stages > 0 || p.ckpt_drains > 0 || p.ckpt_partner_copies > 0) {
     static const char* kTierNames[] = {"-", "mem", "bb", "pfs"};
@@ -192,12 +182,7 @@ int main(int argc, char** argv) {
     auto plan = exp::ExperimentPlan::explicit_points(
         1, options->replicates, options->seed);
     plan.set_seed_mode(exp::SeedMode::kSequentialPerReplicate);
-    // Each replicate may itself run several engine worker threads
-    // (--sim-workers), so divide the campaign's job budget by the per-run
-    // worker count to keep the total thread count near --jobs.
-    const int workers_per_run = resolve_sim_workers(options->machine.sim_workers);
-    exp::ParallelExecutor pool(
-        exp::ExecutorOptions{exp::compose_jobs(options->jobs, workers_per_run), {}});
+    exp::ParallelExecutor pool(exp::ExecutorOptions{options->jobs, {}});
     auto outcomes = pool.run(plan, [&](const exp::Point&, const exp::WorkItem& item) {
       core::RunnerConfig rc = core::runner_config_from(*options);
       rc.seed = item.seed;
